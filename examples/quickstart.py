@@ -31,7 +31,7 @@ def main() -> None:
         "model": {"name": "yolov5s", "kwargs": {"num_classes": 3}},
         "framework": {"name": "rtoss-2ep", "trace_size": 64},
         "quantization": {"enabled": True, "bits": 8},
-        "engine": {"enabled": True, "fuse": True, "measure": True,
+        "engine": {"enabled": True, "measure": True,
                    "image_size": 96, "batch": 2, "repeats": 3},
         "evaluation": {"enabled": True, "image_size": 640, "probe_size": 64},
     })
@@ -55,13 +55,10 @@ def main() -> None:
           f"energy -{metrics['energy_reduction_%[Jetson TX2]']:.0f}%")
     measurement = artifact.measurement
     print(f"host CPU (measured):  dense {measurement['dense_ms']:.0f} ms -> "
-          f"compiled {measurement['compiled_ms']:.0f} ms "
-          f"({measurement['measured_speedup']:.2f}x, outputs match to "
-          f"{measurement['max_abs_diff']:.1e})")
-    if measurement.get("fused_ms"):
-        print(f"                      fused executor {measurement['fused_ms']:.0f} ms "
-              f"({measurement['fused_speedup']:.2f}x vs dense, "
-              f"{measurement['fusion_speedup']:.2f}x vs eager-compiled)")
+          f"engine ({measurement['engine_mode']}) {measurement['compiled_ms']:.0f} ms "
+          f"({measurement['measured_speedup']:.2f}x, "
+          f"{measurement['measured_speedup_nograd']:.2f}x vs no-grad dense; "
+          f"outputs match to {measurement['max_abs_diff']:.1e})")
     print(f"stage timings (s): {artifact.timings}")
 
     # 3. One portable file: pruned weights + masks + metadata + engine.

@@ -131,9 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--batch", type=int, default=4, help="measurement batch size")
     engine.add_argument("--repeats", type=int, default=5, help="timing repeats (median)")
     engine.add_argument("--seed", type=int, default=0, help="reproducibility seed")
-    engine.add_argument("--no-fuse", action="store_true",
-                        help="disable the traced/fused executor (measure the "
-                             "eager per-layer engine only)")
     engine.add_argument("--int8", action="store_true",
                         help="also lower quantized convolutions to the integer "
                              "hot path (uint8 x int8 GEMM) and report the "
@@ -180,11 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rate", type=float, default=None,
                        help="open-loop arrival rate in requests/s (default: 200)")
     serve.add_argument("--seed", type=int, default=0, help="reproducibility seed")
-    serve.add_argument("--no-fuse", action="store_true",
-                       help="serve through the eager per-layer engine instead of "
-                            "the fused executor (single-process mode; cluster "
-                            "workers always follow the artifact's recorded "
-                            "fusion setting)")
     serve.add_argument("--no-verify", action="store_true",
                        help="skip the service-vs-sequential-BatchRunner "
                             "output-equivalence check")
@@ -411,19 +403,17 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     if args.batch < 1:
         print("error: --batch must be at least 1", file=sys.stderr)
         return 2
-    if args.int8 and args.no_fuse:
-        print("error: --int8 needs the fused executor; drop --no-fuse",
-              file=sys.stderr)
-        return 2
     set_global_seed(args.seed)
     model = _build_cli_model(args)
     pruner = _build_pruner(args.framework, args.seed)
     report = pruner.prune(model, (1, 3, args.image_size, args.image_size), args.model)
 
+    # One engine serves the measurement, the profile and the plan table.
+    compiled = compile_model(model, report.masks, int8=args.int8)
     measurement = measure_speedup(
-        model, masks=report.masks, repeats=args.repeats,
-        batch=args.batch, image_size=args.image_size, model_name=args.model,
-        seed=args.seed, fuse=not args.no_fuse, int8=args.int8,
+        model, repeats=args.repeats, batch=args.batch,
+        image_size=args.image_size, model_name=args.model, seed=args.seed,
+        compiled=compiled, int8=args.int8,
     )
 
     # Modeled (analytical) latency for the same pruned model, with the measured
@@ -435,18 +425,14 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     attach_measured(modeled, measurement.compiled_seconds)
 
     if args.profile:
-        # Per-op attribution of the compiled path: enable the EngineProfiler,
+        # Per-op attribution of the measured path: enable the EngineProfiler,
         # run the measured batch a few times, print where the time went.
-        compiled = compile_model(model, report.masks, apply_masks=False,
-                                 fuse=not args.no_fuse, int8=args.int8)
         probe = np.random.default_rng(args.seed).standard_normal(
             (args.batch, 3, args.image_size, args.image_size)).astype(np.float32)
-        compiled.forward_raw(probe)          # settle attach/trace/fuse (+ int8 calib)
         compiled.enable_profiling()
         for _ in range(max(1, args.repeats)):
             compiled.forward_raw(probe)
         profile = compiled.profile()
-        compiled.detach()
         rows = []
         for op in profile["ops"]:
             row = {k: op[k] for k in ("op", "kind", "mode", "calls",
@@ -462,21 +448,12 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         print()
 
     if args.plans:
-        compiled = compile_model(model, report.masks, apply_masks=False,
-                                 fuse=not args.no_fuse, int8=args.int8)
-        if not args.no_fuse:
-            # One forward traces + fuses, so the table shows the modes that
-            # actually execute (e.g. "sparse-im2col-gemm+bn+silu+int8").  The
-            # int8 lowering calibrates on the probe, so it must carry signal
-            # (an all-zero probe would record empty activation ranges).
-            probe = np.random.default_rng(args.seed).standard_normal(
-                (1, 3, args.image_size, args.image_size)).astype(np.float32)
-            compiled.forward_raw(probe)
+        # The measurement already traced + fused, so the table shows the modes
+        # that actually execute (e.g. "sparse-im2col-gemm+bn+silu+int8").
         print(format_table(compiled.summary(), title="Compiled layer plans"))
         if args.int8 and compiled.int8_failure:
             print(f"note: int8 lowering unavailable ({compiled.int8_failure}); "
                   "the float fused path served")
-        compiled.detach()
         print()
     print(format_table([measurement.row()],
                        title=f"{args.framework} on {args.model} — measured on host CPU"))
@@ -641,8 +618,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: could not load artifact {args.artifact!r}: {error}",
               file=sys.stderr)
         return 2
-    if args.no_fuse and artifact.compiled is not None:
-        artifact.compiled.fuse = False
 
     # CLI flags override the serving defaults baked into the artifact's spec.
     serve_spec = artifact.spec.serve
@@ -686,11 +661,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sequential = BatchRunner(runnable, batch_size=1).run(images)
 
     if workers > 1:
-        if args.no_fuse:
-            print("note: --no-fuse applies to the in-process verification only; "
-                  "cluster workers load the artifact themselves and follow its "
-                  "recorded fusion setting (re-run `repro run` with engine.fuse "
-                  "= false to serve unfused)")
         return _serve_cluster(args, artifact, policy, images, sequential,
                               requests=requests, concurrency=concurrency,
                               workers=workers, routing=routing)

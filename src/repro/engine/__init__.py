@@ -6,15 +6,16 @@ package makes pruning pay off at inference time on the host CPU:
 * :mod:`repro.engine.plan` — compile step: lower each pruned convolution to a
   column-compacted gather + GEMM plan that skips masked taps entirely, with
   layouts cached per (layer, pattern set, input shape),
-* :mod:`repro.engine.compiler` — :func:`compile_model` attaches the plans to a
-  model; the fast path only runs under ``no_grad`` so training stays correct,
+* :mod:`repro.engine.compiler` — :func:`compile_model` builds the plans;
+  :meth:`CompiledModel.forward_raw` is the one no-grad inference path (the
+  model itself is never rewired, so training on it stays correct),
 * :mod:`repro.engine.trace` — graph tracer: records one forward pass into a
   flat op-plan list (:class:`~repro.engine.trace.GraphPlan`),
-* :mod:`repro.engine.fuse` — fusion pass + fused executor: folds BatchNorm
+* :mod:`repro.engine.fuse` — fusion pass + the executor: folds BatchNorm
   into the packed conv weights, fuses ReLU/LeakyReLU/SiLU into the GEMM
   epilogue and runs every op as raw numpy over workspace-arena buffers,
 * :mod:`repro.engine.arena` — shape-keyed workspace arena: zero large-array
-  allocations in steady-state fused inference,
+  allocations in steady-state inference,
 * :mod:`repro.engine.runner` — :class:`BatchRunner`, the batched front door
   used by the evaluator and the CLI (reused staging buffer, padded tail batch),
 * :mod:`repro.engine.quant` — int8 lowering pass: :func:`lower_int8` rewrites
@@ -24,18 +25,20 @@ package makes pruning pay off at inference time on the host CPU:
 * :mod:`repro.engine.native` — optional AVX-512 VNNI C kernel backing the
   int8 path (compiled on first use, silently absent on other hosts),
 * :mod:`repro.engine.bench` — :func:`measure_speedup`, wall-clock dense vs
-  eager-compiled vs fused (vs int8) comparison with built-in
-  output-equivalence checks.
+  engine (vs int8) comparison with built-in output-equivalence checks.
+
+A model the tracer cannot record (``detr`` / ``detr_lite`` in the registry)
+runs its own dense forward under ``no_grad`` instead — exact, just not fused.
 
 Quick use::
 
     from repro.engine import compile_model, measure_speedup
 
     report = RTOSSPruner(RTOSSConfig(entries=2)).prune(model, example)
-    engine = compile_model(model, report.masks)   # fuse=True by default
+    engine = compile_model(model, report.masks)
     outputs = engine(batch)                       # fused no-grad inference
     m = measure_speedup(model, masks=report.masks)
-    print(m.speedup, m.fused_speedup, m.max_abs_diff)
+    print(m.speedup, m.nograd_speedup, m.max_abs_diff)
 """
 
 from repro.engine.arena import WorkspaceArena
@@ -58,7 +61,6 @@ from repro.engine.quant import (
 from repro.engine.plan import (
     ConvPlan,
     compile_conv_plan,
-    execute_plan,
     layout_cache_stats,
     reset_layout_cache_stats,
 )
@@ -80,7 +82,6 @@ __all__ = [
     "calibrate_activation_scales",
     "compile_conv_plan",
     "compile_model",
-    "execute_plan",
     "fuse_graph",
     "layout_cache_stats",
     "lower_int8",

@@ -9,11 +9,13 @@ network on the host CPU and times it.  :func:`measure_speedup` produces an
   im2col convolution), i.e. what every caller paid before the engine existed,
 * ``dense_nograd_seconds`` — the same dense kernels under ``no_grad``; comparing
   against this isolates the execution-strategy win from the tape-overhead win,
-* ``compiled_seconds`` — the pattern-aware compiled engine.
+* ``compiled_seconds`` — the engine, i.e. exactly what
+  :meth:`~repro.engine.compiler.CompiledModel.forward_raw` (and therefore
+  serving) runs: the fused fp32 program,
 
-It also records the max absolute output difference between the dense and the
-compiled paths, so every reported speedup is tied to a verified-equivalent
-computation.
+plus ``quantized_seconds`` for the int8 lowering when asked.  It also records
+the max absolute output difference between the dense and the engine outputs,
+so every reported speedup is tied to a verified-equivalent computation.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def time_callable(fn: Callable[[], object], repeats: int = 5, warmup: int = 1) -
 
 @dataclass
 class EngineMeasurement:
-    """Outcome of one dense-vs-compiled(-vs-fused) wall-clock comparison."""
+    """Outcome of one dense-vs-engine wall-clock comparison."""
 
     model_name: str
     input_shape: Tuple[int, ...]
@@ -60,8 +62,9 @@ class EngineMeasurement:
     fallback_layers: int = 0
     kept_columns: int = 0
     total_columns: int = 0
-    #: Wall-clock of the fused executor (0.0 when fusion was off/unavailable).
-    fused_seconds: float = 0.0
+    #: Executor ``compiled_seconds`` timed: ``"fused"``, or ``"eager"`` when
+    #: the model is untraceable and its dense no-grad forward served.
+    engine_mode: str = ""
     #: Wall-clock of the int8 fused executor (0.0 when not measured/lowered).
     quantized_seconds: float = 0.0
     #: Mean |int8 - fp32 fused| over every output element (the error budget
@@ -74,49 +77,27 @@ class EngineMeasurement:
     #: speedup when the native kernel ran.
     int8_kernel: str = ""
     #: Layers per executed mode string, taken from the compiled summary (the
-    #: plan's / fused op's own ``mode``, never a hardcoded label).
+    #: fused op's own ``mode``, never a hardcoded label).
     mode_census: Dict[str, int] = field(default_factory=dict)
-    extra: Dict[str, float] = field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
-        """Compiled speedup over the status-quo (taped) dense path."""
+        """Engine speedup over the status-quo (taped) dense path."""
         return self.dense_seconds / self.compiled_seconds if self.compiled_seconds else float("inf")
 
     @property
     def nograd_speedup(self) -> float:
-        """Compiled speedup over the no-grad dense path (execution strategy only)."""
+        """Engine speedup over the no-grad dense path (execution strategy only)."""
         if not self.compiled_seconds:
             return float("inf")
         return self.dense_nograd_seconds / self.compiled_seconds
 
     @property
-    def fused_speedup(self) -> float:
-        """Fused-executor speedup over the taped dense path (0.0 if unmeasured)."""
-        if not self.fused_seconds:
-            return 0.0
-        return self.dense_seconds / self.fused_seconds
-
-    @property
-    def fused_nograd_speedup(self) -> float:
-        """Fused-executor speedup over the no-grad dense path (0.0 if unmeasured)."""
-        if not self.fused_seconds:
-            return 0.0
-        return self.dense_nograd_seconds / self.fused_seconds
-
-    @property
-    def fusion_speedup(self) -> float:
-        """What fusion itself buys: eager-compiled over fused (0.0 if unmeasured)."""
-        if not self.fused_seconds:
-            return 0.0
-        return self.compiled_seconds / self.fused_seconds
-
-    @property
     def quantized_speedup(self) -> float:
-        """Int8 hot path over the fp32 *fused* path (0.0 if unmeasured)."""
-        if not self.quantized_seconds or not self.fused_seconds:
+        """Int8 hot path over the fp32 fused path (0.0 if unmeasured)."""
+        if not self.quantized_seconds:
             return 0.0
-        return self.fused_seconds / self.quantized_seconds
+        return self.compiled_seconds / self.quantized_seconds
 
     @property
     def column_sparsity(self) -> float:
@@ -129,6 +110,7 @@ class EngineMeasurement:
         row = {
             "model": self.model_name,
             "input": "x".join(str(dim) for dim in self.input_shape),
+            "engine_mode": self.engine_mode,
             "dense_ms": round(self.dense_seconds * 1e3, 2),
             "dense_nograd_ms": round(self.dense_nograd_seconds * 1e3, 2),
             "compiled_ms": round(self.compiled_seconds * 1e3, 2),
@@ -136,11 +118,6 @@ class EngineMeasurement:
             "measured_speedup_nograd": round(self.nograd_speedup, 2),
             "max_abs_diff": float(self.max_abs_diff),
         }
-        if self.fused_seconds:
-            row["fused_ms"] = round(self.fused_seconds * 1e3, 2)
-            row["fused_speedup"] = round(self.fused_speedup, 2)
-            row["fused_speedup_nograd"] = round(self.fused_nograd_speedup, 2)
-            row["fusion_speedup"] = round(self.fusion_speedup, 2)
         if self.quantized_seconds:
             row["quantized_ms"] = round(self.quantized_seconds * 1e3, 2)
             row["quantized_speedup"] = round(self.quantized_speedup, 2)
@@ -161,11 +138,10 @@ def measure_speedup(
     batch: int = 4,
     seed: int = 0,
     compiled: Optional[CompiledModel] = None,
-    fuse: bool = True,
     int8: bool = False,
     quantization: Optional[Dict[str, object]] = None,
 ) -> EngineMeasurement:
-    """Measure dense vs compiled (and fused) inference latency on the host CPU.
+    """Measure dense vs engine inference latency on the host CPU.
 
     Parameters
     ----------
@@ -183,20 +159,11 @@ def measure_speedup(
         Runner batch size (defaults to the full input in one batch).
     compiled:
         An existing :class:`CompiledModel` of ``model`` to measure instead of
-        compiling a fresh one (saves a full plan build).  It is detached for
-        the dense measurements and left *attached* on return; without it a
-        temporary engine is compiled and detached before returning, so the
-        model leaves this function exactly as dense-callable as it entered.
-    fuse:
-        Also measure the traced/fused executor: ``compiled_seconds`` always
-        times the eager per-layer engine (so the metric stays comparable
-        across releases) and ``fused_seconds`` times the fused program.  Both
-        paths are equivalence-checked against the dense output; the engine's
-        ``fuse`` flag is restored to this value on return.
+        compiling a fresh one (saves a full plan build).
     int8:
-        Also measure the int8 hot path (requires ``fuse``):
-        ``quantized_seconds`` times the integer lowering of the fused program
-        and ``quantized_mean_abs_error`` records its output deviation from the
+        Also measure the int8 hot path: ``quantized_seconds`` times the
+        integer lowering of the fused program and
+        ``quantized_mean_abs_error`` records its output deviation from the
         fp32 fused path (the error-budget metric).  Activation scales come
         from ``quantization`` (or the engine's stored metadata); when absent,
         the timing batch itself calibrates them.  The engine's ``int8`` flag
@@ -216,13 +183,6 @@ def measure_speedup(
     if masks is not None:
         masks.apply(model)
 
-    # The dense measurements below must not hit a compiled fast path.
-    owns_compiled = compiled is None
-    if compiled is not None:
-        if compiled.model is not model:
-            raise ValueError("`compiled` was built for a different model instance")
-        compiled.detach()
-
     # Status-quo dense path: taped autograd forward, exactly what callers ran
     # before the engine existed.
     dense_out = _to_numpy(model(Tensor(x)))
@@ -232,88 +192,72 @@ def measure_speedup(
     dense_runner = BatchRunner(model, batch_size=batch_size)
     dense_nograd_seconds = time_callable(lambda: dense_runner.run(x), repeats, warmup)
 
-    if owns_compiled:
-        compiled = compile_model(model, masks, apply_masks=False, fuse=fuse,
-                                 int8=int8, quantization=quantization)
-    else:
-        compiled.attach()
+    if compiled is None:
+        compiled = compile_model(model, masks, apply_masks=False, int8=int8,
+                                 quantization=quantization)
+    elif compiled.model is not model:
+        raise ValueError("`compiled` was built for a different model instance")
+    runner = BatchRunner(compiled, batch_size=batch_size)
+    armed_int8 = compiled.int8
     try:
-        runner = BatchRunner(compiled, batch_size=batch_size)
-        # Eager per-layer engine first: `compiled_seconds` keeps its historical
-        # meaning (PR-1 execution strategy) even now that fusion is on by
-        # default, so speedup baselines stay comparable.
-        compiled.fuse = False
-        compiled_out = runner.run(x)
+        # Time the fp32 program with the int8 flag parked, so the engine
+        # baseline means the same thing whether or not int8 is on.
+        compiled.int8 = False
+        compiled_out = runner.run(x)  # traces + warms the arena
         max_abs_diff = max_abs_output_diff(compiled_out, dense_out)
+        engine_mode = compiled.engine_mode
         compiled_seconds = time_callable(lambda: runner.run(x), repeats, warmup)
 
-        fused_seconds = 0.0
         quantized_seconds = 0.0
         quantized_mean = float("nan")
         quantized_max = float("nan")
         int8_kernel = ""
-        if fuse:
-            # Time the fp32 fused path first with the int8 flag parked, so the
-            # fused baseline means the same thing whether or not int8 is on.
-            compiled.fuse = True
-            compiled.int8 = False
-            fused_out = runner.run(x)  # warms the trace + arena
-            if compiled.fused_active:
-                max_abs_diff = max(max_abs_diff,
-                                   max_abs_output_diff(fused_out, dense_out))
-                fused_seconds = time_callable(lambda: runner.run(x), repeats, warmup)
-            if int8 and compiled.fused_active:
-                compiled.int8 = True
-                if not compiled.quantization.get("activation_scales"):
-                    compiled.calibrate_int8(x)
-                quantized_out = runner.run(x)  # lowers + warms the int8 arena
-                if compiled.int8_active:
-                    quantized_mean = mean_abs_output_diff(quantized_out, fused_out)
-                    quantized_max = max_abs_output_diff(quantized_out, fused_out)
-                    quantized_seconds = time_callable(
-                        lambda: runner.run(x), repeats, warmup)
-                    int8_kernel = _int8_kernel_census(compiled._int8_program)
+        if int8 and compiled.fused_active:
+            compiled.int8 = True
+            if not compiled.quantization.get("activation_scales"):
+                compiled.calibrate_int8(x)
+            quantized_out = runner.run(x)  # lowers + warms the int8 arena
+            if compiled.int8_active:
+                quantized_mean = mean_abs_output_diff(quantized_out, compiled_out)
+                quantized_max = max_abs_output_diff(quantized_out, compiled_out)
+                quantized_seconds = time_callable(
+                    lambda: runner.run(x), repeats, warmup)
+                int8_kernel = _int8_kernel_census(compiled._int8_program)
 
         mode_census: Dict[str, int] = {}
         for layer_row in compiled.summary():
             mode = str(layer_row["mode"])
             mode_census[mode] = mode_census.get(mode, 0) + 1
-
-        measurement = EngineMeasurement(
-            model_name=model_name or type(model).__name__,
-            input_shape=tuple(x.shape),
-            repeats=repeats,
-            dense_seconds=dense_seconds,
-            dense_nograd_seconds=dense_nograd_seconds,
-            compiled_seconds=compiled_seconds,
-            max_abs_diff=max_abs_diff,
-            compiled_layers=compiled.num_compiled_layers,
-            fallback_layers=len(compiled.fallback_layers),
-            kept_columns=compiled.kept_columns(),
-            total_columns=compiled.total_columns(),
-            fused_seconds=fused_seconds,
-            quantized_seconds=quantized_seconds,
-            quantized_mean_abs_error=quantized_mean,
-            quantized_max_abs_error=quantized_max,
-            int8_kernel=int8_kernel,
-            mode_census=mode_census,
-        )
     finally:
-        compiled.fuse = fuse
-        compiled.int8 = int8
-        if owns_compiled:
-            compiled.detach()
-    return measurement
+        compiled.int8 = armed_int8
+
+    return EngineMeasurement(
+        model_name=model_name or type(model).__name__,
+        input_shape=tuple(x.shape),
+        repeats=repeats,
+        dense_seconds=dense_seconds,
+        dense_nograd_seconds=dense_nograd_seconds,
+        compiled_seconds=compiled_seconds,
+        max_abs_diff=max_abs_diff,
+        compiled_layers=compiled.num_compiled_layers,
+        fallback_layers=len(compiled.fallback_layers),
+        kept_columns=compiled.kept_columns(),
+        total_columns=compiled.total_columns(),
+        engine_mode=engine_mode,
+        quantized_seconds=quantized_seconds,
+        quantized_mean_abs_error=quantized_mean,
+        quantized_max_abs_error=quantized_max,
+        int8_kernel=int8_kernel,
+        mode_census=mode_census,
+    )
 
 
 def _int8_kernel_census(program) -> str:
     """Which integer GEMM kernel(s) an int8 program executed with."""
     from repro.engine.quant import FORCE_GEMM_KERNEL, QuantFusedConv
-    if program is None:
-        return ""
+
     kernels = {FORCE_GEMM_KERNEL or op.gemm_kernel
                for op in program.steps if isinstance(op, QuantFusedConv)}
-    kernels.discard(None)
     return "+".join(sorted(kernels))
 
 

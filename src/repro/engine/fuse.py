@@ -8,7 +8,7 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
   a compiled convolution is folded away entirely: its per-channel ``scale`` is
   multiplied into the plan's packed ``(O, K)`` weight matrix and its ``shift``
   absorbed into the bias (:meth:`repro.nn.layers.norm.BatchNorm2d.fold_params`).
-  The folded copies belong to the fused op; the eager plan is untouched.
+  The folded copies belong to the fused op; the plan itself is untouched.
 * **Activation epilogues** — ReLU / LeakyReLU / SiLU directly after a compiled
   convolution (or its folded BatchNorm) run in place on the GEMM output buffer
   instead of as separate passes with their own temporaries.
@@ -23,7 +23,7 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
 
 BatchNorm folding changes the floating-point evaluation order (scales are
 applied to weights before the GEMM instead of to activations after it), so
-fused outputs match the eager path to ~1e-6 — well inside the 1e-5 equivalence
+fused outputs match the dense forward to ~1e-6 — well inside the 1e-5 equivalence
 bound every benchmark and artifact check enforces — but not bit-for-bit.
 
 Thread safety: a :class:`FusedProgram` is immutable after construction; each
@@ -106,7 +106,7 @@ def _activation_kernel(tag: str, x: np.ndarray, out: np.ndarray,
         scratch += 1.0
         np.divide(x, scratch, out=out)      # x / (1 + exp(-x)) == x * sigmoid(x)
     elif tag == "sigmoid":
-        # Mirror the eager kernel's +-60 clamp exactly.
+        # Mirror the dense (autograd) kernel's +-60 clamp exactly.
         np.clip(x, -60.0, 60.0, out=scratch)
         np.negative(scratch, out=scratch)
         np.exp(scratch, out=scratch)
@@ -139,6 +139,9 @@ class _FusedOp:
 
     __slots__ = ("node", "out_slot")
 
+    #: Executed-mode string reported by profiles; only the convs have one.
+    mode = ""
+
     def __init__(self, node: OpNode) -> None:
         self.node = node
         self.out_slot = node.outputs[0]
@@ -149,28 +152,11 @@ class _FusedOp:
 
     def execute(self, values: List[Optional[np.ndarray]],
                 arena: WorkspaceArena) -> None:  # pragma: no cover - abstract
+        """Run this step; the convs add a ``timed`` flag for per-phase profiling."""
         raise NotImplementedError
-
-    # Profiled-mode execution: only reached when an EngineProfiler is
-    # attached, so the timing calls never touch the steady-state hot path.
-    # Subclasses with an internal pipeline (the convs) override this to
-    # attribute time to their phases.
 
     def profile_name(self) -> str:
         return self.node.name or f"{self.node.kind}#{self.key}"
-
-    def op_kind(self) -> str:
-        return self.node.kind
-
-    def profile_mode(self) -> str:
-        return getattr(self, "mode", "")
-
-    def execute_profiled(self, values, arena, profiler) -> None:
-        started = time.perf_counter()
-        self.execute(values, arena)
-        profiler.record_op(
-            self.profile_name(), self.op_kind(), self.profile_mode(),
-            time.perf_counter() - started)
 
 
 class FusedConv(_FusedOp):
@@ -214,7 +200,9 @@ class FusedConv(_FusedOp):
         self.mode += f"+{tag}"
 
     # --------------------------------------------------------------- execution
-    def execute(self, values, arena) -> None:
+    def execute(self, values, arena, timed=False):
+        """Gather -> GEMM (+bias) -> epilogue; returns the phase split if ``timed``."""
+        started = time.perf_counter() if timed else 0.0
         data = _contiguous(values[self.in_slot], arena, (self.key, "in"))
         if self.observer is not None:
             self.observer("in", self.layer_name, data)
@@ -231,12 +219,13 @@ class FusedConv(_FusedOp):
                 out[...] = self.bias.reshape(1, -1, 1, 1)
             self._epilogue(out, arena)
             values[self.out_slot] = out
-            return
+            return None
 
         if plan.mode == MODE_POINTWISE:
             gemm_in, (out_h, out_w) = self._pointwise_input(data, arena)
         else:
             gemm_in, (out_h, out_w) = self._gather_columns(data, arena)
+        gathered = time.perf_counter() if timed else 0.0
 
         length = out_h * out_w
         out = arena.buffer((self.key, "out"), (n, out_channels, length))
@@ -245,66 +234,18 @@ class FusedConv(_FusedOp):
             out += self.bias.reshape(1, -1, 1)
         if self.observer is not None:
             self.observer("pre", self.layer_name, out)
+        multiplied = time.perf_counter() if timed else 0.0
         self._epilogue(out, arena)
         if self.observer is not None:
             self.observer("post", self.layer_name, out)
         values[self.out_slot] = out.reshape(n, out_channels, out_h, out_w)
-
-    def execute_profiled(self, values, arena, profiler) -> None:
-        """Phase-attributed mirror of :meth:`execute` (gather/gemm/epilogue).
-
-        Kept as a separate body so the unprofiled hot path stays free of
-        timestamp calls; any behavioral change to :meth:`execute` must be
-        mirrored here (the profiler tests compare both outputs).
-        """
-        started = time.perf_counter()
-        data = _contiguous(values[self.in_slot], arena, (self.key, "in"))
-        if self.observer is not None:
-            self.observer("in", self.layer_name, data)
-        n, c, h, w = data.shape
-        plan = self.plan
-        out_channels = plan.out_channels
-
-        if plan.kept_columns.size == 0:
-            out_h, out_w = plan.output_hw(h, w)
-            out = arena.buffer((self.key, "out"), (n, out_channels, out_h, out_w))
-            if self.bias is None:
-                out.fill(0.0)
-            else:
-                out[...] = self.bias.reshape(1, -1, 1, 1)
-            self._epilogue(out, arena)
-            values[self.out_slot] = out
-            profiler.record_op(
-                self.profile_name(), self.op_kind(), self.mode,
-                time.perf_counter() - started)
-            return
-
-        if plan.mode == MODE_POINTWISE:
-            gemm_in, (out_h, out_w) = self._pointwise_input(data, arena)
-        else:
-            gemm_in, (out_h, out_w) = self._gather_columns(data, arena)
-        gathered = time.perf_counter()
-
-        length = out_h * out_w
-        out = arena.buffer((self.key, "out"), (n, out_channels, length))
-        np.matmul(self.weight, gemm_in, out=out)
-        if self.bias is not None:
-            out += self.bias.reshape(1, -1, 1)
-        if self.observer is not None:
-            self.observer("pre", self.layer_name, out)
-        multiplied = time.perf_counter()
-        self._epilogue(out, arena)
-        if self.observer is not None:
-            self.observer("post", self.layer_name, out)
-        values[self.out_slot] = out.reshape(n, out_channels, out_h, out_w)
-        finished = time.perf_counter()
-        profiler.record_op(
-            self.profile_name(), self.op_kind(), self.mode, finished - started,
-            phases={
-                "gather": gathered - started,
-                "gemm": multiplied - gathered,
-                "epilogue": finished - multiplied,
-            })
+        if not timed:
+            return None
+        return {
+            "gather": gathered - started,
+            "gemm": multiplied - gathered,
+            "epilogue": time.perf_counter() - multiplied,
+        }
 
     def _epilogue(self, buf: np.ndarray, arena: WorkspaceArena) -> None:
         _apply_activation_inplace(self.act, buf, arena, self.key, self.act_slope)
@@ -556,8 +497,7 @@ class ModuleOp(_FusedOp):
 
 
 # ------------------------------------------------------------------- fuse pass
-def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan],
-               fold_bn: bool = True, fuse_activations: bool = True) -> "FusedProgram":
+def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
     """Lower a traced graph into a :class:`FusedProgram`.
 
     Parameters
@@ -567,8 +507,6 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan],
     plans:
         ``layer name -> ConvPlan`` of the owning CompiledModel; conv nodes
         without a plan (grouped/depthwise fallbacks) replay their module.
-    fold_bn / fuse_activations:
-        Disable individual fusion rules (used by tests and ablations).
     """
     ops: List[_FusedOp] = []
     for node in graph.ops:
@@ -600,7 +538,7 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan],
                 node.params["out_template"] = Slot(node.outputs[0])
             ops.append(ModuleOp(node))
         else:
-            raise TraceError(f"op {node.kind!r} has no fused executor")
+            raise TraceError(f"op {node.kind!r} cannot be lowered to a fused step")
 
     # Consumer counts decide what may fuse: an op output that feeds more than
     # one consumer (or escapes as a model output) must stay materialized.
@@ -620,19 +558,17 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan],
     for op in ops:
         if not isinstance(op, FusedConv):
             continue
-        if fold_bn:
-            follower = _sole_consumer(op.out_slot, consumers, by_input, removed)
-            if isinstance(follower, ScaleShiftOp):
-                scale, shift = follower.node.module.fold_params()
-                op.fold_batchnorm(scale, shift)
-                op.out_slot = follower.out_slot
-                removed.add(id(follower))
-        if fuse_activations:
-            follower = _sole_consumer(op.out_slot, consumers, by_input, removed)
-            if isinstance(follower, ActOp) and follower.tag in EPILOGUE_ACTS:
-                op.fuse_activation(follower.tag, follower.slope)
-                op.out_slot = follower.out_slot
-                removed.add(id(follower))
+        follower = _sole_consumer(op.out_slot, consumers, by_input, removed)
+        if isinstance(follower, ScaleShiftOp):
+            scale, shift = follower.node.module.fold_params()
+            op.fold_batchnorm(scale, shift)
+            op.out_slot = follower.out_slot
+            removed.add(id(follower))
+        follower = _sole_consumer(op.out_slot, consumers, by_input, removed)
+        if isinstance(follower, ActOp) and follower.tag in EPILOGUE_ACTS:
+            op.fuse_activation(follower.tag, follower.slope)
+            op.out_slot = follower.out_slot
+            removed.add(id(follower))
 
     steps = [op for op in ops if id(op) not in removed]
     return FusedProgram(graph, steps, bucket_safe=_batch_axis_preserved(graph))
@@ -775,7 +711,7 @@ class FusedProgram:
         """
         return self._run(data, self._active_profiler())
 
-    def _run(self, data: np.ndarray, profiler):  # reprolint: hot
+    def _run(self, data: np.ndarray, profiler):
         arena = self._arena()
         # Input normalization: already-contiguous float32 input (the serving
         # batcher's stacked batches) is a no-op view, anything else is a
@@ -803,7 +739,12 @@ class FusedProgram:
             run_started = time.perf_counter()
             with no_grad(), np.errstate(over="ignore"):
                 for op in self.steps:
-                    op.execute_profiled(values, arena, profiler)
+                    started = time.perf_counter()
+                    phases = (op.execute(values, arena, True)
+                              if isinstance(op, FusedConv) else op.execute(values, arena))
+                    profiler.record_op(
+                        op.profile_name(), op.node.kind, op.mode,
+                        time.perf_counter() - started, phases)
             profiler.record_run(time.perf_counter() - run_started)
         return fill_template(
             self.graph.output_template,

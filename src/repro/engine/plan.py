@@ -8,12 +8,15 @@ into a :class:`ConvPlan` — a column-compacted GEMM description:
   pattern keeps for that input channel) is dropped entirely — those taps are
   never gathered from the input again,
 * the surviving columns are described by ``(channel, tap_row, tap_col)`` index
-  vectors from which a gather ("partial im2col") plan is built lazily per input
-  shape and cached — re-running the same layer on the same shape reuses the
-  cached layout,
+  vectors from which a flat gather ("partial im2col") index is built lazily per
+  input shape and cached — re-running the same layer on the same shape reuses
+  the cached layout,
 * 1x1 convolutions skip the gather altogether and execute as a channel GEMM on
   the (optionally channel-compacted) feature map — the fast path for the layers
   Algorithm 3 prunes.
+
+A plan is a *description*; the one executor that runs it is
+:class:`repro.engine.fuse.FusedConv`.
 
 Dropping all-zero columns is *exact*: a zero weight contributes nothing to the
 convolution, so the compiled output equals the dense masked output bit-for-bit
@@ -167,9 +170,8 @@ class ConvPlan:
     signature: str
     # Kept input channels for the pointwise fast path; None means "all channels".
     pointwise_channels: Optional[np.ndarray] = None
-    # Gather layouts keyed by (C, H, W) for the eager path and by
-    # ("fused", C, H, W) for the fused executor's flat per-image indices
-    # (deliberately batch-independent: micro-batches of any size share one).
+    # Flat per-image gather layouts keyed by (C, H, W) — deliberately
+    # batch-independent: micro-batches of any size share one.
     _layouts: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
     # Guards layout computation/insertion so concurrent no-grad forward passes
     # (the serving layer runs BatchRunner from several threads) build each
@@ -199,10 +201,6 @@ class ConvPlan:
         if self.weight_matrix.size == 0:
             return 0.0
         return 1.0 - np.count_nonzero(self.weight_matrix) / self.weight_matrix.size
-
-    def macs_per_position(self) -> int:
-        """Multiply-accumulates per output position of the compiled GEMM."""
-        return int(self.out_channels * self.kept_columns.size)
 
     def summary(self) -> Dict[str, object]:
         """One table row describing this plan (used by ``CompiledModel.summary``)."""
@@ -237,8 +235,29 @@ class ConvPlan:
         self.bias = None if layer.bias is None else layer.bias.data.astype(np.float32)
 
     # ------------------------------------------------------------------ layout
-    def layout_for(self, input_shape: Tuple[int, int, int]) -> tuple:
-        """Gather indices for one ``(C, H, W)`` input shape (cached per plan).
+    def output_hw(self, h: int, w: int) -> Tuple[int, int]:
+        """Spatial output size of this plan on an ``h x w`` input."""
+        kh, kw = self.kernel_size
+        sh, sw = self.stride
+        ph, pw = self.padding
+        out_h = (h + 2 * ph - kh) // sh + 1
+        out_w = (w + 2 * pw - kw) // sw + 1
+        if out_h <= 0 or out_w <= 0:
+            raise ValueError(
+                f"convolution output would be empty for input {(h, w)}, "
+                f"kernel {self.kernel_size}, stride {self.stride}, padding {self.padding}"
+            )
+        return out_h, out_w
+
+    def fused_layout_for(self, input_shape: Tuple[int, int, int]) -> tuple:
+        """Flat gather indices for one ``(C, H, W)`` input shape (cached per plan).
+
+        Returns ``(flat, out_h, out_w, (hp, wp))`` where ``flat`` is one
+        ``(K, L)`` int index array into each image's *flattened padded* plane,
+        so the executor can gather straight into its arena column buffer with
+        a single buffer-free ``np.take(..., axis=1)``.  Deliberately
+        batch-independent: serving micro-batches of varying sizes share one
+        cached index per geometry.
 
         Thread-safe: concurrent callers on a shape miss serialize on the plan's
         lock and the layout is computed exactly once.
@@ -263,64 +282,13 @@ class ConvPlan:
         _, h, w = input_shape
         out_h, out_w = self.output_hw(h, w)
         sh, sw = self.stride
+        ph, pw = self.padding
+        hp, wp = h + 2 * ph, w + 2 * pw
         oy = sh * np.repeat(np.arange(out_h), out_w)
         ox = sw * np.tile(np.arange(out_w), out_h)
         rows = self.tap_rows[:, None] + oy[None, :]            # (K, L)
         cols = self.tap_cols[:, None] + ox[None, :]            # (K, L)
-        chans = self.channel_index[:, None]                    # (K, 1)
-        return (chans, rows, cols, out_h, out_w)
-
-    def output_hw(self, h: int, w: int) -> Tuple[int, int]:
-        """Spatial output size of this plan on an ``h x w`` input."""
-        kh, kw = self.kernel_size
-        sh, sw = self.stride
-        ph, pw = self.padding
-        out_h = (h + 2 * ph - kh) // sh + 1
-        out_w = (w + 2 * pw - kw) // sw + 1
-        if out_h <= 0 or out_w <= 0:
-            raise ValueError(
-                f"convolution output would be empty for input {(h, w)}, "
-                f"kernel {self.kernel_size}, stride {self.stride}, padding {self.padding}"
-            )
-        return out_h, out_w
-
-    def fused_layout_for(self, input_shape: Tuple[int, int, int]) -> tuple:
-        """Flat gather indices for the fused executor, cached per (C, H, W).
-
-        Where :meth:`layout_for` yields per-axis ``(chan, row, col)`` fancy
-        indices, this returns one flat ``(K, L)`` int index array into each
-        image's *flattened padded* plane, so the fused executor can gather
-        straight into its arena column buffer with a single buffer-free
-        ``np.take(..., axis=1)``.  Deliberately batch-independent: serving
-        micro-batches of varying sizes share one cached index per geometry.
-        Shares the plan's layout cache (and the global hit/miss statistics)
-        under a distinct key family.
-        """
-        key = ("fused",) + tuple(input_shape)
-        cached = self._layouts.get(key)
-        if cached is not None:
-            # Deliberately lock-free hit counting (see _GLOBAL_CACHE_STATS).
-            _GLOBAL_CACHE_STATS.hits += 1  # reprolint: disable=lock-discipline
-            return cached
-        with self._lock:
-            cached = self._layouts.get(key)
-            if cached is not None:
-                _GLOBAL_CACHE_STATS.hits += 1  # reprolint: disable=lock-discipline
-                return cached
-            layout = self._build_fused_layout(input_shape)
-            self._layouts[key] = layout
-        with _STATS_LOCK:
-            _GLOBAL_CACHE_STATS.misses += 1
-        return layout
-
-    def _build_fused_layout(self, input_shape: Tuple[int, int, int]) -> tuple:
-        # Same index math as the eager layout; only the flattening differs, so
-        # the two gather paths can never desynchronize.
-        chans, rows, cols, out_h, out_w = self._build_layout(input_shape)
-        _, h, w = input_shape
-        ph, pw = self.padding
-        hp, wp = h + 2 * ph, w + 2 * pw
-        flat = chans * (hp * wp) + rows * wp + cols
+        flat = self.channel_index[:, None] * (hp * wp) + rows * wp + cols
         flat = np.ascontiguousarray(flat, dtype=np.intp)
         flat.setflags(write=False)
         return (flat, out_h, out_w, (hp, wp))
@@ -394,45 +362,3 @@ def compile_conv_plan(layer: Conv2d, layer_name: str = "") -> ConvPlan:
         pointwise_channels=pointwise_channels,
     )
     return plan
-
-
-def execute_plan(plan: ConvPlan, data: np.ndarray) -> np.ndarray:
-    """Run one compiled convolution on raw NCHW input, returning raw output."""
-    n, c, h, w = data.shape
-    out_channels = plan.out_channels
-
-    if plan.kept_columns.size == 0:
-        # Fully pruned layer: output is the (broadcast) bias, or zeros.
-        kh, kw = plan.kernel_size
-        sh, sw = plan.stride
-        ph, pw = plan.padding
-        out_h = (h + 2 * ph - kh) // sh + 1
-        out_w = (w + 2 * pw - kw) // sw + 1
-        out = np.zeros((n, out_channels, out_h, out_w), dtype=np.float32)
-        if plan.bias is not None:
-            out += plan.bias.reshape(1, -1, 1, 1)
-        return out
-
-    if plan.mode == MODE_POINTWISE:
-        sh, sw = plan.stride
-        if (sh, sw) != (1, 1):
-            data = data[:, :, ::sh, ::sw]
-        out_h, out_w = data.shape[2], data.shape[3]
-        feat = data if plan.pointwise_channels is None else data[:, plan.pointwise_channels]
-        ck = feat.shape[1]
-        gemm_in = feat.transpose(1, 0, 2, 3).reshape(ck, n * out_h * out_w)
-    else:
-        ph, pw = plan.padding
-        chans, rows, cols, out_h, out_w = plan.layout_for((c, h, w))
-        if ph or pw:
-            data = np.pad(data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        columns = data[:, chans, rows, cols]                   # (N, K, L)
-        k = plan.weight_matrix.shape[1]
-        gemm_in = columns.transpose(1, 0, 2).reshape(k, n * out_h * out_w)
-
-    out = plan.weight_matrix @ gemm_in                          # (O, N*L)
-    out = out.reshape(out_channels, n, out_h * out_w)
-    out = out.transpose(1, 0, 2).reshape(n, out_channels, out_h, out_w)
-    if plan.bias is not None:
-        out = out + plan.bias.reshape(1, -1, 1, 1)
-    return np.ascontiguousarray(out, dtype=np.float32)

@@ -35,44 +35,44 @@ from bytes (a 1x1 stride-1 conv's GEMM input is literally a free reshape view
 of the producer's output).  Edges read by anything else (adds, concats, model
 outputs) stay real NCHW float32.
 
-**Integer GEMM kernels.**  Three kernels compute the same accumulation:
+**Integer GEMM kernels.**  Three kernels compute the same accumulation, and
+each :class:`QuantFusedConv` picks one at construction from what it can observe
+— never by timing, so the choice costs no lock, no fork hook and no
+first-forward jitter:
 
 * ``"vnni"`` — the fused C kernel of :mod:`repro.engine.native`
   (``vpdpbusd``): int8 GEMM *and* the whole dequant+BN+activation(+requant)
-  epilogue in registers.  Statically preferred whenever the native library is
-  available — never chosen by timing, because its polynomial SiLU differs from
-  numpy's in the last bits and a timing race must not decide numerics.
+  epilogue in registers.  Chosen whenever the native library loaded.  (Its
+  polynomial SiLU differs from numpy's in the last bits, which is why a host
+  property, not a race, must decide it.)
+* ``"int32"`` — numpy's integer matmul with ``dtype=int32`` (uint8 activations
+  zero-extend, int8 weights sign-extend).  Always exact, no magnitude bound,
+  but numpy's integer matmul has no SIMD backend (4-7x slower than
+  ``fp32acc`` on every geometry measured), so it is chosen only when
+  ``fp32acc`` could round: ``K * max|w_code| * 255 >= 2**24``.
 * ``"fp32acc"`` — codes cast to float32, accumulated by the float32 BLAS
   matmul.  This is *bit-exact integer* arithmetic while every partial sum
-  stays below the 24-bit float32 significand: ``K * max|w_code| * 255 < 2**24``
-  (K <= 517 for 8-bit weights; every TinyDetector layer has K <= 288).
-* ``"int32"`` — numpy's integer matmul with ``dtype=int32`` (uint8 activations
-  zero-extend, int8 weights sign-extend).  Always exact, no magnitude bound.
+  stays below the 24-bit float32 significand (K <= 517 for 8-bit weights;
+  every TinyDetector layer has K <= 288).  The portable default.
 
-Without the native kernel, the faster numpy kernel is a host property (numpy's
-integer matmul has no SIMD backend on most builds), so the choice is made
-**per plan geometry by micro-calibration** (:func:`select_gemm_kernel`) — safe
-precisely because ``fp32acc`` and ``int32`` produce bit-identical results.
-When the fp32 accumulation bound cannot be guaranteed for a shape, the exact
-``int32`` kernel is forced instead of calibrated.  Tests pin a kernel via the
-module-global :data:`FORCE_GEMM_KERNEL`.
+``fp32acc`` and ``int32`` produce bit-identical results wherever both are
+legal; tests pin a kernel via the module-global :data:`FORCE_GEMM_KERNEL`.
 
 **Activation scales.**  :func:`calibrate_activation_scales` installs a
 zero-overhead observer hook on the float program's convs and records per-layer
 input / pre-activation / output ranges over calibration batches.  The pipeline
 runs this at build time with a seeded batch and stores the result in the
 artifact's quantization metadata, so every process that re-fuses the artifact
-lowers to the *same* integer program (deterministic; the per-host kernel
-choice never changes which numbers the numpy kernels produce, only which
-exact kernel computes them).
+lowers to the *same* integer program (deterministic; the kernel rule never
+changes which numbers the numpy kernels produce, only which exact kernel
+computes them).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -87,12 +87,9 @@ from repro.engine.fuse import (
 from repro.engine.native import load_native
 from repro.engine.plan import MODE_POINTWISE
 
-#: The integer-GEMM kernels (see module docstring).
-GEMM_KERNELS = ("vnni", "fp32acc", "int32")
-
-#: Test override: pin every QuantFusedConv to one kernel, bypassing both the
-#: static native preference and micro-calibration.  Read at execution time, so
-#: tests may flip it after compiling; None restores normal selection.
+#: Test override: pin every QuantFusedConv to one kernel, bypassing the static
+#: rule.  Read at execution time, so tests may flip it after compiling; None
+#: restores normal selection.
 FORCE_GEMM_KERNEL: Optional[str] = None
 
 #: float32 carries a 24-bit significand: integer accumulation in float32 is
@@ -104,31 +101,6 @@ _F32_EXACT_LIMIT = float(2 ** 24)
 ACT_MAX_CODE = 127
 CODE_ZERO = 128
 
-#: Micro-calibration caps the probed row count so a one-off timing probe never
-#: allocates/benchmarks more than a few MB per geometry.
-_CALIBRATION_MAX_ROWS = 4096
-
-_kernel_cache: Dict[Tuple[int, int, int], str] = {}
-_kernel_lock = threading.Lock()
-
-
-def _reinit_after_fork() -> None:
-    """Fork-safety for the kernel-selection cache (engine/plan.py pattern).
-
-    The Router restarts dead workers by forking while parent threads may sit
-    inside :func:`select_gemm_kernel`'s timing probe holding ``_kernel_lock``;
-    the child would deadlock on its first quantized conv.  Fresh lock, empty
-    cache — micro-calibration timings measured in the parent do not transfer
-    to the child's core anyway.
-    """
-    global _kernel_lock
-    _kernel_lock = threading.Lock()
-    _kernel_cache.clear()
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows ("spawn" children re-import)
-    os.register_at_fork(after_in_child=_reinit_after_fork)
-
 
 class QuantLoweringError(Exception):
     """A program (or bit width) cannot be lowered to the int8 hot path."""
@@ -136,65 +108,6 @@ class QuantLoweringError(Exception):
 
 def _ceil_to(value: int, multiple: int) -> int:
     return -(-int(value) // multiple) * multiple
-
-
-# ------------------------------------------------------------- kernel selection
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def select_gemm_kernel(out_padded: int, k_padded: int, rows: int) -> str:
-    """Micro-calibrate the numpy integer-GEMM kernel for one ``(Op, Kp, R)``.
-
-    Times ``fp32acc`` (cast + BLAS) and ``int32`` (integer matmul) on synthetic
-    codes of the plan's rows-layout geometry (rows capped at
-    :data:`_CALIBRATION_MAX_ROWS`) and returns the faster one; the result is
-    cached process-wide, so each geometry pays the probe exactly once.
-    Thread-safe: concurrent first calls serialize on a module lock and agree on
-    one cached answer.  Never affects outputs — the two kernels are bit-exact
-    equals (which is why the native ``"vnni"`` kernel, whose SiLU rounds
-    differently, is *not* part of this race: it is selected statically).
-    """
-    if FORCE_GEMM_KERNEL is not None:
-        return FORCE_GEMM_KERNEL
-    key = (int(out_padded), int(k_padded), int(min(rows, _CALIBRATION_MAX_ROWS)))
-    choice = _kernel_cache.get(key)
-    if choice is not None:
-        return choice
-    with _kernel_lock:
-        choice = _kernel_cache.get(key)
-        if choice is not None:
-            return choice
-        op, kp, r = key
-        rng = np.random.default_rng(0)
-        w8 = rng.integers(-ACT_MAX_CODE, ACT_MAX_CODE + 1, size=(kp, op),
-                          dtype=np.int8)
-        x8 = rng.integers(1, 256, size=(r, kp), dtype=np.uint8)
-        wf = w8.astype(np.float32)
-        xf = np.empty((r, kp), dtype=np.float32)
-        out_f = np.empty((r, op), dtype=np.float32)
-        out_i = np.empty((r, op), dtype=np.int32)
-
-        def run_fp32acc():
-            np.copyto(xf, x8)               # the cast is part of the kernel
-            np.matmul(xf, wf, out=out_f)
-
-        t_f32 = _best_of(run_fp32acc)
-        t_i32 = _best_of(lambda: np.matmul(x8, w8, out=out_i, dtype=np.int32))
-        choice = "int32" if t_i32 < t_f32 else "fp32acc"
-        _kernel_cache[key] = choice
-        return choice
-
-
-def reset_kernel_cache() -> None:
-    """Drop every cached kernel choice (tests re-calibrate from scratch)."""
-    with _kernel_lock:
-        _kernel_cache.clear()
 
 
 # ----------------------------------------------------------------- calibration
@@ -251,12 +164,10 @@ class QuantFusedConv(FusedConv):
     __slots__ = ("bits", "in_codes", "in_scale", "out_scale", "weight_scales",
                  "dequant", "k", "kp", "op_pad", "wpack", "wt_i8", "wt_f32",
                  "alpha", "beta", "alpha_col", "beta_col", "perm", "pw_select",
-                 "gemm_kernel", "kernel_forced", "_nhwc_layouts",
-                 "_layout_lock")
+                 "gemm_kernel", "_nhwc_layouts", "_layout_lock")
 
     # reprolint lock-discipline contract: the NHWC gather-layout cache fills
-    # under its lock.  `gemm_kernel` is deliberately *not* declared guarded:
-    # its single post-init write is idempotent under concurrent first calls.
+    # under its lock.
     _guarded_by_ = {"_nhwc_layouts": "_layout_lock"}
 
     def __init__(self, base: FusedConv, bits: int, in_scale: float,
@@ -351,20 +262,28 @@ class QuantFusedConv(FusedConv):
         else:
             self.pw_select = None
 
-        # fp32 accumulation is exact only while |acc| < 2**24; beyond that
-        # bound the int32 kernel is forced (never calibrated) — correctness
-        # over speed.  The native kernel accumulates in int32 and is exempt.
+        # The static kernel rule (module docstring): native if loaded; else
+        # fp32 accumulation, which is exact only while |acc| < 2**24 — beyond
+        # that bound the exact int32 kernel runs, correctness over speed.
         max_w_code = 2 ** (self.bits - 1) - 1
-        self.kernel_forced = ("int32" if k * max_w_code * 255
-                              >= _F32_EXACT_LIMIT else None)
-        self.gemm_kernel: Optional[str] = (
-            "vnni" if load_native() is not None else self.kernel_forced)
+        if load_native() is not None:
+            self.gemm_kernel = "vnni"
+        elif k * max_w_code * 255 >= _F32_EXACT_LIMIT:
+            self.gemm_kernel = "int32"
+        else:
+            self.gemm_kernel = "fp32acc"
 
         self._nhwc_layouts: Dict[tuple, tuple] = {}
         self._layout_lock = threading.Lock()
 
     # --------------------------------------------------------------- execution
-    def execute(self, values, arena) -> None:  # reprolint: hot
+    def execute(self, values, arena, timed=False):
+        """Quantize -> row gather -> integer GEMM + requantizing epilogue.
+
+        Overrides the fp32 body — the numerics here are the quantized
+        pipeline and so are the phases reported when ``timed``.
+        """
+        started = time.perf_counter() if timed else 0.0
         data = values[self.in_slot]
         plan = self.plan
         if self.in_codes:
@@ -373,66 +292,26 @@ class QuantFusedConv(FusedConv):
             data = _contiguous(data, arena, (self.key, "in"))
             n = data.shape[0]
             data = self._quantize_input(data, arena)     # NCHW uint8 codes
+        quantized = time.perf_counter() if timed else 0.0
         if plan.mode == MODE_POINTWISE:
             rows, (out_h, out_w) = self._rows_pointwise(data, arena)
         else:
             rows, (out_h, out_w) = self._rows_window(data, arena)
-        length = out_h * out_w
+        gathered = time.perf_counter() if timed else 0.0
 
         kernel = FORCE_GEMM_KERNEL or self.gemm_kernel
-        if kernel is None:
-            kernel = select_gemm_kernel(self.op_pad, self.kp, n * length)
-            self.gemm_kernel = kernel  # idempotent under concurrent first calls
-
         if kernel == "vnni":
             out = self._execute_native(rows, arena, n, out_h, out_w)
         else:
             out = self._execute_numpy(kernel, rows, arena, n, out_h, out_w)
         values[self.out_slot] = out
-
-    def execute_profiled(self, values, arena, profiler) -> None:
-        """Phase-attributed mirror of :meth:`execute` for the int8 path.
-
-        Overrides the fp32 :class:`FusedConv` version — the numerics here are
-        the quantized pipeline, and the phases differ: ``quantize`` (input
-        code conversion), ``gather`` (NHWC row build) and ``gemm`` (integer
-        GEMM + requantizing epilogue).  Only reached with a profiler attached.
-        """
-        started = time.perf_counter()
-        data = values[self.in_slot]
-        plan = self.plan
-        if self.in_codes:
-            n = data.shape[0]
-        else:
-            data = _contiguous(data, arena, (self.key, "in"))
-            n = data.shape[0]
-            data = self._quantize_input(data, arena)
-        quantized = time.perf_counter()
-        if plan.mode == MODE_POINTWISE:
-            rows, (out_h, out_w) = self._rows_pointwise(data, arena)
-        else:
-            rows, (out_h, out_w) = self._rows_window(data, arena)
-        length = out_h * out_w
-        gathered = time.perf_counter()
-
-        kernel = FORCE_GEMM_KERNEL or self.gemm_kernel
-        if kernel is None:
-            kernel = select_gemm_kernel(self.op_pad, self.kp, n * length)
-            self.gemm_kernel = kernel  # idempotent under concurrent first calls
-
-        if kernel == "vnni":
-            out = self._execute_native(rows, arena, n, out_h, out_w)
-        else:
-            out = self._execute_numpy(kernel, rows, arena, n, out_h, out_w)
-        values[self.out_slot] = out
-        finished = time.perf_counter()
-        profiler.record_op(
-            self.profile_name(), self.op_kind(), self.mode, finished - started,
-            phases={
-                "quantize": quantized - started,
-                "gather": gathered - quantized,
-                "gemm": finished - gathered,
-            })
+        if not timed:
+            return None
+        return {
+            "quantize": quantized - started,
+            "gather": gathered - quantized,
+            "gemm": time.perf_counter() - gathered,
+        }
 
     def _execute_native(self, rows, arena, n, out_h, out_w):
         native = load_native()
@@ -629,21 +508,6 @@ class QuantFusedConv(FusedConv):
             index.setflags(write=False)
             self._nhwc_layouts[key] = index
             return index
-
-
-def _reference_activation(act: Optional[str], slope: Optional[float],
-                          x: np.ndarray) -> np.ndarray:
-    """Float64 reference of the fused epilogue activations (test oracle)."""
-    if act is None:
-        return x.copy()
-    if act == "relu":
-        return np.maximum(x, 0.0)
-    if act == "leaky_relu":
-        return np.where(x >= 0.0, x, x * float(slope))
-    if act == "silu":
-        with np.errstate(over="ignore"):
-            return x / (1.0 + np.exp(-x))
-    raise QuantLoweringError(f"no reference for activation {act!r}")
 
 
 # --------------------------------------------------------------------- lowering

@@ -6,8 +6,9 @@ splits an input stack into batches, runs each batch under ``no_grad`` and
 re-assembles the outputs, collecting wall-clock statistics along the way.
 
 It also accepts a plain :class:`repro.nn.module.Module`, in which case the same
-batching/timing machinery drives the dense path — that is how the engine
-benchmarks obtain an apples-to-apples dense baseline.
+batching/timing machinery drives the dense no-grad path — that is how the
+engine benchmarks obtain an apples-to-apples dense baseline, and how tests
+obtain their dense oracle.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ class BatchRunner:
     # ------------------------------------------------------------------ execution
     def _forward(self, batch: np.ndarray):
         if isinstance(self.model, CompiledModel):
-            return _to_numpy(self.model(Tensor(batch)))
+            return self.model.forward_raw(batch)
         if self.model.training:
             self.model.eval()
         with no_grad():

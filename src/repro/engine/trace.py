@@ -1,14 +1,12 @@
 """Graph tracer: record one symbolic forward pass as a flat op-plan list.
 
-The eager compiled path (:mod:`repro.engine.compiler`) swaps each convolution's
-``forward`` for its :class:`~repro.engine.plan.ConvPlan`, but everything *between*
-convolutions — BatchNorm, activations, pooling, residual adds, concats — still
-runs through the autograd :class:`~repro.nn.tensor.Tensor` layer with a fresh
-allocation per op.  The tracer removes that ceiling: it runs the model forward
-**once** on a real input and records every operation into a flat
-:class:`GraphPlan` — a list of :class:`OpNode` over integer value slots — that
-the fusion pass (:mod:`repro.engine.fuse`) turns into an allocation-free fused
-executor.
+A model's own ``forward`` runs every operation — convolutions, BatchNorm,
+activations, pooling, residual adds, concats — through the autograd
+:class:`~repro.nn.tensor.Tensor` layer with a fresh allocation per op.  The
+tracer removes that ceiling: it runs the model forward **once** on a real input
+and records every operation into a flat :class:`GraphPlan` — a list of
+:class:`OpNode` over integer value slots — that the fusion pass
+(:mod:`repro.engine.fuse`) turns into an allocation-free fused executor.
 
 How the recording works
 -----------------------
@@ -23,7 +21,8 @@ How the recording works
   (residual shortcuts, CSP concats, Focus slicing) are recorded too.
 * Anything else fails the trace with :class:`TraceError`; the caller
   (:class:`~repro.engine.compiler.CompiledModel`) logs it once and keeps the
-  eager per-layer path, so an untraceable model is never wrong, only slower.
+  model's dense no-grad forward, so an untraceable model is never wrong, only
+  slower.
 
 Tracing assumes a *static* graph: the recorded op list must be valid for any
 input batch shape.  Models whose control flow depends on values cannot be
@@ -505,10 +504,9 @@ class _LeafWrappers:
 def trace_graph(model: Module, example: np.ndarray) -> GraphPlan:
     """Run ``model`` once on ``example`` and return the recorded op-plan list.
 
-    The model is run in eval mode under ``no_grad``; the current forwards are
-    used as-is, so a model with an attached engine traces through its compiled
-    per-layer plans.  Raises :class:`TraceError` when any operation cannot be
-    recorded — callers fall back to the eager path.
+    The model is run in eval mode under ``no_grad``.  Raises
+    :class:`TraceError` when any operation cannot be recorded — callers fall
+    back to the model's own dense forward.
     """
     example = np.ascontiguousarray(example, dtype=np.float32)
     with _TRACE_LOCK:

@@ -1,4 +1,4 @@
-"""Per-op engine profiler for the fused/int8 executors and the eager path.
+"""Per-op engine profiler for the fused fp32 / int8 executors.
 
 An :class:`EngineProfiler` attaches to a ``FusedProgram`` (program-wide via
 ``CompiledModel.enable_profiling`` or per-thread via

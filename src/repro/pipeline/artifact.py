@@ -33,7 +33,7 @@ from repro.pipeline.spec import RunSpec
 from repro.utils.serialization import load_state_dict, save_state_dict
 
 #: Format version written into every artifact (bump on incompatible changes).
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 _META_KEY = "__artifact__"
 _STATE_PREFIX = "state::"
@@ -49,7 +49,7 @@ class DeployableArtifact:
     report: PruningReport
     #: Quantization metadata (bits, per-layer counts, compression) or None.
     quantization_meta: Optional[Dict[str, Any]] = None
-    #: The attached execution engine (None when EngineSpec.enabled is False).
+    #: The execution engine of ``model`` (None when EngineSpec.enabled is False).
     compiled: Optional[CompiledModel] = None
     #: Wall-clock EngineMeasurement row() dict when the engine stage measured.
     measurement: Optional[Dict[str, Any]] = None
@@ -77,7 +77,7 @@ class DeployableArtifact:
         """Numpy-in / numpy-out inference (the serving layer's hot path).
 
         Delegates to :meth:`repro.engine.compiler.CompiledModel.forward_raw`
-        when an engine is attached — raw arrays end to end, no per-request
+        when the artifact has an engine — raw arrays end to end, no per-request
         Tensor wrapping.  Nested outputs (multi-scale detector heads) come
         back as the same structure of numpy arrays; compare two calls with
         :func:`repro.engine.max_abs_output_diff`.
@@ -96,12 +96,9 @@ class DeployableArtifact:
             row["quantized_bits"] = self.quantization_meta.get("bits")
         if self.compiled is not None:
             row["compiled_layers"] = self.compiled.num_compiled_layers
-            row["fused"] = bool(self.compiled.fuse)
             row["int8"] = bool(self.compiled.int8)
         if self.measurement:
             row["measured_speedup"] = self.measurement.get("measured_speedup")
-            if self.measurement.get("fused_speedup"):
-                row["fused_speedup"] = self.measurement.get("fused_speedup")
         return row
 
     # ------------------------------------------------------------------ persistence
@@ -131,13 +128,11 @@ class DeployableArtifact:
             "mask_signature": self.masks.signature() if len(self.masks) else None,
             "quantization": _jsonable(self.quantization_meta),
             "compiled": self.compiled is not None,
-            # Whether the engine was compiled with the fused executor; load()
-            # re-fuses accordingly, so serving processes (InferenceService /
-            # cluster WorkerProcess) inherit the fusion decision for free.
-            "fused": bool(self.compiled is not None and self.compiled.fuse),
-            # Same contract for the integer hot path: the calibrated activation
-            # scales travel inside "quantization", so load() re-lowers into the
-            # exact int8 program this run executed.
+            # load() recompiles accordingly, so serving processes
+            # (InferenceService / cluster WorkerProcess) inherit the integer
+            # hot path for free: the calibrated activation scales travel inside
+            # "quantization", so load() re-lowers into the exact int8 program
+            # this run executed.
             "int8": bool(self.compiled is not None and self.compiled.int8),
             "measurement": _jsonable(self.measurement),
             "metrics": _jsonable(self.metrics),
@@ -212,12 +207,9 @@ class DeployableArtifact:
 
         compiled = None
         if meta.get("compiled"):
-            # Artifacts written before the fusion flag existed carry no
-            # "fused" entry; fall back to the spec's engine.fuse default.
-            fuse = bool(meta.get("fused", spec.engine.fuse))
-            int8 = bool(meta.get("int8", False))
             compiled = compile_model(model, masks if len(masks) else None,
-                                     apply_masks=False, fuse=fuse, int8=int8,
+                                     apply_masks=False,
+                                     int8=bool(meta.get("int8", False)),
                                      quantization=meta.get("quantization"))
 
         return cls(

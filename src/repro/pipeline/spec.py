@@ -192,15 +192,12 @@ class EngineSpec(_SpecNode):
     """Compilation (and optional wall-clock measurement) with the execution engine."""
 
     enabled: bool = True
-    #: Trace + fuse the compiled model (BN folding, activation epilogues,
-    #: workspace arena); recorded in the artifact and re-applied on load.
-    fuse: bool = True
     #: Also time dense vs compiled inference on the host CPU.
     measure: bool = False
     #: Lower quantized convolutions to the integer hot path (uint8 activation
-    #: codes x int8 weight codes, int32 accumulation).  Requires ``fuse``;
-    #: activation scales are calibrated on a seeded batch at compile time and
-    #: recorded in the artifact so ``load()`` re-fuses into the same int path.
+    #: codes x int8 weight codes, int32 accumulation).  Activation scales are
+    #: calibrated on a seeded batch at compile time and recorded in the
+    #: artifact so ``load()`` re-fuses into the same int path.
     int8: bool = False
     #: Input resolution of the measured forward passes.
     image_size: int = 64
@@ -215,9 +212,6 @@ class EngineSpec(_SpecNode):
                 f"EngineSpec.image_size must be >= 32, got {self.image_size}")
         if self.batch < 1 or self.repeats < 1:
             raise ValueError("EngineSpec.batch and EngineSpec.repeats must be >= 1")
-        if self.int8 and not self.fuse:
-            raise ValueError("EngineSpec.int8 requires EngineSpec.fuse (the int8 "
-                             "path lowers the fused program)")
 
 
 @dataclass

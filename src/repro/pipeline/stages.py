@@ -54,7 +54,7 @@ class PipelineContext:
     finetune: Optional[Callable[["PipelineContext"], None]] = None
     #: Quantization metadata dict (set by the quantize stage).
     quantization_meta: Optional[Dict[str, Any]] = None
-    #: The attached CompiledModel (set by the compile stage).
+    #: The CompiledModel of ``model`` (set by the compile stage).
     compiled: Optional[object] = None
     #: Wall-clock EngineMeasurement (set by the compile stage when measuring).
     measurement: Optional[object] = None
@@ -174,18 +174,17 @@ class CompileStage:
         spec = context.spec
         engine = spec.engine
         context.compiled = compile_model(
-            context.model, context.masks, apply_masks=False, fuse=engine.fuse,
+            context.model, context.masks, apply_masks=False,
             int8=engine.int8, quantization=context.quantization_meta)
         if engine.int8:
             self._calibrate_int8(context)
         if engine.measure:
-            # Reuses the plans compiled above; leaves the engine attached.
+            # Measures the engine compiled above — the one the artifact ships.
             context.measurement = measure_speedup(
                 context.model, masks=context.masks, repeats=engine.repeats,
                 batch=engine.batch, image_size=engine.image_size,
                 model_name=spec.model.name, seed=spec.seed,
-                compiled=context.compiled, fuse=engine.fuse,
-                int8=engine.int8, quantization=context.compiled.quantization)
+                compiled=context.compiled, int8=engine.int8)
 
     @staticmethod
     def _calibrate_int8(context: PipelineContext) -> None:
@@ -206,7 +205,7 @@ class CompileStage:
             ).astype(np.float32)
             try:
                 scales = context.compiled.calibrate_int8(batch)
-            except RuntimeError:  # no fused program (e.g. untraceable model)
+            except RuntimeError:  # untraceable model: nothing to lower or calibrate
                 return
             meta["activation_scales"] = scales
         meta.setdefault("bits", int(context.compiled.quantization.get("bits", 8) or 8))

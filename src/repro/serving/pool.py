@@ -82,7 +82,7 @@ class PooledModel:
         """Run one throwaway forward pass so serving threads never pay it.
 
         Warming settles everything the compiled engine mutates lazily — layer
-        ``eval()`` flags, engine attachment and the per-shape layout caches —
+        ``eval()`` flags, the engine's trace and the per-shape layout caches —
         which is what makes subsequent *concurrent* inference safe (see the
         thread-safety contract on :class:`repro.engine.compiler.CompiledModel`).
         """

@@ -17,9 +17,12 @@ from repro.core.kernel_pruning import prune_3x3_layer
 from repro.core.one_by_one import prune_pointwise_weights
 from repro.core.patterns import build_pattern_library
 from repro.core.rtoss import prune_with_rtoss
-from repro.engine import compile_conv_plan, compile_model, execute_plan
+from repro.engine import BatchRunner, compile_conv_plan, compile_model, max_abs_output_diff
+from repro.engine.runner import map_structure
+from repro.models.registry import available_models, build_model
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.nn.layers.conv import Conv2d, DepthwiseConv2d
+from repro.nn.module import Sequential
 from repro.nn.tensor import Tensor
 
 TOL = 1e-5
@@ -29,8 +32,12 @@ def _dense_forward(layer: Conv2d, x: np.ndarray) -> np.ndarray:
     return layer(Tensor(x)).data
 
 
-def _compiled_forward(layer: Conv2d, x: np.ndarray, name: str = "layer") -> np.ndarray:
-    return execute_plan(compile_conv_plan(layer, name), x)
+def _compiled_forward(layer: Conv2d, x: np.ndarray) -> np.ndarray:
+    """The layer alone, through the one engine path (a one-conv fused program)."""
+    compiled = compile_model(Sequential(layer))
+    out = compiled.forward_raw(x)
+    assert compiled.engine_mode == "fused", compiled.fuse_failure
+    return out
 
 
 @pytest.mark.parametrize("entries", [2, 3, 4, 5])
@@ -76,7 +83,7 @@ def test_dense_unpruned_layer_equivalence(rng):
     plan = compile_conv_plan(layer, "dense")
     assert plan.dropped_columns == 0
     x = rng.standard_normal((2, 4, 12, 12)).astype(np.float32)
-    np.testing.assert_allclose(execute_plan(plan, x), _dense_forward(layer, x),
+    np.testing.assert_allclose(_compiled_forward(layer, x), _dense_forward(layer, x),
                                atol=TOL, rtol=0)
 
 
@@ -87,7 +94,7 @@ def test_fully_pruned_layer_outputs_bias(rng):
     plan = compile_conv_plan(layer, "empty")
     assert plan.kept_columns.size == 0
     x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-    out = execute_plan(plan, x)
+    out = _compiled_forward(layer, x)
     np.testing.assert_allclose(out, _dense_forward(layer, x), atol=TOL, rtol=0)
     assert np.allclose(out[:, 4], 4.0)
 
@@ -119,35 +126,32 @@ def test_whole_model_equivalence(entries, rng):
     dense_out = model(Tensor(x)).data.copy()
 
     compiled = compile_model(model, report.masks)
-    try:
-        out = compiled(Tensor(x)).data
-        np.testing.assert_allclose(out, dense_out, atol=TOL, rtol=0)
-        assert compiled.num_compiled_layers > 0
-    finally:
-        compiled.detach()
+    out = compiled(Tensor(x)).data
+    np.testing.assert_allclose(out, dense_out, atol=TOL, rtol=0)
+    assert compiled.num_compiled_layers > 0
 
-    # Detach restores the original dense forward exactly.
+    # The engine never rewires the model: its own forward stays the dense one.
     np.testing.assert_allclose(model(Tensor(x)).data, dense_out, atol=0, rtol=0)
 
 
 def test_compiled_model_is_gradient_safe(rng):
-    """With autograd enabled an attached engine falls back to the taped path."""
+    """Gradient safety is structural: compiling and running the engine leaves
+    no layer with a shadowed forward, so the raw model is the taped path."""
     model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8))
     report = prune_with_rtoss(
         model, entries=3,
         example_input=Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)),
     )
     compiled = compile_model(model, report.masks)
-    try:
-        model.eval()
-        x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
-        out = model(x)  # grad-enabled call on the attached model
-        assert out.requires_grad, "attached engine must not break the taped path"
-        out.sum().backward()
-        grads = [p.grad for _, p in model.named_parameters() if p.grad is not None]
-        assert grads, "backward through an attached model must still reach parameters"
-    finally:
-        compiled.detach()
+    x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
+    compiled.forward_raw(x.data)
+    assert not [name for name, module in model.named_modules()
+                if "forward" in module.__dict__]
+    out = model(x)  # grad-enabled call on the compiled model
+    assert out.requires_grad, "a compiled model must keep its taped path"
+    out.sum().backward()
+    grads = [p.grad for _, p in model.named_parameters() if p.grad is not None]
+    assert grads, "backward through a compiled model must still reach parameters"
 
 
 def test_column_dropping_is_mask_derived():
@@ -160,3 +164,28 @@ def test_column_dropping_is_mask_derived():
     plan = compile_conv_plan(layer, "layer")
     assert plan.dropped_columns == 1
     assert 0 not in plan.kept_columns
+
+
+# ---------------------------------------------------------------------- registry
+#: Models the tracer cannot record; they keep their own dense no-grad forward.
+UNTRACEABLE = {"detr", "detr_lite"}
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_every_registry_model_runs_the_one_engine_path(name, rng):
+    """Each registered model either fuses within 1e-5 (relative to the oracle's
+    magnitude) of its dense no-grad forward, or is a known-untraceable model
+    served bit-identically by that forward."""
+    model = build_model(name)
+    x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
+    oracle = BatchRunner(model, batch_size=1).run(x)
+
+    compiled = compile_model(model)
+    diff = max_abs_output_diff(compiled.forward_raw(x), oracle)
+    if name in UNTRACEABLE:
+        assert compiled.engine_mode == "eager" and compiled.fuse_failure
+        assert diff == 0.0
+    else:
+        peak = max_abs_output_diff(oracle, map_structure(np.zeros_like, oracle))
+        assert compiled.engine_mode == "fused", compiled.fuse_failure
+        assert diff <= TOL * max(1.0, peak)

@@ -1,10 +1,10 @@
 """Regression tests for the at-fork lock resets surfaced by reprolint.
 
-``fork-lock-reset`` flagged four modules whose module-level locks had no
+``fork-lock-reset`` flagged modules whose module-level locks had no
 ``os.register_at_fork`` re-arm (a child forked while another thread held the
 lock would deadlock on first use): ``repro.nn.functional``,
-``repro.engine.quant``, ``repro.engine.native``, ``repro.engine.trace`` --
-plus ``repro.experiments.comparison_suite`` fixed in the same pass.  These
+``repro.engine.native``, ``repro.engine.trace`` -- plus
+``repro.experiments.comparison_suite`` fixed in the same pass.  These
 tests simulate the forked-child state directly: acquire the lock (the
 "parent thread mid-critical-section" a fork would freeze), run the module's
 ``_reinit_after_fork``, and assert the replacement lock is immediately
@@ -16,14 +16,12 @@ import threading
 import pytest
 
 import repro.engine.native as native
-import repro.engine.quant as quant
 import repro.engine.trace as trace
 import repro.experiments.comparison_suite as comparison_suite
 import repro.nn.functional as functional
 
 AT_FORK_MODULES = [
     (functional, "_IM2COL_CACHE_LOCK"),
-    (quant, "_kernel_lock"),
     (native, "_load_lock"),
     (trace, "_TRACE_LOCK"),
     (comparison_suite, "_CACHE_LOCK"),
@@ -50,13 +48,6 @@ def test_functional_reinit_clears_im2col_cache():
     functional._IM2COL_INDEX_CACHE[("sentinel",)] = object()
     functional._reinit_after_fork()
     assert ("sentinel",) not in functional._IM2COL_INDEX_CACHE
-
-
-def test_quant_reinit_clears_kernel_cache():
-    # Parent GEMM-kernel timings do not transfer to the child's core budget.
-    quant._kernel_cache[(-1, -1, -1)] = "sentinel"
-    quant._reinit_after_fork()
-    assert quant._kernel_cache == {}
 
 
 def test_native_reinit_keeps_completed_load():

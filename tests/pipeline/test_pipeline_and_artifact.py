@@ -48,7 +48,7 @@ class TestPipelineRun:
         assert artifact.quantization_meta["num_layers"] > 0
         assert artifact.quantization_meta["compression_ratio"] == pytest.approx(4.0, rel=0.2)
 
-    def test_engine_compiled_and_attached(self, artifact):
+    def test_engine_compiled(self, artifact):
         assert artifact.compiled is not None
         assert artifact.compiled.num_compiled_layers > 0
 
@@ -192,7 +192,8 @@ class TestCliRun:
         assert not (tmp_path / "from_spec.npz").exists()
 
     def test_run_command_measure_reuses_compiled_engine(self):
-        # With measure on, the engine measured is the one attached to the artifact.
+        # With measure on, the engine measured is the artifact's own: only the
+        # measurement runs a forward here, so it is what traced this engine.
         spec = RunSpec.from_dict(dict(TINY_SPEC, name="measured",
                                       engine={"enabled": True, "measure": True,
                                               "image_size": 64, "batch": 1,
@@ -200,7 +201,8 @@ class TestCliRun:
                                       evaluation={"enabled": False}))
         result = Pipeline(spec).run()
         assert result.measurement is not None
-        assert result.compiled is not None and result.compiled._attached
+        assert result.compiled is not None and result.compiled.fused_active
+        assert result.measurement["engine_mode"] == "fused"
         assert result.measurement["max_abs_diff"] < 1e-5
 
     def test_run_command_missing_spec(self, capsys):

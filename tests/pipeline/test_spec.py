@@ -22,7 +22,7 @@ FULL_SPEC_DICT = {
     "framework": {"name": "rtoss-2ep", "overrides": {"prune_pointwise": False},
                   "trace_size": 96},
     "quantization": {"enabled": True, "bits": 4, "skip_names": ["head"]},
-    "engine": {"enabled": True, "fuse": True, "int8": True, "measure": True,
+    "engine": {"enabled": True, "int8": True, "measure": True,
                "image_size": 96, "batch": 4, "repeats": 2},
     "evaluation": {"enabled": True, "image_size": 96, "probe_size": 64,
                    "baseline_map": 55.5, "platforms": ["jetson_tx2"]},
@@ -145,12 +145,6 @@ class TestValidation:
     def test_engine_batch_validated(self):
         with pytest.raises(ValueError, match="batch"):
             EngineSpec(batch=0)
-
-    def test_int8_requires_fuse(self):
-        with pytest.raises(ValueError, match="int8 requires"):
-            EngineSpec(fuse=False, int8=True)
-        # and the valid combination constructs cleanly
-        assert EngineSpec(fuse=True, int8=True).int8
 
     def test_serve_spec_validated(self):
         with pytest.raises(ValueError, match="max_batch_size"):

@@ -107,6 +107,20 @@ class TestBenchCheck:
         assert code == 0
         assert "info" in out
 
+    def test_missing_informational_metric_skips(self, tmp_path):
+        # e.g. quantized_mean_abs_error: the key is only written on hosts
+        # where the int8 path ran, and an informational metric must not gate.
+        baselines = {
+            "metrics": [
+                {"name": "err", "file": "BENCH_x.json", "key": "absent",
+                 "baseline": 0.002, "informational": True},
+            ],
+        }
+        code, out, _ = run_checker(
+            tmp_path, baselines, {"BENCH_x.json": {"other": 1.0}})
+        assert code == 0
+        assert "skipped" in out
+
     def test_update_rewrites_baselines_with_measured(self, tmp_path):
         bench_dir = tmp_path / "benchmarks"
         bench_dir.mkdir()

@@ -19,15 +19,17 @@ Baselines schema::
           "baseline": 1.8,                  # committed expected value
           "tolerance": 0.25,                # optional per-metric override
           "required": false,                # optional: missing file/key -> skip
-          "informational": true             # optional: never fails, only shown
+          "informational": true             # optional: never fails (not even
+                                            # when missing), only shown
         }
       ]
     }
 
 Verdicts per metric: ``ok`` (inside the band), ``regression`` (below the lower
 bound -> failure), ``improved`` (above the upper bound -> warning to refresh the
-baseline, not a failure), ``missing`` (failure unless ``required`` is false),
-``info`` (informational metrics, e.g. machine-dependent absolute throughput).
+baseline, not a failure), ``missing`` (failure unless ``required`` is false or
+the metric is informational), ``info`` (informational metrics, e.g.
+machine-dependent absolute throughput).
 
 ``--update`` rewrites the baselines file with the measured values (keeping
 tolerances and flags), the maintainer path after a legitimate speedup.
@@ -75,8 +77,9 @@ def check_metric(
     name = entry.get("name") or f"{entry.get('file')}:{entry.get('key')}"
     baseline = float(entry["baseline"])
     tolerance = float(entry.get("tolerance", default_tolerance))
-    required = bool(entry.get("required", True))
     informational = bool(entry.get("informational", False))
+    # A metric that can never fail on its value cannot fail by being absent.
+    required = bool(entry.get("required", True)) and not informational
     lower = baseline * (1.0 - tolerance)
     upper = baseline * (1.0 + tolerance)
 

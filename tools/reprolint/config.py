@@ -50,7 +50,9 @@ HOT_FUNCTIONS = {
     "GetitemOp.execute",
     "MaxPoolOp.execute",
     "UpsampleOp.execute",
+    "FusedProgram._run",
     # int8 hot path (engine/quant.py)
+    "QuantFusedConv.execute",
     "QuantFusedConv._execute_native",
     "QuantFusedConv._execute_numpy",
     "QuantFusedConv._quantize_input",
