@@ -444,14 +444,19 @@ class MaxPoolOp(_FusedOp):
             padded = data
         out_h = (hp - kh) // sh + 1
         out_w = (wp - kw) // sw + 1
-        s0, s1, s2, s3 = padded.strides
-        windows = np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(n, c, out_h, out_w, kh, kw),
-            strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
-        )
+        # Pairwise maxima over shifted strided views, columns then rows (a
+        # window maximum is separable, and max is exact in any order): the same
+        # values as np.amax over the 6-D window view, kh + kw passes at memory
+        # speed instead of its generic reduction loop (~15x slower).
+        rows, cols = (out_h - 1) * sh + 1, (out_w - 1) * sw + 1
+        across = arena.buffer((self.key, "across"), (n, c, hp, out_w))
+        np.copyto(across, padded[:, :, :, 0:cols:sw])
+        for q in range(1, kw):
+            np.maximum(across, padded[:, :, :, q:q + cols:sw], out=across)
         out = arena.buffer((self.key, "out"), (n, c, out_h, out_w))
-        np.amax(windows, axis=(4, 5), out=out)
+        np.copyto(out, across[:, :, 0:rows:sh])
+        for r in range(1, kh):
+            np.maximum(out, across[:, :, r:r + rows:sh], out=out)
         values[self.out_slot] = out
 
 

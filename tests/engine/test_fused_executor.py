@@ -166,6 +166,25 @@ def test_glue_ops_slicing_concat_pool_upsample(rng):
     np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
 
 
+@pytest.mark.parametrize("kernel, stride, padding", [
+    (2, 2, 0), (3, 2, 1), (5, 1, 2), (3, 1, 0), (3, 3, 1)])
+def test_maxpool_is_bit_identical_to_dense(rng, kernel, stride, padding):
+    """Pairwise maxima over shifted views == the dense window reduction, exactly
+    (odd H != W, -inf halo, a NaN must still propagate)."""
+    from repro.nn.layers.pooling import MaxPool2d
+
+    model = Sequential(MaxPool2d(kernel, stride=stride, padding=padding))
+    model.eval()
+    x = rng.standard_normal((3, 4, 13, 9)).astype(np.float32)
+    x[1, 2, 5, 4] = np.nan
+    dense = model(Tensor(x)).data.copy()
+
+    compiled = compile_model(model)
+    fused = compiled.forward_raw(x)
+    assert compiled.fused_active, compiled.fuse_failure
+    np.testing.assert_array_equal(fused, dense)
+
+
 def test_batchnorm_fold_params_matches_eval_forward(rng):
     bn = BatchNorm2d(7)
     bn.running_mean[...] = rng.standard_normal(7).astype(np.float32)
