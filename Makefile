@@ -2,7 +2,9 @@
 #
 #   make test          tier-1 test suite (the roadmap verify command)
 #   make test-engine   engine-focused suite: compiled plans, fused executor,
-#                      int8 hot path + quantization property tests
+#                      sparse kernel, int8 hot path + quantization property
+#                      tests — run twice: with the native kernels, then pinned
+#                      to the portable numpy path (REPRO_NO_NATIVE=1)
 #   make lint          ruff check + format check + reprolint (what the CI lint
 #                      job runs; reprolint is the project-aware AST linter in
 #                      tools/reprolint — see docs/analysis.md)
@@ -47,9 +49,12 @@ SMOKE_SPEC ?= examples/specs/tiny_rtoss3ep.json
 test:
 	$(PYTHON) -m pytest -x -q
 
+ENGINE_TESTS = tests/engine tests/test_quantization_properties.py \
+	tests/pipeline/test_int8_determinism.py tests/serving/test_cluster_int8.py
+
 test-engine:
-	$(PYTHON) -m pytest -x -q tests/engine tests/test_quantization_properties.py \
-		tests/pipeline/test_int8_determinism.py tests/serving/test_cluster_int8.py
+	$(PYTHON) -m pytest -x -q $(ENGINE_TESTS)
+	REPRO_NO_NATIVE=1 $(PYTHON) -m pytest -x -q $(ENGINE_TESTS)
 
 # Three passes, strictest scope last (see ruff.toml for the rationale):
 #   1. repo-wide critical-correctness rules (E9/F63/F7/F82);

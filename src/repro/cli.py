@@ -383,8 +383,54 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pruning_claim_rows(args: argparse.Namespace, dense_engine, known) -> list:
+    """The paper's claim, R-TOSS-2EP and -3EP: speedup *from pruning*.
+
+    Measured on the shipped executor (fused-dense over fused-pruned, arms in
+    the same rounds) next to the modelled Jetson TX2 / RTX 2080Ti figures of
+    the same pruned model.  ``known`` maps a framework already pruned and
+    measured by the caller to its ``(model, report, pruning_speedup)``.
+    """
+    from repro.engine import compile_model
+    from repro.engine.bench import paired_speedup
+    from repro.hardware import (
+        JETSON_TX2,
+        RTX_2080TI,
+        SparsityProfile,
+        estimate_latency,
+        profile_model,
+        speedup_over,
+    )
+
+    x = np.random.default_rng(args.seed).standard_normal(
+        (args.batch, 3, args.image_size, args.image_size)).astype(np.float32)
+    probe_size = max(32, min(args.image_size, 64))
+    rows = []
+    for framework in ("rtoss-2ep", "rtoss-3ep"):
+        if framework in known:
+            model, report, measured = known[framework]
+        else:
+            set_global_seed(args.seed)
+            model = _build_cli_model(args)
+            report = _build_pruner(framework, args.seed).prune(
+                model, (1, 3, args.image_size, args.image_size), args.model)
+            engine = compile_model(model, report.masks)
+            _, _, measured = paired_speedup(
+                lambda: dense_engine.forward_raw(x), lambda: engine.forward_raw(x),
+                rounds=max(args.repeats, 3))
+        profile = profile_model(model, args.image_size, probe_size, model_name=args.model)
+        sparsity = SparsityProfile.from_report(report)
+        row = {"framework": framework, "pruning_speedup[host, measured]": round(measured, 2)}
+        for platform in (JETSON_TX2, RTX_2080TI):
+            row[f"pruning_speedup[{platform.name}, modelled]"] = round(speedup_over(
+                estimate_latency(profile, platform),
+                estimate_latency(profile, platform, sparsity)), 2)
+        rows.append(row)
+    return rows
+
+
 def _cmd_engine(args: argparse.Namespace) -> int:
-    from repro.engine import compile_model, measure_speedup
+    from repro.engine import compile_model, measure_speedup, sparse_kernel_available
     from repro.hardware import (
         JETSON_TX2,
         SparsityProfile,
@@ -407,13 +453,17 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     model = _build_cli_model(args)
     pruner = _build_pruner(args.framework, args.seed)
     report = pruner.prune(model, (1, 3, args.image_size, args.image_size), args.model)
+    # The unpruned twin (same seed, same weights before pruning): the base of
+    # `pruning_speedup`, through the same fused executor.
+    set_global_seed(args.seed)
+    dense_engine = compile_model(_build_cli_model(args))
 
     # One engine serves the measurement, the profile and the plan table.
     compiled = compile_model(model, report.masks, int8=args.int8)
     measurement = measure_speedup(
         model, repeats=args.repeats, batch=args.batch,
         image_size=args.image_size, model_name=args.model, seed=args.seed,
-        compiled=compiled, int8=args.int8,
+        compiled=compiled, int8=args.int8, dense_engine=dense_engine,
     )
 
     # Modeled (analytical) latency for the same pruned model, with the measured
@@ -459,6 +509,12 @@ def _cmd_engine(args: argparse.Namespace) -> int:
                        title=f"{args.framework} on {args.model} — measured on host CPU"))
     print(format_table([modeled.row()],
                        title="Modeled (Jetson TX2) vs measured (host) latency"))
+    kernel = ("native direct sparse kernel" if sparse_kernel_available()
+              else "portable gather + GEMM path: zeros are multiplied, expect ~1x")
+    print(format_table(
+        _pruning_claim_rows(args, dense_engine, {
+            args.framework: (model, report, measurement.pruning_speedup)}),
+        title=f"Speedup from pruning (fused-dense / fused-pruned; {kernel})"))
     ok = measurement.max_abs_diff < 1e-5
     print(f"output equivalence (max abs diff): {measurement.max_abs_diff:.2e} "
           f"{'OK' if ok else 'MISMATCH'}")

@@ -22,8 +22,10 @@ package makes pruning pay off at inference time on the host CPU:
   a float fused program so quantized convolutions execute as true integer
   GEMMs (uint8 activation codes x int8 weight codes) with dequantization,
   BatchNorm and the activation folded into one epilogue,
-* :mod:`repro.engine.native` — optional AVX-512 VNNI C kernel backing the
-  int8 path (compiled on first use, silently absent on other hosts),
+* :mod:`repro.engine.native` — optional AVX-512 C kernels (compiled on first
+  use, silently absent on other hosts): the VNNI kernel backing the int8 path
+  and the fp32 direct sparse-convolution kernel that skips pruned weights
+  *inside* the kernel, which is what makes fused-pruned beat fused-dense,
 * :mod:`repro.engine.bench` — :func:`measure_speedup`, wall-clock dense vs
   engine (vs int8) comparison with built-in output-equivalence checks.
 
@@ -51,7 +53,7 @@ from repro.engine.bench import (
 )
 from repro.engine.compiler import CompiledModel, compile_model
 from repro.engine.fuse import FusedProgram, fuse_graph
-from repro.engine.native import native_available
+from repro.engine.native import native_available, sparse_kernel_available
 from repro.engine.quant import (
     QuantFusedConv,
     QuantLoweringError,
@@ -90,6 +92,7 @@ __all__ = [
     "measure_speedup",
     "native_available",
     "reset_layout_cache_stats",
+    "sparse_kernel_available",
     "time_callable",
     "trace_graph",
 ]

@@ -13,9 +13,12 @@ network on the host CPU and times it.  :func:`measure_speedup` produces an
   :meth:`~repro.engine.compiler.CompiledModel.forward_raw` (and therefore
   serving) runs: the fused fp32 program,
 
-plus ``quantized_seconds`` for the int8 lowering when asked.  It also records
-the max absolute output difference between the dense and the engine outputs,
-so every reported speedup is tied to a verified-equivalent computation.
+plus ``quantized_seconds`` for the int8 lowering when asked, and — given an
+unpruned compiled twin — ``pruning_speedup``, the paper's own claim stated on
+the shipped executor: fused-dense over fused-pruned, both arms timed in the
+same rounds.  It also records the max absolute output difference between the
+dense and the engine outputs, so every reported speedup is tied to a
+verified-equivalent computation.
 """
 
 from __future__ import annotations
@@ -45,6 +48,32 @@ def time_callable(fn: Callable[[], object], repeats: int = 5, warmup: int = 1) -
         fn()
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))
+
+
+def paired_speedup(base: Callable[[], object], other: Callable[[], object],
+                   rounds: int = 9, warmup: int = 1) -> Tuple[float, float, float]:
+    """``(base seconds, other seconds, base/other)`` with both arms in every round.
+
+    Each round times both callables back to back, alternating which goes
+    first, so the two sides of the ratio see the same machine state; the ratio
+    is the median of the per-round ratios (a host that slows down for a second
+    moves both arms of a round, not the ratio), the seconds are medians.
+    """
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    for _ in range(warmup):
+        base()
+        other()
+    samples = {0: [], 1: []}
+    arms = (base, other)
+    for index in range(rounds):
+        for arm in ((0, 1) if index % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            arms[arm]()
+            samples[arm].append(time.perf_counter() - start)
+    ratios = [b / o for b, o in zip(samples[0], samples[1]) if o > 0.0]
+    return (float(np.median(samples[0])), float(np.median(samples[1])),
+            float(np.median(ratios)) if ratios else float("inf"))
 
 
 @dataclass
@@ -79,6 +108,17 @@ class EngineMeasurement:
     #: Layers per executed mode string, taken from the compiled summary (the
     #: fused op's own ``mode``, never a hardcoded label).
     mode_census: Dict[str, int] = field(default_factory=dict)
+    #: Wall-clock of the *unpruned* twin through the same fused executor, and
+    #: ``fused-dense / fused-pruned`` paired per round — the speedup *from
+    #: pruning* (0.0 unless ``measure_speedup(dense_engine=...)`` was given).
+    fused_dense_seconds: float = 0.0
+    pruning_speedup: float = 0.0
+
+    @property
+    def sparse_kernel(self) -> bool:
+        """Whether any layer ran the native fp32 direct sparse kernel (gates
+        only trust ``pruning_speedup > 1`` when it did)."""
+        return any("+direct" in mode for mode in self.mode_census)
 
     @property
     def speedup(self) -> float:
@@ -118,6 +158,9 @@ class EngineMeasurement:
             "measured_speedup_nograd": round(self.nograd_speedup, 2),
             "max_abs_diff": float(self.max_abs_diff),
         }
+        if self.pruning_speedup:
+            row["fused_dense_ms"] = round(self.fused_dense_seconds * 1e3, 2)
+            row["pruning_speedup"] = round(self.pruning_speedup, 2)
         if self.quantized_seconds:
             row["quantized_ms"] = round(self.quantized_seconds * 1e3, 2)
             row["quantized_speedup"] = round(self.quantized_speedup, 2)
@@ -140,6 +183,7 @@ def measure_speedup(
     compiled: Optional[CompiledModel] = None,
     int8: bool = False,
     quantization: Optional[Dict[str, object]] = None,
+    dense_engine: Optional[CompiledModel] = None,
 ) -> EngineMeasurement:
     """Measure dense vs engine inference latency on the host CPU.
 
@@ -171,6 +215,11 @@ def measure_speedup(
     quantization:
         Quantization metadata (``bits``, ``activation_scales``) forwarded to
         :func:`compile_model` when this call compiles its own engine.
+    dense_engine:
+        The compiled *unpruned* twin of ``model`` (same architecture and seed,
+        no masks).  When given, ``pruning_speedup`` reports fused-dense over
+        fused-pruned — the paper's claim on the shipped executor — with both
+        arms timed in the same rounds (:func:`paired_speedup`).
     """
     if x is None:
         rng = np.random.default_rng(seed)
@@ -207,6 +256,13 @@ def measure_speedup(
         max_abs_diff = max_abs_output_diff(compiled_out, dense_out)
         engine_mode = compiled.engine_mode
         compiled_seconds = time_callable(lambda: runner.run(x), repeats, warmup)
+
+        fused_dense_seconds = pruning_speedup = 0.0
+        if dense_engine is not None:
+            twin_runner = BatchRunner(dense_engine, batch_size=batch_size)
+            fused_dense_seconds, _, pruning_speedup = paired_speedup(
+                lambda: twin_runner.run(x), lambda: runner.run(x),
+                rounds=max(repeats, 3), warmup=max(warmup, 1))
 
         quantized_seconds = 0.0
         quantized_mean = float("nan")
@@ -249,6 +305,8 @@ def measure_speedup(
         quantized_max_abs_error=quantized_max,
         int8_kernel=int8_kernel,
         mode_census=mode_census,
+        fused_dense_seconds=fused_dense_seconds,
+        pruning_speedup=pruning_speedup,
     )
 
 

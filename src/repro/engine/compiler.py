@@ -4,8 +4,9 @@
 :class:`repro.engine.plan.ConvPlan`.  The first inference call traces the model
 into a flat op plan (:mod:`repro.engine.trace`) and lowers it into a
 :class:`repro.engine.fuse.FusedProgram` — BatchNorm folded into the packed conv
-weights, activations fused into the GEMM epilogue, every intermediate written
-into a shape-keyed workspace arena.  That program is *the* no-grad inference
+weights, activations fused into the GEMM epilogue (pruned layers as one native
+direct sparse-convolution call where that kernel loaded), every intermediate
+written into a shape-keyed workspace arena.  That program is *the* no-grad inference
 path: :meth:`CompiledModel.forward_raw` (and everything that delegates to it —
 ``__call__``, :class:`repro.engine.runner.BatchRunner`, the serving layer).
 
@@ -430,7 +431,9 @@ class CompiledModel:
 
         The ``mode`` column always reports the mode string of what actually
         executes: once traced, a folded layer shows e.g.
-        ``sparse-im2col-gemm+bn+silu`` instead of the bare plan label.
+        ``sparse-im2col-gemm+bn+silu`` instead of the bare plan label, and
+        ``sparse-im2col-gemm+direct+bn+silu`` when the native direct sparse
+        kernel runs it (:func:`repro.engine.native.sparse_kernel_available`).
         """
         active = (self._int8_program if self.int8_active
                   else self._fused_program if self.fused_active else None)

@@ -11,15 +11,23 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
   The folded copies belong to the fused op; the plan itself is untouched.
 * **Activation epilogues** — ReLU / LeakyReLU / SiLU directly after a compiled
   convolution (or its folded BatchNorm) run in place on the GEMM output buffer
-  instead of as separate passes with their own temporaries.
+  instead of as separate passes with their own temporaries; where
+  :mod:`repro.engine.native` loaded, bias + activation are one in-register
+  pass (``bias_act_f32``), the epilogue the direct sparse kernel applies.
 * **Arena execution** — every op writes into a buffer keyed by
   ``(op, role, shape)``; convolution gathers go through a single flat
   ``np.take(..., out=..., mode="clip")`` into the GEMM-ready column buffer
-  (``as_strided`` window views where the gather is dense, i.e. no column was
-  pruned), and the GEMM itself is ``np.matmul(W, cols, out=...)``.  After one
-  warmup pass per input shape, a steady-state forward allocates nothing large;
-  only the final outputs are copied out of the arena (they must survive the
-  next forward).
+  (``as_strided`` window views where the gather is dense, i.e. compaction
+  dropped next to nothing), and the GEMM itself is ``np.matmul(W, cols,
+  out=...)``.  After one warmup pass per input shape, a steady-state forward
+  allocates nothing large; only the final outputs are copied out of the arena
+  (they must survive the next forward).
+* **Direct sparse kernel** — where :mod:`repro.engine.native` loaded its fp32
+  kernel, a pruned convolution skips gather, GEMM and epilogue altogether: the
+  zero-padded planes are staged once and one native call walks the CSR of the
+  surviving weights (:meth:`FusedConv.choose_kernel` holds the static rule).
+  R-TOSS patterns differ per kernel, so this — not column compaction — is what
+  makes a pruned model faster than its dense twin.
 
 BatchNorm folding changes the floating-point evaluation order (scales are
 applied to weights before the GEMM instead of to activations after it), so
@@ -42,6 +50,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.engine.arena import WorkspaceArena, merge_stats
+from repro.engine.native import ACT_CODES, SparseConvKernel, address, load_sparse_kernel
 from repro.engine.plan import MODE_POINTWISE, ConvPlan
 from repro.engine.trace import (
     GraphPlan,
@@ -57,6 +66,19 @@ from repro.nn.tensor import Tensor, no_grad
 EPILOGUE_ACTS = ("relu", "leaky_relu", "silu")
 #: Activations the executor can compute as raw numpy into an arena buffer.
 RAW_ACTS = ("relu", "leaky_relu", "silu", "sigmoid", "tanh", "hardswish")
+
+#: A convolution runs the native direct sparse kernel when at most this share
+#: of its dense ``(O, I*kh*kw)`` weight matrix is nonzero (R-TOSS-2EP ~0.22,
+#: 3EP ~0.33).  The kernel pays one input load per FMA where BLAS blocks
+#: registers, so a dense layer (1.0) is faster as gather + GEMM.
+DIRECT_MAX_DENSITY = 0.5
+
+#: On the GEMM path a convolution keeps its dense gather (strided-window copy,
+#: or the feature map as is for a 1x1) and a full-width weight matrix while
+#: compaction dropped at most this share of the im2col columns: ``np.take``
+#: through a gather index costs more than multiplying the few all-zero columns
+#: it would save (measured break-even: 5-30 % dropped, by geometry).
+WINDOW_MAX_DROPPED = 0.125
 
 
 def _leaky_slope_supported(params: Dict) -> bool:
@@ -163,7 +185,9 @@ class FusedConv(_FusedOp):
     """A compiled convolution with optionally folded BN and activation epilogue."""
 
     __slots__ = ("plan", "weight", "bias", "act", "act_slope", "in_slot",
-                 "mode", "layer_name", "dense_gather", "observer")
+                 "mode", "layer_name", "dense_gather", "observer",
+                 "direct", "csr_rowptr", "csr_val", "_direct_args",
+                 "native_epilogue", "_epilogue_args")
 
     def __init__(self, node: OpNode, plan: ConvPlan) -> None:
         super().__init__(node)
@@ -181,9 +205,16 @@ class FusedConv(_FusedOp):
         self.observer = None
         self.mode = plan.mode
         # When pruning dropped no column at all, the gather is dense: a strided
-        # window view copies straight into the column buffer with no index math.
+        # window view copies straight into the column buffer with no index math
+        # (:meth:`choose_kernel` widens this to "dropped next to nothing").
         self.dense_gather = (plan.kept_columns.size == plan.total_columns
                              and plan.mode != MODE_POINTWISE)
+        #: The native direct sparse kernel when this op runs it (see
+        #: :meth:`choose_kernel`), else None: gather + GEMM.
+        self.direct: Optional[SparseConvKernel] = None
+        #: The same library when it applies this op's GEMM epilogue (bias +
+        #: activation, one in-register pass), else None: numpy passes.
+        self.native_epilogue: Optional[SparseConvKernel] = None
 
     # ------------------------------------------------------------------ fusion
     def fold_batchnorm(self, scale: np.ndarray, shift: np.ndarray) -> None:
@@ -198,6 +229,50 @@ class FusedConv(_FusedOp):
         self.act = tag
         self.act_slope = negative_slope
         self.mode += f"+{tag}"
+
+    def packed_weight(self) -> np.ndarray:
+        """The folded ``(O, K)`` matrix over the plan's kept columns — what the
+        int8 lowering quantizes, whichever way this op's GEMM operand is laid out."""
+        kept = self.plan.kept_columns
+        return self.weight if self.weight.shape[1] == kept.size else self.weight[:, kept]
+
+    def choose_kernel(self, sparse_kernel: Optional[SparseConvKernel]) -> None:
+        """Pick what executes this op; :func:`fuse_graph` calls it once folding is done.
+
+        A static rule on what the op can observe — never a timing race, which
+        would let load decide numerics: the native direct sparse kernel when it
+        loaded and the layer is sparse enough (:data:`DIRECT_MAX_DENSITY`),
+        else gather + GEMM.  Nothing here is stored in an artifact: a model
+        saved on one kind of host re-fuses, and re-chooses, on the other.
+        """
+        plan = self.plan
+        dropped = plan.total_columns - plan.kept_columns.size
+        if (sparse_kernel is not None and plan.kept_columns.size
+                and plan.density <= DIRECT_MAX_DENSITY):
+            # CSR values of the *folded* matrix, in the plan's structure order.
+            self.csr_rowptr, flat = plan.csr()
+            self.csr_val = self.weight.reshape(-1)[flat]
+            self._direct_args = (
+                address(self.csr_rowptr, np.int32), address(self.csr_val, np.float32),
+                address(self.bias, np.float32),
+                ACT_CODES[self.act], float(self.act_slope or 0.0))
+            self.direct = sparse_kernel
+            self.mode = self.mode.replace(plan.mode, plan.mode + "+direct", 1)
+            return
+        if sparse_kernel is not None and (self.bias is not None or self.act is not None):
+            # The GEMM path gets the epilogue the direct kernel has: bias +
+            # activation in one in-register pass over the GEMM output.
+            self._epilogue_args = (address(self.bias, np.float32),
+                                   ACT_CODES[self.act], float(self.act_slope or 0.0))
+            self.native_epilogue = sparse_kernel
+        if 0 < dropped <= WINDOW_MAX_DROPPED * plan.total_columns:
+            # Compaction removed next to nothing: scatter the packed weights
+            # back to full width and skip the np.take gather (strided-window
+            # copy for a spatial conv, the feature map as is for a 1x1).
+            full = np.zeros((plan.out_channels, plan.total_columns), dtype=np.float32)
+            full[:, plan.kept_columns] = self.weight
+            self.weight = full
+            self.dense_gather = True
 
     # --------------------------------------------------------------- execution
     def execute(self, values, arena, timed=False):
@@ -221,6 +296,12 @@ class FusedConv(_FusedOp):
             values[self.out_slot] = out
             return None
 
+        # Calibration observers want the pre-activation tensor, which the
+        # direct kernel never materializes: observed forwards run the GEMM path
+        # (on every host, so calibrated scales do not depend on the kernel).
+        if self.direct is not None and self.observer is None:
+            return self._execute_direct(data, values, arena, started, timed)
+
         if plan.mode == MODE_POINTWISE:
             gemm_in, (out_h, out_w) = self._pointwise_input(data, arena)
         else:
@@ -230,12 +311,18 @@ class FusedConv(_FusedOp):
         length = out_h * out_w
         out = arena.buffer((self.key, "out"), (n, out_channels, length))
         np.matmul(self.weight, gemm_in, out=out)
-        if self.bias is not None:
+        # Observed (calibration) forwards take the numpy passes on every host:
+        # they want the pre-activation tensor the fused pass never stores.
+        fused_epilogue = self.native_epilogue is not None and self.observer is None
+        if self.bias is not None and not fused_epilogue:
             out += self.bias.reshape(1, -1, 1)
         if self.observer is not None:
             self.observer("pre", self.layer_name, out)
         multiplied = time.perf_counter() if timed else 0.0
-        self._epilogue(out, arena)
+        if fused_epilogue:
+            self.native_epilogue.bias_act(out, *self._epilogue_args)
+        else:
+            self._epilogue(out, arena)
         if self.observer is not None:
             self.observer("post", self.layer_name, out)
         values[self.out_slot] = out.reshape(n, out_channels, out_h, out_w)
@@ -250,6 +337,39 @@ class FusedConv(_FusedOp):
     def _epilogue(self, buf: np.ndarray, arena: WorkspaceArena) -> None:
         _apply_activation_inplace(self.act, buf, arena, self.key, self.act_slope)
 
+    def _execute_direct(self, data, values, arena, started, timed):
+        """Stage the zero-padded (phase-split) planes -> one native call.
+
+        No im2col buffer, no gather index: the kernel reads every surviving
+        weight's tap at a fixed offset from the output position and applies
+        bias + activation in registers (``epilogue`` is what is left: nothing).
+        """
+        plan = self.plan
+        n, c, h, w = data.shape
+        layout = plan.direct_layout_for((c, h, w))
+        if layout.copies:
+            staged = arena.buffer((self.key, "planes"),
+                                  (n, layout.planes, c, layout.hq, layout.wq), fill=0.0)
+            # The zero halo is written once (at allocation); every call only
+            # refreshes the interior of each phase plane.
+            for phase, dst_rows, dst_cols, src_rows, src_cols in layout.copies:
+                staged[:, phase, :, dst_rows, dst_cols] = data[:, :, src_rows, src_cols]
+        else:
+            staged = data
+        gathered = time.perf_counter() if timed else 0.0
+        out = arena.buffer((self.key, "out"),
+                           (n, plan.out_channels, layout.out_h, layout.out_w))
+        rowptr, val, bias, act, slope = self._direct_args
+        self.direct.sconv(staged, layout.in_stride, layout.npos,
+                          rowptr, layout.off_addr, val, bias,
+                          layout.keep_addr, layout.tile_dst_addr, act, slope, out)
+        values[self.out_slot] = out
+        if not timed:
+            return None
+        multiplied = time.perf_counter()
+        return {"gather": gathered - started, "gemm": multiplied - gathered,
+                "epilogue": time.perf_counter() - multiplied}
+
     def _pointwise_input(self, data, arena):
         plan = self.plan
         sh, sw = plan.stride
@@ -258,7 +378,7 @@ class FusedConv(_FusedOp):
         n, c, out_h, out_w = data.shape
         length = out_h * out_w
         feat = data.reshape(n, c, length)
-        if plan.pointwise_channels is not None:
+        if plan.pointwise_channels is not None and not self.dense_gather:
             cols = arena.buffer(
                 (self.key, "cols"), (n, plan.pointwise_channels.size, length))
             np.take(feat, plan.pointwise_channels, axis=1, out=cols, mode="clip")
@@ -284,9 +404,8 @@ class FusedConv(_FusedOp):
             padded[:, :, ph:ph + h, pw:pw + w] = data
         else:
             padded = data
-        k = plan.kept_columns.size
         length = out_h * out_w
-        cols = arena.buffer((self.key, "cols"), (n, k, length))
+        cols = arena.buffer((self.key, "cols"), (n, self.weight.shape[1], length))
         if self.dense_gather:
             kh, kw = plan.kernel_size
             sh, sw = plan.stride
@@ -576,6 +695,10 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
             removed.add(id(follower))
 
     steps = [op for op in ops if id(op) not in removed]
+    sparse_kernel = load_sparse_kernel()
+    for op in steps:
+        if isinstance(op, FusedConv):
+            op.choose_kernel(sparse_kernel)
     return FusedProgram(graph, steps, bucket_safe=_batch_axis_preserved(graph))
 
 

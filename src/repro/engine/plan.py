@@ -15,6 +15,13 @@ into a :class:`ConvPlan` — a column-compacted GEMM description:
   the (optionally channel-compacted) feature map — the fast path for the layers
   Algorithm 3 prunes.
 
+* for the native direct sparse-convolution kernel
+  (:mod:`repro.engine.native`) the plan also packs the *element-level* zero
+  structure: :meth:`ConvPlan.csr` is the CSR structure of the packed matrix and
+  :meth:`ConvPlan.direct_layout_for` turns it, per input shape, into one int32
+  input offset per nonzero — R-TOSS patterns differ per kernel, so almost no
+  column is empty and the zeros can only be skipped inside the kernel.
+
 A plan is a *description*; the one executor that runs it is
 :class:`repro.engine.fuse.FusedConv`.
 
@@ -24,9 +31,9 @@ up to float summation order.  The more structure a pruner produces (shared
 patterns within a DFS group, connectivity pruning, whole-kernel removal), the
 more columns drop and the smaller both the gather and the GEMM become.
 
-Cache structure: every plan owns its gather layouts, keyed by input shape, so
-one compiled model reuses layouts per (layer, pattern set, input shape) across
-calls.  The plan's ``signature`` hashes its kept-column set; ``is_stale``
+Cache structure: every plan owns its gather and direct layouts, keyed by input
+shape, so one compiled model reuses layouts per (layer, pattern set, input
+shape) across calls.  The plan's ``signature`` hashes its kept-column set; ``is_stale``
 compares it against the layer's current mask so ``CompiledModel.refresh()``
 recompiles exactly the layers whose pattern assignment changed (plain weight
 updates are re-packed without recompiling).  A fresh ``compile_model`` call
@@ -43,6 +50,7 @@ from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.native import address
 from repro.nn.layers.conv import Conv2d
 
 #: Execution modes a plan can take.
@@ -129,6 +137,40 @@ def _register_obs_collector() -> None:
 _register_obs_collector()
 
 
+class DirectLayout:
+    """Per-input-shape operands of the direct sparse-convolution kernel.
+
+    The kernel walks the *flat* positions ``p = y * wq + x`` of an output
+    plane laid over the staged input plane (``hq x wq``: the zero-padded
+    input, split for a strided layer into its ``stride`` x ``stride`` phases
+    so that every tap again reads at a fixed offset from ``p``), computing
+    ``sum_j val[j] * staged[off[j] + p]``.  Positions with ``x >= out_w`` wrap
+    into the next row's halo and are computed but not stored — the
+    ``(wq - out_w) / wq`` waste of the flat-plane trick; ``keep`` marks the real
+    outputs (``None`` when ``wq == out_w``, i.e. every position is one).
+
+    ``copies`` stages the input: ``(phase, dst_rows, dst_cols, src_rows,
+    src_cols)`` slices, empty when the input is used in place (stride 1, no
+    padding).  The ``*_addr`` fields are the kernel-ready pointers of the
+    arrays held beside them.
+    """
+
+    __slots__ = ("out_h", "out_w", "planes", "hq", "wq", "in_stride", "npos", "copies",
+                 "off", "keep", "tile_dst", "off_addr", "keep_addr", "tile_dst_addr")
+
+    def __init__(self, out_h, out_w, channels, planes, hq, wq,
+                 copies, off, keep, tile_dst) -> None:
+        self.out_h, self.out_w = out_h, out_w
+        self.planes, self.hq, self.wq = planes, hq, wq
+        self.in_stride = planes * channels * hq * wq     # floats per staged image
+        self.npos = (out_h - 1) * wq + out_w
+        self.copies = copies
+        self.off, self.keep, self.tile_dst = off, keep, tile_dst
+        self.off_addr = address(off, np.int32)
+        self.keep_addr = address(keep, np.uint16)
+        self.tile_dst_addr = address(tile_dst, np.int32)
+
+
 @dataclass
 class ConvPlan:
     """Compiled execution plan of one convolution layer.
@@ -170,17 +212,21 @@ class ConvPlan:
     signature: str
     # Kept input channels for the pointwise fast path; None means "all channels".
     pointwise_channels: Optional[np.ndarray] = None
-    # Flat per-image gather layouts keyed by (C, H, W) — deliberately
-    # batch-independent: micro-batches of any size share one.
-    _layouts: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
+    # Per-image layouts — deliberately batch-independent: micro-batches of
+    # any size share one.  Flat gather layouts are keyed by (C, H, W), the
+    # direct kernel's by ("direct", C, H, W).
+    _layouts: Dict[tuple, object] = field(default_factory=dict, repr=False)
+    # CSR structure of ``weight_matrix`` (see :meth:`csr`), packed on first use.
+    _csr: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
     # Guards layout computation/insertion so concurrent no-grad forward passes
     # (the serving layer runs BatchRunner from several threads) build each
     # layout exactly once; cache-hit reads stay lock-free.
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    # reprolint lock-discipline contract: the layout cache may only be written
-    # under the plan lock (cache-hit *reads* stay lock-free by design).
-    _guarded_by_: ClassVar[Dict[str, str]] = {"_layouts": "_lock"}
+    # reprolint lock-discipline contract: the layout cache and the CSR
+    # structure may only be written under the plan lock (cache-hit *reads*
+    # stay lock-free by design).
+    _guarded_by_: ClassVar[Dict[str, str]] = {"_layouts": "_lock", "_csr": "_lock"}
 
     # ------------------------------------------------------------------ statistics
     @property
@@ -201,6 +247,16 @@ class ConvPlan:
         if self.weight_matrix.size == 0:
             return 0.0
         return 1.0 - np.count_nonzero(self.weight_matrix) / self.weight_matrix.size
+
+    @property
+    def density(self) -> float:
+        """Nonzero share of the *dense* ``(O, I*kh*kw)`` weight matrix.
+
+        What the direct kernel's selection rule reads: ~0.22 for R-TOSS-2EP,
+        ~0.33 for 3EP, 1.0 for an unpruned layer.
+        """
+        total = self.out_channels * self.total_columns
+        return np.count_nonzero(self.weight_matrix) / total if total else 0.0
 
     def summary(self) -> Dict[str, object]:
         """One table row describing this plan (used by ``CompiledModel.summary``)."""
@@ -233,6 +289,12 @@ class ConvPlan:
         """
         self.weight_matrix = _packed_weight_matrix(layer, self.kept_columns)
         self.bias = None if layer.bias is None else layer.bias.data.astype(np.float32)
+        # A weight that became (or stopped being) exactly zero changes the
+        # element-level structure the direct layouts were built from.
+        with self._lock:
+            self._csr = None
+            self._layouts = {key: layout for key, layout in self._layouts.items()
+                             if key[0] != "direct"}
 
     # ------------------------------------------------------------------ layout
     def output_hw(self, h: int, w: int) -> Tuple[int, int]:
@@ -262,18 +324,31 @@ class ConvPlan:
         Thread-safe: concurrent callers on a shape miss serialize on the plan's
         lock and the layout is computed exactly once.
         """
-        cached = self._layouts.get(input_shape)
+        return self._cached_layout(input_shape, self._build_layout)
+
+    def direct_layout_for(self, input_shape: Tuple[int, int, int]) -> DirectLayout:
+        """The direct kernel's :class:`DirectLayout` for one ``(C, H, W)`` shape.
+
+        Cached and thread-safe exactly like :meth:`fused_layout_for` (same
+        dict, lock and hit/miss counters); dropped by :meth:`refresh_weights`
+        because it bakes in the element-level structure :meth:`csr` reports.
+        """
+        return self._cached_layout(("direct", *input_shape), self._build_direct_layout)
+
+    def _cached_layout(self, key: tuple, build):
+        """The layout cached under ``key`` (which ends in the ``(C, H, W)`` shape)."""
+        cached = self._layouts.get(key)
         if cached is not None:
             # Deliberately lock-free hit counting (see _GLOBAL_CACHE_STATS).
             _GLOBAL_CACHE_STATS.hits += 1  # reprolint: disable=lock-discipline
             return cached
         with self._lock:
-            cached = self._layouts.get(input_shape)
+            cached = self._layouts.get(key)
             if cached is not None:
                 _GLOBAL_CACHE_STATS.hits += 1  # reprolint: disable=lock-discipline
                 return cached
-            layout = self._build_layout(input_shape)
-            self._layouts[input_shape] = layout
+            layout = build(key[-3:])
+            self._layouts[key] = layout
         with _STATS_LOCK:
             _GLOBAL_CACHE_STATS.misses += 1
         return layout
@@ -292,6 +367,84 @@ class ConvPlan:
         flat = np.ascontiguousarray(flat, dtype=np.intp)
         flat.setflags(write=False)
         return (flat, out_h, out_w, (hp, wp))
+
+    # ------------------------------------------------------------------ direct kernel
+    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR structure ``(rowptr, flat)`` of the packed matrix's nonzeros.
+
+        ``flat`` holds the nonzeros' positions in the row-major ``(O, K)``
+        matrix (``row * K + kept column``), ascending — so ``flat % K`` is the
+        CSR column index and ``matrix.reshape(-1)[flat]`` lists, in CSR order,
+        the values of any matrix of the same shape, which is how the executor
+        packs its BN-folded copy.  Packed on first use (only layers the direct
+        kernel runs need it).
+        """
+        packed = self._csr
+        if packed is None:
+            with self._lock:
+                packed = self._pack_csr()
+        return packed
+
+    def _pack_csr(self) -> Tuple[np.ndarray, np.ndarray]:  # reprolint: holds=_lock
+        if self._csr is None:
+            rows, width = self.weight_matrix.shape
+            if rows * width >= 2 ** 31:
+                raise ValueError(f"{self.layer_name}: weight matrix too large for int32 CSR")
+            flat = np.flatnonzero(self.weight_matrix != 0.0)   # bool scan: 6x faster than float
+            rowptr = np.searchsorted(flat, np.arange(rows + 1) * width).astype(np.int32)
+            self._csr = (rowptr, flat.astype(np.int32))
+        return self._csr
+
+    def _build_direct_layout(  # reprolint: holds=_lock
+            self, input_shape: Tuple[int, int, int]) -> DirectLayout:
+        c, h, w = input_shape
+        out_h, out_w = self.output_hw(h, w)
+        kh, kw = self.kernel_size
+        sh, sw = self.stride
+        ph, pw = self.padding
+        # Phases a tap can fall into, and the plane that covers every read:
+        # tap (r, s) at output (y, x) reads padded[y*sh + r, x*sw + s], i.e.
+        # row y + r//sh, column x + s//sw of phase (r % sh, s % sw).
+        phase_rows, phase_cols = min(kh, sh), min(kw, sw)
+        hq, wq = out_h + (kh - 1) // sh, out_w + (kw - 1) // sw
+        planes = phase_rows * phase_cols
+        if planes * c * hq * wq >= 2 ** 31:
+            raise ValueError(f"input {input_shape} is too large for int32 offsets")
+
+        phase = (self.tap_rows % sh) * phase_cols + self.tap_cols % sw
+        column_offset = ((phase * c + self.channel_index) * (hq * wq)
+                         + (self.tap_rows // sh) * wq + self.tap_cols // sw)
+        columns = self._pack_csr()[1] % self.weight_matrix.shape[1]
+        off = np.ascontiguousarray(column_offset[columns], dtype=np.int32)
+
+        copies = []
+        if (sh, sw, ph, pw) != (1, 1, 0, 0):
+            for a in range(phase_rows):
+                # first input row whose padded index is = a (mod sh), where it
+                # lands in the phase plane, and how many such rows fit
+                i0 = (a - ph) % sh
+                qi = (i0 + ph) // sh
+                ni = min(-(-(h - i0) // sh), hq - qi)
+                for b in range(phase_cols):
+                    j0 = (b - pw) % sw
+                    qj = (j0 + pw) // sw
+                    nj = min(-(-(w - j0) // sw), wq - qj)
+                    if ni > 0 and nj > 0:
+                        copies.append((a * phase_cols + b,
+                                       slice(qi, qi + ni), slice(qj, qj + nj),
+                                       slice(i0, i0 + (ni - 1) * sh + 1, sh),
+                                       slice(j0, j0 + (nj - 1) * sw + 1, sw)))
+
+        keep = tile_dst = None
+        if wq != out_w:
+            npos = (out_h - 1) * wq + out_w
+            tiles = -(-npos // 64)
+            position = np.arange(tiles * 64)
+            real = (position % wq < out_w) & (position < npos)
+            keep = (real.reshape(-1, 16) << np.arange(16)).sum(axis=1).astype(np.uint16)
+            tile_dst = np.zeros(tiles, dtype=np.int32)
+            np.cumsum(real.reshape(tiles, 64).sum(axis=1)[:-1], out=tile_dst[1:])
+        return DirectLayout(out_h, out_w, c, planes, hq, wq, tuple(copies), off, keep, tile_dst)
 
 
 def _kept_column_indices(layer: Conv2d) -> np.ndarray:

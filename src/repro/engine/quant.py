@@ -181,11 +181,16 @@ class QuantFusedConv(FusedConv):
         self.in_slot = base.in_slot
         self.act = base.act
         self.act_slope = base.act_slope
-        self.dense_gather = base.dense_gather
-        self.weight = base.weight          # folded float matrix (the oracle)
+        # The integer path stages its own rows: window copy only when no column
+        # was dropped at all, whatever the float op's GEMM operand looks like.
+        self.dense_gather = (base.plan.kept_columns.size == base.plan.total_columns
+                             and base.plan.mode != MODE_POINTWISE)
+        self.weight = base.packed_weight()  # folded float matrix (the oracle)
         self.bias = base.bias
         self.observer = None
-        self.mode = base.mode + "+int8"
+        self.direct = None                 # integer GEMMs, never the fp32 kernels
+        self.native_epilogue = None
+        self.mode = base.mode.replace("+direct", "") + "+int8"
 
         self.bits = int(bits)
         self.in_codes = bool(in_codes)
@@ -196,7 +201,7 @@ class QuantFusedConv(FusedConv):
                 f"{self.layer_name}: non-positive input scale {self.in_scale}")
 
         plan = self.plan
-        quantized = quantize_tensor(base.weight, bits=self.bits)
+        quantized = quantize_tensor(self.weight, bits=self.bits)
         self.weight_scales = quantized.scales
         codes = quantized.values.astype(np.int8)
         out_channels, k = codes.shape

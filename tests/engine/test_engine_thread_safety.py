@@ -20,6 +20,7 @@ from repro.engine import (
     layout_cache_stats,
     reset_layout_cache_stats,
 )
+from repro.engine.fuse import FusedConv
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 
@@ -123,16 +124,19 @@ class TestConcurrentCompiledInference:
                 t.join(60.0)
             assert not errors
             stats = layout_cache_stats()
-            # Only im2col-mode plans that dropped a column gather through a
-            # layout (an unpruned conv copies strided windows instead); each
-            # must have exactly one miss.
-            sparse_plans = sum(1 for plan in compiled.plans.values()
-                               if plan.mode == "sparse-im2col-gemm"
-                               and plan.dropped_columns)
-            assert sparse_plans > 0
-            assert stats.misses == sparse_plans, (
-                f"expected one layout build per sparse im2col plan "
-                f"({sparse_plans}), got {stats.misses} misses")
+            # A conv builds a layout when it runs the native direct kernel
+            # (offsets per nonzero) or gathers through np.take (an im2col plan
+            # on the GEMM path that dropped more than a sliver of its columns;
+            # otherwise it copies strided windows).  Each: exactly one miss.
+            layout_ops = sum(
+                1 for op in compiled._fused_program.steps
+                if isinstance(op, FusedConv) and op.plan.kept_columns.size
+                and (op.direct is not None
+                     or (op.plan.mode == "sparse-im2col-gemm" and not op.dense_gather)))
+            assert layout_ops > 0
+            assert stats.misses == layout_ops, (
+                f"expected one layout build per layout-using conv "
+                f"({layout_ops}), got {stats.misses} misses")
             assert stats.hits > 0
         finally:
             reset_layout_cache_stats()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.rtoss import prune_with_rtoss
 from repro.engine import BatchRunner, compile_model, layout_cache_stats
+from repro.engine.arena import ALIGNMENT
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.nn import functional as F
 from repro.nn.layers.activation import build_activation
@@ -205,8 +206,9 @@ def test_fused_modes_report_bn_and_activation_folding():
     compiled.forward_raw(np.zeros((1, 3, 64, 64), dtype=np.float32))
     modes = {row["mode"] for row in compiled.summary()}
     assert any(mode.endswith("+bn+silu") for mode in modes), modes
-    # The detector head has neither BN nor activation -> stays plain.
-    assert any("+" not in mode for mode in modes), modes
+    # The detector head has neither BN nor activation -> no epilogue suffix
+    # (a "+direct" only says which kernel runs it).
+    assert any("+" not in mode.replace("+direct", "") for mode in modes), modes
 
 
 def test_bn_not_folded_when_conv_output_fans_out(rng):
@@ -303,6 +305,20 @@ def test_arena_zero_allocations_after_warmup(rng):
     assert steady["misses"] == warm["misses"], "steady state must not allocate"
     assert steady["hits"] > warm["hits"]
     assert steady["bytes_allocated"] == warm["bytes_allocated"]
+
+
+def test_arena_buffers_start_on_a_cache_line(rng):
+    """Where in a cache line a buffer starts must not be left to malloc: it
+    differs per process, and with it the speed of every forward (a run-to-run
+    spread the repo benchmark refuses)."""
+    model, report = _pruned_tiny()
+    compiled = compile_model(model, report.masks, apply_masks=False)
+    compiled.forward_raw(rng.standard_normal((3, 3, 64, 64)).astype(np.float32))
+    buffers = list(compiled._fused_program._arena()._slots.values())
+    assert buffers and all(buf.ctypes.data % ALIGNMENT == 0 for buf in buffers)
+    assert all(buf.flags.c_contiguous and buf.flags.writeable for buf in buffers)
+    assert (compiled.arena_stats()["bytes_allocated"]
+            == sum(buf.nbytes for buf in buffers))
 
 
 def test_fused_layout_cache_single_shot_under_racing_threads(rng):

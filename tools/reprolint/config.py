@@ -38,6 +38,7 @@ MODULE_GUARDED: Dict[str, Dict[str, Tuple[str, ...]]] = {
 HOT_FUNCTIONS = {
     # fused fp32 executor (engine/fuse.py)
     "FusedConv.execute",
+    "FusedConv._execute_direct",
     "FusedConv._gather_columns",
     "FusedConv._pointwise_input",
     "_activation_kernel",
