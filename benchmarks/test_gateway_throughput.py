@@ -161,10 +161,12 @@ def test_gateway_holds_throughput_and_slos(benchmark):
             if result["wire_overhead_ratio"] >= MIN_WIRE_RATIO:
                 break
             # Same noise protocol as the engine gates: each closed loop is one
-            # ~50 ms shot and a late scheduler slice on the wire threads takes
-            # a large share of it (isolated the ratio reads 0.8-1.0, after
-            # other benchmarks in the same process 0.5-0.75, at the parent
-            # commit too), so a re-measure separates a regression from noise.
+            # ~50 ms shot and a late scheduler slice on either side takes a
+            # large share of it.  Re-measured at PR 14 without this retry:
+            # isolated the ratio reads 1.09-1.21, after the other benchmarks
+            # in the same process 0.29-1.10 (median 0.83 of ten runs, two of
+            # eleven under the floor), so a re-measure still separates a
+            # regression from noise.
             retry = _measure()
             if retry["wire_overhead_ratio"] > result["wire_overhead_ratio"]:
                 result = retry

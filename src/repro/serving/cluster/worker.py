@@ -427,15 +427,17 @@ class WorkerProcess:
     # ------------------------------------------------------------------ health
     @property
     def accepting(self) -> bool:
-        """True while this handle routes new submits to a live process."""
-        with self._lock:
-            if not self._accepting:
-                return False
-        return self.process is not None and self.process.is_alive()
+        """True while this handle routes new submits to its process.
+
+        The flag alone (routing reads it per request): a process that died
+        clears it through the receiver's EOF or a failed send, and
+        :meth:`healthy` probes the process itself once per monitor tick.
+        """
+        return self._accepting
 
     def healthy(self, heartbeat_timeout: float) -> bool:
         """Process alive and heartbeats fresh (loads count as the first beat)."""
-        if not self.accepting:
+        if not self.accepting or self.process is None or not self.process.is_alive():
             return False
         last = self.last_heartbeat if self.last_heartbeat is not None else self.started_at
         return last is not None and (time.perf_counter() - last) < heartbeat_timeout
@@ -580,7 +582,10 @@ class WorkerProcess:
                 pending = self._pop(int(message.meta["id"]))
                 if pending is None:
                     continue
-                result = unflatten_arrays(message.meta["tree"], message.arrays)
+                # The arrays are read-only views of the received frame; the
+                # caller gets writable copies that own their memory.
+                result = unflatten_arrays(
+                    message.meta["tree"], [array.copy() for array in message.arrays])
                 latency = time.perf_counter() - pending.submitted_at
                 pending.future._resolve(result)
                 if self.metrics is not None:

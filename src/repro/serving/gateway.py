@@ -43,12 +43,23 @@ When tracing is armed each request is minted a
 so one trace covers socket to GEMM.  :class:`~repro.serving.metrics.GatewayMetrics`
 counts accepts/rejects/expiries per priority class.
 
-Threading model: the server runs one asyncio loop in a daemon thread; all
-connection state is touched only on that loop.  Futures resolve on batcher /
-cluster-receiver threads and hop back via
-``loop.call_soon_threadsafe`` (the response bytes are encoded on the
-resolving thread — off the loop — so a fat result never stalls other
-connections' reads).
+Threading model
+---------------
+The server runs one asyncio loop in a daemon thread; each connection is a
+:class:`asyncio.BufferedProtocol` whose state is touched only on that loop,
+except its *outbox*.  A read lands in the connection's
+:class:`~repro.serving.cluster.channel.FrameSplitter` chunk and one callback
+handles every frame it completes: the frame is cut out into its own ``bytes``
+and the request image is decoded as a **read-only view** of it, which is
+what ``target.submit`` — and, behind a router, the pipe to the worker —
+receives; nothing between the socket and the worker copies the pixels again.
+Futures resolve on batcher / cluster-receiver threads: the resolving thread
+encodes the response header there, off the loop, appends
+``[prefix + header, array, ...]`` to the connection's outbox and wakes the
+loop only if no wake-up is already pending, so a burst of responses costs
+one self-pipe write and one ``transport.writelines``.  A slow client stalls
+only itself: while its transport is paused its outbox holds, and because
+``inflight`` falls at the flush, admission control pushes back on it.
 """
 
 from __future__ import annotations
@@ -56,10 +67,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 import socket
-import struct
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -69,9 +79,12 @@ from repro.pipeline.spec import GatewaySpec
 from repro.serving.api import DEFAULT_PRIORITY, priority_index
 from repro.serving.batcher import InferenceFuture, submit_stack
 from repro.serving.cluster.channel import (
+    FrameSplitter,
+    FrameTooLargeError,
     decode_frame,
-    encode_frame,
     flatten_arrays,
+    frame_buffers,
+    send_buffers,
     unflatten_arrays,
 )
 from repro.serving.errors import (
@@ -90,8 +103,6 @@ from repro.utils.logging import get_logger
 __all__ = ["GatewayClient", "GatewayServer"]
 
 logger = get_logger("serving.gateway")
-
-_FRAME_LEN = struct.Struct("!I")
 
 
 class _TokenBucket:
@@ -116,23 +127,115 @@ class _TokenBucket:
         return True
 
 
-class _Connection:
-    """Loop-thread state of one client connection."""
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection: protocol callbacks on the loop, outbox from any thread."""
 
-    __slots__ = ("writer", "queue", "bucket", "inflight", "accepted_wall",
-                 "accept_recorded", "peer")
+    # reprolint lock-discipline contract: resolving threads append to the
+    # outbox, the loop thread drains it.  Everything else is loop-thread only.
+    _guarded_by_ = {
+        "_outbox": "_outbox_lock",
+        "_finished": "_outbox_lock",
+        "_wake_pending": "_outbox_lock",
+    }
 
-    def __init__(self, writer: asyncio.StreamWriter, bucket: _TokenBucket) -> None:
-        self.writer = writer
-        #: Outbound frames; a dedicated writer task drains it so slow clients
-        #: only ever stall themselves.
-        self.queue: asyncio.Queue = asyncio.Queue()
-        self.bucket = bucket
+    def __init__(self, server: "GatewayServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.splitter = FrameSplitter(server._max_frame)
+        self.bucket = _TokenBucket(server.spec.rate_limit_rps, server.spec.burst)
         self.inflight = 0
         self.accepted_wall = time.time()
         self.accept_recorded = False
-        peer = writer.get_extra_info("peername")
+        self.peer = "?"
+        self._outbox_lock = threading.Lock()
+        #: Response buffers in wire order, waiting for the next flush.
+        self._outbox: List[Any] = []
+        #: Infer responses among them; each frees an in-flight slot at the flush.
+        self._finished = 0
+        self._wake_pending = False
+        self._writable = True
+
+    # ------------------------------------------------------------------ protocol
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        peer = transport.get_extra_info("peername")
         self.peer = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else str(peer)
+        self.server._connections.add(self)
+        self.server.metrics.connection_opened()
+        if self.server._closed:
+            transport.abort()        # accepted while the server was shutting down
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.server._connections.discard(self)
+        self.server.metrics.connection_closed()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.splitter.buffer()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        """Handle every frame the read completed (one callback per read)."""
+        parse_started = time.time()
+        try:
+            for frame in self.splitter.feed(nbytes):
+                # bytes(frame): the request's own memory.  Its image is a view
+                # of it, so what an unresolved request keeps alive is one
+                # frame, and the splitter's chunk is free for the next read.
+                self.server._handle_frame(self, bytes(frame), parse_started)
+        except FrameTooLargeError as error:
+            # Cannot resync mid-stream after an oversized frame: answer and
+            # hang up (close() still flushes the answer).
+            self.server._send_error(self, None, BadRequestError(
+                f"{error} (max_frame_mb={self.server.spec.max_frame_mb})"))
+            self._drain()
+            self.transport.close()
+
+    def pause_writing(self) -> None:
+        self._writable = False
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        self._drain()
+
+    # ------------------------------------------------------------------ outbox
+    def respond(self, buffers: List[Any], finished: bool = False) -> None:
+        """Queue one response frame (any thread); wake the loop if nobody has."""
+        with self._outbox_lock:
+            self._outbox.extend(buffers)
+            if finished:
+                self._finished += 1
+            wake = not self._wake_pending
+            self._wake_pending = True
+        if wake:
+            try:
+                self.server._loop.call_soon_threadsafe(self._flush)
+            except RuntimeError:  # pragma: no cover - loop shut down first
+                pass
+
+    def _flush(self) -> None:
+        injector = self.server.injector
+        delay = injector.response_delay_s() if injector is not None else 0.0
+        if delay > 0:
+            # call_later, not time.sleep: only *this* connection's responses
+            # lag (one delay per write; responses resolved meanwhile ride
+            # along); the loop keeps serving everyone else.
+            self.server._loop.call_later(delay, self._drain)
+        else:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Write the whole outbox with one ``writelines`` (loop thread)."""
+        closing = self.transport.is_closing()
+        if not (self._writable or closing):
+            # resume_writing() drains; _wake_pending stays set meanwhile, so
+            # resolving threads do not wake the loop for a paused client.
+            return
+        with self._outbox_lock:
+            buffers, self._outbox = self._outbox, []
+            finished, self._finished = self._finished, 0
+            self._wake_pending = False
+        self.inflight -= finished
+        if buffers and not closing:
+            self.transport.writelines(buffers)
 
 
 class GatewayServer:
@@ -166,6 +269,8 @@ class GatewayServer:
         self.injector = injector
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Open connections (loop thread only); aborted on shutdown.
+        self._connections: Set[_Connection] = set()
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._closed = False
@@ -233,8 +338,8 @@ class GatewayServer:
         self._loop = loop
         try:
             try:
-                self._server = loop.run_until_complete(asyncio.start_server(
-                    self._handle_connection, self.spec.host, self.spec.port))
+                self._server = loop.run_until_complete(loop.create_server(
+                    lambda: _Connection(self), self.spec.host, self.spec.port))
             except OSError as error:
                 self._startup_error = error
                 return
@@ -246,89 +351,31 @@ class GatewayServer:
         finally:
             self._started.set()       # release start() when the bind failed too
             try:
+                # A connection still being accepted lives in a task, not in
+                # _connections: cancelling it closes its transport.  The run
+                # also delivers the connection_lost callbacks of the aborts.
                 pending = asyncio.all_tasks(loop)
                 for task in pending:
                     task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True))
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True))
             finally:
                 loop.close()
 
     def _shutdown_on_loop(self) -> None:
         if self._server is not None:
             self._server.close()
-        for task in asyncio.all_tasks(self._loop):
-            task.cancel()
+        for conn in list(self._connections):
+            conn.transport.abort()
+        # After the aborts' connection_lost callbacks, which are already queued.
         self._loop.call_soon(self._loop.stop)
-
-    async def _read_frame(self, reader: asyncio.StreamReader) -> Optional[bytes]:
-        """One outer frame (payload bytes), or None on clean EOF."""
-        try:
-            prefix = await reader.readexactly(_FRAME_LEN.size)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        (length,) = _FRAME_LEN.unpack(prefix)
-        if length > self._max_frame:
-            raise BadRequestError(
-                f"frame of {length} bytes exceeds max_frame_mb="
-                f"{self.spec.max_frame_mb}")
-        try:
-            return await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(writer, _TokenBucket(self.spec.rate_limit_rps,
-                                                self.spec.burst))
-        self.metrics.connection_opened()
-        writer_task = asyncio.ensure_future(self._writer_loop(conn))
-        try:
-            while True:
-                parse_started = time.time()
-                try:
-                    payload = await self._read_frame(reader)
-                except BadRequestError as error:
-                    # Cannot resync mid-stream after an oversized frame: answer
-                    # and hang up.
-                    self._send_error(conn, None, error)
-                    break
-                if payload is None:
-                    break
-                self._handle_frame(conn, payload, parse_started)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            conn.queue.put_nowait(None)    # writer task: drain then exit
-            try:
-                await asyncio.wait_for(writer_task, timeout=5.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError,
-                    ConnectionError):
-                writer_task.cancel()
-            writer.close()
-            self.metrics.connection_closed()
-
-    async def _writer_loop(self, conn: _Connection) -> None:
-        while True:
-            frame = await conn.queue.get()
-            if frame is None:
-                return
-            if self.injector is not None:
-                delay = self.injector.response_delay_s()
-                if delay > 0:
-                    # asyncio.sleep, not time.sleep: only *this* connection's
-                    # responses lag; the loop keeps serving everyone else.
-                    await asyncio.sleep(delay)
-            conn.writer.write(_FRAME_LEN.pack(len(frame)) + frame)
-            await conn.writer.drain()
 
     # ------------------------------------------------------------------ frames
     def _handle_frame(self, conn: _Connection, payload: bytes,
                       parse_started: float) -> None:
         try:
             message = decode_frame(payload)
-        except Exception as error:
+        except ValueError as error:
             self._send_error(conn, None,
                              BadRequestError(f"malformed frame: {error}"))
             return
@@ -348,7 +395,7 @@ class GatewayServer:
         except Exception as error:  # pragma: no cover - defensive
             self._send_error(conn, request_id, ServingError(str(error)))
             return
-        conn.queue.put_nowait(encode_frame(
+        conn.respond(frame_buffers(
             "stats", {"id": request_id, "report": report}))
 
     def _handle_infer(self, conn: _Connection, request_id: Any,
@@ -415,26 +462,25 @@ class GatewayServer:
         self.metrics.record_accept(priority)
         conn.inflight += 1
 
-        loop = self._loop
-
         def on_done(resolved: InferenceFuture,
                     _conn: _Connection = conn, _id: Any = request_id,
                     _priority: str = priority, _trace=trace,
                     _queue_started: float = queue_started,
                     _submitted: float = submitted) -> None:
             # Runs on the resolving thread (batcher worker / cluster
-            # receiver): encode off-loop, then hop the bytes onto the loop.
+            # receiver): encode off-loop, then leave the buffers in the
+            # connection's outbox.
             error = resolved._error
             if error is None:
                 try:
                     treedef, arrays = flatten_arrays(resolved._result)
-                    frame = encode_frame(
+                    buffers = frame_buffers(
                         "result", {"id": _id, "treedef": treedef}, arrays)
-                except TypeError as encode_error:
+                except (TypeError, ValueError) as encode_error:
                     error = ServingError(
                         f"result is not wire-encodable: {encode_error}")
             if error is not None:
-                frame = encode_frame("error", {
+                buffers = frame_buffers("error", {
                     "id": _id, "code": error_code(error), "error": str(error)})
             latency = time.perf_counter() - _submitted
             if isinstance(error, DeadlineExceededError):
@@ -446,16 +492,9 @@ class GatewayServer:
                 _trace.record("gateway-dispatch", _queue_started,
                               cls=_priority,
                               outcome=error_code(error) if error else "ok")
-            try:
-                loop.call_soon_threadsafe(self._finish_request, _conn, frame)
-            except RuntimeError:  # pragma: no cover - loop shut down first
-                pass
+            _conn.respond(buffers, finished=True)
 
         future.add_done_callback(on_done)
-
-    def _finish_request(self, conn: _Connection, frame: bytes) -> None:
-        conn.inflight -= 1
-        conn.queue.put_nowait(frame)
 
     def _reject(self, conn: _Connection, request_id: Any, priority: str,
                 error: ServingError, trace: Optional[TraceContext],
@@ -469,7 +508,7 @@ class GatewayServer:
 
     def _send_error(self, conn: _Connection, request_id: Any,
                     error: BaseException) -> None:
-        conn.queue.put_nowait(encode_frame("error", {
+        conn.respond(frame_buffers("error", {
             "id": request_id, "code": error_code(error), "error": str(error)}))
 
 
@@ -590,7 +629,7 @@ class GatewayClient:
                 generation = self._conn_gen
                 self._pending[request_id] = future
             try:
-                self._send(encode_frame(
+                self._send(frame_buffers(
                     "infer", dict(base_meta, id=request_id), [image]))
             except GatewayDisconnectedError:
                 with self._table_lock:
@@ -628,7 +667,7 @@ class GatewayClient:
             if self._closed:
                 raise ServiceClosedError("GatewayClient has been shut down")
             self._stats[request_id] = event
-        self._send(encode_frame("stats", {"id": request_id}))
+        self._send(frame_buffers("stats", {"id": request_id}))
         if not event.wait(30.0):
             with self._table_lock:
                 self._stats.pop(request_id, None)
@@ -660,13 +699,13 @@ class GatewayClient:
         self.shutdown()
 
     # ------------------------------------------------------------------ internals
-    def _send(self, payload: bytes) -> None:
+    def _send(self, buffers: List[Any]) -> None:
         try:
             with self._send_lock:
                 sock = self._sock
                 if sock is None:
                     raise OSError("no gateway connection")
-                sock.sendall(_FRAME_LEN.pack(len(payload)) + payload)
+                send_buffers(sock.sendmsg, buffers)
         except OSError as error:
             with self._table_lock:
                 closed = self._closed
@@ -677,37 +716,24 @@ class GatewayClient:
             raise GatewayDisconnectedError(
                 f"gateway connection lost while sending: {error}") from error
 
-    @staticmethod
-    def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-        chunks: List[bytes] = []
-        remaining = count
-        while remaining:
-            try:
-                chunk = sock.recv(remaining)
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
     def _reader_loop(self, sock: socket.socket, generation: int) -> None:
-        while True:
-            prefix = self._recv_exact(sock, _FRAME_LEN.size)
-            if prefix is None:
-                break
-            (length,) = _FRAME_LEN.unpack(prefix)
-            payload = self._recv_exact(sock, length)
-            if payload is None:
-                break
-            try:
-                message = decode_frame(payload)
-            except Exception as error:  # pragma: no cover - server bug
-                logger.warning("malformed frame from gateway: %s", error)
-                break
-            self._dispatch(message)
-        self._handle_disconnect(generation)
+        splitter = FrameSplitter()
+        try:
+            while True:
+                nbytes = sock.recv_into(splitter.buffer())
+                if not nbytes:
+                    break
+                # Every reply of the read, decoded straight out of the
+                # chunk; _dispatch copies what a future keeps.
+                for frame in splitter.feed(nbytes):
+                    self._dispatch(decode_frame(frame))
+        except OSError:
+            pass
+        except (KeyError, ValueError) as error:  # pragma: no cover - server bug
+            logger.warning("malformed frame from gateway: %s", error)
+        finally:
+            # Whatever ended the reader, nothing in flight may hang on it.
+            self._handle_disconnect(generation)
 
     def _dispatch(self, message) -> None:
         request_id = message.meta.get("id")
@@ -715,8 +741,11 @@ class GatewayClient:
             with self._table_lock:
                 future = self._pending.pop(request_id, None)
             if future is not None:
+                # The arrays are views of the reader's chunk; the caller gets
+                # writable copies that own their memory.
                 future._resolve(unflatten_arrays(
-                    message.meta["treedef"], message.arrays))
+                    message.meta["treedef"],
+                    [array.copy() for array in message.arrays]))
         elif message.kind == "error":
             with self._table_lock:
                 future = self._pending.pop(request_id, None)

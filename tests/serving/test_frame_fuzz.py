@@ -1,0 +1,396 @@
+"""Frame-level fuzz of the channel and gateway decoders.
+
+First instalment of ROADMAP item 5's decoder fuzzing: whatever bytes arrive,
+``decode_frame`` answers with a ``Message`` whose arrays lie inside the frame
+or with ``ValueError``; the pipe turns that into ``ChannelClosedError`` and the
+gateway into a ``bad_request`` error frame (or, after an oversized prefix, an
+answer and a hang-up) -- never a hang, never a dead loop thread.  And however a
+stream is cut into reads, :class:`FrameSplitter` yields the same frames.
+"""
+
+import json
+import multiprocessing
+import os
+import socket
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.pipeline.spec import GatewaySpec
+from repro.serving.batcher import InferenceFuture
+from repro.serving.cluster.channel import (
+    ArrayChannel,
+    ChannelClosedError,
+    FrameSplitter,
+    FrameTooLargeError,
+    decode_frame,
+    encode_frame,
+)
+from repro.serving.gateway import GatewayClient, GatewayServer
+from repro.serving.metrics import GatewayMetrics
+
+PREFIX = struct.Struct("!I")
+
+DTYPES = ("<f4", "<f8", "<i8", "|u1")
+
+
+@st.composite
+def messages(draw):
+    kind = draw(st.sampled_from(["infer", "result", "error", "stats"]))
+    meta = draw(st.dictionaries(st.text(max_size=6),
+                                st.one_of(st.integers(-2**40, 2**40), st.text(max_size=8),
+                                          st.none(), st.booleans()),
+                                max_size=3))
+    arrays = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = tuple(draw(st.lists(st.integers(0, 5), max_size=3)))
+        dtype = np.dtype(draw(st.sampled_from(DTYPES)))
+        seed = draw(st.integers(0, 2**16))
+        values = np.random.default_rng(seed).integers(0, 200, size=shape)
+        arrays.append(values.astype(dtype))
+    return kind, meta, arrays
+
+
+def framed(payload: bytes) -> bytes:
+    return PREFIX.pack(len(payload)) + payload
+
+
+def pump(splitter: FrameSplitter, stream: bytes, cuts):
+    """Feed ``stream`` to the splitter, one read per cut; return the frames as bytes."""
+    frames, position = [], 0
+    for cut in sorted(set(cuts)) + [len(stream)]:
+        while position < cut:
+            buffer = splitter.buffer()
+            assert len(buffer) > 0
+            count = min(len(buffer), cut - position)
+            buffer[:count] = stream[position:position + count]
+            position += count
+            frames.extend(bytes(frame) for frame in splitter.feed(count))
+    return frames
+
+
+def assert_same_message(message, expected):
+    kind, meta, arrays = expected
+    assert message.kind == kind
+    assert message.meta == meta
+    assert len(message.arrays) == len(arrays)
+    for got, want in zip(message.arrays, arrays):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+# ----------------------------------------------------------------------- splitter
+class TestFrameSplitter:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=st.lists(messages(), min_size=1, max_size=6),
+           chunk=st.integers(8, 512), data=st.data())
+    def test_any_cut_of_the_stream_yields_the_same_messages(self, batch, chunk, data):
+        """Cut at arbitrary byte boundaries, a chunk smaller or larger than
+        the frames (so the in-place large-frame path runs too)."""
+        payloads = [encode_frame(*message) for message in batch]
+        stream = b"".join(framed(payload) for payload in payloads)
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=12))
+        frames = pump(FrameSplitter(chunk=chunk), stream, cuts)
+        assert frames == payloads
+        for frame, message in zip(frames, batch):
+            assert_same_message(decode_frame(frame), message)
+
+    @settings(max_examples=50, deadline=None)
+    @given(batch=st.lists(messages(), min_size=2, max_size=20))
+    def test_many_frames_in_one_read(self, batch):
+        payloads = [encode_frame(*message) for message in batch]
+        stream = b"".join(framed(payload) for payload in payloads)
+        assert pump(FrameSplitter(chunk=len(stream) + 16), stream, []) == payloads
+
+    def test_frames_before_an_oversized_prefix_are_still_yielded(self):
+        good = encode_frame("stats", {"id": 1})
+        splitter = FrameSplitter(max_frame=64)
+        stream = framed(good) + PREFIX.pack(65) + b"x" * 10
+        splitter.buffer()[:len(stream)] = stream
+        feed = splitter.feed(len(stream))
+        assert bytes(next(feed)) == good
+        with pytest.raises(FrameTooLargeError):
+            next(feed)
+
+    def test_oversized_prefix_is_refused_before_any_payload_is_read(self):
+        splitter = FrameSplitter(max_frame=1024, chunk=64)
+        splitter.buffer()[:4] = PREFIX.pack(0xFFFFFFFF)
+        with pytest.raises(FrameTooLargeError):
+            list(splitter.feed(4))
+
+
+# ------------------------------------------------------------------- decode_frame
+VALID = encode_frame("infer", {"id": 3, "priority": "normal"},
+                     [np.arange(6, dtype=np.float32).reshape(2, 3),
+                      np.arange(4, dtype=np.int64)])
+
+
+def with_header(header, body: bytes = b"", header_len=None) -> bytes:
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return PREFIX.pack(len(raw) if header_len is None else header_len) + raw + body
+
+
+def array_header(dtype="<f4", shape=(2,)):
+    return {"kind": "infer", "meta": {"id": 1},
+            "arrays": [{"dtype": dtype, "shape": list(shape)}]}
+
+
+HOSTILE = {
+    "empty": b"",
+    "short prefix": b"\x00\x00",
+    "header_len past the frame": with_header(array_header(), b"\0" * 8, header_len=10_000),
+    "header_len huge": with_header(array_header(), b"\0" * 8, header_len=0xFFFFFFFF),
+    "not json": with_header(b"{nope"),
+    "not utf-8": with_header(b"\xff\xfe\x00"),
+    "json list": with_header([1, 2, 3]),
+    "deep json": with_header(b"[" * 100_000),
+    "missing kind": with_header({"meta": {}, "arrays": []}),
+    "kind not a string": with_header({"kind": 7, "meta": {}, "arrays": []}),
+    "meta not a dict": with_header({"kind": "infer", "meta": [1], "arrays": []}),
+    "arrays not a list": with_header({"kind": "infer", "meta": {}, "arrays": 5}),
+    "spec not a dict": with_header({"kind": "infer", "meta": {}, "arrays": [3]}),
+    "negative dim": with_header(array_header(shape=(-1, 2)), b"\0" * 8),
+    "negative dims cancel": with_header(array_header(shape=(-1, -2)), b"\0" * 8),
+    "huge dim": with_header(array_header(shape=(2**62, 2**62)), b"\0" * 8),
+    "huge dim times zero": with_header(array_header(shape=(0, 10**30))),
+    "float dim": with_header(array_header(shape=(2.0,)), b"\0" * 8),
+    "bool dim": with_header(array_header(shape=(True, 2)), b"\0" * 8),
+    "string shape": with_header({"kind": "infer", "meta": {}, "arrays": [
+        {"dtype": "<f4", "shape": "22"}]}, b"\0" * 8),
+    "unknown dtype": with_header(array_header(dtype="garbage"), b"\0" * 8),
+    "object dtype": with_header(array_header(dtype="|O"), b"\0" * 16),
+    "zero-size dtype": with_header(array_header(dtype="|S0"), b""),
+    "zero-size dtype, huge dims": with_header(array_header(dtype="<U0", shape=(2**32, 2**32))),
+    "dtype not a string": with_header(array_header(dtype=["<f4", "<i4"]), b"\0" * 8),
+    "array past the frame": with_header(array_header(shape=(3,)), b"\0" * 8),
+    "trailing bytes": with_header(array_header(shape=(2,)), b"\0" * 9),
+    "trailing bytes, no arrays": with_header({"kind": "stats", "meta": {}, "arrays": []}, b"x"),
+    "arrays declared, body missing": VALID[:4 + PREFIX.unpack_from(VALID)[0]],
+}
+
+
+class TestDecodeFrame:
+    def test_truncation_at_every_offset_is_a_value_error(self):
+        assert decode_frame(VALID).kind == "infer"
+        for cut in range(len(VALID)):
+            with pytest.raises(ValueError):
+                decode_frame(VALID[:cut])
+        with pytest.raises(ValueError):
+            decode_frame(VALID + b"\0")
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_frame_is_a_value_error(self, name):
+        with pytest.raises(ValueError):
+            decode_frame(HOSTILE[name])
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame=st.binary(max_size=96))
+    def test_random_bytes_decode_or_raise_value_error(self, frame):
+        try:
+            message = decode_frame(frame)
+        except ValueError:
+            return
+        assert sum(array.nbytes for array in message.arrays) <= len(frame)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dtype=st.one_of(st.sampled_from(DTYPES + ("garbage", "|O", "<U0", "<f4,<i4")),
+                           st.text(max_size=4), st.integers(), st.none()),
+           shape=st.lists(st.one_of(st.integers(-2**70, 2**70), st.integers(-2, 6),
+                                    st.floats(allow_nan=False), st.text(max_size=2)),
+                          max_size=4),
+           body=st.binary(max_size=64), slack=st.integers(-8, 8))
+    def test_header_is_checked_against_the_frame(self, dtype, shape, body, slack):
+        """A view is never built past the end of the frame, whatever the header says."""
+        raw = json.dumps({"kind": "infer", "meta": {},
+                          "arrays": [{"dtype": dtype, "shape": shape}]}).encode()
+        header_len = max(0, len(raw) + slack)
+        frame = PREFIX.pack(header_len) + raw + body
+        try:
+            message = decode_frame(frame)
+        except ValueError:
+            return
+        (array,) = message.arrays
+        assert array.nbytes == len(frame) - 4 - header_len
+        assert list(array.shape) == shape
+
+
+# ------------------------------------------------------------------------ channel
+def raw_pipe():
+    near, far = multiprocessing.Pipe(duplex=True)
+    return near, ArrayChannel(far)
+
+
+class TestChannelDecoder:
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_frame_closes_the_channel(self, name):
+        near, channel = raw_pipe()
+        try:
+            os.write(near.fileno(), framed(HOSTILE[name]))
+            with pytest.raises(ChannelClosedError):
+                channel.recv()
+        finally:
+            near.close()
+            channel.close()
+
+    def test_stream_truncated_at_every_offset_closes_the_channel(self):
+        stream = framed(VALID)
+        for cut in range(len(stream)):
+            near, channel = raw_pipe()
+            try:
+                os.write(near.fileno(), stream[:cut])
+                near.close()               # the sender died mid-write
+                with pytest.raises(ChannelClosedError):
+                    channel.recv()
+            finally:
+                channel.close()
+
+    def test_good_frames_ahead_of_a_bad_one_are_delivered(self):
+        near, channel = raw_pipe()
+        try:
+            os.write(near.fileno(), framed(VALID) + framed(HOSTILE["negative dim"]))
+            assert channel.recv().meta["id"] == 3
+            with pytest.raises(ChannelClosedError):
+                channel.recv()
+        finally:
+            near.close()
+            channel.close()
+
+    @settings(max_examples=50, deadline=None)
+    @given(batch=st.lists(messages(), min_size=1, max_size=8))
+    def test_burst_written_at_once_is_received_in_order(self, batch):
+        near, channel = raw_pipe()
+        try:
+            os.write(near.fileno(), b"".join(framed(encode_frame(*m)) for m in batch))
+            for message in batch:
+                assert_same_message(channel.recv(), message)
+        finally:
+            near.close()
+            channel.close()
+
+
+# ------------------------------------------------------------------------ gateway
+class EchoTarget:
+    """InferenceTarget stub: resolves at once with the image's sum."""
+
+    def submit(self, image, **kwargs):
+        future = InferenceFuture()
+        future._resolve(np.array([[image.sum()]], dtype=np.float64))
+        return future
+
+    def stats(self):
+        return {}
+
+
+@pytest.fixture(scope="module")
+def echo_gateway():
+    server = GatewayServer(EchoTarget(),
+                           spec=GatewaySpec(enabled=True, port=0, max_frame_mb=0.25),
+                           metrics=GatewayMetrics(register=False)).start()
+    yield server
+    server.shutdown()
+
+
+def read_exact(sock, count: int) -> bytes:
+    data = b""
+    while len(data) < count:
+        piece = sock.recv(count - len(data))
+        if not piece:
+            return data
+        data += piece
+    return data
+
+
+def read_reply(sock):
+    """One reply frame decoded, or None on EOF (socket timeout = a hang = failure)."""
+    head = read_exact(sock, 4)
+    if len(head) < 4:
+        return None
+    (length,) = PREFIX.unpack(head)
+    return decode_frame(read_exact(sock, length))
+
+
+def connect(server):
+    sock = socket.create_connection((server.host, server.port), timeout=10.0)
+    sock.settimeout(10.0)
+    return sock
+
+
+def assert_still_serving(server):
+    assert server._thread.is_alive()
+    with GatewayClient(server.host, server.port) as client:
+        out = client.submit(np.full((3, 4, 4), 2.0, dtype=np.float32)).result(10.0)
+    assert out.item() == 96.0
+
+
+class TestGatewayDecoder:
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_frame_is_answered_with_bad_request(self, echo_gateway, name):
+        """A well-delimited bad frame costs an error frame, not the connection."""
+        with connect(echo_gateway) as sock:
+            sock.sendall(framed(HOSTILE[name]) + framed(encode_frame("stats", {"id": 5})))
+            reply = read_reply(sock)
+            assert reply.kind == "error" and reply.meta["code"] == "bad_request"
+            assert reply.meta["id"] is None
+            follow_up = read_reply(sock)
+            assert follow_up.kind == "stats" and follow_up.meta["id"] == 5
+        assert_still_serving(echo_gateway)
+
+    def test_oversized_prefix_is_answered_and_the_connection_closed(self, echo_gateway):
+        with connect(echo_gateway) as sock:
+            sock.sendall(framed(encode_frame("stats", {"id": 1}))
+                         + PREFIX.pack(2**30) + b"\0" * 64)
+            assert read_reply(sock).kind == "stats"      # the frame ahead of it
+            reply = read_reply(sock)
+            assert reply.kind == "error" and reply.meta["code"] == "bad_request"
+            assert "max_frame_mb" in reply.meta["error"]
+            assert read_reply(sock) is None              # hung up
+        assert_still_serving(echo_gateway)
+
+    def test_truncation_at_every_offset(self, echo_gateway):
+        """Declared-short frames get bad_request; a stream that ends mid-frame
+        gets a clean close -- neither hangs."""
+        for cut in range(len(VALID)):
+            with connect(echo_gateway) as sock:
+                sock.sendall(framed(VALID[:cut]))
+                reply = read_reply(sock)
+                assert reply.kind == "error" and reply.meta["code"] == "bad_request"
+            with connect(echo_gateway) as sock:
+                sock.sendall(framed(VALID)[:4 + cut])
+                sock.shutdown(socket.SHUT_WR)
+                assert read_reply(sock) is None
+        assert_still_serving(echo_gateway)
+
+    @settings(max_examples=60, deadline=None)
+    @given(junk=st.binary(max_size=200))
+    def test_random_payloads_never_hang_the_loop(self, echo_gateway, junk):
+        try:
+            expected = decode_frame(junk).kind
+        except ValueError:
+            expected = None
+        with connect(echo_gateway) as sock:
+            sock.sendall(framed(junk))
+            reply = read_reply(sock)
+        if expected not in ("infer", "stats"):
+            assert reply.kind == "error" and reply.meta["code"] == "bad_request"
+        assert echo_gateway._thread.is_alive()
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.lists(st.integers(1, 40), min_size=1, max_size=12), data=st.data())
+    def test_one_stream_cut_anywhere_gets_the_same_replies(self, echo_gateway, batch, data):
+        """Many infer frames, sent in arbitrary pieces: replies match, in order."""
+        images = [np.full((1, size, 3), float(size), dtype=np.float32) for size in batch]
+        stream = b"".join(
+            framed(encode_frame("infer", {"id": index}, [image]))
+            for index, image in enumerate(images))
+        cuts = sorted(set(data.draw(st.lists(st.integers(0, len(stream)), max_size=6))))
+        with connect(echo_gateway) as sock:
+            position = 0
+            for cut in cuts + [len(stream)]:
+                sock.sendall(stream[position:cut])
+                position = cut
+            for index, image in enumerate(images):
+                reply = read_reply(sock)
+                assert reply.kind == "result" and reply.meta["id"] == index
+                assert reply.arrays[0].item() == float(image.sum())

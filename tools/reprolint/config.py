@@ -59,6 +59,16 @@ HOT_FUNCTIONS = {
     "QuantFusedConv._quantize_input",
     "QuantFusedConv._rows_pointwise",
     "QuantFusedConv._rows_window",
+    # serving frame path (serving/cluster/channel.py, serving/gateway.py):
+    # one copy per frame is the budget, and it is not made in these
+    "encode_frame",
+    "decode_frame",
+    "frame_buffers",
+    "send_buffers",
+    "FrameSplitter.feed",
+    "_Connection.buffer_updated",
+    "_Connection._drain",
+    "GatewayClient._reader_loop",
 }
 
 # numpy module-level calls that allocate a fresh array.  A call carrying an
