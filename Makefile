@@ -68,8 +68,9 @@ lint:
 	$(PYTHON) -m ruff check src tests benchmarks tools examples
 	$(PYTHON) -m ruff check --select E4,E7,E9,F \
 		src/repro/engine src/repro/obs src/repro/pipeline \
-		src/repro/serving/cluster tools
-	$(PYTHON) -m ruff format --check src/repro/serving/cluster tools
+		src/repro/serving/cluster src/repro/serving/assembly.py tools
+	$(PYTHON) -m ruff format --check src/repro/serving/cluster \
+		src/repro/serving/assembly.py tools
 	$(PYTHON) -m tools.reprolint src/repro tools
 
 lint-baseline:
@@ -91,6 +92,7 @@ gateway-smoke:
 	@test -f artifacts/serve-smoke.npz || \
 		$(PYTHON) -m repro.cli run --spec $(SMOKE_SPEC) --artifact artifacts/serve-smoke.npz --no-verify
 	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --requests 32 --concurrency 4 --gateway 127.0.0.1:0
+	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --workers 2 --requests 32 --concurrency 4 --gateway 127.0.0.1:0
 
 chaos-smoke:
 	@test -f artifacts/serve-smoke.npz || \

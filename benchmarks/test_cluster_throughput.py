@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ import pytest
 from repro.engine import BatchRunner, max_abs_output_diff
 from repro.evaluation.tables import format_table
 from repro.pipeline import Pipeline, RunSpec
+from repro.pipeline.spec import ClusterSpec
 from repro.serving import BatchPolicy, closed_loop
 from repro.serving.cluster import Router
 
@@ -104,12 +106,18 @@ def test_killed_worker_restarts_with_zero_dropped_requests(benchmark, cluster_ar
     images = _images(16)
 
     def measure():
-        with Router(path, workers=2, policy=_policy(), heartbeat_interval=0.1) as router:
+        with Router(path, workers=2, policy=_policy(),
+                    cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
             futures = [router.submit(images[i % 16], block=True, timeout=60.0)
                        for i in range(64)]
             router.workers[0].kill()
             for future in futures:
                 future.result(120.0)
+            # A fast worker may have drained its share before the kill landed:
+            # then nothing waits on the restart, so wait for the monitor's tick.
+            deadline = time.monotonic() + 30.0
+            while router.metrics.restarts < 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
             report = router.metrics.report()["cluster"]
         return report
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.pipeline import Pipeline, RunSpec
-from repro.pipeline.spec import ChaosSpec
+from repro.pipeline.spec import ChaosSpec, ClusterSpec
 from repro.serving import BatchPolicy
 from repro.serving.chaos import run_chaos_drill
 from repro.serving.cluster import Router
@@ -91,8 +91,9 @@ def test_chaos_recovery_within_budget(benchmark, elastic_artifact_paths):
 
     def drill():
         with Router(path, workers=2, policy=_policy(),
-                    heartbeat_interval=0.1, heartbeat_timeout=1.0,
-                    restart_backoff_s=0.05, restart_backoff_max_s=0.5,
+                    cluster=ClusterSpec(
+                        heartbeat_interval=0.1, heartbeat_timeout=1.0,
+                        restart_backoff_s=0.05, restart_backoff_max_s=0.5),
                     chaos=chaos) as router:
             return run_chaos_drill(router, _images(16), chaos=chaos,
                                    rate_rps=80.0,
@@ -138,7 +139,7 @@ def test_upgrade_mid_load_zero_drops(benchmark, elastic_artifact_paths):
                 i += 1
 
         with Router(v1, workers=2, policy=_policy(),
-                    heartbeat_interval=0.1) as router:
+                    cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
             threads = [threading.Thread(target=client, daemon=True)
                        for _ in range(4)]
             for thread in threads:

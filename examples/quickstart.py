@@ -84,14 +84,22 @@ def main() -> None:
 
     # 5. Shard it across worker processes: same submit surface, every core
     #    busy, dead workers restarted with their in-flight requests
-    #    re-dispatched (see docs/cluster.md; `repro serve --workers N` does
-    #    this from the CLI).
-    from repro.serving.cluster import Router
+    #    re-dispatched (see docs/cluster.md).  The topology is data: edit the
+    #    artifact's ServeSpec and `build_target` starts whatever it describes
+    #    — here a 2-worker `Router(..., cluster=ClusterSpec(...))` — and tears
+    #    it down in order (`repro serve --workers N` does this from the CLI).
+    import dataclasses
 
-    with Router(path, workers=2, routing="least-outstanding",
-                policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0)) as router:
-        load = closed_loop(router, images, requests=16, concurrency=4)
-        cluster = router.report()["cluster"]
+    from repro.pipeline.spec import ClusterSpec
+    from repro.serving import build_target
+
+    fleet = dataclasses.replace(
+        restored.spec.serve, workers=2, routing="least-outstanding",
+        max_batch_size=8, max_wait_ms=2.0,
+        cluster=ClusterSpec(heartbeat_interval=0.1, heartbeat_timeout=5.0))
+    with build_target(restored, fleet) as stack:
+        load = closed_loop(stack.target, images, requests=16, concurrency=4)
+        cluster = stack.backend.report()["cluster"]
     print(f"cluster ({cluster['worker_count']} workers): "
           f"{load.throughput_rps:.0f} req/s, "
           f"restarts {cluster['restarts']}, "

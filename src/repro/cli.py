@@ -55,7 +55,7 @@ from repro.evaluation import (
 from repro.evaluation.accuracy_proxy import BASELINE_MAP
 from repro.experiments.motivation import census_for_model
 from repro.models import available_models, build_model
-from repro.pipeline.spec import ROUTING_POLICY_NAMES
+from repro.pipeline.spec import ROUTING_POLICY_NAMES, ServeSpec
 from repro.pruning.registry import (
     available_frameworks,
     build_framework,
@@ -72,6 +72,20 @@ from repro.utils.serialization import save_state_dict
 # Write-once at import, read-only afterwards.  # reprolint: disable=mutable-global
 FRAMEWORKS = {name: (lambda name=name: build_framework(name))
               for name in available_frameworks()}
+
+
+#: `repro serve` flags that override the ServeSpec field of the same name:
+#: the parser and the `dataclasses.replace` over the artifact's spec both read
+#: this table, so a flag exists exactly when its field does.
+_SERVE_OVERRIDES = {
+    "requests": "total load-generation requests",
+    "concurrency": "closed-loop client threads",
+    "max_batch_size": "micro-batch size bound",
+    "max_wait_ms": "micro-batch coalescing wait",
+    "queue_capacity": "bounded admission queue",
+    "workers": "worker processes; >1 serves through the multi-process cluster "
+               "(repro.serving.cluster), sharding load across cores",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,22 +162,11 @@ def _build_parser() -> argparse.ArgumentParser:
                       "latency percentiles + throughput", parents=[common])
     serve.add_argument("--artifact", required=True,
                        help="path to a DeployableArtifact .npz (see `run`)")
-    serve.add_argument("--requests", type=int, default=None,
-                       help="total load-generation requests "
-                            "(default: the artifact spec's serve.requests)")
-    serve.add_argument("--concurrency", type=int, default=None,
-                       help="closed-loop client threads "
-                            "(default: the artifact spec's serve.concurrency)")
-    serve.add_argument("--max-batch-size", type=int, default=None,
-                       help="micro-batch size bound (default: spec's serve section)")
-    serve.add_argument("--max-wait-ms", type=float, default=None,
-                       help="micro-batch coalescing wait (default: spec's serve section)")
-    serve.add_argument("--queue-capacity", type=int, default=None,
-                       help="bounded admission queue (default: spec's serve section)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="worker processes; >1 serves through the multi-process "
-                            "cluster (repro.serving.cluster), sharding load across "
-                            "cores (default: the artifact spec's serve.workers)")
+    serve_defaults = ServeSpec()
+    for name, what in _SERVE_OVERRIDES.items():
+        serve.add_argument(f"--{name.replace('_', '-')}", default=None,
+                           type=type(getattr(serve_defaults, name)),
+                           help=f"{what} (default: the artifact spec's serve.{name})")
     serve.add_argument("--routing", choices=ROUTING_POLICY_NAMES, default=None,
                        help="cluster routing policy (default: spec's serve.routing)")
     serve.add_argument("--gateway", default=None, metavar="HOST:PORT",
@@ -174,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "submits")
     serve.add_argument("--mode", choices=("closed", "open"), default="closed",
                        help="closed-loop clients (throughput) or Poisson open loop")
-    serve.add_argument("--rate", type=float, default=None,
+    serve.add_argument("--rate", type=float, default=200.0,
                        help="open-loop arrival rate in requests/s (default: 200)")
     serve.add_argument("--seed", type=int, default=0, help="reproducibility seed")
     serve.add_argument("--no-verify", action="store_true",
@@ -531,6 +534,16 @@ def _write_json_atomic(path: str, payload) -> None:
     os.replace(tmp, path)
 
 
+def _snapshot(name: str, report_fn) -> dict:
+    """One ``repro top`` frame: the target's report plus the obs registry."""
+    import time
+
+    from repro.obs import get_registry
+
+    return {"ts": time.time(), "name": name, "report": report_fn(),
+            "metrics": get_registry().snapshot()}
+
+
 class _ObsSession:
     """The ``repro serve --obs DIR`` side-car: tracing + periodic snapshots.
 
@@ -555,20 +568,11 @@ class _ObsSession:
         self._writer = threading.Thread(
             target=self._loop, name="repro-obs-snapshots", daemon=True)
 
-    def snapshot(self):
-        import time
-
-        from repro.obs import get_registry
-
-        return {"ts": time.time(), "name": self.name,
-                "report": self.report_fn(),
-                "metrics": get_registry().snapshot()}
-
     def _loop(self) -> None:
         path = os.path.join(self.directory, "snapshot.json")
         while not self._stop.wait(self.interval):
             try:
-                _write_json_atomic(path, self.snapshot())
+                _write_json_atomic(path, _snapshot(self.name, self.report_fn))
             except Exception:  # pragma: no cover - the side-car must not kill serving
                 continue
 
@@ -583,7 +587,7 @@ class _ObsSession:
         self._writer.join(timeout=5.0)
         registry = get_registry()
         _write_json_atomic(os.path.join(self.directory, "snapshot.json"),
-                           self.snapshot())
+                           _snapshot(self.name, self.report_fn))
         with open(os.path.join(self.directory, "metrics.prom"), "w",
                   encoding="utf-8") as handle:
             handle.write(registry.to_prometheus())
@@ -601,45 +605,58 @@ class _ObsSession:
 
 def _parse_hostport(value: str):
     """``HOST:PORT`` (or a bare port) -> (host, port); raises ValueError."""
-    host, sep, port_text = value.rpartition(":")
-    if not sep:
-        host, port_text = "", value
+    host, _, port_text = value.rpartition(":")
     try:
-        port = int(port_text)
+        return host or "127.0.0.1", int(port_text)
     except ValueError:
         raise ValueError(
             f"invalid gateway address {value!r}; expected HOST:PORT") from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"gateway port must be in [0, 65535], got {port}")
-    return host or "127.0.0.1", port
 
 
-class _GatewayFront:
-    """CLI helper: a bound :class:`GatewayServer` + connected wire client."""
+def _load_cli_artifact(path: str):
+    """Load a DeployableArtifact or print the standard CLI error (None)."""
+    from repro.pipeline import DeployableArtifact
 
-    def __init__(self, target, serve_spec, hostport: str) -> None:
-        from repro.pipeline.spec import GatewaySpec
-        from repro.serving import GatewayClient, GatewayServer
+    try:
+        return DeployableArtifact.load(path)
+    except (OSError, ValueError) as error:
+        print(f"error: could not load artifact {path!r}: {error}", file=sys.stderr)
+        return None
 
-        host, port = _parse_hostport(hostport)
-        base = serve_spec.gateway
-        spec = GatewaySpec(
-            enabled=True, host=host, port=port,
-            rate_limit_rps=base.rate_limit_rps, burst=base.burst,
-            max_inflight_per_client=base.max_inflight_per_client,
-            default_priority=base.default_priority, slo_ms=dict(base.slo_ms),
-            max_frame_mb=base.max_frame_mb)
-        self.server = GatewayServer(target, spec=spec).start()
-        self.client = GatewayClient(self.server.host, self.server.port)
 
-    @staticmethod
-    def start_if_requested(args, serve_spec, target):
-        return (_GatewayFront(target, serve_spec, args.gateway)
-                if args.gateway else None)
+def _with_flags(spec, args: argparse.Namespace, *flags: str, **renamed: str):
+    """``dataclasses.replace(spec, ...)`` with every listed flag the user set.
 
-    def close(self) -> None:
-        self.client.shutdown()
-        self.server.shutdown()
+    ``flags`` are named like their spec field, ``renamed`` maps
+    ``field="flag"``; one left at ``None`` keeps the spec's value.  The replace
+    re-runs the spec's validator: a bad flag is a ``ValueError`` naming the field.
+    """
+    import dataclasses
+
+    changes = {field: getattr(args, flag)
+               for field, flag in {**dict(zip(flags, flags)), **renamed}.items()
+               if getattr(args, flag) is not None}
+    return dataclasses.replace(spec, **changes)
+
+
+def _random_images(artifact, count: int, seed: int) -> np.ndarray:
+    """``count`` seeded gaussian frames at the artifact's traced resolution."""
+    shape = artifact.spec.framework.example_shape()
+    return np.random.default_rng(seed).standard_normal(
+        (count, *shape[1:])).astype(np.float32)
+
+
+def _start_target(artifact, serve_spec, **parts):
+    """``build_target`` or the standard CLI error (None): nothing left running."""
+    from repro.serving import build_target
+
+    try:
+        return build_target(artifact, serve_spec, **parts)
+    except (OSError, RuntimeError, ValueError) as error:
+        detail = f" ({error.__cause__})" if error.__cause__ else ""
+        print(f"error: could not start the serving target: {error}{detail}",
+              file=sys.stderr)
+        return None
 
 
 def _gateway_flat_row(report) -> dict:
@@ -656,59 +673,33 @@ def _gateway_flat_row(report) -> dict:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import dataclasses
     from contextlib import nullcontext
 
     from repro.engine import BatchRunner, max_abs_output_diff
-    from repro.pipeline import DeployableArtifact
-    from repro.serving import (
-        BatchPolicy,
-        InferenceService,
-        ModelPool,
-        closed_loop,
-        open_loop,
-    )
+    from repro.serving import closed_loop, open_loop
 
-    try:
-        artifact = DeployableArtifact.load(args.artifact)
-    except (OSError, ValueError) as error:
-        print(f"error: could not load artifact {args.artifact!r}: {error}",
-              file=sys.stderr)
+    artifact = _load_cli_artifact(args.artifact)
+    if artifact is None:
         return 2
-
-    # CLI flags override the serving defaults baked into the artifact's spec.
-    serve_spec = artifact.spec.serve
-    requests = args.requests if args.requests is not None else serve_spec.requests
-    concurrency = (args.concurrency if args.concurrency is not None
-                   else serve_spec.concurrency)
-    workers = args.workers if args.workers is not None else serve_spec.workers
-    routing = args.routing if args.routing is not None else serve_spec.routing
+    # CLI flags override the serving configuration baked into the artifact.
     try:
-        policy = BatchPolicy(
-            max_batch_size=(args.max_batch_size if args.max_batch_size is not None
-                            else serve_spec.max_batch_size),
-            max_wait_ms=(args.max_wait_ms if args.max_wait_ms is not None
-                         else serve_spec.max_wait_ms),
-            queue_capacity=(args.queue_capacity if args.queue_capacity is not None
-                            else serve_spec.queue_capacity),
-        )
+        spec = _with_flags(artifact.spec.serve, args, *_SERVE_OVERRIDES, "routing")
+        gateway = None
+        if args.gateway:
+            host, port = _parse_hostport(args.gateway)
+            gateway = dataclasses.replace(spec.gateway, enabled=True,
+                                          host=host, port=port)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if not serve_spec.enabled:
+    if not spec.enabled:
         print("note: the artifact's spec does not mark it for serving "
               "(serve.enabled is false); serving with its serve-section defaults anyway")
-    if requests < 1 or concurrency < 1:
-        print("error: --requests and --concurrency must be at least 1", file=sys.stderr)
-        return 2
-    if workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
 
-    rng = np.random.default_rng(args.seed)
-    shape = artifact.spec.framework.example_shape()
-    images = rng.standard_normal((requests, *shape[1:])).astype(np.float32)
-
-    # The (possibly clustered) concurrent service must produce exactly what a
+    name = artifact.spec.name
+    images = _random_images(artifact, spec.requests, args.seed)
+    # The (possibly clustered) concurrent target must produce exactly what a
     # sequential single-image BatchRunner over the same inputs does; a
     # mismatch is a correctness failure and exits non-zero.
     sequential = None
@@ -716,80 +707,75 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         runnable = artifact.compiled if artifact.compiled is not None else artifact.model
         sequential = BatchRunner(runnable, batch_size=1).run(images)
 
-    if workers > 1:
-        return _serve_cluster(args, artifact, policy, images, sequential,
-                              requests=requests, concurrency=concurrency,
-                              workers=workers, routing=routing)
-
-    if sequential is not None:
-        # Run the check through a throwaway service so its traffic does not
-        # pollute the load-phase metrics reported below — nor the obs registry
-        # (register=False keeps its short-lived series out of snapshots).
-        from repro.serving import ServingMetrics
-
-        with InferenceService(artifact, policy=policy,
-                              metrics=ServingMetrics(name="verify", register=False),
-                              warmup=serve_spec.warmup) as verify_service:
-            served = verify_service.submit_many(images)
-        diff = max_abs_output_diff(served, sequential)
-        ok = diff < 1e-5
-        print(f"service vs sequential BatchRunner (max abs diff): {diff:.2e} "
-              f"{'OK' if ok else 'MISMATCH'}")
-        if not ok:
-            return 1
-
-    # Serve the already-loaded artifact object (no second load+recompile);
-    # the pool still enforces the spec's residency bound for any extra models.
-    pool = ModelPool(capacity=serve_spec.pool_capacity, warmup=serve_spec.warmup)
-    gateway_report = None
-    with InferenceService(artifact, policy=policy, pool=pool,
-                          warmup=serve_spec.warmup,
-                          name=artifact.spec.name) as service:
-        try:
-            front = _GatewayFront.start_if_requested(args, serve_spec, service)
-        except (OSError, ValueError) as error:
-            print(f"error: could not start gateway: {error}", file=sys.stderr)
-            return 2
-        target = front.client if front is not None else service
-        try:
-            if front is not None:
-                print(f"gateway listening on "
-                      f"{front.server.host}:{front.server.port}")
-                # The wire client must return *bit-identical* outputs to an
-                # in-process submit — the serialization hop adds no numerics.
-                wire = front.client.submit_many(images)
-                inproc = service.submit_many(images)
-                identical = max_abs_output_diff(wire, inproc) == 0.0
-                print(f"gateway wire client vs in-process submit_many: "
-                      f"{'bit-identical OK' if identical else 'MISMATCH'}")
-                if not identical:
-                    return 1
-                # Zero both ledgers so the tables below cover the load phase.
-                service.metrics.reset()
-                front.server.metrics.reset()
-            obs = (_ObsSession(args.obs, artifact.spec.name, service.report)
-                   if args.obs else nullcontext())
-            with obs:
-                if args.mode == "closed":
-                    load = closed_loop(target, images, requests=requests,
-                                       concurrency=concurrency)
-                else:
-                    rate = args.rate if args.rate is not None else 200.0
-                    load = open_loop(target, images, requests=requests,
-                                     rate_hz=rate, seed=args.seed)
-                report = service.report()
-            if front is not None:
-                gateway_report = front.server.metrics.report()
-        finally:
-            if front is not None:
-                front.close()
+    # Built BEFORE the target so tracing is armed before any worker forks —
+    # children inherit the flag and record their spans (the ring/ambient
+    # state re-arms fresh per child).  The lambda resolves `stack` lazily:
+    # the writer thread only starts inside the `with obs` block below.
+    obs = (_ObsSession(args.obs, name, lambda: stack.backend.report())
+           if args.obs else nullcontext())
+    stack = _start_target(artifact, spec, gateway=gateway)
+    if stack is None:
+        return 2
+    with stack:
+        backend = stack.backend
+        if stack.autoscaler is not None:
+            bounds = spec.cluster.autoscaler
+            print(f"autoscaler enabled: fleet "
+                  f"[{bounds.min_workers}, {bounds.max_workers}] workers")
+        if sequential is not None:
+            diff = max_abs_output_diff(backend.submit_many(images), sequential)
+            ok = diff < 1e-5
+            print(f"{'cluster' if stack.clustered else 'service'} vs sequential "
+                  f"BatchRunner (max abs diff): {diff:.2e} "
+                  f"{'OK' if ok else 'MISMATCH'}")
+            if not ok:
+                return 1
+        if stack.gateway is not None:
+            print(f"gateway listening on {stack.gateway.address}")
+            # The wire client must return *bit-identical* outputs to an
+            # in-process submit — the serialization hop adds no numerics.
+            wire = stack.target.submit_many(images)
+            identical = max_abs_output_diff(wire, backend.submit_many(images)) == 0.0
+            print(f"gateway wire client vs in-process submit_many: "
+                  f"{'bit-identical OK' if identical else 'MISMATCH'}")
+            if not identical:
+                return 1
+            stack.gateway.metrics.reset()
+        # Zero the ledgers so the tables below cover the load phase only.
+        backend.metrics.reset()
+        with obs:
+            if args.mode == "closed":
+                load = closed_loop(stack.target, images, requests=spec.requests,
+                                   concurrency=spec.concurrency)
+            else:
+                load = open_loop(stack.target, images, requests=spec.requests,
+                                 rate_hz=args.rate, seed=args.seed)
+            report = backend.report()
+        gateway_report = (stack.gateway.metrics.report()
+                          if stack.gateway is not None else None)
 
     print()
+    shape = (f"cluster ({spec.workers} workers, {spec.routing} routing, "
+             f"{spec.requests} requests)" if stack.clustered else
+             f"({spec.requests} requests, batch<= {spec.max_batch_size}, "
+             f"wait {spec.max_wait_ms}ms)")
     print(format_table([load.flat_row()],
-                       title=f"repro serve — {args.mode}-loop load on "
-                             f"{artifact.spec.name} ({requests} requests, "
-                             f"batch<= {policy.max_batch_size}, "
-                             f"wait {policy.max_wait_ms}ms)"))
+                       title=f"repro serve — {args.mode}-loop load on {name} {shape}"))
+    if stack.clustered:
+        _print_cluster_tables(backend.metrics.flat_row(), report)
+    else:
+        _print_service_tables(report)
+    if gateway_report is not None:
+        print(format_table([_gateway_flat_row(gateway_report)],
+                           title="Gateway front-door metrics"))
+    if load.failed:
+        print(f"error: {load.failed} requests failed", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _print_service_tables(report) -> None:
+    """``repro serve`` tables of an in-process ``InferenceService.report()``."""
     service_row = {
         "throughput_rps": report["throughput_rps"],
         **{k: v for k, v in report["latency"].items() if k != "count"},
@@ -801,125 +787,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     histogram = report["batches"]["size_histogram"]
     if histogram:
         print(format_table([histogram], title="Micro-batch size distribution"))
-    if gateway_report is not None:
-        print(format_table([_gateway_flat_row(gateway_report)],
-                           title="Gateway front-door metrics"))
-    if load.failed:
-        print(f"error: {load.failed} requests failed", file=sys.stderr)
-        return 1
-    return 0
 
 
-def _serve_cluster(args: argparse.Namespace, artifact, policy, images, sequential,
-                   requests: int, concurrency: int, workers: int, routing: str) -> int:
-    """The ``repro serve --workers N`` (N > 1) path: drive the process cluster."""
-    from contextlib import nullcontext
-
-    from repro.engine import max_abs_output_diff
-    from repro.serving import closed_loop, open_loop
-    from repro.serving.cluster import Router
-
-    serve_spec = artifact.spec.serve
-    # Built BEFORE the Router so tracing is armed before the workers fork —
-    # children inherit the flag and record their spans (the ring/ambient
-    # state re-arms fresh per child).  The lambda resolves `router` lazily:
-    # the writer thread only starts inside the `with obs` block below.
-    obs = (_ObsSession(args.obs, artifact.spec.name, lambda: router.report())
-           if args.obs else nullcontext())
-    gateway_report = None
-    cluster_spec = serve_spec.cluster
-    scaler = None
-    with Router(args.artifact, workers=workers, policy=policy, routing=routing,
-                warmup=serve_spec.warmup,
-                pool_capacity=serve_spec.pool_capacity,
-                heartbeat_interval=cluster_spec.heartbeat_interval,
-                heartbeat_timeout=cluster_spec.heartbeat_timeout,
-                max_restart_attempts=cluster_spec.max_restart_attempts,
-                min_worker_uptime=cluster_spec.min_worker_uptime,
-                restart_backoff_s=cluster_spec.restart_backoff_s,
-                restart_backoff_max_s=cluster_spec.restart_backoff_max_s,
-                shed_low_priority=cluster_spec.shed_low_priority) as router:
-        if cluster_spec.autoscaler.enabled:
-            from repro.serving.elastic import Autoscaler
-
-            scaler = Autoscaler.from_spec(router, cluster_spec.autoscaler).start()
-            print(f"autoscaler enabled: fleet "
-                  f"[{cluster_spec.autoscaler.min_workers}, "
-                  f"{cluster_spec.autoscaler.max_workers}] workers")
-        if sequential is not None:
-            served = router.submit_many(images)
-            diff = max_abs_output_diff(served, sequential)
-            ok = diff < 1e-5
-            print(f"cluster vs sequential BatchRunner (max abs diff): {diff:.2e} "
-                  f"{'OK' if ok else 'MISMATCH'}")
-            if not ok:
-                return 1
-            # Zero the ledgers so the reported metrics cover the load phase
-            # only (the single-worker path uses a throwaway service for this).
-            router.metrics.reset()
-
-        try:
-            front = _GatewayFront.start_if_requested(args, serve_spec, router)
-        except (OSError, ValueError) as error:
-            print(f"error: could not start gateway: {error}", file=sys.stderr)
-            return 2
-        target = front.client if front is not None else router
-        try:
-            if front is not None:
-                print(f"gateway listening on "
-                      f"{front.server.host}:{front.server.port}")
-                wire = front.client.submit_many(images)
-                inproc = router.submit_many(images)
-                identical = max_abs_output_diff(wire, inproc) == 0.0
-                print(f"gateway wire client vs in-process submit_many: "
-                      f"{'bit-identical OK' if identical else 'MISMATCH'}")
-                if not identical:
-                    return 1
-                router.metrics.reset()
-                front.server.metrics.reset()
-            with obs:
-                if args.mode == "closed":
-                    load = closed_loop(target, images, requests=requests,
-                                       concurrency=concurrency)
-                else:
-                    rate = args.rate if args.rate is not None else 200.0
-                    load = open_loop(target, images, requests=requests,
-                                     rate_hz=rate, seed=args.seed)
-                report = router.report()
-            if front is not None:
-                gateway_report = front.server.metrics.report()
-        finally:
-            if scaler is not None:
-                scaler.stop()
-            if front is not None:
-                front.close()
-
-    print()
-    print(format_table([load.flat_row()],
-                       title=f"repro serve — {args.mode}-loop load on "
-                             f"{artifact.spec.name} cluster ({workers} workers, "
-                             f"{routing} routing, {requests} requests)"))
-    print(format_table([router.metrics.flat_row()],
+def _print_cluster_tables(cluster_row, report) -> None:
+    """``repro serve`` tables of a ``Router.report()``."""
+    print(format_table([cluster_row],
                        title="Cluster-side metrics (incl. transport + queueing)"))
-    worker_rows = []
-    for worker_id, stats in sorted(report["workers"].items()):
-        worker_rows.append({
-            "worker": worker_id,
-            "completed": stats["completed"],
-            "failed": stats["failed"],
-            "restarts": stats["restarts"],
-            "p50_ms": stats["latency"]["p50_ms"],
-            "p99_ms": stats["latency"]["p99_ms"],
-        })
+    worker_rows = [{
+        "worker": worker_id,
+        "completed": stats["completed"],
+        "failed": stats["failed"],
+        "restarts": stats["restarts"],
+        "p50_ms": stats["latency"]["p50_ms"],
+        "p99_ms": stats["latency"]["p99_ms"],
+    } for worker_id, stats in sorted(report["workers"].items())]
     if worker_rows:
         print(format_table(worker_rows, title="Per-worker breakdown"))
-    if gateway_report is not None:
-        print(format_table([_gateway_flat_row(gateway_report)],
-                           title="Gateway front-door metrics"))
-    if load.failed:
-        print(f"error: {load.failed} requests failed", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -929,79 +812,52 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     returned to its pre-fault band within the recovery window — the same gate
     ``make chaos-smoke`` and benchmarks/test_elastic_resilience.py apply.
     """
+    import dataclasses
     import json as _json
 
     from repro.pipeline.spec import ChaosSpec
-    from repro.serving import BatchPolicy
     from repro.serving.chaos import run_chaos_drill
-    from repro.serving.cluster import Router
 
     artifact = _load_cli_artifact(args.artifact)
     if artifact is None:
         return 2
-    serve_spec = artifact.spec.serve
-
-    chaos_dict = serve_spec.chaos.to_dict()
-    if args.spec is not None:
-        try:
+    # Artifact's chaos section < --spec FILE < flags; anything wrong with the
+    # result is one error exit.
+    try:
+        chaos_dict = artifact.spec.serve.chaos.to_dict()
+        if args.spec is not None:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 loaded = _json.load(handle)
-        except (OSError, ValueError) as error:
-            print(f"error: could not read chaos spec {args.spec!r}: {error}",
-                  file=sys.stderr)
-            return 2
-        if not isinstance(loaded, dict):
-            print(f"error: chaos spec {args.spec!r} must be a JSON object",
-                  file=sys.stderr)
-            return 2
-        chaos_dict.update(loaded.get("chaos", loaded))
-    for flag, key in (("seed", "seed"), ("duration", "duration_s"),
-                      ("warmup", "warmup_s"), ("crash_rate", "crash_rate"),
-                      ("hang_rate", "hang_rate")):
-        value = getattr(args, flag)
-        if value is not None:
-            chaos_dict[key] = value
-    chaos_dict["enabled"] = True
-    try:
-        chaos = ChaosSpec.from_dict(chaos_dict)
-    except ValueError as error:
-        print(f"error: invalid chaos spec: {error}", file=sys.stderr)
-        return 2
-    if not chaos.any_faults():
-        print("error: chaos spec has every fault rate at zero — nothing to "
-              "inject (set e.g. --crash-rate 0.5)", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
+            if not isinstance(loaded, dict):
+                raise ValueError("the --spec file must hold a JSON object")
+            chaos_dict.update(loaded.get("chaos", loaded))
+        chaos = dataclasses.replace(
+            _with_flags(ChaosSpec.from_dict(chaos_dict), args, "seed", "crash_rate",
+                        "hang_rate", duration_s="duration", warmup_s="warmup"),
+            enabled=True)
+        spec = dataclasses.replace(artifact.spec.serve, workers=args.workers)
+        # The drill fronts no gateway, so gateway_latency_ms alone injects nothing.
+        if not dataclasses.replace(chaos, gateway_latency_ms=0.0).any_faults():
+            raise ValueError(
+                "every worker fault rate is zero — nothing to inject (set e.g. "
+                "--crash-rate 0.5; gateway_latency_ms needs a gateway, which "
+                "this drill does not front)")
+    except (OSError, ValueError) as error:
+        print(f"error: invalid chaos configuration: {error}", file=sys.stderr)
         return 2
 
-    policy = BatchPolicy(max_batch_size=serve_spec.max_batch_size,
-                         max_wait_ms=serve_spec.max_wait_ms,
-                         queue_capacity=serve_spec.queue_capacity)
-    cluster_spec = serve_spec.cluster
-    seed = chaos.seed
-    rng = np.random.default_rng(seed)
-    shape = artifact.spec.framework.example_shape()
-    images = rng.standard_normal((32, *shape[1:])).astype(np.float32)
-
-    print(f"chaos drill: {args.workers} workers, seed {seed}, "
+    images = _random_images(artifact, 32, chaos.seed)
+    print(f"chaos drill: {spec.workers} workers, seed {chaos.seed}, "
           f"{chaos.warmup_s:.1f}s warmup + {chaos.duration_s:.1f}s faults "
           f"(crash {chaos.crash_rate}/s, hang {chaos.hang_rate}/s) + "
           f"{args.recovery:.1f}s recovery at {args.rate:.0f} rps")
-    with Router(args.artifact, workers=args.workers, policy=policy,
-                warmup=serve_spec.warmup,
-                pool_capacity=serve_spec.pool_capacity,
-                heartbeat_interval=cluster_spec.heartbeat_interval,
-                heartbeat_timeout=cluster_spec.heartbeat_timeout,
-                max_restart_attempts=cluster_spec.max_restart_attempts,
-                min_worker_uptime=cluster_spec.min_worker_uptime,
-                restart_backoff_s=cluster_spec.restart_backoff_s,
-                restart_backoff_max_s=cluster_spec.restart_backoff_max_s,
-                shed_low_priority=cluster_spec.shed_low_priority,
-                chaos=chaos) as router:
-        report = run_chaos_drill(router, images, chaos=chaos,
+    stack = _start_target(artifact, spec, chaos=chaos)
+    if stack is None:
+        return 2
+    with stack:
+        report = run_chaos_drill(stack.target, images, chaos=chaos,
                                  rate_rps=args.rate, recovery_s=args.recovery,
-                                 seed=seed, progress=print)
+                                 seed=chaos.seed, progress=print)
 
     payload = report.as_dict()
     if args.json:
@@ -1029,34 +885,44 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _load_cli_artifact(path: str):
-    """Load a DeployableArtifact or print the standard CLI error (None)."""
-    from repro.pipeline import DeployableArtifact
+def _start_demo_target(args: argparse.Namespace, concurrency: int):
+    """``repro metrics|top``: the artifact in-process, ready for a short load.
 
-    try:
-        return DeployableArtifact.load(path)
-    except (OSError, ValueError) as error:
-        print(f"error: could not load artifact {path!r}: {error}", file=sys.stderr)
+    Returns ``(stack, drive)`` — ``drive()`` runs the closed loop — or
+    ``None`` after printing the CLI error.  In-process whatever the
+    artifact's ``serve.workers`` says: both commands read this process's
+    registry and service report.
+    """
+    import dataclasses
+
+    from repro.serving import closed_loop
+
+    artifact = _load_cli_artifact(args.artifact)
+    if artifact is None:
         return None
+    try:
+        spec = dataclasses.replace(artifact.spec.serve, workers=1,
+                                   requests=args.requests, concurrency=concurrency)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+    images = _random_images(artifact, min(spec.requests, 64), args.seed)
+    stack = _start_target(artifact, spec)
+    if stack is None:
+        return None
+    return stack, lambda: closed_loop(
+        stack.target, images, requests=spec.requests, concurrency=spec.concurrency)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs import get_registry
-    from repro.serving import InferenceService, closed_loop
 
-    artifact = _load_cli_artifact(args.artifact)
-    if artifact is None:
+    demo = _start_demo_target(args, args.concurrency)
+    if demo is None:
         return 2
-    if args.requests < 1 or args.concurrency < 1:
-        print("error: --requests and --concurrency must be at least 1", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(args.seed)
-    shape = artifact.spec.framework.example_shape()
-    images = rng.standard_normal(
-        (min(args.requests, 64), *shape[1:])).astype(np.float32)
-    with InferenceService(artifact, name=artifact.spec.name) as service:
-        closed_loop(service, images, requests=args.requests,
-                    concurrency=args.concurrency)
+    stack, drive = demo
+    with stack:
+        drive()
         registry = get_registry()
         output = (registry.to_prometheus() if args.format == "prom"
                   else registry.to_jsonlines())
@@ -1066,9 +932,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     import threading
-    import time
 
-    from repro.obs import get_registry
     from repro.obs.top import TopView, file_source
 
     if args.obs:
@@ -1077,35 +941,18 @@ def _cmd_top(args: argparse.Namespace) -> int:
             once=args.once, plain=args.plain)
 
     # --artifact: self-driven demo load watched live.
-    from repro.serving import InferenceService, closed_loop
-
-    artifact = _load_cli_artifact(args.artifact)
-    if artifact is None:
+    demo = _start_demo_target(args, 4)
+    if demo is None:
         return 2
-    rng = np.random.default_rng(args.seed)
-    shape = artifact.spec.framework.example_shape()
-    images = rng.standard_normal(
-        (min(args.requests, 64), *shape[1:])).astype(np.float32)
-    with InferenceService(artifact, name=artifact.spec.name) as service:
-        finished = threading.Event()
-
-        def drive() -> None:
-            try:
-                closed_loop(service, images, requests=args.requests, concurrency=4)
-            finally:
-                finished.set()
-
-        threading.Thread(target=drive, name="repro-top-demo-load",
-                         daemon=True).start()
-
-        def source():
-            return {"ts": time.time(), "name": artifact.spec.name,
-                    "report": service.report(),
-                    "metrics": get_registry().snapshot()}
-
-        view = TopView(source, interval=args.interval)
+    stack, drive = demo
+    with stack:
+        load = threading.Thread(target=drive, name="repro-top-demo-load", daemon=True)
+        load.start()
+        backend = stack.backend
+        view = TopView(lambda: _snapshot(backend.metrics.name, backend.report),
+                       interval=args.interval)
         if args.once:
-            finished.wait(120.0)     # one frame of the *completed* run
+            load.join(120.0)     # one frame of the *completed* run
             return view.run(once=True)
         return view.run(plain=args.plain)
 

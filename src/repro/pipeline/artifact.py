@@ -57,6 +57,9 @@ class DeployableArtifact:
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Per-stage wall-clock seconds, in execution order.
     timings: Dict[str, float] = field(default_factory=dict)
+    #: The file this artifact was last saved to or loaded from (None while it
+    #: exists only in memory) — what a worker cluster's processes load.
+    path: Optional[str] = None
 
     # ------------------------------------------------------------------ inference
     @property
@@ -145,7 +148,8 @@ class DeployableArtifact:
             bundle[_STATE_PREFIX + name] = np.asarray(array)
         for mask in self.masks:
             bundle[_MASK_PREFIX + mask.full_name] = mask.mask.astype(np.uint8)
-        return save_state_dict(bundle, path)
+        self.path = save_state_dict(bundle, path)
+        return self.path
 
     @classmethod
     def load(cls, path: str) -> "DeployableArtifact":
@@ -221,6 +225,7 @@ class DeployableArtifact:
             measurement=meta.get("measurement"),
             metrics=dict(meta.get("metrics") or {}),
             timings=dict(meta.get("timings") or {}),
+            path=path,
         )
 
 

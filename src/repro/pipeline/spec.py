@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Type, TypeVar
@@ -33,8 +34,51 @@ ROUTING_POLICY_NAMES = ("round-robin", "least-outstanding", "model-affinity")
 PRIORITY_CLASS_NAMES = ("high", "normal", "low")
 
 
+#: Rules a field declaration may carry: name -> (predicate(value, bound), wording).
+#: Write-once table, never mutated.  # reprolint: disable=mutable-global
+_RULES = {
+    "ge": (operator.ge, "be >= {}"),
+    "gt": (operator.gt, "be > {}"),
+    "le": (operator.le, "be <= {}"),
+    "choices": (lambda value, allowed: value in allowed, "be one of {}"),
+    "nonempty": (lambda value, _: bool(value), "be non-empty"),
+}
+
+
+def _bounded(default: Any, **rules: Any) -> Any:
+    """A spec field with a default and the ``_RULES`` its value must satisfy.
+
+    They ride in the dataclass field's ``metadata``; ``_SpecNode.__post_init__``
+    checks them on every construction.
+    """
+    return field(default=default, metadata=rules)
+
+
 class _SpecNode:
-    """Shared dict/JSON plumbing for every spec dataclass."""
+    """Shared validation and dict/JSON plumbing for every spec dataclass."""
+
+    def __post_init__(self) -> None:
+        """Check each field against its declared rules, then the node's own.
+
+        A wrong-typed value (``"64"`` for a number) fails its rule like an
+        out-of-range one: every rejection is a ``ValueError`` naming the field.
+        """
+        owner = type(self).__name__
+        for spec_field in dataclasses.fields(self):
+            value = getattr(self, spec_field.name)
+            for rule, bound in spec_field.metadata.items():
+                holds, wording = _RULES[rule]
+                try:
+                    ok = holds(value, bound)
+                except TypeError:
+                    ok = False
+                if not ok:
+                    raise ValueError(f"{owner}.{spec_field.name} must "
+                                     f"{wording.format(bound)}, got {value!r}")
+        self._check()
+
+    def _check(self) -> None:
+        """Coercions and cross-field rules of one node (declared bounds hold)."""
 
     @classmethod
     def from_dict(cls: Type[SpecT], data: Optional[Dict[str, Any]]) -> SpecT:
@@ -61,8 +105,8 @@ class _SpecNode:
         try:
             return cls(**kwargs)
         except TypeError as error:
-            # Wrong-typed values (e.g. "trace_size": "64") surface as TypeError
-            # from __post_init__ comparisons; keep the ValueError contract.
+            # A wrong-typed value can still surface as TypeError from a
+            # coercion or cross-field comparison; keep the ValueError contract.
             raise ValueError(f"{cls.__name__}: invalid value ({error})") from error
 
     def to_dict(self) -> Dict[str, Any]:
@@ -136,13 +180,11 @@ class ModelSpec(_SpecNode):
     """Which detector to build (resolved through :mod:`repro.models.registry`)."""
 
     #: Registry model name ('tiny', 'yolov5s', 'retinanet', ...).
-    name: str = "tiny"
+    name: str = _bounded("tiny", nonempty=True)
     #: Keyword arguments forwarded to the model factory (e.g. num_classes).
     kwargs: Dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("ModelSpec.name must be a non-empty model name")
+    def _check(self) -> None:
         self.kwargs = dict(self.kwargs)
 
 
@@ -151,19 +193,14 @@ class FrameworkSpec(_SpecNode):
     """Which pruning framework to apply (resolved through the framework registry)."""
 
     #: Registry framework name or paper label ('rtoss-3ep', 'R-TOSS-3EP', 'nms', ...).
-    name: str = "rtoss-3ep"
+    name: str = _bounded("rtoss-3ep", nonempty=True)
     #: Keyword overrides forwarded to the framework factory.
     overrides: Dict[str, Any] = field(default_factory=dict)
-    #: Input resolution used to trace the graph for DFS grouping (Algorithm 1).
-    trace_size: int = 64
+    #: Input resolution used to trace the graph for DFS grouping (Algorithm 1);
+    #: the detector strides need at least 32.
+    trace_size: int = _bounded(64, ge=32)
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("FrameworkSpec.name must be a non-empty framework name")
-        if self.trace_size < 32:
-            raise ValueError(
-                f"FrameworkSpec.trace_size must be >= 32 (detector strides need it), "
-                f"got {self.trace_size}")
+    def _check(self) -> None:
         self.overrides = dict(self.overrides)
 
     def example_shape(self) -> Tuple[int, int, int, int]:
@@ -176,14 +213,12 @@ class QuantizationSpec(_SpecNode):
     """Optional post-training quantization after pruning."""
 
     enabled: bool = False
-    #: Bit width of the symmetric per-channel quantization (4, 8 or 16).
-    bits: int = 8
+    #: Bit width of the symmetric per-channel quantization.
+    bits: int = _bounded(8, choices=(4, 8, 16))
     #: Layer-name substrings excluded from quantization.
     skip_names: Tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.bits not in (4, 8, 16):
-            raise ValueError(f"QuantizationSpec.bits must be 4, 8 or 16, got {self.bits}")
+    def _check(self) -> None:
         self.skip_names = _str_tuple(self.skip_names, "QuantizationSpec", "skip_names")
 
 
@@ -200,18 +235,11 @@ class EngineSpec(_SpecNode):
     #: artifact so ``load()`` re-fuses into the same int path.
     int8: bool = False
     #: Input resolution of the measured forward passes.
-    image_size: int = 64
+    image_size: int = _bounded(64, ge=32)
     #: Measurement batch size.
-    batch: int = 2
+    batch: int = _bounded(2, ge=1)
     #: Timing repeats (the median is reported).
-    repeats: int = 3
-
-    def __post_init__(self) -> None:
-        if self.image_size < 32:
-            raise ValueError(
-                f"EngineSpec.image_size must be >= 32, got {self.image_size}")
-        if self.batch < 1 or self.repeats < 1:
-            raise ValueError("EngineSpec.batch and EngineSpec.repeats must be >= 1")
+    repeats: int = _bounded(3, ge=1)
 
 
 @dataclass
@@ -220,17 +248,15 @@ class EvaluationSpec(_SpecNode):
 
     enabled: bool = True
     #: Input resolution the latency/energy models evaluate at (paper: 640).
-    image_size: int = 64
+    image_size: int = _bounded(64, ge=32)
     #: Resolution of the cost-model probe forward pass.
-    probe_size: int = 64
+    probe_size: int = _bounded(64, ge=32)
     #: Baseline mAP anchor; None looks the model up in BASELINE_MAP (60.0 fallback).
     baseline_map: Optional[float] = None
     #: Platform keys or display names understood by repro.hardware.get_platform.
     platforms: Tuple[str, ...] = ("rtx_2080ti", "jetson_tx2")
 
-    def __post_init__(self) -> None:
-        if self.image_size < 32 or self.probe_size < 32:
-            raise ValueError("EvaluationSpec image_size/probe_size must be >= 32")
+    def _check(self) -> None:
         self.platforms = _str_tuple(self.platforms, "EvaluationSpec", "platforms")
 
 
@@ -249,44 +275,24 @@ class GatewaySpec(_SpecNode):
     #: like ServeSpec.enabled: `repro serve --gateway` serves any artifact).
     enabled: bool = False
     #: Listen address; port 0 binds an ephemeral port (tests, smoke runs).
-    host: str = "127.0.0.1"
-    port: int = 0
+    host: str = _bounded("127.0.0.1", nonempty=True)
+    port: int = _bounded(0, ge=0, le=65535)
     #: Per-client token-bucket refill rate in requests/s; 0 disables the
     #: rate limiter (the in-flight bound still applies).
-    rate_limit_rps: float = 0.0
+    rate_limit_rps: float = _bounded(0.0, ge=0)
     #: Token-bucket capacity (burst size) when the rate limiter is on.
-    burst: int = 32
+    burst: int = _bounded(32, ge=1)
     #: Bound on one client's simultaneously in-flight requests.
-    max_inflight_per_client: int = 64
+    max_inflight_per_client: int = _bounded(64, ge=1)
     #: Priority class assigned to requests that do not name one.
-    default_priority: str = "normal"
+    default_priority: str = _bounded("normal", choices=PRIORITY_CLASS_NAMES)
     #: Per-class SLO deadline in ms applied when a request carries none
     #: (e.g. {"high": 50.0}); classes absent here get no implied deadline.
     slo_ms: Dict[str, float] = field(default_factory=dict)
     #: Reject frames larger than this many MiB (malformed/hostile input).
-    max_frame_mb: float = 64.0
+    max_frame_mb: float = _bounded(64.0, gt=0)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.port <= 65535:
-            raise ValueError(f"GatewaySpec.port must be in [0, 65535], got {self.port}")
-        if not self.host:
-            raise ValueError("GatewaySpec.host must be non-empty")
-        if self.rate_limit_rps < 0:
-            raise ValueError(
-                f"GatewaySpec.rate_limit_rps must be >= 0, got {self.rate_limit_rps}")
-        if self.burst < 1:
-            raise ValueError(f"GatewaySpec.burst must be >= 1, got {self.burst}")
-        if self.max_inflight_per_client < 1:
-            raise ValueError(
-                f"GatewaySpec.max_inflight_per_client must be >= 1, "
-                f"got {self.max_inflight_per_client}")
-        if self.default_priority not in PRIORITY_CLASS_NAMES:
-            raise ValueError(
-                f"GatewaySpec.default_priority must be one of "
-                f"{list(PRIORITY_CLASS_NAMES)}, got {self.default_priority!r}")
-        if self.max_frame_mb <= 0:
-            raise ValueError(
-                f"GatewaySpec.max_frame_mb must be > 0, got {self.max_frame_mb}")
+    def _check(self) -> None:
         self.slo_ms = dict(self.slo_ms)
         for name, value in self.slo_ms.items():
             if name not in PRIORITY_CLASS_NAMES:
@@ -311,45 +317,31 @@ class AutoscalerSpec(_SpecNode):
 
     enabled: bool = False
     #: Fleet bounds the autoscaler may move between (inclusive).
-    min_workers: int = 1
+    min_workers: int = _bounded(1, ge=1)
     max_workers: int = 4
     #: Seconds between supervisor evaluations.
-    interval_s: float = 0.5
+    interval_s: float = _bounded(0.5, gt=0)
     #: Scale up when mean queued-per-worker exceeds this ...
-    scale_up_queue_depth: float = 4.0
+    scale_up_queue_depth: float = _bounded(4.0, gt=0)
     #: ... scale down when it falls below this (must stay < scale_up).
-    scale_down_queue_depth: float = 1.0
+    scale_down_queue_depth: float = _bounded(1.0, ge=0)
     #: Also scale up when the windowed p95 latency exceeds this many ms
     #: (0 disables the latency trigger; queue depth still applies).
-    slo_p95_ms: float = 0.0
+    slo_p95_ms: float = _bounded(0.0, ge=0)
     #: Minimum seconds between consecutive scale-ups / scale-downs.
-    cooldown_up_s: float = 2.0
-    cooldown_down_s: float = 10.0
+    cooldown_up_s: float = _bounded(2.0, ge=0)
+    cooldown_down_s: float = _bounded(10.0, ge=0)
 
-    def __post_init__(self) -> None:
-        if self.min_workers < 1:
-            raise ValueError(
-                f"AutoscalerSpec.min_workers must be >= 1, got {self.min_workers}")
+    def _check(self) -> None:
         if self.max_workers < self.min_workers:
             raise ValueError(
                 f"AutoscalerSpec.max_workers must be >= min_workers "
                 f"({self.min_workers}), got {self.max_workers}")
-        if self.interval_s <= 0:
+        if self.scale_down_queue_depth >= self.scale_up_queue_depth:
             raise ValueError(
-                f"AutoscalerSpec.interval_s must be > 0, got {self.interval_s}")
-        if self.scale_up_queue_depth <= 0:
-            raise ValueError(
-                f"AutoscalerSpec.scale_up_queue_depth must be > 0, "
-                f"got {self.scale_up_queue_depth}")
-        if not 0 <= self.scale_down_queue_depth < self.scale_up_queue_depth:
-            raise ValueError(
-                f"AutoscalerSpec.scale_down_queue_depth must be in "
-                f"[0, scale_up_queue_depth), got {self.scale_down_queue_depth}")
-        if self.slo_p95_ms < 0:
-            raise ValueError(
-                f"AutoscalerSpec.slo_p95_ms must be >= 0, got {self.slo_p95_ms}")
-        if self.cooldown_up_s < 0 or self.cooldown_down_s < 0:
-            raise ValueError("AutoscalerSpec cooldowns must be >= 0")
+                f"AutoscalerSpec.scale_down_queue_depth must be < "
+                f"scale_up_queue_depth ({self.scale_up_queue_depth}), "
+                f"got {self.scale_down_queue_depth}")
 
 
 @dataclass
@@ -368,44 +360,28 @@ class ChaosSpec(_SpecNode):
     seed: int = 0
     #: Quiet period after each worker (re)start before faults may fire —
     #: without it a crash-looping schedule never lets the fleet recover.
-    warmup_s: float = 2.0
+    warmup_s: float = _bounded(2.0, ge=0)
     #: Wall-clock length of the fault window; faults stop after it so the
     #: drill can measure recovery back to the pre-fault baseline.
-    duration_s: float = 10.0
+    duration_s: float = _bounded(10.0, gt=0)
     #: Worker crash events per second (Poisson; os._exit inside the child).
-    crash_rate: float = 0.0
+    crash_rate: float = _bounded(0.0, ge=0)
     #: Worker hang events per second (Poisson; SIGSTOP — heartbeats stop but
     #: the process stays alive, exercising the heartbeat-timeout path).
-    hang_rate: float = 0.0
+    hang_rate: float = _bounded(0.0, ge=0)
     #: Probability each heartbeat frame is silently dropped (Bernoulli).
-    heartbeat_drop_rate: float = 0.0
+    heartbeat_drop_rate: float = _bounded(0.0, ge=0, le=1)
     #: Probability a channel frame is truncated mid-write (Bernoulli; the
     #: peer sees a torn frame -> ChannelClosedError -> recovery).
-    torn_frame_rate: float = 0.0
+    torn_frame_rate: float = _bounded(0.0, ge=0, le=1)
     #: Probability a channel frame is delayed by slow_frame_ms before send.
-    slow_frame_rate: float = 0.0
-    slow_frame_ms: float = 0.0
+    slow_frame_rate: float = _bounded(0.0, ge=0, le=1)
+    slow_frame_ms: float = _bounded(0.0, ge=0)
     #: Artificial latency added to every gateway response write (ms).
-    gateway_latency_ms: float = 0.0
+    gateway_latency_ms: float = _bounded(0.0, ge=0)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         self.seed = int(self.seed)
-        if self.warmup_s < 0:
-            raise ValueError(f"ChaosSpec.warmup_s must be >= 0, got {self.warmup_s}")
-        if self.duration_s <= 0:
-            raise ValueError(
-                f"ChaosSpec.duration_s must be > 0, got {self.duration_s}")
-        for name in ("crash_rate", "hang_rate"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(f"ChaosSpec.{name} must be >= 0 events/s, got {value!r}")
-        for name in ("heartbeat_drop_rate", "torn_frame_rate", "slow_frame_rate"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not 0 <= value <= 1:
-                raise ValueError(
-                    f"ChaosSpec.{name} must be a probability in [0, 1], got {value!r}")
-        if self.slow_frame_ms < 0 or self.gateway_latency_ms < 0:
-            raise ValueError("ChaosSpec latency knobs must be >= 0 ms")
 
     def any_faults(self) -> bool:
         """True when at least one fault stream has a non-zero rate."""
@@ -426,43 +402,27 @@ class ClusterSpec(_SpecNode):
     """
 
     #: Seconds between worker heartbeat frames.
-    heartbeat_interval: float = 0.25
+    heartbeat_interval: float = _bounded(0.25, gt=0)
     #: Monitor declares a worker dead after this long without a heartbeat.
     heartbeat_timeout: float = 10.0
     #: Quick deaths tolerated per slot before the slot is abandoned.
-    max_restart_attempts: int = 5
+    max_restart_attempts: int = _bounded(5, ge=1)
     #: A worker dying sooner than this after spawn counts as a quick death.
-    min_worker_uptime: float = 1.0
+    min_worker_uptime: float = _bounded(1.0, ge=0)
     #: Restart backoff: ~base * 2^(failures-2) seconds with jitter, capped at
     #: max.  The first restart is immediate; backoff kicks in on repeats.
-    restart_backoff_s: float = 0.1
+    restart_backoff_s: float = _bounded(0.1, ge=0)
     restart_backoff_max_s: float = 5.0
     #: While degraded (any slot abandoned/respawning), shed 'low'-priority
     #: requests at admission instead of queueing work the fleet cannot absorb.
     shed_low_priority: bool = True
     autoscaler: AutoscalerSpec = field(default_factory=AutoscalerSpec)
 
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ValueError(
-                f"ClusterSpec.heartbeat_interval must be > 0, "
-                f"got {self.heartbeat_interval}")
+    def _check(self) -> None:
         if self.heartbeat_timeout <= self.heartbeat_interval:
             raise ValueError(
                 f"ClusterSpec.heartbeat_timeout must exceed heartbeat_interval "
                 f"({self.heartbeat_interval}), got {self.heartbeat_timeout}")
-        if self.max_restart_attempts < 1:
-            raise ValueError(
-                f"ClusterSpec.max_restart_attempts must be >= 1, "
-                f"got {self.max_restart_attempts}")
-        if self.min_worker_uptime < 0:
-            raise ValueError(
-                f"ClusterSpec.min_worker_uptime must be >= 0, "
-                f"got {self.min_worker_uptime}")
-        if self.restart_backoff_s < 0:
-            raise ValueError(
-                f"ClusterSpec.restart_backoff_s must be >= 0, "
-                f"got {self.restart_backoff_s}")
         if self.restart_backoff_max_s < self.restart_backoff_s:
             raise ValueError(
                 f"ClusterSpec.restart_backoff_max_s must be >= restart_backoff_s "
@@ -471,12 +431,13 @@ class ClusterSpec(_SpecNode):
 
 @dataclass
 class ServeSpec(_SpecNode):
-    """Serving defaults baked into an artifact (consumed by ``repro serve``).
+    """Serving configuration baked into an artifact.
 
-    These knobs configure :class:`repro.serving.InferenceService` /
-    :class:`repro.serving.BatchPolicy` when the artifact is served; the
-    ``requests`` / ``concurrency`` pair parameterizes the default
-    load-generation run of the ``serve`` CLI subcommand.
+    The whole tree — this node plus its ``gateway`` / ``cluster`` / ``chaos``
+    children — is what :func:`repro.serving.build_target` turns into a running
+    serving stack; ``repro serve`` applies its flags as a
+    ``dataclasses.replace`` over it.  The ``requests`` / ``concurrency`` pair
+    parameterizes the CLI's default load-generation run.
     """
 
     #: Marks the artifact as intended for serving.  Informational: ``repro
@@ -484,25 +445,25 @@ class ServeSpec(_SpecNode):
     #: there is no serve stage in the pipeline to gate.
     enabled: bool = False
     #: Micro-batch closes at this many requests ...
-    max_batch_size: int = 8
+    max_batch_size: int = _bounded(8, ge=1)
     #: ... or once its oldest request has waited this long (0 = no coalescing wait).
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = _bounded(2.0, ge=0)
     #: Bounded admission queue; beyond it requests are rejected.
-    queue_capacity: int = 256
+    queue_capacity: int = _bounded(256, ge=1)
     #: Resident-model bound of the serving ModelPool (LRU beyond it).
-    pool_capacity: int = 2
+    pool_capacity: int = _bounded(2, ge=1)
     #: Warm loaded models with one forward pass before accepting traffic.
     warmup: bool = True
     #: Default load-generation volume of the `serve` CLI subcommand.
-    requests: int = 64
+    requests: int = _bounded(64, ge=1)
     #: Default closed-loop client count of the `serve` CLI subcommand.
-    concurrency: int = 8
-    #: Worker processes the `serve` CLI drives; >1 serves through the
-    #: multi-process cluster (repro.serving.cluster) instead of one in-process
-    #: service, sharding load across cores.
-    workers: int = 1
+    concurrency: int = _bounded(8, ge=1)
+    #: Worker processes; >1 serves through the multi-process cluster
+    #: (repro.serving.cluster) instead of one in-process service, sharding
+    #: load across cores.
+    workers: int = _bounded(1, ge=1)
     #: Cluster routing policy (see repro.serving.cluster.available_routing_policies).
-    routing: str = "round-robin"
+    routing: str = _bounded("round-robin", choices=ROUTING_POLICY_NAMES)
     #: Network gateway configuration (repro serve --gateway / GatewayServer).
     gateway: GatewaySpec = field(default_factory=GatewaySpec)
     #: Cluster supervision/elasticity knobs (heartbeats, restart backoff,
@@ -511,34 +472,13 @@ class ServeSpec(_SpecNode):
     #: Seeded fault-injection schedule (repro chaos / FaultInjector).
     chaos: ChaosSpec = field(default_factory=ChaosSpec)
 
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError(
-                f"ServeSpec.max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"ServeSpec.max_wait_ms must be >= 0, got {self.max_wait_ms}")
-        if self.queue_capacity < 1:
-            raise ValueError(
-                f"ServeSpec.queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.pool_capacity < 1:
-            raise ValueError(
-                f"ServeSpec.pool_capacity must be >= 1, got {self.pool_capacity}")
-        if self.requests < 1 or self.concurrency < 1:
-            raise ValueError("ServeSpec.requests and ServeSpec.concurrency must be >= 1")
-        if self.workers < 1:
-            raise ValueError(f"ServeSpec.workers must be >= 1, got {self.workers}")
-        if self.routing not in ROUTING_POLICY_NAMES:
-            raise ValueError(
-                f"ServeSpec.routing must be one of {list(ROUTING_POLICY_NAMES)}, "
-                f"got {self.routing!r}")
-
 
 @dataclass
 class RunSpec(_SpecNode):
     """One end-to-end deployment run: prune → (finetune) → quantize → compile → evaluate."""
 
     #: Display name of the run; also the default artifact stem.
-    name: str = "run"
+    name: str = _bounded("run", nonempty=True)
     #: Master seed threaded through utils.rng, the pruning config and the engine
     #: benchmark so the whole run is reproducible end to end.
     seed: int = 0
@@ -552,9 +492,7 @@ class RunSpec(_SpecNode):
     #: unless the caller (e.g. the CLI) chooses a path.
     artifact_path: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("RunSpec.name must be non-empty")
+    def _check(self) -> None:
         self.seed = int(self.seed)
 
     @classmethod

@@ -38,6 +38,10 @@ real-time claim:
 * :mod:`repro.serving.elastic` — :class:`Autoscaler`, a supervisor loop that
   grows and shrinks the Router fleet from queue depth and windowed p95
   latency vs. the SLO, with per-direction cooldowns,
+* :mod:`repro.serving.assembly` — :func:`build_target`, the one factory from
+  a :class:`~repro.pipeline.spec.ServeSpec` tree to a running stack
+  (policy, pool, service or router, autoscaler, gateway + client) behind one
+  :class:`ServingStack` handle that tears it all down in order,
 * :mod:`repro.serving.chaos` — :class:`FaultInjector`, seeded deterministic
   fault injection (worker crashes, hangs, heartbeat loss, torn frames,
   response latency) plus :func:`run_chaos_drill`, the scripted
@@ -54,6 +58,16 @@ Quick use::
         output = future.result()
         print(service.report()["latency"])       # p50/p95/p99 ...
 
+or the whole stack an artifact's spec describes — in-process service or
+worker fleet, autoscaler, TCP gateway — from that spec alone::
+
+    from repro.pipeline import DeployableArtifact
+    from repro.serving import build_target
+
+    artifact = DeployableArtifact.load("artifacts/tiny.npz")
+    with build_target(artifact, artifact.spec.serve) as stack:
+        outputs = stack.target.submit_many(images)
+
 or from the command line::
 
     python -m repro.cli serve --artifact artifacts/tiny.npz \\
@@ -67,6 +81,7 @@ from repro.serving.api import (
     priority_index,
     priority_name,
 )
+from repro.serving.assembly import ServingStack, build_target
 from repro.serving.batcher import (
     BatchPolicy,
     DynamicBatcher,
@@ -137,10 +152,12 @@ __all__ = [
     "ServiceClosedError",
     "ServingError",
     "ServingMetrics",
+    "ServingStack",
     "WorkerProcess",
     "WorkerUnavailableError",
     "as_batch_callable",
     "available_routing_policies",
+    "build_target",
     "closed_loop",
     "make_yolo_postprocess",
     "mixed_priority_load",

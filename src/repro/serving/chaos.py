@@ -59,6 +59,7 @@ import numpy as np
 from repro.pipeline.spec import ChaosSpec
 from repro.serving.errors import ADMISSION_ERROR_CODES, error_code
 from repro.utils.logging import get_logger
+from repro.utils.profiling import percentile
 
 __all__ = ["FaultInjector", "ChaosDrillReport", "run_chaos_drill"]
 
@@ -258,14 +259,6 @@ class ChaosDrillReport:
         }
 
 
-def _p95(latencies_ms: List[float]) -> float:
-    if not latencies_ms:
-        return 0.0
-    ordered = sorted(latencies_ms)
-    index = min(len(ordered) - 1, int(round(0.95 * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def _recovery_seconds(samples: List[Tuple[float, float]], fault_end: float,
                       target_ms: float, window_s: float = 1.0) -> Optional[float]:
     """First post-fault window whose p95 is back under ``target_ms``.
@@ -282,7 +275,7 @@ def _recovery_seconds(samples: List[Tuple[float, float]], fault_end: float,
     start = fault_end
     while start < horizon + window_s:
         window = [ms for t, ms in after if start <= t < start + window_s]
-        if window and _p95(window) <= target_ms:
+        if window and percentile(window, 95.0) <= target_ms:
             return max(0.0, start + window_s - fault_end)
         start += window_s
     return None
@@ -381,8 +374,8 @@ def run_chaos_drill(
     with lock:
         pre = [ms for t, ms in samples if t < fault_start]
         post = [ms for t, ms in samples if t >= fault_end]
-        pre_p95 = _p95(pre)
-        post_p95 = _p95(post)
+        pre_p95 = percentile(pre, 95.0)
+        post_p95 = percentile(post, 95.0)
         recovery = None
         if pre_p95 > 0:
             recovery = _recovery_seconds(

@@ -21,14 +21,21 @@ load.  This package scales it horizontally on one host:
 
 Quick use::
 
+    from repro.pipeline.spec import ClusterSpec
     from repro.serving import BatchPolicy
     from repro.serving.cluster import Router
 
     with Router("artifacts/tiny.npz", workers=4,
                 policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0),
-                routing="least-outstanding") as router:
+                routing="least-outstanding",
+                cluster=ClusterSpec(heartbeat_timeout=5.0)) as router:
         outputs = router.submit_many(images)     # == sequential BatchRunner
         print(router.report()["cluster"])        # p50/p95/p99, throughput ...
+
+The supervision contract (heartbeats, restart backoff, shedding) is the
+:class:`~repro.pipeline.spec.ClusterSpec` node, handed over whole;
+:func:`repro.serving.build_target` builds the same router from an artifact's
+``ServeSpec``.
 
 or from the command line::
 

@@ -19,7 +19,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs.registry import Sample, get_registry, summary_samples
-from repro.utils.profiling import LatencyStats
+from repro.utils.profiling import LatencyStats, percentile
 
 #: Distinguishes concurrent clusters in the obs registry's label sets.
 _CLUSTER_SERIAL = itertools.count(1)
@@ -158,11 +158,7 @@ class ClusterMetrics:
         cutoff = time.perf_counter() - window_s
         with self._lock:
             recent = [latency for ts, latency in self._recent if ts >= cutoff]
-        if not recent:
-            return 0.0
-        ordered = sorted(recent)
-        index = min(len(ordered) - 1, int(round(0.95 * (len(ordered) - 1))))
-        return ordered[index] * 1e3
+        return percentile(recent, 95.0) * 1e3
 
     def throughput(self) -> float:
         """Completed requests per second of wall-clock cluster time."""

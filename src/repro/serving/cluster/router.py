@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.engine.runner import _concat_outputs
 from repro.obs.tracing import TraceContext, mint_trace
-from repro.pipeline.spec import ROUTING_POLICY_NAMES, ChaosSpec
+from repro.pipeline.spec import ROUTING_POLICY_NAMES, ChaosSpec, ClusterSpec
 from repro.serving.api import DEFAULT_PRIORITY, priority_index
 from repro.serving.batcher import (
     BatchPolicy,
@@ -53,11 +53,7 @@ from repro.serving.errors import (
     ServingError,
 )
 from repro.serving.cluster.metrics import ClusterMetrics
-from repro.serving.cluster.worker import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    WorkerProcess,
-    WorkerUnavailableError,
-)
+from repro.serving.cluster.worker import WorkerProcess, WorkerUnavailableError
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.cluster.router")
@@ -177,19 +173,19 @@ class Router:
     routing:
         Policy name from :func:`available_routing_policies` or a policy object
         with a ``select(workers, model_key)`` method.
+    cluster:
+        The :class:`~repro.pipeline.spec.ClusterSpec` supervision contract
+        (heartbeats, restart backoff, shedding; each field is documented
+        there), taken whole the way ``GatewayServer`` takes its node.  A slot
+        abandoned after ``max_restart_attempts`` quick deaths fails its pending
+        requests with the child's fatal error, and once every slot is abandoned
+        submits raise instead of blocking forever.  The ``autoscaler`` child
+        is the :class:`~repro.serving.elastic.Autoscaler`'s, not read here.
+    chaos:
+        Optional :class:`~repro.pipeline.spec.ChaosSpec` the workers inject.
     restart:
         Restart dead workers and re-dispatch their in-flight requests (the
         monitor thread; disable only in tests that assert raw death behavior).
-    heartbeat_timeout:
-        Seconds without a heartbeat before a live-looking process is declared
-        unhealthy and recycled.
-    max_restart_attempts:
-        A slot that keeps dying within ``min_worker_uptime`` seconds of
-        starting (e.g. the artifact file is gone: every child exits during
-        load) is abandoned after this many consecutive quick deaths instead of
-        hot-looping respawns; its pending requests fail with the child's fatal
-        error, and once every slot is abandoned submits raise instead of
-        blocking forever.
     """
 
     # reprolint lock-discipline contract: state shared between client threads,
@@ -213,19 +209,13 @@ class Router:
         workers: int = 2,
         policy: Optional[BatchPolicy] = None,
         routing: Union[str, Any] = "round-robin",
+        cluster: Optional[ClusterSpec] = None,
+        chaos: Optional[ChaosSpec] = None,
         warmup: bool = True,
         restart: bool = True,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        heartbeat_timeout: float = 10.0,
         start_method: Optional[str] = None,
         metrics: Optional[ClusterMetrics] = None,
-        max_restart_attempts: int = 5,
-        min_worker_uptime: float = 1.0,
         pool_capacity: int = 2,
-        restart_backoff_s: float = 0.1,
-        restart_backoff_max_s: float = 5.0,
-        shed_low_priority: bool = True,
-        chaos: Optional[ChaosSpec] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"Router needs at least one worker, got {workers}")
@@ -233,17 +223,11 @@ class Router:
         self.policy = policy or BatchPolicy()
         self.routing = build_routing_policy(routing) if isinstance(routing, str) else routing
         self.metrics = metrics or ClusterMetrics()
+        self.cluster = cluster or ClusterSpec()
         self.warmup = warmup
         self.restart = restart
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
         self.start_method = start_method
-        self.max_restart_attempts = max_restart_attempts
-        self.min_worker_uptime = min_worker_uptime
         self.pool_capacity = pool_capacity
-        self.restart_backoff_s = restart_backoff_s
-        self.restart_backoff_max_s = restart_backoff_max_s
-        self.shed_low_priority = shed_low_priority
         #: Last "fatal" startup error reported by any worker (diagnostics).
         self.last_fatal_error: Optional[str] = None
 
@@ -252,7 +236,7 @@ class Router:
         #: including ones (re)spawned mid-drill — goes quiet together.
         self.chaos = chaos if (chaos is not None and chaos.enabled
                                and chaos.any_faults()) else None
-        self._chaos_until_wall = (
+        self.chaos_until_wall = (
             time.time() + self.chaos.warmup_s + self.chaos.duration_s
             if self.chaos is not None else 0.0)
 
@@ -287,7 +271,7 @@ class Router:
             chaos_wire = {
                 "spec": self.chaos.to_dict(),
                 "scope": f"worker-{slot}#{incarnation}",
-                "until_wall": self._chaos_until_wall,
+                "until_wall": self.chaos_until_wall,
             }
         worker = WorkerProcess(
             worker_id=f"worker-{slot}",
@@ -295,7 +279,7 @@ class Router:
             policy=self.policy,
             metrics=self.metrics,
             warmup=self.warmup,
-            heartbeat_interval=self.heartbeat_interval,
+            heartbeat_interval=self.cluster.heartbeat_interval,
             start_method=self.start_method,
             pool_capacity=self.pool_capacity,
             chaos_wire=chaos_wire,
@@ -382,7 +366,7 @@ class Router:
         :func:`~repro.obs.tracing.get_trace_buffer`.
         """
         priority_index(priority)       # validate the class name up front
-        if priority == "low" and self.shed_low_priority:
+        if priority == "low" and self.cluster.shed_low_priority:
             with self._lock:
                 shed = bool(self._abandoned or self._respawning)
             if shed:
@@ -492,7 +476,7 @@ class Router:
 
     # ------------------------------------------------------------------ supervision
     def _monitor_loop(self) -> None:
-        while not self._monitor_stop.wait(self.heartbeat_interval):
+        while not self._monitor_stop.wait(self.cluster.heartbeat_interval):
             with self._lock:
                 if self._closed:
                     return
@@ -502,7 +486,7 @@ class Router:
                     if slot not in self._abandoned and slot not in self._respawning
                 ]
             for slot, worker in snapshot:
-                if worker.healthy(self.heartbeat_timeout):
+                if worker.healthy(self.cluster.heartbeat_timeout):
                     continue
                 self._recover(slot, worker)
 
@@ -552,10 +536,10 @@ class Router:
             # A slot that keeps dying right after start (broken artifact,
             # import failure, ...) would otherwise hot-loop fork+load forever.
             self._failures[slot] = (
-                self._failures.get(slot, 0) + 1 if uptime < self.min_worker_uptime else 1
+                self._failures.get(slot, 0) + 1 if uptime < self.cluster.min_worker_uptime else 1
             )
             failures = self._failures[slot]
-        abandon = self.restart and failures > self.max_restart_attempts
+        abandon = self.restart and failures > self.cluster.max_restart_attempts
 
         replacement: Optional[WorkerProcess] = None
         backoff = 0.0
@@ -614,7 +598,7 @@ class Router:
             if abandon:
                 logger.error(
                     "worker slot %d died %d times within %.1fs of start; giving up (%s)",
-                    slot, failures, self.min_worker_uptime,
+                    slot, failures, self.cluster.min_worker_uptime,
                     self.last_fatal_error or "no fatal error reported",
                 )
             detail = f": {self.last_fatal_error}" if self.last_fatal_error else ""
@@ -647,11 +631,10 @@ class Router:
         second on, ``restart_backoff_s * 2^(failures-2)`` with multiplicative
         jitter in [0.5, 1.5), capped at ``restart_backoff_max_s``.
         """
-        if failures <= 1 or self.restart_backoff_s <= 0:
+        if failures <= 1 or self.cluster.restart_backoff_s <= 0:
             return 0.0
-        base = self.restart_backoff_s * (2.0 ** (failures - 2))
-        return min(self.restart_backoff_max_s,
-                   base * (0.5 + self._backoff_rng.random()))
+        base = self.cluster.restart_backoff_s * (2.0 ** (failures - 2))
+        return min(self.cluster.restart_backoff_max_s, base * (0.5 + self._backoff_rng.random()))
 
     def _deferred_respawn(self, slot: int, delay: float) -> None:
         """Wait out the restart backoff, then bring the slot back."""

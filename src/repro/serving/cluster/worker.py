@@ -65,9 +65,6 @@ logger = get_logger("serving.cluster.worker")
 #: Environment override for the multiprocessing start method ("fork"/"spawn").
 START_METHOD_ENV = "REPRO_CLUSTER_START_METHOD"
 
-#: Seconds between child heartbeat frames.
-DEFAULT_HEARTBEAT_INTERVAL = 0.25
-
 # RemoteInferenceError used to be defined here; it now lives in
 # repro.serving.errors (imported above) so its wire code is part of the
 # unified hierarchy — the import doubles as the deprecation alias.
@@ -295,6 +292,9 @@ class WorkerProcess:
     artifact_path:
         ``DeployableArtifact`` ``.npz`` the child loads, recompiles and warms in
         its own process.
+    heartbeat_interval:
+        Seconds between the child's heartbeat frames
+        (``ClusterSpec.heartbeat_interval``).
     policy:
         The child service's :class:`BatchPolicy`; its ``queue_capacity`` also
         bounds this handle's outstanding requests (admission control).
@@ -324,10 +324,10 @@ class WorkerProcess:
         self,
         worker_id: str,
         artifact_path: str,
+        heartbeat_interval: float,
         policy: Optional[BatchPolicy] = None,
         metrics: Optional[Any] = None,
         warmup: bool = True,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         start_method: Optional[str] = None,
         pool_capacity: int = 2,
         chaos_wire: Optional[Dict[str, Any]] = None,

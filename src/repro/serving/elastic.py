@@ -13,7 +13,9 @@ off the running :class:`~repro.serving.cluster.router.Router` —
   cannot pin the fleet large forever)
 
 — and calls :meth:`Router.add_worker` / :meth:`Router.remove_worker` inside
-``[min_workers, max_workers]``.  Scale-up and scale-down each have their own
+``[min_workers, max_workers]``.  Every bound, threshold and cooldown is the
+:class:`~repro.pipeline.spec.AutoscalerSpec` node the controller is handed —
+nothing about them is restated here.  Scale-up and scale-down each have their own
 cooldown (asymmetric on purpose: growing is cheap and urgent, shrinking is
 optional and should lag) so the controller never flaps.
 
@@ -22,14 +24,12 @@ Every decision is exported through :mod:`repro.obs`:
 ``repro_autoscaler_workers`` gauges the current fleet size, and
 ``repro_autoscaler_queue_depth`` the last observed per-worker depth.
 
-Construction from a spec::
+Use (:func:`repro.serving.build_target` does this for an enabled spec)::
 
     from repro.serving.elastic import Autoscaler
 
-    scaler = Autoscaler.from_spec(router, serve_spec.cluster.autoscaler)
-    scaler.start()
-    ...
-    scaler.stop()
+    with Autoscaler(router, serve_spec.cluster.autoscaler).start():
+        ...
 """
 
 from __future__ import annotations
@@ -56,33 +56,9 @@ class Autoscaler:
     no lock (single-writer by contract, like the worker heartbeat fields).
     """
 
-    def __init__(
-        self,
-        router: Any,
-        min_workers: int = 1,
-        max_workers: int = 4,
-        interval_s: float = 0.5,
-        scale_up_queue_depth: float = 4.0,
-        scale_down_queue_depth: float = 1.0,
-        slo_p95_ms: float = 0.0,
-        cooldown_up_s: float = 2.0,
-        cooldown_down_s: float = 10.0,
-        p95_window_s: float = 5.0,
-    ) -> None:
-        if min_workers < 1 or max_workers < min_workers:
-            raise ValueError(
-                f"need 1 <= min_workers <= max_workers, "
-                f"got [{min_workers}, {max_workers}]")
+    def __init__(self, router: Any, spec: Optional[AutoscalerSpec] = None) -> None:
         self.router = router
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.interval_s = interval_s
-        self.scale_up_queue_depth = scale_up_queue_depth
-        self.scale_down_queue_depth = scale_down_queue_depth
-        self.slo_p95_ms = slo_p95_ms
-        self.cooldown_up_s = cooldown_up_s
-        self.cooldown_down_s = cooldown_down_s
-        self.p95_window_s = p95_window_s
+        self.spec = spec or AutoscalerSpec()
 
         self._last_up = float("-inf")
         self._last_down = float("-inf")
@@ -99,21 +75,6 @@ class Autoscaler:
         self._depth_gauge = registry.gauge(
             "repro_autoscaler_queue_depth",
             "Last observed mean in-flight requests per worker")
-
-    @classmethod
-    def from_spec(cls, router: Any, spec: AutoscalerSpec) -> "Autoscaler":
-        """Build from the :class:`~repro.pipeline.spec.AutoscalerSpec` knobs."""
-        return cls(
-            router,
-            min_workers=spec.min_workers,
-            max_workers=spec.max_workers,
-            interval_s=spec.interval_s,
-            scale_up_queue_depth=spec.scale_up_queue_depth,
-            scale_down_queue_depth=spec.scale_down_queue_depth,
-            slo_p95_ms=spec.slo_p95_ms,
-            cooldown_up_s=spec.cooldown_up_s,
-            cooldown_down_s=spec.cooldown_down_s,
-        )
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> "Autoscaler":
@@ -136,7 +97,7 @@ class Autoscaler:
         self.stop()
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._stop.wait(self.spec.interval_s):
             if self.router.closed:
                 return
             try:
@@ -153,32 +114,33 @@ class Autoscaler:
         depth = (
             sum(worker.outstanding_count for worker in workers) / count
             if count else 0.0)
-        p95_ms = self.router.metrics.recent_p95_ms(self.p95_window_s)
+        p95_ms = self.router.metrics.recent_p95_ms()
         return {"workers": float(count), "queue_depth": depth, "p95_ms": p95_ms}
 
     def evaluate_once(self) -> str:
         """One control step; returns the decision ("up" / "down" / "hold")."""
+        spec = self.spec
         signals = self.observe()
         count = int(signals["workers"])
         depth = signals["queue_depth"]
         p95_ms = signals["p95_ms"]
         now = time.monotonic()
 
-        slo_breached = self.slo_p95_ms > 0 and p95_ms > self.slo_p95_ms
-        pressure = depth > self.scale_up_queue_depth or slo_breached
-        idle = depth < self.scale_down_queue_depth and not slo_breached
+        slo_breached = spec.slo_p95_ms > 0 and p95_ms > spec.slo_p95_ms
+        pressure = depth > spec.scale_up_queue_depth or slo_breached
+        idle = depth < spec.scale_down_queue_depth and not slo_breached
 
         decision = "hold"
-        if pressure and count < self.max_workers:
-            if now - self._last_up >= self.cooldown_up_s:
+        if pressure and count < spec.max_workers:
+            if now - self._last_up >= spec.cooldown_up_s:
                 self.router.add_worker()
                 self._last_up = now
                 decision = "up"
-        elif idle and count > self.min_workers:
+        elif idle and count > spec.min_workers:
             # Shrinking also respects the *up* cooldown: never retire a
             # worker the previous step just added for a spike still draining.
-            if (now - self._last_down >= self.cooldown_down_s
-                    and now - self._last_up >= self.cooldown_down_s):
+            if (now - self._last_down >= spec.cooldown_down_s
+                    and now - self._last_up >= spec.cooldown_down_s):
                 self.router.remove_worker()
                 self._last_down = now
                 decision = "down"

@@ -1,10 +1,15 @@
 """RunSpec: declarative, serializable pipeline configuration."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.pipeline import spec as spec_module
 from repro.pipeline.spec import (
+    AutoscalerSpec,
+    ChaosSpec,
+    ClusterSpec,
     EngineSpec,
     EvaluationSpec,
     FrameworkSpec,
@@ -296,3 +301,148 @@ class TestValidation:
 
     def test_example_shape(self):
         assert FrameworkSpec(trace_size=96).example_shape() == (1, 3, 96, 96)
+
+
+# ------------------------------------------------------------ declared bounds
+#: (node, field, a value just inside the declared bound, one just outside).
+#: Written out by hand — not derived from the declarations — so a bound that
+#: drifts in spec.py fails here; `test_every_declared_rule_is_in_the_table`
+#: keeps the table complete.
+BOUNDS = [
+    (ModelSpec, "name", "t", ""),
+    (FrameworkSpec, "name", "n", ""),
+    (FrameworkSpec, "trace_size", 32, 31),
+    (QuantizationSpec, "bits", 16, 15),
+    (EngineSpec, "image_size", 32, 31),
+    (EngineSpec, "batch", 1, 0),
+    (EngineSpec, "repeats", 1, 0),
+    (EvaluationSpec, "image_size", 32, 31),
+    (EvaluationSpec, "probe_size", 32, 31),
+    (GatewaySpec, "host", "h", ""),
+    (GatewaySpec, "port", 0, -1),
+    (GatewaySpec, "port", 65535, 65536),
+    (GatewaySpec, "rate_limit_rps", 0.0, -0.001),
+    (GatewaySpec, "burst", 1, 0),
+    (GatewaySpec, "max_inflight_per_client", 1, 0),
+    (GatewaySpec, "default_priority", "low", "lowest"),
+    (GatewaySpec, "max_frame_mb", 0.001, 0.0),
+    (AutoscalerSpec, "min_workers", 1, 0),
+    (AutoscalerSpec, "interval_s", 0.001, 0.0),
+    (AutoscalerSpec, "scale_up_queue_depth", 1.001, 0.0),
+    (AutoscalerSpec, "scale_down_queue_depth", 0.0, -0.001),
+    (AutoscalerSpec, "slo_p95_ms", 0.0, -0.001),
+    (AutoscalerSpec, "cooldown_up_s", 0.0, -0.001),
+    (AutoscalerSpec, "cooldown_down_s", 0.0, -0.001),
+    (ChaosSpec, "warmup_s", 0.0, -0.001),
+    (ChaosSpec, "duration_s", 0.001, 0.0),
+    (ChaosSpec, "crash_rate", 0.0, -0.001),
+    (ChaosSpec, "hang_rate", 0.0, -0.001),
+    (ChaosSpec, "heartbeat_drop_rate", 0.0, -0.001),
+    (ChaosSpec, "heartbeat_drop_rate", 1.0, 1.001),
+    (ChaosSpec, "torn_frame_rate", 0.0, -0.001),
+    (ChaosSpec, "torn_frame_rate", 1.0, 1.001),
+    (ChaosSpec, "slow_frame_rate", 0.0, -0.001),
+    (ChaosSpec, "slow_frame_rate", 1.0, 1.001),
+    (ChaosSpec, "slow_frame_ms", 0.0, -0.001),
+    (ChaosSpec, "gateway_latency_ms", 0.0, -0.001),
+    (ClusterSpec, "heartbeat_interval", 0.001, 0.0),
+    (ClusterSpec, "max_restart_attempts", 1, 0),
+    (ClusterSpec, "min_worker_uptime", 0.0, -0.001),
+    (ClusterSpec, "restart_backoff_s", 0.0, -0.001),
+    (ServeSpec, "max_batch_size", 1, 0),
+    (ServeSpec, "max_wait_ms", 0.0, -0.001),
+    (ServeSpec, "queue_capacity", 1, 0),
+    (ServeSpec, "pool_capacity", 1, 0),
+    (ServeSpec, "requests", 1, 0),
+    (ServeSpec, "concurrency", 1, 0),
+    (ServeSpec, "workers", 1, 0),
+    (ServeSpec, "routing", "model-affinity", "random"),
+    (RunSpec, "name", "r", ""),
+]
+
+#: Cross-field rules: (node, the field the error names, accepted, rejected).
+CROSS_FIELD = [
+    (ClusterSpec, "heartbeat_timeout",
+     dict(heartbeat_interval=1.0, heartbeat_timeout=1.001),
+     dict(heartbeat_interval=1.0, heartbeat_timeout=1.0)),
+    (ClusterSpec, "restart_backoff_max_s",
+     dict(restart_backoff_s=2.0, restart_backoff_max_s=2.0),
+     dict(restart_backoff_s=2.0, restart_backoff_max_s=1.999)),
+    (AutoscalerSpec, "max_workers",
+     dict(min_workers=3, max_workers=3), dict(min_workers=3, max_workers=2)),
+    (AutoscalerSpec, "scale_down_queue_depth",
+     dict(scale_up_queue_depth=2.0, scale_down_queue_depth=1.999),
+     dict(scale_up_queue_depth=2.0, scale_down_queue_depth=2.0)),
+    (GatewaySpec, "slo_ms",
+     dict(slo_ms={"low": 0.001}), dict(slo_ms={"low": 0.0})),
+]
+
+SPEC_NODES = [ModelSpec, FrameworkSpec, QuantizationSpec, EngineSpec, EvaluationSpec,
+              GatewaySpec, AutoscalerSpec, ChaosSpec, ClusterSpec, ServeSpec, RunSpec]
+
+
+class TestDeclaredBounds:
+    @pytest.mark.parametrize(
+        "node,name,inside,outside", BOUNDS,
+        ids=[f"{node.__name__}.{name}={outside!r}" for node, name, _, outside in BOUNDS])
+    def test_each_bound_admits_its_edge_and_rejects_the_next_value(
+            self, node, name, inside, outside):
+        assert getattr(node(**{name: inside}), name) == inside
+        with pytest.raises(ValueError, match=rf"{node.__name__}\.{name} must"):
+            node(**{name: outside})
+        # The same rejection through the dict/JSON entry point.
+        with pytest.raises(ValueError, match=rf"{node.__name__}\.{name} must"):
+            node.from_dict({name: outside})
+
+    @pytest.mark.parametrize(
+        "node,name,accepted,rejected", CROSS_FIELD,
+        ids=[f"{node.__name__}.{name}" for node, name, _, _ in CROSS_FIELD])
+    def test_cross_field_rules(self, node, name, accepted, rejected):
+        node(**accepted)
+        with pytest.raises(ValueError, match=rf"{node.__name__}\.{name}"):
+            node(**rejected)
+
+    def test_every_declared_rule_is_in_the_table(self):
+        declared = {(node, spec_field.name, rule)
+                    for node in SPEC_NODES
+                    for spec_field in dataclasses.fields(node)
+                    for rule in spec_field.metadata}
+        tabled = set()
+        for node, name, _, outside in BOUNDS:
+            metadata = next(f.metadata for f in dataclasses.fields(node) if f.name == name)
+            # The rule an outside value breaks is the one the row covers.
+            for rule, bound in metadata.items():
+                holds = spec_module._RULES[rule][0]
+                if not holds(outside, bound):
+                    tabled.add((node, name, rule))
+        assert declared == tabled
+
+    def test_spec_nodes_list_is_complete(self):
+        nodes = {value for value in vars(spec_module).values()
+                 if isinstance(value, type)
+                 and issubclass(value, spec_module._SpecNode)
+                 and value is not spec_module._SpecNode}
+        assert nodes == set(SPEC_NODES)
+
+    def test_wrong_typed_value_names_the_field(self):
+        with pytest.raises(ValueError, match=r"ServeSpec\.max_batch_size"):
+            ServeSpec(max_batch_size="4")
+        with pytest.raises(ValueError, match=r"ChaosSpec\.crash_rate"):
+            ChaosSpec(crash_rate=None)
+
+
+class TestEveryNodeRoundTrips:
+    @pytest.mark.parametrize("node", SPEC_NODES, ids=lambda node: node.__name__)
+    def test_defaults_round_trip(self, node):
+        spec = node()
+        assert node.from_dict(spec.to_dict()) == spec
+        assert node.from_json(spec.to_json()) == spec
+
+    def test_non_default_tree_round_trips_node_by_node(self):
+        run = RunSpec.from_dict(FULL_SPEC_DICT)
+        nodes = [run, run.model, run.framework, run.quantization, run.engine,
+                 run.evaluation, run.serve, run.serve.gateway, run.serve.cluster,
+                 run.serve.cluster.autoscaler, run.serve.chaos]
+        assert {type(node) for node in nodes} == set(SPEC_NODES)
+        for node in nodes:
+            assert type(node).from_dict(node.to_dict()) == node

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.pipeline.spec import ChaosSpec
+from repro.pipeline.spec import ChaosSpec, ClusterSpec
 from repro.serving import BatchPolicy
 from repro.serving.chaos import FaultInjector, run_chaos_drill
 from repro.serving.cluster import Router
@@ -120,8 +120,9 @@ def cluster_policy():
 
 def run_short_drill(artifact_path, policy, chaos, rate_rps=60.0):
     with Router(artifact_path, workers=2, policy=policy,
-                heartbeat_interval=0.1, heartbeat_timeout=1.0,
-                restart_backoff_s=0.05, restart_backoff_max_s=0.5,
+                cluster=ClusterSpec(
+                    heartbeat_interval=0.1, heartbeat_timeout=1.0,
+                    restart_backoff_s=0.05, restart_backoff_max_s=0.5),
                 chaos=chaos) as router:
         rng = np.random.default_rng(chaos.seed)
         images = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchRunner, max_abs_output_diff
+from repro.pipeline.spec import ClusterSpec
 from repro.serving import BatchPolicy
 from repro.serving.cluster import (
     ArrayChannel,
@@ -148,6 +149,18 @@ class TestClusterMetrics:
         assert metrics.throughput() == 0.0
         assert metrics.report()["cluster"]["completed"] == 0
 
+    def test_windowed_p95_is_the_percentile_every_report_uses(self):
+        # One percentile definition repo-wide (interpolated, numpy's default):
+        # the autoscaler's control signal must agree with the reported p95 of
+        # the same samples — nearest-rank would say 4.0 ms here.
+        metrics = ClusterMetrics()
+        for latency_ms in (1.0, 2.0, 3.0, 4.0):
+            metrics.record_submit("w0")
+            metrics.record_completion("w0", latency_ms / 1e3)
+        assert metrics.recent_p95_ms() == pytest.approx(3.85)
+        assert metrics.report()["cluster"]["latency"]["p95_ms"] == pytest.approx(3.85)
+        assert ClusterMetrics().recent_p95_ms() == 0.0
+
     def test_reset_zeroes_ledgers(self):
         metrics = ClusterMetrics()
         metrics.record_submit("w0")
@@ -188,7 +201,7 @@ class TestRouterCluster:
     def test_killed_worker_restarts_with_zero_drops(self, artifact_path, images,
                                                     cluster_policy):
         with Router(artifact_path, workers=2, policy=cluster_policy,
-                    heartbeat_interval=0.1) as router:
+                    cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
             futures = [router.submit(images[i % images.shape[0]], block=True,
                                      timeout=60.0) for i in range(32)]
             router.workers[0].kill()
@@ -223,7 +236,7 @@ class TestRouterCluster:
         runs off the monitor thread, so both slots get restarted and every
         request completes."""
         with Router(artifact_path, workers=2, policy=cluster_policy,
-                    heartbeat_interval=0.1) as router:
+                    cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
             futures = [router.submit(images[i % images.shape[0]], block=True,
                                      timeout=60.0) for i in range(24)]
             for worker in router.workers:
@@ -247,7 +260,8 @@ class TestRouterCluster:
 
         missing = str(tmp_path / "gone.npz")
         router = Router(missing, workers=1, policy=cluster_policy,
-                        heartbeat_interval=0.05, max_restart_attempts=2)
+                        cluster=ClusterSpec(heartbeat_interval=0.05,
+                                            max_restart_attempts=2))
         try:
             deadline = time.time() + 60.0
             while time.time() < deadline and len(router._abandoned) < 1:

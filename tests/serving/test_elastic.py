@@ -23,6 +23,7 @@ import types
 import numpy as np
 import pytest
 
+from repro.pipeline.spec import AutoscalerSpec, ClusterSpec
 from repro.serving import BatchPolicy
 from repro.serving.cluster import ArtifactSwapError, Router
 from repro.serving.elastic import Autoscaler
@@ -64,7 +65,7 @@ def make_scaler(router, **kwargs):
     defaults = dict(min_workers=1, max_workers=4, cooldown_up_s=0.0,
                     cooldown_down_s=0.0)
     defaults.update(kwargs)
-    return Autoscaler(router, **defaults)
+    return Autoscaler(router, AutoscalerSpec(**defaults))
 
 
 class TestAutoscalerDecisions:
@@ -124,14 +125,13 @@ class TestAutoscalerDecisions:
         assert scaler.evaluate_once() == "hold"
         assert len(router.workers) == 3
 
-    def test_from_spec_threads_the_knobs(self):
-        from repro.pipeline.spec import AutoscalerSpec
-
+    def test_the_spec_node_is_the_configuration(self):
+        # No copy: the controller reads the node it was handed, and a bare
+        # Autoscaler(router) runs on the spec's own defaults.
         spec = AutoscalerSpec(enabled=True, min_workers=2, max_workers=6,
                               slo_p95_ms=80.0, cooldown_up_s=1.5)
-        scaler = Autoscaler.from_spec(StubRouter(workers=2), spec)
-        assert scaler.min_workers == 2 and scaler.max_workers == 6
-        assert scaler.slo_p95_ms == 80.0 and scaler.cooldown_up_s == 1.5
+        assert Autoscaler(StubRouter(workers=2), spec).spec is spec
+        assert Autoscaler(StubRouter()).spec == AutoscalerSpec()
 
     def test_supervisor_thread_lifecycle(self):
         router = StubRouter(workers=1, outstanding=10)
@@ -143,12 +143,6 @@ class TestAutoscalerDecisions:
         assert len(router.workers) >= 2
         with pytest.raises(RuntimeError, match="called twice"):
             scaler.start()
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError, match="min_workers"):
-            Autoscaler(StubRouter(), min_workers=0)
-        with pytest.raises(ValueError, match="min_workers"):
-            Autoscaler(StubRouter(), min_workers=4, max_workers=2)
 
 
 # ------------------------------------------------------------- live elasticity
@@ -221,7 +215,7 @@ class TestElasticRouter:
         """The upgrade-mid-load drill: rolling swap with live traffic must
         drop nothing and leave every slot on the new artifact."""
         with Router(artifact_path, workers=2, policy=cluster_policy,
-                    heartbeat_interval=0.1) as router:
+                    cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
             with LoadThread(router, images) as load:
                 time.sleep(0.3)                        # traffic flowing
                 router.swap_artifact(artifact_path_v2)
@@ -239,7 +233,7 @@ class TestElasticRouter:
         """A worker dying right after the rollout must be respawned on the
         *new* artifact — the monitor reads the already-updated path."""
         with Router(artifact_path, workers=2, policy=cluster_policy,
-                    heartbeat_interval=0.1) as router:
+                    cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
             router.swap_artifact(artifact_path_v2)
             router.workers[0].kill()
             deadline = time.time() + 60.0
@@ -260,7 +254,7 @@ class TestElasticRouter:
         the swap aborts with ArtifactSwapError, nothing is dropped, and the
         fleet is coherently back on the old version."""
         with Router(artifact_path, workers=2, policy=cluster_policy,
-                    heartbeat_interval=0.1) as router:
+                    cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
             real_spawn = router._spawn
 
             def sabotage(slot):
@@ -328,7 +322,7 @@ class TestGracefulDegradation:
     def test_shedding_can_be_disabled(self, artifact_path, images,
                                       cluster_policy):
         with Router(artifact_path, workers=1, policy=cluster_policy,
-                    shed_low_priority=False) as router:
+                    cluster=ClusterSpec(shed_low_priority=False)) as router:
             with router._lock:
                 router._respawning.add(0)
             # Even degraded, low traffic queues instead of shedding...

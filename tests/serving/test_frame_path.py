@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchRunner, max_abs_output_diff
-from repro.pipeline.spec import GatewaySpec
+from repro.pipeline.spec import ClusterSpec, GatewaySpec
 from repro.serving import BatchPolicy, InferenceService, Router
 from repro.serving.batcher import InferenceFuture
 from repro.serving.cluster.channel import (
@@ -196,7 +196,8 @@ def test_worker_killed_mid_burst_through_the_gateway_loses_nothing(
     count = 1024
     direct = BatchRunner(serve_artifact.compiled, batch_size=1).run(images)
     policy = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, queue_capacity=count)
-    with Router(artifact_path, workers=2, policy=policy, heartbeat_interval=0.1) as router:
+    with Router(artifact_path, workers=2, policy=policy,
+                cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
         assert all(worker.wait_ready(60.0) for worker in router.workers)
         server = start_gateway(router, max_inflight_per_client=count)
         try:

@@ -22,6 +22,7 @@ from repro.obs.tracing import (
     get_trace_buffer,
     set_tracing,
 )
+from repro.pipeline.spec import ClusterSpec
 from repro.serving import BatchPolicy, InferenceService
 from repro.serving.cluster import ArrayChannel, Router
 
@@ -165,7 +166,7 @@ class TestClusterTracing:
                                                          images, policy, traced):
         requests = 24
         with Router(artifact_path, workers=2, policy=policy,
-                    heartbeat_interval=0.1) as router:
+                    cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
             futures = [router.submit(images[i % images.shape[0]], block=True,
                                      timeout=60.0) for i in range(requests)]
             router.workers[0].kill()

@@ -14,6 +14,7 @@ import types
 
 import pytest
 
+from repro.pipeline.spec import ClusterSpec
 from repro.serving.cluster.metrics import ClusterMetrics
 from repro.serving.cluster.router import Router, WorkerUnavailableError
 
@@ -85,8 +86,8 @@ class StubWorker:
 def make_router(worker, max_restart_attempts=2, restart=True):
     router = Router.__new__(Router)
     router.restart = restart
-    router.max_restart_attempts = max_restart_attempts
-    router.min_worker_uptime = 1.0
+    router.cluster = ClusterSpec(max_restart_attempts=max_restart_attempts,
+                                 min_worker_uptime=1.0)
     router.metrics = ClusterMetrics()
     router.last_fatal_error = None
     lock = TrackingLock()
