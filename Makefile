@@ -21,7 +21,9 @@
 #   make gateway-smoke the artifact served over localhost TCP through the
 #                      async gateway (repro.serving.gateway) and driven with
 #                      the wire-level client; exits non-zero unless the wire
-#                      results are bit-identical to in-process submits
+#                      results are bit-identical to in-process submits (the
+#                      2-worker leg sends a submit_many longer than one burst
+#                      frame and also checks it against the direct output)
 #   make chaos-smoke   seeded fault-injection drill against the 2-worker
 #                      cluster (repro chaos: crash schedule under open-loop
 #                      load; exits non-zero on any dropped request or if p95
@@ -35,6 +37,11 @@
 #                      speedups (writes benchmarks/BENCH_*.json)
 #   make bench-check   compare BENCH_*.json against benchmarks/baselines.json
 #                      (±tolerance band; non-zero exit on regression)
+#   make bench-record  run the frozen repo benchmark (python3 -m bench
+#                      --workload all, BENCH_RUNS untraced runs per workload
+#                      from BENCH_SEED, plus one traced) and append one line —
+#                      commit, host fingerprint, median + quartiles per metric
+#                      and workload — to docs/perf/history.jsonl (~10 min)
 #   make docs-check    docs hygiene: README exists, docs/ exists, and every
 #                      src/repro/* package is mentioned in the README module map
 
@@ -44,7 +51,7 @@ export PYTHONPATH
 
 SMOKE_SPEC ?= examples/specs/tiny_rtoss3ep.json
 
-.PHONY: test test-engine lint lint-baseline smoke serve-smoke cluster-smoke gateway-smoke chaos-smoke obs-smoke bench bench-check docs-check
+.PHONY: test test-engine lint lint-baseline smoke serve-smoke cluster-smoke gateway-smoke chaos-smoke obs-smoke bench bench-check bench-record docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -92,7 +99,10 @@ gateway-smoke:
 	@test -f artifacts/serve-smoke.npz || \
 		$(PYTHON) -m repro.cli run --spec $(SMOKE_SPEC) --artifact artifacts/serve-smoke.npz --no-verify
 	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --requests 32 --concurrency 4 --gateway 127.0.0.1:0
-	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --workers 2 --requests 32 --concurrency 4 --gateway 127.0.0.1:0
+	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --workers 2 --requests 80 --concurrency 4 --gateway 127.0.0.1:0 \
+		> artifacts/gateway-smoke.log; status=$$?; cat artifacts/gateway-smoke.log; test $$status -eq 0
+	@grep -Eq 'in ([2-9]|[1-9][0-9]+) burst frames\): bit-identical OK' artifacts/gateway-smoke.log \
+		|| { echo "gateway-smoke: the submit_many was not longer than one burst frame"; exit 1; }
 
 chaos-smoke:
 	@test -f artifacts/serve-smoke.npz || \
@@ -115,6 +125,13 @@ bench:
 
 bench-check:
 	$(PYTHON) tools/bench_check.py --baselines benchmarks/baselines.json --bench-dir benchmarks
+
+BENCH_RUNS ?= 3
+BENCH_SEED ?= 0
+BENCH_LABEL ?=
+
+bench-record:
+	$(PYTHON) tools/bench_record.py --runs $(BENCH_RUNS) --seed $(BENCH_SEED) --label "$(BENCH_LABEL)"
 
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing"; exit 1; }

@@ -678,6 +678,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.engine import BatchRunner, max_abs_output_diff
     from repro.serving import closed_loop, open_loop
+    from repro.serving.cluster.channel import burst_images
 
     artifact = _load_cli_artifact(args.artifact)
     if artifact is None:
@@ -736,9 +737,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # in-process submit — the serialization hop adds no numerics.
             wire = stack.target.submit_many(images)
             identical = max_abs_output_diff(wire, backend.submit_many(images)) == 0.0
-            print(f"gateway wire client vs in-process submit_many: "
+            frames = -(-len(images) // burst_images(images[0].nbytes))
+            print(f"gateway wire client vs in-process submit_many "
+                  f"({len(images)} images in {frames} burst frame{'s' * (frames != 1)}): "
                   f"{'bit-identical OK' if identical else 'MISMATCH'}")
             if not identical:
+                return 1
+            if sequential is not None and max_abs_output_diff(wire, sequential) >= 1e-5:
+                print("gateway wire client vs sequential BatchRunner: MISMATCH")
                 return 1
             stack.gateway.metrics.reset()
         # Zero the ledgers so the tables below cover the load phase only.

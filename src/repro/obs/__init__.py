@@ -38,6 +38,7 @@ from repro.obs.tracing import (
     current_trace_id,
     get_trace_buffer,
     mint_trace,
+    mint_traces,
     set_tracing,
     span,
     tracing_enabled,
@@ -56,6 +57,7 @@ __all__ = [
     "current_trace_id",
     "get_trace_buffer",
     "mint_trace",
+    "mint_traces",
     "set_tracing",
     "span",
     "tracing_enabled",

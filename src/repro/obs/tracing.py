@@ -42,6 +42,7 @@ __all__ = [
     "activate",
     "get_trace_buffer",
     "mint_trace",
+    "mint_traces",
     "set_tracing",
     "span",
     "tracing_enabled",
@@ -399,6 +400,13 @@ def mint_trace() -> Optional[TraceContext]:
     if not _ENABLED:
         return None
     return TraceContext()
+
+
+def mint_traces(count: int) -> Optional[List[TraceContext]]:
+    """One new context per request of a burst when tracing is armed, else ``None``."""
+    if not _ENABLED:
+        return None
+    return [TraceContext() for _ in range(count)]
 
 
 def _reinit_after_fork() -> None:

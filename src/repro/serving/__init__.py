@@ -10,17 +10,19 @@ real-time claim:
 * :mod:`repro.serving.pool` — :class:`ModelPool`, an LRU-bounded pool of
   loaded, warmed, compiled models keyed by artifact path,
 * :mod:`repro.serving.batcher` — :class:`DynamicBatcher`, a thread-safe queue
-  that coalesces single-image requests into micro-batches
-  (``max_batch_size`` / ``max_wait_ms``) with bounded-queue admission control
-  and per-request :class:`InferenceFuture`\\ s,
+  that coalesces requests — single images, or bursts admitted as one unit —
+  into micro-batches (``max_batch_size`` / ``max_wait_ms``) with bounded-queue
+  admission control, and :class:`InferenceFuture`, the handle to one request
+  or to a burst of them,
 * :mod:`repro.serving.service` — :class:`InferenceService`, the front door:
-  ``submit()`` / ``submit_many()`` / graceful ``shutdown()``, with optional
-  detection postprocessing (:func:`make_yolo_postprocess`),
+  ``submit()`` / ``submit_group()`` / ``submit_many()`` / graceful
+  ``shutdown()``, with optional detection postprocessing
+  (:func:`make_yolo_postprocess`),
 * :mod:`repro.serving.metrics` — :class:`ServingMetrics`, p50/p95/p99 latency,
   throughput, queue depth and batch-size distribution as plain dicts,
 * :mod:`repro.serving.api` — the formal :class:`InferenceTarget` protocol
-  (``submit`` / ``submit_many`` / ``shutdown`` / ``stats``) and the priority
-  classes every implementation schedules by,
+  (``submit`` / ``submit_group`` / ``submit_many`` / ``shutdown`` / ``stats``)
+  and the priority classes every implementation schedules by,
 * :mod:`repro.serving.errors` — the unified exception hierarchy with stable
   wire codes (:class:`QueueFullError`, :class:`DeadlineExceededError`, ...),
 * :mod:`repro.serving.loadgen` — closed-loop, Poisson open-loop and

@@ -3,16 +3,22 @@
 Everything that serves inference in this repo — the in-process
 :class:`~repro.serving.service.InferenceService`, the multi-process
 :class:`~repro.serving.cluster.router.Router`, and the network
-:class:`~repro.serving.gateway.GatewayClient` — exposes the same four-method
+:class:`~repro.serving.gateway.GatewayClient` — exposes the same five-method
 surface, so load generators, benchmarks and the CLI can swap one for another
 without caring where the model actually runs:
 
 * ``submit`` — admit one ``(C, H, W)`` image, get an
   :class:`~repro.serving.batcher.InferenceFuture`; non-blocking submits raise
   a typed :class:`~repro.serving.errors.ServingError` on rejection,
-* ``submit_many`` — blocking convenience over a stack, outputs concatenated
-  in request order (directly comparable to a sequential
-  :class:`~repro.engine.runner.BatchRunner` run),
+* ``submit_group`` — admit a burst (an ``(N, C, H, W)`` stack or N images) as
+  one unit, get one future over the N requests: admitted, routed, framed and
+  answered per micro-batch instead of per image.  ``submit`` is its N = 1
+  case.  Limits count images — the requests past one fail with the typed
+  error while the others go on — and only a burst of which nothing was
+  admitted raises,
+* ``submit_many`` — blocking convenience over a stack (group submits, one
+  wait), outputs concatenated in request order (directly comparable to a
+  sequential :class:`~repro.engine.runner.BatchRunner` run),
 * ``shutdown`` — graceful drain / disconnect (idempotent),
 * ``stats`` — the target's metrics report as one nested plain dict.
 
@@ -98,6 +104,16 @@ class InferenceTarget(Protocol):
     def submit(
         self,
         image: np.ndarray,
+        model: Optional[str] = None,
+        block: bool = False,
+        timeout: Optional[float] = None,
+        priority: str = DEFAULT_PRIORITY,
+        deadline_ms: Optional[float] = None,
+    ) -> InferenceFuture: ...
+
+    def submit_group(
+        self,
+        images: Union[np.ndarray, Sequence[np.ndarray]],
         model: Optional[str] = None,
         block: bool = False,
         timeout: Optional[float] = None,

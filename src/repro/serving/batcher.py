@@ -1,25 +1,39 @@
-"""Dynamic micro-batching: coalesce single-image requests into model batches.
+"""Dynamic micro-batching: coalesce requests into model batches.
 
 The R-TOSS engine's compiled GEMMs amortize their gather/launch overhead over
 the batch axis, so serving one image at a time throws most of the measured
 kernel speedup away.  :class:`DynamicBatcher` recovers it at the service
-boundary: producers :meth:`~DynamicBatcher.submit` single images and get a
+boundary: producers :meth:`~DynamicBatcher.submit` single images — or
+:meth:`~DynamicBatcher.submit_group` a burst of them as one unit — and get an
 :class:`InferenceFuture` back; a dedicated worker thread coalesces queued
 requests into micro-batches under a :class:`BatchPolicy` — a batch closes when
 it reaches ``max_batch_size`` *or* when the oldest request in it has waited
-``max_wait_ms`` — executes the batch, and resolves each request's future with
-its slice of the batched output.
+``max_wait_ms`` — executes the batch, and resolves each run of requests that
+came in together with its slice of the batched output.
+
+A burst is one unit
+-------------------
+A group of N images is admitted under one lock acquisition and one wake-up,
+waits in the queue as one entry (a *segment*), and is cut into micro-batches
+on the way out.  A micro-batch that is a contiguous run of one ``(N, C, H, W)``
+stack is a zero-copy slice of it — no ``np.stack`` — and every executed run
+is resolved with one call: one lock, one callback, one output slice.  A
+single :meth:`~DynamicBatcher.submit` is the N = 1 case of the same code.
+Everything below keeps its per-image meaning: a segment counts its images
+against ``queue_capacity``, and a burst that does not fit is admitted in the
+chunks that do.
 
 Backpressure is explicit: the queue is bounded by ``queue_capacity`` and a
-non-blocking :meth:`~DynamicBatcher.submit` raises :class:`QueueFullError`
-instead of buffering unboundedly (admission control); ``block=True`` turns the
-same bound into producer backpressure.  Shutdown drains: every request admitted
-before :meth:`~DynamicBatcher.shutdown` is executed and resolved — nothing is
-dropped (except requests whose deadline expires, see below).
+non-blocking submit is refused with :class:`QueueFullError` instead of
+buffering unboundedly (admission control); ``block=True`` turns the same bound
+into producer backpressure.  Shutdown drains: every request admitted before
+:meth:`~DynamicBatcher.shutdown` is executed and resolved — nothing is dropped
+(except requests whose deadline expires, see below).
 
 SLO-aware scheduling (the gateway PR)
 -------------------------------------
-Requests carry a **priority class** and an optional **deadline**:
+Requests carry a **priority class** and an optional **deadline** (a burst
+shares one of each):
 
 * the queue is a priority heap ordered by ``(class rank, admission order)``
   — between GEMMs the worker refills the next micro-batch from the highest
@@ -28,11 +42,12 @@ Requests carry a **priority class** and an optional **deadline**:
 * a request whose ``deadline_ms`` already passed — or would pass during the
   queue's *expected wait* (queue depth × mean batch duration) — is rejected
   at admission with :class:`DeadlineExceededError` instead of being queued,
-* a request that expires while queued is **dropped** (its future fails with
+* a request that expires while queued is **dropped** (it fails with
   :class:`DeadlineExceededError`) rather than executed; the batcher re-checks
-  immediately before execution, so an expired request never reaches a GEMM,
+  immediately before execution, so an expired request never reaches a GEMM —
+  the part of a burst that already ran keeps its results,
 * when the queue is full, an arriving request may **preempt** the newest
-  queued request of a strictly lower class (the victim's future fails with
+  queued request of a strictly lower class (the victim fails with
   :class:`AdmissionRejectedError`) — under overload the low class absorbs
   the rejections while the high class keeps its SLO.
 """
@@ -44,12 +59,19 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.runner import RunnerStats, _split_outputs
+from repro.engine.runner import (
+    RunnerStats,
+    _concat_outputs,
+    _copy_if_aliased,
+    _split_outputs,
+    map_structure,
+)
 from repro.obs.tracing import TraceContext
+from repro.serving.api import priority_index
 from repro.serving.errors import (
     AdmissionRejectedError,
     DeadlineExceededError,
@@ -63,11 +85,15 @@ from repro.utils.logging import get_logger
 __all__ = [
     "BatchPolicy",
     "DynamicBatcher",
+    "Images",
     "InferenceFuture",
     "QueueFullError",
     "ServiceClosedError",
     "WorkerUnavailableError",
-    "submit_stack",
+    "as_images",
+    "collect",
+    "one_image",
+    "submit_bursts",
 ]
 
 logger = get_logger("serving.batcher")
@@ -75,6 +101,11 @@ logger = get_logger("serving.batcher")
 # QueueFullError / ServiceClosedError / WorkerUnavailableError were defined
 # here before repro.serving.errors unified the hierarchy; the imports above
 # double as deprecation aliases so historical import paths keep working.
+
+#: The images of a group: one ``(N, C, H, W)`` stack, or N separate
+#: ``(C, H, W)`` arrays.  Both slice by request index; neither is joined or
+#: copied on the way to the micro-batch that runs it.
+Images = Union[np.ndarray, List[np.ndarray]]
 
 
 @dataclass
@@ -105,38 +136,94 @@ class BatchPolicy:
             raise ValueError(f"BatchPolicy.queue_capacity must be >= 1, got {self.queue_capacity}")
 
 
-class InferenceFuture:
-    """Handle to one in-flight request; resolved by the batcher's worker."""
+def as_images(images: Any) -> Tuple[Images, Tuple[int, ...]]:
+    """Normalise what a group submit was given; returns ``(images, image shape)``.
 
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._result: Any = None
-        self._error: Optional[BaseException] = None
-        self._callback_lock = threading.Lock()
-        #: Pending done-callbacks; ``None`` once resolution drained them.
-        self._callbacks: Optional[List[Callable[["InferenceFuture"], None]]] = []
-        #: ``time.perf_counter()`` at resolution (for client-side latency math).
+    An ndarray must be an ``(N, C, H, W)`` stack and stays one (float32,
+    C-contiguous — a view when it already is); anything else is read as a
+    sequence of ``(C, H, W)`` images of one shape.  Raises ``ValueError`` for
+    an empty group.
+    """
+    if isinstance(images, np.ndarray):
+        if images.ndim != 4:
+            raise ValueError(f"expected an (N, C, H, W) stack, got shape {images.shape}")
+        images = np.ascontiguousarray(images, dtype=np.float32)
+        shape = images.shape[1:]
+    else:
+        images = [np.asarray(image, dtype=np.float32) for image in images]
+        shapes = {image.shape for image in images}
+        if len(shapes) > 1:
+            raise ValueError(f"the images of one group must share a shape, got {sorted(shapes)}")
+        shape = next(iter(shapes), ())
+        if images and len(shape) != 3:
+            raise ValueError(f"expected (C, H, W) images, got shape {shape}")
+    if not len(images):
+        raise ValueError("submit_many received no images")
+    return images, tuple(shape)
+
+
+class InferenceFuture:
+    """Handle to ``count`` in-flight requests admitted as one unit.
+
+    One request (``count == 1``, what ``submit`` returns) or a burst of them
+    with consecutive indices (what ``submit_group`` returns).  Resolvers
+    settle it in **runs** — ``[start, stop)`` index ranges that executed (or
+    failed) together — and :meth:`result` puts the runs back in request order.
+    With ``itemized`` set, a run's outputs are a list of per-request values
+    (postprocessed results) instead of one array structure batched over it.
+    """
+
+    __slots__ = ("count", "traces", "resolved_at", "_itemized", "_lock",
+                 "_remaining", "_runs", "_event", "_callbacks")
+
+    def __init__(self, count: int = 1, itemized: bool = False) -> None:
+        self.count = count
+        #: One :class:`repro.obs.TraceContext` per request when tracing is
+        #: armed (set at admission), else ``None`` — how callers correlate a
+        #: result with its spans in the trace buffer.
+        self.traces: Optional[Sequence[TraceContext]] = None
+        #: ``time.perf_counter()`` when the last request resolved (for
+        #: client-side latency math).
         self.resolved_at: Optional[float] = None
-        #: The request's :class:`repro.obs.TraceContext` when tracing is armed
-        #: (set at admission), else ``None`` — how callers correlate a result
-        #: with its spans in the trace buffer.
-        self.trace: Optional[TraceContext] = None
+        self._itemized = itemized
+        self._lock = threading.Lock()
+        self._remaining = count
+        #: Settled runs ``(start, stop, outputs, error)``, in resolution order.
+        self._runs: List[Tuple[int, int, Any, Optional[BaseException]]] = []
+        #: Made by the first waiter that finds the future unresolved.
+        self._event: Optional[threading.Event] = None
+        #: ``(callback, per_run)`` registered before resolution; replaced, never
+        #: mutated, so a resolver iterates the tuple it read under the lock.
+        self._callbacks: Tuple[Tuple[Callable[..., None], bool], ...] = ()
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return not self._remaining
 
-    def result(self, timeout: Optional[float] = None) -> Any:
-        """Block until resolved; re-raises the batch's exception on failure."""
-        if not self._event.wait(timeout):
+    def _wait(self, timeout: Optional[float]) -> None:
+        with self._lock:
+            if not self._remaining:
+                return
+            if self._event is None:
+                self._event = threading.Event()
+            event = self._event
+        if not event.wait(timeout):
             raise TimeoutError("inference request did not complete in time")
-        if self._error is not None:
-            raise self._error
-        return self._result
 
     def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        if not self._event.wait(timeout):
-            raise TimeoutError("inference request did not complete in time")
-        return self._error
+        """Block until resolved; the error of the earliest failed request, if any."""
+        self._wait(timeout)
+        failed = [run for run in self._runs if run[3] is not None]
+        return min(failed, key=lambda run: run[0])[3] if failed else None
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        """Block until resolved; re-raises the batch's exception on failure.
+
+        One request resolves to its own output (batch axis of length 1); a
+        burst to its outputs concatenated along the batch axis in request
+        order (the per-request values as a list, when ``itemized``).
+        """
+        value = collect((self,), timeout)
+        return value[0] if self._itemized and self.count == 1 else value
 
     def add_done_callback(self, callback: Callable[["InferenceFuture"], None]) -> None:
         """Call ``callback(self)`` when resolved (immediately if it already is).
@@ -146,84 +233,195 @@ class InferenceFuture:
         the async gateway uses this to hop results back onto its event loop
         without parking a thread per outstanding request.
         """
-        with self._callback_lock:
-            if self._callbacks is not None:
-                self._callbacks.append(callback)
+        with self._lock:
+            if self._remaining:
+                self._callbacks += ((callback, False),)
                 return
         callback(self)
 
+    def add_run_callback(self, callback: Callable[..., None]) -> None:
+        """Call ``callback(self, start, stop, outputs, error)`` for every run.
+
+        Runs settled before the registration are delivered at once, on this
+        thread; later ones on their resolving thread, as they happen — so a
+        hop can answer each micro-batch of a burst without waiting for the
+        rest.  Each run is delivered exactly once.
+        """
+        with self._lock:
+            settled = list(self._runs)
+            if self._remaining:
+                self._callbacks += ((callback, True),)
+        for run in settled:
+            callback(self, *run)
+
     # ------------------------------------------------------------------ internal
     def _resolve(self, result: Any) -> None:
-        self._result = result
-        self.resolved_at = time.perf_counter()
-        self._event.set()
-        self._run_callbacks()
+        """Settle every request at once with the outputs batched over them."""
+        self._settle(0, self.count, result, None)
 
     def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self.resolved_at = time.perf_counter()
-        self._event.set()
-        self._run_callbacks()
+        """Fail every request that has not settled yet."""
+        with self._lock:
+            gaps, position = [], 0
+            for start, stop in sorted(run[:2] for run in self._runs) + [(self.count,) * 2]:
+                if start > position:
+                    gaps.append((position, start, None, error))
+                position = max(position, stop)
+            if not gaps:
+                return
+            woken = self._record_locked(gaps)
+        self._notify(gaps, *woken)
 
-    def _run_callbacks(self) -> None:
-        with self._callback_lock:
-            callbacks = self._callbacks
-            self._callbacks = None
-        for callback in callbacks or ():
+    def _settle(self, start: int, stop: int, outputs: Any,
+                error: Optional[BaseException]) -> None:
+        """Record the run ``[start, stop)`` and tell whoever waits for it."""
+        runs = [(start, stop, outputs, error)]
+        with self._lock:
+            if stop - start > self._remaining:
+                return               # already failed as a whole: first word wins
+            woken = self._record_locked(runs)
+        self._notify(runs, *woken)
+
+    def _record_locked(self, runs):  # reprolint: holds=_lock
+        self._runs.extend(runs)
+        self._remaining -= sum(run[1] - run[0] for run in runs)
+        callbacks, done = self._callbacks, not self._remaining
+        if done:
+            self._callbacks = ()
+            self.resolved_at = time.perf_counter()
+        return callbacks, done, self._event
+
+    def _notify(self, runs, callbacks, done, event) -> None:
+        """Outside the lock: wake the waiter, then run the callbacks."""
+        if done and event is not None:
+            event.set()
+        for callback, per_run in callbacks:
             try:
-                callback(self)
+                if per_run:
+                    for run in runs:
+                        callback(self, *run)
+                elif done:
+                    callback(self)
             except Exception:  # pragma: no cover - callbacks must not kill resolvers
-                logger.exception("InferenceFuture done-callback raised")
+                logger.exception("InferenceFuture callback raised")
 
 
-def submit_stack(submit_one: Callable[[np.ndarray], "InferenceFuture"],
-                 images, timeout: Optional[float] = None) -> List[Any]:
-    """The shared ``submit_many`` protocol: unstack, submit, collect in order.
+def collect(futures: Iterable[InferenceFuture], timeout: Optional[float] = None) -> Any:
+    """Wait for every future (``timeout`` each) and join their outputs once.
 
-    Splits an ``(N, C, H, W)`` ndarray (or accepts a sequence of images),
-    submits every image through ``submit_one`` (expected to block for
-    backpressure) and waits for all results in request order.  Shared by
-    :meth:`InferenceService.submit_many`, the cluster :meth:`Router.submit_many`
-    and the gateway :meth:`GatewayClient.submit_many` so the stack-splitting
-    and ordering semantics cannot drift apart.
+    The outputs of all runs of all futures, in request order, through one
+    concatenation along the batch axis; the earliest failed request's error is
+    raised instead.  ``InferenceFuture.result`` is this over one future, and
+    every ``submit_many`` is a group submit followed by this.
     """
-    if isinstance(images, np.ndarray):
-        if images.ndim != 4:
-            raise ValueError(f"expected an (N, C, H, W) stack, got shape {images.shape}")
-        images = [images[index] for index in range(images.shape[0])]
-    futures = [submit_one(image) for image in images]
-    results = [future.result(timeout) for future in futures]
-    if not results:
-        raise ValueError("submit_many received no images")
-    return results
+    runs: List[Tuple[int, int, Any, Optional[BaseException]]] = []
+    itemized = False
+    for future in futures:
+        future._wait(timeout)
+        runs.extend(sorted(future._runs, key=lambda run: run[0]))
+        itemized = future._itemized
+    for run in runs:
+        if run[3] is not None:
+            raise run[3]
+    if itemized:
+        return [item for run in runs for item in run[2]]
+    return runs[0][2] if len(runs) == 1 else _concat_outputs([run[2] for run in runs])
 
 
-class _Request:
-    """One queued image plus its future, priority, deadline and timestamps."""
+def submit_bursts(submit_group: Callable[[Images], InferenceFuture], images: Images,
+                  burst: int, window: int, timeout: Optional[float] = None) -> Any:
+    """The ``submit_many`` of a target behind a wire: bursts out, one wait, one join.
 
-    __slots__ = ("image", "future", "enqueued_at", "trace", "enqueued_wall",
-                 "popped_wall", "priority", "cls", "deadline", "seq")
+    ``images`` (as :func:`as_images` returns them) go to ``submit_group`` in
+    frames of ``burst`` images, at most ``window`` of them unanswered at a
+    time — the caller sizes it to keep every hop it feeds busy, while what is
+    in flight (and has to be kept for a re-dispatch) stays a few frames, not
+    the whole stack.  Returns :func:`collect` over the bursts.
+    """
+    futures: List[InferenceFuture] = []
+    for start in range(0, len(images), burst):
+        if len(futures) >= window:
+            futures[-window]._wait(timeout)
+        futures.append(submit_group(images[start:start + burst]))
+    return collect(futures, timeout)
 
-    def __init__(self, image: np.ndarray,
-                 trace: Optional[TraceContext] = None,
-                 priority: int = 1, cls: str = "normal",
-                 deadline: Optional[float] = None, seq: int = 0) -> None:
-        self.image = image
-        self.future = InferenceFuture()
-        self.future.trace = trace
-        self.enqueued_at = time.perf_counter()
-        self.trace = trace
+
+class _Segment:
+    """A run ``[start, stop)`` of one group's requests, waiting in the queue.
+
+    A group admitted at once is one segment; one admitted in chunks (blocking
+    for space) is one per chunk.  The worker takes micro-batches off the front
+    by moving ``start``; preemption takes victims off the back by moving
+    ``stop``.
+    """
+
+    __slots__ = ("future", "images", "start", "stop", "priority", "cls", "deadline",
+                 "enqueued_at", "enqueued_wall", "popped_wall")
+
+    def __init__(self, future: InferenceFuture, images: Images, start: int, stop: int,
+                 priority: int, cls: str, deadline: Optional[float]) -> None:
+        self.future = future
+        #: All images of the group; the segment's own are ``images[start:stop]``.
+        self.images = images
+        self.start = start
+        self.stop = stop
         #: Scheduling rank (0 = best class) and its class name (for metrics).
         self.priority = priority
         self.cls = cls
         #: Absolute ``perf_counter`` deadline, or None for no latency budget.
         self.deadline = deadline
-        #: Admission sequence number: FIFO order within one priority class.
-        self.seq = seq
+        self.enqueued_at = time.perf_counter()
         # Wall-clock (epoch) twins of the perf_counter timestamps, recorded
         # only for traced requests: spans must be comparable across processes.
-        self.enqueued_wall = time.time() if trace is not None else 0.0
+        self.enqueued_wall = time.time() if future.traces is not None else 0.0
         self.popped_wall = 0.0
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.perf_counter() > self.deadline
+
+
+#: One part of a micro-batch: requests ``[start, stop)`` of ``segment.future``.
+_Run = Tuple[_Segment, int, int]
+
+
+def _traces(future: InferenceFuture, start: int, stop: int) -> Sequence[TraceContext]:
+    """The traces of requests ``[start, stop)``; none when tracing is off."""
+    return future.traces[start:stop] if future.traces is not None else ()
+
+
+def _slice_runs(outputs: Any, lengths: List[int]) -> List[Any]:
+    """One batched output split into one part per run (views along the batch axis)."""
+    total = sum(lengths)
+
+    def check(array: np.ndarray) -> np.ndarray:
+        if array.shape[0] != total:
+            raise ValueError(
+                f"cannot split batch axis of length {array.shape[0]} into {total} requests")
+        return array
+
+    map_structure(check, outputs, strict=True)
+    if len(lengths) == 1:
+        return [outputs]
+    parts, start = [], 0
+    for length in lengths:
+        stop = start + length
+        parts.append(map_structure(lambda array, a=start, b=stop: array[a:b], outputs))
+        start = stop
+    return parts
+
+
+def one_image(image: Any) -> np.ndarray:
+    """What ``submit`` was given, as the ``(1, C, H, W)`` stack of a group of one."""
+    image = np.ascontiguousarray(image, dtype=np.float32)
+    if image.ndim == 3:
+        return image[None]
+    if image.ndim != 4:
+        raise ValueError(f"expected a (C, H, W) image, got shape {image.shape}")
+    if image.shape[0] != 1:
+        raise ValueError(
+            f"submit() takes one image, got a batch of {image.shape[0]}; "
+            "use submit_group / InferenceService.submit_many for batches")
+    return image
 
 
 class DynamicBatcher:
@@ -242,7 +440,7 @@ class DynamicBatcher:
     postprocess:
         Optional callable applied to each request's sliced output *outside* the
         queue lock (e.g. detection decoding + NMS); its return value becomes
-        the future's result.
+        the request's result.
     engine_source:
         Optional zero-arg callable resolving to the
         :class:`~repro.engine.compiler.CompiledModel` behind ``run_batch`` (or
@@ -255,6 +453,7 @@ class DynamicBatcher:
     # batcher lock (both Conditions wrap the same lock).
     _guarded_by_ = {
         "_queue": ("_lock", "_work_available", "_space_available"),
+        "_depth": ("_lock", "_work_available", "_space_available"),
         "_closed": ("_lock", "_work_available", "_space_available"),
         "_image_shape": ("_lock", "_work_available", "_space_available"),
     }
@@ -276,16 +475,22 @@ class DynamicBatcher:
         self.name = name
         self.stats = RunnerStats()
 
-        # Priority heap of (rank, seq, request): rank orders by class, seq
+        # Priority heap of (rank, seq, segment): rank orders by class, seq
         # keeps FIFO order within a class (and makes the tuple comparison
-        # never reach the request object).
-        self._queue: List[Tuple[int, int, _Request]] = []
+        # never reach the segment object).
+        self._queue: List[Tuple[int, int, _Segment]] = []
+        #: Requests waiting in the queue: the segments' lengths, summed.
+        self._depth = 0
         self._seq = itertools.count()
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
         self._space_available = threading.Condition(self._lock)
         self._closed = False
         self._image_shape: Optional[Tuple[int, ...]] = None
+        #: Where the worker gathers a batch that is not one slice of a stack
+        #: (worker thread only): made once, so a batch of single requests
+        #: costs a copy of its images, not a fresh half-megabyte array.
+        self._staging: Optional[np.ndarray] = None
         self._worker = threading.Thread(
             target=self._worker_loop, name=f"repro-serving-{name}", daemon=True)
         self._worker.start()
@@ -294,7 +499,7 @@ class DynamicBatcher:
     @property
     def queue_depth(self) -> int:
         with self._lock:
-            return len(self._queue)
+            return self._depth
 
     def expected_wait_seconds(self) -> float:
         """Estimated queueing delay of a request admitted right now.
@@ -310,7 +515,7 @@ class DynamicBatcher:
         mean = self.stats.mean_batch_seconds
         if mean <= 0.0:
             return 0.0
-        return (len(self._queue) / self.policy.max_batch_size) * mean
+        return (self._depth / self.policy.max_batch_size) * mean
 
     def submit(self, image: np.ndarray, block: bool = False,
                timeout: Optional[float] = None,
@@ -320,174 +525,225 @@ class DynamicBatcher:
         """Admit one image; returns its :class:`InferenceFuture`.
 
         ``image`` is a single ``(C, H, W)`` image (a ``(1, C, H, W)`` array is
-        squeezed).  Non-blocking submits raise :class:`QueueFullError` when the
-        queue is at capacity (unless a lower-priority victim can be preempted);
-        ``block=True`` waits for space instead (backpressure), raising
-        :class:`TimeoutError` after ``timeout`` seconds.
-
-        ``priority`` is a class name from
-        :data:`repro.serving.api.PRIORITY_CLASSES`; ``deadline_ms`` is the
-        request's remaining latency budget — infeasible budgets are rejected
-        here with :class:`DeadlineExceededError` and queued requests that
-        outlive theirs are dropped, never executed.
+        squeezed): a group of one, through :meth:`submit_group` — which see
+        for ``block``, ``priority`` and ``deadline_ms``.
 
         ``trace`` (when tracing is armed) rides the request: the batcher closes
         its queue-wait / batch-assembly / worker-execute / postprocess spans.
         """
-        from repro.serving.api import priority_index
+        return self.submit_group(
+            one_image(image), block=block, timeout=timeout,
+            traces=None if trace is None else (trace,),
+            priority=priority, deadline_ms=deadline_ms)
 
+    def submit_group(self, images: Images, block: bool = False,
+                     timeout: Optional[float] = None,
+                     traces: Optional[Sequence[TraceContext]] = None,
+                     priority: str = "normal",
+                     deadline_ms: Optional[float] = None) -> InferenceFuture:
+        """Admit a burst of images as one unit; returns the future over all of them.
+
+        ``images`` is an ``(N, C, H, W)`` stack or a sequence of ``(C, H, W)``
+        images; request ``i`` of the future is image ``i``.  The whole burst
+        goes in under one lock acquisition and one wake-up of the worker when
+        it fits.  When it does not, the queue bound keeps its per-image
+        meaning: a non-blocking submit admits the images that fit (after
+        preempting lower-class victims) and the rest fail with
+        :class:`QueueFullError`; ``block=True`` admits the rest in chunks as
+        space appears (backpressure), failing what is left with
+        :class:`TimeoutError` after ``timeout`` seconds.  A burst of which
+        *nothing* was admitted raises the error instead of returning a future.
+
+        ``priority`` is a class name from
+        :data:`repro.serving.api.PRIORITY_CLASSES`; ``deadline_ms`` is the
+        burst's remaining latency budget — infeasible budgets are rejected
+        here with :class:`DeadlineExceededError` and queued requests that
+        outlive theirs are dropped, never executed.  ``traces`` holds one
+        :class:`~repro.obs.tracing.TraceContext` per image, or is ``None``.
+        """
         rank = priority_index(priority)
-        image = np.ascontiguousarray(image, dtype=np.float32)
-        if image.ndim == 4:
-            if image.shape[0] != 1:
-                raise ValueError(
-                    f"submit() takes one image, got a batch of {image.shape[0]}; "
-                    "use InferenceService.submit_many for batches")
-            image = image[0]
-        if image.ndim != 3:
-            raise ValueError(f"expected a (C, H, W) image, got shape {image.shape}")
+        images, shape = as_images(images)
+        count = len(images)
 
-        request_deadline: Optional[float] = None
+        deadline: Optional[float] = None
         if deadline_ms is not None:
             if deadline_ms <= 0:
                 if self.metrics is not None:
-                    self.metrics.record_rejection(reason="deadline", priority=priority)
+                    self.metrics.record_rejection("deadline", priority, count)
                 raise DeadlineExceededError(
                     f"deadline_ms={deadline_ms} already expired at admission")
-            request_deadline = time.perf_counter() + deadline_ms / 1e3
+            deadline = time.perf_counter() + deadline_ms / 1e3
 
+        future = InferenceFuture(count, itemized=self._postprocess is not None)
+        future.traces = traces
+        give_up = None if timeout is None else time.perf_counter() + timeout
+        admitted = 0
+        refusal: Optional[BaseException] = None
         with self._lock:
             if self._closed:
                 raise ServiceClosedError(f"{self.name} has been shut down")
             if self._image_shape is None:
-                self._image_shape = image.shape
-            elif image.shape != self._image_shape:
+                self._image_shape = shape
+            elif shape != self._image_shape:
                 raise ValueError(
-                    f"image shape {image.shape} does not match the shape this "
+                    f"image shape {shape} does not match the shape this "
                     f"batcher serves {self._image_shape} (one batcher serves one "
                     "input signature)")
-            if request_deadline is not None:
+            if deadline is not None:
                 expected = self._expected_wait_locked()
                 if expected > deadline_ms / 1e3:
                     if self.metrics is not None:
-                        self.metrics.record_rejection(reason="deadline",
-                                                      priority=priority)
+                        self.metrics.record_rejection("deadline", priority, count)
                     raise DeadlineExceededError(
                         f"expected queue wait {expected * 1e3:.1f}ms exceeds the "
                         f"request deadline {deadline_ms:.1f}ms")
-            deadline = None if timeout is None else time.perf_counter() + timeout
-            while len(self._queue) >= self.policy.queue_capacity:
-                if self._preempt_locked(rank):
-                    break           # a lower-class victim made room
-                if not block:
-                    if self.metrics is not None:
-                        self.metrics.record_rejection(reason="queue_full",
-                                                      priority=priority)
-                    raise QueueFullError(
-                        f"{self.name} queue is full "
-                        f"({self.policy.queue_capacity} requests waiting)")
-                # Wait on the *remaining* time so repeated wakeups (space taken
-                # by another producer) cannot extend the total block past
-                # ``timeout``.
-                remaining = None if deadline is None else deadline - time.perf_counter()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(
-                        f"timed out waiting for space in the {self.name} queue")
-                if not self._space_available.wait(remaining):
-                    raise TimeoutError(
-                        f"timed out waiting for space in the {self.name} queue")
-                if self._closed:
-                    raise ServiceClosedError(f"{self.name} has been shut down")
-            request = _Request(image, trace, priority=rank, cls=priority,
-                               deadline=request_deadline, seq=next(self._seq))
-            heapq.heappush(self._queue, (request.priority, request.seq, request))
-            depth = len(self._queue)
-            self._work_available.notify()
+            while admitted < count:
+                room = self.policy.queue_capacity - self._depth
+                if room <= 0:
+                    # A lower-class victim may make room.
+                    room = self._preempt_locked(rank, count - admitted)
+                if room <= 0:
+                    refusal = self._wait_for_space_locked(block, give_up)
+                    if refusal is not None:
+                        break
+                    continue
+                take = min(room, count - admitted)
+                segment = _Segment(future, images, admitted, admitted + take,
+                                   rank, priority, deadline)
+                heapq.heappush(self._queue, (rank, next(self._seq), segment))
+                self._depth += take
+                admitted += take
+                self._work_available.notify()
+            depth = self._depth
         if self.metrics is not None:
-            self.metrics.record_admission(depth)
-        return request.future
+            if admitted:
+                self.metrics.record_admission(depth, admitted)
+            if isinstance(refusal, QueueFullError):
+                self.metrics.record_rejection("queue_full", priority, count - admitted)
+        if refusal is not None:
+            if not admitted:
+                raise refusal
+            future._settle(admitted, count, None, refusal)
+        return future
 
-    def _preempt_locked(self, rank: int) -> bool:  # reprolint: holds=_lock
-        """Evict the newest queued request of a strictly lower class than ``rank``.
+    def _wait_for_space_locked(  # reprolint: holds=_lock
+            self, block: bool, give_up: Optional[float]) -> Optional[BaseException]:
+        """One wait for queue space; the error that ends the admission, or None."""
+        if not block:
+            return QueueFullError(
+                f"{self.name} queue is full "
+                f"({self.policy.queue_capacity} requests waiting)")
+        # Wait on the *remaining* time so repeated wakeups (space taken by
+        # another producer) cannot extend the total block past ``timeout``.
+        remaining = None if give_up is None else give_up - time.perf_counter()
+        if ((remaining is not None and remaining <= 0)
+                or not self._space_available.wait(remaining)):
+            return TimeoutError(f"timed out waiting for space in the {self.name} queue")
+        if self._closed:
+            return ServiceClosedError(f"{self.name} has been shut down")
+        return None
 
-        Returns True when a victim was evicted (its future fails with
-        :class:`AdmissionRejectedError`), freeing one queue slot for the
-        higher-class request being admitted.  SLO-aware overload behaviour:
-        the low class absorbs the rejections, the high class keeps flowing.
+    def _preempt_locked(self, rank: int, wanted: int) -> int:  # reprolint: holds=_lock
+        """Evict up to ``wanted`` of the newest queued requests of a class below ``rank``.
+
+        Returns how many slots that freed; each victim fails with
+        :class:`AdmissionRejectedError`.  SLO-aware overload behaviour: the low
+        class absorbs the rejections, the high class keeps flowing.
         """
-        victim_entry = None
-        for entry in self._queue:
-            if entry[2].priority <= rank:
-                continue
-            if victim_entry is None or entry[:2] > victim_entry[:2]:
-                victim_entry = entry
-        if victim_entry is None:
-            return False
-        self._queue.remove(victim_entry)
-        heapq.heapify(self._queue)
-        victim = victim_entry[2]
-        if self.metrics is not None:
-            self.metrics.record_rejection(reason="preempted", priority=victim.cls)
-        victim.future._fail(AdmissionRejectedError(
-            f"{self.name}: preempted from a full queue by a higher-priority "
-            f"admission (class {victim.cls!r})"))
-        if victim.trace is not None:
-            victim.trace.record("preempted", victim.enqueued_wall, cls=victim.cls)
-            victim.trace.finish()
-        return True
+        freed = 0
+        while freed < wanted:
+            # The newest entry of the lowest class below ``rank``.
+            victim_entry = max((entry for entry in self._queue if entry[0] > rank),
+                               key=lambda entry: entry[:2], default=None)
+            if victim_entry is None:
+                break
+            victim = victim_entry[2]
+            take = min(wanted - freed, victim.stop - victim.start)
+            victim.stop -= take
+            if victim.start == victim.stop:
+                self._queue.remove(victim_entry)
+                heapq.heapify(self._queue)
+            self._depth -= take
+            freed += take
+            if self.metrics is not None:
+                self.metrics.record_rejection("preempted", victim.cls, take)
+            victim.future._settle(victim.stop, victim.stop + take, None, AdmissionRejectedError(
+                f"{self.name}: preempted from a full queue by a higher-priority "
+                f"admission (class {victim.cls!r})"))
+            for trace in _traces(victim.future, victim.stop, victim.stop + take):
+                trace.record("preempted", victim.enqueued_wall, cls=victim.cls)
+                trace.finish()
+        return freed
 
     # ------------------------------------------------------------------ worker
-    def _drop_expired(self, request: _Request, now_wall: float) -> None:
-        """Fail an expired request (never executed) and close its trace."""
+    def _drop_expired(self, run: _Run, now_wall: float) -> None:
+        """Fail an expired run (never executed) and close its traces."""
+        segment, start, stop = run
         if self.metrics is not None:
-            self.metrics.record_expiry(priority=request.cls)
-        waited_ms = (time.perf_counter() - request.enqueued_at) * 1e3
-        request.future._fail(DeadlineExceededError(
+            self.metrics.record_expiry(segment.cls, stop - start)
+        waited_ms = (time.perf_counter() - segment.enqueued_at) * 1e3
+        for trace in _traces(segment.future, start, stop):
+            trace.record("deadline-expired", segment.enqueued_wall or now_wall, now_wall,
+                         cls=segment.cls)
+            trace.finish()
+        segment.future._settle(start, stop, None, DeadlineExceededError(
             f"{self.name}: deadline expired after {waited_ms:.1f}ms in queue "
-            f"(class {request.cls!r}); request dropped, not executed"))
-        if request.trace is not None:
-            start = request.enqueued_wall or now_wall
-            request.trace.record("deadline-expired", start, now_wall,
-                                 cls=request.cls)
-            request.trace.finish()
+            f"(class {segment.cls!r}); request dropped, not executed"))
 
-    def _collect_batch(self) -> List[_Request]:
+    def _take_locked(self, room: int, batch: List[_Run],  # reprolint: holds=_lock
+                     expired: List[_Run]) -> int:
+        """Move up to ``room`` requests off the best segment into ``batch``.
+
+        An expired segment goes to ``expired`` whole instead.  Returns how
+        many requests joined the batch.
+        """
+        segment = self._queue[0][2]
+        start = segment.start
+        if segment.expired():
+            take, sink = segment.stop - start, expired
+        else:
+            take, sink = min(room, segment.stop - start), batch
+        sink.append((segment, start, start + take))
+        segment.start += take
+        self._depth -= take
+        if segment.start == segment.stop:
+            heapq.heappop(self._queue)
+        if segment.future.traces is not None:
+            segment.popped_wall = time.time()
+        return take if sink is batch else 0
+
+    def _collect_batch(self) -> List[_Run]:
         """Block until work exists, then coalesce one micro-batch (policy-bound).
 
         Requests pop in priority order (class rank, then admission order) and
         expired requests are dropped on the way out — the batch that reaches
         :meth:`_execute` holds only live work, refilled from the best class
-        first between GEMMs (continuous batching).
+        first between GEMMs (continuous batching).  A segment longer than the
+        room left in the batch stays queued with its front moved up.
 
         Returns an empty list exactly once: when the batcher is closed and the
         queue is fully drained, signalling the worker to exit.
         """
         policy = self.policy
         while True:
-            expired: List[_Request] = []
-            batch: List[_Request] = []
+            expired: List[_Run] = []
+            batch: List[_Run] = []
+            size = 0
             with self._lock:
                 while not self._queue and not self._closed:
                     self._work_available.wait()
                 if not self._queue:
                     return []
-                # Seed the batch with the best live request, dropping expired
+                # Seed the batch with the best live requests, dropping expired
                 # ones on the way; the whole queue may turn out to be dead.
                 while self._queue and not batch:
-                    request = self._pop_request()
-                    if self._expired(request):
-                        expired.append(request)
-                    else:
-                        batch.append(request)
+                    size = self._take_locked(policy.max_batch_size, batch, expired)
                 if batch:
-                    deadline = batch[0].enqueued_at + policy.max_wait_ms / 1e3
-                    while len(batch) < policy.max_batch_size:
+                    deadline = batch[0][0].enqueued_at + policy.max_wait_ms / 1e3
+                    while size < policy.max_batch_size:
                         if self._queue:
-                            request = self._pop_request()
-                            if self._expired(request):
-                                expired.append(request)
-                                continue
-                            batch.append(request)
+                            size += self._take_locked(
+                                policy.max_batch_size - size, batch, expired)
                             continue
                         if self._closed:
                             break
@@ -495,61 +751,45 @@ class DynamicBatcher:
                         if remaining <= 0:
                             break
                         self._work_available.wait(remaining)
-                self._space_available.notify(len(batch) + len(expired))
+                self._space_available.notify(
+                    size + sum(stop - start for _, start, stop in expired))
             # Futures resolve outside the queue lock (done-callbacks run here).
-            self._finish_expired(expired)
+            if expired:
+                now_wall = time.time()
+                for run in expired:
+                    self._drop_expired(run, now_wall)
             if not batch:
                 continue     # everything popped had expired; block for work again
             assembled = time.time()
-            for request in batch:
-                trace = request.trace
-                if trace is not None:
-                    trace.record("queue-wait", request.enqueued_wall,
-                                 request.popped_wall)
-                    trace.record("batch-assembly", request.popped_wall, assembled)
+            for segment, start, stop in batch:
+                for trace in _traces(segment.future, start, stop):
+                    trace.record("queue-wait", segment.enqueued_wall, segment.popped_wall)
+                    trace.record("batch-assembly", segment.popped_wall, assembled)
             return batch
 
-    @staticmethod
-    def _expired(request: _Request) -> bool:
-        return (request.deadline is not None
-                and time.perf_counter() > request.deadline)
-
-    def _finish_expired(self, expired: List[_Request]) -> None:
-        """Resolve dropped requests outside the queue lock (callbacks run here)."""
-        if not expired:
-            return
-        now_wall = time.time()
-        for request in expired:
-            self._drop_expired(request, now_wall)
-
-    def _pop_request(self) -> _Request:  # reprolint: holds=_lock
-        """Dequeue the best request (lock held); stamps the pop time when traced."""
-        _, _, request = heapq.heappop(self._queue)
-        if request.trace is not None:
-            request.popped_wall = time.time()
-        return request
-
-    def _execute(self, batch: List[_Request]) -> None:
+    def _execute(self, batch: List[_Run]) -> None:
         # Last line of deadline defence: a request that expired between batch
         # assembly and this point is dropped here — an expired request is
         # *never* part of an executed GEMM.
-        if any(self._expired(request) for request in batch):
-            live: List[_Request] = []
+        if any(run[0].expired() for run in batch):
+            live: List[_Run] = []
             now_wall = time.time()
-            for request in batch:
-                if self._expired(request):
-                    self._drop_expired(request, now_wall)
+            for run in batch:
+                if run[0].expired():
+                    self._drop_expired(run, now_wall)
                 else:
-                    live.append(request)
+                    live.append(run)
             batch = live
         if not batch:
             return
+        lengths = [stop - start for _, start, stop in batch]
+        size = sum(lengths)
         started = time.perf_counter()
-        traced = any(request.trace is not None for request in batch)
+        traced = any(run[0].future.traces is not None for run in batch)
         exec_started_wall = time.time() if traced else 0.0
         profiler = None
         try:
-            stacked = np.stack([request.image for request in batch])
+            stacked = self._stack(batch, size)
             engine = self._traced_engine() if traced else None
             if engine is not None:
                 # Per-op engine attribution for the worker-execute span; the
@@ -559,51 +799,87 @@ class DynamicBatcher:
                     outputs = self._run_batch(stacked)
             else:
                 outputs = self._run_batch(stacked)
-            slices = _split_outputs(outputs, len(batch))
+            if stacked.base is self._staging:
+                outputs = _copy_if_aliased(outputs, stacked)
+            parts = _slice_runs(outputs, lengths)
         except BaseException as error:  # resolve every waiter, never hang them
-            logger.warning("batch of %d failed: %s", len(batch), error)
+            logger.warning("batch of %d failed: %s", size, error)
             failed_wall = time.time()
-            for request in batch:
+            for segment, start, stop in batch:
+                for trace in _traces(segment.future, start, stop):
+                    trace.record("worker-execute", exec_started_wall, failed_wall,
+                                 batch=size, error=str(error))
+                    trace.finish()
                 if self.metrics is not None:
                     self.metrics.record_completion(
-                        time.perf_counter() - request.enqueued_at, failed=True)
-                request.future._fail(error)
-                trace = request.trace
-                if trace is not None:
-                    trace.record("worker-execute", exec_started_wall, failed_wall,
-                                 batch=len(batch), error=str(error))
-                    trace.finish()
+                        time.perf_counter() - segment.enqueued_at, stop - start,
+                        failed=stop - start)
+                segment.future._settle(start, stop, None, error)
             return
         elapsed = time.perf_counter() - started
         exec_done_wall = time.time() if traced else 0.0
-        self.stats.record(len(batch), elapsed)
-        if self.metrics is not None:
-            self.metrics.record_batch(len(batch), elapsed)
+        self.stats.record(size, elapsed)
         span_args: dict = {}
         if traced:
-            span_args["batch"] = len(batch)
+            span_args["batch"] = size
             if profiler is not None:
                 span_args["ops_ms"] = profiler.top_ops()
-        for request, output in zip(batch, slices):
-            trace = request.trace
-            if trace is not None:
+        completions = []
+        for (segment, start, stop), part in zip(batch, parts):
+            future = segment.future
+            for trace in _traces(future, start, stop):
                 trace.record("worker-execute", exec_started_wall, exec_done_wall,
                              **span_args)
-            failed = False
+            failed = 0
+            if self._postprocess is None:
+                # Spans close before the run settles: whoever the settling
+                # wakes (a responder shipping them home) sees them all.
+                for trace in _traces(future, start, stop):
+                    trace.record("postprocess", exec_done_wall)
+                    trace.finish()
+                future._settle(start, stop, part, None)
+            else:
+                failed = self._postprocess_run(future, start, stop, part)
+            completions.append(
+                (time.perf_counter() - segment.enqueued_at, stop - start, failed))
+        if self.metrics is not None:
+            self.metrics.record_batch(size, elapsed, completions)
+
+    def _stack(self, runs: List[_Run], size: int) -> np.ndarray:
+        """The images of ``runs`` as one NCHW batch.
+
+        A contiguous run of one stack is a slice of it (zero-copy); anything
+        else is gathered into the staging buffer.
+        """
+        if len(runs) == 1:
+            segment, start, stop = runs[0]
+            if isinstance(segment.images, np.ndarray):
+                return segment.images[start:stop]
+        images: List[np.ndarray] = []
+        for segment, start, stop in runs:
+            images.extend(segment.images[start:stop])
+        if self._staging is None:       # one batcher serves one image shape
+            self._staging = np.empty(
+                (self.policy.max_batch_size, *images[0].shape), dtype=np.float32)
+        return np.stack(images, out=self._staging[:size])
+
+    def _postprocess_run(self, future: InferenceFuture, start: int, stop: int,
+                         part: Any) -> int:
+        """Postprocess and settle each request of a run by itself; returns failures."""
+        failed = 0
+        for index, raw in zip(range(start, stop), _split_outputs(part, stop - start)):
+            trace = future.traces[index] if future.traces is not None else None
             post_started_wall = time.time() if trace is not None else 0.0
             try:
-                result = output if self._postprocess is None else self._postprocess(output)
+                outcome: Tuple[Any, Optional[BaseException]] = ([self._postprocess(raw)], None)
             except BaseException as error:
-                failed = True
-                request.future._fail(error)
-            else:
-                request.future._resolve(result)
+                failed += 1
+                outcome = (None, error)
             if trace is not None:
                 trace.record("postprocess", post_started_wall)
                 trace.finish()
-            if self.metrics is not None:
-                self.metrics.record_completion(
-                    time.perf_counter() - request.enqueued_at, failed=failed)
+            future._settle(index, index + 1, *outcome)
+        return failed
 
     def _traced_engine(self):
         """The CompiledModel behind ``run_batch``, for traced batches only."""

@@ -320,7 +320,7 @@ def run_chaos_drill(
 
     def on_done(future, sent_at: float) -> None:
         latency_ms = (time.perf_counter() - sent_at) * 1e3
-        error = future._error
+        error = future.exception()
         with lock:
             if error is None:
                 counts["completed"] += 1

@@ -16,7 +16,10 @@ pieces here serve both:
   ``[prefix + header, array, array, ...]`` in one gather-write
   (:func:`send_buffers`): array bytes are never staged into a joined
   ``bytes`` object, so a hop that forwards an image it received forwards the
-  very bytes it received.
+  very bytes it received.  An entry that is a *list* of same-shape arrays
+  goes out as one stacked array written from its parts, which is how a burst
+  of separate ``(C, H, W)`` images becomes one ``(N, C, H, W)`` frame without
+  being joined first; :func:`burst_images` says how many fit a frame.
 * :class:`FrameSplitter` — the receiver's half.  One read lands in a reusable
   chunk and yields every complete frame in it, so a burst of frames costs one
   system call and one thread wake-up, not two reads per frame.
@@ -24,9 +27,11 @@ pieces here serve both:
   arrays as **read-only views** of it.  Who owns what:
 
   - *requests* (``ArrayChannel.recv`` in a worker, the gateway's read
-    callback) are cut out of the read chunk into one ``bytes`` object per
-    frame and decoded as views of that object — a retained image pins its own
-    frame, never the chunk, and survives the chunk's reuse;
+    callback) get memory of their own (:meth:`FrameSplitter.detach`: cut out
+    of the read chunk into one ``bytes`` object, or — a burst too large for
+    the chunk — the buffer it was received into) and are decoded as views of
+    it — a retained image pins its own frame, never the chunk, and survives
+    the chunk's reuse;
   - *replies* handed to callers (``WorkerProcess`` receiver, ``GatewayClient``
     reader) are copied out of the view, so futures resolve to writable arrays
     that own their memory, same as in-process serving.
@@ -68,6 +73,12 @@ MAX_FRAME_BYTES = 0x7FFFFFFF
 #: Size of a reader's reusable chunk: a handful of 49 KB image frames, or a
 #: few hundred replies, per system call.
 READ_CHUNK = 256 * 1024
+
+#: Image bytes one multi-image ``infer`` frame may carry.  Senders cut a
+#: ``submit_many`` into frames of :func:`burst_images` images; receivers
+#: refuse a stack above it (one oversized image still travels alone, up to the
+#: reader's ``max_frame``).
+BURST_BYTES = 1024 * 1024
 
 #: What ``ndarray.dtype.str`` produces — byte order, kind, item size, an
 #: optional datetime unit — and so all a header may name: numpy's looser
@@ -142,6 +153,17 @@ class FrameTooLargeError(ValueError):
     """A length prefix announced more bytes than the reader accepts."""
 
 
+def burst_images(image_nbytes: int) -> int:
+    """How many images of ``image_nbytes`` bytes a sender packs into one frame.
+
+    The largest power of two within :data:`BURST_BYTES` (at least one): batch
+    sizes are powers of two in practice, so a frame then splits into whole
+    micro-batches on the other side.
+    """
+    fit = max(1, BURST_BYTES // max(1, image_nbytes))
+    return 1 << (fit.bit_length() - 1)
+
+
 def _wire_array(array: np.ndarray) -> np.ndarray:
     """``array`` as the C-contiguous buffer that goes on the wire.
 
@@ -152,14 +174,27 @@ def _wire_array(array: np.ndarray) -> np.ndarray:
 
 
 def _encode(kind: str, meta: Optional[Dict[str, Any]],
-            arrays: Sequence[np.ndarray]) -> Tuple[bytes, List[np.ndarray], int]:
-    """``(header length + JSON header, array buffers, payload bytes)``."""
-    buffers = [_wire_array(array) for array in arrays]
-    header = json.dumps({
-        "kind": kind,
-        "meta": meta or {},
-        "arrays": [{"dtype": b.dtype.str, "shape": b.shape} for b in buffers],
-    }).encode("utf-8")
+            arrays: Sequence[Any]) -> Tuple[bytes, List[np.ndarray], int]:
+    """``(header length + JSON header, array buffers, payload bytes)``.
+
+    A list entry of ``arrays`` is declared as one array with a leading axis
+    over its same-shape parts, and its parts are the buffers.
+    """
+    buffers: List[np.ndarray] = []
+    specs = []
+    for array in arrays:
+        if isinstance(array, list):
+            parts = [_wire_array(part) for part in array]
+            first = parts[0]
+            if any(p.shape != first.shape or p.dtype != first.dtype for p in parts):
+                raise ValueError("the parts of a stacked array must share shape and dtype")
+            specs.append({"dtype": first.dtype.str, "shape": (len(parts), *first.shape)})
+            buffers.extend(parts)
+        else:
+            buffer = _wire_array(array)
+            specs.append({"dtype": buffer.dtype.str, "shape": buffer.shape})
+            buffers.append(buffer)
+    header = json.dumps({"kind": kind, "meta": meta or {}, "arrays": specs}).encode("utf-8")
     nbytes = _LEN.size + len(header)
     for buffer in buffers:
         nbytes += buffer.nbytes
@@ -308,6 +343,15 @@ class FrameSplitter:
             self._start, self._end = 0, rest
         return self._chunk[self._end:]
 
+    def detach(self, frame: memoryview) -> Any:
+        """``frame`` (as yielded by :meth:`feed`) as memory that outlives the chunk.
+
+        A frame inside the chunk is copied out into one ``bytes`` object; a
+        frame that was received into a buffer of its own already is that
+        memory, and is handed over as it is.
+        """
+        return bytes(frame) if frame.obj is self._chunk.obj else frame
+
     def feed(self, nbytes: int) -> Iterator[memoryview]:
         """Account for ``nbytes`` just read; yield the payloads they complete.
 
@@ -363,31 +407,41 @@ class ArrayChannel:
         self._injector = injector
         self._splitter = FrameSplitter()
         #: Frames of the last read not yet handed out by :meth:`recv`.
-        self._received: Deque[bytes] = deque()
+        self._received: Deque[Any] = deque()
 
-    def send(  # reprolint: hot
+    def send(
         self,
         kind: str,
         meta: Optional[Dict[str, Any]] = None,
         arrays: Sequence[np.ndarray] = (),
     ) -> None:
         """Send one message; raises :class:`ChannelClosedError` if the peer is gone."""
-        buffers = frame_buffers(kind, meta, arrays)
-        if self._injector is not None:
-            delay = self._injector.frame_delay_s()
-            if delay > 0:
-                time.sleep(delay)
-            # The injector tears the payload; the prefix announces what is
-            # left, as a sender dying mid-write would leave the stream.
-            payload = self._injector.maybe_tear(b"".join(buffers)[_LEN.size:])
-            buffers = [_LEN.pack(len(payload)), payload]
+        self.send_all(((kind, meta, arrays),))
+
+    def send_all(  # reprolint: hot
+        self, messages: Sequence[Tuple[str, Optional[Dict[str, Any]], Sequence[np.ndarray]]]
+    ) -> None:
+        """Send ``(kind, meta, arrays)`` messages, in order, with one gather-write."""
+        buffers: List[Any] = []
+        for kind, meta, arrays in messages:
+            frame = frame_buffers(kind, meta, arrays)
+            if self._injector is not None:
+                delay = self._injector.frame_delay_s()
+                if delay > 0:
+                    time.sleep(delay)
+                # The injector tears the payload; the prefix announces what is
+                # left, as a sender dying mid-write would leave the stream.
+                payload = self._injector.maybe_tear(b"".join(frame)[_LEN.size:])
+                frame = [_LEN.pack(len(payload)), payload]
+            buffers += frame
         try:
             with self._send_lock:
                 send_buffers(partial(os.writev, self._connection.fileno()), buffers)
         except OSError as error:
             # A closed handle (another thread close()d the Connection) raises
             # OSError too, like a broken pipe.
-            raise ChannelClosedError(f"peer went away while sending {kind!r}: {error}") from error
+            kinds = "/".join(sorted({message[0] for message in messages}))
+            raise ChannelClosedError(f"peer went away while sending {kinds!r}: {error}") from error
 
     def recv(self) -> Message:  # reprolint: hot
         """Receive one message (blocking); raises :class:`ChannelClosedError` on EOF."""
@@ -397,9 +451,9 @@ class ArrayChannel:
                 nbytes = os.readv(self._connection.fileno(), [self._splitter.buffer()])
                 if not nbytes:
                     raise EOFError("end of stream")
-                # One bytes object per frame: what a message keeps alive is
-                # its own frame, and the chunk is free for the next read.
-                received.extend(map(bytes, self._splitter.feed(nbytes)))
+                # Each frame in memory of its own: what a message keeps alive
+                # is its own frame, and the chunk is free for the next read.
+                received.extend(map(self._splitter.detach, self._splitter.feed(nbytes)))
             return decode_frame(received.popleft())
         except (EOFError, OSError, ValueError) as error:
             # A closed handle (shutdown/recovery close()d the Connection while

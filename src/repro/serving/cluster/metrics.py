@@ -92,23 +92,27 @@ class ClusterMetrics:
             self._swaps = 0
 
     # ------------------------------------------------------------------ recording
-    def record_submit(self, worker: str) -> None:
+    def record_submit(self, worker: str, count: int = 1) -> None:
+        """``count`` requests dispatched to ``worker`` (one frame)."""
         now = time.perf_counter()
         with self._lock:
-            self._ledger(worker).submitted += 1
+            self._ledger(worker).submitted += count
             if self._first_submit is None:
                 self._first_submit = now
 
-    def record_completion(self, worker: str, latency_seconds: float, failed: bool = False) -> None:
+    def record_completion(self, worker: str, latency_seconds: float, failed: bool = False,
+                          count: int = 1) -> None:
+        """``count`` requests answered by ``worker`` together (one reply frame)."""
         now = time.perf_counter()
         with self._lock:
             ledger = self._ledger(worker)
             if failed:
-                ledger.failed += 1
+                ledger.failed += count
             else:
-                ledger.completed += 1
-                ledger.latency.add(latency_seconds)
-                self._recent.append((now, latency_seconds))
+                ledger.completed += count
+                for _ in range(count):
+                    ledger.latency.add(latency_seconds)
+                    self._recent.append((now, latency_seconds))
             self._last_completion = now
 
     def record_restart(self, worker: str) -> None:
@@ -121,10 +125,10 @@ class ClusterMetrics:
         with self._lock:
             self._ledger(worker).redispatched += count
 
-    def record_shed(self, priority: str) -> None:
-        """One request shed at admission while the cluster was degraded."""
+    def record_shed(self, priority: str, count: int = 1) -> None:
+        """``count`` requests shed at admission while the cluster was degraded."""
         with self._lock:
-            self._shed[priority] = self._shed.get(priority, 0) + 1
+            self._shed[priority] = self._shed.get(priority, 0) + count
 
     def record_swap(self) -> None:
         """One rolling artifact swap completed across the fleet."""

@@ -3,10 +3,13 @@
 :class:`Router` owns ``workers`` :class:`~repro.serving.cluster.worker.WorkerProcess`
 slots, all serving the same artifact, and exposes the exact submit surface of a
 single-process :class:`~repro.serving.service.InferenceService` — ``submit()``
-returning an :class:`~repro.serving.batcher.InferenceFuture`, blocking
-``submit_many()`` with request-order output concatenation, graceful
-``shutdown()`` and the context-manager protocol — so load generators, the CLI
-and the benchmarks can target a cluster and a single service interchangeably.
+and ``submit_group()`` returning an
+:class:`~repro.serving.batcher.InferenceFuture`, blocking ``submit_many()``
+with request-order output concatenation, graceful ``shutdown()`` and the
+context-manager protocol — so load generators, the CLI and the benchmarks can
+target a cluster and a single service interchangeably.  A burst is routed as
+one unit: one routing decision, one pipe frame to one worker, and one reply
+frame back per micro-batch that worker executed.
 
 Routing policies are pluggable (``routing=`` name or a policy object):
 
@@ -33,27 +36,35 @@ import random
 import threading
 import time
 import weakref
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.engine.runner import _concat_outputs
-from repro.obs.tracing import TraceContext, mint_trace
+from repro.obs.tracing import TraceContext, mint_traces
 from repro.pipeline.spec import ROUTING_POLICY_NAMES, ChaosSpec, ClusterSpec
 from repro.serving.api import DEFAULT_PRIORITY, priority_index
 from repro.serving.batcher import (
     BatchPolicy,
+    Images,
     InferenceFuture,
     ServiceClosedError,
-    submit_stack,
+    as_images,
+    one_image,
+    submit_bursts,
 )
 from repro.serving.errors import (
     AdmissionRejectedError,
     DeadlineExceededError,
     ServingError,
 )
+from repro.serving.cluster.channel import burst_images
 from repro.serving.cluster.metrics import ClusterMetrics
-from repro.serving.cluster.worker import WorkerProcess, WorkerUnavailableError
+from repro.serving.cluster.worker import (
+    WorkerProcess,
+    WorkerUnavailableError,
+    _PendingRequest,
+)
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.cluster.router")
@@ -353,19 +364,46 @@ class Router:
         Mirrors :meth:`InferenceService.submit`: non-blocking submits raise
         :class:`~repro.serving.errors.QueueFullError` under overload; blocking
         submits wait for queue space (and survive a worker restart mid-wait).
+        A group of one through :meth:`submit_group`, which documents the rest.
+        """
+        return self.submit_group(
+            one_image(image), model=model, block=block, timeout=timeout,
+            traces=None if trace is None else (trace,),
+            priority=priority, deadline_ms=deadline_ms)
+
+    def submit_group(
+        self,
+        images: Images,
+        model: Optional[str] = None,
+        block: bool = False,
+        timeout: Optional[float] = None,
+        traces: Optional[Sequence[TraceContext]] = None,
+        priority: str = DEFAULT_PRIORITY,
+        deadline_ms: Optional[float] = None,
+    ) -> InferenceFuture:
+        """Route a burst — an ``(N, C, H, W)`` stack or N images — as one unit.
+
+        Mirrors :meth:`InferenceService.submit_group`: one future over the N
+        requests, one routing decision, one pipe frame to the chosen worker.
+        The worker's queue bound counts images; what does not fit it is
+        placed again (on whichever worker the policy picks next), refused
+        with :class:`~repro.serving.errors.QueueFullError` when no worker has
+        room, and only a burst of which nothing was placed raises here.
+
         ``priority`` and ``deadline_ms`` cross the pipe in the frame header —
         the budget is pinned to an absolute deadline *here*, once, so routing
         delay, worker queueing and even a restart re-dispatch all spend the
         same clock (the worker sees only the remaining milliseconds).
 
-        When tracing is armed each submit mints a
+        When tracing is armed each request is minted a
         :class:`~repro.obs.tracing.TraceContext` whose id crosses the pipe to
-        the chosen worker (the gateway passes its own ``trace`` in instead);
+        the chosen worker (the gateway passes its own ``traces`` in instead);
         the completed trace (router-dispatch plus the worker's
         queue/batch/engine spans) lands in this process's
         :func:`~repro.obs.tracing.get_trace_buffer`.
         """
         priority_index(priority)       # validate the class name up front
+        images, _ = as_images(images)
         if priority == "low" and self.cluster.shed_low_priority:
             with self._lock:
                 shed = bool(self._abandoned or self._respawning)
@@ -373,7 +411,7 @@ class Router:
                 # Reduced capacity: shed the lowest class loudly (a typed
                 # admission rejection) instead of failing closed or letting
                 # it starve the classes with SLOs.
-                self.metrics.record_shed(priority)
+                self.metrics.record_shed(priority, len(images))
                 raise AdmissionRejectedError(
                     "cluster is degraded (a worker slot is down); "
                     "shedding low-priority request")
@@ -383,27 +421,38 @@ class Router:
                 raise DeadlineExceededError(
                     f"deadline_ms={deadline_ms} already expired at admission")
             request_deadline = time.perf_counter() + deadline_ms / 1e3
-        return self._dispatch(
-            image, model=model, block=block, timeout=timeout, future=None,
-            trace=trace if trace is not None else mint_trace(),
-            priority=priority, request_deadline=request_deadline)
+        future = InferenceFuture(len(images))
+        future.traces = traces if traces is not None else mint_traces(len(images))
+        self._dispatch(
+            _PendingRequest(future, 0, images, model, future.traces, priority,
+                            request_deadline),
+            block, timeout)
+        return future
 
-    def _dispatch(
-        self,
-        image: np.ndarray,
-        model: Optional[str],
-        block: bool,
-        timeout: Optional[float],
-        future: Optional[InferenceFuture],
-        submitted_at: Optional[float] = None,
-        trace: Optional[TraceContext] = None,
-        priority: str = DEFAULT_PRIORITY,
-        request_deadline: Optional[float] = None,
-    ) -> InferenceFuture:
-        """Routing loop shared by client submits and monitor re-dispatch."""
+    def _dispatch(self, request: _PendingRequest, block: bool,
+                  timeout: Optional[float]) -> None:
+        """Routing loop shared by client submits and monitor re-dispatch.
+
+        Places ``request`` frame by frame until nothing of it is left.  An
+        error before anything was placed is raised; after that it fails the
+        requests that were not placed, and the others go on.
+        """
         deadline = None if timeout is None else time.perf_counter() + timeout
-        dispatch_started = time.time() if trace is not None else 0.0
-        model_key = model if model is not None else "default"
+        dispatch_started = time.time() if request.traces else 0.0
+        model_key = request.model if request.model is not None else "default"
+        whole = request
+        try:
+            while request is not None:
+                request = self._place(request, model_key, block, deadline, dispatch_started)
+        except (ServingError, TimeoutError) as error:
+            if request is whole:
+                raise
+            request.fail(error)
+
+    def _place(self, request: _PendingRequest, model_key: str, block: bool,
+               deadline: Optional[float], dispatch_started: float
+               ) -> Optional[_PendingRequest]:
+        """One frame of ``request`` onto a live worker; returns what is left of it."""
         while True:
             with self._lock:
                 if self._closed:
@@ -433,26 +482,18 @@ class Router:
                 continue
             try:
                 remaining = None if deadline is None else deadline - time.perf_counter()
-                result = worker.submit(
-                    image,
-                    model=model,
-                    block=block,
-                    timeout=remaining,
-                    future=future,
-                    submitted_at=submitted_at,
-                    trace=trace,
-                    priority=priority,
-                    request_deadline=request_deadline,
-                )
+                rest = worker.dispatch(request, block=block, timeout=remaining)
             except WorkerUnavailableError:
-                continue  # the worker died between select and submit; re-route
-            if trace is not None:
+                continue  # the worker died between select and dispatch; re-route
+            if request.traces:
                 # Covers routing-policy selection plus any blocking wait for
                 # queue space; redispatch legs record a second span under the
                 # same trace_id.
-                trace.record("router-dispatch", dispatch_started,
-                             worker=worker.worker_id)
-            return result
+                placed = request.count - (rest.count if rest is not None else 0)
+                for trace in request.traces[:placed]:
+                    trace.record("router-dispatch", dispatch_started,
+                                 worker=worker.worker_id)
+            return rest
 
     def submit_many(
         self,
@@ -462,17 +503,23 @@ class Router:
     ) -> Any:
         """Submit a stack of images with backpressure and wait for all results.
 
-        Outputs come back concatenated along the batch axis in request order —
-        independent of which worker served which micro-batch — so a cluster run
-        is directly comparable to a sequential
+        The stack goes out in bursts of
+        :func:`~repro.serving.cluster.channel.burst_images` images (fewer when
+        that would leave a worker without a share of a short stack) — each a
+        blocking :meth:`submit_group`, i.e. one pipe frame
+        (:func:`~repro.serving.batcher.submit_bursts`), two per worker
+        unanswered at a time: one running, one queued behind it — and is
+        waited for once.  Outputs come back concatenated along the batch axis
+        in request order — independent of which worker served which burst —
+        so a cluster run is directly comparable to a sequential
         :class:`~repro.engine.runner.BatchRunner` over the same images.
         """
-        results = submit_stack(
-            lambda image: self.submit(image, model=model, block=True, timeout=timeout),
-            images,
-            timeout,
-        )
-        return _concat_outputs(results)
+        images, _ = as_images(images)
+        workers = len(self.workers)
+        share = -(-len(images) // workers)
+        return submit_bursts(
+            partial(self.submit_group, model=model, block=True, timeout=timeout),
+            images, min(burst_images(images[0].nbytes), share), 2 * workers, timeout)
 
     # ------------------------------------------------------------------ supervision
     def _monitor_loop(self) -> None:
@@ -609,16 +656,12 @@ class Router:
             return
 
         if pending:
-            self.metrics.record_redispatch(worker.worker_id, len(pending))
-            logger.warning(
-                "re-dispatching %d in-flight requests from %s", len(pending), worker.worker_id
-            )
             # Re-dispatch OFF the monitor thread: blocking dispatch here would
             # stall supervision, so a second worker dying mid-recovery could
             # never be restarted and its requests would hang.
             redispatcher = threading.Thread(
                 target=self._redispatch,
-                args=(pending,),
+                args=(pending, worker.worker_id),
                 name=f"repro-cluster-redispatch-{worker.worker_id}",
                 daemon=True,
             )
@@ -706,8 +749,7 @@ class Router:
             worker.stop(timeout)
             leftover = worker.take_outstanding()
             if leftover:
-                self.metrics.record_redispatch(worker.worker_id, len(leftover))
-                self._redispatch(leftover)
+                self._redispatch(leftover, worker.worker_id)
             logger.info("scaled down: removed worker slot %d", slot)
             return slot
 
@@ -795,27 +837,20 @@ class Router:
             if leftover:
                 # The old worker died mid-drain; its unresolved requests are
                 # re-dispatched (to the new version) instead of dropped.
-                self.metrics.record_redispatch(retiring.worker_id, len(leftover))
-                self._redispatch(leftover)
+                self._redispatch(leftover, retiring.worker_id)
 
-    def _redispatch(self, pending) -> None:
+    def _redispatch(self, pending: List[_PendingRequest], worker_id: str) -> None:
+        """Place what ``worker_id`` left unanswered on the live workers."""
+        count = sum(request.count for request in pending)
+        self.metrics.record_redispatch(worker_id, count)
+        logger.warning("re-dispatching %d in-flight requests from %s", count, worker_id)
         for request in pending:
             # Re-dispatch under the *original* future: clients keep waiting on
             # the handle they already hold, and the request is never dropped.
             try:
-                self._dispatch(
-                    request.image,
-                    model=request.model,
-                    block=True,
-                    timeout=120.0,
-                    future=request.future,
-                    submitted_at=request.submitted_at,
-                    trace=request.trace,
-                    priority=request.priority,
-                    request_deadline=request.deadline,
-                )
+                self._dispatch(request, block=True, timeout=120.0)
             except BaseException as error:
-                request.future._fail(error)
+                request.fail(error)
 
     # ------------------------------------------------------------------ reporting
     def report(self, worker_stats_timeout: float = 2.0) -> Dict[str, Any]:

@@ -6,11 +6,13 @@ under one GIL — the compiled sparse kernels never use more than one core.
 into a ``multiprocessing`` subprocess and talks to it through an
 :class:`~repro.serving.cluster.channel.ArrayChannel`:
 
-* the parent keeps a lightweight handle: ``submit()`` records the request in an
-  *outstanding* table (future + original image, so a dead worker's in-flight
-  requests can be re-dispatched) and sends one ``infer`` frame,
-* a receiver thread resolves futures as ``result``/``error`` frames come back
-  and tracks heartbeats,
+* the parent keeps a lightweight handle: ``dispatch()`` records a burst of
+  requests in an *outstanding* table (future + original images, so a dead
+  worker's in-flight requests can be re-dispatched) and sends it as one
+  ``infer`` frame — a single request is a burst of one,
+* a receiver thread settles futures as ``result``/``error`` frames come back —
+  one frame per micro-batch the child executed, answering a run of
+  consecutive ids — and tracks heartbeats,
 * the child loads the artifact **from disk in its own process** (per-process
   engine warm-up: each worker owns its plan/layout caches — nothing compiled is
   shared across the fork/spawn boundary), starts heartbeating immediately (so
@@ -28,18 +30,17 @@ to re-dispatch (its zero-dropped-requests guarantee).
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
-
-import numpy as np
+from functools import partial
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.serving.batcher import (
     BatchPolicy,
+    Images,
     InferenceFuture,
     QueueFullError,
     WorkerUnavailableError,
@@ -48,6 +49,7 @@ from repro.obs.tracing import TraceContext
 from repro.serving.cluster.channel import (
     ArrayChannel,
     ChannelClosedError,
+    Message,
     flatten_arrays,
     unflatten_arrays,
 )
@@ -76,6 +78,27 @@ def _mp_context(start_method: Optional[str]):
 
 
 # --------------------------------------------------------------------- child side
+def _reply_frame(first_id: int, count: int, outputs: Any, error: Optional[BaseException],
+                 traces: Optional[Sequence[TraceContext]]) -> Tuple[str, Dict[str, Any], Any]:
+    """The ``(kind, meta, arrays)`` answering requests ``[first_id, first_id + count)``.
+
+    The batcher recorded each request's spans (queue-wait through postprocess)
+    on the rehydrated TraceContext riding the future; they ship home in the
+    header, one list per request, so the parent can absorb them into the
+    original traces.
+    """
+    meta: Dict[str, Any] = {"id": first_id}
+    if count != 1:
+        meta["count"] = count
+    if traces:
+        meta["spans"] = [trace.spans_to_wire() for trace in traces]
+    if error is not None:
+        meta.update(error=str(error), type=type(error).__name__, code=error_code(error))
+        return "error", meta, ()
+    meta["tree"], arrays = flatten_arrays(outputs)
+    return "result", meta, arrays
+
+
 def _worker_main(
     connection,
     worker_id: str,
@@ -98,7 +121,9 @@ def _worker_main(
         injector = FaultInjector.from_wire(chaos_wire)
     channel = ArrayChannel(connection, injector=injector)
     stop_heartbeat = threading.Event()
-    state = {"outstanding": 0}
+    # Requests admitted (written by the main loop) and answered (by the
+    # responder): single writers, so the heartbeat reads them without a lock.
+    state = {"admitted": 0, "answered": 0}
 
     def heartbeat_loop() -> None:
         # Beats from the very start, before the artifact is loaded, so a slow
@@ -107,7 +132,7 @@ def _worker_main(
             meta = {
                 "worker_id": worker_id,
                 "pid": os.getpid(),
-                "outstanding": state["outstanding"],
+                "outstanding": state["admitted"] - state["answered"],
             }
             if injector is None or not injector.heartbeat_dropped():
                 try:
@@ -150,47 +175,36 @@ def _worker_main(
     if injector is not None:
         injector.start_lifecycle()
 
-    pending: Deque[Tuple[int, InferenceFuture]] = deque()
-    pending_cv = threading.Condition()
+    #: Settled runs waiting for the responder, as `_reply_frame` arguments.
+    settled: Deque[Tuple[Any, ...]] = deque()
+    settled_cv = threading.Condition()
     draining = threading.Event()
 
+    def answer(first_id: int, future: InferenceFuture, start: int, stop: int,
+               outputs: Any, error: Optional[BaseException]) -> None:
+        # Run callback, on the batcher thread: one entry per executed run.
+        traces = future.traces
+        with settled_cv:
+            settled.append((first_id + start, stop - start, outputs, error,
+                            traces[start:stop] if traces else None))
+            settled_cv.notify()
+
     def responder_loop() -> None:
-        # Results resolve in submission order (one FIFO batcher per model), so a
-        # single waiter draining `pending` in order never head-of-line blocks a
-        # ready result for long.
+        # One wake-up answers everything that settled meanwhile, with one
+        # write: a reply frame per run, i.e. per micro-batch, not per image.
         while True:
-            with pending_cv:
-                while not pending and not draining.is_set():
-                    pending_cv.wait()
-                if not pending:
+            with settled_cv:
+                while not settled and not draining.is_set():
+                    settled_cv.wait()
+                if not settled:
                     return
-                request_id, future = pending.popleft()
-                state["outstanding"] = len(pending)
-            # The batcher recorded this request's spans (queue-wait through
-            # postprocess) on the rehydrated TraceContext riding the future;
-            # ship them home in the header so the parent can absorb them into
-            # the original trace.
-            trace = getattr(future, "trace", None)
+                runs = list(settled)
+                settled.clear()
+            state["answered"] += sum(run[1] for run in runs)
             try:
-                result = future.result()
-            except BaseException as error:
-                meta = {"id": request_id, "error": str(error),
-                        "type": type(error).__name__, "code": error_code(error)}
-                if trace is not None:
-                    meta["spans"] = trace.spans_to_wire()
-                try:
-                    channel.send("error", meta)
-                except ChannelClosedError:
-                    return
-            else:
-                treedef, arrays = flatten_arrays(result)
-                meta = {"id": request_id, "tree": treedef}
-                if trace is not None:
-                    meta["spans"] = trace.spans_to_wire()
-                try:
-                    channel.send("result", meta, arrays)
-                except ChannelClosedError:
-                    return
+                channel.send_all([_reply_frame(*run) for run in runs])
+            except ChannelClosedError:
+                return
 
     responder = threading.Thread(
         target=responder_loop, name=f"repro-worker-{worker_id}-responder", daemon=True
@@ -204,37 +218,34 @@ def _worker_main(
             except ChannelClosedError:
                 break
             if message.kind == "infer":
-                request_id = int(message.meta["id"])
-                # Rehydrate the parent's trace identity; buffered=False keeps
+                meta = message.meta
+                request_id = int(meta["id"])
+                (images,) = message.arrays        # (N, C, H, W): requests id .. id + N - 1
+                # Rehydrate the parent's trace identities; buffered=False keeps
                 # worker-side spans off the child ring — they travel back in
                 # the result header instead.
-                trace = TraceContext.from_wire(message.meta.get("trace"), buffered=False)
+                traces = None
+                if meta.get("trace"):
+                    traces = [TraceContext.from_wire(wire, buffered=False)
+                              for wire in meta["trace"]]
                 try:
                     # block=True: the child's bounded queue pushes back through
                     # the pipe instead of buffering unboundedly.  Priority and
                     # the (recomputed-at-send) remaining deadline feed the
                     # child batcher's SLO scheduler.
-                    future = service.submit(
-                        message.arrays[0], model=message.meta.get("model"),
-                        block=True, trace=trace,
-                        priority=message.meta.get("priority", "normal"),
-                        deadline_ms=message.meta.get("deadline_ms"),
+                    future = service.submit_group(
+                        images, model=meta.get("model"), block=True, traces=traces,
+                        priority=meta.get("priority", "normal"),
+                        deadline_ms=meta.get("deadline_ms"),
                     )
                 except BaseException as error:
                     try:
-                        channel.send(
-                            "error",
-                            {"id": request_id, "error": str(error),
-                             "type": type(error).__name__,
-                             "code": error_code(error)},
-                        )
+                        channel.send(*_reply_frame(request_id, len(images), None, error, None))
                     except ChannelClosedError:
                         break
                     continue
-                with pending_cv:
-                    pending.append((request_id, future))
-                    state["outstanding"] = len(pending)
-                    pending_cv.notify()
+                state["admitted"] += len(images)
+                future.add_run_callback(partial(answer, request_id))
             elif message.kind == "stats":
                 try:
                     channel.send("stats", {"worker_id": worker_id, "report": service.report()})
@@ -246,8 +257,8 @@ def _worker_main(
         # Drain: every admitted request is executed and its result shipped back.
         service.shutdown()
         draining.set()
-        with pending_cv:
-            pending_cv.notify_all()
+        with settled_cv:
+            settled_cv.notify_all()
         responder.join(timeout=30.0)
         stop_heartbeat.set()
         try:
@@ -259,27 +270,55 @@ def _worker_main(
 
 # -------------------------------------------------------------------- parent side
 class _PendingRequest:
-    """Parent-side record of one in-flight request (kept until resolution)."""
+    """Parent-side record of one burst in flight (kept until it is answered).
 
-    __slots__ = ("future", "image", "model", "submitted_at", "trace",
-                 "priority", "deadline")
+    Covers requests ``[offset, offset + count)`` of ``future`` — the whole
+    burst as admitted, or the part of one that is sent, or re-sent, by itself:
+    what did not fit a worker's queue bound, what a dead worker left
+    unanswered.
+    """
 
-    def __init__(self, future: InferenceFuture, image: np.ndarray, model: Optional[str],
-                 trace: Optional[TraceContext] = None,
+    __slots__ = ("future", "offset", "images", "count", "model", "submitted_at", "traces",
+                 "priority", "deadline", "base_id", "fresh")
+
+    def __init__(self, future: InferenceFuture, offset: int, images: Images,
+                 model: Optional[str],
+                 traces: Optional[Sequence[TraceContext]] = None,
                  priority: str = "normal",
                  deadline: Optional[float] = None) -> None:
         self.future = future
-        self.image = image
+        self.offset = offset
+        self.images = images
+        self.count = len(images)
         self.model = model
         self.submitted_at = time.perf_counter()
-        #: Router-side TraceContext; survives worker death (the record is
-        #: re-dispatched with the same trace, so one trace_id covers both legs).
-        self.trace = trace
+        #: Router-side TraceContexts, one per request; they survive worker
+        #: death (the record is re-dispatched with the same traces, so one
+        #: trace_id covers both legs).
+        self.traces = traces
         #: Priority class + absolute perf_counter deadline: a re-dispatched
         #: request keeps its class and its *original* budget (the remaining
         #: milliseconds are recomputed at each send).
         self.priority = priority
         self.deadline = deadline
+        #: Wire id of the first request, set when the frame is registered.
+        self.base_id = 0
+        #: Not yet counted as submitted (a re-dispatch was, at its admission).
+        self.fresh = True
+
+    def part(self, start: int, stop: int) -> "_PendingRequest":
+        """The record of requests ``[start, stop)`` of this one, to send by itself."""
+        part = _PendingRequest(
+            self.future, self.offset + start, self.images[start:stop], self.model,
+            self.traces[start:stop] if self.traces else None, self.priority, self.deadline)
+        # Recorded latency stays admission-to-resolution across every leg.
+        part.submitted_at = self.submitted_at
+        part.fresh = self.fresh
+        return part
+
+    def fail(self, error: BaseException) -> None:
+        """Fail exactly the requests this record covers."""
+        self.future._settle(self.offset, self.offset + self.count, None, error)
 
 
 class WorkerProcess:
@@ -315,10 +354,9 @@ class WorkerProcess:
     # and stay unguarded.
     _guarded_by_ = {
         "_outstanding": ("_lock", "_space"),
+        "_next_id": ("_lock", "_space"),
         "_accepting": ("_lock", "_space"),
     }
-
-    _ids = itertools.count()
 
     def __init__(
         self,
@@ -351,8 +389,10 @@ class WorkerProcess:
 
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)
+        #: Wire id -> the record of the frame it went out in; one entry per
+        #: *request*, so the table's length is the worker's load in images.
         self._outstanding: Dict[int, _PendingRequest] = {}
-        self._next_id = itertools.count()
+        self._next_id = 0
         self._accepting = False
         self._receiver: Optional[threading.Thread] = None
         self._stats_event = threading.Event()
@@ -459,47 +499,32 @@ class WorkerProcess:
             return len(self._outstanding)
 
     # ------------------------------------------------------------------ submission
-    def submit(
-        self,
-        image: np.ndarray,
-        model: Optional[str] = None,
-        block: bool = False,
-        timeout: Optional[float] = None,
-        future: Optional[InferenceFuture] = None,
-        submitted_at: Optional[float] = None,
-        trace: Optional[TraceContext] = None,
-        priority: str = "normal",
-        request_deadline: Optional[float] = None,
-    ) -> InferenceFuture:
-        """Ship one ``(C, H, W)`` image to the worker; returns its future.
+    def dispatch(self, request: _PendingRequest, block: bool = False,
+                 timeout: Optional[float] = None) -> Optional[_PendingRequest]:
+        """Ship ``request`` to the worker as one ``infer`` frame; returns what is left.
 
-        ``future`` and ``submitted_at`` let the router re-dispatch a dead
-        worker's request while keeping the handle the client already waits on
-        and the original admission timestamp (so recorded latency stays
-        admission-to-resolution, including the first, failed leg).  ``trace``
-        crosses the pipe as a ``trace_id`` header field; the worker's spans
-        come back in the result frame and are absorbed into it.
+        The queue bound counts images: when the worker has room for only part
+        of the burst, that part goes out and the record of the rest is
+        returned for the router to place (``None``: all of it went).  With no
+        room at all a non-blocking dispatch raises
+        :class:`~repro.serving.errors.QueueFullError` and a blocking one waits.
 
-        ``request_deadline`` is the *absolute* ``perf_counter`` deadline (set
+        The record carries what a re-dispatch must keep: the future the client
+        already waits on, the original admission timestamp (so recorded
+        latency stays admission-to-resolution, including a first, failed leg)
+        and the traces, which cross the pipe as ``trace_id`` header fields;
+        the worker's spans come back in the result frames and are absorbed.
+
+        ``request.deadline`` is the *absolute* ``perf_counter`` deadline (set
         once at router admission); the remaining budget is recomputed here at
         send time so queueing on the parent side eats into it, and a budget
         that ran out before the frame was even sent fails fast.
         """
-        image = np.ascontiguousarray(image, dtype=np.float32)
-        remaining_ms: Optional[float] = None
-        if request_deadline is not None:
-            remaining_ms = (request_deadline - time.perf_counter()) * 1e3
-            if remaining_ms <= 0:
-                raise DeadlineExceededError(
-                    f"deadline expired before dispatch to worker {self.worker_id}")
-        pending = _PendingRequest(future or InferenceFuture(), image, model,
-                                  trace=trace, priority=priority,
-                                  deadline=request_deadline)
-        if trace is not None:
-            pending.future.trace = trace
-        if submitted_at is not None:
-            pending.submitted_at = submitted_at
-        deadline = None if timeout is None else time.perf_counter() + timeout
+        if request.deadline is not None and request.deadline <= time.perf_counter():
+            raise DeadlineExceededError(
+                f"deadline expired before dispatch to worker {self.worker_id}")
+        give_up = None if timeout is None else time.perf_counter() + timeout
+        rest: Optional[_PendingRequest] = None
         with self._lock:
             if not self._accepting:
                 raise WorkerUnavailableError(f"worker {self.worker_id} is not accepting requests")
@@ -508,43 +533,64 @@ class WorkerProcess:
                     raise QueueFullError(
                         f"worker {self.worker_id} has {len(self._outstanding)} requests in flight"
                     )
-                remaining = None if deadline is None else deadline - time.perf_counter()
+                remaining = None if give_up is None else give_up - time.perf_counter()
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError(f"timed out waiting for space on worker {self.worker_id}")
                 if not self._space.wait(remaining):
                     raise TimeoutError(f"timed out waiting for space on worker {self.worker_id}")
                 if not self._accepting:
                     raise WorkerUnavailableError(f"worker {self.worker_id} died while waiting")
-            request_id = next(self._next_id)
-            self._outstanding[request_id] = pending
-        # Re-dispatched requests (future is not None) were already counted at
-        # their original admission; counting again would desync submitted from
+            room = self.policy.queue_capacity - len(self._outstanding)
+            if room < request.count:
+                request, rest = request.part(0, room), request.part(room, request.count)
+            first_id = request.base_id = self._next_id
+            self._next_id += request.count
+            self._outstanding.update(
+                dict.fromkeys(range(first_id, first_id + request.count), request))
+        # Re-dispatched requests were already counted at their original
+        # admission; counting again would desync submitted from
         # completed + failed.
-        if self.metrics is not None and future is None:
-            self.metrics.record_submit(self.worker_id)
-        meta: Dict[str, Any] = {"id": request_id, "model": model,
-                                "priority": priority}
-        if request_deadline is not None:
+        if self.metrics is not None and request.fresh:
+            self.metrics.record_submit(self.worker_id, request.count)
+        request.fresh = False
+        meta: Dict[str, Any] = {"id": first_id, "model": request.model,
+                                "priority": request.priority}
+        if request.deadline is not None:
             # Recompute the remaining budget as late as possible: parent-side
             # blocking above may have consumed part of it.
             meta["deadline_ms"] = max(
-                (request_deadline - time.perf_counter()) * 1e3, 0.001)
-        if trace is not None:
-            meta["trace"] = trace.to_wire()
+                (request.deadline - time.perf_counter()) * 1e3, 0.001)
+        if request.traces:
+            meta["trace"] = [trace.to_wire() for trace in request.traces]
         try:
-            self.channel.send("infer", meta, [image])
+            self.channel.send("infer", meta, [request.images])
         except ChannelClosedError:
-            # The request stays in the outstanding table: the router's monitor
-            # will observe the death and re-dispatch it (never dropped here).
+            # The requests stay in the outstanding table: the router's monitor
+            # will observe the death and re-dispatch them (never dropped here).
             self._mark_dead()
-        return pending.future
+        return rest
 
     def take_outstanding(self) -> List[_PendingRequest]:
-        """Drain the outstanding table (router-side re-dispatch after death)."""
+        """Drain the outstanding table (router-side re-dispatch after death).
+
+        One record per run of consecutive unanswered requests of one frame —
+        usually the tail of a burst the worker was in the middle of.
+        """
         with self._lock:
-            pending = list(self._outstanding.values())
-            self._outstanding.clear()
+            table, self._outstanding = self._outstanding, {}
             self._space.notify_all()
+        ids = sorted(table)
+        pending: List[_PendingRequest] = []
+        index = 0
+        while index < len(ids):
+            request = table[ids[index]]
+            stop = index + 1
+            while (stop < len(ids) and ids[stop] == ids[stop - 1] + 1
+                   and table[ids[stop]] is request):
+                stop += 1
+            pending.append(request.part(ids[index] - request.base_id,
+                                        ids[stop - 1] + 1 - request.base_id))
+            index = stop
         return pending
 
     # ------------------------------------------------------------------ stats
@@ -578,42 +624,33 @@ class WorkerProcess:
             except ChannelClosedError:
                 self._mark_dead()
                 return
-            if message.kind == "result":
-                pending = self._pop(int(message.meta["id"]))
-                if pending is None:
+            if message.kind == "result" or message.kind == "error":
+                # One frame answers requests [id, id + count): a run the child
+                # executed (or dropped) as one micro-batch.
+                meta = message.meta
+                first_id, count = int(meta["id"]), int(meta.get("count", 1))
+                request = self._pop(first_id, count)
+                if request is None:
                     continue
-                # The arrays are read-only views of the received frame; the
-                # caller gets writable copies that own their memory.
-                result = unflatten_arrays(
-                    message.meta["tree"], [array.copy() for array in message.arrays])
-                latency = time.perf_counter() - pending.submitted_at
-                pending.future._resolve(result)
-                if self.metrics is not None:
-                    self.metrics.record_completion(self.worker_id, latency)
-                self._seal_trace(pending, message.meta)
-            elif message.kind == "error":
-                pending = self._pop(int(message.meta["id"]))
-                if pending is None:
-                    continue
-                # A frame stamped with a known wire code rehydrates as the
-                # typed exception (a deadline expiry inside the worker is a
-                # DeadlineExceededError here too); anything else — a genuine
-                # model failure — stays a RemoteInferenceError.
-                code = message.meta.get("code")
-                detail = (
-                    f"worker {self.worker_id}: {message.meta.get('type', 'Error')}: "
-                    f"{message.meta.get('error', '')}"
-                )
-                if code in WIRE_ERRORS and code != "serving_error":
-                    error: BaseException = error_from_wire(code, detail)
+                failed = message.kind == "error"
+                outputs, error = None, None
+                if failed:
+                    error = self._reply_error(meta)
                 else:
-                    error = RemoteInferenceError(detail)
-                pending.future._fail(error)
+                    outputs = self._reply_outputs(message)
+                first = first_id - request.base_id
+                latency = time.perf_counter() - request.submitted_at
+                request.future._settle(request.offset + first, request.offset + first + count,
+                                       outputs, error)
                 if self.metrics is not None:
-                    self.metrics.record_completion(
-                        self.worker_id, time.perf_counter() - pending.submitted_at, failed=True
-                    )
-                self._seal_trace(pending, message.meta)
+                    self.metrics.record_completion(self.worker_id, latency, failed, count)
+                # Absorb the worker's shipped-back spans and seal the traces.
+                if request.traces:
+                    spans = meta.get("spans") or ()
+                    for index, trace in enumerate(request.traces[first:first + count]):
+                        if index < len(spans):
+                            trace.absorb_wire_spans(spans[index])
+                        trace.finish()
             elif message.kind == "heartbeat":
                 self.last_heartbeat = time.perf_counter()
             elif message.kind == "ready":
@@ -629,19 +666,32 @@ class WorkerProcess:
                 self._mark_dead()
 
     @staticmethod
-    def _seal_trace(pending: _PendingRequest, meta: Dict[str, Any]) -> None:
-        """Absorb the worker's shipped-back spans and seal the router trace."""
-        trace = pending.trace
-        if trace is None:
-            return
-        spans = meta.get("spans")
-        if spans:
-            trace.absorb_wire_spans(spans)
-        trace.finish()
+    def _reply_outputs(message: Message) -> Any:
+        """A result frame's outputs: the arrays are read-only views of the
+        received frame; the caller gets writable copies that own their memory."""
+        return unflatten_arrays(
+            message.meta["tree"], [array.copy() for array in message.arrays])
 
-    def _pop(self, request_id: int) -> Optional[_PendingRequest]:
+    def _reply_error(self, meta: Dict[str, Any]) -> BaseException:
+        """An error frame as its exception.
+
+        A frame stamped with a known wire code rehydrates as the typed
+        exception (a deadline expiry inside the worker is a
+        DeadlineExceededError here too); anything else — a genuine model
+        failure — stays a RemoteInferenceError.
+        """
+        code = meta.get("code")
+        detail = f"worker {self.worker_id}: {meta.get('type', 'Error')}: {meta.get('error', '')}"
+        if code in WIRE_ERRORS and code != "serving_error":
+            return error_from_wire(code, detail)
+        return RemoteInferenceError(detail)
+
+    def _pop(self, first_id: int, count: int) -> Optional[_PendingRequest]:
+        """Take requests ``[first_id, first_id + count)`` off the table; their record."""
         with self._lock:
-            pending = self._outstanding.pop(request_id, None)
-            if pending is not None:
-                self._space.notify()
-        return pending
+            request = self._outstanding.get(first_id)
+            if request is not None:
+                for request_id in range(first_id, first_id + count):
+                    self._outstanding.pop(request_id, None)
+                self._space.notify(count)
+        return request

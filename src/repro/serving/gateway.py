@@ -16,19 +16,23 @@ where the payload is exactly the pickle-free format the cluster pipe already
 speaks (:func:`repro.serving.cluster.channel.encode_frame`): a 4-byte JSON
 header length, the JSON header (``kind`` / ``meta`` / array dtypes+shapes) and
 the raw contiguous array bytes.  Client → server kinds are ``infer``
-(``meta = {id, model?, priority?, deadline_ms?}`` plus one ``(C, H, W)``
-array) and ``stats`` (``meta = {id}``); server → client kinds are ``result``
-(``meta = {id, treedef}`` plus the flattened output arrays), ``error``
-(``meta = {id, code, error}``) and ``stats`` (``meta = {id, report}``).
+(``meta = {id, count?, model?, priority?, deadline_ms?}`` plus one array: a
+``(C, H, W)`` image, or an ``(N, C, H, W)`` burst whose requests take the ids
+``id .. id + N - 1`` and share the rest of the header) and ``stats``
+(``meta = {id}``); server → client kinds are ``result``
+(``meta = {id, count?, treedef}`` plus the flattened output arrays, batched
+over the ``count`` consecutive requests they answer — one frame per
+micro-batch that ran, not one per image), ``error``
+(``meta = {id, count?, code, error}``) and ``stats`` (``meta = {id, report}``).
 ``docs/gateway.md`` documents the full protocol.
 
 Scheduling semantics
 --------------------
 The gateway enforces **per-client admission control** — a token bucket
 (``rate_limit_rps`` / ``burst``) plus a bounded in-flight count per
-connection — before a request ever reaches the scheduler; rejections come
-back as typed error frames (stable codes from :mod:`repro.serving.errors`),
-not silent queueing.  ``priority`` and ``deadline_ms`` ride the frame header
+connection, both charged per image — before a request ever reaches the
+scheduler; rejections come back as typed error frames (stable codes from
+:mod:`repro.serving.errors`), not silent queueing.  ``priority`` and ``deadline_ms`` ride the frame header
 into the batcher's priority queue: an infeasible deadline is rejected up
 front (``deadline_exceeded``), and a request that expires while queued is
 dropped with the same code — never executed.  A class without an explicit
@@ -49,12 +53,13 @@ The server runs one asyncio loop in a daemon thread; each connection is a
 :class:`asyncio.BufferedProtocol` whose state is touched only on that loop,
 except its *outbox*.  A read lands in the connection's
 :class:`~repro.serving.cluster.channel.FrameSplitter` chunk and one callback
-handles every frame it completes: the frame is cut out into its own ``bytes``
-and the request image is decoded as a **read-only view** of it, which is
-what ``target.submit`` — and, behind a router, the pipe to the worker —
+handles every frame it completes: the frame gets memory of its own (cut out
+of the chunk, or — a burst — the buffer it was received into) and the request
+images are decoded as a **read-only view** of it, which is what
+``target.submit_group`` — and, behind a router, the pipe to the worker —
 receives; nothing between the socket and the worker copies the pixels again.
-Futures resolve on batcher / cluster-receiver threads: the resolving thread
-encodes the response header there, off the loop, appends
+Futures settle run by run on batcher / cluster-receiver threads: the settling
+thread encodes the response header there, off the loop, appends
 ``[prefix + header, array, ...]`` to the connection's outbox and wakes the
 loop only if no wake-up is already pending, so a burst of responses costs
 one self-pipe write and one ``transport.writelines``.  A slow client stalls
@@ -65,22 +70,29 @@ only itself: while its transport is paused its outbox holds, and because
 from __future__ import annotations
 
 import asyncio
-import itertools
 import socket
 import threading
 import time
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.engine.runner import _concat_outputs
-from repro.obs.tracing import TraceContext, mint_trace
+from repro.obs.tracing import TraceContext, mint_traces
 from repro.pipeline.spec import GatewaySpec
 from repro.serving.api import DEFAULT_PRIORITY, priority_index
-from repro.serving.batcher import InferenceFuture, submit_stack
+from repro.serving.batcher import (
+    Images,
+    InferenceFuture,
+    as_images,
+    one_image,
+    submit_bursts,
+)
 from repro.serving.cluster.channel import (
+    BURST_BYTES,
     FrameSplitter,
     FrameTooLargeError,
+    burst_images,
     decode_frame,
     flatten_arrays,
     frame_buffers,
@@ -104,6 +116,20 @@ __all__ = ["GatewayClient", "GatewayServer"]
 
 logger = get_logger("serving.gateway")
 
+#: Frames a client's ``submit_many`` keeps unanswered: at 16 images of 3x64x64
+#: a frame, the 64 requests a default gateway lets one client have in flight
+#: (``GatewaySpec.max_inflight_per_client``).
+BURSTS_IN_FLIGHT = 4
+
+
+def _run_id(first_id: Any, start: int) -> Any:
+    """The id of request ``start`` of the frame whose first id is ``first_id``.
+
+    A lone request's id is whatever the client sent, echoed; only a burst's
+    (checked to be an integer) is counted from.
+    """
+    return first_id + start if start else first_id
+
 
 class _TokenBucket:
     """Per-connection rate limiter; loop-thread only, so no lock."""
@@ -114,17 +140,20 @@ class _TokenBucket:
         self.burst = float(burst)
         self._last = time.perf_counter()
 
-    def admit(self) -> bool:
-        """Take one token if available; refills at ``rate`` tokens/second."""
+    def take(self, count: int) -> int:
+        """Take up to ``count`` tokens; refills at ``rate`` tokens/second.
+
+        Returns how many were there to take: the images of a burst are
+        admitted one token each, in order, like as many single requests.
+        """
         if self.rate <= 0:
-            return True              # rate limiting disabled
+            return count             # rate limiting disabled
         now = time.perf_counter()
         self.tokens = min(self.burst, self.tokens + (now - self._last) * self.rate)
         self._last = now
-        if self.tokens < 1.0:
-            return False
-        self.tokens -= 1.0
-        return True
+        granted = min(count, int(self.tokens))
+        self.tokens -= granted
+        return granted
 
 
 class _Connection(asyncio.BufferedProtocol):
@@ -150,7 +179,7 @@ class _Connection(asyncio.BufferedProtocol):
         self._outbox_lock = threading.Lock()
         #: Response buffers in wire order, waiting for the next flush.
         self._outbox: List[Any] = []
-        #: Infer responses among them; each frees an in-flight slot at the flush.
+        #: Infer requests they answer; each frees an in-flight slot at the flush.
         self._finished = 0
         self._wake_pending = False
         self._writable = True
@@ -177,10 +206,11 @@ class _Connection(asyncio.BufferedProtocol):
         parse_started = time.time()
         try:
             for frame in self.splitter.feed(nbytes):
-                # bytes(frame): the request's own memory.  Its image is a view
-                # of it, so what an unresolved request keeps alive is one
-                # frame, and the splitter's chunk is free for the next read.
-                self.server._handle_frame(self, bytes(frame), parse_started)
+                # detach: the request's own memory.  Its images are a view of
+                # it, so what an unresolved request keeps alive is one frame,
+                # and the splitter's chunk is free for the next read.
+                self.server._handle_frame(
+                    self, self.splitter.detach(frame), parse_started)
         except FrameTooLargeError as error:
             # Cannot resync mid-stream after an oversized frame: answer and
             # hang up (close() still flushes the answer).
@@ -197,12 +227,14 @@ class _Connection(asyncio.BufferedProtocol):
         self._drain()
 
     # ------------------------------------------------------------------ outbox
-    def respond(self, buffers: List[Any], finished: bool = False) -> None:
-        """Queue one response frame (any thread); wake the loop if nobody has."""
+    def respond(self, buffers: List[Any], finished: int = 0) -> None:
+        """Queue one response frame (any thread); wake the loop if nobody has.
+
+        ``finished`` is how many admitted requests the frame answers.
+        """
         with self._outbox_lock:
             self._outbox.extend(buffers)
-            if finished:
-                self._finished += 1
+            self._finished += finished
             wake = not self._wake_pending
             self._wake_pending = True
         if wake:
@@ -400,116 +432,160 @@ class GatewayServer:
 
     def _handle_infer(self, conn: _Connection, request_id: Any,
                       message, parse_started: float) -> None:
+        """Admit the requests of one infer frame and hand them on as one group.
+
+        One image is a burst of one.  Every limit counts images: the requests
+        of a burst are admitted in order, like as many single requests, and
+        those past a limit are answered with one error frame for their run of
+        ids while the others go on.
+        """
         meta = message.meta
         priority = meta.get("priority", self.spec.default_priority)
         deadline_ms = meta.get("deadline_ms")
-        trace = mint_trace()
-        if trace is not None:
-            if not conn.accept_recorded:
-                conn.accept_recorded = True
-                trace.record("gateway-accept", conn.accepted_wall,
-                             parse_started, peer=conn.peer)
-            trace.record("gateway-parse", parse_started)
-
+        count = meta.get("count", 1)
         admission_started = time.time()
         try:
+            images = self._burst(request_id, count, message.arrays)
             priority_index(priority)
         except ValueError as error:
-            self._reject(conn, request_id, "normal", BadRequestError(str(error)),
-                         trace, admission_started, deadline_ms)
+            # The whole frame is refused: every request its header announced,
+            # as far as the frame carries images for them — a count the client
+            # made up is neither added to the ledger nor echoed back.
+            arrays = message.arrays
+            carried = len(arrays[0]) if len(arrays) == 1 and arrays[0].ndim == 4 else 1
+            announced = min(count, carried) if type(count) is int and count > 0 else 1
+            self._reject(conn, request_id, announced, "normal", BadRequestError(str(error)),
+                         mint_traces(1), admission_started, deadline_ms)
             return
-        if len(message.arrays) != 1:
-            self._reject(conn, request_id, priority, BadRequestError(
-                f"infer frame must carry exactly one image array, "
-                f"got {len(message.arrays)}"), trace, admission_started,
-                deadline_ms)
-            return
+        traces = mint_traces(count)
+        if traces is not None:
+            if not conn.accept_recorded:
+                conn.accept_recorded = True
+                traces[0].record("gateway-accept", conn.accepted_wall,
+                                 parse_started, peer=conn.peer)
+            for trace in traces:
+                trace.record("gateway-parse", parse_started, admission_started)
+
         if deadline_ms is None:
             deadline_ms = self.spec.slo_ms.get(priority)
-        if not conn.bucket.admit():
-            self._reject(conn, request_id, priority, AdmissionRejectedError(
-                f"rate limit exceeded ({self.spec.rate_limit_rps} rps, "
-                f"burst {self.spec.burst})"), trace, admission_started,
-                deadline_ms)
-            return
-        if conn.inflight >= self.spec.max_inflight_per_client:
-            self._reject(conn, request_id, priority, AdmissionRejectedError(
-                f"client has {conn.inflight} requests in flight "
-                f"(max_inflight_per_client={self.spec.max_inflight_per_client})"),
-                trace, admission_started, deadline_ms)
-            return
+        admitted = conn.bucket.take(count)
+        room = max(self.spec.max_inflight_per_client - conn.inflight, 0)
+        if min(admitted, room) < count:
+            if room < admitted:
+                admitted = room
+                refusal = AdmissionRejectedError(
+                    f"client has {conn.inflight} requests in flight "
+                    f"(max_inflight_per_client={self.spec.max_inflight_per_client})")
+            else:
+                refusal = AdmissionRejectedError(
+                    f"rate limit exceeded ({self.spec.rate_limit_rps} rps, "
+                    f"burst {self.spec.burst})")
+            self._reject(conn, _run_id(request_id, admitted), count - admitted, priority,
+                         refusal, traces and traces[admitted:], admission_started,
+                         deadline_ms)
+            if not admitted:
+                return
+            images, traces = images[:admitted], traces and traces[:admitted]
 
-        if trace is not None:
+        for trace in traces or ():
             trace.record("gateway-admission", admission_started,
                          cls=priority, deadline_ms=deadline_ms)
         queue_started = time.time()
         submitted = time.perf_counter()
         try:
-            future = self.target.submit(
-                message.arrays[0], model=meta.get("model"), block=False,
-                priority=priority, deadline_ms=deadline_ms, trace=trace)
-        except ServingError as rejection:
-            self._reject(conn, request_id, priority, rejection, trace,
+            future = self.target.submit_group(
+                images, model=meta.get("model"), block=False,
+                priority=priority, deadline_ms=deadline_ms, traces=traces)
+        except (ServingError, TypeError, ValueError) as error:
+            if not isinstance(error, ServingError):
+                error = BadRequestError(str(error))
+            self._reject(conn, request_id, admitted, priority, error, traces,
                          queue_started, deadline_ms)
             return
-        except (TypeError, ValueError) as error:
-            self._reject(conn, request_id, priority,
-                         BadRequestError(str(error)), trace,
-                         queue_started, deadline_ms)
-            return
-        if trace is not None:
+        for trace in traces or ():
             trace.record("gateway-queue", queue_started)
-        self.metrics.record_accept(priority)
-        conn.inflight += 1
+        self.metrics.record_accept(priority, admitted)
+        conn.inflight += admitted
 
-        def on_done(resolved: InferenceFuture,
-                    _conn: _Connection = conn, _id: Any = request_id,
-                    _priority: str = priority, _trace=trace,
-                    _queue_started: float = queue_started,
-                    _submitted: float = submitted) -> None:
-            # Runs on the resolving thread (batcher worker / cluster
+        def on_run(settled: InferenceFuture, start: int, stop: int, outputs: Any,
+                   error: Optional[BaseException]) -> None:
+            # Runs on the settling thread (batcher worker / cluster
             # receiver): encode off-loop, then leave the buffers in the
-            # connection's outbox.
-            error = resolved._error
+            # connection's outbox.  One frame answers the whole run.
+            reply: Dict[str, Any] = {"id": _run_id(request_id, start)}
+            if stop - start != 1:
+                reply["count"] = stop - start
             if error is None:
                 try:
-                    treedef, arrays = flatten_arrays(resolved._result)
-                    buffers = frame_buffers(
-                        "result", {"id": _id, "treedef": treedef}, arrays)
+                    reply["treedef"], arrays = flatten_arrays(outputs)
+                    buffers = frame_buffers("result", reply, arrays)
                 except (TypeError, ValueError) as encode_error:
                     error = ServingError(
                         f"result is not wire-encodable: {encode_error}")
             if error is not None:
-                buffers = frame_buffers("error", {
-                    "id": _id, "code": error_code(error), "error": str(error)})
-            latency = time.perf_counter() - _submitted
+                reply.pop("treedef", None)
+                reply.update(code=error_code(error), error=str(error))
+                buffers = frame_buffers("error", reply)
+            latency = time.perf_counter() - submitted
             if isinstance(error, DeadlineExceededError):
-                self.metrics.record_expiry(_priority)
+                self.metrics.record_expiry(priority, stop - start)
             else:
-                self.metrics.record_completion(_priority, latency,
-                                               failed=error is not None)
-            if _trace is not None:
-                _trace.record("gateway-dispatch", _queue_started,
-                              cls=_priority,
-                              outcome=error_code(error) if error else "ok")
-            _conn.respond(buffers, finished=True)
+                self.metrics.record_completion(priority, latency, error is not None,
+                                               stop - start)
+            for trace in (traces or ())[start:stop]:
+                trace.record("gateway-dispatch", queue_started, cls=priority,
+                             outcome=error_code(error) if error else "ok")
+            conn.respond(buffers, finished=stop - start)
 
-        future.add_done_callback(on_done)
+        future.add_run_callback(on_run)
 
-    def _reject(self, conn: _Connection, request_id: Any, priority: str,
-                error: ServingError, trace: Optional[TraceContext],
+    @staticmethod
+    def _burst(request_id: Any, count: Any, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """The images of an infer frame as an ``(N, C, H, W)`` view of it.
+
+        ``ValueError`` for what the header promises and the array does not
+        keep: ``count`` is the leading axis of a stack (1, and optional, for
+        a lone ``(C, H, W)`` image), a burst needs an integer first id to
+        count from, and may carry :data:`BURST_BYTES` of images at most.
+        """
+        if len(arrays) != 1:
+            raise ValueError(
+                f"infer frame must carry exactly one image array, got {len(arrays)}")
+        (images,) = arrays
+        if images.ndim == 3:
+            images = images[None]
+        if images.ndim != 4:
+            raise ValueError(
+                f"expected a (C, H, W) image or an (N, C, H, W) burst, got shape {images.shape}")
+        if type(count) is not int or count < 1 or count != len(images):
+            raise ValueError(
+                f"infer frame announces count={count!r} but carries {len(images)} images")
+        if count > 1:
+            if type(request_id) is not int:
+                raise ValueError(f"a burst needs an integer first id, got {request_id!r}")
+            if images.nbytes > BURST_BYTES:
+                raise ValueError(
+                    f"burst of {images.nbytes} image bytes exceeds the "
+                    f"{BURST_BYTES}-byte burst limit")
+        return images
+
+    def _reject(self, conn: _Connection, request_id: Any, count: int, priority: str,
+                error: ServingError, traces: Optional[Sequence[TraceContext]],
                 started: float, deadline_ms: Optional[float]) -> None:
-        self.metrics.record_reject(error.code, priority)
-        if trace is not None:
+        """Answer requests ``[request_id, request_id + count)`` with one error frame."""
+        self.metrics.record_reject(error.code, priority, count)
+        for trace in traces or ():
             trace.record("gateway-admission", started, cls=priority,
                          deadline_ms=deadline_ms, outcome=error.code)
             trace.finish()
-        self._send_error(conn, request_id, error)
+        self._send_error(conn, request_id, error, count)
 
     def _send_error(self, conn: _Connection, request_id: Any,
-                    error: BaseException) -> None:
-        conn.respond(frame_buffers("error", {
-            "id": request_id, "code": error_code(error), "error": str(error)}))
+                    error: BaseException, count: int = 1) -> None:
+        reply = {"id": request_id, "code": error_code(error), "error": str(error)}
+        if count != 1:
+            reply["count"] = count
+        conn.respond(frame_buffers("error", reply))
 
 
 class GatewayClient:
@@ -549,10 +625,12 @@ class GatewayClient:
         # Serializes redials so a burst of failing submits dials once, not N
         # times; always taken before _table_lock, never inside it.
         self._reconnect_lock = threading.Lock()
-        self._pending: Dict[int, InferenceFuture] = {}
+        #: Request id -> (its burst's future, the burst's first id); one entry
+        #: per request, so a reply frame can answer any run of them.
+        self._pending: Dict[int, Tuple[InferenceFuture, int]] = {}
         self._stats: Dict[int, "threading.Event"] = {}
         self._stats_reports: Dict[int, Dict[str, Any]] = {}
-        self._ids = itertools.count()
+        self._next_id = 0
         self._closed = False
         self._sock: Optional[socket.socket] = None
         # Connection generation: bumped on every (re)dial.  A reader thread
@@ -611,35 +689,53 @@ class GatewayClient:
                priority: str = DEFAULT_PRIORITY,
                deadline_ms: Optional[float] = None) -> InferenceFuture:
         """Send one infer frame; the future resolves when its response lands."""
-        image = np.ascontiguousarray(image, dtype=np.float32)
+        return self.submit_group(one_image(image), model=model, priority=priority,
+                                 deadline_ms=deadline_ms)
+
+    def submit_group(self, images: Images, model: Optional[str] = None,
+                     block: bool = False, timeout: Optional[float] = None,
+                     priority: str = DEFAULT_PRIORITY,
+                     deadline_ms: Optional[float] = None) -> InferenceFuture:
+        """Send a burst — an ``(N, C, H, W)`` stack or N images — as one infer frame.
+
+        The images are gather-written from where they are (a list of separate
+        ``(C, H, W)`` arrays is never stacked first); the N requests take
+        consecutive ids, and the future settles run by run as the server's
+        reply frames — one per micro-batch — land.
+        """
+        images, _ = as_images(images)
+        count = len(images)
         base_meta: Dict[str, Any] = {"priority": priority}
+        # One image travels as the (C, H, W) frame it always was.
+        array = images if count > 1 else images[0]
+        if count > 1:
+            base_meta["count"] = count
         if model is not None:
             base_meta["model"] = model
         if deadline_ms is not None:
             base_meta["deadline_ms"] = float(deadline_ms)
         for attempt in (0, 1):
-            request_id = next(self._ids)
             # A fresh future per attempt: if the first send raced a
             # disconnect, the dying reader may already have failed the first
             # future — a failed future cannot be re-armed.
-            future = InferenceFuture()
+            future = InferenceFuture(count)
             with self._table_lock:
                 if self._closed:
                     raise ServiceClosedError("GatewayClient has been shut down")
                 generation = self._conn_gen
-                self._pending[request_id] = future
+                first_id = self._next_id
+                self._next_id += count
+                ids = range(first_id, first_id + count)
+                self._pending.update(dict.fromkeys(ids, (future, first_id)))
             try:
-                self._send(frame_buffers(
-                    "infer", dict(base_meta, id=request_id), [image]))
-            except GatewayDisconnectedError:
+                self._send(frame_buffers("infer", dict(base_meta, id=first_id), [array]))
+            except BaseException as error:
                 with self._table_lock:
-                    self._pending.pop(request_id, None)
-                if attempt == 0 and self._try_reconnect(generation):
+                    for request_id in ids:
+                        self._pending.pop(request_id, None)
+                if (isinstance(error, GatewayDisconnectedError) and attempt == 0
+                        and self._try_reconnect(generation)):
                     continue     # one bounded retry on the fresh connection
-                raise
-            except BaseException:
-                with self._table_lock:
-                    self._pending.pop(request_id, None)
                 raise
             return future
         raise AssertionError("unreachable")  # pragma: no cover
@@ -649,23 +745,26 @@ class GatewayClient:
                     timeout: Optional[float] = None) -> Any:
         """Submit a stack and wait; outputs concatenated in request order.
 
-        Mirrors :meth:`InferenceService.submit_many` exactly (same
-        :func:`~repro.serving.batcher.submit_stack` +
-        :func:`~repro.engine.runner._concat_outputs` path), so the result is
-        bit-identical to an in-process run over the same artifact.
+        The stack goes out in bursts of
+        :func:`~repro.serving.cluster.channel.burst_images` images — one
+        :meth:`submit_group`, i.e. one frame, each
+        (:func:`~repro.serving.batcher.submit_bursts`),
+        :data:`BURSTS_IN_FLIGHT` unanswered at a time — and is waited for
+        once; the result is bit-identical to an in-process run over the same
+        artifact.
         """
-        results = submit_stack(
-            lambda image: self.submit(image, model=model, timeout=timeout),
-            images, timeout)
-        return _concat_outputs(results)
+        images, _ = as_images(images)
+        return submit_bursts(partial(self.submit_group, model=model), images,
+                             burst_images(images[0].nbytes), BURSTS_IN_FLIGHT, timeout)
 
     def stats(self) -> Dict[str, Any]:
         """The server's ``{"gateway": ..., "target": ...}`` metrics report."""
-        request_id = next(self._ids)
         event = threading.Event()
         with self._table_lock:
             if self._closed:
                 raise ServiceClosedError("GatewayClient has been shut down")
+            request_id = self._next_id
+            self._next_id += 1
             self._stats[request_id] = event
         self._send(frame_buffers("stats", {"id": request_id}))
         if not event.wait(30.0):
@@ -736,31 +835,36 @@ class GatewayClient:
             self._handle_disconnect(generation)
 
     def _dispatch(self, message) -> None:
-        request_id = message.meta.get("id")
-        if message.kind == "result":
+        meta = message.meta
+        request_id = meta.get("id")
+        if message.kind == "result" or message.kind == "error":
+            # One frame answers requests [id, id + count) of one burst.
             with self._table_lock:
-                future = self._pending.pop(request_id, None)
-            if future is not None:
+                entry = self._pending.get(request_id)
+                if entry is not None:
+                    future, first_id = entry
+                    start = request_id - first_id
+                    # Never past the burst the first id belongs to.
+                    count = min(meta.get("count", 1), future.count - start)
+                    for answered in range(request_id, request_id + count):
+                        self._pending.pop(answered, None)
+            if entry is None:
+                if message.kind == "error":
+                    logger.warning("gateway error without a pending request: %s", meta)
+                return
+            if message.kind == "result":
                 # The arrays are views of the reader's chunk; the caller gets
                 # writable copies that own their memory.
-                future._resolve(unflatten_arrays(
-                    message.meta["treedef"],
-                    [array.copy() for array in message.arrays]))
-        elif message.kind == "error":
-            with self._table_lock:
-                future = self._pending.pop(request_id, None)
-            if future is not None:
-                future._fail(error_from_wire(
-                    message.meta.get("code", "serving_error"),
-                    message.meta.get("error", "remote error")))
+                future._settle(start, start + count, unflatten_arrays(
+                    meta["treedef"], [array.copy() for array in message.arrays]), None)
             else:
-                logger.warning("gateway error without a pending request: %s",
-                               message.meta)
+                future._settle(start, start + count, None, error_from_wire(
+                    meta.get("code", "serving_error"), meta.get("error", "remote error")))
         elif message.kind == "stats":
             with self._table_lock:
                 event = self._stats.pop(request_id, None)
                 if event is not None:
-                    self._stats_reports[request_id] = message.meta["report"]
+                    self._stats_reports[request_id] = meta["report"]
             if event is not None:
                 event.set()
         else:  # pragma: no cover - server bug
@@ -784,7 +888,7 @@ class GatewayClient:
             # reconnect-and-retry path instead.
             dead = self._sock
             self._sock = None
-            pending = list(self._pending.values())
+            pending = {future for future, _ in self._pending.values()}
             self._pending.clear()
             stats = list(self._stats.values())
             self._stats.clear()

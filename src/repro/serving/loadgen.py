@@ -10,7 +10,10 @@ Two standard load models:
   Poisson (exponential inter-arrival) spacing, *without* waiting for replies.
   Arrival rate is independent of service rate, so this is the load model that
   actually exercises queue growth, coalescing under pressure and admission
-  rejection.
+  rejection.  Every request is timed from when it was **due**, so a stalled
+  dispatcher cannot hide the wait it imposes on the arrivals behind it, and
+  how late the dispatcher ran is reported next to the latencies
+  (``lag_ms_p99`` / ``late_share``).
 
 All three load models target any
 :class:`~repro.serving.api.InferenceTarget` — the in-process
@@ -33,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +59,9 @@ from repro.utils.profiling import LatencyStats
 ADMISSION_ERRORS = (QueueFullError, WorkerUnavailableError,
                     AdmissionRejectedError, DeadlineExceededError)
 
+#: An open-loop request sent later than this after it was due counts as late.
+LATE_SECONDS = 1e-3
+
 
 @dataclass
 class LoadReport:
@@ -68,12 +74,26 @@ class LoadReport:
     failed: int
     duration_seconds: float
     latency: LatencyStats = field(default_factory=LatencyStats, repr=False)
+    #: Open loop only: how long after it was due each request was sent.
+    lag: LatencyStats = field(default_factory=LatencyStats, repr=False)
 
     @property
     def throughput_rps(self) -> float:
         if self.duration_seconds <= 0:
             return 0.0
         return self.completed / self.duration_seconds
+
+    @property
+    def lag_ms_p99(self) -> float:
+        """99th percentile of the generator's lag behind its schedule, in ms."""
+        return self.lag.quantile_seconds(99) * 1e3
+
+    @property
+    def late_share(self) -> float:
+        """Share of the requests sent more than :data:`LATE_SECONDS` after due."""
+        if not self.lag.count:
+            return 0.0
+        return sum(1 for lag in self.lag.samples if lag > LATE_SECONDS) / len(self.lag.samples)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -85,12 +105,14 @@ class LoadReport:
             "duration_s": round(self.duration_seconds, 3),
             "throughput_rps": round(self.throughput_rps, 2),
             "latency": self.latency.summary(),
+            "lag_ms_p99": round(self.lag_ms_p99, 3),
+            "late_share": round(self.late_share, 4),
         }
 
     def flat_row(self) -> Dict[str, object]:
         """One table row for :func:`repro.evaluation.tables.format_table`."""
         summary = self.latency.summary()
-        return {
+        row = {
             "mode": self.mode,
             "requests": self.requests,
             "completed": self.completed,
@@ -100,6 +122,10 @@ class LoadReport:
             "p95_ms": summary["p95_ms"],
             "p99_ms": summary["p99_ms"],
         }
+        if self.lag.count:
+            row["lag_p99_ms"] = round(self.lag_ms_p99, 3)
+            row["late_share"] = round(self.late_share, 4)
+        return row
 
 
 def _image_cycle(images: np.ndarray):
@@ -203,12 +229,22 @@ def open_loop(
     model: Optional[str] = None,
     seed: int = 0,
     timeout: float = 120.0,
+    clock: Callable[[], float] = time.perf_counter,
+    sleep: Callable[[float], None] = time.sleep,
 ) -> LoadReport:
     """Issue ``requests`` requests at ``rate_hz`` with Poisson arrivals.
 
     Submission is non-blocking: when the service's bounded queue is full the
     request is counted as *rejected* and the generator moves on — exactly the
     admission-control behaviour a real overloaded service exhibits.
+
+    Latency runs from the instant a request was **due** on the schedule to its
+    resolution.  The dispatcher is one thread: while one ``submit`` stalls,
+    the arrivals behind it are already waiting, and timing them from their
+    (late) submit would report a stalled system as a fast one.  The report's
+    ``lag`` says how late the dispatcher ran, so a figure inflated by the
+    generator itself is told apart from one inflated by the target.
+    ``clock`` / ``sleep`` exist for the tests that pin this.
     """
     if requests < 1:
         raise ValueError(f"requests must be >= 1, got {requests}")
@@ -217,29 +253,27 @@ def open_loop(
     next_image = _image_cycle(images)
 
     gaps = poisson_gaps(rate_hz, requests, seed=seed)
-    futures: List[InferenceFuture] = []
-    submit_times: List[float] = []
+    sent: List[Tuple[InferenceFuture, float]] = []     # (future, when it was due)
+    lag = LatencyStats()
     rejected = 0
 
-    started = time.perf_counter()
-    next_due = started
+    started = clock()
+    due = started
     for index in range(requests):
-        now = time.perf_counter()
-        if next_due > now:
-            time.sleep(next_due - now)
-        next_due += float(gaps[index])
-        # Stamp before submitting: a fast worker can resolve the future before
-        # submit() even returns, and latency must never come out negative.
-        submitted = time.perf_counter()
+        now = clock()
+        if due > now:
+            sleep(due - now)
+            now = clock()
+        lag.add(max(0.0, now - due))
         try:
-            futures.append(service.submit(next_image(index), model=model, block=False))
-            submit_times.append(submitted)
+            sent.append((service.submit(next_image(index), model=model, block=False), due))
         except ADMISSION_ERRORS:
             rejected += 1
+        due += float(gaps[index])
 
     latency = LatencyStats()
     failed = 0
-    for future, submitted in zip(futures, submit_times):
+    for future, was_due in sent:
         try:
             future.result(timeout)
         except ADMISSION_ERRORS:
@@ -251,8 +285,8 @@ def open_loop(
         else:
             # resolved_at is stamped by the worker, so waiting on future N
             # does not inflate the recorded latency of future N+1.
-            latency.add(future.resolved_at - submitted)
-    duration = time.perf_counter() - started
+            latency.add(future.resolved_at - was_due)
+    duration = clock() - started
 
     return LoadReport(
         mode="open-loop",
@@ -262,6 +296,7 @@ def open_loop(
         failed=failed,
         duration_seconds=duration,
         latency=latency,
+        lag=lag,
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import Sample, get_registry, summary_samples
 from repro.utils.profiling import LatencyStats
@@ -80,13 +80,18 @@ class ServingMetrics:
                 f"serving.{name}", self.collect_metrics)
 
     # ------------------------------------------------------------------ recording
-    def record_admission(self, queue_depth: int) -> None:
-        """One request accepted into the queue (``queue_depth`` after enqueue)."""
+    def record_admission(self, queue_depth: int, count: int = 1) -> None:
+        """``count`` requests accepted into the queue together.
+
+        ``queue_depth`` is the depth after the last of them; the mean depth
+        counts each at the depth it saw (``queue_depth - count + 1`` up to
+        ``queue_depth``), as ``count`` single admissions would have.
+        """
         now = time.perf_counter()
         with self._lock:
-            self._admitted += 1
+            self._admitted += count
             depth = int(queue_depth)
-            self._queue_sum += depth
+            self._queue_sum += count * depth - count * (count - 1) // 2
             self._queue_last = depth
             if depth > self._queue_max:
                 self._queue_max = depth
@@ -94,20 +99,25 @@ class ServingMetrics:
                 self._first_admission = now
 
     def record_rejection(self, reason: str = "queue_full",
-                         priority: str = "normal") -> None:
-        """One request turned away at admission, keyed by reason and class."""
+                         priority: str = "normal", count: int = 1) -> None:
+        """``count`` requests turned away at admission, keyed by reason and class."""
         key = (reason, priority)
         with self._lock:
-            self._rejected += 1
-            self._rejected_by[key] = self._rejected_by.get(key, 0) + 1
+            self._rejected += count
+            self._rejected_by[key] = self._rejected_by.get(key, 0) + count
 
-    def record_expiry(self, priority: str = "normal") -> None:
-        """One queued request dropped because its deadline expired (never run)."""
+    def record_expiry(self, priority: str = "normal", count: int = 1) -> None:
+        """``count`` queued requests dropped because their deadline expired (never run)."""
         with self._lock:
-            self._expired[priority] = self._expired.get(priority, 0) + 1
+            self._expired[priority] = self._expired.get(priority, 0) + count
 
-    def record_batch(self, size: int, seconds: float) -> None:
-        """One executed micro-batch of ``size`` requests taking ``seconds``."""
+    def record_batch(self, size: int, seconds: float,
+                     completions: Sequence[Tuple[float, int, int]] = ()) -> None:
+        """One executed micro-batch of ``size`` requests taking ``seconds``.
+
+        ``completions`` are the runs it resolved, as :meth:`record_completion`
+        arguments — the whole batch is accounted under one lock acquisition.
+        """
         size = int(size)
         with self._lock:
             self._batch_stats.add(float(seconds))
@@ -115,17 +125,23 @@ class ServingMetrics:
             self._batch_size_sum += size
             if size > self._batch_size_max:
                 self._batch_size_max = size
+            for completion in completions:
+                self._complete_locked(*completion)
 
-    def record_completion(self, latency_seconds: float, failed: bool = False) -> None:
-        """One request finished (its future resolved), successfully or not."""
-        now = time.perf_counter()
+    def record_completion(self, latency_seconds: float, count: int = 1,
+                          failed: int = 0) -> None:
+        """``count`` requests finished together after ``latency_seconds``, ``failed`` of them badly."""
         with self._lock:
-            self._completed += 1
-            if failed:
-                self._failed += 1
-            else:
-                self._latency.add(latency_seconds)
-            self._last_completion = now
+            self._complete_locked(latency_seconds, count, failed)
+
+    def _complete_locked(self, latency_seconds: float, count: int,  # reprolint: holds=_lock
+                         failed: int) -> None:
+        failed = int(failed)
+        self._completed += count
+        self._failed += failed
+        for _ in range(count - failed):
+            self._latency.add(latency_seconds)
+        self._last_completion = time.perf_counter()
 
     def reset(self) -> None:
         """Zero every ledger (e.g. after a verification pass, before load)."""
@@ -309,34 +325,35 @@ class GatewayMetrics:
         with self._lock:
             self._connections -= 1
 
-    def record_accept(self, priority: str) -> None:
-        """One request passed gateway admission and entered the scheduler."""
+    def record_accept(self, priority: str, count: int = 1) -> None:
+        """``count`` requests passed gateway admission and entered the scheduler."""
         with self._lock:
-            self._accepted[priority] = self._accepted.get(priority, 0) + 1
+            self._accepted[priority] = self._accepted.get(priority, 0) + count
 
-    def record_reject(self, reason: str, priority: str) -> None:
-        """One request answered with an error frame at gateway admission."""
+    def record_reject(self, reason: str, priority: str, count: int = 1) -> None:
+        """``count`` requests answered with an error frame at gateway admission."""
         key = (reason, priority)
         with self._lock:
-            self._rejected[key] = self._rejected.get(key, 0) + 1
+            self._rejected[key] = self._rejected.get(key, 0) + count
 
-    def record_expiry(self, priority: str) -> None:
-        """One accepted request dropped downstream on deadline expiry."""
+    def record_expiry(self, priority: str, count: int = 1) -> None:
+        """``count`` accepted requests dropped downstream on deadline expiry."""
         with self._lock:
-            self._expired[priority] = self._expired.get(priority, 0) + 1
+            self._expired[priority] = self._expired.get(priority, 0) + count
 
     def record_completion(self, priority: str, latency_seconds: float,
-                          failed: bool = False) -> None:
-        """One accepted request answered (result or non-expiry error frame)."""
+                          failed: bool = False, count: int = 1) -> None:
+        """``count`` accepted requests answered together (result or non-expiry error frame)."""
         with self._lock:
             if failed:
-                self._failed[priority] = self._failed.get(priority, 0) + 1
+                self._failed[priority] = self._failed.get(priority, 0) + count
                 return
-            self._completed[priority] = self._completed.get(priority, 0) + 1
+            self._completed[priority] = self._completed.get(priority, 0) + count
             stats = self._latency.get(priority)
             if stats is None:
                 stats = self._latency[priority] = LatencyStats()
-            stats.add(latency_seconds)
+            for _ in range(count):
+                stats.add(latency_seconds)
 
     def reset(self) -> None:
         """Zero the request ledgers (connection gauges are left alone)."""

@@ -7,9 +7,12 @@
 * :meth:`~InferenceService.submit` — admit one image, get an
   :class:`~repro.serving.batcher.InferenceFuture` (raises
   :class:`~repro.serving.batcher.QueueFullError` under overload),
+* :meth:`~InferenceService.submit_group` — admit a burst of images as one
+  unit (one future over all of them); ``submit`` is its N = 1 case,
 * :meth:`~InferenceService.submit_many` — blocking convenience for a stack of
-  images; returns outputs concatenated in request order, so it is directly
-  comparable against a sequential :class:`~repro.engine.runner.BatchRunner` run,
+  images (a blocking group submit, then one wait); returns outputs
+  concatenated in request order, so it is directly comparable against a
+  sequential :class:`~repro.engine.runner.BatchRunner` run,
 * :meth:`~InferenceService.shutdown` — graceful drain (no admitted request is
   dropped), also entered via the context-manager protocol.
 
@@ -28,17 +31,18 @@ from typing import Any, Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.engine.compiler import CompiledModel
-from repro.engine.runner import _concat_outputs
 from repro.nn.module import Module
-from repro.obs.tracing import TraceContext, mint_trace
+from repro.obs.tracing import TraceContext, mint_traces
 from repro.pipeline.artifact import DeployableArtifact
 from repro.serving.api import DEFAULT_PRIORITY
 from repro.serving.batcher import (
     BatchPolicy,
     DynamicBatcher,
+    Images,
     InferenceFuture,
     ServiceClosedError,
-    submit_stack,
+    one_image,
+    collect,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.serving.pool import ModelPool, PooledModel
@@ -134,7 +138,19 @@ class InferenceService:
             self._default_key = name
 
     # ------------------------------------------------------------------ serving
-    def _batcher_for(self, key: str) -> DynamicBatcher:
+    def _batcher_for(self, model: Optional[str]) -> DynamicBatcher:
+        if model is None:
+            key = self._default_key
+        elif model in self._pinned:
+            key = model
+        else:
+            key = self.pool.key_for(model)
+        # The usual case takes no lock: a batcher, once made, stays in the
+        # table (and refuses submits itself after shutdown).
+        batcher = self._batchers.get(key)
+        return batcher if batcher is not None else self._make_batcher(key)
+
+    def _make_batcher(self, key: str) -> DynamicBatcher:
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("InferenceService has been shut down")
@@ -165,30 +181,46 @@ class InferenceService:
         Non-blocking by default: raises
         :class:`~repro.serving.errors.QueueFullError` when the bounded queue
         is at capacity (admission control), so overload is visible to callers
-        instead of silently growing latency.
+        instead of silently growing latency.  A group of one through
+        :meth:`submit_group`, which documents the rest.
+        """
+        return self.submit_group(
+            one_image(image), model=model, block=block, timeout=timeout,
+            traces=None if trace is None else (trace,),
+            priority=priority, deadline_ms=deadline_ms)
+
+    def submit_group(self, images: Images, model: Optional[str] = None,
+                     block: bool = False, timeout: Optional[float] = None,
+                     traces: Optional[Sequence[TraceContext]] = None,
+                     priority: str = DEFAULT_PRIORITY,
+                     deadline_ms: Optional[float] = None) -> InferenceFuture:
+        """Admit a burst — an ``(N, C, H, W)`` stack or N images — as one unit.
+
+        Returns one future over the N requests; it settles micro-batch by
+        micro-batch (:meth:`~repro.serving.batcher.InferenceFuture.add_run_callback`)
+        and resolves to the outputs concatenated in request order.  Queue
+        space is counted per image: what does not fit is refused with
+        :class:`~repro.serving.errors.QueueFullError` (``block=True``: waits
+        for space instead), and only a burst of which nothing was admitted
+        raises here — see :meth:`DynamicBatcher.submit_group`.
 
         ``priority`` (a :data:`repro.serving.api.PRIORITY_CLASSES` name) and
-        ``deadline_ms`` feed the batcher's SLO-aware scheduler: higher classes
-        batch first, infeasible deadlines are rejected at admission with
+        ``deadline_ms`` feed the batcher's SLO-aware scheduler and are shared
+        by the burst: higher classes batch first, infeasible deadlines are
+        rejected at admission with
         :class:`~repro.serving.errors.DeadlineExceededError`, and a request
         whose deadline expires while queued is dropped — never executed.
 
         When tracing is on (:func:`repro.obs.set_tracing` or ``REPRO_TRACE=1``)
-        each admission mints a :class:`~repro.obs.tracing.TraceContext` that
-        follows the request through queue, batch and engine; cluster workers
-        and the gateway pass the rehydrated parent ``trace`` in instead, so one
+        each request is minted a :class:`~repro.obs.tracing.TraceContext` that
+        follows it through queue, batch and engine; cluster workers and the
+        gateway pass the rehydrated parent ``traces`` in instead, so one
         ``trace_id`` spans the whole hop.
         """
-        if model is None:
-            key = self._default_key
-        elif model in self._pinned:
-            key = model
-        else:
-            key = self.pool.key_for(model)
-        if trace is None:
-            trace = mint_trace()     # None unless tracing is enabled
-        return self._batcher_for(key).submit(
-            image, block=block, timeout=timeout, trace=trace,
+        if traces is None:
+            traces = mint_traces(len(images))     # None unless tracing is enabled
+        return self._batcher_for(model).submit_group(
+            images, block=block, timeout=timeout, traces=traces,
             priority=priority, deadline_ms=deadline_ms)
 
     def submit_many(self, images: Union[np.ndarray, Sequence[np.ndarray]],
@@ -196,18 +228,15 @@ class InferenceService:
                     timeout: Optional[float] = None) -> Any:
         """Submit a stack of images with backpressure and wait for all results.
 
-        Outputs come back concatenated along the batch axis **in request
-        order** (independent of micro-batch composition), so
-        ``service.submit_many(x)`` is directly comparable to
-        ``BatchRunner(compiled).run(x)``.  With a ``postprocess`` installed the
-        return value is the list of per-image postprocessed results instead.
+        One blocking :meth:`submit_group` and one wait.  Outputs come back
+        concatenated along the batch axis **in request order** (independent of
+        micro-batch composition), so ``service.submit_many(x)`` is directly
+        comparable to ``BatchRunner(compiled).run(x)``.  With a ``postprocess``
+        installed the return value is the list of per-image postprocessed
+        results instead.
         """
-        results = submit_stack(
-            lambda image: self.submit(image, model=model, block=True, timeout=timeout),
-            images, timeout)
-        if self._postprocess is not None:
-            return results
-        return _concat_outputs(results)
+        future = self.submit_group(images, model=model, block=True, timeout=timeout)
+        return collect((future,), timeout)
 
     # ------------------------------------------------------------------ lifecycle
     def shutdown(self, timeout: Optional[float] = None) -> None:
@@ -266,6 +295,5 @@ class InferenceService:
             key = model
         else:
             key = self.pool.key_for(model)
-        with self._lock:
-            batcher = self._batchers.get(key)
+        batcher = self._batchers.get(key)
         return 0.0 if batcher is None else batcher.expected_wait_seconds()

@@ -300,3 +300,140 @@ class TestRouterCluster:
         router.shutdown()
         for future in futures:
             assert future.result(10.0) is not None
+
+
+# ------------------------------------------------------------------------ bursts
+class RecordingChannel:
+    """Stands in for a worker's pipe: keeps what was sent, answers nothing."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, kind, meta=None, arrays=()):
+        self.sent.append((kind, dict(meta or {}), list(arrays)))
+
+    def close(self):
+        pass
+
+
+def offline_worker(queue_capacity):
+    """A WorkerProcess handle with no process behind it (parent-side logic only)."""
+    from repro.serving.cluster.worker import WorkerProcess
+
+    worker = WorkerProcess("worker-0", "unused.npz", heartbeat_interval=1.0,
+                           policy=BatchPolicy(queue_capacity=queue_capacity),
+                           metrics=ClusterMetrics(register=False))
+    worker.channel = RecordingChannel()
+    worker._accepting = True
+    return worker
+
+
+def burst_record(count):
+    from repro.serving.batcher import InferenceFuture
+    from repro.serving.cluster.worker import _PendingRequest
+
+    images = np.arange(count, dtype=np.float32)[:, None, None, None] * np.ones((1, 1, 2, 2),
+                                                                               np.float32)
+    return _PendingRequest(InferenceFuture(count), 0, images, None), images
+
+
+class TestWorkerBursts:
+    def test_a_burst_is_one_frame_and_counts_its_images(self):
+        worker = offline_worker(queue_capacity=64)
+        record, images = burst_record(10)
+        assert worker.dispatch(record) is None
+        ((kind, meta, (sent,)),) = worker.channel.sent
+        assert kind == "infer" and meta["id"] == 0
+        assert sent is images                              # forwarded, not copied
+        assert worker.outstanding_count == 10
+        assert worker.metrics.report()["workers"]["worker-0"]["submitted"] == 10
+
+    def test_the_queue_bound_splits_a_burst_and_hands_back_the_rest(self):
+        from repro.serving.errors import QueueFullError
+
+        worker = offline_worker(queue_capacity=6)
+        record, images = burst_record(10)
+        rest = worker.dispatch(record)
+        assert rest.count == 4 and rest.offset == 6 and rest.future is record.future
+        np.testing.assert_array_equal(rest.images, images[6:])
+        assert np.shares_memory(rest.images, images)
+        (_, meta, (sent,)) = worker.channel.sent[0]
+        assert len(sent) == 6 and worker.outstanding_count == 6
+        with pytest.raises(QueueFullError):
+            worker.dispatch(rest)                          # no room at all: refused
+        # Only what went out was counted as submitted.
+        assert worker.metrics.report()["workers"]["worker-0"]["submitted"] == 6
+
+    def test_reply_runs_settle_the_right_requests_and_free_their_slots(self):
+        worker = offline_worker(queue_capacity=64)
+        first, _ = burst_record(3)
+        second, _ = burst_record(8)
+        worker.dispatch(first)                             # ids 0..2
+        worker.dispatch(second)                            # ids 3..10
+        record = worker._pop(7, 4)                         # a run inside the second burst
+        assert record is second and worker.outstanding_count == 7
+        assert worker._pop(7, 4) is None                   # a duplicate answers nothing
+        # What a dead worker leaves behind: one record per unanswered run.
+        pending = worker.take_outstanding()
+        assert [(p.future, p.offset, p.count) for p in pending] == [
+            (first.future, 0, 3), (second.future, 0, 4)]
+        assert worker.outstanding_count == 0
+        assert all(p.fresh is False for p in pending)      # re-dispatch is not re-counted
+
+    def test_failing_a_record_fails_only_its_own_requests(self):
+        record, _ = burst_record(6)
+        head, tail = record.part(0, 2), record.part(2, 6)
+        tail.fail(RuntimeError("lost"))
+        assert not record.future.done()
+        head.future._settle(0, 2, np.zeros((2, 1)), None)
+        assert isinstance(record.future.exception(0.0), RuntimeError)
+        assert sorted(run[:2] for run in record.future._runs) == [(0, 2), (2, 6)]
+
+
+class TestRouterBursts:
+    def test_submit_group_goes_to_one_worker_and_matches_sequential(
+            self, artifact_path, serve_artifact, images, cluster_policy):
+        sequential = BatchRunner(serve_artifact.compiled, batch_size=1).run(images)
+        with Router(artifact_path, workers=2, policy=cluster_policy) as router:
+            future = router.submit_group(images, block=True, timeout=60.0)
+            assert max_abs_output_diff(future.result(60.0), sequential) < 1e-5
+            report = router.report()
+        completed = sorted(w["completed"] for w in report["workers"].values())
+        assert completed == [images.shape[0]]              # one routing decision
+        # One reply frame per micro-batch of 4, not per image.
+        assert sorted(run[:2] for run in future._runs) == [(0, 4), (4, 8), (8, 12)]
+
+    def test_a_burst_beyond_one_workers_bound_spills_to_the_next(
+            self, artifact_path, serve_artifact, images):
+        sequential = BatchRunner(serve_artifact.compiled, batch_size=1).run(images)
+        policy = BatchPolicy(max_batch_size=4, max_wait_ms=5.0, queue_capacity=8)
+        with Router(artifact_path, workers=2, policy=policy) as router:
+            assert all(worker.wait_ready(60.0) for worker in router.workers)
+            future = router.submit_group(images)           # 12 images, 8 per worker
+            assert max_abs_output_diff(future.result(60.0), sequential) < 1e-5
+            report = router.report()
+        completed = sorted(w["completed"] for w in report["workers"].values())
+        assert completed == [4, 8]
+
+    def test_submit_many_keeps_two_frames_per_worker_unanswered(self, monkeypatch):
+        """The bulk window follows the fleet: a router over six workers has
+        twelve frames out before it waits, not a constant sized for two."""
+        import threading
+
+        import repro.serving.cluster.router as router_module
+        from repro.serving.batcher import InferenceFuture
+
+        monkeypatch.setattr(router_module, "burst_images", lambda nbytes: 2)
+        router = Router.__new__(Router)          # no processes: dispatch is stubbed
+        router._lock = threading.Lock()
+        router._workers = [object()] * 6
+        sent = []
+
+        def never_answered(burst, **_):
+            sent.append(len(burst))
+            return InferenceFuture(len(burst))
+
+        router.submit_group = never_answered
+        with pytest.raises(TimeoutError):
+            router.submit_many(np.zeros((64, 3, 4, 4), dtype=np.float32), timeout=0.0)
+        assert sent == [2] * 12

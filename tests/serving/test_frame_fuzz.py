@@ -279,6 +279,12 @@ class EchoTarget:
         future._resolve(np.array([[image.sum()]], dtype=np.float64))
         return future
 
+    def submit_group(self, images, **kwargs):
+        """A burst resolves at once too: one sum per image, as one run."""
+        future = InferenceFuture(len(images))
+        future._resolve(images.sum(axis=(1, 2, 3), dtype=np.float64).reshape(-1, 1))
+        return future
+
     def stats(self):
         return {}
 
@@ -394,3 +400,184 @@ class TestGatewayDecoder:
                 reply = read_reply(sock)
                 assert reply.kind == "result" and reply.meta["id"] == index
                 assert reply.arrays[0].item() == float(image.sum())
+
+
+# ------------------------------------------------------------------- burst frames
+def burst_images_of(sizes):
+    """One burst per entry of ``sizes``: ``(count, side)`` -> ``(count, 1, side, 3)``,
+    every image distinct so a reply can be matched to the image it answers."""
+    return [np.arange(count * side * 3, dtype=np.float32).reshape(count, 1, side, 3) + index
+            for index, (count, side) in enumerate(sizes)]
+
+
+def burst_frame(first_id, images, **meta):
+    return framed(encode_frame("infer", {"id": first_id, "count": len(images), **meta},
+                               [images]))
+
+
+def read_runs(sock, first_id, count):
+    """Reply frames until requests ``[first_id, first_id + count)`` are all answered;
+    returns ``{request id: its reply's kind + its own row of the arrays}``."""
+    answered = {}
+    while len(answered) < count:
+        reply = read_reply(sock)
+        assert reply is not None, "gateway hung up mid-burst"
+        run = reply.meta.get("count", 1)
+        for offset in range(run):
+            request_id = reply.meta["id"] + offset
+            assert first_id <= request_id < first_id + count
+            assert request_id not in answered, "a request was answered twice"
+            answered[request_id] = (
+                reply, reply.arrays[0][offset] if reply.kind == "result" else None)
+    return answered
+
+
+class TestBurstFrames:
+    def test_a_list_entry_is_encoded_as_one_stacked_array(self):
+        parts = [np.full((2, 3), float(index), dtype=np.float32) for index in range(5)]
+        payload = encode_frame("infer", {"id": 7, "count": 5}, [parts])
+        assert payload == encode_frame("infer", {"id": 7, "count": 5}, [np.stack(parts)])
+        (decoded,) = decode_frame(payload).arrays
+        np.testing.assert_array_equal(decoded, np.stack(parts))
+        with pytest.raises(ValueError, match="share shape and dtype"):
+            encode_frame("infer", {}, [[parts[0], np.zeros((3, 2), dtype=np.float32)]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                          min_size=1, max_size=6),
+           chunk=st.integers(8, 2048), data=st.data())
+    def test_any_cut_of_a_burst_stream_yields_the_same_messages(self, sizes, chunk, data):
+        """N-image frames through the splitter: in the chunk, across reads, or
+        (larger than the chunk) received in place -- same frames either way,
+        and a detached frame outlives the chunk's reuse."""
+        bursts = burst_images_of(sizes)
+        payloads = [encode_frame("infer", {"id": index, "count": len(images)}, [images])
+                    for index, images in enumerate(bursts)]
+        stream = b"".join(framed(payload) for payload in payloads)
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=10))
+        assert pump(FrameSplitter(chunk=chunk), stream, cuts) == payloads
+        # The receiver's view: detach, then decode -- after later reads too.
+        splitter, position, kept = FrameSplitter(chunk=chunk), 0, []
+        while position < len(stream):
+            buffer = splitter.buffer()
+            count = min(len(buffer), len(stream) - position)
+            buffer[:count] = stream[position:position + count]
+            position += count
+            kept.extend(decode_frame(splitter.detach(frame)) for frame in splitter.feed(count))
+        for message, images in zip(kept, bursts):
+            np.testing.assert_array_equal(message.arrays[0], images)
+            assert not message.arrays[0].flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 6)),
+                          min_size=1, max_size=8), data=st.data())
+    def test_one_burst_stream_cut_anywhere_gets_the_same_replies(
+            self, echo_gateway, sizes, data):
+        """Bursts and single images, sent in arbitrary pieces and many per read:
+        every request id is answered exactly once, with its own image's reply.
+        (At most 56 images: all in flight at once fit max_inflight_per_client.)"""
+        bursts = burst_images_of(sizes)
+        first_ids, next_id, stream = [], 0, b""
+        for images in bursts:
+            first_ids.append(next_id)
+            if len(images) == 1 and data.draw(st.booleans()):
+                stream += framed(encode_frame("infer", {"id": next_id}, [images[0]]))
+            else:
+                stream += burst_frame(next_id, images)
+            next_id += len(images)
+        cuts = sorted(set(data.draw(st.lists(st.integers(0, len(stream)), max_size=6))))
+        with connect(echo_gateway) as sock:
+            position = 0
+            for cut in cuts + [len(stream)]:
+                sock.sendall(stream[position:cut])
+                position = cut
+            answered = read_runs(sock, 0, next_id)
+        for first_id, images in zip(first_ids, bursts):
+            for offset, image in enumerate(images):
+                reply, row = answered[first_id + offset]
+                assert reply.kind == "result"
+                assert row.item() == float(image.sum(dtype=np.float64))
+
+    @pytest.mark.parametrize("count", [0, -1, 2, 4, 2.0, "3", None, True])
+    def test_count_that_is_not_the_leading_axis_is_a_bad_request(self, echo_gateway, count):
+        images = np.ones((3, 1, 2, 3), dtype=np.float32)
+        with connect(echo_gateway) as sock:
+            sock.sendall(framed(encode_frame("infer", {"id": 40, "count": count}, [images]))
+                         + framed(encode_frame("stats", {"id": 5})))
+            reply = read_reply(sock)
+            assert reply.kind == "error" and reply.meta["code"] == "bad_request"
+            assert reply.meta["id"] == 40 and "count" in reply.meta["error"]
+            assert read_reply(sock).kind == "stats"          # the connection still serves
+        assert_still_serving(echo_gateway)
+
+    def test_a_made_up_count_is_not_echoed_or_counted(self, echo_gateway):
+        """The refusal covers the images the frame carries, not the number the
+        header claims: one bad frame cannot add 10**12 to the ledger."""
+        before = sum(echo_gateway.metrics.report()["requests"]["rejected"].values())
+        with connect(echo_gateway) as sock:
+            sock.sendall(framed(encode_frame(
+                "infer", {"id": 7, "count": 10**12}, [np.ones((3, 1, 2, 3), dtype=np.float32)])))
+            reply = read_reply(sock)
+            assert reply.kind == "error" and reply.meta["code"] == "bad_request"
+            assert reply.meta["id"] == 7 and reply.meta["count"] == 3
+            sock.sendall(framed(encode_frame(
+                "infer", {"id": 8, "count": 10**12}, [np.ones((1, 2, 3), dtype=np.float32)])))
+            reply = read_reply(sock)
+            assert reply.meta["code"] == "bad_request" and "count" not in reply.meta
+        after = sum(echo_gateway.metrics.report()["requests"]["rejected"].values())
+        assert after - before == 4
+        assert_still_serving(echo_gateway)
+
+    def test_a_lone_image_may_not_announce_a_burst(self, echo_gateway):
+        with connect(echo_gateway) as sock:
+            sock.sendall(framed(encode_frame(
+                "infer", {"id": 1, "count": 2}, [np.ones((1, 2, 3), dtype=np.float32)])))
+            reply = read_reply(sock)
+            assert reply.kind == "error" and reply.meta["code"] == "bad_request"
+            # ... while count=1, or a one-image stack without a count, is just a request.
+            sock.sendall(framed(encode_frame(
+                "infer", {"id": 2, "count": 1}, [np.ones((1, 2, 3), dtype=np.float32)])))
+            assert read_reply(sock).kind == "result"
+            sock.sendall(framed(encode_frame(
+                "infer", {"id": 3}, [np.ones((1, 1, 2, 3), dtype=np.float32)])))
+            assert read_reply(sock).kind == "result"
+        assert_still_serving(echo_gateway)
+
+    def test_a_burst_needs_an_integer_first_id(self, echo_gateway):
+        images = np.ones((2, 1, 2, 3), dtype=np.float32)
+        with connect(echo_gateway) as sock:
+            for bad_id in ("abc", None, 1.5):
+                sock.sendall(framed(encode_frame("infer", {"id": bad_id, "count": 2}, [images])))
+                reply = read_reply(sock)
+                assert reply.kind == "error" and reply.meta["code"] == "bad_request"
+                assert reply.meta["id"] == bad_id and reply.meta["count"] == 2
+        assert_still_serving(echo_gateway)
+
+    def test_an_oversize_burst_is_a_bad_request_and_the_connection_serves_on(self):
+        from repro.serving.cluster.channel import BURST_BYTES, burst_images
+
+        server = GatewayServer(EchoTarget(),
+                               spec=GatewaySpec(enabled=True, port=0, max_frame_mb=8.0),
+                               metrics=GatewayMetrics(register=False)).start()
+        try:
+            side = 128                                     # 3 x 128 x 128 x 4 = 192 KiB an image
+            fits = burst_images(3 * side * side * 4)
+            assert fits * 3 * side * side * 4 <= BURST_BYTES
+            too_many = BURST_BYTES // (3 * side * side * 4) + 1
+            with connect(server) as sock:
+                sock.sendall(burst_frame(100, np.ones((too_many, 3, side, side), np.float32)))
+                reply = read_reply(sock)
+                assert reply.kind == "error" and reply.meta["code"] == "bad_request"
+                assert reply.meta["id"] == 100 and reply.meta["count"] == too_many
+                assert "burst limit" in reply.meta["error"]
+                # The same connection takes what a client following the rule sends ...
+                sock.sendall(burst_frame(200, np.ones((fits, 3, side, side), np.float32)))
+                answered = read_runs(sock, 200, fits)
+                assert all(reply.kind == "result" for reply, _ in answered.values())
+                # ... and one image larger than a whole burst still travels alone.
+                big = np.ones((3, 320, 320), dtype=np.float32)
+                assert big.nbytes > BURST_BYTES
+                sock.sendall(framed(encode_frame("infer", {"id": 300}, [big])))
+                assert read_reply(sock).kind == "result"
+        finally:
+            server.shutdown()

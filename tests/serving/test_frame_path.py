@@ -18,7 +18,7 @@ import pytest
 from repro.engine import BatchRunner, max_abs_output_diff
 from repro.pipeline.spec import ClusterSpec, GatewaySpec
 from repro.serving import BatchPolicy, InferenceService, Router
-from repro.serving.batcher import InferenceFuture
+from repro.serving.batcher import DynamicBatcher, InferenceFuture
 from repro.serving.cluster.channel import (
     ArrayChannel,
     ChannelClosedError,
@@ -89,6 +89,10 @@ class CapturingTarget:
         if self.resolve_at_once:
             self.answer(future, image)
         return future
+
+    def submit_group(self, images, **kwargs):
+        (image,) = images                # a single request is a burst of one
+        return self.submit(image, **kwargs)
 
     @staticmethod
     def answer(future, image):
@@ -203,8 +207,10 @@ def test_worker_killed_mid_burst_through_the_gateway_loses_nothing(
         try:
             with GatewayClient(server.host, server.port) as client:
                 futures = []
+                settles = SettleCounter()
                 for index in range(count):
                     futures.append(client.submit(images[index % len(images)]))
+                    settles.watch(futures[-1], index)
                     if index == count // 4:
                         router.workers[0].kill()
                 results = [future.result(120.0) for future in futures]
@@ -216,6 +222,106 @@ def test_worker_killed_mid_burst_through_the_gateway_loses_nothing(
         expected = direct[index % len(images)][None]
         assert max_abs_output_diff(result, expected) < 1e-5
     assert report["restarts"] >= 1 and report["failed"] == 0
+    # Exactly once per id, re-dispatched or not.
+    assert settles.counts == {index: 1 for index in range(count)}
+
+
+def test_worker_killed_mid_burst_of_multi_image_frames_loses_nothing(
+        artifact_path, serve_artifact, images):
+    """The same death with the 1024 images travelling as bursts: the requests a
+    dead worker left unanswered -- the tail of the bursts it was in the middle
+    of -- are re-dispatched as bursts, and every id resolves exactly once."""
+    count, per_frame = 1024, 16
+    stack = np.concatenate([images] * (count // len(images) + 1))[:count]
+    direct = BatchRunner(serve_artifact.compiled, batch_size=1).run(images)
+    policy = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, queue_capacity=count)
+    with Router(artifact_path, workers=2, policy=policy,
+                cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
+        assert all(worker.wait_ready(60.0) for worker in router.workers)
+        server = start_gateway(router, max_inflight_per_client=count)
+        try:
+            with GatewayClient(server.host, server.port) as client:
+                futures = []
+                settles = SettleCounter()
+                for start in range(0, count, per_frame):
+                    futures.append(client.submit_group(stack[start:start + per_frame]))
+                    settles.watch(futures[-1], start)
+                    if start == count // 4:
+                        router.workers[0].kill()
+                results = np.concatenate([future.result(120.0) for future in futures])
+            report = router.metrics.report()
+        finally:
+            server.shutdown()
+    assert results.shape[0] == count
+    for index in range(count):
+        assert max_abs_output_diff(results[index], direct[index % len(images)]) < 1e-5
+    cluster = report["cluster"]
+    assert cluster["restarts"] >= 1 and cluster["failed"] == 0
+    assert cluster["redispatched"] >= 1
+    assert settles.counts == {index: 1 for index in range(count)}
+    # Completions count images, whatever unit they travelled in.
+    assert cluster["completed"] == count
+
+
+class SettleCounter:
+    """Run callbacks counting how often each request id settled."""
+
+    def __init__(self):
+        self.counts = {}
+        self.lock = threading.Lock()
+
+    def watch(self, future, first_id):
+        def on_run(settled, start, stop, outputs, error):
+            with self.lock:
+                for index in range(first_id + start, first_id + stop):
+                    self.counts[index] = self.counts.get(index, 0) + 1
+
+        future.add_run_callback(on_run)
+
+
+# ------------------------------------------------------------- bursts are views
+class BatcherTarget:
+    """InferenceTarget over a bare DynamicBatcher that keeps what it was given."""
+
+    def __init__(self, max_batch_size):
+        self.groups, self.batches = [], []
+        self.batcher = DynamicBatcher(
+            self.run, BatchPolicy(max_batch_size=max_batch_size, max_wait_ms=1.0))
+
+    def run(self, batch):
+        self.batches.append(batch)
+        return batch.sum(axis=(1, 2, 3)).reshape(-1, 1)
+
+    def submit_group(self, images, model=None, **kwargs):
+        self.groups.append(images)
+        return self.batcher.submit_group(images, **kwargs)
+
+    def stats(self):
+        return {}
+
+
+@pytest.mark.parametrize("side, owner_type", [(16, bytes), (64, bytearray)])
+def test_micro_batches_of_a_burst_are_views_of_the_received_frame(side, owner_type):
+    """Socket to GEMM without a copy: the frame gets memory of its own (cut out
+    of the read chunk, or -- larger than the chunk -- the buffer it was received
+    into), the burst is a view of it, and each micro-batch is a slice of that."""
+    target = BatcherTarget(max_batch_size=4)
+    server = start_gateway(target)
+    try:
+        stack = np.random.default_rng(5).standard_normal((8, 3, side, side)).astype(np.float32)
+        with GatewayClient(server.host, server.port) as client:
+            out = client.submit_group(stack).result(30.0)
+        np.testing.assert_allclose(out.ravel(), stack.sum(axis=(1, 2, 3)), rtol=1e-4)
+    finally:
+        server.shutdown()
+        target.batcher.shutdown(10.0)
+    (received,) = target.groups
+    assert not received.flags.writeable and not received.flags.owndata
+    assert isinstance(buffer_owner(received), owner_type)
+    assert [len(batch) for batch in target.batches] == [4, 4]
+    for batch in target.batches:
+        assert np.shares_memory(batch, received)
+        assert buffer_owner(batch) is buffer_owner(received)
 
 
 # ---------------------------------------------------------------------- ordering

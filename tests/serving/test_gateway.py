@@ -365,6 +365,10 @@ class StallTarget:
             self.futures.append(future)
         return future
 
+    def submit_group(self, images, **kwargs):
+        (image,) = images                # these tests send single requests
+        return self.submit(image, **kwargs)
+
 
 def wait_disconnect_noticed(client, timeout=10.0):
     """Block until the client's reader has torn down the dead connection."""
@@ -484,3 +488,106 @@ class TestErrorRegistry:
         assert batcher_module.ServiceClosedError is errors_module.ServiceClosedError
         assert (worker_module.RemoteInferenceError
                 is errors_module.RemoteInferenceError)
+
+
+# --------------------------------------------------------------------------- bursts
+class TestBurstsOverTheWire:
+    """A burst is one frame each way per micro-batch; limits still count images."""
+
+    def test_submit_group_is_bit_identical_to_single_submits(self, gateway, images):
+        _, client, svc = gateway
+        burst = client.submit_group(images)
+        assert burst.count == images.shape[0]
+        served = burst.result(30.0)          # before the singles join its batches
+        singles = np.concatenate([svc.submit(image, block=True).result(30.0)
+                                  for image in images])
+        np.testing.assert_allclose(served, singles, atol=1e-5, rtol=0)
+        # Runs, not images: 12 requests at max_batch_size 4 are 3 reply frames.
+        assert len(burst._runs) == 3
+        assert sorted(run[:2] for run in burst._runs) == [(0, 4), (4, 8), (8, 12)]
+
+    def test_a_list_of_separate_images_goes_out_as_one_frame(self, gateway, images):
+        server, client, svc = gateway
+        separate = [np.array(image) for image in images[:5]]     # five buffers
+        np.testing.assert_array_equal(
+            client.submit_group(separate).result(30.0), svc.submit_many(images[:5]))
+        assert server.metrics.report()["requests"]["accepted"] == {"normal": 5}
+
+    def test_submit_many_longer_than_one_burst_frame(self, gateway, images, monkeypatch):
+        """More images than a frame may carry: several frames, one answer."""
+        import repro.serving.cluster.channel as channel
+
+        monkeypatch.setattr(channel, "BURST_BYTES", 4 * images[0].nbytes)
+        assert channel.burst_images(images[0].nbytes) == 4
+        _, client, svc = gateway
+        stack = np.concatenate([images, images[:5]])             # 17 = 4 frames + 1 image
+        np.testing.assert_array_equal(client.submit_many(stack), svc.submit_many(stack))
+
+    def test_inflight_bound_admits_the_images_that_fit(self, service, images):
+        server = start_gateway(service, max_inflight_per_client=8)
+        client = GatewayClient(server.host, server.port)
+        try:
+            burst = client.submit_group(images)                  # 12 images, room for 8
+            with pytest.raises(AdmissionRejectedError, match="in flight"):
+                burst.result(30.0)
+            errors = [run for run in burst._runs if run[3] is not None]
+            assert [(run[0], run[1]) for run in errors] == [(8, 12)]
+            served = np.concatenate(
+                [run[2] for run in sorted(burst._runs, key=lambda run: run[0])
+                 if run[3] is None])
+            np.testing.assert_array_equal(served, service.submit_many(images[:8]))
+            report = server.metrics.report()["requests"]
+            assert report["accepted"] == {"normal": 8}
+            assert report["rejected"] == {"admission_rejected/normal": 4}
+            # Every slot is free again once the replies were written.
+            assert client.submit_group(images[:8]).result(30.0).shape[0] == 8
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+    def test_token_bucket_is_charged_per_image(self, service, images):
+        server = start_gateway(service, rate_limit_rps=0.001, burst=5)
+        client = GatewayClient(server.host, server.port)
+        try:
+            burst = client.submit_group(images[:7])
+            assert isinstance(burst.exception(30.0), AdmissionRejectedError)
+            assert sorted(run[:2] for run in burst._runs if run[3] is not None) == [(5, 7)]
+            with pytest.raises(AdmissionRejectedError, match="rate limit"):
+                client.submit(images[0]).result(30.0)            # the bucket is empty
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+    def test_a_burst_shares_priority_and_deadline(self, gateway, images):
+        server, client, _ = gateway
+        with pytest.raises(BadRequestError):
+            client.submit_group(images[:3], priority="urgent").result(30.0)
+        with pytest.raises(DeadlineExceededError):
+            client.submit_group(images[:3], deadline_ms=1e-4).result(30.0)
+        report = server.metrics.report()["requests"]
+        assert report["rejected"]["bad_request/normal"] == 3
+        assert report["completed"] == {}
+
+    def test_every_request_of_a_traced_burst_yields_one_trace(self, gateway, images):
+        from repro.obs import get_trace_buffer, set_tracing
+
+        _, client, _ = gateway
+        get_trace_buffer().clear()
+        set_tracing(True)
+        try:
+            client.submit_group(images[:6]).result(30.0)
+            client.submit(images[6]).result(30.0)
+            deadline = time.time() + 10.0
+            while len(get_trace_buffer()) < 7 and time.time() < deadline:
+                time.sleep(0.01)
+        finally:
+            set_tracing(False)
+        traces = get_trace_buffer().traces()
+        get_trace_buffer().clear()
+        assert len({trace.trace_id for trace in traces}) == len(traces) == 7
+        wanted = {"gateway-parse", "gateway-admission", "gateway-queue", "queue-wait",
+                  "batch-assembly", "worker-execute", "postprocess", "gateway-dispatch"}
+        for trace in traces:
+            names = {span.name for span in trace.spans}
+            assert wanted <= names, names
+        assert sum("gateway-accept" in {s.name for s in t.spans} for t in traces) == 1

@@ -106,6 +106,86 @@ class ConcurrencyTrackingService:
         return future
 
 
+# ------------------------------------------------------------------ open loop
+class FakeClock:
+    """A clock that only moves when somebody sleeps on it (or a submit stalls)."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+class StallOnceService:
+    """Every reply takes ``service_s``; the ``stall_at``-th ``submit`` call
+    also blocks its caller -- the one dispatcher thread -- for ``stall_s``."""
+
+    def __init__(self, clock, stall_at, stall_s, service_s):
+        self.clock, self.stall_at, self.stall_s, self.service_s = (
+            clock, stall_at, stall_s, service_s)
+        self.sent_at = []
+
+    def submit(self, image, model=None, block=False, timeout=None):
+        self.sent_at.append(self.clock.now)
+        if len(self.sent_at) - 1 == self.stall_at:
+            self.clock.sleep(self.stall_s)
+        future = InferenceFuture()
+        future._resolve(np.zeros((1, 1), dtype=np.float32))
+        future.resolved_at = self.sent_at[-1] + self.service_s
+        return future
+
+
+class TestOpenLoopTimesFromDue:
+    """Deterministic: the clock is fake, so every expectation is an equality."""
+
+    RATE, COUNT, SEED = 1000.0, 200, 5
+    STALL_AT, STALL_S, SERVICE_S = 20, 0.050, 0.002
+
+    def run(self, stall_s):
+        clock = FakeClock()
+        service = StallOnceService(clock, self.STALL_AT, stall_s, self.SERVICE_S)
+        images = np.zeros((2, 3, 8, 8), dtype=np.float32)
+        report = open_loop(service, images, requests=self.COUNT, rate_hz=self.RATE,
+                           seed=self.SEED, clock=clock, sleep=clock.sleep)
+        gaps = poisson_gaps(self.RATE, self.COUNT, seed=self.SEED)
+        due = 100.0 + np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
+        return report, service, due
+
+    def test_without_a_stall_every_request_is_on_time(self):
+        report, service, due = self.run(stall_s=0.0)
+        np.testing.assert_allclose(service.sent_at, due)
+        assert report.completed == self.COUNT
+        assert report.late_share == 0.0 and report.lag_ms_p99 == pytest.approx(0.0, abs=1e-6)
+        assert report.latency.max_seconds == pytest.approx(self.SERVICE_S)
+
+    def test_a_stall_is_charged_to_the_arrivals_it_delayed(self):
+        report, service, due = self.run(stall_s=self.STALL_S)
+        stall_end = due[self.STALL_AT] + self.STALL_S
+        # What the dispatcher could do: send each request when it is due, or
+        # as soon as the stalled submit lets go of the thread.
+        expected_sent = np.maximum(due, stall_end)
+        expected_sent[:self.STALL_AT + 1] = due[:self.STALL_AT + 1]
+        np.testing.assert_allclose(service.sent_at, expected_sent)
+        lag = expected_sent - due
+        delayed = int((lag > 0).sum())
+        assert delayed >= 10                  # the stall covered real arrivals
+        # Latency runs from *due*: the delayed arrivals carry their wait ...
+        latencies = sorted(expected_sent + self.SERVICE_S - due)
+        assert report.latency.count == self.COUNT
+        assert report.latency.max_seconds == pytest.approx(latencies[-1])
+        assert report.latency.mean_seconds == pytest.approx(np.mean(latencies))
+        assert report.latency.max_seconds > self.SERVICE_S + 0.9 * self.STALL_S
+        # ... and the report says the generator, not the target, ran late.
+        assert report.late_share == pytest.approx((lag > 1e-3).sum() / self.COUNT)
+        assert report.lag_ms_p99 == pytest.approx(np.percentile(lag, 99) * 1e3)
+        assert report.as_dict()["late_share"] > 0
+        assert "lag_p99_ms" in report.flat_row()
+
+
 # ------------------------------------------------------------------ closed loop
 class TestClosedLoopInvariants:
     def test_outstanding_never_exceeds_concurrency(self):

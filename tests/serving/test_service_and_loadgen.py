@@ -50,6 +50,36 @@ class TestEquivalence:
                                    atol=1e-5, rtol=0)
 
 
+class TestServedUnderConcurrency:
+    """What ``benchmarks/test_serving_throughput.py`` used to assert next to
+    its wall-clock floor, without the clock: same closed-loop fleet, same
+    policy shape, correctness only."""
+
+    REQUESTS, CONCURRENCY = 96, 8
+
+    def test_closed_loop_fleet_is_served_completely_and_in_batches(
+            self, serve_artifact, images):
+        stack = np.concatenate([images] * (self.REQUESTS // images.shape[0]))
+        sequential = BatchRunner(serve_artifact.compiled, batch_size=1).run(stack)
+        # A batch closes at 8 requests; the wait only ends one early when the
+        # fleet is down to its last clients, so it can be long.
+        policy = BatchPolicy(max_batch_size=self.CONCURRENCY, max_wait_ms=50.0)
+        with InferenceService(serve_artifact, policy=policy) as svc:
+            served = svc.submit_many(stack)
+            load = closed_loop(svc, stack, requests=self.REQUESTS,
+                               concurrency=self.CONCURRENCY)
+            report = svc.report()
+        # Served == sequential, every closed-loop request completes ...
+        np.testing.assert_allclose(served, sequential, atol=1e-5, rtol=0)
+        assert load.completed == self.REQUESTS
+        assert load.failed == 0 and load.rejected == 0
+        # ... and micro-batches actually form under concurrency.
+        batches = report["batches"]
+        assert batches["mean_size"] >= 2.0, batches
+        assert batches["max_size"] <= self.CONCURRENCY
+        assert any(int(size) > 1 for size in batches["size_histogram"]), batches
+
+
 class TestLifecycleAndMetrics:
     def test_shutdown_then_submit_raises(self, serve_artifact, images):
         svc = InferenceService(serve_artifact)

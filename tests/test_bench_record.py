@@ -1,0 +1,43 @@
+"""tools/bench_record.py: the history line is a faithful summary of a result set."""
+
+from __future__ import annotations
+
+import json
+import statistics
+
+from tools import bench_record
+
+
+def result_set(values_by_metric, traced, seeds=(4, 5, 6)):
+    runs = [{"correct": True, "attempted": 10, "failed": 0, "seed": seed,
+             "metrics": {name: {"value": values[index], "unit": unit}
+                         for name, (unit, values) in values_by_metric.items()}}
+            for index, seed in enumerate(seeds)]
+    return {"host": {"nproc": 2, "seed": 4, "git_commit": "abc"}, "seconds": 20,
+            "workloads": {"serve_fleet": {
+                "runs": runs,
+                "traced": {"attempted": 7, "failed": 1,
+                           "metrics": {name: {"value": value, "unit": "x"}
+                                       for name, value in traced.items()}}}}}
+
+
+def test_line_carries_median_and_quartiles_per_metric_and_workload():
+    values = {"bulk_img_per_s": ("img/s", [4000.0, 4200.0, 3900.0]),
+              "peak_rss_mb": ("MiB", [230.0, 231.0, 229.0])}
+    line = bench_record.build_line(
+        result_set(values, {"gateway.bulk_ratio": 1.0, "engine.compile_s": 0.0}), "PR 16")
+    assert line["label"] == "PR 16" and line["seconds"] == 20
+    assert line["host"] == {"nproc": 2, "git_commit": "abc"}      # the seed is per run
+    fleet = line["workloads"]["serve_fleet"]
+    assert fleet["seeds"] == [4, 5, 6]
+    q1, median, q3 = statistics.quantiles(values["bulk_img_per_s"][1], n=4)
+    assert fleet["end_to_end"]["bulk_img_per_s"] == {
+        "median": median, "q1": q1, "q3": q3, "unit": "img/s"}
+    # Layers off the workload's path report 0 and are left out of the line.
+    assert fleet["traced"] == {"gateway.bulk_ratio": 1.0}
+    assert fleet["failed"] == 1 and fleet["attempted"] == 37
+    json.dumps(line)                                                # one JSON line
+
+
+def test_a_single_run_is_its_own_quartiles():
+    assert bench_record.summarise_values([3.5]) == {"median": 3.5, "q1": 3.5, "q3": 3.5}

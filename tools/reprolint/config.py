@@ -69,6 +69,17 @@ HOT_FUNCTIONS = {
     "_Connection.buffer_updated",
     "_Connection._drain",
     "GatewayClient._reader_loop",
+    # serving request path, per request and per micro-batch (serving/batcher.py,
+    # serving/cluster/worker.py, serving/gateway.py): a burst travels as views
+    # of the frame it arrived in; the one gather a mixed batch needs goes into
+    # the batcher's staging buffer (DynamicBatcher._stack), and the one copy a
+    # reply owes its caller is made by WorkerProcess._reply_outputs
+    "DynamicBatcher.submit",
+    "DynamicBatcher.submit_group",
+    "DynamicBatcher._execute",
+    "responder_loop",
+    "WorkerProcess._receiver_loop",
+    "GatewayServer._handle_infer",
 }
 
 # numpy module-level calls that allocate a fresh array.  A call carrying an
