@@ -32,7 +32,10 @@
 #                      snapshot.json / metrics.prom / metrics.jsonl /
 #                      trace.json (Chrome trace-event format), rendered once
 #                      through `repro top`, plus a Prometheus dump via
-#                      `repro metrics` (reuses the serve-smoke artifact)
+#                      `repro metrics` (reuses the serve-smoke artifact);
+#                      asserts the report and the exported series agree, and
+#                      that a 2-worker fleet behind a gateway exports its
+#                      repro_gateway_* / repro_cluster_* series too
 #   make bench         paper figures/tables + measured engine/serving/cluster
 #                      speedups (writes benchmarks/BENCH_*.json)
 #   make bench-check   compare BENCH_*.json against benchmarks/baselines.json
@@ -113,12 +116,22 @@ chaos-smoke:
 obs-smoke:
 	@test -f artifacts/serve-smoke.npz || \
 		$(PYTHON) -m repro.cli run --spec $(SMOKE_SPEC) --artifact artifacts/serve-smoke.npz --no-verify
-	rm -rf artifacts/obs-smoke
+	rm -rf artifacts/obs-smoke artifacts/obs-smoke-fleet
 	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --requests 32 --concurrency 4 --obs artifacts/obs-smoke
 	@test -f artifacts/obs-smoke/trace.json || { echo "obs-smoke: trace.json was not exported"; exit 1; }
+	@$(PYTHON) -c 'import json; snap = json.load(open("artifacts/obs-smoke/snapshot.json")); \
+		series = [v for k, v in snap["metrics"].items() \
+		          if k.startswith("repro_serving_requests_total{outcome=\"completed\"")]; \
+		assert series == [snap["report"]["requests"]["completed"]] != [0], (series, snap["report"]["requests"])' \
+		|| { echo "obs-smoke: report.requests.completed is not the exported repro_serving_requests_total series"; exit 1; }
 	$(PYTHON) -m repro.cli top --obs artifacts/obs-smoke --once
 	$(PYTHON) -m repro.cli metrics --artifact artifacts/serve-smoke.npz --requests 16 --format prom | grep -q '^repro_serving_requests_total' \
 		|| { echo "obs-smoke: Prometheus export is missing repro_serving_requests_total"; exit 1; }
+	$(PYTHON) -m repro.cli serve --artifact artifacts/serve-smoke.npz --workers 2 --requests 32 --concurrency 4 \
+		--gateway 127.0.0.1:0 --obs artifacts/obs-smoke-fleet
+	@for series in repro_gateway_requests_total repro_cluster_requests_total; do \
+		grep -q "^$$series" artifacts/obs-smoke-fleet/metrics.prom \
+			|| { echo "obs-smoke: the fleet export is missing $$series"; exit 1; }; done
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

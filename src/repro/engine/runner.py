@@ -38,7 +38,8 @@ class RunnerStats:
     batches: int = 0
     images: int = 0
     seconds: float = 0.0
-    batch_seconds: List[float] = field(default_factory=list)
+    #: Per-batch durations in a bounded reservoir (a batcher records forever).
+    _batch_latency: LatencyStats = field(default_factory=LatencyStats, init=False, repr=False)
 
     @property
     def images_per_second(self) -> float:
@@ -55,13 +56,11 @@ class RunnerStats:
         self.batches += 1
         self.images += int(batch_images)
         self.seconds += float(elapsed_seconds)
-        self.batch_seconds.append(float(elapsed_seconds))
+        self._batch_latency.add(elapsed_seconds)
 
     def batch_latency(self) -> LatencyStats:
         """Per-batch wall-clock samples as a :class:`LatencyStats` (p50/p95/p99)."""
-        stats = LatencyStats()
-        stats.extend(self.batch_seconds)
-        return stats
+        return self._batch_latency
 
     def as_dict(self) -> dict:
         return {

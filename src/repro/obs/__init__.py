@@ -2,12 +2,13 @@
 
 Three planes, one package (see docs/observability.md):
 
-* **Metrics** (:mod:`repro.obs.registry`) — process-global, thread-safe
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram` primitives with label
-  sets, plus a *collector* hook that lets stateful objects (``ServingMetrics``,
-  ``ClusterMetrics``, workspace arenas, the ConvPlan layout cache) publish
-  into one flat :meth:`MetricsRegistry.snapshot` without giving up their own
-  locks.  Exporters for Prometheus text format and JSON lines.
+* **Metrics** (:mod:`repro.obs.registry`) — thread-safe :class:`Counter` /
+  :class:`Gauge` / :class:`Histogram` instruments with label sets, which are
+  the metrics store: the serving metrics classes own theirs through an
+  :class:`Instruments` holder, report views over them, and the same objects
+  export themselves into one flat :meth:`MetricsRegistry.snapshot` (a
+  *collector* hook remains for state owned elsewhere: arenas, layout cache).
+  Exporters for Prometheus text format and JSON lines.
 * **Tracing** (:mod:`repro.obs.tracing`) — a ``trace_id`` + span model minted
   at ``InferenceService.submit``, carried across threads on the request object
   and across the Router→worker pipe in the ``ArrayChannel`` JSON header.
@@ -26,6 +27,7 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
+    Instruments,
     MetricsRegistry,
     get_registry,
 )
@@ -48,6 +50,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Instruments",
     "MetricsRegistry",
     "get_registry",
     "Span",

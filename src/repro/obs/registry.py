@@ -2,16 +2,24 @@
 
 Design notes
 ------------
-Instruments are cheap, lock-per-instrument, and label-aware: ``inc``/``set``/
-``observe`` take keyword labels and route to a per-label-set series.  The
-:class:`MetricsRegistry` owns instruments by name and additionally accepts
-**collectors** — zero-argument callables returning ready-made samples — so
-existing stateful metric holders (``ServingMetrics``, ``ClusterMetrics``, the
-arena and layout caches) publish into the registry without re-homing their
-state or their locks.  Bound-method collectors are held through
+**The instruments are the store.**  A :class:`Counter` / :class:`Gauge` /
+:class:`Histogram` holds one series per label set and exports itself; nothing
+renders its numbers a second time.  ``labels(...)`` resolves a label set to
+its series — a record path does that once, at construction, and then counts
+without routing — while ``inc`` / ``set`` / ``observe`` with keyword labels
+route on every call.
+
+An object that counts things (``ServingMetrics``, ``GatewayMetrics``,
+``ClusterMetrics``) owns its instruments through an :class:`Instruments`
+holder: instance-scoped, exported under the owner's constant label, behind
+one re-entrant lock, and published by registering ``holder.samples`` as a
+**collector**.  Bound-method collectors are held through
 ``weakref.WeakMethod``: when the owning service/router dies, its series simply
 drop out of the next snapshot, which keeps short-lived test instances from
-polluting the process view.
+polluting the process view.  The only hand-written collectors render state
+owned elsewhere (the arena and layout-cache counters in ``repro.engine``).
+:class:`MetricsRegistry` is the holder of the process-wide instruments, plus
+the collectors and the exporters.
 
 Histograms ride on the bounded reservoir in
 :class:`repro.utils.profiling.LatencyStats` and export in Prometheus
@@ -31,7 +39,7 @@ import os
 import threading
 import time
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.utils.profiling import LatencyStats
 
@@ -39,11 +47,11 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Instruments",
     "MetricsRegistry",
     "Sample",
     "get_registry",
     "register_builtin_collector",
-    "summary_samples",
 ]
 
 LabelValues = Tuple[str, ...]
@@ -51,22 +59,14 @@ LabelValues = Tuple[str, ...]
 _QUANTILES = (("0.5", 50.0), ("0.95", 95.0), ("0.99", 99.0))
 
 
-class Sample:
+class Sample(NamedTuple):
     """One exported time-series point: name + labels + value."""
 
-    __slots__ = ("name", "labels", "value", "kind")
-
-    def __init__(
-        self,
-        name: str,
-        labels: Dict[str, str],
-        value: float,
-        kind: str = "gauge",
-    ) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = value
-        self.kind = kind
+    name: str
+    labels: Dict[str, str]
+    value: float
+    kind: str = "gauge"
+    help: str = ""
 
     def key(self) -> str:
         """Flat ``name{k="v",...}`` identity used by ``snapshot()``."""
@@ -75,42 +75,100 @@ class Sample:
         inner = ",".join(f'{k}="{v}"' for k, v in sorted(self.labels.items()))
         return f"{self.name}{{{inner}}}"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Sample({self.key()}={self.value})"
-
 
 class _Instrument:
-    """Shared label-routing machinery for the three instrument kinds."""
+    """One named metric.  Without label names it is its own single series;
+    with them it is the family of per-label-set children :meth:`labels` hands
+    out, each an unlabelled instrument of the same kind behind the same lock."""
 
     kind = "untyped"
 
-    _guarded_by_ = {"_series": "_lock"}
+    _guarded_by_ = {"_children": "_lock", "_value": "_lock"}
 
-    def __init__(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> None:
+    def __init__(
+        self,
+        name: str,
+        help: str = "",
+        labelnames: Sequence[str] = (),
+        capacity: int = LatencyStats.DEFAULT_CAPACITY,
+        lock=None,
+        const_labels: Optional[Dict[str, str]] = None,
+    ) -> None:
         _validate_metric_name(name)
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self._lock = threading.Lock()
-        self._series: Dict[LabelValues, object] = {}
+        #: Reservoir size of a histogram's series (the other kinds keep none).
+        self._capacity = capacity
+        #: Its own lock, or the one an :class:`Instruments` holder shares out.
+        self._lock = lock if lock is not None else threading.Lock()
+        self._const = dict(const_labels or {})
+        self._children: Dict[LabelValues, _Instrument] = {}
+        self._value = self._zero()
 
-    def _label_key(self, labels: Dict[str, str]) -> LabelValues:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name!r} takes labels {self.labelnames}, got "
-                f"{tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+    def _zero(self):
+        return 0.0
 
-    def _label_dict(self, key: LabelValues) -> Dict[str, str]:
-        return dict(zip(self.labelnames, key))
+    def _child(self) -> "_Instrument":
+        return type(self)(self.name, capacity=self._capacity, lock=self._lock)
+
+    def _mismatch(self, got) -> ValueError:
+        return ValueError(f"metric {self.name!r} takes labels {self.labelnames}, got {got}")
+
+    def labels(self, *values: str) -> "_Instrument":
+        """The series of one label set (values in ``labelnames`` order),
+        created on first use.  Resolve it once and keep it — it never detaches
+        (:meth:`clear` zeroes in place) — or pay one dict lookup per call."""
+        with self._lock:
+            child = self._children.get(values)
+            if child is None:
+                if not values or len(values) != len(self.labelnames):
+                    raise self._mismatch(values)
+                key = tuple([str(value) for value in values])
+                child = self._children.get(key)
+                if child is None:
+                    child = self._children[key] = self._child()
+            return child
+
+    def _routed(self, labels: Dict[str, str]) -> "_Instrument":
+        """The child a call with these keyword labels addresses (names checked)."""
+        if len(labels) == len(self.labelnames):
+            try:
+                return self.labels(*[labels[name] for name in self.labelnames])
+            except KeyError:
+                pass
+        raise self._mismatch(tuple(sorted(labels)))
+
+    def series(self) -> Dict[LabelValues, object]:
+        """``{label values: value}`` of every series, in label order (a
+        histogram's value is its live :class:`LatencyStats`)."""
+        with self._lock:
+            if not self.labelnames:
+                return {(): self._value}
+            return {key: child._value for key, child in sorted(self._children.items())}
 
     def clear(self) -> None:
+        """Every series back to zero, in place: a kept reference stays attached."""
         with self._lock:
-            self._series.clear()
+            self._value = self._zero()
+            for child in self._children.values():
+                child._value = self._zero()
 
-    def samples(self) -> List[Sample]:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def value(self, **labels: str):
+        """One label set's current value (a histogram's: its live :class:`LatencyStats`)."""
+        series = self._routed(labels) if labels or self.labelnames else self
+        with self._lock:
+            return series._value
+
+    def _render(self, labels: Dict[str, str], value) -> List[Sample]:
+        return [Sample(self.name, labels, float(value), self.kind, self.help)]
+
+    def samples(self) -> List[Sample]:
+        return [
+            sample
+            for key, value in self.series().items()
+            for sample in self._render(dict(zip(self.labelnames, key), **self._const), value)
+        ]
 
 
 class Counter(_Instrument):
@@ -121,22 +179,9 @@ class Counter(_Instrument):
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (amount={amount})")
-        key = self._label_key(labels)
+        series = self._routed(labels) if labels or self.labelnames else self
         with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        key = self._label_key(labels)
-        with self._lock:
-            return float(self._series.get(key, 0.0))
-
-    def samples(self) -> List[Sample]:
-        with self._lock:
-            items = list(self._series.items())
-        return [
-            Sample(self.name, self._label_dict(key), float(value), self.kind)
-            for key, value in items
-        ]
+            series._value += amount
 
 
 class Gauge(_Instrument):
@@ -145,30 +190,17 @@ class Gauge(_Instrument):
     kind = "gauge"
 
     def set(self, value: float, **labels: str) -> None:
-        key = self._label_key(labels)
+        series = self._routed(labels) if labels or self.labelnames else self
         with self._lock:
-            self._series[key] = float(value)
+            series._value = float(value)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = self._label_key(labels)
+        series = self._routed(labels) if labels or self.labelnames else self
         with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+            series._value += amount
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: str) -> float:
-        key = self._label_key(labels)
-        with self._lock:
-            return float(self._series.get(key, 0.0))
-
-    def samples(self) -> List[Sample]:
-        with self._lock:
-            items = list(self._series.items())
-        return [
-            Sample(self.name, self._label_dict(key), float(value), self.kind)
-            for key, value in items
-        ]
 
 
 class Histogram(_Instrument):
@@ -180,79 +212,45 @@ class Histogram(_Instrument):
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        capacity: int = LatencyStats.DEFAULT_CAPACITY,
-    ) -> None:
-        super().__init__(name, help, labelnames)
-        self._capacity = capacity
+    def _zero(self) -> LatencyStats:
+        return LatencyStats(capacity=self._capacity)
 
-    def observe(self, value: float, **labels: str) -> None:
-        key = self._label_key(labels)
+    def observe(self, value: float, count: int = 1, **labels: str) -> None:
+        """``count`` observations of ``value`` (a run that settled together)."""
+        series = self._routed(labels) if labels or self.labelnames else self
         with self._lock:
-            stats = self._series.get(key)
-            if stats is None:
-                stats = self._series[key] = LatencyStats(capacity=self._capacity)
-            stats.add(value)
+            series._value.add(value, count)
 
-    def stats(self, **labels: str) -> Optional[LatencyStats]:
-        key = self._label_key(labels)
-        with self._lock:
-            return self._series.get(key)
+    #: A histogram's value is its distribution; ``stats`` is the readable name.
+    stats = _Instrument.value
 
-    def samples(self) -> List[Sample]:
-        with self._lock:
-            items = list(self._series.items())
-        out: List[Sample] = []
-        for key, stats in items:
-            labels = self._label_dict(key)
-            for text, q in _QUANTILES:
-                out.append(
-                    Sample(
-                        self.name,
-                        dict(labels, quantile=text),
-                        stats.quantile_seconds(q),
-                        self.kind,
-                    )
-                )
-            out.append(Sample(self.name + "_sum", labels, stats.total_seconds, self.kind))
-            out.append(Sample(self.name + "_count", labels, float(stats.count), self.kind))
-        return out
+    def _render(self, labels: Dict[str, str], stats: LatencyStats) -> List[Sample]:
+        meta = (self.kind, self.help)
+        quantiles = [
+            Sample(self.name, dict(labels, quantile=text), stats.quantile_seconds(q), *meta)
+            for text, q in _QUANTILES
+        ]
+        return quantiles + [
+            Sample(self.name + "_sum", labels, stats.total_seconds, *meta),
+            Sample(self.name + "_count", labels, float(stats.count), *meta),
+        ]
 
 
-CollectorFn = Callable[[], Iterable[Sample]]
+class Instruments:
+    """The instruments one object owns, exported under its constant labels.
 
-
-def summary_samples(
-    name: str, labels: Dict[str, str], stats: LatencyStats
-) -> List[Sample]:
-    """Render a :class:`LatencyStats` as Prometheus-summary-style samples.
-
-    What collectors use to publish an existing latency reservoir without
-    re-homing it into a registry :class:`Histogram`.
+    Every instrument made here shares :attr:`lock` (re-entrant): each series
+    operation is atomic on its own, and the owner holds the lock across a
+    multi-instrument update or read to make *that* atomic.  ``samples`` is the
+    collector the owner registers; ``clear`` is the owner's ``reset()``.
     """
-    out = [
-        Sample(name, dict(labels, quantile=text), stats.quantile_seconds(q), "histogram")
-        for text, q in _QUANTILES
-    ]
-    out.append(Sample(name + "_sum", dict(labels), stats.total_seconds, "histogram"))
-    out.append(Sample(name + "_count", dict(labels), float(stats.count), "histogram"))
-    return out
 
+    _guarded_by_ = {"_instruments": "lock"}
 
-class MetricsRegistry:
-    """Owns instruments and collectors; renders the one flat process view."""
-
-    _guarded_by_ = {"_instruments": "_lock", "_collectors": "_lock"}
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
+    def __init__(self, **const_labels: str) -> None:
+        self.lock = threading.RLock()
+        self._const = {name: str(value) for name, value in const_labels.items()}
         self._instruments: Dict[str, _Instrument] = {}
-        # name -> weakref.WeakMethod | plain callable (module-level functions).
-        self._collectors: Dict[str, object] = {}
 
     # -- instrument factories (get-or-create, kind-checked) -----------------
 
@@ -268,10 +266,10 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, labelnames)
 
     def _get_or_create(self, cls, name: str, help: str, labelnames: Sequence[str]):
-        with self._lock:
+        with self.lock:
             existing = self._instruments.get(name)
             if existing is not None:
-                if not isinstance(existing, cls):
+                if type(existing) is not cls:
                     raise ValueError(
                         f"metric {name!r} already registered as {existing.kind}, "
                         f"requested {cls.kind}"
@@ -282,9 +280,33 @@ class MetricsRegistry:
                         f"{existing.labelnames}, requested {tuple(labelnames)}"
                     )
                 return existing
-            instrument = cls(name, help, labelnames)
+            instrument = cls(name, help, labelnames, lock=self.lock, const_labels=self._const)
             self._instruments[name] = instrument
             return instrument
+
+    def samples(self) -> List[Sample]:
+        """Every owned series, one consistent cut (the lock is held throughout)."""
+        with self.lock:
+            return [s for instrument in self._instruments.values() for s in instrument.samples()]
+
+    def clear(self) -> None:
+        with self.lock:
+            for instrument in self._instruments.values():
+                instrument.clear()
+
+
+CollectorFn = Callable[[], Iterable[Sample]]
+
+
+class MetricsRegistry(Instruments):
+    """The process-wide instruments plus collectors; renders the one flat view."""
+
+    _guarded_by_ = {"_instruments": "lock", "_collectors": "lock"}
+
+    def __init__(self) -> None:
+        super().__init__()
+        # name -> weakref.WeakMethod | plain callable (module-level functions).
+        self._collectors: Dict[str, object] = {}
 
     # -- collectors ----------------------------------------------------------
 
@@ -300,7 +322,7 @@ class MetricsRegistry:
             ref = weakref.WeakMethod(fn)  # type: ignore[arg-type]
         else:
             ref = fn
-        with self._lock:
+        with self.lock:
             final = name
             serial = 1
             while final in self._collectors:
@@ -309,20 +331,13 @@ class MetricsRegistry:
             self._collectors[final] = ref
         return final
 
-    def unregister_collector(self, name: str) -> None:
-        with self._lock:
-            self._collectors.pop(name, None)
-
     # -- rendering -----------------------------------------------------------
 
     def collect(self) -> List[Sample]:
         """All live samples: instruments first, then collectors."""
-        with self._lock:
-            instruments = list(self._instruments.values())
+        out = self.samples()
+        with self.lock:
             collectors = list(self._collectors.items())
-        out: List[Sample] = []
-        for instrument in instruments:
-            out.extend(instrument.samples())
         dead: List[str] = []
         for name, ref in collectors:
             fn = ref() if isinstance(ref, weakref.WeakMethod) else ref
@@ -334,7 +349,7 @@ class MetricsRegistry:
             except Exception:  # collector bugs must not break the exporter
                 continue
         if dead:
-            with self._lock:
+            with self.lock:
                 for name in dead:
                     self._collectors.pop(name, None)
         return out
@@ -345,21 +360,15 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (text/plain; version 0.0.4)."""
-        samples = self.collect()
-        with self._lock:
-            helps = {
-                name: (inst.help, inst.kind) for name, inst in self._instruments.items()
-            }
         lines: List[str] = []
         seen_header: set = set()
-        for sample in samples:
+        for sample in self.collect():
             base = _base_name(sample.name)
             if base not in seen_header:
                 seen_header.add(base)
-                help_text, kind = helps.get(base, ("", sample.kind))
-                kind = "summary" if kind == "histogram" else kind
-                if help_text:
-                    lines.append(f"# HELP {base} {help_text}")
+                if sample.help:
+                    lines.append(f"# HELP {base} {sample.help}")
+                kind = "summary" if sample.kind == "histogram" else sample.kind
                 lines.append(f"# TYPE {base} {kind}")
             lines.append(f"{sample.key()} {_format_value(sample.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
@@ -383,10 +392,9 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
-        """Drop every instrument series and collector (tests, forked children)."""
-        with self._lock:
-            for instrument in self._instruments.values():
-                instrument.clear()
+        """Forget every instrument and collector (tests)."""
+        with self.lock:
+            self._instruments.clear()
             self._collectors.clear()
 
 

@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.pipeline.spec import ChaosSpec
-from repro.serving.errors import ADMISSION_ERROR_CODES, error_code
+from repro.serving.loadgen import _dispatch, _image_cycle, _settle, poisson_gaps
 from repro.utils.logging import get_logger
 from repro.utils.profiling import percentile
 
@@ -263,7 +263,7 @@ def _recovery_seconds(samples: List[Tuple[float, float]], fault_end: float,
                       target_ms: float, window_s: float = 1.0) -> Optional[float]:
     """First post-fault window whose p95 is back under ``target_ms``.
 
-    ``samples`` are ``(completion wall time, latency ms)``; windows of
+    ``samples`` are ``(completion time, latency ms)``; windows of
     ``window_s`` are scanned from the fault-window end, and the recovery time
     is the end of the first window that meets the target (0.0 when the very
     first window already does).
@@ -292,6 +292,8 @@ def run_chaos_drill(
     priority: str = "normal",
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
+    clock: Callable[[], float] = time.perf_counter,
+    sleep: Callable[[float], None] = time.sleep,
 ) -> ChaosDrillReport:
     """Open-loop load over warmup → fault window → recovery, on one ``router``.
 
@@ -300,93 +302,46 @@ def run_chaos_drill(
 
         [warmup_s: pre-fault baseline][duration_s: faults][recovery_s: measure]
 
-    Every submit is non-blocking; admission rejections count as ``rejected``
-    (the system degrading *gracefully*), any other failure counts as
-    ``dropped`` — the zero-drops assertion callers gate on.
+    The load is :func:`~repro.serving.loadgen.open_loop`'s Poisson schedule on
+    the same dispatcher: a request goes out when it is *due* and is timed from
+    then, so a submit stalled on a dying worker is charged to the arrivals it
+    delayed instead of thinning the offered rate (``clock`` / ``sleep``: test
+    seams).  Every submit is non-blocking; admission rejections count as
+    ``rejected`` (the system degrading *gracefully*), any other failure counts
+    as ``dropped`` — the zero-drops assertion callers gate on.
     """
-    if images.ndim != 4 or images.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (N, C, H, W) image stack, "
-                         f"got shape {images.shape}")
+    next_image = _image_cycle(images)
     total_s = chaos.warmup_s + chaos.duration_s + recovery_s
-    gaps = np.random.default_rng(seed).exponential(
-        1.0 / rate_rps, size=max(1, int(total_s * rate_rps * 2)))
+    gaps = poisson_gaps(rate_rps, max(1, int(total_s * rate_rps * 2)), seed=seed)
+    # One request is due at the start, one more per gap that ends inside the drill.
+    gaps = gaps[:1 + int(np.searchsorted(np.cumsum(gaps), total_s))]
 
-    samples: List[Tuple[float, float]] = []   # (completion wall, latency ms)
-    drop_errors: List[str] = []
-    counts = {"submitted": 0, "completed": 0, "rejected": 0, "dropped": 0}
-    lock = threading.Lock()
-    fault_start = time.time() + chaos.warmup_s
+    def submit(index: int):
+        if progress is not None and index and index % 200 == 0:
+            progress(f"chaos drill: {index} submitted")
+        return router.submit(next_image(index), block=False, priority=priority)
+
+    started = clock()
+    fault_start = started + chaos.warmup_s
     fault_end = fault_start + chaos.duration_s
+    sent, refused, _ = _dispatch(submit, gaps, clock, sleep)
+    # In-flight requests get 30 s to resolve (worst case: a redispatch after
+    # the last injected fault); one still unresolved then counts as dropped.
+    counts, completed, failures = _settle(sent, refused, 30.0)
 
-    def on_done(future, sent_at: float) -> None:
-        latency_ms = (time.perf_counter() - sent_at) * 1e3
-        error = future.exception()
-        with lock:
-            if error is None:
-                counts["completed"] += 1
-                samples.append((time.time(), latency_ms))
-            elif error_code(error) in ADMISSION_ERROR_CODES:
-                counts["rejected"] += 1
-            else:
-                counts["dropped"] += 1
-                if len(drop_errors) < 32:
-                    drop_errors.append(f"{type(error).__name__}: {error}")
-
-    started = time.time()
-    deadline = started + total_s
-    index = 0
-    while time.time() < deadline:
-        image = images[index % images.shape[0]]
-        sent_at = time.perf_counter()
-        try:
-            future = router.submit(image, block=False, priority=priority)
-        except Exception as error:
-            with lock:
-                counts["submitted"] += 1
-                if error_code(error) in ADMISSION_ERROR_CODES:
-                    counts["rejected"] += 1
-                else:
-                    counts["dropped"] += 1
-                    if len(drop_errors) < 32:
-                        drop_errors.append(f"{type(error).__name__}: {error}")
-        else:
-            with lock:
-                counts["submitted"] += 1
-            future.add_done_callback(
-                lambda resolved, _sent=sent_at: on_done(resolved, _sent))
-        gap = float(gaps[index % len(gaps)])
-        index += 1
-        if progress is not None and index % 200 == 0:
-            progress(f"chaos drill: {counts['submitted']} submitted, "
-                     f"{counts['completed']} completed")
-        time.sleep(gap)
-
-    # Let in-flight requests resolve (worst case: a redispatch after the last
-    # injected fault).
-    settle_deadline = time.time() + 30.0
-    while time.time() < settle_deadline:
-        with lock:
-            resolved = counts["completed"] + counts["rejected"] + counts["dropped"]
-            if resolved >= counts["submitted"]:
-                break
-        time.sleep(0.05)
-
-    with lock:
-        pre = [ms for t, ms in samples if t < fault_start]
-        post = [ms for t, ms in samples if t >= fault_end]
-        pre_p95 = percentile(pre, 95.0)
-        post_p95 = percentile(post, 95.0)
-        recovery = None
-        if pre_p95 > 0:
-            recovery = _recovery_seconds(
-                list(samples), fault_end, pre_p95 * recovery_factor)
-        report = router.metrics.report()["cluster"]
-        return ChaosDrillReport(
-            submitted=counts["submitted"], completed=counts["completed"],
-            rejected=counts["rejected"], dropped=counts["dropped"],
-            drop_errors=list(drop_errors),
-            pre_fault_p95_ms=pre_p95, post_fault_p95_ms=post_p95,
-            recovery_p95_seconds=recovery,
-            restarts=int(report["restarts"]),
-            redispatched=int(report["redispatched"]),
-            duration_s=time.time() - started)
+    samples = [(resolved_at, seconds * 1e3) for resolved_at, seconds in completed]
+    pre_p95 = percentile([ms for t, ms in samples if t < fault_start], 95.0)
+    post_p95 = percentile([ms for t, ms in samples if t >= fault_end], 95.0)
+    recovery = None
+    if pre_p95 > 0:
+        recovery = _recovery_seconds(samples, fault_end, pre_p95 * recovery_factor)
+    report = router.metrics.report()["cluster"]
+    return ChaosDrillReport(
+        submitted=len(gaps), completed=counts["completed"],
+        rejected=counts["rejected"] + counts["expired"], dropped=counts["failed"],
+        drop_errors=[f"{type(error).__name__}: {error}" for error in failures[:32]],
+        pre_fault_p95_ms=pre_p95, post_fault_p95_ms=post_p95,
+        recovery_p95_seconds=recovery,
+        restarts=int(report["restarts"]),
+        redispatched=int(report["redispatched"]),
+        duration_s=clock() - started)

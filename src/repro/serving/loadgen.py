@@ -15,6 +15,11 @@ Two standard load models:
   how late the dispatcher ran is reported next to the latencies
   (``lag_ms_p99`` / ``late_share``).
 
+Every open loop here (:func:`open_loop`, each class stream of
+:func:`mixed_priority_load`, the chaos drill in :mod:`repro.serving.chaos`)
+runs on the one due-time dispatcher, :func:`_dispatch`, and reads how each
+request ended through the one classifier, :func:`_outcome`.
+
 All three load models target any
 :class:`~repro.serving.api.InferenceTarget` — the in-process
 :class:`~repro.serving.service.InferenceService`, the multi-process
@@ -33,6 +38,7 @@ its SLO while the low class absorbs the rejections" is a measurable claim.
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
 from dataclasses import dataclass, field
@@ -42,22 +48,8 @@ import numpy as np
 
 from repro.serving.api import DEFAULT_PRIORITY, InferenceTarget
 from repro.serving.batcher import InferenceFuture
-from repro.serving.errors import (
-    ADMISSION_ERROR_CODES,
-    AdmissionRejectedError,
-    DeadlineExceededError,
-    QueueFullError,
-    WorkerUnavailableError,
-    error_code,
-)
+from repro.serving.errors import ADMISSION_ERROR_CODES, DeadlineExceededError, error_code
 from repro.utils.profiling import LatencyStats
-
-#: What a non-blocking submit raises when the target cannot admit the request
-#: right now: a full queue, no live worker to route to, gateway admission
-#: control, or an infeasible deadline.  Load generators count all of these as
-#: rejections (admission control working as designed), not failures.
-ADMISSION_ERRORS = (QueueFullError, WorkerUnavailableError,
-                    AdmissionRejectedError, DeadlineExceededError)
 
 #: An open-loop request sent later than this after it was due counts as late.
 LATE_SECONDS = 1e-3
@@ -153,6 +145,91 @@ def poisson_gaps(rate_hz: float, count: int, seed: int = 0) -> np.ndarray:
     return rng.exponential(scale=1.0 / rate_hz, size=count)
 
 
+def _outcome(error: Optional[BaseException]) -> str:
+    """How a request ended, for every load generator: ``completed``,
+    ``expired`` (its deadline passed), ``rejected`` (any other admission
+    control: a full queue, no live worker, a gateway limit — the target saying
+    no as designed) or ``failed`` (something actually broke)."""
+    if error is None:
+        return "completed"
+    code = error_code(error)
+    if code == DeadlineExceededError.code:
+        return "expired"
+    return "rejected" if code in ADMISSION_ERROR_CODES else "failed"
+
+
+Sent = List[Tuple[InferenceFuture, float]]       # (future, when it was due)
+
+
+def _dispatch(
+    submit: Callable[[int], InferenceFuture],
+    gaps: Sequence[float],
+    clock: Callable[[], float] = time.perf_counter,
+    sleep: Callable[[float], None] = time.sleep,
+) -> Tuple[Sent, List[BaseException], LatencyStats]:
+    """The one open-loop dispatcher: ``submit(index)`` once per gap, each when
+    it is **due**, never waiting for a reply.
+
+    ``due`` advances by the gaps, never by when a submit returned: the
+    dispatcher is one thread, so a stalled ``submit`` makes the arrivals behind
+    it late instead of quietly lowering the offered rate.  Returns ``(future,
+    due)`` per accepted submit, the error of each refused one, and the
+    generator's ``lag`` (how late each request was sent).
+    """
+    sent: Sent = []
+    refused: List[BaseException] = []
+    lag = LatencyStats()
+    due = clock()
+    for index, gap in enumerate(gaps):
+        now = clock()
+        if due > now:
+            sleep(due - now)
+            now = clock()
+        lag.add(max(0.0, now - due))
+        try:
+            sent.append((submit(index), due))
+        except Exception as error:
+            refused.append(error)
+        due += float(gap)
+    return sent, refused, lag
+
+
+def _settle(sent: Sent, refused: Sequence[BaseException], timeout: float,
+            ) -> Tuple[Dict[str, int], List[Tuple[float, float]], List[BaseException]]:
+    """Wait out a dispatched run (``timeout`` for all of it): the count per
+    :func:`_outcome`, ``(resolved_at, latency_s)`` of every completed request
+    and the error of every failed one.
+
+    Latency runs from the instant the request was **due**: timing a delayed
+    arrival from its (late) submit would report a stalled system as a fast
+    one.  ``resolved_at`` is stamped by the resolving thread, so waiting on
+    future N does not inflate future N+1.
+    """
+    counts: Dict[str, int] = collections.Counter()
+    completed: List[Tuple[float, float]] = []
+    failures: List[BaseException] = []
+    for error in refused:
+        # Refused at the door is a rejection whatever the reason (an
+        # infeasible deadline included): the request was never admitted.
+        outcome = _outcome(error)
+        counts["rejected" if outcome == "expired" else outcome] += 1
+        if outcome == "failed":
+            failures.append(error)
+    give_up = time.perf_counter() + timeout
+    for future, due in sent:
+        try:
+            error = future.exception(max(0.0, give_up - time.perf_counter()))
+        except TimeoutError as unresolved:
+            error = unresolved
+        outcome = _outcome(error)
+        counts[outcome] += 1
+        if outcome == "completed":
+            completed.append((future.resolved_at, future.resolved_at - due))
+        elif outcome == "failed":
+            failures.append(error)
+    return counts, completed, failures
+
+
 def closed_loop(
     service: InferenceTarget,
     images: np.ndarray,
@@ -175,11 +252,10 @@ def closed_loop(
     lock = threading.Lock()
     issued = 0
     latency = LatencyStats()
-    failed = 0
-    rejected = 0
+    counts: Dict[str, int] = collections.Counter()
 
     def client() -> None:
-        nonlocal issued, failed, rejected
+        nonlocal issued
         while True:
             with lock:
                 index = issued
@@ -188,17 +264,14 @@ def closed_loop(
                 issued += 1
             started = time.perf_counter()
             try:
-                future = service.submit(next_image(index), model=model,
-                                        block=True, timeout=timeout)
-                future.result(timeout)
-            except ADMISSION_ERRORS:
-                with lock:
-                    rejected += 1
-            except BaseException:
-                with lock:
-                    failed += 1
-            else:
-                with lock:
+                service.submit(next_image(index), model=model,
+                               block=True, timeout=timeout).result(timeout)
+                error = None
+            except Exception as raised:
+                error = raised
+            with lock:
+                counts[_outcome(error)] += 1
+                if error is None:
                     latency.add(time.perf_counter() - started)
 
     threads = [threading.Thread(target=client, name=f"loadgen-closed-{i}", daemon=True)
@@ -214,8 +287,8 @@ def closed_loop(
         mode="closed-loop",
         requests=requests,
         completed=latency.count,
-        rejected=rejected,
-        failed=failed,
+        rejected=counts["rejected"] + counts["expired"],
+        failed=counts["failed"],
         duration_seconds=duration,
         latency=latency,
     )
@@ -239,12 +312,9 @@ def open_loop(
     admission-control behaviour a real overloaded service exhibits.
 
     Latency runs from the instant a request was **due** on the schedule to its
-    resolution.  The dispatcher is one thread: while one ``submit`` stalls,
-    the arrivals behind it are already waiting, and timing them from their
-    (late) submit would report a stalled system as a fast one.  The report's
-    ``lag`` says how late the dispatcher ran, so a figure inflated by the
-    generator itself is told apart from one inflated by the target.
-    ``clock`` / ``sleep`` exist for the tests that pin this.
+    resolution, and the report's ``lag`` says how late the dispatcher ran, so
+    a figure inflated by the generator itself is told apart from one inflated
+    by the target.  ``clock`` / ``sleep`` exist for the tests that pin this.
     """
     if requests < 1:
         raise ValueError(f"requests must be >= 1, got {requests}")
@@ -252,48 +322,23 @@ def open_loop(
         raise ValueError(f"rate_hz must be > 0, got {rate_hz}")
     next_image = _image_cycle(images)
 
-    gaps = poisson_gaps(rate_hz, requests, seed=seed)
-    sent: List[Tuple[InferenceFuture, float]] = []     # (future, when it was due)
-    lag = LatencyStats()
-    rejected = 0
-
     started = clock()
-    due = started
-    for index in range(requests):
-        now = clock()
-        if due > now:
-            sleep(due - now)
-            now = clock()
-        lag.add(max(0.0, now - due))
-        try:
-            sent.append((service.submit(next_image(index), model=model, block=False), due))
-        except ADMISSION_ERRORS:
-            rejected += 1
-        due += float(gaps[index])
-
+    sent, refused, lag = _dispatch(
+        lambda index: service.submit(next_image(index), model=model, block=False),
+        poisson_gaps(rate_hz, requests, seed=seed), clock, sleep)
+    # A deferred rejection (queue eviction, deadline expiry, a gateway error
+    # frame) is still admission control, not a failure.
+    counts, completed, _ = _settle(sent, refused, timeout)
     latency = LatencyStats()
-    failed = 0
-    for future, was_due in sent:
-        try:
-            future.result(timeout)
-        except ADMISSION_ERRORS:
-            # A deferred rejection (queue eviction, deadline expiry, a gateway
-            # error frame) is still admission control, not a failure.
-            rejected += 1
-        except BaseException:
-            failed += 1
-        else:
-            # resolved_at is stamped by the worker, so waiting on future N
-            # does not inflate the recorded latency of future N+1.
-            latency.add(future.resolved_at - was_due)
+    latency.extend(seconds for _, seconds in completed)
     duration = clock() - started
 
     return LoadReport(
         mode="open-loop",
         requests=requests,
         completed=latency.count,
-        rejected=rejected,
-        failed=failed,
+        rejected=counts["rejected"] + counts["expired"],
+        failed=counts["failed"],
         duration_seconds=duration,
         latency=latency,
         lag=lag,
@@ -361,13 +406,17 @@ def mixed_priority_load(
     model: Optional[str] = None,
     seed: int = 0,
     timeout: float = 120.0,
+    clock: Callable[[], float] = time.perf_counter,
+    sleep: Callable[[float], None] = time.sleep,
 ) -> Dict[str, ClassReport]:
     """Drive several priority classes at once; one open-loop stream per class.
 
     Each class dispatches its own Poisson arrival process (its ``rate_hz``)
     from its own thread, submitting non-blocking with its ``priority`` and
     ``deadline_ms``; all streams overlap in time, so the target schedules a
-    genuinely mixed queue.  Returns ``{priority: ClassReport}``.
+    genuinely mixed queue.  Returns ``{priority: ClassReport}``; latency runs
+    from when each request was due (``clock`` / ``sleep``: :func:`open_loop`'s
+    test seams).
 
     This is the harness behind the gateway acceptance claim: under overload
     the high class should hold ~its full hit rate while the low class's
@@ -382,32 +431,32 @@ def mixed_priority_load(
         seen.add(load.priority)
     next_image = _image_cycle(images)
 
-    outcomes: Dict[str, Tuple[List[Tuple[InferenceFuture, float]], int]] = {}
+    reports: Dict[str, ClassReport] = {}
     lock = threading.Lock()
 
-    def dispatch(load: ClassLoad, stream_seed: int) -> None:
-        gaps = poisson_gaps(load.rate_hz, load.requests, seed=stream_seed)
-        futures: List[Tuple[InferenceFuture, float]] = []
-        rejected = 0
-        next_due = time.perf_counter()
-        for index in range(load.requests):
-            now = time.perf_counter()
-            if next_due > now:
-                time.sleep(next_due - now)
-            next_due += float(gaps[index])
-            submitted = time.perf_counter()
-            try:
-                futures.append((service.submit(
-                    next_image(index), model=model, block=False,
-                    priority=load.priority, deadline_ms=load.deadline_ms),
-                    submitted))
-            except ADMISSION_ERRORS:
-                rejected += 1
+    def stream(load: ClassLoad, stream_seed: int) -> None:
+        sent, refused, _ = _dispatch(
+            lambda index: service.submit(
+                next_image(index), model=model, block=False,
+                priority=load.priority, deadline_ms=load.deadline_ms),
+            poisson_gaps(load.rate_hz, load.requests, seed=stream_seed), clock, sleep)
+        counts, completed, _ = _settle(sent, refused, timeout)
+        latency = LatencyStats()
+        latency.extend(seconds for _, seconds in completed)
+        report = ClassReport(
+            priority=load.priority,
+            issued=load.requests,
+            completed=latency.count,
+            rejected=counts["rejected"],
+            expired=counts["expired"],
+            failed=counts["failed"],
+            latency=latency,
+        )
         with lock:
-            outcomes[load.priority] = (futures, rejected)
+            reports[load.priority] = report
 
     threads = [
-        threading.Thread(target=dispatch, args=(load, seed + offset),
+        threading.Thread(target=stream, args=(load, seed + offset),
                          name=f"loadgen-{load.priority}", daemon=True)
         for offset, load in enumerate(loads)
     ]
@@ -415,35 +464,4 @@ def mixed_priority_load(
         thread.start()
     for thread in threads:
         thread.join()
-
-    reports: Dict[str, ClassReport] = {}
-    for load in loads:
-        futures, rejected = outcomes[load.priority]
-        latency = LatencyStats()
-        expired = 0
-        failed = 0
-        for future, submitted in futures:
-            error = None
-            try:
-                error = future.exception(timeout)
-            except TimeoutError:
-                failed += 1
-                continue
-            if error is None:
-                latency.add(future.resolved_at - submitted)
-            elif isinstance(error, DeadlineExceededError):
-                expired += 1
-            elif error_code(error) in ADMISSION_ERROR_CODES:
-                rejected += 1
-            else:
-                failed += 1
-        reports[load.priority] = ClassReport(
-            priority=load.priority,
-            issued=load.requests,
-            completed=latency.count,
-            rejected=rejected,
-            expired=expired,
-            failed=failed,
-            latency=latency,
-        )
-    return reports
+    return {load.priority: reports[load.priority] for load in loads}

@@ -1,67 +1,17 @@
-"""Small timing helpers used by examples, the evaluation pipeline and serving.
+"""The repo's percentile machinery.
 
-Beyond the stopwatch (:class:`Timer`) and the training-loop mean
-(:class:`RunningAverage`), this module owns the repo's percentile machinery:
-:func:`percentile` and :class:`LatencyStats` are what the serving metrics
-(:mod:`repro.serving.metrics`) and the engine's :class:`repro.engine.runner.RunnerStats`
-use to report p50/p95/p99 latency instead of a bare mean.
+:func:`percentile` and :class:`LatencyStats` are what the obs-registry
+:class:`~repro.obs.registry.Histogram` (and through it every serving metrics
+class), the load generators and the engine's
+:class:`repro.engine.runner.RunnerStats` use to report p50/p95/p99 latency
+instead of a bare mean.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
-
-
-@dataclass
-class Timer:
-    """Context-manager stopwatch.
-
-    Example
-    -------
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    elapsed: float = 0.0
-    _start: float = field(default=0.0, repr=False)
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start
-
-    def start(self) -> None:
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        self.elapsed = time.perf_counter() - self._start
-        return self.elapsed
-
-
-@dataclass
-class RunningAverage:
-    """Numerically simple running mean used for training-loop statistics."""
-
-    total: float = 0.0
-    count: int = 0
-
-    def update(self, value: float, n: int = 1) -> None:
-        self.total += float(value) * n
-        self.count += n
-
-    @property
-    def average(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
+from typing import Dict, Iterable, List, Optional
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -109,7 +59,7 @@ class LatencyStats:
     running aggregates independent of the reservoir.
 
     Not thread-safe on its own — concurrent writers must hold their own lock
-    (see :class:`repro.serving.metrics.ServingMetrics`).
+    (see :class:`repro.obs.registry.Histogram`, which does).
 
     Example
     -------
@@ -144,44 +94,41 @@ class LatencyStats:
         self._count = 0
         self._total = 0.0
         self._max = 0.0
-        # Seeded so repeated runs (and doctests) see the same reservoir.
-        self._rng = random.Random(0x5EED)
+        self._rng: Optional[random.Random] = None    # built when down-sampling starts
 
-    def add(self, seconds: float) -> None:
+    def add(self, seconds: float, count: int = 1) -> None:
+        """Record ``count`` samples of one value (a run that settled together).
+
+        Equivalent to ``count`` single adds: below capacity the run lands in
+        one ``extend``; past it every sample still takes its own reservoir
+        draw, so the retained set stays a uniform sample of the stream.
+        """
+        if count < 1:
+            return
         value = float(seconds)
-        self._count += 1
-        self._total += value
+        samples, capacity, seen = self.samples, self.capacity, self._count
+        self._count = total = seen + count
+        self._total += value * count
         if value > self._max:
             self._max = value
-        if len(self.samples) < self.capacity:
-            self.samples.append(value)
-            return
-        slot = self._rng.randrange(self._count)
-        if slot < self.capacity:
-            self.samples[slot] = value
+        room = capacity - len(samples)
+        if room > 0:
+            samples.extend([value] * min(count, room))
+            seen += room
+        if seen < total and self._rng is None:
+            # Seeded so repeated runs (and doctests) see the same reservoir.
+            self._rng = random.Random(0x5EED)
+        while seen < total:
+            seen += 1
+            # int(random() * n), not randrange(n): a tenth of the cost, and
+            # the bias is below 2**-53 * n.
+            slot = int(self._rng.random() * seen)
+            if slot < capacity:
+                samples[slot] = value
 
     def extend(self, seconds: Iterable[float]) -> None:
         for s in seconds:
             self.add(s)
-
-    def merge(self, other: "LatencyStats") -> None:
-        """Fold ``other``'s aggregates and reservoir into this collector.
-
-        Exact aggregates (count/sum/max) stay exact; the reservoir absorbs the
-        other side's retained samples.  Used when per-worker ledgers are rolled
-        up into a cluster-wide view.
-        """
-        for value in other.samples:
-            if len(self.samples) < self.capacity:
-                self.samples.append(value)
-            else:
-                slot = self._rng.randrange(max(self._count, 1))
-                if slot < self.capacity:
-                    self.samples[slot] = value
-        self._count += other._count
-        self._total += other._total
-        if other._max > self._max:
-            self._max = other._max
 
     @property
     def count(self) -> int:

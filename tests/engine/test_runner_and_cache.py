@@ -64,7 +64,7 @@ def test_batch_runner_stats_and_plain_module(rng):
     assert stats.images == 5
     assert stats.seconds > 0
     assert stats.images_per_second > 0
-    assert len(stats.batch_seconds) == 3
+    assert stats.batch_latency().count == 3
 
 
 def test_runner_stats_zero_seconds_reports_zero_throughput():
@@ -91,6 +91,24 @@ def test_runner_stats_batch_latency_percentiles():
     assert summary["count"] == 4
     assert summary["p50_ms"] == pytest.approx(25.0)
     assert summary["max_ms"] == pytest.approx(40.0)
+
+
+def test_runner_stats_memory_is_bounded_and_aggregates_stay_exact():
+    """A long-lived DynamicBatcher records one batch after another for the life
+    of the server: the per-batch durations must not grow without bound."""
+    from repro.engine import RunnerStats
+    from repro.utils.profiling import LatencyStats
+
+    stats = RunnerStats()
+    for index in range(10_000):
+        stats.record(4, 0.001 + (index % 7) * 1e-4)
+    latency = stats.batch_latency()
+    assert len(latency.samples) <= LatencyStats.DEFAULT_CAPACITY
+    assert stats.batches == latency.count == 10_000
+    assert stats.images == 40_000
+    assert stats.seconds == pytest.approx(latency.total_seconds)
+    assert stats.mean_batch_seconds == pytest.approx(stats.seconds / 10_000)
+    assert latency.max_seconds == pytest.approx(0.0016)
 
 
 def test_batch_runner_rejects_empty_and_bad_batch_size():

@@ -16,9 +16,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     Sample,
     get_registry,
-    summary_samples,
 )
-from repro.utils.profiling import LatencyStats
 
 
 # ----------------------------------------------------------------- instruments
@@ -126,15 +124,6 @@ class TestRegistry:
         registry.register_collector("boom", lambda: 1 / 0)
         registry.counter("ok_total").inc()
         assert registry.snapshot() == {"ok_total": 1.0}
-
-    def test_summary_samples_renders_latency_stats(self):
-        stats = LatencyStats()
-        for ms in (1.0, 2.0, 3.0):
-            stats.add(ms / 1e3)
-        keys = {sample.key() for sample in summary_samples(
-            "lat_seconds", {"svc": "s"}, stats)}
-        assert 'lat_seconds{quantile="0.99",svc="s"}' in keys
-        assert 'lat_seconds_count{svc="s"}' in keys
 
 
 # ------------------------------------------------------------------- exporters

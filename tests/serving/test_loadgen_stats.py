@@ -13,7 +13,17 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serving import InferenceFuture, closed_loop, open_loop, poisson_gaps
+from repro.pipeline.spec import ChaosSpec
+from repro.serving import (
+    ClassLoad,
+    ClusterMetrics,
+    InferenceFuture,
+    closed_loop,
+    mixed_priority_load,
+    open_loop,
+    poisson_gaps,
+    run_chaos_drill,
+)
 from repro.utils.profiling import LatencyStats, percentile
 
 
@@ -128,8 +138,9 @@ class StallOnceService:
         self.clock, self.stall_at, self.stall_s, self.service_s = (
             clock, stall_at, stall_s, service_s)
         self.sent_at = []
+        self.metrics = ClusterMetrics(register=False)     # what the drill reads restarts off
 
-    def submit(self, image, model=None, block=False, timeout=None):
+    def submit(self, image, model=None, block=False, timeout=None, **scheduling):
         self.sent_at.append(self.clock.now)
         if len(self.sent_at) - 1 == self.stall_at:
             self.clock.sleep(self.stall_s)
@@ -139,34 +150,71 @@ class StallOnceService:
         return future
 
 
-class TestOpenLoopTimesFromDue:
-    """Deterministic: the clock is fake, so every expectation is an equality."""
+@pytest.mark.parametrize("generator", ["open_loop", "mixed_priority_load", "run_chaos_drill"])
+class TestOpenLoopsTimeFromDue:
+    """Deterministic: the clock is fake, so every expectation is an equality.
+
+    The three open loops -- ``open_loop``, a ``mixed_priority_load`` class
+    stream and the chaos drill -- run the same due-time schedule."""
 
     RATE, COUNT, SEED = 1000.0, 200, 5
     STALL_AT, STALL_S, SERVICE_S = 20, 0.050, 0.002
+    WARMUP_S, FAULT_S, RECOVERY_S = 0.08, 0.04, 0.08      # a 0.2 s drill: ~COUNT arrivals
 
-    def run(self, stall_s):
+    def run(self, generator, stall_s):
         clock = FakeClock()
         service = StallOnceService(clock, self.STALL_AT, stall_s, self.SERVICE_S)
         images = np.zeros((2, 3, 8, 8), dtype=np.float32)
-        report = open_loop(service, images, requests=self.COUNT, rate_hz=self.RATE,
-                           seed=self.SEED, clock=clock, sleep=clock.sleep)
-        gaps = poisson_gaps(self.RATE, self.COUNT, seed=self.SEED)
-        due = 100.0 + np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
+        seams = dict(seed=self.SEED, clock=clock, sleep=clock.sleep)
+        if generator == "open_loop":
+            report = open_loop(service, images, requests=self.COUNT, rate_hz=self.RATE, **seams)
+        elif generator == "mixed_priority_load":
+            load = ClassLoad("normal", requests=self.COUNT, rate_hz=self.RATE)
+            report = mixed_priority_load(service, images, [load], **seams)["normal"]
+        else:
+            chaos = ChaosSpec(enabled=True, warmup_s=self.WARMUP_S, duration_s=self.FAULT_S)
+            report = run_chaos_drill(service, images, chaos=chaos, rate_rps=self.RATE,
+                                     recovery_s=self.RECOVERY_S, **seams)
+        gaps = poisson_gaps(self.RATE, 2 * self.COUNT, seed=self.SEED)
+        due = 100.0 + np.concatenate([[0.0], np.cumsum(gaps)])
+        if generator == "run_chaos_drill":      # as many as are due inside the drill
+            due = due[due < 100.0 + self.WARMUP_S + self.FAULT_S + self.RECOVERY_S]
+        else:
+            due = due[:self.COUNT]
         return report, service, due
 
-    def test_without_a_stall_every_request_is_on_time(self):
-        report, service, due = self.run(stall_s=0.0)
-        np.testing.assert_allclose(service.sent_at, due)
-        assert report.completed == self.COUNT
-        assert report.late_share == 0.0 and report.lag_ms_p99 == pytest.approx(0.0, abs=1e-6)
-        assert report.latency.max_seconds == pytest.approx(self.SERVICE_S)
+    def check_latencies(self, generator, report, sent_at, due):
+        """Every request is timed from when it was due, whoever reports it."""
+        latencies = sent_at + self.SERVICE_S - due
+        assert report.completed == len(due)
+        if generator == "run_chaos_drill":
+            assert report.submitted == len(due) and report.dropped == report.rejected == 0
+            done = sent_at + self.SERVICE_S
+            fault_start = 100.0 + self.WARMUP_S
+            assert report.pre_fault_p95_ms == pytest.approx(
+                np.percentile(latencies[done < fault_start], 95) * 1e3)
+            assert report.post_fault_p95_ms == pytest.approx(
+                np.percentile(latencies[done >= fault_start + self.FAULT_S], 95) * 1e3)
+        else:
+            assert report.latency.count == self.COUNT
+            assert report.latency.max_seconds == pytest.approx(latencies.max())
+            assert report.latency.mean_seconds == pytest.approx(latencies.mean())
 
-    def test_a_stall_is_charged_to_the_arrivals_it_delayed(self):
-        report, service, due = self.run(stall_s=self.STALL_S)
+    def test_without_a_stall_every_request_is_on_time(self, generator):
+        report, service, due = self.run(generator, stall_s=0.0)
+        np.testing.assert_allclose(service.sent_at, due)
+        self.check_latencies(generator, report, due, due)
+        if generator == "open_loop":
+            assert report.late_share == 0.0
+            assert report.lag_ms_p99 == pytest.approx(0.0, abs=1e-6)
+            assert report.latency.max_seconds == pytest.approx(self.SERVICE_S)
+
+    def test_a_stall_is_charged_to_the_arrivals_it_delayed(self, generator):
+        report, service, due = self.run(generator, stall_s=self.STALL_S)
         stall_end = due[self.STALL_AT] + self.STALL_S
         # What the dispatcher could do: send each request when it is due, or
-        # as soon as the stalled submit lets go of the thread.
+        # as soon as the stalled submit lets go of the thread -- and nothing
+        # (a gap slept after the submit, say) pushes the later ones back.
         expected_sent = np.maximum(due, stall_end)
         expected_sent[:self.STALL_AT + 1] = due[:self.STALL_AT + 1]
         np.testing.assert_allclose(service.sent_at, expected_sent)
@@ -174,16 +222,17 @@ class TestOpenLoopTimesFromDue:
         delayed = int((lag > 0).sum())
         assert delayed >= 10                  # the stall covered real arrivals
         # Latency runs from *due*: the delayed arrivals carry their wait ...
-        latencies = sorted(expected_sent + self.SERVICE_S - due)
-        assert report.latency.count == self.COUNT
-        assert report.latency.max_seconds == pytest.approx(latencies[-1])
-        assert report.latency.mean_seconds == pytest.approx(np.mean(latencies))
+        self.check_latencies(generator, report, expected_sent, due)
+        if generator == "run_chaos_drill":
+            assert report.pre_fault_p95_ms > (self.SERVICE_S + 0.5 * self.STALL_S) * 1e3
+            return
         assert report.latency.max_seconds > self.SERVICE_S + 0.9 * self.STALL_S
-        # ... and the report says the generator, not the target, ran late.
-        assert report.late_share == pytest.approx((lag > 1e-3).sum() / self.COUNT)
-        assert report.lag_ms_p99 == pytest.approx(np.percentile(lag, 99) * 1e3)
-        assert report.as_dict()["late_share"] > 0
-        assert "lag_p99_ms" in report.flat_row()
+        if generator == "open_loop":
+            # ... and the report says the generator, not the target, ran late.
+            assert report.late_share == pytest.approx((lag > 1e-3).sum() / self.COUNT)
+            assert report.lag_ms_p99 == pytest.approx(np.percentile(lag, 99) * 1e3)
+            assert report.as_dict()["late_share"] > 0
+            assert "lag_p99_ms" in report.flat_row()
 
 
 # ------------------------------------------------------------------ closed loop

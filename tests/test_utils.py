@@ -1,13 +1,15 @@
-"""Utilities: RNG determinism, serialization, logging, timers."""
+"""Utilities: RNG determinism, serialization, logging, latency percentiles."""
 
 import logging
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.profiling import LatencyStats, RunningAverage, Timer, percentile
+from repro.utils.profiling import LatencyStats, percentile
 from repro.utils.rng import default_rng, get_global_seed, set_global_seed, spawn_rng
 from repro.utils.serialization import load_state_dict, save_state_dict
 
@@ -59,30 +61,12 @@ class TestSerialization:
         np.testing.assert_array_equal(other.head.weight.data, tiny_model.head.weight.data)
 
 
-class TestLoggingAndTimers:
+class TestLogging:
     def test_logger_namespaced(self):
         logger = get_logger("unit-test")
         assert logger.name == "repro.unit-test"
         set_verbosity(logging.WARNING)
         set_verbosity(logging.INFO)
-
-    def test_timer_context(self):
-        with Timer() as timer:
-            sum(range(1000))
-        assert timer.elapsed >= 0.0
-
-    def test_timer_start_stop(self):
-        timer = Timer()
-        timer.start()
-        elapsed = timer.stop()
-        assert elapsed >= 0.0
-
-    def test_running_average(self):
-        avg = RunningAverage()
-        assert avg.average == 0.0
-        avg.update(2.0)
-        avg.update(4.0, n=3)
-        assert avg.average == pytest.approx(3.5)
 
 
 class TestLatencyStats:
@@ -112,6 +96,26 @@ class TestLatencyStats:
         summary = LatencyStats().summary()
         assert summary == {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0,
                            "p95_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0}
+
+    @given(runs=st.lists(st.tuples(st.floats(0.0, 10.0), st.integers(0, 40)),
+                         min_size=1, max_size=30),
+           capacity=st.integers(1, 64))
+    def test_a_weighted_add_is_that_many_single_adds(self, runs, capacity):
+        """``add(v, n)`` records a run that settled together in one call: count,
+        sum and max as ``n`` single adds, the reservoir bounded, and -- while
+        nothing has been down-sampled -- the very same samples."""
+        weighted, singles = LatencyStats(capacity), LatencyStats(capacity)
+        for value, count in runs:
+            weighted.add(value, count)
+            for _ in range(count):
+                singles.add(value)
+        assert weighted.count == singles.count == sum(count for _, count in runs)
+        assert weighted.total_seconds == pytest.approx(singles.total_seconds)
+        assert weighted.max_seconds == singles.max_seconds
+        assert len(weighted.samples) == min(weighted.count, capacity)
+        assert set(weighted.samples) <= {value for value, count in runs if count}
+        if weighted.count <= capacity:
+            assert weighted.samples == singles.samples
 
     def test_profiling_doctests_pass(self):
         """The module's doctests are part of its contract (LatencyStats/percentile)."""

@@ -80,6 +80,16 @@ HOT_FUNCTIONS = {
     "responder_loop",
     "WorkerProcess._receiver_loop",
     "GatewayServer._handle_infer",
+    # metrics record path, per admission / micro-batch / reply frame
+    # (serving/metrics.py, serving/cluster/metrics.py, obs/registry.py): a
+    # settled run is one weighted call whatever its image count, and the only
+    # storage that grows is the bounded reservoir behind Histogram
+    "ServingMetrics.record_admission",
+    "ServingMetrics.record_batch",
+    "GatewayMetrics.record_completion",
+    "ClusterMetrics.record_completion",
+    "Histogram.observe",
+    "Counter.inc",
 }
 
 # numpy module-level calls that allocate a fresh array.  A call carrying an
