@@ -816,7 +816,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     Exit code 0 only if the drill dropped zero requests AND the cluster's p95
     returned to its pre-fault band within the recovery window — the same gate
-    ``make chaos-smoke`` and benchmarks/test_elastic_resilience.py apply.
+    ``make chaos-smoke`` applies.
     """
     import dataclasses
     import json as _json

@@ -40,7 +40,7 @@ per-incarnation ``warmup_s`` quiet period so a crash-looping schedule cannot
 keep a fresh worker from ever becoming useful.
 
 :func:`run_chaos_drill` is the harness the ``repro chaos`` CLI, ``make
-chaos-smoke`` and ``benchmarks/test_elastic_resilience.py`` share: open-loop
+chaos-smoke`` and the live drill in ``tests/serving/test_chaos.py`` share: open-loop
 load across warmup → fault window → recovery, asserting zero dropped
 requests and reporting ``recovery_p95_seconds``.
 """

@@ -12,10 +12,13 @@ load.  This package scales it horizontally on one host:
   boundary without pickling arrays,
 * :mod:`repro.serving.cluster.router` — :class:`Router`, the front door:
   pluggable routing policies (round-robin, least-outstanding, model-affinity
-  hashing), health-check heartbeats, automatic worker restart with
-  exponential-backoff pacing and in-flight request re-dispatch, elastic
-  ``add_worker`` / ``remove_worker``, and zero-downtime rolling
-  ``swap_artifact`` (:class:`ArtifactSwapError` on rollback),
+  hashing), one supervisor thread (health-check heartbeats, worker restart,
+  in-flight request re-dispatch), elastic ``add_worker`` / ``remove_worker``,
+  and zero-downtime rolling ``swap_artifact`` (:class:`ArtifactSwapError` on
+  rollback) — the shell that performs what
+* :mod:`repro.serving.cluster.fleet` decides: the clock-free slot table with
+  every supervision rule (quick-death counting, backoff pacing, abandonment,
+  degradation, the scale / swap steps, the autoscaler's decision),
 * :mod:`repro.serving.cluster.metrics` — :class:`ClusterMetrics`, per-worker
   and aggregate p50/p95/p99 latency and throughput.
 

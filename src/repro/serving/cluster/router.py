@@ -21,11 +21,14 @@ Routing policies are pluggable (``routing=`` name or a policy object):
   one process instead of thrashing every pool (falls back deterministically
   when the home slot is dead).
 
-Failure handling: a monitor thread health-checks every slot (process liveness +
-heartbeat freshness).  A dead worker is restarted in place and every request
-that was in flight on it is **re-dispatched** to a live worker under the same
-future — the client keeps waiting on the handle it already has and no admitted
-request is ever dropped.
+Failure handling: one supervisor thread health-checks every slot (process
+liveness + heartbeat freshness).  A dead worker is restarted in place and every
+request that was in flight on it is **re-dispatched** to a live worker under the
+same future — the client keeps waiting on the handle it already has and no
+admitted request is ever dropped.  *What* to do about a death, a scale step or a
+swap step is decided by the clock-free slot table in
+:mod:`repro.serving.cluster.fleet`; this module is the shell that owns the lock,
+the clock and ``fork`` and performs what the table returns.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ import os
 import random
 import threading
 import time
-import weakref
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +60,7 @@ from repro.serving.errors import (
     DeadlineExceededError,
     ServingError,
 )
+from repro.serving.cluster import fleet
 from repro.serving.cluster.channel import burst_images
 from repro.serving.cluster.metrics import ClusterMetrics
 from repro.serving.cluster.worker import (
@@ -74,19 +77,10 @@ class ArtifactSwapError(ServingError):
     """A rolling :meth:`Router.swap_artifact` failed and was rolled back."""
 
 
-#: Live routers, so a fork (e.g. a "fork"-start worker child spawned while a
-#: deferred-backoff respawn is pending) can reset inherited supervision state
-#: the child's missing threads would otherwise never clear.
-_LIVE_ROUTERS: "weakref.WeakSet[Router]" = weakref.WeakSet()  # reprolint: disable=mutable-global
-
-
-def _reset_routers_after_fork() -> None:
-    for router in list(_LIVE_ROUTERS):
-        router._reset_backoff_after_fork()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_routers_after_fork)
+def _backoff_jitter(slot: int, now: float) -> float:
+    """The restart backoff's jitter in [0, 1) for a death in ``slot`` at ``now`` — keyed by
+    the pid too, so a forked child never replays its parent's draws (no at-fork hook)."""
+    return random.Random(f"{os.getpid()}/{slot}/{now}").random()
 
 
 # ------------------------------------------------------------------ routing policies
@@ -194,24 +188,17 @@ class Router:
         is the :class:`~repro.serving.elastic.Autoscaler`'s, not read here.
     chaos:
         Optional :class:`~repro.pipeline.spec.ChaosSpec` the workers inject.
-    restart:
-        Restart dead workers and re-dispatch their in-flight requests (the
-        monitor thread; disable only in tests that assert raw death behavior).
     """
 
-    # reprolint lock-discipline contract: state shared between client threads,
-    # the monitor, and redispatch threads mutates only under `_lock`
+    # reprolint lock-discipline contract: the slot table (every worker handle,
+    # each slot's supervision state, `closed`, the last fatal error) and the
+    # artifact path respawns load are read and changed only under `_lock`
     # (`_worker_available` is a Condition over the same lock).  `_scale_lock`
     # serializes fleet-shape changes (swap/add/remove) against each other; it
     # is always taken *before* `_lock`, never inside it.
     _guarded_by_ = {
-        "_workers": ("_lock", "_worker_available"),
-        "_closed": ("_lock", "_worker_available"),
-        "_abandoned": ("_lock", "_worker_available"),
-        "_failures": ("_lock", "_worker_available"),
-        "_respawning": ("_lock", "_worker_available"),
-        "_incarnations": ("_lock", "_worker_available"),
-        "last_fatal_error": ("_lock", "_worker_available"),
+        "_table": ("_lock", "_worker_available"),
+        "artifact_path": ("_lock", "_worker_available"),
     }
 
     def __init__(
@@ -223,8 +210,6 @@ class Router:
         cluster: Optional[ClusterSpec] = None,
         chaos: Optional[ChaosSpec] = None,
         warmup: bool = True,
-        restart: bool = True,
-        start_method: Optional[str] = None,
         metrics: Optional[ClusterMetrics] = None,
         pool_capacity: int = 2,
     ) -> None:
@@ -236,11 +221,7 @@ class Router:
         self.metrics = metrics or ClusterMetrics()
         self.cluster = cluster or ClusterSpec()
         self.warmup = warmup
-        self.restart = restart
-        self.start_method = start_method
         self.pool_capacity = pool_capacity
-        #: Last "fatal" startup error reported by any worker (diagnostics).
-        self.last_fatal_error: Optional[str] = None
 
         #: Active fault-injection schedule (None: chaos off).  The window end
         #: is computed *once* here in wall-clock time so every worker child —
@@ -254,29 +235,19 @@ class Router:
         self._lock = threading.Lock()
         self._worker_available = threading.Condition(self._lock)
         self._scale_lock = threading.Lock()
-        self._closed = False
-        self._failures: Dict[int, int] = {}      # slot -> consecutive quick deaths
-        self._abandoned: set = set()             # slots given up on (no respawn)
-        self._respawning: Set[int] = set()       # slots waiting out restart backoff
-        self._incarnations: Dict[int, int] = {}  # slot -> spawn count (chaos scoping)
-        # Jitter source for restart backoff; reseeded after fork so a child
-        # never replays the parent's jitter sequence.
-        self._backoff_rng = random.Random(os.getpid())
-        self._workers: List[WorkerProcess] = []
+        self._table = fleet.SlotTable(self.cluster)
         for slot in range(workers):
-            self._workers.append(self._spawn(slot))
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-cluster-monitor", daemon=True
-        )
-        self._monitor_stop = threading.Event()
-        self._monitor.start()
-        _LIVE_ROUTERS.add(self)
+            self._table.install(slot, self._spawn(slot))
+        self._stop = threading.Event()
+        self._supervisor = threading.Thread(
+            target=self._supervise, name="repro-cluster-supervisor", daemon=True)
+        self._supervisor.start()
 
     # ------------------------------------------------------------------ lifecycle
     def _spawn(self, slot: int) -> WorkerProcess:
         with self._lock:
-            incarnation = self._incarnations.get(slot, 0) + 1
-            self._incarnations[slot] = incarnation
+            incarnation = self._table.claim(slot)
+            artifact_path = self.artifact_path
         chaos_wire = None
         if self.chaos is not None:
             chaos_wire = {
@@ -286,39 +257,40 @@ class Router:
             }
         worker = WorkerProcess(
             worker_id=f"worker-{slot}",
-            artifact_path=self.artifact_path,
+            artifact_path=artifact_path,
             policy=self.policy,
             metrics=self.metrics,
             warmup=self.warmup,
             heartbeat_interval=self.cluster.heartbeat_interval,
-            start_method=self.start_method,
             pool_capacity=self.pool_capacity,
             chaos_wire=chaos_wire,
         )
         worker.start()
         return worker
 
-    def _reset_backoff_after_fork(self) -> None:  # reprolint: holds=_lock
-        # Runs in a freshly forked child (single-threaded at that point, so
-        # taking locks is unnecessary and — if the fork landed mid-critical-
-        # section — unsafe).  The parent's monitor/respawn threads do not
-        # exist here: clear their in-progress markers and reseed the jitter
-        # stream so the child never replays the parent's backoff schedule.
-        self._backoff_rng = random.Random(os.getpid())
-        self._respawning.clear()
+    def _install(self, slot: int, worker: WorkerProcess,
+                 expect: Optional[WorkerProcess] = None) -> bool:
+        """Put a started ``worker`` into ``slot`` — or retire it when the table refuses."""
+        with self._lock:
+            installed = self._table.install(slot, worker, expect)
+            self._worker_available.notify_all()
+        if not installed:
+            worker.stop(5.0)
+        return installed
 
     def shutdown(self, timeout: float = 30.0) -> None:
-        """Stop admissions, drain every worker, stop the monitor (idempotent)."""
+        """Stop admissions, drain every worker, stop the supervisor (idempotent)."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            workers = list(self._workers)
+            workers = self._table.close()
             self._worker_available.notify_all()
-        self._monitor_stop.set()
-        self._monitor.join(timeout=5.0)
+        self._stop.set()
+        self._supervisor.join(timeout=5.0)
         for worker in workers:
             worker.stop(timeout)
+            # A drained worker owes nothing; one that was down will not be
+            # recovered now, so what it held is failed, not left hanging.
+            self._fail(worker.take_outstanding(),
+                       WorkerUnavailableError("cluster shut down with the request unanswered"))
 
     def __enter__(self) -> "Router":
         return self
@@ -329,24 +301,30 @@ class Router:
     @property
     def closed(self) -> bool:
         with self._lock:
-            return self._closed
+            return self._table.closed
 
     @property
     def workers(self) -> Tuple[WorkerProcess, ...]:
         """Current worker handles, slot order (restarts replace in place)."""
         with self._lock:
-            return tuple(self._workers)
+            return self._table.workers
 
     @property
     def degraded(self) -> bool:
-        """True while any slot is abandoned or waiting out restart backoff.
+        """True while any slot is abandoned or waiting for its respawn.
 
         This is the graceful-degradation signal: the fleet is serving below
         capacity, so (``shed_low_priority``) admission sheds the ``low``
         class instead of queueing work it cannot absorb in time.
         """
         with self._lock:
-            return bool(self._abandoned or self._respawning)
+            return self._table.degraded
+
+    @property
+    def last_fatal_error(self) -> Optional[str]:
+        """Last "fatal" startup error reported by any worker (diagnostics)."""
+        with self._lock:
+            return self._table.last_fatal_error
 
     # ------------------------------------------------------------------ submission
     def submit(
@@ -405,9 +383,7 @@ class Router:
         priority_index(priority)       # validate the class name up front
         images, _ = as_images(images)
         if priority == "low" and self.cluster.shed_low_priority:
-            with self._lock:
-                shed = bool(self._abandoned or self._respawning)
-            if shed:
+            if self.degraded:
                 # Reduced capacity: shed the lowest class loudly (a typed
                 # admission rejection) instead of failing closed or letting
                 # it starve the classes with SLOs.
@@ -431,7 +407,7 @@ class Router:
 
     def _dispatch(self, request: _PendingRequest, block: bool,
                   timeout: Optional[float]) -> None:
-        """Routing loop shared by client submits and monitor re-dispatch.
+        """Routing loop shared by client submits and re-dispatch.
 
         Places ``request`` frame by frame until nothing of it is left.  An
         error before anything was placed is raised; after that it fails the
@@ -447,7 +423,7 @@ class Router:
         except (ServingError, TimeoutError) as error:
             if request is whole:
                 raise
-            request.fail(error)
+            self._fail([request], error)
 
     def _place(self, request: _PendingRequest, model_key: str, block: bool,
                deadline: Optional[float], dispatch_started: float
@@ -455,30 +431,27 @@ class Router:
         """One frame of ``request`` onto a live worker; returns what is left of it."""
         while True:
             with self._lock:
-                if self._closed:
+                if self._table.closed:
                     raise ServiceClosedError("Router has been shut down")
-                workers = list(self._workers)
+                workers = self._table.workers
             try:
                 worker = self.routing.select(workers, model_key)
             except WorkerUnavailableError:
-                with self._lock:
-                    if len(self._abandoned) >= len(self._workers):
-                        detail = f": {self.last_fatal_error}" if self.last_fatal_error else ""
-                        raise WorkerUnavailableError(
-                            f"every worker slot failed permanently{detail}") from None
-                if not block:
-                    raise
-                # Every slot is mid-restart: wait for the monitor to bring one
-                # back instead of failing a blocking caller.
                 remaining = None if deadline is None else deadline - time.perf_counter()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("timed out waiting for a live worker")
                 with self._worker_available:
-                    if self._closed:
+                    if self._table.failed_permanently:
+                        raise WorkerUnavailableError(
+                            "every worker slot failed permanently"
+                            f"{self._fatal_detail()}") from None
+                    if not block:
+                        raise
+                    if remaining is not None and remaining <= 0:
+                        raise TimeoutError("timed out waiting for a live worker")
+                    if self._table.closed:
                         raise ServiceClosedError("Router has been shut down")
-                    self._worker_available.wait(
-                        min(remaining, 0.5) if remaining is not None else 0.5
-                    )
+                    # Every slot is mid-restart: wait for the supervisor to bring
+                    # one back instead of failing a blocking caller.
+                    self._worker_available.wait(0.5 if remaining is None else min(remaining, 0.5))
                 continue
             try:
                 remaining = None if deadline is None else deadline - time.perf_counter()
@@ -522,206 +495,91 @@ class Router:
             images, min(burst_images(images[0].nbytes), share), 2 * workers, timeout)
 
     # ------------------------------------------------------------------ supervision
-    def _monitor_loop(self) -> None:
-        while not self._monitor_stop.wait(self.cluster.heartbeat_interval):
+    def _supervise(self) -> None:
+        """The one supervisor thread: a step per heartbeat interval, sooner for a due respawn."""
+        while True:
             with self._lock:
-                if self._closed:
-                    return
-                snapshot = [
-                    (slot, worker)
-                    for slot, worker in enumerate(self._workers)
-                    if slot not in self._abandoned and slot not in self._respawning
-                ]
-            for slot, worker in snapshot:
-                if worker.healthy(self.cluster.heartbeat_timeout):
-                    continue
+                wake_in = self._table.wake_in(time.perf_counter())
+            if self._stop.wait(wake_in):
+                return
+            self._supervise_once()
+
+    def _supervise_once(self) -> None:
+        """Recover every watched slot whose worker is unhealthy, then fill every slot
+        whose respawn is due (a first death's is due at once: same step)."""
+        with self._lock:
+            watched = self._table.watched()
+        for slot, worker in watched:
+            if not worker.healthy(self.cluster.heartbeat_timeout):
                 self._recover(slot, worker)
+        with self._lock:
+            due = self._table.due(time.perf_counter())
+        for slot, dead in due:
+            self._install(slot, self._spawn(slot), dead)
 
     def _recover(self, slot: int, worker: WorkerProcess) -> None:
-        """Replace a dead/unhealthy worker and re-dispatch its in-flight work."""
+        """Kill what is left of ``worker``, ask the table what becomes of its slot,
+        and re-dispatch or fail what it still owed accordingly."""
         with self._lock:
-            # The slot may have been scaled away (remove_worker) or its
-            # occupant replaced (swap/deferred respawn) since the monitor
-            # snapshotted it; recovering a stale handle would clobber a live
-            # worker installed after the snapshot.  (A concurrent shutdown is
-            # NOT an early exit: this worker's pending requests still need
-            # failing, which the install-point closed check below does.)
-            if slot >= len(self._workers) or self._workers[slot] is not worker:
+            # Scaled away or replaced (swap) since the step's snapshot?  A
+            # concurrent shutdown is NOT an early exit: what this worker owed
+            # still needs failing, which the CLOSED verdict below does.
+            if not self._table.holds(slot, worker):
                 return
-        logger.warning(
-            "worker %s (slot %d) is unhealthy (pid %s alive=%s); recovering",
-            worker.worker_id,
-            slot,
-            worker.process.pid if worker.process else None,
-            worker.process.is_alive() if worker.process else False,
-        )
-        uptime = (
-            time.perf_counter() - worker.started_at if worker.started_at is not None else 0.0
-        )
-        worker._mark_dead()
-        if worker.process is not None and worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(5.0)
-            if worker.process.is_alive():
-                # SIGTERM stays *pending* on a stopped (hung via SIGSTOP)
-                # process — it will never die from it.  SIGKILL kills even
-                # stopped processes; escalate so a hang cannot wedge recovery.
-                logger.warning(
-                    "worker %s ignored terminate (hung?); killing", worker.worker_id)
-                worker.process.kill()
-                worker.process.join(5.0)
-        if worker.channel is not None:
-            worker.channel.close()
-        pending = worker.take_outstanding()
-
-        # Failure bookkeeping belongs under the router lock: _dispatch reads
-        # last_fatal_error/_abandoned under it on the every-slot-failed path,
-        # so a bare store here could publish a torn view to a failing client.
+        now = time.perf_counter()
+        pending = worker.reap()
         with self._lock:
-            if worker.fatal_error:
-                self.last_fatal_error = worker.fatal_error
-            # A slot that keeps dying right after start (broken artifact,
-            # import failure, ...) would otherwise hot-loop fork+load forever.
-            self._failures[slot] = (
-                self._failures.get(slot, 0) + 1 if uptime < self.cluster.min_worker_uptime else 1
-            )
-            failures = self._failures[slot]
-        abandon = self.restart and failures > self.cluster.max_restart_attempts
-
-        replacement: Optional[WorkerProcess] = None
-        backoff = 0.0
-        slot_gone = False
-        if self.restart and not abandon:
-            self.metrics.record_restart(worker.worker_id)
-            # Exponential backoff with jitter on *repeat* quick deaths: an
-            # immediate restart is right for a one-off crash, but hot-spins
-            # fork+load against a crash-looping artifact.  The first failure
-            # respawns immediately (synchronously, which recovery tests rely
-            # on); repeats defer to a backoff thread.
-            backoff = self._restart_delay(failures)
-            if backoff <= 0:
-                replacement = self._spawn(slot)
-        with self._lock:
-            if self._closed:
-                if replacement is not None:
-                    replacement.stop(5.0)
-                for request in pending:
-                    request.future._fail(
-                        WorkerUnavailableError("cluster shut down during worker recovery")
-                    )
-                return
-            if replacement is not None:
-                if slot < len(self._workers):
-                    self._workers[slot] = replacement
-                else:
-                    # The slot was scaled away while we were recovering it.
-                    slot_gone = True
-                    retire_now = replacement
-                    replacement = None
-                    threading.Thread(
-                        target=retire_now.stop, args=(5.0,), daemon=True,
-                        name=f"repro-cluster-retire-{slot}").start()
-            elif self.restart and not abandon:
-                # Mark the slot before the backoff thread exists so the
-                # monitor never double-recovers it meanwhile.
-                self._respawning.add(slot)
-            if abandon or not self.restart:
-                self._abandoned.add(slot)
+            verdict = self._table.died(slot, worker, now - worker.started_at,
+                                       worker.fatal_error, now, _backoff_jitter(slot, now))
+            backoff = self._table.slots[slot].respawn_at - now if verdict == fleet.RESPAWN else 0.0
+            detail = self._fatal_detail()
             self._worker_available.notify_all()
-
-        if self.restart and not abandon and replacement is None and not slot_gone:
-            logger.warning(
-                "worker slot %d died %d times quickly; backing off %.2fs before respawn",
-                slot, failures, backoff,
-            )
+        (logger.error if verdict == fleet.ABANDON else logger.warning)(
+            "worker %s (slot %d, pid %s) was unhealthy: %s%s%s", worker.worker_id, slot,
+            worker.process.pid, verdict, f" in {backoff:.2f}s" if backoff > 0 else "", detail)
+        if verdict == fleet.RESPAWN:
+            self.metrics.record_restart(worker.worker_id)
+        elif verdict == fleet.ABANDON:
+            self._fail(pending, WorkerUnavailableError(
+                f"worker slot {slot} failed permanently{detail}"))
+        elif verdict == fleet.CLOSED:
+            self._fail(pending, WorkerUnavailableError(
+                "cluster shut down during worker recovery"))
+        if pending and verdict in (fleet.RESPAWN, fleet.GONE):
+            # Re-dispatch OFF the supervisor thread: a blocking dispatch here
+            # would stall supervision, so a second worker dying mid-recovery
+            # could never be restarted and its requests would hang.
             threading.Thread(
-                target=self._deferred_respawn,
-                args=(slot, backoff),
-                name=f"repro-cluster-respawn-{slot}",
-                daemon=True,
-            ).start()
+                target=self._redispatch, args=(pending, worker.worker_id),
+                name=f"repro-cluster-redispatch-{worker.worker_id}", daemon=True).start()
 
-        if abandon or not self.restart:
-            if abandon:
-                logger.error(
-                    "worker slot %d died %d times within %.1fs of start; giving up (%s)",
-                    slot, failures, self.cluster.min_worker_uptime,
-                    self.last_fatal_error or "no fatal error reported",
-                )
-            detail = f": {self.last_fatal_error}" if self.last_fatal_error else ""
-            for request in pending:
-                request.future._fail(
-                    WorkerUnavailableError(f"worker slot {slot} failed permanently{detail}")
-                )
-            return
+    def _fatal_detail(self) -> str:  # reprolint: holds=_lock
+        error = self._table.last_fatal_error
+        return f": {error}" if error else ""
 
-        if pending:
-            # Re-dispatch OFF the monitor thread: blocking dispatch here would
-            # stall supervision, so a second worker dying mid-recovery could
-            # never be restarted and its requests would hang.
-            redispatcher = threading.Thread(
-                target=self._redispatch,
-                args=(pending, worker.worker_id),
-                name=f"repro-cluster-redispatch-{worker.worker_id}",
-                daemon=True,
-            )
-            redispatcher.start()
-
-    def _restart_delay(self, failures: int) -> float:
-        """Seconds to wait before respawning after ``failures`` quick deaths.
-
-        0 for the first failure (immediate, synchronous restart); from the
-        second on, ``restart_backoff_s * 2^(failures-2)`` with multiplicative
-        jitter in [0.5, 1.5), capped at ``restart_backoff_max_s``.
-        """
-        if failures <= 1 or self.cluster.restart_backoff_s <= 0:
-            return 0.0
-        base = self.cluster.restart_backoff_s * (2.0 ** (failures - 2))
-        return min(self.cluster.restart_backoff_max_s, base * (0.5 + self._backoff_rng.random()))
-
-    def _deferred_respawn(self, slot: int, delay: float) -> None:
-        """Wait out the restart backoff, then bring the slot back."""
-        if self._monitor_stop.wait(delay):
-            with self._lock:
-                self._respawning.discard(slot)
-            return
-        replacement = self._spawn(slot)
-        retire: Optional[WorkerProcess] = None
-        with self._lock:
-            self._respawning.discard(slot)
-            if self._closed or slot >= len(self._workers):
-                retire = replacement
-            else:
-                self._workers[slot] = replacement
-                self._worker_available.notify_all()
-        if retire is not None:
-            retire.stop(5.0)
+    def _fail(self, pending: Sequence[_PendingRequest], error: BaseException) -> None:
+        """Fail exactly the requests these records cover — the rest of their
+        futures may sit on a healthy worker — and count them as failed."""
+        now = time.perf_counter()
+        for request in pending:
+            request.fail(error)
+            if request.fresh:    # the never-placed rest of a burst: admitted all the same
+                self.metrics.record_submit(request.worker_id, request.count)
+            self.metrics.record_completion(
+                request.worker_id, now - request.submitted_at, True, request.count)
 
     # ------------------------------------------------------------------ elasticity
     def add_worker(self) -> int:
         """Grow the fleet by one slot; returns the new slot index.
 
         Used by the autoscaler's scale-up decision; safe against concurrent
-        swaps/removals (``_scale_lock``) and against the monitor (the new
+        swaps/removals (``_scale_lock``) and against the supervisor (the new
         slot only becomes visible once its worker handle is installed).
         """
         with self._scale_lock:
             with self._lock:
-                if self._closed:
-                    raise ServiceClosedError("Router has been shut down")
-                slot = len(self._workers)
-            worker = self._spawn(slot)
-            retire: Optional[WorkerProcess] = None
-            with self._lock:
-                if self._closed:
-                    retire = worker
-                else:
-                    self._workers.append(worker)
-                    self._failures.pop(slot, None)
-                    self._abandoned.discard(slot)
-                    self._worker_available.notify_all()
-            if retire is not None:
-                retire.stop(5.0)
+                slot = self._table.next_slot()
+            if not self._install(slot, self._spawn(slot)):
                 raise ServiceClosedError("Router has been shut down")
             logger.info("scaled up: added worker slot %d", slot)
             return slot
@@ -736,20 +594,10 @@ class Router:
         """
         with self._scale_lock:
             with self._lock:
-                if self._closed:
-                    raise ServiceClosedError("Router has been shut down")
-                if len(self._workers) <= 1:
-                    raise ValueError("cannot scale below one worker")
-                slot = len(self._workers) - 1
-                worker = self._workers.pop()
-                self._failures.pop(slot, None)
-                self._abandoned.discard(slot)
-                self._respawning.discard(slot)
+                worker = self._table.shrink()
+                slot = len(self._table.slots)
                 self._worker_available.notify_all()
-            worker.stop(timeout)
-            leftover = worker.take_outstanding()
-            if leftover:
-                self._redispatch(leftover, worker.worker_id)
+            self._retire(worker, timeout)
             logger.info("scaled down: removed worker slot %d", slot)
             return slot
 
@@ -765,32 +613,32 @@ class Router:
 
         If the very first replacement cannot come up — the canary — the swap
         aborts with :class:`ArtifactSwapError` and the fleet is untouched.
-        If a later replacement fails, already-upgraded slots are rolled back
-        to the old artifact so the fleet ends on one coherent version either
-        way.  A worker that *crashes after install* is the monitor's job: it
-        respawns on ``self.artifact_path``, which already names the new
+        If a later replacement fails, every slot already on the new artifact
+        is rolled back to the old one so the fleet ends on one coherent
+        version either way.  A worker that *crashes after install* is the supervisor's job:
+        it respawns on ``self.artifact_path``, which already names the new
         version, so recovery converges on the rollout's target.
         """
         with self._scale_lock:
             with self._lock:
-                if self._closed:
+                if self._table.closed:
                     raise ServiceClosedError("Router has been shut down")
                 old_path = self.artifact_path
                 # Point respawns at the new version *before* rolling: a slot
-                # the monitor recovers mid-rollout comes back already
-                # upgraded (and the roll below detects that and skips it).
+                # the supervisor recovers mid-rollout comes back already
+                # upgraded (and the roll step detects that and keeps it).
                 self.artifact_path = path
-                slots = len(self._workers)
-            upgraded: List[int] = []
+                slots = len(self._table.slots)
             try:
                 for slot in range(slots):
                     self._roll_slot(slot, path, timeout_per_worker)
-                    upgraded.append(slot)
             except ArtifactSwapError:
                 with self._lock:
                     self.artifact_path = old_path
-                for slot in reversed(upgraded):
-                    # Roll the already-upgraded slots back; old_path loaded
+                    stale = self._table.not_on(old_path)
+                for slot in reversed(stale):
+                    # Roll back what the swap upgraded — and what the supervisor
+                    # respawned on the new path meanwhile.  old_path loaded
                     # moments ago, so failure here means the old artifact
                     # vanished mid-swap — nothing left to roll back to.
                     self._roll_slot(slot, old_path, timeout_per_worker)
@@ -807,37 +655,19 @@ class Router:
             replacement.stop(5.0)
             raise ArtifactSwapError(
                 f"replacement for slot {slot} failed to start on {path!r}: {detail}")
-        retiring: Optional[WorkerProcess] = None
-        discard: Optional[WorkerProcess] = None
         with self._lock:
-            if self._closed:
-                discard = replacement
-            else:
-                current = self._workers[slot]
-                if current.artifact_path == path and current.accepting:
-                    # The monitor already brought this slot up on the target
-                    # version (crash-during-swap); keep its worker, drop ours.
-                    discard = replacement
-                else:
-                    self._workers[slot] = replacement
-                    self._failures.pop(slot, None)
-                    self._abandoned.discard(slot)
-                    self._respawning.discard(slot)
-                    retiring = current
-                    self._worker_available.notify_all()
-        if discard is not None:
-            discard.stop(5.0)
-            return
-        if retiring is not None:
-            # Graceful drain: stop() flips the handle off the routing table,
-            # sends "shutdown", and the child executes everything it admitted
-            # before exiting — the receiver thread resolves those futures.
-            retiring.stop(timeout)
-            leftover = retiring.take_outstanding()
-            if leftover:
-                # The old worker died mid-drain; its unresolved requests are
-                # re-dispatched (to the new version) instead of dropped.
-                self._redispatch(leftover, retiring.worker_id)
+            retiring = self._table.roll(slot, replacement, path)
+            self._worker_available.notify_all()
+        self._retire(retiring, 5.0 if retiring is replacement else timeout)
+
+    def _retire(self, worker: WorkerProcess, timeout: float) -> None:
+        """Drain a worker that left the table: ``stop()`` sends "shutdown", the child
+        executes everything it admitted before exiting and the receiver resolves those
+        futures.  What is unresolved after that — it died mid-drain — is re-dispatched."""
+        worker.stop(timeout)
+        leftover = worker.take_outstanding()
+        if leftover:
+            self._redispatch(leftover, worker.worker_id)
 
     def _redispatch(self, pending: List[_PendingRequest], worker_id: str) -> None:
         """Place what ``worker_id`` left unanswered on the live workers."""
@@ -849,8 +679,8 @@ class Router:
             # the handle they already hold, and the request is never dropped.
             try:
                 self._dispatch(request, block=True, timeout=120.0)
-            except BaseException as error:
-                request.fail(error)
+            except Exception as error:
+                self._fail([request], error)
 
     # ------------------------------------------------------------------ reporting
     def report(self, worker_stats_timeout: float = 2.0) -> Dict[str, Any]:

@@ -64,17 +64,13 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("serving.cluster.worker")
 
-#: Environment override for the multiprocessing start method ("fork"/"spawn").
+#: Deployment override for the multiprocessing start method ("fork"/"spawn";
+#: default: the platform's, i.e. ``fork`` on Linux).
 START_METHOD_ENV = "REPRO_CLUSTER_START_METHOD"
 
-# RemoteInferenceError used to be defined here; it now lives in
-# repro.serving.errors (imported above) so its wire code is part of the
-# unified hierarchy — the import doubles as the deprecation alias.
 
-
-def _mp_context(start_method: Optional[str]):
-    method = start_method or os.environ.get(START_METHOD_ENV) or None
-    return multiprocessing.get_context(method)
+def _mp_context():
+    return multiprocessing.get_context(os.environ.get(START_METHOD_ENV) or None)
 
 
 # --------------------------------------------------------------------- child side
@@ -279,7 +275,7 @@ class _PendingRequest:
     """
 
     __slots__ = ("future", "offset", "images", "count", "model", "submitted_at", "traces",
-                 "priority", "deadline", "base_id", "fresh")
+                 "priority", "deadline", "base_id", "fresh", "worker_id")
 
     def __init__(self, future: InferenceFuture, offset: int, images: Images,
                  model: Optional[str],
@@ -305,6 +301,8 @@ class _PendingRequest:
         self.base_id = 0
         #: Not yet counted as submitted (a re-dispatch was, at its admission).
         self.fresh = True
+        #: The worker that handed this record back (no room / unanswered), for the ledger.
+        self.worker_id: Optional[str] = None
 
     def part(self, start: int, stop: int) -> "_PendingRequest":
         """The record of requests ``[start, stop)`` of this one, to send by itself."""
@@ -314,6 +312,7 @@ class _PendingRequest:
         # Recorded latency stays admission-to-resolution across every leg.
         part.submitted_at = self.submitted_at
         part.fresh = self.fresh
+        part.worker_id = self.worker_id
         return part
 
     def fail(self, error: BaseException) -> None:
@@ -342,9 +341,6 @@ class WorkerProcess:
         (``ServeSpec.pool_capacity``).
     metrics:
         Optional shared :class:`~repro.serving.cluster.metrics.ClusterMetrics`.
-    start_method:
-        ``multiprocessing`` start method (default: the platform default, i.e.
-        ``fork`` on Linux; override with ``REPRO_CLUSTER_START_METHOD``).
     """
 
     # reprolint lock-discipline contract: the in-flight request table and the
@@ -366,7 +362,6 @@ class WorkerProcess:
         policy: Optional[BatchPolicy] = None,
         metrics: Optional[Any] = None,
         warmup: bool = True,
-        start_method: Optional[str] = None,
         pool_capacity: int = 2,
         chaos_wire: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -376,7 +371,6 @@ class WorkerProcess:
         self.metrics = metrics
         self.warmup = warmup
         self.heartbeat_interval = heartbeat_interval
-        self.start_method = start_method
         self.pool_capacity = pool_capacity
         #: Wire form of the child's FaultInjector (None: no fault injection).
         self.chaos_wire = chaos_wire
@@ -404,9 +398,23 @@ class WorkerProcess:
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> "WorkerProcess":
         """Spawn the subprocess and its receiver thread (idempotent-unsafe: once)."""
-        context = _mp_context(self.start_method)
+        self.process, self.channel = self._launch()
+        self.started_at = time.perf_counter()
+        with self._lock:
+            self._accepting = True
+        self._receiver = threading.Thread(
+            target=self._receiver_loop, name=f"repro-cluster-{self.worker_id}-recv", daemon=True
+        )
+        self._receiver.start()
+        logger.info("started worker %s (pid %s)", self.worker_id, self.process.pid)
+        return self
+
+    def _launch(self) -> Tuple[Any, Any]:
+        """Fork the child → ``(process, parent end of its channel)``: the one place this
+        handle meets ``multiprocessing`` (a simulation returns in-memory stand-ins)."""
+        context = _mp_context()
         parent_end, child_end = context.Pipe(duplex=True)
-        self.process = context.Process(
+        process = context.Process(
             target=_worker_main,
             args=(
                 child_end,
@@ -425,18 +433,9 @@ class WorkerProcess:
             name=f"repro-cluster-{self.worker_id}",
             daemon=True,
         )
-        self.process.start()
+        process.start()
         child_end.close()
-        self.channel = ArrayChannel(parent_end)
-        self.started_at = time.perf_counter()
-        with self._lock:
-            self._accepting = True
-        self._receiver = threading.Thread(
-            target=self._receiver_loop, name=f"repro-cluster-{self.worker_id}-recv", daemon=True
-        )
-        self._receiver.start()
-        logger.info("started worker %s (pid %s)", self.worker_id, self.process.pid)
-        return self
+        return process, ArrayChannel(parent_end)
 
     def stop(self, timeout: float = 10.0) -> None:
         """Graceful shutdown: drain the child, then join (escalates to terminate)."""
@@ -456,6 +455,9 @@ class WorkerProcess:
                 )
                 self.process.terminate()
                 self.process.join(5.0)
+        if self._receiver is not None:
+            # Every frame the child sent before exiting is handled before the pipe closes.
+            self._receiver.join(5.0)
         if self.channel is not None:
             self.channel.close()
 
@@ -463,6 +465,18 @@ class WorkerProcess:
         """Hard-kill the subprocess (failure-injection hook for tests/benchmarks)."""
         if self.process is not None and self.process.is_alive():
             self.process.kill()
+
+    def reap(self) -> List[_PendingRequest]:
+        """Recovery's one action on a dead or hung worker; returns what it still owed.
+
+        SIGKILL at once: the child handles no SIGTERM, so a polite signal would drain
+        nothing — and stays *pending* on a SIGSTOPped (hung) worker for the whole join.
+        """
+        self._mark_dead()
+        self.kill()
+        self.process.join(5.0)
+        self.channel.close()
+        return self.take_outstanding()
 
     # ------------------------------------------------------------------ health
     @property
@@ -543,6 +557,7 @@ class WorkerProcess:
             room = self.policy.queue_capacity - len(self._outstanding)
             if room < request.count:
                 request, rest = request.part(0, room), request.part(room, request.count)
+                rest.worker_id = self.worker_id
             first_id = request.base_id = self._next_id
             self._next_id += request.count
             self._outstanding.update(
@@ -590,6 +605,7 @@ class WorkerProcess:
                 stop += 1
             pending.append(request.part(ids[index] - request.base_id,
                                         ids[stop - 1] + 1 - request.base_id))
+            pending[-1].worker_id = self.worker_id
             index = stop
         return pending
 
@@ -624,46 +640,50 @@ class WorkerProcess:
             except ChannelClosedError:
                 self._mark_dead()
                 return
-            if message.kind == "result" or message.kind == "error":
-                # One frame answers requests [id, id + count): a run the child
-                # executed (or dropped) as one micro-batch.
-                meta = message.meta
-                first_id, count = int(meta["id"]), int(meta.get("count", 1))
-                request = self._pop(first_id, count)
-                if request is None:
-                    continue
-                failed = message.kind == "error"
-                outputs, error = None, None
-                if failed:
-                    error = self._reply_error(meta)
-                else:
-                    outputs = self._reply_outputs(message)
-                first = first_id - request.base_id
-                latency = time.perf_counter() - request.submitted_at
-                request.future._settle(request.offset + first, request.offset + first + count,
-                                       outputs, error)
-                if self.metrics is not None:
-                    self.metrics.record_completion(self.worker_id, latency, failed, count)
-                # Absorb the worker's shipped-back spans and seal the traces.
-                if request.traces:
-                    spans = meta.get("spans") or ()
-                    for index, trace in enumerate(request.traces[first:first + count]):
-                        if index < len(spans):
-                            trace.absorb_wire_spans(spans[index])
-                        trace.finish()
-            elif message.kind == "heartbeat":
-                self.last_heartbeat = time.perf_counter()
-            elif message.kind == "ready":
-                self._ready_event.set()
-            elif message.kind == "stats":
-                self._stats = message.meta.get("report")
-                self._stats_event.set()
-            elif message.kind == "fatal":
-                self.fatal_error = message.meta.get("error")
-                logger.error("worker %s failed to start: %s", self.worker_id, self.fatal_error)
-                self._mark_dead()
-            elif message.kind == "bye":
-                self._mark_dead()
+            self._handle(message)
+
+    def _handle(self, message: Message) -> None:
+        """What one frame from the child does to this handle."""
+        if message.kind == "result" or message.kind == "error":
+            # One frame answers requests [id, id + count): a run the child
+            # executed (or dropped) as one micro-batch.
+            meta = message.meta
+            first_id, count = int(meta["id"]), int(meta.get("count", 1))
+            request = self._pop(first_id, count)
+            if request is None:
+                return
+            failed = message.kind == "error"
+            outputs, error = None, None
+            if failed:
+                error = self._reply_error(meta)
+            else:
+                outputs = self._reply_outputs(message)
+            first = first_id - request.base_id
+            latency = time.perf_counter() - request.submitted_at
+            request.future._settle(request.offset + first, request.offset + first + count,
+                                   outputs, error)
+            if self.metrics is not None:
+                self.metrics.record_completion(self.worker_id, latency, failed, count)
+            # Absorb the worker's shipped-back spans and seal the traces.
+            if request.traces:
+                spans = meta.get("spans") or ()
+                for index, trace in enumerate(request.traces[first:first + count]):
+                    if index < len(spans):
+                        trace.absorb_wire_spans(spans[index])
+                    trace.finish()
+        elif message.kind == "heartbeat":
+            self.last_heartbeat = time.perf_counter()
+        elif message.kind == "ready":
+            self._ready_event.set()
+        elif message.kind == "stats":
+            self._stats = message.meta.get("report")
+            self._stats_event.set()
+        elif message.kind == "fatal":
+            self.fatal_error = message.meta.get("error")
+            logger.error("worker %s failed to start: %s", self.worker_id, self.fatal_error)
+            self._mark_dead()
+        elif message.kind == "bye":
+            self._mark_dead()
 
     @staticmethod
     def _reply_outputs(message: Message) -> Any:

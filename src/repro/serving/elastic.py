@@ -14,8 +14,10 @@ off the running :class:`~repro.serving.cluster.router.Router` —
 
 — and calls :meth:`Router.add_worker` / :meth:`Router.remove_worker` inside
 ``[min_workers, max_workers]``.  Every bound, threshold and cooldown is the
-:class:`~repro.pipeline.spec.AutoscalerSpec` node the controller is handed —
-nothing about them is restated here.  Scale-up and scale-down each have their own
+:class:`~repro.pipeline.spec.AutoscalerSpec` node the controller is handed, and
+the rule that reads them is :func:`repro.serving.cluster.fleet.scale_decision`
+— a function of the signals, the clock and the last two actions; this class
+samples, acts and exports.  Scale-up and scale-down each have their own
 cooldown (asymmetric on purpose: growing is cheap and urgent, shrinking is
 optional and should lag) so the controller never flaps.
 
@@ -40,6 +42,7 @@ from typing import Any, Dict, Optional
 
 from repro.obs.registry import get_registry
 from repro.pipeline.spec import AutoscalerSpec
+from repro.serving.cluster.fleet import scale_decision
 from repro.utils.logging import get_logger
 
 __all__ = ["Autoscaler"]
@@ -118,33 +121,20 @@ class Autoscaler:
         return {"workers": float(count), "queue_depth": depth, "p95_ms": p95_ms}
 
     def evaluate_once(self) -> str:
-        """One control step; returns the decision ("up" / "down" / "hold")."""
-        spec = self.spec
+        """One control step: observe, let the rule decide, act; returns "up" / "down" / "hold"."""
         signals = self.observe()
         count = int(signals["workers"])
         depth = signals["queue_depth"]
         p95_ms = signals["p95_ms"]
         now = time.monotonic()
-
-        slo_breached = spec.slo_p95_ms > 0 and p95_ms > spec.slo_p95_ms
-        pressure = depth > spec.scale_up_queue_depth or slo_breached
-        idle = depth < spec.scale_down_queue_depth and not slo_breached
-
-        decision = "hold"
-        if pressure and count < spec.max_workers:
-            if now - self._last_up >= spec.cooldown_up_s:
-                self.router.add_worker()
-                self._last_up = now
-                decision = "up"
-        elif idle and count > spec.min_workers:
-            # Shrinking also respects the *up* cooldown: never retire a
-            # worker the previous step just added for a spike still draining.
-            if (now - self._last_down >= spec.cooldown_down_s
-                    and now - self._last_up >= spec.cooldown_down_s):
-                self.router.remove_worker()
-                self._last_down = now
-                decision = "down"
-
+        decision = scale_decision(self.spec, count, depth, p95_ms, now,
+                                  self._last_up, self._last_down)
+        if decision == "up":
+            self.router.add_worker()
+            self._last_up = now
+        elif decision == "down":
+            self.router.remove_worker()
+            self._last_down = now
         if decision != "hold":
             self._decisions.inc(direction=decision)
             logger.info(

@@ -2,9 +2,9 @@
 
 The injector's contract is *determinism*: the same (seed, scope) must replay
 byte-identical fault schedules in any process, and a different scope (or a
-restarted worker's new incarnation) must diverge.  The live tests then run a
-real two-worker cluster through seeded crash/torn-frame schedules and assert
-the zero-drops + recovery acceptance the resilience issue gates on.
+restarted worker's new incarnation) must diverge.  The live test then runs a
+real two-worker cluster through one seeded crash schedule and asserts the
+zero-drops + recovery acceptance the resilience issue gates on.
 """
 
 from __future__ import annotations
@@ -127,11 +127,15 @@ def run_short_drill(artifact_path, policy, chaos, rate_rps=60.0):
         rng = np.random.default_rng(chaos.seed)
         images = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
         return run_chaos_drill(router, images, chaos=chaos,
-                               rate_rps=rate_rps, recovery_s=2.0,
+                               rate_rps=rate_rps, recovery_s=4.0,
                                seed=chaos.seed)
 
 
 class TestLiveDrill:
+    """One seeded live drill as smoke: real processes, real SIGKILLs.  Torn
+    frames, hangs, crash loops and every interleaving of them are the
+    simulation's (``test_fleet_simulation.py``), without a wall clock."""
+
     def test_crash_drill_zero_drops_and_restarts(self, artifact_path,
                                                  cluster_policy):
         chaos = ChaosSpec(enabled=True, seed=3, warmup_s=1.0, duration_s=2.0,
@@ -141,18 +145,12 @@ class TestLiveDrill:
         assert report.dropped == 0, report.drop_errors
         assert report.restarts >= 1          # the schedule actually fired
         assert report.completed + report.rejected == report.submitted
+        # Recovery *happens*: p95 re-enters its pre-fault band.  How fast is
+        # `python3 -m bench`'s to measure, not a unit test's to gate.
+        assert report.pre_fault_p95_ms > 0
+        assert report.recovery_p95_seconds is not None
         payload = report.as_dict()
         assert payload["dropped"] == 0 and payload["restarts"] >= 1
-
-    def test_torn_frames_recovered_without_drops(self, artifact_path,
-                                                 cluster_policy):
-        # Torn frames corrupt the child->parent channel mid-write; the router
-        # must treat it as a worker death and redispatch, dropping nothing.
-        chaos = ChaosSpec(enabled=True, seed=5, warmup_s=0.5, duration_s=1.5,
-                          torn_frame_rate=0.05)
-        report = run_short_drill(artifact_path, cluster_policy, chaos)
-        assert report.submitted > 0
-        assert report.dropped == 0, report.drop_errors
 
     def test_chaos_disabled_router_runs_clean(self, artifact_path,
                                               cluster_policy):

@@ -264,15 +264,16 @@ class TestRouterCluster:
                                             max_restart_attempts=2))
         try:
             deadline = time.time() + 60.0
-            while time.time() < deadline and len(router._abandoned) < 1:
+            (slot,) = router._table.slots
+            while time.time() < deadline and not slot.abandoned:
                 time.sleep(0.1)
-            assert router._abandoned == {0}
+            assert slot.abandoned
             assert router.last_fatal_error is not None
             image = np.zeros((3, 64, 64), dtype=np.float32)
             with pytest.raises(WorkerUnavailableError, match="failed permanently"):
                 router.submit(image, block=True, timeout=10.0)
             # The respawn count is bounded: initial start + max_restart_attempts.
-            assert router._failures[0] == 3
+            assert slot.failures == 3
         finally:
             router.shutdown()
 
@@ -419,6 +420,7 @@ class TestRouterBursts:
         """The bulk window follows the fleet: a router over six workers has
         twelve frames out before it waits, not a constant sized for two."""
         import threading
+        from types import SimpleNamespace
 
         import repro.serving.cluster.router as router_module
         from repro.serving.batcher import InferenceFuture
@@ -426,7 +428,7 @@ class TestRouterBursts:
         monkeypatch.setattr(router_module, "burst_images", lambda nbytes: 2)
         router = Router.__new__(Router)          # no processes: dispatch is stubbed
         router._lock = threading.Lock()
-        router._workers = [object()] * 6
+        router._table = SimpleNamespace(workers=(object(),) * 6)
         sent = []
 
         def never_answered(burst, **_):

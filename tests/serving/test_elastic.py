@@ -300,8 +300,8 @@ class TestGracefulDegradation:
     def test_low_priority_shed_while_degraded(self, artifact_path, images,
                                               cluster_policy):
         with Router(artifact_path, workers=2, policy=cluster_policy) as router:
-            with router._lock:
-                router._respawning.add(1)      # slot 1 waiting out backoff
+            with router._lock:            # slot 1 waiting out backoff
+                router._table.slots[1].respawn_at = float("inf")
             assert router.degraded
             with pytest.raises(AdmissionRejectedError, match="degraded"):
                 router.submit(images[0], priority="low")
@@ -310,7 +310,7 @@ class TestGracefulDegradation:
                                 timeout=60.0).result(60.0)
             assert out is not None
             with router._lock:
-                router._respawning.discard(1)
+                router._table.slots[1].respawn_at = None
             assert not router.degraded
             # Healthy again: low class admitted as usual.
             out = router.submit(images[0], block=True, priority="low",
@@ -324,39 +324,39 @@ class TestGracefulDegradation:
         with Router(artifact_path, workers=1, policy=cluster_policy,
                     cluster=ClusterSpec(shed_low_priority=False)) as router:
             with router._lock:
-                router._respawning.add(0)
+                router._table.slots[0].respawn_at = float("inf")
             # Even degraded, low traffic queues instead of shedding...
             future = router.submit(images[0], priority="low")
             with router._lock:
-                router._respawning.discard(0)
+                router._table.slots[0].respawn_at = None
                 router._worker_available.notify_all()
             # ...and completes once the fleet heals.
             assert future.result(60.0) is not None
 
 
 class TestForkHygiene:
-    def test_backoff_state_resets_after_fork(self, artifact_path,
-                                             cluster_policy):
-        """os.register_at_fork target: a forked child must not inherit the
-        parent's jitter stream or half-done respawn bookkeeping."""
+    def test_a_forked_child_draws_a_different_backoff_jitter(self):
+        """The jitter is keyed by the pid, so a child forked off a router's
+        process never replays its parent's backoff schedule — with no at-fork
+        hook and no generator state to reset."""
+        import json
         import os
-        import random
 
-        with Router(artifact_path, workers=1, policy=cluster_policy) as router:
-            router._respawning.add(0)
-            router._backoff_rng.random()       # advance the parent's stream
-            advanced = router._backoff_rng.getstate()
-            router._reset_backoff_after_fork()
-            assert router._respawning == set()
-            # Reseeded from the (child's) pid: back to the deterministic
-            # pid-seeded state, not a continuation of the parent's stream.
-            assert router._backoff_rng.getstate() != advanced
-            assert (router._backoff_rng.getstate()
-                    == random.Random(os.getpid()).getstate())
+        from repro.serving.cluster.router import _backoff_jitter
 
-    def test_live_routers_registered_for_fork_reset(self, artifact_path,
-                                                    cluster_policy):
-        from repro.serving.cluster.router import _LIVE_ROUTERS
-
-        with Router(artifact_path, workers=1, policy=cluster_policy) as router:
-            assert router in _LIVE_ROUTERS
+        deaths = [(slot, 1000.0 + slot) for slot in range(8)]
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:                                   # the child: draw, report, leave
+            try:
+                os.write(write_end, json.dumps([_backoff_jitter(*d) for d in deaths]).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end) as pipe:
+            child = json.load(pipe)
+        os.waitpid(pid, 0)
+        parent = [_backoff_jitter(*d) for d in deaths]
+        assert parent == [_backoff_jitter(*d) for d in deaths]     # a function, not a stream
+        assert all(0.0 <= draw < 1.0 for draw in parent + child)
+        assert child != parent and len(set(parent)) == len(parent)

@@ -36,6 +36,8 @@ def test_line_carries_median_and_quartiles_per_metric_and_workload():
     # Layers off the workload's path report 0 and are left out of the line.
     assert fleet["traced"] == {"gateway.bulk_ratio": 1.0}
     assert fleet["failed"] == 1 and fleet["attempted"] == 37
+    # The line names the tree it measured, not only the (parent) commit it sat on.
+    assert len(line["tree"]) == 40 and line["tree"] == bench_record.tree_hash()
     json.dumps(line)                                                # one JSON line
 
 

@@ -4,7 +4,7 @@
 ``make bench-record`` runs ``python3 -m bench --workload all --runs N`` (the
 frozen referee: every workload in a process of its own, N untraced runs on
 seeds ``S .. S+N-1`` plus one traced run) and appends one summarised JSON line
-to ``docs/perf/history.jsonl``: commit, host fingerprint, and per workload the
+to ``docs/perf/history.jsonl``: commit and tree hash, host fingerprint, and per workload the
 median and quartiles of every end-to-end metric plus the traced per-layer
 values.  One line per PR is the trajectory ROADMAP item 1 asks for; the raw
 result set lives in a temporary directory and stays out of git.
@@ -67,6 +67,23 @@ def git(*args: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else ""
 
 
+def tree_hash() -> str:
+    """``git write-tree`` of the working tree (as ``git add -A`` sees it), through a scratch index.
+
+    A line is recorded *before* its PR is committed, so ``commit`` names the
+    parent; this names what was measured (``git rev-parse <commit>^{tree}`` of
+    the PR's commit matches it when nothing else changed in between).
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-record-index-") as scratch:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(scratch, "index"))
+        for args in (["read-tree", "HEAD"], ["add", "-A", "."]):
+            if subprocess.run(["git", *args], cwd=REPO_ROOT, env=env).returncode != 0:
+                return "unknown"
+        done = subprocess.run(["git", "write-tree"], cwd=REPO_ROOT, env=env,
+                              capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
 def build_line(result_set: Dict[str, Any], label: str) -> Dict[str, Any]:
     host = dict(result_set["host"])
     host.pop("seed", None)
@@ -76,6 +93,7 @@ def build_line(result_set: Dict[str, Any], label: str) -> Dict[str, Any]:
         "commit": git("rev-parse", "HEAD") or "unknown",
         # Uncommitted changes: the line describes the tree, not the commit.
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "tree": tree_hash(),
         "host": host,
         "seconds": result_set["seconds"],
         "workloads": summarise_set(result_set),

@@ -78,7 +78,7 @@ HOT_FUNCTIONS = {
     "DynamicBatcher.submit_group",
     "DynamicBatcher._execute",
     "responder_loop",
-    "WorkerProcess._receiver_loop",
+    "WorkerProcess._handle",
     "GatewayServer._handle_infer",
     # metrics record path, per admission / micro-batch / reply frame
     # (serving/metrics.py, serving/cluster/metrics.py, obs/registry.py): a
