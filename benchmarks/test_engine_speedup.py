@@ -1,18 +1,22 @@
-"""Measured engine speedup — the wall-clock companion to Fig. 6.
+"""Measured engine speedup — the wall-clock companion to Fig. 6 (report-only).
 
 Fig. 6 reports *modeled* platform speedups from :mod:`repro.hardware`; this
 benchmark runs the pruned network for real through the pattern-aware execution
 engine (column-compacted plans + BN folding + activation epilogues + workspace
-arena — the one path serving runs) and asserts it actually beats the dense path
-on the host CPU.  Every measured speedup is tied to a verified output
-equivalence (max abs diff < 1e-5), so the engine never trades correctness for
-speed.
+arena — the one path serving runs) and records what it measures in
+``BENCH_engine.json``: the engine against the dense forward, the paper's own
+claim on the shipped executor (``pruning_speedup`` = fused-dense / fused-pruned
+on the same TinyDetector, arms paired per round, next to the modeled TX2
+figure) and int8 against fp32.
 
-It also states the paper's own claim on the shipped executor:
-``pruning_speedup`` = fused-dense / fused-pruned on the same TinyDetector, arms
-paired per round, next to the modeled TX2 figure.  Like the int8 gate, it is
-only asserted (> 1.0) when the native kernel that makes it true ran — on the
-portable gather + GEMM path the zeros are multiplied and the ratio is ~1.
+It gates no wall-clock ratio: a single-shot ratio on a shared 2-core host
+swings with the scheduler, and the referee for engine speed is the repo
+benchmark (``python3 -m bench``, paired runs).  What every run still asserts
+is that each measured number belongs to an *equivalent* output (max abs diff
+< 1e-5 on the fused path, mean error within the int8 budget).  The
+deterministic invariants that used to ride along here — zero arena misses
+after warm-up, plans skipping masked taps, the int8 error budget — live in
+``tests/engine/`` (``test_fused_executor.py``, ``test_int8_executor.py``).
 """
 
 from __future__ import annotations
@@ -35,24 +39,11 @@ IMAGE_SIZE = 96
 BATCH = 4
 REPEATS = 5
 
-# Acceptance floor: the engine vs the *no-grad* dense path (the strictly harder
-# comparison: tape overhead is removed from the dense side).
-MIN_NOGRAD_SPEEDUP = 2.2
-# Acceptance floor: int8 integer GEMMs vs fp32 BLAS GEMMs on the unpruned
-# model (only gated when the native VNNI kernel carries the GEMMs).  Measured
-# ~1.1-1.2x here: it was 1.4-1.6x while the fp32 GEMM path still ran its
-# epilogue as one numpy pass per step — a third of the int8 "speedup" was its
-# fused epilogue, which the fp32 path now has too — so the floor is "the
-# integer path must not lose", no longer 1.2x.
-MIN_QUANTIZED_SPEEDUP = 1.0
 # Output-error budget of the int8 path vs the fp32 fused oracle (mean abs
 # error over all heads; documented in docs/engine.md).
 QUANTIZED_ERROR_BUDGET = 0.02
-# Acceptance floor: fused-pruned must beat fused-dense (only gated when the
-# native direct sparse kernel ran; measured ~2.0x for 2EP, ~1.7x for 3EP).
-MIN_PRUNING_SPEEDUP = 1.0
 
-#: Measured numbers land here for the CI bench-regression gate (make bench-check).
+#: Measured numbers land here for `make bench-check` (informational entries).
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 
 
@@ -83,18 +74,6 @@ def _measure(entries: int):
         batch=BATCH, image_size=IMAGE_SIZE, model_name=f"tiny/R-TOSS-{entries}EP",
         dense_engine=dense_engine,
     )
-    if measurement.nograd_speedup < MIN_NOGRAD_SPEEDUP:
-        # Wall-clock ratios are load-sensitive (the full suite runs the
-        # serving/cluster benchmarks right before this file); one re-measure
-        # under the same protocol separates real regressions from a noisy
-        # scheduler slice.  Typical headroom is ~4-5x vs the 2.2x floor.
-        retry = measure_speedup(
-            model, masks=report.masks, repeats=REPEATS, warmup=1,
-            batch=BATCH, image_size=IMAGE_SIZE,
-            model_name=f"tiny/R-TOSS-{entries}EP", dense_engine=dense_engine,
-        )
-        if retry.nograd_speedup > measurement.nograd_speedup:
-            measurement = retry
     # Modeled (Fig. 6 style) speedup of the same pruned model for context.
     profile = profile_model(model, IMAGE_SIZE, 64, model_name="tiny")
     dense_modeled = estimate_latency(profile, JETSON_TX2)
@@ -123,44 +102,29 @@ def test_engine_speedup_rtoss_2ep(benchmark):
         "row": row,
     }
     if measurement.sparse_kernel:
-        # Only the native number feeds the regression gate (same pattern as
-        # quantized_speedup): the portable path's ~1.0 is not a regression.
+        # Only the native number is recorded (same pattern as
+        # quantized_speedup): the portable path's ~1.0 is a different quantity.
         results["pruning_speedup"] = measurement.pruning_speedup
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
-    # Correctness first: the measured speedup only counts on equivalent outputs.
+    # The measured speedup only counts on equivalent outputs.
     assert measurement.max_abs_diff < 1e-5
     assert measurement.engine_mode == "fused"
-    # Acceptance criterion: the engine must clear 2.2x even against the
-    # no-grad dense path.
-    assert measurement.nograd_speedup >= MIN_NOGRAD_SPEEDUP, (
-        f"engine only {measurement.nograd_speedup:.2f}x over no-grad "
-        f"dense (needs >= {MIN_NOGRAD_SPEEDUP}x)"
-    )
-    _assert_pruning_pays(measurement)
-
-
-def _assert_pruning_pays(measurement) -> None:
-    """The paper's claim, gated only when the kernel that makes it true ran."""
     assert measurement.pruning_speedup > 0.0, "the dense twin was not measured"
-    if measurement.sparse_kernel:
-        assert measurement.pruning_speedup > MIN_PRUNING_SPEEDUP, (
-            f"fused-pruned is only {measurement.pruning_speedup:.2f}x fused-dense "
-            "although the direct sparse kernel ran")
 
 
 @pytest.mark.benchmark(group="engine")
 def test_engine_quantized_speedup(benchmark):
-    """Integer GEMMs must beat fp32 BLAS GEMMs on the same operands (native only).
+    """Integer GEMMs against fp32 BLAS GEMMs on the same operands.
 
     Writes ``quantized_speedup`` / ``quantized_mean_abs_error`` into
-    BENCH_engine.json for the bench-regression gate.  The speedup floor is
-    only asserted when the AVX-512 VNNI kernel carries the GEMMs — the numpy
-    fallback kernels exist for correctness, not speed — but the output-error
-    budget is checked on every host.
+    BENCH_engine.json.  The speedup is only recorded when the AVX-512 VNNI
+    kernel carries the GEMMs — the numpy fallback kernels exist for
+    correctness, not speed — and the output-error budget is checked on every
+    host.
 
     The error budget is measured on the pruned model (what ships).  The speed
-    gate is measured on its *unpruned* twin: the int8 path multiplies the
+    is measured on its *unpruned* twin: the int8 path multiplies the
     pruned zeros densely, so since the fp32 direct sparse kernel skips them the
     pruned model's fp32 path is no longer the like-for-like base wherever that
     kernel runs (there int8 is *slower* than sparse fp32 — recorded below as
@@ -180,17 +144,7 @@ def test_engine_quantized_speedup(benchmark):
         set_global_seed(0)
         dense_model = TinyDetector(TinyDetectorConfig(
             num_classes=3, image_size=IMAGE_SIZE, base_channels=16))
-        dense = measure(dense_model, None, "tiny/unpruned")
-        for _ in range(2):
-            if not native_available() or dense.quantized_speedup >= MIN_QUANTIZED_SPEEDUP:
-                break
-            # Same noise protocol as the fused gate: a re-measure separates
-            # real regressions from a bad scheduler slice (two here: the two
-            # unpaired 5-repeat timings spread 1.0-1.4x on a shared host).
-            retry = measure(dense_model, None, "tiny/unpruned")
-            if retry.quantized_speedup > dense.quantized_speedup:
-                dense = retry
-        return pruned, dense
+        return pruned, measure(dense_model, None, "tiny/unpruned")
 
     pruned, dense = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
@@ -208,8 +162,8 @@ def test_engine_quantized_speedup(benchmark):
     results["quantized_max_abs_error"] = float(pruned.quantized_max_abs_error)
     results["int8_kernel"] = pruned.int8_kernel
     if native_available():
-        # Only the native number feeds the regression gate: numpy-kernel
-        # timings would look like a huge regression on hosts without AVX-512.
+        # Only the native number is recorded: numpy-kernel timings are a
+        # different quantity on hosts without AVX-512.
         results["quantized_speedup"] = dense.quantized_speedup
         results["quantized_vs_sparse_fp32"] = pruned.quantized_speedup
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
@@ -220,14 +174,9 @@ def test_engine_quantized_speedup(benchmark):
         f"the {QUANTIZED_ERROR_BUDGET} budget vs the fp32 fused path")
     assert np.isfinite(pruned.quantized_max_abs_error)
 
-    if not native_available():
-        pytest.skip("native VNNI kernel unavailable; int8 speedup not gated "
-                    "(numpy fallback kernels are correctness-only)")
-    assert pruned.int8_kernel == dense.int8_kernel == "vnni"
-    assert not dense.sparse_kernel, "the unpruned twin must run fp32 as gather + GEMM"
-    assert dense.quantized_speedup >= MIN_QUANTIZED_SPEEDUP, (
-        f"int8 path only {dense.quantized_speedup:.2f}x over the fp32 "
-        f"GEMM path (needs >= {MIN_QUANTIZED_SPEEDUP}x)")
+    if native_available():
+        assert pruned.int8_kernel == dense.int8_kernel == "vnni"
+        assert not dense.sparse_kernel, "the unpruned twin must run fp32 as gather + GEMM"
 
 
 @pytest.mark.benchmark(group="engine")
@@ -239,60 +188,4 @@ def test_engine_speedup_rtoss_3ep(benchmark):
     print(format_table([row], title="Engine speedup, R-TOSS-3EP on TinyDetector "
                                     "(measured on host CPU vs modeled)"))
     assert measurement.max_abs_diff < 1e-5
-    assert measurement.nograd_speedup >= MIN_NOGRAD_SPEEDUP
-    _assert_pruning_pays(measurement)
-
-
-@pytest.mark.benchmark(group="engine")
-def test_fused_steady_state_allocates_nothing(benchmark):
-    """After one warmup pass per shape, the fused forward performs zero new
-    large-array allocations — asserted through the workspace-arena counters
-    (every buffer request after warmup must be a hit, never a fresh miss)."""
-
-    def run():
-        model, report = _pruned_tiny(2)
-        compiled = compile_model(model, report.masks, apply_masks=False)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE)).astype(np.float32)
-        compiled.forward_raw(x)               # warmup: trace + allocate
-        warm = compiled.arena_stats()
-        for _ in range(5):
-            compiled.forward_raw(x)
-        steady = compiled.arena_stats()
-        return warm, steady, compiled.fused_active
-
-    warm, steady, fused_active = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert fused_active
-    assert warm["misses"] > 0
-    assert steady["misses"] == warm["misses"], (
-        f"steady-state fused inference allocated {steady['misses'] - warm['misses']} "
-        "new arena buffers after warmup")
-    assert steady["hits"] > warm["hits"]
-    assert steady["bytes_allocated"] == warm["bytes_allocated"]
-
-
-@pytest.mark.benchmark(group="engine")
-def test_engine_layer_plans_skip_masked_taps(benchmark):
-    """Structure accounting: pruning drops real im2col columns, the engine
-    compiles every conv layer of the pruned detector, and the reported mode
-    strings are the executed plan modes (fused layers report their folded
-    epilogues, e.g. ``...+bn+silu``)."""
-
-    def build():
-        model, report = _pruned_tiny(2)
-        compiled = compile_model(model, report.masks, apply_masks=False)
-        # One forward traces + fuses so summary() reports executed modes.
-        compiled.forward_raw(
-            np.zeros((1, 3, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32))
-        return compiled.summary(), compiled.kept_columns(), compiled.total_columns()
-
-    summary, kept, total = benchmark.pedantic(build, rounds=1, iterations=1)
-    assert kept <= total
-    assert any(row["column_sparsity"] > 0 for row in summary), (
-        "pattern pruning should drop at least one whole im2col column"
-    )
-    modes = {row["mode"] for row in summary}
-    assert any(mode.startswith("pointwise-gemm") for mode in modes)
-    assert any(mode.startswith("sparse-im2col-gemm") for mode in modes)
-    # The fusion pass must actually fold the detector's Conv+BN+SiLU blocks.
-    assert any(mode.endswith("+bn+silu") for mode in modes), modes
+    assert measurement.pruning_speedup > 0.0, "the dense twin was not measured"

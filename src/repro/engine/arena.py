@@ -13,6 +13,11 @@ its own arena (thread-local checkout) so concurrent serving threads can never
 alias each other's scratch space; the per-thread hit/miss counters are
 aggregated by :meth:`repro.engine.compiler.CompiledModel.arena_stats`.
 
+An op may also keep a **binding** here: what it resolved once for one tuple of
+input shapes (buffers, or a :class:`repro.engine.native.BoundCall` holding
+their addresses).  It points into this arena, so it lives and dies with it; a
+lookup that finds one counts as one hit, for the buffer lookups it replaces.
+
 Buffer ownership contract: an arena buffer is valid from the op that filled it
 until the end of the *current* forward pass — the next forward reuses it.
 Anything that escapes the executor (final model outputs) must therefore be
@@ -58,10 +63,11 @@ class WorkspaceArena:
 
     # __weakref__ lets FusedProgram hold per-thread arenas weakly, so scratch
     # buffers are reclaimed when their owning thread exits.
-    __slots__ = ("_slots", "hits", "misses", "bytes_allocated", "__weakref__")
+    __slots__ = ("_slots", "_bindings", "hits", "misses", "bytes_allocated", "__weakref__")
 
     def __init__(self) -> None:
         self._slots: Dict[Tuple[Hashable, Tuple[int, ...], str], np.ndarray] = {}
+        self._bindings: Dict[Tuple[Hashable, tuple], object] = {}
         self.hits = 0
         self.misses = 0
         self.bytes_allocated = 0
@@ -93,6 +99,16 @@ class WorkspaceArena:
         self._slots[slot] = buf
         return buf
 
+    def binding(self, key: Hashable, shapes: tuple, build):
+        """What op ``key`` bound for these input shapes; ``build(arena, shapes)``
+        makes it on the first forward that sees them, later ones count a hit."""
+        bound = self._bindings.get((key, shapes))
+        if bound is None:
+            bound = self._bindings[(key, shapes)] = build(self, shapes)
+        else:
+            self.hits += 1
+        return bound
+
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, int]:
         return {
@@ -117,7 +133,8 @@ class WorkspaceArena:
         self.misses = 0
 
     def clear(self) -> None:
-        """Drop every buffer (and the counters) — e.g. after a model refresh."""
+        """Drop every buffer and binding (and the counters) — e.g. after a model refresh."""
+        self._bindings.clear()
         self._slots.clear()
         self.hits = 0
         self.misses = 0

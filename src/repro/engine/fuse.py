@@ -41,6 +41,7 @@ executing thread checks out its own :class:`~repro.engine.arena.WorkspaceArena`
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import weakref
@@ -50,8 +51,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.engine.arena import WorkspaceArena, merge_stats
-from repro.engine.native import ACT_CODES, SparseConvKernel, address, load_sparse_kernel
-from repro.engine.plan import MODE_POINTWISE, ConvPlan
+from repro.engine.native import (
+    ACT_CODES,
+    BoundCall,
+    SparseConvKernel,
+    address,
+    load_sparse_kernel,
+)
+from repro.engine.plan import MODE_POINTWISE, ConvPlan, layout_cache_stats
 from repro.engine.trace import (
     GraphPlan,
     OpNode,
@@ -66,6 +73,9 @@ from repro.nn.tensor import Tensor, no_grad
 EPILOGUE_ACTS = ("relu", "leaky_relu", "silu")
 #: Activations the executor can compute as raw numpy into an arena buffer.
 RAW_ACTS = ("relu", "leaky_relu", "silu", "sigmoid", "tanh", "hardswish")
+
+#: Process-wide layout-cache counters; a bound direct call counts as a hit.
+_LAYOUT_STATS = layout_cache_stats()
 
 #: A convolution runs the native direct sparse kernel when at most this share
 #: of its dense ``(O, I*kh*kw)`` weight matrix is nonzero (R-TOSS-2EP ~0.22,
@@ -159,7 +169,7 @@ def _apply_activation_inplace(tag: Optional[str], buf: np.ndarray,
 class _FusedOp:
     """Base class: one executable step of a fused program."""
 
-    __slots__ = ("node", "out_slot")
+    __slots__ = ("node", "out_slot", "native")
 
     #: Executed-mode string reported by profiles; only the convs have one.
     mode = ""
@@ -167,6 +177,9 @@ class _FusedOp:
     def __init__(self, node: OpNode) -> None:
         self.node = node
         self.out_slot = node.outputs[0]
+        #: The native library when it loaded (:func:`fuse_graph` sets it), for
+        #: the steps that have a native body; None: the numpy body.
+        self.native: Optional[SparseConvKernel] = None
 
     @property
     def key(self) -> int:
@@ -186,8 +199,7 @@ class FusedConv(_FusedOp):
 
     __slots__ = ("plan", "weight", "bias", "act", "act_slope", "in_slot",
                  "mode", "layer_name", "dense_gather", "observer",
-                 "direct", "csr_rowptr", "csr_val", "_direct_args",
-                 "native_epilogue", "_epilogue_args")
+                 "direct", "csr_rowptr", "csr_val", "native_epilogue", "_epilogue_args")
 
     def __init__(self, node: OpNode, plan: ConvPlan) -> None:
         super().__init__(node)
@@ -252,10 +264,6 @@ class FusedConv(_FusedOp):
             # CSR values of the *folded* matrix, in the plan's structure order.
             self.csr_rowptr, flat = plan.csr()
             self.csr_val = self.weight.reshape(-1)[flat]
-            self._direct_args = (
-                address(self.csr_rowptr, np.int32), address(self.csr_val, np.float32),
-                address(self.bias, np.float32),
-                ACT_CODES[self.act], float(self.act_slope or 0.0))
             self.direct = sparse_kernel
             self.mode = self.mode.replace(plan.mode, plan.mode + "+direct", 1)
             return
@@ -277,6 +285,11 @@ class FusedConv(_FusedOp):
     # --------------------------------------------------------------- execution
     def execute(self, values, arena, timed=False):
         """Gather -> GEMM (+bias) -> epilogue; returns the phase split if ``timed``."""
+        # Calibration observers want the pre-activation tensor, which the
+        # direct kernel never materializes: observed forwards run the GEMM path
+        # (on every host, so calibrated scales do not depend on the kernel).
+        if self.direct is not None and self.observer is None:
+            return self._execute_direct(values, arena, timed)
         started = time.perf_counter() if timed else 0.0
         data = _contiguous(values[self.in_slot], arena, (self.key, "in"))
         if self.observer is not None:
@@ -296,20 +309,16 @@ class FusedConv(_FusedOp):
             values[self.out_slot] = out
             return None
 
-        # Calibration observers want the pre-activation tensor, which the
-        # direct kernel never materializes: observed forwards run the GEMM path
-        # (on every host, so calibrated scales do not depend on the kernel).
-        if self.direct is not None and self.observer is None:
-            return self._execute_direct(data, values, arena, started, timed)
-
         if plan.mode == MODE_POINTWISE:
             gemm_in, (out_h, out_w) = self._pointwise_input(data, arena)
         else:
             gemm_in, (out_h, out_w) = self._gather_columns(data, arena)
         gathered = time.perf_counter() if timed else 0.0
 
-        length = out_h * out_w
-        out = arena.buffer((self.key, "out"), (n, out_channels, length))
+        # What consumers see is the arena buffer itself — the same array every
+        # forward, so their bindings keep its address; the GEMM fills a view.
+        result = arena.buffer((self.key, "out"), (n, out_channels, out_h, out_w))
+        out = result.reshape(n, out_channels, out_h * out_w)
         np.matmul(self.weight, gemm_in, out=out)
         # Observed (calibration) forwards take the numpy passes on every host:
         # they want the pre-activation tensor the fused pass never stores.
@@ -325,7 +334,7 @@ class FusedConv(_FusedOp):
             self._epilogue(out, arena)
         if self.observer is not None:
             self.observer("post", self.layer_name, out)
-        values[self.out_slot] = out.reshape(n, out_channels, out_h, out_w)
+        values[self.out_slot] = result
         if not timed:
             return None
         return {
@@ -337,38 +346,44 @@ class FusedConv(_FusedOp):
     def _epilogue(self, buf: np.ndarray, arena: WorkspaceArena) -> None:
         _apply_activation_inplace(self.act, buf, arena, self.key, self.act_slope)
 
-    def _execute_direct(self, data, values, arena, started, timed):
-        """Stage the zero-padded (phase-split) planes -> one native call.
+    def _execute_direct(self, values, arena, timed):
+        """One bound native call: stage the zero-padded (phase-split) planes, walk the CSR.
 
         No im2col buffer, no gather index: the kernel reads every surviving
         weight's tap at a fixed offset from the output position and applies
-        bias + activation in registers (``epilogue`` is what is left: nothing).
+        bias + activation in registers.  Staging happens inside the call, so a
+        timed one has the library stamp the phase boundaries: ``gather`` is the
+        staging, ``gemm`` the kernel, ``epilogue`` what is left — nothing.
         """
-        plan = self.plan
-        n, c, h, w = data.shape
-        layout = plan.direct_layout_for((c, h, w))
-        if layout.copies:
-            staged = arena.buffer((self.key, "planes"),
-                                  (n, layout.planes, c, layout.hq, layout.wq), fill=0.0)
-            # The zero halo is written once (at allocation); every call only
-            # refreshes the interior of each phase plane.
-            for phase, dst_rows, dst_cols, src_rows, src_cols in layout.copies:
-                staged[:, phase, :, dst_rows, dst_cols] = data[:, :, src_rows, src_cols]
-        else:
-            staged = data
-        gathered = time.perf_counter() if timed else 0.0
-        out = arena.buffer((self.key, "out"),
-                           (n, plan.out_channels, layout.out_h, layout.out_w))
-        rowptr, val, bias, act, slope = self._direct_args
-        self.direct.sconv(staged, layout.in_stride, layout.npos,
-                          rowptr, layout.off_addr, val, bias,
-                          layout.keep_addr, layout.tile_dst_addr, act, slope, out)
-        values[self.out_slot] = out
+        started = time.monotonic_ns() if timed else 0
+        x = values[self.in_slot]
+        bound = arena.binding(self.key, x.shape, self._bind_direct)
+        if x is not bound.inputs[0]:
+            bound.point(arena, 0, x)
+        # The binding stands for the layout lookup an unbound call would make.
+        _LAYOUT_STATS.hits += 1
+        values[self.out_slot] = bound.out
+        bound(timed)
         if not timed:
             return None
-        multiplied = time.perf_counter()
-        return {"gather": gathered - started, "gemm": multiplied - gathered,
-                "epilogue": time.perf_counter() - multiplied}
+        returned = time.monotonic_ns()
+        staged, done = bound.stamps
+        return {"gather": (staged - started) * 1e-9, "gemm": (done - staged) * 1e-9,
+                "epilogue": (returned - done) * 1e-9}
+
+    def _bind_direct(self, arena, shape) -> BoundCall:
+        """Everything a direct call needs that no forward changes, resolved once."""
+        n = shape[0]
+        layout = self.plan.direct_layout_for(shape[1:])
+        # The zero halo is written once (at allocation); every call only
+        # refreshes the interior of each phase plane.
+        staged = arena.buffer((self.key, "planes"), (n, *layout.staged),
+                              fill=0.0) if layout.staged else None
+        out = arena.buffer((self.key, "out"), (n, self.plan.out_channels, *layout.out_hw))
+        return self.direct.bind(
+            "sconv_call", self.key, out=out, staged=staged, n=n, oc=self.plan.out_channels,
+            rowptr=self.csr_rowptr, val=self.csr_val, bias=self.bias,
+            act=ACT_CODES[self.act], slope=float(self.act_slope or 0.0), **layout.operands)
 
     def _pointwise_input(self, data, arena):
         plan = self.plan
@@ -421,6 +436,25 @@ class FusedConv(_FusedOp):
         return cols, (out_h, out_w)
 
 
+class _BoundOp(_FusedOp):
+    """A glue step: what depends on the input shapes only — output and scratch
+    buffers and, where the library loaded, a bound native call — is resolved
+    once per (arena, input shapes) by ``_bind(arena, shapes)``, as the
+    ``run(arena, *inputs) -> out`` the arena then keeps
+    (:meth:`~repro.engine.arena.WorkspaceArena.binding`)."""
+
+    __slots__ = ("in_slots",)
+
+    def __init__(self, node: OpNode) -> None:
+        super().__init__(node)
+        self.in_slots = node.inputs
+
+    def execute(self, values, arena) -> None:
+        inputs = [values[slot] for slot in self.in_slots]
+        run = arena.binding(self.key, tuple([x.shape for x in inputs]), self._bind)
+        values[self.out_slot] = run(arena, *inputs)
+
+
 class ScaleShiftOp(_FusedOp):
     """Stand-alone eval-mode BatchNorm: ``y = x*scale + shift`` per channel."""
 
@@ -440,88 +474,77 @@ class ScaleShiftOp(_FusedOp):
         values[self.out_slot] = out
 
 
-class ActOp(_FusedOp):
+class ActOp(_BoundOp):
     """Stand-alone elementwise activation into an arena buffer."""
 
-    __slots__ = ("in_slot", "tag", "slope")
+    __slots__ = ("tag", "slope")
 
     def __init__(self, node: OpNode) -> None:
         super().__init__(node)
-        self.in_slot = node.inputs[0]
         self.tag = node.params["act"]
         self.slope = node.params.get("negative_slope")
 
-    def execute(self, values, arena) -> None:
-        x = values[self.in_slot]
-        out = arena.buffer((self.key, "out"), x.shape)
-        # x is a different buffer than out here, so out doubles as scratch.
-        _activation_kernel(self.tag, x, out, out, self.slope)
-        values[self.out_slot] = out
+    def _bind(self, arena, shapes):
+        out = arena.buffer((self.key, "out"), shapes[0])
+        if self.native is not None and self.tag == "relu":
+            return self.native.bind("relu_call", self.key, out=out, count=out.size).run
+
+        def run(arena, x):
+            # x is a different buffer than out here, so out doubles as scratch.
+            _activation_kernel(self.tag, x, out, out, self.slope)
+            return out
+        return run
 
 
-class AddOp(_FusedOp):
-    __slots__ = ("lhs", "rhs")
+class EwiseOp(_BoundOp):
+    """Recorded glue arithmetic: tensor<op>tensor (an ``Add`` module included)
+    or tensor<op>constant."""
 
-    def __init__(self, node: OpNode) -> None:
-        super().__init__(node)
-        self.lhs, self.rhs = node.inputs
-
-    def execute(self, values, arena) -> None:
-        out = arena.buffer((self.key, "out"),
-                           np.broadcast_shapes(values[self.lhs].shape,
-                                               values[self.rhs].shape))
-        np.add(values[self.lhs], values[self.rhs], out=out)
-        values[self.out_slot] = out
-
-
-class EwiseOp(_FusedOp):
-    """Recorded glue arithmetic: tensor<op>tensor or tensor<op>constant."""
-
-    __slots__ = ("ufunc", "const", "const_first", "in_slots")
+    __slots__ = ("ufunc", "const", "const_first")
 
     def __init__(self, node: OpNode) -> None:
         super().__init__(node)
-        self.ufunc = getattr(np, node.params["ufunc"])
+        self.ufunc = getattr(np, node.params.get("ufunc", "add"))
         self.const = node.params.get("const")
         self.const_first = node.params.get("const_first", False)
-        self.in_slots = node.inputs
 
-    def execute(self, values, arena) -> None:
-        if self.ufunc is np.negative:
-            x = values[self.in_slots[0]]
-            out = arena.buffer((self.key, "out"), x.shape)
-            np.negative(x, out=out)
-        elif self.const is None:
-            a, b = (values[self.in_slots[0]], values[self.in_slots[1]])
-            out = arena.buffer((self.key, "out"),
-                               np.broadcast_shapes(a.shape, b.shape))
-            self.ufunc(a, b, out=out)
-        else:
-            x = values[self.in_slots[0]]
-            out = arena.buffer((self.key, "out"),
-                               np.broadcast_shapes(x.shape, self.const.shape))
-            if self.const_first:
-                self.ufunc(self.const, x, out=out)
-            else:
-                self.ufunc(x, self.const, out=out)
-        values[self.out_slot] = out
+    def _bind(self, arena, shapes):
+        ufunc = self.ufunc
+        const = () if self.const is None else (self.const,)
+        head, tail = (const, ()) if self.const_first else ((), const)
+        out = arena.buffer((self.key, "out"),
+                           np.broadcast_shapes(*shapes, *[value.shape for value in const]))
+        if self.native is not None and ufunc is np.add and shapes == (out.shape, out.shape):
+            return self.native.bind("add_call", self.key, 2, out=out, count=out.size).run
+
+        def run(arena, *inputs):
+            return ufunc(*head, *inputs, *tail, out=out)
+        return run
 
 
-class ConcatOp(_FusedOp):
-    __slots__ = ("in_slots", "axis")
+class ConcatOp(_BoundOp):
+    __slots__ = ("axis",)
 
     def __init__(self, node: OpNode) -> None:
         super().__init__(node)
-        self.in_slots = node.inputs
         self.axis = node.params["axis"]
 
-    def execute(self, values, arena) -> None:
-        parts = [values[slot] for slot in self.in_slots]
-        shape = list(parts[0].shape)
-        shape[self.axis] = sum(part.shape[self.axis] for part in parts)
-        out = arena.buffer((self.key, "out"), tuple(shape))
-        np.concatenate(parts, axis=self.axis, out=out)
-        values[self.out_slot] = out
+    def _bind(self, arena, shapes):
+        # numpy's own shape rules (and errors), once, on zero-stride stand-ins.
+        shape = np.concatenate([np.broadcast_to(np.float32(0.0), part) for part in shapes],
+                               axis=self.axis).shape
+        out = arena.buffer((self.key, "out"), shape)
+        axis = self.axis % len(shape)
+        if self.native is not None:
+            inner = math.prod(shape[axis + 1:])
+            sizes = np.array([part[axis] * inner for part in shapes], dtype=np.int64)
+            return self.native.bind(
+                "concat_call", self.key, len(shapes), out=out, sizes=sizes, parts=len(shapes),
+                outer=math.prod(shape[:axis]), total=shape[axis] * inner).run
+
+        def run(arena, *parts):
+            return np.concatenate(parts, axis=axis, out=out)
+        return run
 
 
 class GetitemOp(_FusedOp):
@@ -538,62 +561,71 @@ class GetitemOp(_FusedOp):
         values[self.out_slot] = values[self.in_slot][self.index]
 
 
-class MaxPoolOp(_FusedOp):
-    __slots__ = ("in_slot", "kernel", "stride", "padding")
+class MaxPoolOp(_BoundOp):
+    __slots__ = ("kernel", "stride", "padding")
 
     def __init__(self, node: OpNode) -> None:
         super().__init__(node)
-        self.in_slot = node.inputs[0]
         self.kernel = node.params["kernel"]
         self.stride = node.params["stride"]
         self.padding = node.params["padding"]
 
-    def execute(self, values, arena) -> None:
-        data = _contiguous(values[self.in_slot], arena, (self.key, "in"))
-        n, c, h, w = data.shape
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
-        if ph or pw:
-            hp, wp = h + 2 * ph, w + 2 * pw
-            padded = arena.buffer((self.key, "pad"), (n, c, hp, wp), fill=-np.inf)
-            padded[:, :, ph:ph + h, pw:pw + w] = data
-        else:
-            hp, wp = h, w
-            padded = data
+    def _bind(self, arena, shapes):
+        n, c, h, w = shapes[0]
+        key = self.key
+        (kh, kw), (sh, sw), (ph, pw) = self.kernel, self.stride, self.padding
+        hp, wp = h + 2 * ph, w + 2 * pw
         out_h = (hp - kh) // sh + 1
         out_w = (wp - kw) // sw + 1
-        # Pairwise maxima over shifted strided views, columns then rows (a
-        # window maximum is separable, and max is exact in any order): the same
-        # values as np.amax over the 6-D window view, kh + kw passes at memory
-        # speed instead of its generic reduction loop (~15x slower).
+        out = arena.buffer((key, "out"), (n, c, out_h, out_w))
+        if self.native is not None:
+            return self.native.bind(
+                "maxpool_call", key, out=out, scratch=arena.buffer((key, "across"), (out_h, w)),
+                planes=n * c, h=h, w=w, kh=kh, kw=kw, sh=sh, sw=sw, ph=ph, pw=pw,
+                out_h=out_h, out_w=out_w).run
+        padded = arena.buffer((key, "pad"), (n, c, hp, wp), fill=-np.inf) if ph or pw else None
+        across = arena.buffer((key, "across"), (n, c, hp, out_w))
         rows, cols = (out_h - 1) * sh + 1, (out_w - 1) * sw + 1
-        across = arena.buffer((self.key, "across"), (n, c, hp, out_w))
-        np.copyto(across, padded[:, :, :, 0:cols:sw])
-        for q in range(1, kw):
-            np.maximum(across, padded[:, :, :, q:q + cols:sw], out=across)
-        out = arena.buffer((self.key, "out"), (n, c, out_h, out_w))
-        np.copyto(out, across[:, :, 0:rows:sh])
-        for r in range(1, kh):
-            np.maximum(out, across[:, :, r:r + rows:sh], out=out)
-        values[self.out_slot] = out
+
+        def run(arena, x):
+            # Pairwise maxima over shifted strided views, columns then rows (a
+            # window maximum is separable, and max is exact in any order): the
+            # same values as np.amax over the 6-D window view, kh + kw passes at
+            # memory speed instead of its generic reduction loop (~15x slower).
+            data = _contiguous(x, arena, (key, "in"))
+            if padded is not None:
+                padded[:, :, ph:ph + h, pw:pw + w] = data
+                data = padded
+            np.copyto(across, data[:, :, :, 0:cols:sw])
+            for q in range(1, kw):
+                np.maximum(across, data[:, :, :, q:q + cols:sw], out=across)
+            np.copyto(out, across[:, :, 0:rows:sh])
+            for r in range(1, kh):
+                np.maximum(out, across[:, :, r:r + rows:sh], out=out)
+            return out
+        return run
 
 
-class UpsampleOp(_FusedOp):
-    __slots__ = ("in_slot", "scale")
+class UpsampleOp(_BoundOp):
+    __slots__ = ("scale",)
 
     def __init__(self, node: OpNode) -> None:
         super().__init__(node)
-        self.in_slot = node.inputs[0]
         self.scale = node.params["scale"]
 
-    def execute(self, values, arena) -> None:
-        x = values[self.in_slot]
-        n, c, h, w = x.shape
+    def _bind(self, arena, shapes):
+        n, c, h, w = shapes[0]
         s = self.scale
         out = arena.buffer((self.key, "out"), (n, c, h * s, w * s))
-        out.reshape(n, c, h, s, w, s)[...] = x[:, :, :, None, :, None]
-        values[self.out_slot] = out
+        if self.native is not None:
+            return self.native.bind(
+                "upsample_call", self.key, out=out, planes=n * c, h=h, w=w, scale=s).run
+        cells = out.reshape(n, c, h, s, w, s)
+
+        def run(arena, x):
+            cells[...] = x[:, :, :, None, :, None]
+            return out
+        return run
 
 
 class ModuleOp(_FusedOp):
@@ -642,9 +674,7 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
         elif (node.kind == "act" and node.params.get("act") in RAW_ACTS
                 and _leaky_slope_supported(node.params)):
             ops.append(ActOp(node))
-        elif node.kind == "add":
-            ops.append(AddOp(node))
-        elif node.kind == "ewise":
+        elif node.kind in ("add", "ewise"):
             ops.append(EwiseOp(node))
         elif node.kind == "concat":
             ops.append(ConcatOp(node))
@@ -697,6 +727,7 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
     steps = [op for op in ops if id(op) not in removed]
     sparse_kernel = load_sparse_kernel()
     for op in steps:
+        op.native = sparse_kernel
         if isinstance(op, FusedConv):
             op.choose_kernel(sparse_kernel)
     return FusedProgram(graph, steps, bucket_safe=_batch_axis_preserved(graph))

@@ -8,16 +8,23 @@ differ per kernel and so leave no im2col *column* empty.  This module provides
 the kernels that can do better: a small C source (embedded below) compiled on
 first use with the host compiler into one shared library exposing
 
-``sconv_f32(in, in_stride, rowptr, off, val, bias, keep, tile_dst, act, slope,
-out, n, oc, npos, length)``
+``sconv_call(args, stamps)`` -> ``sconv_f32``
     One fused fp32 **direct sparse convolution**: per output channel ``o`` and
     flat position ``p`` of the (zero-padded, phase-split) input plane,
     ``out[o, p] = act(bias[o] + sum_j val[j] * in[off[j] + p])`` over the CSR
     row ``rowptr[o]..rowptr[o+1]`` — the pruned weights are skipped *inside*
     the kernel, there is no im2col buffer, and bias + activation are applied
-    in registers.  The layout (``off``, ``keep``, ``tile_dst``) is described
-    at :meth:`repro.engine.plan.ConvPlan.direct_layout_for`.  Needs AVX-512F
-    only (:func:`load_sparse_kernel`).
+    in registers.  The planes are staged inside the call too.  The layout
+    (``off``, ``keep``, ``tile_dst``) is described at
+    :meth:`repro.engine.plan.ConvPlan.direct_layout_for`.  Needs AVX-512F only
+    (:func:`load_sparse_kernel`).
+
+``maxpool_call`` / ``concat_call`` / ``add_call`` / ``relu_call`` / ``upsample_call``
+    The exact glue ops between convolutions, value for value what their numpy
+    bodies in :mod:`repro.engine.fuse` compute (NaNs propagate, the pool halo
+    is -inf).  They, like ``sconv_call``, are **bound calls**: every operand
+    sits in an args block filled once per (arena, input shapes)
+    (:class:`BoundCall`), so a forward pays one FFI call with one argument.
 
 ``bias_act_f32(buf, bias, act, slope, rows, oc, length)``
     The same bias + activation, in place and in one pass, over the output of
@@ -89,7 +96,10 @@ CFLAGS = ("-O3", "-shared", "-fPIC")
 
 _SOURCE = r"""
 #include <immintrin.h>
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
+#include <time.h>
 
 #define TARGET_F    __attribute__((target("avx512f,popcnt")))
 #define TARGET_VNNI __attribute__((target("avx512f,popcnt,avx512bw,avx512vnni")))
@@ -359,6 +369,174 @@ TARGET_F void bias_act_f32(float *buf, const float *bias, int act, float slope_s
                 ACT(ADD(_mm512_maskz_loadu_ps(tail, row + whole), b)));
     }
 }
+/* ---- bound calls -------------------------------------------------------- */
+
+/* A bound call reads every operand from an args block its binding filled once
+ * (native.BoundCall; the ctypes mirrors are native.ARGS: pointers, then
+ * int64s, then doubles, 8 bytes each).  srcs[i] is the i-th input of this
+ * forward, re-pointed by the binding only when the input array changed. */
+
+/* mask of the first `count` lanes (none for count <= 0, all from 16 up) */
+static inline __mmask16 first_lanes(int64_t count) {
+    return count >= 16 ? (__mmask16)0xFFFF : count <= 0 ? 0 : (__mmask16)((1u << count) - 1u);
+}
+
+static inline int64_t now_ns(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+typedef struct {
+    const float *const *srcs; float *staged, *out;
+    const int32_t *rowptr, *off; const float *val, *bias;
+    const uint16_t *keep; const int32_t *tile_dst;
+    int64_t n, c, h, w, sh, sw, ph, pw, hq, wq, phase_cols, planes;
+    int64_t in_stride, oc, npos, length, act;
+    double slope;
+} sconv_args;
+
+/* Refresh the interior of the staged planes (n, planes, c, hq, wq) from the
+ * (n, c, h, w) input: the zero-padded input, split for a strided layer into
+ * its stride x stride phases (phase (a, b) holds the padded rows = a mod sh
+ * and columns = b mod sw).  The zero halo was written once, at allocation. */
+static TARGET_F void stage_planes(const sconv_args *a, const float *in) {
+    const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+    for (int64_t p = 0; p < a->planes; p++) {
+        /* first input row / column of this phase, where it lands in the
+         * phase plane, and how many such rows / columns fit */
+        const int64_t pa = p / a->phase_cols, pb = p % a->phase_cols;
+        const int64_t i0 = ((pa - a->ph) % a->sh + a->sh) % a->sh, qi = (i0 + a->ph) / a->sh;
+        const int64_t j0 = ((pb - a->pw) % a->sw + a->sw) % a->sw, qj = (j0 + a->pw) / a->sw;
+        int64_t ni = (a->h - i0 + a->sh - 1) / a->sh, nj = (a->w - j0 + a->sw - 1) / a->sw;
+        if (ni > a->hq - qi) ni = a->hq - qi;
+        if (nj > a->wq - qj) nj = a->wq - qj;
+        if (ni <= 0 || nj <= 0) continue;
+        for (int64_t img = 0; img < a->n; img++)
+            for (int64_t ch = 0; ch < a->c; ch++) {
+                const float *src = in + ((img * a->c + ch) * a->h + i0) * a->w + j0;
+                float *dst = a->staged
+                    + (((img * a->planes + p) * a->c + ch) * a->hq + qi) * a->wq + qj;
+                for (int64_t r = 0; r < ni; r++, src += a->sh * a->w, dst += a->wq) {
+                    if (a->sw == 1) memcpy(dst, src, (size_t)nj * sizeof(float));
+                    else if (a->sw != 2) for (int64_t x = 0; x < nj; x++) dst[x] = src[x * a->sw];
+                    else for (int64_t x = 0; x < nj; x += 16) {
+                        /* every other float of the 2 * (nj - x) - 1 this block spans */
+                        const int64_t span = 2 * (nj - x) - 1;
+                        _mm512_mask_storeu_ps(dst + x, first_lanes(nj - x), _mm512_permutex2var_ps(
+                            _mm512_maskz_loadu_ps(first_lanes(span), src + 2 * x), even,
+                            _mm512_maskz_loadu_ps(first_lanes(span - 16), src + 2 * x + 16)));
+                    }
+                }
+            }
+    }
+}
+
+/* One direct convolution: stage (unless the input is used in place), then
+ * sconv_f32.  stamps (NULL when untimed) receives CLOCK_MONOTONIC ns after
+ * staging and after the kernel: the profiler's gather / gemm boundary. */
+TARGET_F void sconv_call(const sconv_args *a, int64_t *stamps) {
+    const float *x = a->srcs[0];
+    if (a->staged) { stage_planes(a, x); x = a->staged; }
+    if (stamps) stamps[0] = now_ns();
+    sconv_f32(x, a->in_stride, a->rowptr, a->off, a->val, a->bias, a->keep, a->tile_dst,
+              (int)a->act, (float)a->slope, a->out, a->n, a->oc, a->npos, a->length);
+    if (stamps) stamps[1] = now_ns();
+}
+
+/* max that returns a NaN operand (the first, if both are), like np.maximum */
+static inline TARGET_F __m512 maxn_ps(__m512 a, __m512 b) {
+    return _mm512_mask_max_ps(a, _mm512_cmp_ps_mask(a, a, _CMP_ORD_Q), a, b);
+}
+
+typedef struct {
+    const float *const *srcs; float *out, *scratch;
+    int64_t planes, h, w, kh, kw, sh, sw, ph, pw, out_h, out_w;
+} maxpool_args;
+
+/* Window maximum per (h, w) plane, rows then columns (max is separable and
+ * exact in any order).  Taps outside the plane are skipped, which is the
+ * -inf halo; scratch holds one plane's (out_h, w) row maxima. */
+TARGET_F void maxpool_call(const maxpool_args *a) {
+    const __m512 ninf = _mm512_set1_ps(-INFINITY);
+    const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    const __m512i step = _mm512_mullo_epi32(lane, _mm512_set1_epi32((int)a->sw));
+    for (int64_t p = 0; p < a->planes; p++) {
+        const float *in = a->srcs[0] + p * a->h * a->w;
+        float *out = a->out + p * a->out_h * a->out_w;
+        for (int64_t y = 0; y < a->out_h; y++)
+            for (int64_t x = 0; x < a->w; x += 16) {
+                const __mmask16 m = first_lanes(a->w - x);
+                __m512 acc = ninf;
+                for (int64_t r = 0; r < a->kh; r++) {
+                    const int64_t row = y * a->sh + r - a->ph;
+                    if (row >= 0 && row < a->h)
+                        acc = maxn_ps(acc, _mm512_mask_loadu_ps(ninf, m, in + row * a->w + x));
+                }
+                _mm512_mask_storeu_ps(a->scratch + y * a->w + x, m, acc);
+            }
+        for (int64_t y = 0; y < a->out_h; y++)
+            for (int64_t x = 0; x < a->out_w; x += 16) {
+                const float *row = a->scratch + y * a->w;
+                const __mmask16 m = first_lanes(a->out_w - x);
+                __m512 acc = ninf;
+                for (int64_t q = 0; q < a->kw; q++) {
+                    const __m512i col = _mm512_add_epi32(
+                        step, _mm512_set1_epi32((int)(x * a->sw + q - a->pw)));
+                    const __mmask16 in_row = m
+                        & _mm512_cmpge_epi32_mask(col, _mm512_setzero_si512())
+                        & _mm512_cmplt_epi32_mask(col, _mm512_set1_epi32((int)a->w));
+                    acc = maxn_ps(acc, _mm512_mask_i32gather_ps(ninf, in_row, col, row, 4));
+                }
+                _mm512_mask_storeu_ps(out + y * a->out_w + x, m, acc);
+            }
+    }
+}
+
+typedef struct {
+    const float *const *srcs; const int64_t *sizes; float *out;
+    int64_t parts, outer, total;
+} concat_args;
+
+/* Concatenate along one axis: part k contributes sizes[k] contiguous floats
+ * to each of the `outer` leading blocks of `total` output floats. */
+void concat_call(const concat_args *a) {
+    int64_t at = 0;
+    for (int64_t k = 0; k < a->parts; at += a->sizes[k++])
+        for (int64_t i = 0; i < a->outer; i++)
+            memcpy(a->out + i * a->total + at, a->srcs[k] + i * a->sizes[k],
+                   (size_t)a->sizes[k] * sizeof(float));
+}
+
+typedef struct { const float *const *srcs; float *out; int64_t count; } ewise_args;
+
+TARGET_F void add_call(const ewise_args *a) {
+    const float *x = a->srcs[0], *y = a->srcs[1];
+    float *out = a->out;
+    for (int64_t i = 0; i < a->count; i++) out[i] = x[i] + y[i];
+}
+
+/* np.maximum(x, 0): a NaN stays a NaN */
+TARGET_F void relu_call(const ewise_args *a) {
+    const float *x = a->srcs[0];
+    float *out = a->out;
+    for (int64_t i = 0; i < a->count; i++) out[i] = x[i] < 0.0f ? 0.0f : x[i];
+}
+
+typedef struct { const float *const *srcs; float *out; int64_t planes, h, w, scale; } upsample_args;
+
+/* Nearest-neighbour upsampling: widen each input row once, then repeat it. */
+void upsample_call(const upsample_args *a) {
+    const int64_t s = a->scale, wide = a->w * s;
+    const float *in = a->srcs[0];
+    float *out = a->out;
+    for (int64_t row = 0; row < a->planes * a->h; row++, in += a->w) {
+        for (int64_t x = 0; x < a->w; x++)
+            for (int64_t d = 0; d < s; d++) out[x * s + d] = in[x];
+        for (int64_t d = 1; d < s; d++) memcpy(out + d * wide, out, (size_t)wide * sizeof(float));
+        out += s * wide;
+    }
+}
 """
 
 #: Epilogue activation codes of both kernels (module-level so the executors
@@ -424,9 +602,94 @@ def address(array: Optional[np.ndarray], dtype) -> Optional[int]:
     return array.ctypes.data
 
 
+def _args_block(pointers: str, ints: str = "", doubles: str = ""):
+    """ctypes mirror of a C ``*_args`` struct: the named pointers, then int64s,
+    then doubles — 8 bytes each, so the two layouts agree without padding."""
+    class Args(ctypes.Structure):
+        _fields_ = ([(name, ctypes.c_void_p) for name in pointers.split()]
+                    + [(name, ctypes.c_int64) for name in ints.split()]
+                    + [(name, ctypes.c_double) for name in doubles.split()])
+    return Args
+
+
+#: dtype of the array whose :func:`address` a pointer field takes.
+FIELD_DTYPES = {"out": np.float32, "staged": np.float32, "scratch": np.float32,
+                "val": np.float32, "bias": np.float32, "rowptr": np.int32, "off": np.int32,
+                "tile_dst": np.int32, "keep": np.uint16, "sizes": np.int64}
+
+#: Bound-call entry point -> its args block (field order is the C struct's).
+ARGS = {
+    "sconv_call": _args_block(
+        "srcs staged out rowptr off val bias keep tile_dst",
+        "n c h w sh sw ph pw hq wq phase_cols planes in_stride oc npos length act", "slope"),
+    "maxpool_call": _args_block("srcs out scratch",
+                                "planes h w kh kw sh sw ph pw out_h out_w"),
+    "concat_call": _args_block("srcs sizes out", "parts outer total"),
+    "add_call": _args_block("srcs out", "count"),
+    "relu_call": _args_block("srcs out", "count"),
+    "upsample_call": _args_block("srcs out", "planes h w scale"),
+}
+
+
+class BoundCall:
+    """One native call with every operand bound: the call is the whole cost.
+
+    Built once per (arena, input shapes) by :meth:`SparseConvKernel.bind` and
+    kept *in that arena*: the args block holds raw addresses of arena buffers
+    and packed operands, so the binding keeps every one of those arrays alive
+    — ``out`` and the other operands, and ``inputs``: the array each input
+    pointer was last taken from (one that is the same object next forward, as
+    arena-produced ones are, costs an ``is`` instead of a ``.ctypes.data``).
+    ``stamps`` is the two-slot ns array a timed ``sconv_call`` fills.
+    """
+
+    __slots__ = ("key", "out", "inputs", "stamps",
+                 "_call", "_block", "_pointers", "_stamps_at", "_alive")
+
+    def __init__(self, call, args: ctypes.Structure, key, inputs: int, fields: dict) -> None:
+        self._pointers = (ctypes.c_void_p * inputs)()
+        args.srcs = ctypes.addressof(self._pointers)
+        for field, value in fields.items():
+            dtype = FIELD_DTYPES.get(field)
+            setattr(args, field, value if dtype is None else address(value, dtype))
+        self._call, self._block, self._alive = call, ctypes.addressof(args), (args, fields)
+        self.key, self.out = key, fields["out"]
+        self.inputs: list = [None] * inputs
+        self.stamps = (ctypes.c_int64 * 2)()
+        self._stamps_at = ctypes.addressof(self.stamps)
+
+    def point(self, arena, index: int, x: np.ndarray) -> None:
+        """Read input ``index`` from ``x`` from now on: the slow path of a call.
+
+        The output of an arena-backed step is the same array every forward and
+        never gets here; a caller's frame or a view does.  One that is not
+        C-contiguous float32 is copied into ``arena`` first — and, being a
+        copy, is not remembered as this input.
+        """
+        staged = x
+        if x.dtype != np.float32 or not x.flags.c_contiguous:
+            staged = arena.buffer((self.key, "in", index), x.shape)
+            np.copyto(staged, x)
+        self._pointers[index] = staged.ctypes.data
+        self.inputs[index] = x if staged is x else None
+
+    def run(self, arena, *inputs) -> np.ndarray:
+        """Call on this forward's ``inputs``; returns ``out`` (a glue step's body)."""
+        held = self.inputs
+        for index, x in enumerate(inputs):
+            if x is not held[index]:
+                self.point(arena, index, x)
+        self._call(self._block)
+        return self.out
+
+    def __call__(self, timed: bool) -> None:
+        """``sconv_call`` on the input :meth:`point` set; ``timed`` fills ``stamps``."""
+        self._call(self._block, self._stamps_at if timed else None)
+
+
 class SparseConvKernel:
-    """ctypes wrapper around the fp32 kernels ``sconv_f32`` and ``bias_act_f32``
-    (one per process)."""
+    """ctypes wrapper around the library's fp32 entry points (one per process):
+    ``bias_act_f32`` and the bound calls of :data:`ARGS`."""
 
     def __init__(self, lib: ctypes.CDLL, path: Path) -> None:
         self.path = path
@@ -436,39 +699,19 @@ class SparseConvKernel:
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, ctypes.c_float,
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,     # rows, oc, length
         ]
-        self._sconv = lib.sconv_f32
-        self._sconv.restype = None
-        self._sconv.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64,                    # in, floats per image
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # rowptr, off, val
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # bias, keep, tile_dst
-            ctypes.c_int, ctypes.c_float,                       # act, slope
-            ctypes.c_void_p,                                    # out
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ]
+        self._calls = {}
+        for name in ARGS:
+            call = self._calls[name] = getattr(lib, name)
+            call.restype = None
+            # args block, and for the one entry point a profile splits, its stamps
+            call.argtypes = [ctypes.c_void_p] * (2 if name == "sconv_call" else 1)
 
-    def sconv(self, x: np.ndarray, in_stride: int, npos: int,
-              rowptr: int, off: int, val: int, bias: Optional[int],
-              keep: Optional[int], tile_dst: Optional[int],
-              act: int, slope: float, out: np.ndarray) -> None:
-        """Run one direct sparse convolution over a batch (see module docstring).
-
-        ``x`` holds ``n`` staged images of ``in_stride`` floats each and ``out``
-        is ``(n, oc, out_h, out_w)``, both C-contiguous float32.  The packed
-        operands come as :func:`address` values: int32 ``rowptr`` (``oc + 1``)
-        and ``off`` and float32 ``val`` (one per nonzero), float32 ``bias``
-        (``oc``, optional), and — when not every one of the ``npos`` flat
-        positions is an output — uint16 ``keep`` (one per 16 positions) with
-        int32 ``tile_dst`` (one per 64).  ``act`` is an :data:`ACT_CODES` value.
-        """
-        n, oc, out_h, out_w = out.shape
-        if (x.dtype != np.float32 or out.dtype != np.float32
-                or not x.flags.c_contiguous or not out.flags.c_contiguous
-                or x.size < n * in_stride):
-            raise ValueError("sconv needs C-contiguous float32 input and output "
-                             f"holding {n} images of {in_stride} floats")
-        self._sconv(x.ctypes.data, in_stride, rowptr, off, val, bias, keep, tile_dst,
-                    act, slope, out.ctypes.data, n, oc, npos, out_h * out_w)
+    def bind(self, name: str, key, inputs: int = 1, **fields) -> BoundCall:
+        """Bind entry point ``name`` for the step ``key``, reading ``inputs``
+        inputs, to ``fields``: the rest of its args block — numbers as they
+        are, the :data:`FIELD_DTYPES` operands (``out`` among them) as arrays,
+        ``None`` for ``NULL``."""
+        return BoundCall(self._calls[name], ARGS[name](), key, inputs, fields)
 
     def bias_act(self, buf: np.ndarray, bias: Optional[int], act: int, slope: float) -> None:
         """``buf = act(buf + bias)`` in place, one pass: the GEMM path's epilogue.

@@ -43,14 +43,14 @@ always builds fresh plans.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.native import address
 from repro.nn.layers.conv import Conv2d
 
 #: Execution modes a plan can take.
@@ -137,7 +137,7 @@ def _register_obs_collector() -> None:
 _register_obs_collector()
 
 
-class DirectLayout:
+class DirectLayout(NamedTuple):
     """Per-input-shape operands of the direct sparse-convolution kernel.
 
     The kernel walks the *flat* positions ``p = y * wq + x`` of an output
@@ -149,26 +149,17 @@ class DirectLayout:
     ``(wq - out_w) / wq`` waste of the flat-plane trick; ``keep`` marks the real
     outputs (``None`` when ``wq == out_w``, i.e. every position is one).
 
-    ``copies`` stages the input: ``(phase, dst_rows, dst_cols, src_rows,
-    src_cols)`` slices, empty when the input is used in place (stride 1, no
-    padding).  The ``*_addr`` fields are the kernel-ready pointers of the
-    arrays held beside them.
+    ``operands`` is the shape-dependent part of the library's ``sconv_call``
+    args block (:data:`repro.engine.native.ARGS`), by field name: ``off``,
+    ``keep``, ``tile_dst`` and the geometry its ``stage_planes`` stages the
+    input from.  ``staged`` is the per-image ``(planes, C, hq, wq)`` shape of
+    the staging buffer — ``None`` for stride 1 without padding, where the
+    kernel reads the input in place.
     """
 
-    __slots__ = ("out_h", "out_w", "planes", "hq", "wq", "in_stride", "npos", "copies",
-                 "off", "keep", "tile_dst", "off_addr", "keep_addr", "tile_dst_addr")
-
-    def __init__(self, out_h, out_w, channels, planes, hq, wq,
-                 copies, off, keep, tile_dst) -> None:
-        self.out_h, self.out_w = out_h, out_w
-        self.planes, self.hq, self.wq = planes, hq, wq
-        self.in_stride = planes * channels * hq * wq     # floats per staged image
-        self.npos = (out_h - 1) * wq + out_w
-        self.copies = copies
-        self.off, self.keep, self.tile_dst = off, keep, tile_dst
-        self.off_addr = address(off, np.int32)
-        self.keep_addr = address(keep, np.uint16)
-        self.tile_dst_addr = address(tile_dst, np.int32)
+    out_hw: Tuple[int, int]
+    staged: Optional[Tuple[int, int, int, int]]
+    operands: Dict[str, object]
 
 
 @dataclass
@@ -417,34 +408,21 @@ class ConvPlan:
         columns = self._pack_csr()[1] % self.weight_matrix.shape[1]
         off = np.ascontiguousarray(column_offset[columns], dtype=np.int32)
 
-        copies = []
-        if (sh, sw, ph, pw) != (1, 1, 0, 0):
-            for a in range(phase_rows):
-                # first input row whose padded index is = a (mod sh), where it
-                # lands in the phase plane, and how many such rows fit
-                i0 = (a - ph) % sh
-                qi = (i0 + ph) // sh
-                ni = min(-(-(h - i0) // sh), hq - qi)
-                for b in range(phase_cols):
-                    j0 = (b - pw) % sw
-                    qj = (j0 + pw) // sw
-                    nj = min(-(-(w - j0) // sw), wq - qj)
-                    if ni > 0 and nj > 0:
-                        copies.append((a * phase_cols + b,
-                                       slice(qi, qi + ni), slice(qj, qj + nj),
-                                       slice(i0, i0 + (ni - 1) * sh + 1, sh),
-                                       slice(j0, j0 + (nj - 1) * sw + 1, sw)))
-
+        npos = (out_h - 1) * wq + out_w
         keep = tile_dst = None
         if wq != out_w:
-            npos = (out_h - 1) * wq + out_w
             tiles = -(-npos // 64)
             position = np.arange(tiles * 64)
             real = (position % wq < out_w) & (position < npos)
             keep = (real.reshape(-1, 16) << np.arange(16)).sum(axis=1).astype(np.uint16)
             tile_dst = np.zeros(tiles, dtype=np.int32)
             np.cumsum(real.reshape(tiles, 64).sum(axis=1)[:-1], out=tile_dst[1:])
-        return DirectLayout(out_h, out_w, c, planes, hq, wq, tuple(copies), off, keep, tile_dst)
+        staged = (planes, c, hq, wq)
+        return DirectLayout(
+            (out_h, out_w), staged if (sh, sw, ph, pw) != (1, 1, 0, 0) else None,
+            dict(off=off, keep=keep, tile_dst=tile_dst, c=c, h=h, w=w, sh=sh, sw=sw, ph=ph,
+                 pw=pw, hq=hq, wq=wq, phase_cols=phase_cols, planes=planes,
+                 in_stride=math.prod(staged), npos=npos, length=out_h * out_w))
 
 
 def _kept_column_indices(layer: Conv2d) -> np.ndarray:

@@ -194,7 +194,7 @@ def test_hot_path_alloc_ignores_cold_functions():
 
 
 def test_hot_path_alloc_config_registered_names():
-    # "_activation_kernel" and "ActOp.execute" are registered in
+    # "_activation_kernel" and "_BoundOp.execute" are registered in
     # config.HOT_FUNCTIONS -- no marker needed.
     src = """
     import numpy as np
@@ -202,12 +202,12 @@ def test_hot_path_alloc_config_registered_names():
     def _activation_kernel(x):
         return np.exp(x)
 
-    class ActOp:
+    class _BoundOp:
         def execute(self, values, arena):
             values[0] = np.zeros(3)
     """
     found = findings_for(src)
-    assert [f.symbol for f in found] == ["_activation_kernel", "ActOp.execute"]
+    assert [f.symbol for f in found] == ["_activation_kernel", "_BoundOp.execute"]
     assert {f.rule for f in found} == {"hot-path-alloc"}
 
 

@@ -11,6 +11,7 @@ tests simulate the forked-child state directly: acquire the lock (the
 usable and caches are in the documented post-fork state.
 """
 
+import os
 import threading
 
 import pytest
@@ -77,3 +78,53 @@ def test_replacement_is_a_real_lock(module, lock_name):
     module._reinit_after_fork()
     lock = getattr(module, lock_name)
     assert isinstance(lock, type(threading.Lock()))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_binds_afresh_and_inherited_bindings_stay_valid():
+    """A binding holds addresses of this process's arena buffers.  ``fork``
+    copies the address space, so the forking thread's arena and bindings stay
+    valid in the child (copy-on-write, same addresses); every other thread of
+    the child starts with an empty arena and binds afresh.  Both must give the
+    parent's answer, and the child must not have written into the parent's
+    buffers."""
+    import threading
+
+    import numpy as np
+
+    from repro.core.rtoss import prune_with_rtoss
+    from repro.engine import compile_model, max_abs_output_diff
+    from repro.models.tiny import TinyDetector, TinyDetectorConfig
+
+    model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8))
+    report = prune_with_rtoss(model, entries=2, example_input=(1, 3, 64, 64))
+    compiled = compile_model(model, report.masks)
+    rng = np.random.default_rng(0)
+    x, other = (rng.standard_normal((2, 3, 64, 64)).astype(np.float32) for _ in range(2))
+    expected = compiled.forward_raw(x)
+    arena = compiled._fused_program._arena()
+    bound_before = len(arena._bindings)
+
+    pid = os.fork()
+    if pid == 0:                                         # child: report through the exit code
+        code = 1
+        try:
+            inherited = compiled.forward_raw(x)
+            fresh = {}
+            thread = threading.Thread(
+                target=lambda: fresh.update(out=compiled.forward_raw(x),
+                                            arena=compiled._fused_program._arena()))
+            thread.start()
+            thread.join(60.0)
+            compiled.forward_raw(other)                  # scribble over the child's buffers
+            ok = (max_abs_output_diff(inherited, expected) == 0.0
+                  and max_abs_output_diff(fresh["out"], expected) == 0.0
+                  and fresh["arena"] is not arena
+                  and len(fresh["arena"]._bindings) == bound_before
+                  and len(arena._bindings) == bound_before)
+            code = 0 if ok else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert max_abs_output_diff(compiled.forward_raw(x), expected) == 0.0

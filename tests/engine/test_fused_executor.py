@@ -211,6 +211,25 @@ def test_fused_modes_report_bn_and_activation_folding():
     assert any("+" not in mode.replace("+direct", "") for mode in modes), modes
 
 
+def test_pruned_detector_plans_skip_masked_taps():
+    """Structure accounting at the engine benchmark's configuration (moved here
+    from ``benchmarks/test_engine_speedup.py``, which is report-only): pruning
+    drops real im2col columns, every conv layer of the pruned detector is
+    compiled, and the reported modes are the executed ones."""
+    model, report = _pruned_tiny(image_size=96, base_channels=16)
+    compiled = compile_model(model, report.masks, apply_masks=False)
+    compiled.forward_raw(np.zeros((1, 3, 96, 96), dtype=np.float32))
+    summary = compiled.summary()
+    assert compiled.kept_columns() <= compiled.total_columns()
+    assert not compiled.fallback_layers and len(summary) == compiled.num_compiled_layers
+    assert any(row["column_sparsity"] > 0 for row in summary), (
+        "pattern pruning should drop at least one whole im2col column")
+    modes = {row["mode"] for row in summary}
+    assert any(mode.startswith("pointwise-gemm") for mode in modes)
+    assert any(mode.startswith("sparse-im2col-gemm") for mode in modes)
+    assert any(mode.endswith("+bn+silu") for mode in modes), modes
+
+
 def test_bn_not_folded_when_conv_output_fans_out(rng):
     """A conv output that is also consumed elsewhere must stay materialized."""
 

@@ -44,13 +44,20 @@ HOT_FUNCTIONS = {
     "_activation_kernel",
     "_apply_activation_inplace",
     "ScaleShiftOp.execute",
-    "ActOp.execute",
-    "AddOp.execute",
-    "EwiseOp.execute",
-    "ConcatOp.execute",
+    "_BoundOp.execute",
     "GetitemOp.execute",
-    "MaxPoolOp.execute",
-    "UpsampleOp.execute",
+    # ... and the per-(arena, input shapes) bodies the glue steps bind: the
+    # portable numpy ones; the native one is BoundCall.run
+    "ActOp._bind.<locals>.run",
+    "EwiseOp._bind.<locals>.run",
+    "ConcatOp._bind.<locals>.run",
+    "MaxPoolOp._bind.<locals>.run",
+    "UpsampleOp._bind.<locals>.run",
+    # bound native calls (engine/native.py, engine/arena.py)
+    "BoundCall.point",
+    "BoundCall.run",
+    "BoundCall.__call__",
+    "WorkspaceArena.binding",
     "FusedProgram._run",
     # int8 hot path (engine/quant.py)
     "QuantFusedConv.execute",
