@@ -15,8 +15,13 @@ aggregated by :meth:`repro.engine.compiler.CompiledModel.arena_stats`.
 
 An op may also keep a **binding** here: what it resolved once for one tuple of
 input shapes (buffers, or a :class:`repro.engine.native.BoundCall` holding
-their addresses).  It points into this arena, so it lives and dies with it; a
-lookup that finds one counts as one hit, for the buffer lookups it replaces.
+their addresses), and the program keeps what a forward of one input shape
+runs: its steps cut into segments (:class:`repro.engine.fuse.Segment` — tables
+of raw addresses of those bindings' args blocks).  A natively bound step is
+bound for *one image* and shared by every batch size, so its buffers do not
+grow with the batch.  All of it points into this arena, so it lives and dies
+with it; a lookup that finds a binding counts as one hit, for the buffer
+lookups it replaces.
 
 Buffer ownership contract: an arena buffer is valid from the op that filled it
 until the end of the *current* forward pass — the next forward reuses it.
@@ -100,7 +105,7 @@ class WorkspaceArena:
         return buf
 
     def binding(self, key: Hashable, shapes: tuple, build):
-        """What op ``key`` bound for these input shapes; ``build(arena, shapes)``
+        """What ``key`` bound for these input shapes; ``build(arena, shapes)``
         makes it on the first forward that sees them, later ones count a hit."""
         bound = self._bindings.get((key, shapes))
         if bound is None:

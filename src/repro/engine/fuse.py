@@ -14,14 +14,18 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
   instead of as separate passes with their own temporaries; where
   :mod:`repro.engine.native` loaded, bias + activation are one in-register
   pass (``bias_act_f32``), the epilogue the direct sparse kernel applies.
-* **Arena execution** — every op writes into a buffer keyed by
-  ``(op, role, shape)``; convolution gathers go through a single flat
-  ``np.take(..., out=..., mode="clip")`` into the GEMM-ready column buffer
-  (``as_strided`` window views where the gather is dense, i.e. compaction
-  dropped next to nothing), and the GEMM itself is ``np.matmul(W, cols,
-  out=...)``.  After one warmup pass per input shape, a steady-state forward
-  allocates nothing large; only the final outputs are copied out of the arena
-  (they must survive the next forward).
+* **Arena execution** — a step with a Python body writes into whole-batch
+  buffers keyed by ``(op, role, shape)``; convolution gathers go through a
+  single flat ``np.take(..., out=..., mode="clip")`` into the GEMM-ready column
+  buffer (``as_strided`` window views where the gather is dense, i.e.
+  compaction dropped next to nothing), and the GEMM itself is ``np.matmul(W,
+  cols, out=...)``.  After one warmup pass per input shape, a steady-state
+  forward allocates nothing large; only the final outputs are copied out of the
+  arena (they must survive the next forward).
+* **Segments** — a forward walks segments, not steps: each maximal run of
+  natively bound steps (direct sparse convolutions, the native glue ops) is
+  *one* call into the library, images outermost, on buffers bound for one image
+  (:class:`Segment`); a step with a Python body is a segment of its own.
 * **Direct sparse kernel** — where :mod:`repro.engine.native` loaded its fp32
   kernel, a pruned convolution skips gather, GEMM and epilogue altogether: the
   zero-padded planes are staged once and one native call walks the CSR of the
@@ -34,13 +38,15 @@ applied to weights before the GEMM instead of to activations after it), so
 fused outputs match the dense forward to ~1e-6 — well inside the 1e-5 equivalence
 bound every benchmark and artifact check enforces — but not bit-for-bit.
 
-Thread safety: a :class:`FusedProgram` is immutable after construction; each
-executing thread checks out its own :class:`~repro.engine.arena.WorkspaceArena`
-(thread-local), so concurrent forwards never share scratch buffers.
+Thread safety: a :class:`FusedProgram` is immutable after construction (but for
+a flag that only ever goes from True to False); each executing thread checks
+out its own :class:`~repro.engine.arena.WorkspaceArena` (thread-local), so
+concurrent forwards never share scratch buffers.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 import time
@@ -53,9 +59,11 @@ import numpy as np
 from repro.engine.arena import WorkspaceArena, merge_stats
 from repro.engine.native import (
     ACT_CODES,
+    ARGS,
     BoundCall,
     SparseConvKernel,
     address,
+    fill,
     load_sparse_kernel,
 )
 from repro.engine.plan import MODE_POINTWISE, ConvPlan, layout_cache_stats
@@ -187,8 +195,21 @@ class _FusedOp:
 
     def execute(self, values: List[Optional[np.ndarray]],
                 arena: WorkspaceArena) -> None:  # pragma: no cover - abstract
-        """Run this step; the convs add a ``timed`` flag for per-phase profiling."""
+        """Run this step's Python body: as a segment of its own, on whole-batch
+        arrays; the convs add a ``timed`` flag for per-phase profiling."""
         raise NotImplementedError
+
+    def natively(self) -> bool:
+        """Whether this step has a native body to bind (what it binds may still
+        depend on the shapes): such steps run inside a :class:`Segment`."""
+        return False
+
+    def profile(self, values, arena, profiler, *timed) -> None:
+        """:meth:`execute`, timed into ``profiler``."""
+        started = time.perf_counter()
+        phases = self.execute(values, arena, *timed)
+        profiler.record_op(self.profile_name(), self.node.kind, self.mode,
+                           time.perf_counter() - started, phases)
 
     def profile_name(self) -> str:
         return self.node.name or f"{self.node.kind}#{self.key}"
@@ -283,13 +304,14 @@ class FusedConv(_FusedOp):
             self.dense_gather = True
 
     # --------------------------------------------------------------- execution
+    def natively(self) -> bool:
+        # Calibration observers want the pre-activation tensor, which the
+        # direct kernel never materializes: an observed conv is a Python step
+        # (on every host, so calibrated scales do not depend on the kernel).
+        return self.direct is not None and self.observer is None
+
     def execute(self, values, arena, timed=False):
         """Gather -> GEMM (+bias) -> epilogue; returns the phase split if ``timed``."""
-        # Calibration observers want the pre-activation tensor, which the
-        # direct kernel never materializes: observed forwards run the GEMM path
-        # (on every host, so calibrated scales do not depend on the kernel).
-        if self.direct is not None and self.observer is None:
-            return self._execute_direct(values, arena, timed)
         started = time.perf_counter() if timed else 0.0
         data = _contiguous(values[self.in_slot], arena, (self.key, "in"))
         if self.observer is not None:
@@ -343,45 +365,31 @@ class FusedConv(_FusedOp):
             "epilogue": time.perf_counter() - multiplied,
         }
 
+    def profile(self, values, arena, profiler) -> None:
+        super().profile(values, arena, profiler, True)       # with the phase split
+
     def _epilogue(self, buf: np.ndarray, arena: WorkspaceArena) -> None:
         _apply_activation_inplace(self.act, buf, arena, self.key, self.act_slope)
 
-    def _execute_direct(self, values, arena, timed):
-        """One bound native call: stage the zero-padded (phase-split) planes, walk the CSR.
+    def _bind(self, arena, shapes) -> BoundCall:
+        """The direct kernel as a bound step: stage the zero-padded (phase-split)
+        planes, walk the CSR — everything no forward changes, resolved once.
 
         No im2col buffer, no gather index: the kernel reads every surviving
         weight's tap at a fixed offset from the output position and applies
         bias + activation in registers.  Staging happens inside the call, so a
-        timed one has the library stamp the phase boundaries: ``gather`` is the
-        staging, ``gemm`` the kernel, ``epilogue`` what is left — nothing.
+        profiled one has the library stamp the boundary: ``gather`` is the
+        staging, ``gemm`` the kernel, and nothing is left for ``epilogue``.
         """
-        started = time.monotonic_ns() if timed else 0
-        x = values[self.in_slot]
-        bound = arena.binding(self.key, x.shape, self._bind_direct)
-        if x is not bound.inputs[0]:
-            bound.point(arena, 0, x)
-        # The binding stands for the layout lookup an unbound call would make.
-        _LAYOUT_STATS.hits += 1
-        values[self.out_slot] = bound.out
-        bound(timed)
-        if not timed:
-            return None
-        returned = time.monotonic_ns()
-        staged, done = bound.stamps
-        return {"gather": (staged - started) * 1e-9, "gemm": (done - staged) * 1e-9,
-                "epilogue": (returned - done) * 1e-9}
-
-    def _bind_direct(self, arena, shape) -> BoundCall:
-        """Everything a direct call needs that no forward changes, resolved once."""
-        n = shape[0]
-        layout = self.plan.direct_layout_for(shape[1:])
+        n = shapes[0][0]
+        layout = self.plan.direct_layout_for(shapes[0][1:])
         # The zero halo is written once (at allocation); every call only
         # refreshes the interior of each phase plane.
         staged = arena.buffer((self.key, "planes"), (n, *layout.staged),
                               fill=0.0) if layout.staged else None
         out = arena.buffer((self.key, "out"), (n, self.plan.out_channels, *layout.out_hw))
         return self.direct.bind(
-            "sconv_call", self.key, out=out, staged=staged, n=n, oc=self.plan.out_channels,
+            "sconv_call", out=out, staged=staged, n=n, oc=self.plan.out_channels,
             rowptr=self.csr_rowptr, val=self.csr_val, bias=self.bias,
             act=ACT_CODES[self.act], slope=float(self.act_slope or 0.0), **layout.operands)
 
@@ -438,10 +446,11 @@ class FusedConv(_FusedOp):
 
 class _BoundOp(_FusedOp):
     """A glue step: what depends on the input shapes only — output and scratch
-    buffers and, where the library loaded, a bound native call — is resolved
-    once per (arena, input shapes) by ``_bind(arena, shapes)``, as the
-    ``run(arena, *inputs) -> out`` the arena then keeps
-    (:meth:`~repro.engine.arena.WorkspaceArena.binding`)."""
+    buffers — is resolved once per (arena, input shapes) by ``_bind(arena,
+    shapes)``, as what the arena then keeps
+    (:meth:`~repro.engine.arena.WorkspaceArena.binding`): a bound native step
+    (:class:`~repro.engine.native.BoundCall`) where the library has this op, or
+    the numpy body ``run(arena, *inputs) -> out``."""
 
     __slots__ = ("in_slots",)
 
@@ -449,10 +458,24 @@ class _BoundOp(_FusedOp):
         super().__init__(node)
         self.in_slots = node.inputs
 
+    def natively(self) -> bool:
+        return self.native is not None
+
     def execute(self, values, arena) -> None:
         inputs = [values[slot] for slot in self.in_slots]
-        run = arena.binding(self.key, tuple([x.shape for x in inputs]), self._bind)
-        values[self.out_slot] = run(arena, *inputs)
+        run = arena.binding((self.key, "alone"), tuple([x.shape for x in inputs]), self._alone)
+        if isinstance(run, Segment):
+            run.execute(values, arena)
+        else:
+            values[self.out_slot] = run(arena, *inputs)
+
+    def _alone(self, arena, shapes):
+        """This step by itself on the whole batch — outside a run of native
+        steps, or on an input that is not one row per image: its numpy body,
+        or natively a segment of one."""
+        run = self._bind(arena, shapes)
+        return (Segment(arena, [(self, run, shapes)], None, lambda slot: True)
+                if isinstance(run, BoundCall) else run)
 
 
 class ScaleShiftOp(_FusedOp):
@@ -484,10 +507,13 @@ class ActOp(_BoundOp):
         self.tag = node.params["act"]
         self.slope = node.params.get("negative_slope")
 
+    def natively(self) -> bool:
+        return self.native is not None and self.tag == "relu"
+
     def _bind(self, arena, shapes):
         out = arena.buffer((self.key, "out"), shapes[0])
-        if self.native is not None and self.tag == "relu":
-            return self.native.bind("relu_call", self.key, out=out, count=out.size).run
+        if self.natively():
+            return self.native.bind("relu_call", out=out, count=out.size)
 
         def run(arena, x):
             # x is a different buffer than out here, so out doubles as scratch.
@@ -508,14 +534,17 @@ class EwiseOp(_BoundOp):
         self.const = node.params.get("const")
         self.const_first = node.params.get("const_first", False)
 
+    def natively(self) -> bool:
+        return self.native is not None and self.ufunc is np.add and self.const is None
+
     def _bind(self, arena, shapes):
         ufunc = self.ufunc
         const = () if self.const is None else (self.const,)
         head, tail = (const, ()) if self.const_first else ((), const)
         out = arena.buffer((self.key, "out"),
                            np.broadcast_shapes(*shapes, *[value.shape for value in const]))
-        if self.native is not None and ufunc is np.add and shapes == (out.shape, out.shape):
-            return self.native.bind("add_call", self.key, 2, out=out, count=out.size).run
+        if self.natively() and tuple(shapes) == (out.shape, out.shape):
+            return self.native.bind("add_call", 2, out=out, count=out.size)
 
         def run(arena, *inputs):
             return ufunc(*head, *inputs, *tail, out=out)
@@ -539,8 +568,8 @@ class ConcatOp(_BoundOp):
             inner = math.prod(shape[axis + 1:])
             sizes = np.array([part[axis] * inner for part in shapes], dtype=np.int64)
             return self.native.bind(
-                "concat_call", self.key, len(shapes), out=out, sizes=sizes, parts=len(shapes),
-                outer=math.prod(shape[:axis]), total=shape[axis] * inner).run
+                "concat_call", len(shapes), out=out, sizes=sizes, parts=len(shapes),
+                outer=math.prod(shape[:axis]), total=shape[axis] * inner)
 
         def run(arena, *parts):
             return np.concatenate(parts, axis=axis, out=out)
@@ -580,9 +609,9 @@ class MaxPoolOp(_BoundOp):
         out = arena.buffer((key, "out"), (n, c, out_h, out_w))
         if self.native is not None:
             return self.native.bind(
-                "maxpool_call", key, out=out, scratch=arena.buffer((key, "across"), (out_h, w)),
+                "maxpool_call", out=out, scratch=arena.buffer((key, "across"), (out_h, w)),
                 planes=n * c, h=h, w=w, kh=kh, kw=kw, sh=sh, sw=sw, ph=ph, pw=pw,
-                out_h=out_h, out_w=out_w).run
+                out_h=out_h, out_w=out_w)
         padded = arena.buffer((key, "pad"), (n, c, hp, wp), fill=-np.inf) if ph or pw else None
         across = arena.buffer((key, "across"), (n, c, hp, out_w))
         rows, cols = (out_h - 1) * sh + 1, (out_w - 1) * sw + 1
@@ -619,7 +648,7 @@ class UpsampleOp(_BoundOp):
         out = arena.buffer((self.key, "out"), (n, c, h * s, w * s))
         if self.native is not None:
             return self.native.bind(
-                "upsample_call", self.key, out=out, planes=n * c, h=h, w=w, scale=s).run
+                "upsample_call", out=out, planes=n * c, h=h, w=w, scale=s)
         cells = out.reshape(n, c, h, s, w, s)
 
         def run(arena, x):
@@ -650,6 +679,117 @@ class ModuleOp(_FusedOp):
                 f"traced {len(self.out_slots)}")
         for slot, tensor in zip(self.out_slots, flat):
             values[slot] = tensor.data
+
+
+# -------------------------------------------------------------------- segments
+class Segment:
+    """A maximal run of natively bound steps: one ``run_segment`` call per forward.
+
+    ``run`` lists ``(op, its BoundCall, the input shapes it was bound for)`` in
+    step order.  With ``rows`` (the program is ``bucket_safe``) the steps are
+    bound for *one* image and the library loops images outermost, steps
+    innermost (docs/engine.md, "Segments"); with None they are bound whole-batch
+    and the loop runs once.  Every slot the run touches is addressed as
+    ``bases[i] + image * stride``:
+
+    * written and read only in here: the writer's one-image buffer, stride 0;
+    * an **import**, read from outside (the model input, a Python step's
+      output): the whole-batch array this forward holds in ``values``;
+    * an **export**, read after the run (``exported(slot)``): a whole-batch
+      arena buffer of ``rows`` images, published in ``values``;
+    * a **result**, a model output (``fresh``) of a run that is the whole
+      program: copied image by image out of the writer's buffer into an array
+      that is new each forward — the mandatory copy-out, done once.
+
+    The tables hold raw addresses: the segment keeps the bindings (hence every
+    buffer) alive, and the arena keeps the segment.
+    """
+
+    __slots__ = ("ops", "per_image", "imports", "exports", "results", "_rows", "_convs",
+                 "_held", "_bases", "_block", "_call", "_alive", "__weakref__")
+
+    def __init__(self, arena, run, rows, exported, fresh=()) -> None:
+        self.ops = [op for op, _, _ in run]
+        self.per_image = rows is not None
+        self.imports, self.exports, self.results = [], [], []
+        where: Dict[int, tuple] = {}     # slot -> (its index in bases, bytes per image)
+        bases: List[int] = []            # 0 where every forward sets the address
+        steps, patches, copies = [], [], []
+        for op, bound, shapes in run:
+            for index, slot in enumerate(op.node.inputs):
+                if slot not in where:
+                    where[slot] = (len(bases), 4 * math.prod(shapes[index]))
+                    self.imports.append((len(bases), slot, tuple(shapes[index])))
+                    bases.append(0)
+                patches.append((ctypes.addressof(bound.srcs) + 8 * index, *where[slot]))
+            out = whole = bound.out
+            if exported(op.out_slot):
+                if self.per_image:
+                    whole = arena.buffer((op.key, "out"), (rows, *out.shape[1:]))
+                self.exports.append((op.out_slot, whole))
+            where[op.out_slot] = (len(bases), 0 if whole is out else out.nbytes)
+            patches.append((bound.out_at, *where[op.out_slot]))
+            bases.append(whole.ctypes.data)
+            if op.out_slot in fresh:
+                self.results.append((len(bases), op.out_slot, out.shape))
+                copies.append((out.ctypes.data, len(bases), out.nbytes))
+                bases.append(0)
+            steps.append((bound.op, bound.block))
+        self._bases = np.array(bases, dtype=np.int64)
+        fields = dict(steps=np.array(steps, dtype=np.int64),
+                      patches=np.array(patches, dtype=np.int64),
+                      copies=np.array(copies, dtype=np.int64), bases=self._bases,
+                      nsteps=len(steps), npatches=len(patches), ncopies=len(copies))
+        args = ARGS["run_segment"]()
+        self._block = fill(args, fields)
+        self._alive = (args, fields, run)
+        self._call = run[0][0].native.run_segment
+        self._held: list = [None] * len(self.imports)
+        #: What a profile reports each step as: name, kind, mode, whether it has phases.
+        self._rows = [(op.profile_name(), op.node.kind, op.mode, isinstance(op, FusedConv))
+                      for op in self.ops]
+        self._convs = sum(row[3] for row in self._rows)
+
+    def execute(self, values, arena, stamps=None) -> None:  # reprolint: hot
+        """Run on ``values``; ``stamps``: address of the counters a profiled call fills."""
+        held, bases = self._held, self._bases
+        images = values[self.imports[0][1]].shape[0] if self.per_image else 1
+        for index, (_, slot, _) in enumerate(self.imports):
+            x = values[slot]
+            if x is not held[index]:
+                self._point(arena, index, x, images)
+        for slot, whole in self.exports:
+            values[slot] = whole
+        for base, slot, shape in self.results:
+            # The copy-out's target: what the caller keeps across later forwards.
+            # reprolint: disable=hot-path-alloc
+            out = values[slot] = np.empty((images * shape[0], *shape[1:]), dtype=np.float32)
+            bases[base] = out.ctypes.data
+        # Each bound conv stands for the layout lookup an unbound call would make.
+        _LAYOUT_STATS.hits += self._convs
+        self._call(self._block, images, stamps)
+
+    def _point(self, arena, index: int, x: np.ndarray, images: int) -> None:
+        """Read import ``index`` from ``x`` from now on: the slow path, for a
+        caller's frame or a view (an arena-backed step's output is the same
+        array every forward).  One staged through ``arena`` is not remembered."""
+        base, slot, shape = self.imports[index]
+        if x.shape != ((images, *shape[1:]) if self.per_image else shape):
+            raise ValueError(f"slot {slot} was bound as {shape}, got {x.shape}")
+        staged = _contiguous(x, arena, (self.ops[0].key, "in", index))
+        self._bases[base] = staged.ctypes.data
+        self._held[index] = x if staged is x else None
+
+    def profile(self, values, arena, profiler) -> None:
+        """:meth:`execute` — the same call — with the library stamping each step:
+        a conv's staging / kernel boundary, one interval for glue."""
+        stamps = np.zeros(2 * len(self.ops), dtype=np.int64)
+        self.execute(values, arena, stamps.ctypes.data)
+        spent = (stamps * 1e-9).tolist()
+        for index, (name, kind, mode, conv) in enumerate(self._rows):
+            first, second = spent[2 * index], spent[2 * index + 1]
+            phases = {"gather": first, "gemm": second, "epilogue": 0.0} if conv else None
+            profiler.record_op(name, kind, mode, first + second, phases)
 
 
 # ------------------------------------------------------------------- fuse pass
@@ -734,16 +874,18 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
 
 
 def _batch_axis_preserved(graph: GraphPlan) -> bool:
-    """Whether every model output provably carries the batch on axis 0.
+    """Whether every tensor of the graph provably carries the batch on axis 0,
+    one independent row per image.
 
     Batch-bucketing (padding a batch and slicing ``[:count]`` off every
-    output) is only legal when that holds.  Flags propagate conservatively by
+    output) and running a segment image by image are only legal when that
+    holds.  Flags propagate conservatively by
     op kind: raw kernels preserve the axis by construction; ``getitem`` only
     counts when it leaves axis 0 as a full slice; ``concat`` must not join on
     axis 0; replayed modules must have produced outputs whose traced leading
     dimension equals the traced batch (demoted 1-in/1-out nodes carry no
     shapes and are elementwise by construction).  Anything unprovable simply
-    disables bucketing — the program still runs, unpadded.
+    disables both — the program still runs, unpadded and whole-batch.
     """
     flags: Dict[int, bool] = {graph.input_slot: True}
     for node in graph.ops:
@@ -768,7 +910,7 @@ def _batch_axis_preserved(graph: GraphPlan) -> bool:
                 or all(shape and shape[0] == graph.example_batch for shape in shapes))
         for out_slot in node.outputs:
             flags[out_slot] = ok
-    return all(flags.get(slot, False) for slot in graph.output_slots())
+    return all(flags.values()) and all(slot in flags for slot in graph.output_slots())
 
 
 def _sole_consumer(slot: int, consumers: Dict[int, int],
@@ -782,7 +924,8 @@ def _sole_consumer(slot: int, consumers: Dict[int, int],
 
 # --------------------------------------------------------------------- program
 class FusedProgram:
-    """An executable fused graph: flat op list + per-thread workspace arenas."""
+    """An executable fused graph: flat op list, run as segments over per-thread
+    workspace arenas."""
 
     # reprolint lock-discipline contract: the weak-arena list is shared by
     # every serving thread's first forward and mutates only under its lock.
@@ -792,9 +935,18 @@ class FusedProgram:
                  bucket_safe: bool = True) -> None:
         self.graph = graph
         self.steps = steps
-        #: Whether batch-bucketing is provably output-safe for this graph
-        #: (see :func:`_batch_axis_preserved`); unsafe graphs run unpadded.
+        #: Whether every tensor provably holds one independent row per image
+        #: (see :func:`_batch_axis_preserved`): native runs then execute image
+        #: by image and batches may be bucketed; unsafe graphs run whole-batch
+        #: and unpadded.
         self.bucket_safe = bucket_safe
+        #: One run of native steps end to end, as far as anyone has seen:
+        #: nothing in it is sized by the batch, so it takes no bucket.  Cleared
+        #: for good by the first cut that proves otherwise (a step whose native
+        #: body does not bind to its input shapes: a broadcasting add).
+        self._whole = bucket_safe and all(op.natively() for op in steps)
+        #: The calibration hook :meth:`observe` attached, else None.
+        self._observer = None
         self._tls = threading.local()
         # Weak references: an arena is kept alive by its owning thread's local
         # storage, so scratch buffers die with the thread instead of
@@ -846,18 +998,29 @@ class FusedProgram:
         profiler = getattr(self._tls, "profiler", None)
         return profiler if profiler is not None else self._profiler
 
+    def observe(self, observer) -> None:
+        """Attach / detach (``None``) the calibration hook of every float conv
+        (:attr:`FusedConv.observer`).  An observed conv is a Python step, so a
+        forward is cut into segments afresh, unkept, while one is attached.
+        Single-writer, like ``refresh()``: not under another thread's forward."""
+        self._observer = observer
+        for op in self.steps:
+            if type(op) is FusedConv:
+                op.observer = observer
+
     # --------------------------------------------------------------- execution
     def run(self, data: np.ndarray):  # reprolint: hot
         """Execute the fused program on raw NCHW input.
 
-        When every model output provably carries the batch on axis 0
-        (``bucket_safe``), the batch is padded up to the next power of two
-        before executing (padding rows replicate the last real row and are
-        discarded): inference runs in eval mode, where every batch row is
-        independent, and bucketing bounds the arena to at most log2 buffer
-        sets per geometry instead of one per distinct micro-batch size the
-        serving batcher happens to form.  Graphs whose outputs do not provably
-        keep the batch axis simply run unpadded.
+        A ``bucket_safe`` program with a Python-bodied step pads the batch up
+        to the next power of two before executing (padding rows replicate the
+        last real row and are discarded): rows are independent, and bucketing
+        bounds the arena to at most log2 whole-batch buffer sets per geometry
+        instead of one per distinct micro-batch size the serving batcher
+        happens to form.  A program that is one native segment end to end runs
+        on one-image buffers, which leave a bucket nothing to bound: it
+        executes exactly the images it was given.  Graphs that are not
+        ``bucket_safe`` run unpadded, whole-batch.
 
         Returns the model's output structure as *fresh* numpy arrays — results
         never alias arena buffers, so callers (e.g. the serving layer handing
@@ -866,11 +1029,12 @@ class FusedProgram:
         Profiling (``repro.obs``): resolving the attached profiler is the one
         instrumentation cost the unprofiled path pays — two attribute reads
         and an ``is None`` branch per *forward* (not per op), gated ≤2% by
-        ``benchmarks/test_obs_overhead.py``.
+        ``benchmarks/test_obs_overhead.py``.  A profiled forward makes the
+        same calls; the library stamps the steps of a segment as it goes.
         """
         return self._run(data, self._active_profiler())
 
-    def _run(self, data: np.ndarray, profiler):
+    def _run(self, data: np.ndarray, profiler):  # reprolint: hot
         arena = self._arena()
         # Input normalization: already-contiguous float32 input (the serving
         # batcher's stacked batches) is a no-op view, anything else is a
@@ -878,7 +1042,8 @@ class FusedProgram:
         data = np.ascontiguousarray(data, dtype=np.float32)  # reprolint: disable=hot-path-alloc
         count = data.shape[0]
         bucket = 1 << max(0, count - 1).bit_length()
-        padded = self.bucket_safe and bucket != count
+        whole = self._whole
+        padded = self.bucket_safe and not whole and bucket != count
         if padded:
             staged = arena.buffer(("input", "bucket"), (bucket, *data.shape[1:]))
             staged[:count] = data
@@ -890,28 +1055,92 @@ class FusedProgram:
             data = staged
         values: List[Optional[np.ndarray]] = [None] * self.graph.num_slots
         values[self.graph.input_slot] = data
-        if profiler is None:
-            with no_grad(), np.errstate(over="ignore"):
-                for op in self.steps:
-                    op.execute(values, arena)
-        else:
-            run_started = time.perf_counter()
-            with no_grad(), np.errstate(over="ignore"):
-                for op in self.steps:
-                    started = time.perf_counter()
-                    phases = (op.execute(values, arena, True)
-                              if isinstance(op, FusedConv) else op.execute(values, arena))
-                    profiler.record_op(
-                        op.profile_name(), op.node.kind, op.mode,
-                        time.perf_counter() - started, phases)
-            profiler.record_run(time.perf_counter() - run_started)
-        return fill_template(
-            self.graph.output_template,
+        # What a forward of this shape runs lives in the arena, like every
+        # other binding: (its segments, the outputs they leave in fresh arrays)
+        # — per geometry where no buffer is sized by the batch.  An observed
+        # forward has convs to show to its observer: it cuts its own.
+        plan = ([], set()) if self._observer is not None else arena.binding(
+            "segments", data.shape[1:] if whole else data.shape, lambda arena, key: ([], set()))
+        segments, fresh = plan
+        started = time.perf_counter()
+        with no_grad(), np.errstate(over="ignore"):
+            for segment in segments or self._resolve(arena, values, plan, whole):
+                if profiler is None:
+                    segment.execute(values, arena)
+                else:
+                    segment.profile(values, arena, profiler)
+        if profiler is not None:
+            profiler.record_run(time.perf_counter() - started)
+
+        def result(slot):
+            if slot in fresh and not padded:
+                return values[slot]                  # its segment copied it out already
             # Mandatory copy-out: results must never alias arena buffers (the
             # next forward overwrites them under the caller's feet).
             # reprolint: disable=hot-path-alloc
-            lambda slot: np.array(values[slot][:count] if padded else values[slot],
-                                  dtype=np.float32, copy=True))
+            return np.array(values[slot][:count] if padded else values[slot],
+                            dtype=np.float32, copy=True)
+        return fill_template(self.graph.output_template, result)
+
+    def _resolve(self, arena, values, plan, whole):
+        """Cut the steps into segments for this input shape, while running them.
+
+        A generator the forward's one loop drives: each maximal run of steps
+        that bind natively becomes a :class:`Segment`, every other step is a
+        segment of its own, and each is yielded once what it reads exists — a
+        native step tells its output shape at bind, a Python step only by
+        running.  The finished cut is filled into ``plan`` (what the arena
+        keeps) unless an observer showed up, or the forward took no bucket
+        (``whole``) and some buffer is sized by its batch after all.
+        """
+        steps, rows = self.steps, values[self.graph.input_slot].shape[0]
+        last_read = {slot: index for index, op in enumerate(steps) for slot in op.node.inputs}
+        outputs = self.graph.output_slots()
+        pending: Dict[int, tuple] = {}     # slot -> shape a bound, not yet run step gives it
+        cut: list = []
+        run: list = []
+        alone = False                      # whether one run is the whole program
+        for index, op in enumerate([*steps, None]):
+            bound = None if op is None else self._native(op, arena, values, pending, rows)
+            if bound is not None:
+                run.append(bound)
+                pending[op.out_slot] = bound[1].out.shape
+                continue
+            if run:
+                alone = len(run) == len(steps)
+                cut.append(Segment(
+                    arena, run, rows if self.bucket_safe else None,
+                    lambda slot: last_read.get(slot, -1) >= index or (slot in outputs and not alone),
+                    outputs if alone else ()))
+                if alone:
+                    plan[1].update(slot for slot in outputs if outputs.count(slot) == 1)
+                run = []
+                yield cut[-1]
+            if op is not None:
+                cut.append(op)
+                yield op
+        if self._observer is None:
+            if alone or not whole:
+                plan[0].extend(cut)
+            else:
+                self._whole = False
+
+    def _native(self, op, arena, values, pending, rows):
+        """``(op, its bound native step, the input shapes it is bound for)`` —
+        one image's where rows are independent — or None: a Python body."""
+        if not op.natively():
+            return None
+        shapes = []
+        for slot in op.node.inputs:
+            x = values[slot]
+            shape = pending[slot] if x is None else x.shape
+            if self.bucket_safe:
+                if x is not None and shape[:1] != (rows,):
+                    return None                      # not one row per image after all
+                shape = (1, *shape[1:])
+            shapes.append(shape)
+        bound = arena.binding(op.key, tuple(shapes), op._bind)
+        return (op, bound, shapes) if isinstance(bound, BoundCall) else None
 
     # --------------------------------------------------------------- reporting
     def conv_modes(self) -> Dict[str, str]:

@@ -22,9 +22,13 @@ first use with the host compiler into one shared library exposing
 ``maxpool_call`` / ``concat_call`` / ``add_call`` / ``relu_call`` / ``upsample_call``
     The exact glue ops between convolutions, value for value what their numpy
     bodies in :mod:`repro.engine.fuse` compute (NaNs propagate, the pool halo
-    is -inf).  They, like ``sconv_call``, are **bound calls**: every operand
+    is -inf).  They, like ``sconv_call``, are **bound steps**: every operand
     sits in an args block filled once per (arena, input shapes)
-    (:class:`BoundCall`), so a forward pays one FFI call with one argument.
+    (:class:`BoundCall`).
+
+``run_segment(segment, images, stamps)``
+    What a forward calls: a maximal run of bound steps, image by image, on
+    one-image buffers that stay in cache (:class:`repro.engine.fuse.Segment`).
 
 ``bias_act_f32(buf, bias, act, slope, rows, oc, length)``
     The same bias + activation, in place and in one pass, over the output of
@@ -537,6 +541,53 @@ void upsample_call(const upsample_args *a) {
         out += s * wide;
     }
 }
+
+/* ---- segments ----------------------------------------------------------- */
+
+/* A run of bound steps as one call (fuse.Segment fills the tables, rows of
+ * int64s).  Per image: aim every pointer field the run reads or writes through
+ * at bases[base] + img * stride (stride 0: a buffer the run keeps to itself,
+ * reused by every image), run the steps in order, copy the model outputs out. */
+typedef struct { int64_t op; const void *args; } seg_step;
+typedef struct { char **field; int64_t base, stride; } seg_patch;
+typedef struct { const char *src; int64_t base, bytes; } seg_copy;
+typedef struct {
+    const seg_step *steps; const seg_patch *patches; const seg_copy *copies; char *const *bases;
+    int64_t nsteps, npatches, ncopies;
+} segment_args;
+
+/* stamps (NULL when untimed) sums two ns counts per step over the images:
+ * staging and kernel of a convolution, the whole step and 0 for glue. */
+void run_segment(const segment_args *s, int64_t images, int64_t *stamps) {
+    for (int64_t img = 0; img < images; img++) {
+        for (const seg_patch *p = s->patches; p < s->patches + s->npatches; p++)
+            *p->field = s->bases[p->base] + img * p->stride;
+        int64_t last = stamps ? now_ns() : 0, at[2];
+        for (int64_t i = 0; i < s->nsteps; i++) {
+            const void *a = s->steps[i].args;
+            switch (s->steps[i].op) {                     /* the order of native.ARGS */
+                case 0: sconv_call(a, stamps ? at : NULL); break;
+                case 1: maxpool_call(a); break;
+                case 2: concat_call(a); break;
+                case 3: add_call(a); break;
+                case 4: relu_call(a); break;
+                case 5: upsample_call(a); break;
+            }
+            if (!stamps) continue;
+            if (s->steps[i].op) at[0] = at[1] = now_ns();
+            stamps[2 * i] += at[0] - last;
+            stamps[2 * i + 1] += at[1] - at[0];
+            last = at[1];
+        }
+        for (const seg_copy *c = s->copies; c < s->copies + s->ncopies; c++)
+            memcpy(s->bases[c->base] + img * c->bytes, c->src, (size_t)c->bytes);
+    }
+}
+
+/* sizeof of each args struct, in the order of native.ARGS, for the loader to check */
+const int64_t args_sizes[] = {sizeof(sconv_args), sizeof(maxpool_args), sizeof(concat_args),
+                              sizeof(ewise_args), sizeof(ewise_args), sizeof(upsample_args),
+                              sizeof(segment_args)};
 """
 
 #: Epilogue activation codes of both kernels (module-level so the executors
@@ -615,9 +666,11 @@ def _args_block(pointers: str, ints: str = "", doubles: str = ""):
 #: dtype of the array whose :func:`address` a pointer field takes.
 FIELD_DTYPES = {"out": np.float32, "staged": np.float32, "scratch": np.float32,
                 "val": np.float32, "bias": np.float32, "rowptr": np.int32, "off": np.int32,
-                "tile_dst": np.int32, "keep": np.uint16, "sizes": np.int64}
+                "tile_dst": np.int32, "keep": np.uint16, "sizes": np.int64,
+                "steps": np.int64, "patches": np.int64, "copies": np.int64, "bases": np.int64}
 
-#: Bound-call entry point -> its args block (field order is the C struct's).
+#: Entry point -> its args block (field order is the C struct's; the loader
+#: checks the sizes).  A step's position here is its opcode in ``run_segment``.
 ARGS = {
     "sconv_call": _args_block(
         "srcs staged out rowptr off val bias keep tile_dst",
@@ -628,68 +681,44 @@ ARGS = {
     "add_call": _args_block("srcs out", "count"),
     "relu_call": _args_block("srcs out", "count"),
     "upsample_call": _args_block("srcs out", "planes h w scale"),
+    "run_segment": _args_block("steps patches copies bases", "nsteps npatches ncopies"),
 }
 
 
+def fill(args: ctypes.Structure, fields: dict) -> int:
+    """Set ``fields`` of an args block (:data:`FIELD_DTYPES` operands by
+    :func:`address`); returns its address — keep ``args`` and ``fields`` alive."""
+    for field, value in fields.items():
+        dtype = FIELD_DTYPES.get(field)
+        setattr(args, field, value if dtype is None else address(value, dtype))
+    return ctypes.addressof(args)
+
+
 class BoundCall:
-    """One native call with every operand bound: the call is the whole cost.
+    """One native step with every operand bound, ready to join a segment.
 
     Built once per (arena, input shapes) by :meth:`SparseConvKernel.bind` and
     kept *in that arena*: the args block holds raw addresses of arena buffers
-    and packed operands, so the binding keeps every one of those arrays alive
-    — ``out`` and the other operands, and ``inputs``: the array each input
-    pointer was last taken from (one that is the same object next forward, as
-    arena-produced ones are, costs an ``is`` instead of a ``.ctypes.data``).
-    ``stamps`` is the two-slot ns array a timed ``sconv_call`` fills.
+    and packed operands, so the binding keeps every one of those arrays alive.
+    ``srcs`` (the pointers the step reads its inputs through) and ``out_at``
+    (the address of the block's ``out`` field) are what a
+    :class:`repro.engine.fuse.Segment` aims per image before ``run_segment``
+    runs opcode ``op`` on ``block``.
     """
 
-    __slots__ = ("key", "out", "inputs", "stamps",
-                 "_call", "_block", "_pointers", "_stamps_at", "_alive")
+    __slots__ = ("out", "op", "block", "srcs", "out_at", "_alive")
 
-    def __init__(self, call, args: ctypes.Structure, key, inputs: int, fields: dict) -> None:
-        self._pointers = (ctypes.c_void_p * inputs)()
-        args.srcs = ctypes.addressof(self._pointers)
-        for field, value in fields.items():
-            dtype = FIELD_DTYPES.get(field)
-            setattr(args, field, value if dtype is None else address(value, dtype))
-        self._call, self._block, self._alive = call, ctypes.addressof(args), (args, fields)
-        self.key, self.out = key, fields["out"]
-        self.inputs: list = [None] * inputs
-        self.stamps = (ctypes.c_int64 * 2)()
-        self._stamps_at = ctypes.addressof(self.stamps)
-
-    def point(self, arena, index: int, x: np.ndarray) -> None:
-        """Read input ``index`` from ``x`` from now on: the slow path of a call.
-
-        The output of an arena-backed step is the same array every forward and
-        never gets here; a caller's frame or a view does.  One that is not
-        C-contiguous float32 is copied into ``arena`` first — and, being a
-        copy, is not remembered as this input.
-        """
-        staged = x
-        if x.dtype != np.float32 or not x.flags.c_contiguous:
-            staged = arena.buffer((self.key, "in", index), x.shape)
-            np.copyto(staged, x)
-        self._pointers[index] = staged.ctypes.data
-        self.inputs[index] = x if staged is x else None
-
-    def run(self, arena, *inputs) -> np.ndarray:
-        """Call on this forward's ``inputs``; returns ``out`` (a glue step's body)."""
-        held = self.inputs
-        for index, x in enumerate(inputs):
-            if x is not held[index]:
-                self.point(arena, index, x)
-        self._call(self._block)
-        return self.out
-
-    def __call__(self, timed: bool) -> None:
-        """``sconv_call`` on the input :meth:`point` set; ``timed`` fills ``stamps``."""
-        self._call(self._block, self._stamps_at if timed else None)
+    def __init__(self, op: int, args: ctypes.Structure, inputs: int, fields: dict) -> None:
+        self.srcs = (ctypes.c_void_p * inputs)()
+        args.srcs = ctypes.addressof(self.srcs)
+        self.op, self.block, self._alive = op, fill(args, fields), (args, fields)
+        self.out = fields["out"]
+        self.out_at = self.block + type(args).out.offset
 
 
 class SparseConvKernel:
     """ctypes wrapper around the library's fp32 entry points (one per process):
-    ``bias_act_f32`` and the bound calls of :data:`ARGS`."""
+    ``bias_act_f32`` and ``run_segment`` over the bound steps of :data:`ARGS`."""
 
     def __init__(self, lib: ctypes.CDLL, path: Path) -> None:
         self.path = path
@@ -699,19 +728,15 @@ class SparseConvKernel:
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, ctypes.c_float,
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,     # rows, oc, length
         ]
-        self._calls = {}
-        for name in ARGS:
-            call = self._calls[name] = getattr(lib, name)
-            call.restype = None
-            # args block, and for the one entry point a profile splits, its stamps
-            call.argtypes = [ctypes.c_void_p] * (2 if name == "sconv_call" else 1)
+        self.run_segment = lib.run_segment          # (segment block, images, stamps or None)
+        self.run_segment.restype = None
+        self.run_segment.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
 
-    def bind(self, name: str, key, inputs: int = 1, **fields) -> BoundCall:
-        """Bind entry point ``name`` for the step ``key``, reading ``inputs``
-        inputs, to ``fields``: the rest of its args block — numbers as they
-        are, the :data:`FIELD_DTYPES` operands (``out`` among them) as arrays,
-        ``None`` for ``NULL``."""
-        return BoundCall(self._calls[name], ARGS[name](), key, inputs, fields)
+    def bind(self, name: str, inputs: int = 1, **fields) -> BoundCall:
+        """Bind step ``name``, reading ``inputs`` inputs, to ``fields``: the rest
+        of its args block — numbers as they are, the :data:`FIELD_DTYPES`
+        operands (``out`` among them) as arrays, ``None`` for ``NULL``."""
+        return BoundCall(list(ARGS).index(name), ARGS[name](), inputs, fields)
 
     def bias_act(self, buf: np.ndarray, bias: Optional[int], act: int, slope: float) -> None:
         """``buf = act(buf + bias)`` in place, one pass: the GEMM path's epilogue.
@@ -795,7 +820,15 @@ def _build() -> Tuple[Optional[NativeQuantKernel], Optional[SparseConvKernel]]:
     if not lib.sconv_supported():
         log.info("native kernels disabled: CPU lacks AVX-512F")
         return None, None
-    sparse = SparseConvKernel(lib, so_path)
+    sparse: Optional[SparseConvKernel] = SparseConvKernel(lib, so_path)
+    sizes = (ctypes.c_int64 * len(ARGS)).in_dll(lib, "args_sizes")
+    for (name, block), size in zip(ARGS.items(), sizes):
+        if size != ctypes.sizeof(block):
+            # A struct and its mirror drifted apart: no bound call is safe to make.
+            log.warning("native fp32 kernels disabled: %s args block is %d bytes here, %d in "
+                        "the library", name, ctypes.sizeof(block), size)
+            sparse = None
+            break
     if not lib.igemm_supported():
         log.info("native int8 kernel disabled: CPU lacks AVX512-VNNI")
         return None, sparse

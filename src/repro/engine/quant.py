@@ -117,7 +117,7 @@ def calibrate_activation_scales(program: FusedProgram,
     """Observe per-conv activation ranges on calibration batches.
 
     Installs the observer hook on every float :class:`FusedConv` of
-    ``program``, runs each batch, and returns
+    ``program`` (:meth:`FusedProgram.observe`), runs each batch, and returns
     ``{layer: {"in_max", "pre_max", "post_max"}}`` — the absolute ranges of the
     conv's input, its pre-activation GEMM output (bias included) and its final
     output.  These are the only statistics :func:`lower_int8` needs; they are
@@ -134,16 +134,12 @@ def calibrate_activation_scales(program: FusedProgram,
         if peak > entry[key]:
             entry[key] = peak
 
-    convs = [op for op in program.steps
-             if isinstance(op, FusedConv) and not isinstance(op, QuantFusedConv)]
+    program.observe(observe)
     try:
-        for op in convs:
-            op.observer = observe
         for batch in batches:
             program.run(np.ascontiguousarray(batch, dtype=np.float32))
     finally:
-        for op in convs:
-            op.observer = None
+        program.observe(None)
     return stats
 
 

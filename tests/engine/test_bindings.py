@@ -2,12 +2,16 @@
 
 A binding (:meth:`repro.engine.arena.WorkspaceArena.binding`) is what one op
 resolved once for one tuple of input shapes: its buffers and, natively, a
-:class:`repro.engine.native.BoundCall` holding raw addresses.  These tests pin
-who owns it and when it dies: one per thread arena and shape, reused across
-interleaved batch buckets, immune to a caller's input moving in memory, left
-alone by a ``refresh()`` that happens under a running forward, dropped by
-``arena.clear()`` and by the exit of its thread.  They run in both kernel
-modes; the assertions about ``BoundCall`` objects need the native library.
+:class:`repro.engine.native.BoundCall` holding raw addresses — bound for one
+image where rows are independent, so one per step serves every batch size.
+The arena also keeps how a forward of one input shape is cut into segments
+(:class:`repro.engine.fuse.Segment`: tables of raw addresses of those args
+blocks).  These tests pin who owns all that and when it dies: one per thread
+arena and shape, shared by interleaved batch buckets, immune to a caller's
+input moving in memory, left alone by a ``refresh()`` that happens under a
+running forward, dropped by ``arena.clear()`` and by the exit of its thread.
+They run in both kernel modes; the assertions about ``BoundCall`` and
+``Segment`` objects need the native library.
 """
 
 from __future__ import annotations
@@ -21,9 +25,12 @@ import pytest
 
 from repro.core.rtoss import prune_with_rtoss
 from repro.engine import BatchRunner, compile_model, max_abs_output_diff, sparse_kernel_available
-from repro.engine.fuse import FusedConv
+from repro.engine.fuse import Segment, _BoundOp, _FusedOp
 from repro.engine.native import BoundCall
+from repro.engine.trace import OpNode
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
+from repro.nn.layers.activation import Sigmoid
+from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
 TOL = 1e-5
@@ -41,19 +48,22 @@ def _arena(compiled):
 
 
 def _bound_calls(arena):
-    """Every native call bound in ``arena`` (directly, or inside a glue step)."""
-    calls = []
-    for bound in arena._bindings.values():
-        bound = getattr(bound, "__self__", bound)         # a glue step keeps ``BoundCall.run``
-        if isinstance(bound, BoundCall):
-            calls.append(bound)
-    return calls
+    """Every native step bound in ``arena``."""
+    return [bound for bound in arena._bindings.values() if isinstance(bound, BoundCall)]
+
+
+def _segments(arena):
+    """Every native segment of every cut ``arena`` keeps."""
+    return [segment for (key, _), bound in arena._bindings.items() if key == "segments"
+            for segment in bound[0] if isinstance(segment, Segment)]
 
 
 def _watch(arena):
-    """Weak references that die with the arena's bindings and their output buffers."""
+    """Weak references that die with the arena's bindings, their output
+    buffers and its segment tables."""
     portable = [bound for bound in arena._bindings.values() if hasattr(bound, "__closure__")]
-    return [weakref.ref(item) for item in portable + [call.out for call in _bound_calls(arena)]]
+    return [weakref.ref(item) for item in
+            portable + [call.out for call in _bound_calls(arena)] + _segments(arena)]
 
 
 def test_two_threads_get_separate_bindings_and_identical_outputs(rng):
@@ -83,17 +93,39 @@ def test_two_threads_get_separate_bindings_and_identical_outputs(rng):
         assert max_abs_output_diff(output, expected) == 0.0
 
 
+class _Squashed(Module):
+    """Pruned tiny with a stand-alone sigmoid behind it: a Python-bodied last
+    step, so the program buckets its batches."""
+
+    def __init__(self, body):
+        super().__init__()
+        self.body, self.squash = body, Sigmoid()
+
+    def forward(self, x):
+        return self.squash(self.body(x))
+
+
 def test_interleaved_batch_buckets_reuse_one_binding_per_shape(rng):
-    model, compiled = _pruned_tiny()
+    """One binding per native step, shared by every bucket: a step in a run of
+    native steps is bound for one image.  Per bucket there is only the cut
+    itself and what a Python-bodied step resolves whole-batch."""
+    model = _Squashed(_pruned_tiny()[0])
+    compiled = compile_model(model)
     frames = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
     alone = [compiled.forward_raw(frames[i:i + 1]) for i in range(8)]
     for size in (1, 2, 4, 8, 3, 5):                       # 3 and 5 also stage their padding
         compiled.forward_raw(frames[:size])
     arena = _arena(compiled)
     warm = dict(arena._bindings)
-    binders = [op for op in compiled._fused_program.steps
-               if not isinstance(op, FusedConv) or op.direct is not None]   # not the GEMM path
-    assert len(warm) == 4 * len(binders), "one binding per step and bucket"
+    steps = compiled._fused_program.steps
+    native = [op for op in steps if op.natively()]
+    python = [op for op in steps if isinstance(op, _BoundOp) and not op.natively()]
+    assert python and not compiled._fused_program._whole
+    assert len(_bound_calls(arena)) == len(native), "one binding per native step, not per bucket"
+    assert len(warm) == len(native) + 4 * (len(python) + 1), "per bucket: Python steps + the cut"
+    if native:
+        assert all(segment.per_image for segment in _segments(arena))
+        assert {call.out.shape[0] for call in _bound_calls(arena)} == {1}
     misses = compiled.arena_stats()["misses"]
     for size in (8, 1, 4, 3, 2, 5, 1, 8, 7):             # 3 -> 4, 5 and 7 -> 8
         batched = compiled.forward_raw(frames[:size])
@@ -102,6 +134,30 @@ def test_interleaved_batch_buckets_reuse_one_binding_per_shape(rng):
     assert arena._bindings.keys() == warm.keys()
     assert all(arena._bindings[key] is warm[key] for key in warm)
     assert compiled.arena_stats()["misses"] == misses
+
+
+@pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")
+def test_one_native_segment_takes_no_bucket(rng):
+    """Pruned tiny is one run of native steps: every buffer is one image's, so
+    a micro-batch of 3 runs 3 images and batches 1...8 allocate what batch 1 did."""
+    _, compiled = _pruned_tiny()
+    frames = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
+    alone = [compiled.forward_raw(frames[i:i + 1]) for i in range(8)]
+    arena = _arena(compiled)
+    after_one = arena.stats()
+    (segment,) = _segments(arena)
+    assert compiled._fused_program._whole and len(segment.ops) == len(compiled._fused_program)
+    assert segment.results and not segment.exports, "outputs leave by the copy table only"
+    for size in (2, 3, 4, 5, 6, 7, 8, 0):
+        batched = compiled.forward_raw(frames[:size])
+        assert batched.shape[0] == size
+        for i in range(size):
+            assert max_abs_output_diff(batched[i:i + 1], alone[i]) == 0.0
+    stats = arena.stats()
+    assert (stats["buffers"], stats["bytes_allocated"], stats["misses"]) == (
+        after_one["buffers"], after_one["bytes_allocated"], after_one["misses"])
+    assert _segments(arena) == [segment], "one cut for every batch size"
+    assert ("input", "bucket") not in {key for key, _, _ in arena._slots}
 
 
 def test_caller_input_that_moves_between_calls(rng):
@@ -124,15 +180,21 @@ def test_caller_input_that_moves_between_calls(rng):
     assert np.abs(compiled.forward_raw(other) - oracle).max() <= TOL * max(1, np.abs(oracle).max())
 
 
-class _Gate:
-    """A step that parks its forward mid-program until the test lets it go."""
+class _Gate(_FusedOp):
+    """A Python-bodied step that reads and writes nothing: once armed, it parks
+    its forward between two native segments until the test lets it go."""
+
+    __slots__ = ("armed", "reached", "release")
 
     def __init__(self):
-        self.reached, self.release = threading.Event(), threading.Event()
+        super().__init__(OpNode(index=10_000, kind="gate", name="gate", inputs=(),
+                                outputs=(0,), params={}))
+        self.armed, self.reached, self.release = (threading.Event() for _ in range(3))
 
     def execute(self, values, arena):
-        self.reached.set()
-        assert self.release.wait(60.0)
+        if self.armed.is_set():
+            self.reached.set()
+            assert self.release.wait(60.0)
 
 
 @pytest.mark.parametrize("change", ["weights", "mask"])
@@ -140,7 +202,10 @@ def test_refresh_under_a_running_forward(change, rng):
     """The old program finishes on its own arrays; the next forward sees the new model.
 
     The parked thread has run this shape before: its bindings own the layouts
-    and CSR arrays ``refresh()`` is about to drop from the plans.  (Binding a
+    and CSR arrays ``refresh()`` is about to drop from the plans, and its
+    segment tables hold their addresses.  A forward can only be parked where
+    Python runs — here a gate step in the middle of the program, so the slots
+    that cross it are whole-batch exports of the segment before.  (Binding a
     *new* shape while ``refresh()`` runs stays excluded by refresh's
     single-writer contract — that reads the plan being re-packed.)
     """
@@ -149,6 +214,8 @@ def test_refresh_under_a_running_forward(change, rng):
     before = compiled.forward_raw(x)
     old_program = compiled._fused_program
     gate, warmed, go, result = _Gate(), threading.Event(), threading.Event(), {}
+    # Cuts are made per arena: the worker's, made on its first forward, has the gate.
+    old_program.steps.insert(len(old_program.steps) // 2, gate)
 
     def worker():
         old_program.run(x)
@@ -156,11 +223,11 @@ def test_refresh_under_a_running_forward(change, rng):
         assert go.wait(60.0)
         result["out"] = old_program.run(x)
 
-    # The thread's first forward runs ungated, its second parks half-way.
+    # The thread's first forward passes the open gate, its second parks half-way.
     thread = threading.Thread(target=worker)
     thread.start()
     assert warmed.wait(60.0)
-    old_program.steps.insert(len(old_program.steps) // 2, gate)
+    gate.armed.set()
     go.set()
     assert gate.reached.wait(60.0)
 

@@ -82,18 +82,21 @@ def test_replacement_is_a_real_lock(module, lock_name):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_binds_afresh_and_inherited_bindings_stay_valid():
-    """A binding holds addresses of this process's arena buffers.  ``fork``
-    copies the address space, so the forking thread's arena and bindings stay
-    valid in the child (copy-on-write, same addresses); every other thread of
-    the child starts with an empty arena and binds afresh.  Both must give the
-    parent's answer, and the child must not have written into the parent's
-    buffers."""
+    """A binding holds addresses of this process's arena buffers, and a
+    segment table the addresses of the bindings' args blocks.  ``fork`` copies
+    the address space, so the forking thread's arena, bindings and segments
+    stay valid in the child (copy-on-write, same addresses) — also for a batch
+    size the parent never ran, which re-aims the inherited table; every other
+    thread of the child starts with an empty arena and binds and cuts afresh.
+    All must give the parent's answer, and the child must not have written
+    into the parent's buffers."""
     import threading
 
     import numpy as np
 
     from repro.core.rtoss import prune_with_rtoss
     from repro.engine import compile_model, max_abs_output_diff
+    from repro.engine.fuse import Segment
     from repro.models.tiny import TinyDetector, TinyDetectorConfig
 
     model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8))
@@ -105,11 +108,19 @@ def test_forked_child_binds_afresh_and_inherited_bindings_stay_valid():
     arena = compiled._fused_program._arena()
     bound_before = len(arena._bindings)
 
+    def segments(of):
+        return [segment for (key, _), bound in of._bindings.items() if key == "segments"
+                for segment in bound[0] if isinstance(segment, Segment)]
+
+    inherited_segments = segments(arena)
+
     pid = os.fork()
     if pid == 0:                                         # child: report through the exit code
         code = 1
         try:
             inherited = compiled.forward_raw(x)
+            bound_in_child = len(arena._bindings)
+            single = compiled.forward_raw(x[1:])         # a batch size new to the child
             fresh = {}
             thread = threading.Thread(
                 target=lambda: fresh.update(out=compiled.forward_raw(x),
@@ -118,10 +129,14 @@ def test_forked_child_binds_afresh_and_inherited_bindings_stay_valid():
             thread.join(60.0)
             compiled.forward_raw(other)                  # scribble over the child's buffers
             ok = (max_abs_output_diff(inherited, expected) == 0.0
+                  and max_abs_output_diff(single, expected[1:]) == 0.0
                   and max_abs_output_diff(fresh["out"], expected) == 0.0
+                  and segments(arena) == inherited_segments
+                  and len(segments(fresh["arena"])) == len(inherited_segments)
+                  and not set(map(id, segments(fresh["arena"]))) & set(map(id, inherited_segments))
                   and fresh["arena"] is not arena
                   and len(fresh["arena"]._bindings) == bound_before
-                  and len(arena._bindings) == bound_before)
+                  and bound_in_child == bound_before)
             code = 0 if ok else 2
         finally:
             os._exit(code)

@@ -322,7 +322,9 @@ def test_arena_zero_allocations_after_warmup(rng):
         compiled.forward_raw(x)
     steady = compiled.arena_stats()
     assert steady["misses"] == warm["misses"], "steady state must not allocate"
-    assert steady["hits"] > warm["hits"]
+    # Every forward counts at least the lookup of its cut into segments, whatever
+    # the steps behind it are bound to (a run of native steps looks nothing else up).
+    assert steady["hits"] >= warm["hits"] + 3
     assert steady["bytes_allocated"] == warm["bytes_allocated"]
 
 

@@ -1,0 +1,373 @@
+"""Segment execution against batch-1 forwards and the dense oracle, over generated graphs.
+
+A forward walks *segments* (:class:`repro.engine.fuse.Segment`): each maximal
+run of natively bound steps is one ``run_segment`` call that loops images
+outermost on one-image buffers, every Python-bodied step is a segment of its
+own on whole-batch arrays, and slots that cross the boundary are addressed per
+image through a patch table.  Hypothesis draws small graphs that put every
+kind of boundary somewhere — conv chains with concat / add / max-pool /
+upsample / stand-alone ReLU / an add that broadcasts (a native body that does
+not bind); a Python-bodied step (stand-alone sigmoid,
+``x * const``, GELU replayed as a module, a stand-alone BatchNorm, an unpruned
+conv on the GEMM path) at the start, in the middle, at the end or nowhere; a
+boundary slot fanning out to several native readers; model outputs that are
+read again downstream or listed twice; channel-slice views feeding a native
+step; and graphs that reverse the batch, so rows are *not* independent and the
+run stays whole-batch — and asserts, at batch 1–8, natively and pinned to the
+portable path:
+
+* a batch's result is bit for bit the stack of its batch-1 forwards;
+* it is within ``1e-5 * max(1, |oracle|)`` of the dense masked forward;
+* running the same sizes again (cached cuts, other sizes in between) changes
+  nothing.
+
+Deterministic tests below pin calibration (an observed conv is a Python step:
+every conv is seen although the cut is cached, and the cached cut still gives
+the same bits afterwards), the int8 program and the profile of a segment.
+``--hypothesis-seed=N`` reproduces a failure.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_conv_oracle import portable          # pins the portable path, as REPRO_NO_NATIVE=1 does
+
+from repro.core.rtoss import prune_with_rtoss
+from repro.engine import BatchRunner, compile_model, sparse_kernel_available
+from repro.engine.fuse import FusedConv, Segment
+from repro.engine.quant import calibrate_activation_scales
+from repro.engine.runner import map_structure
+from repro.models.tiny import TinyDetector, TinyDetectorConfig
+from repro.nn.layers.activation import GELU, ReLU, Sigmoid, SiLU
+from repro.nn.layers.conv import Conv2d
+from repro.nn.layers.merge import Add, Concat
+from repro.nn.layers.norm import BatchNorm2d
+from repro.nn.layers.pooling import MaxPool2d
+from repro.nn.layers.upsample import Upsample
+from repro.nn.module import Module
+from repro.nn.tensor import Tensor
+
+TOL = 1e-5
+
+NATIVE_KINDS = ("conv", "conv", "conv", "add", "concat", "maxpool", "upsample", "relu", "gate")
+PYTHON_KINDS = ("sigmoid", "scale", "gelu", "bn", "dense_conv")
+
+
+# ------------------------------------------------------------------ generation
+@st.composite
+def graphs(draw):
+    """``nodes`` — ``(kind, source tensors, params)``, tensor 0 being the input —
+    plus which tensors are model outputs and the batch sizes to run."""
+    shapes = [(draw(st.integers(2, 5)), *[draw(st.sampled_from([4, 6, 8]))] * 2)]
+    length = draw(st.integers(3, 9))
+    python_at = {"start": 0, "middle": length // 2, "end": length - 1,
+                 "nowhere": -1}[draw(st.sampled_from(["start", "middle", "end", "nowhere"]))]
+    nodes = []
+    for step in range(length):
+        kind = draw(st.sampled_from(PYTHON_KINDS if step == python_at else NATIVE_KINDS))
+        src = draw(st.integers(0, len(shapes) - 1))
+        c, h, w = shapes[src]
+        if draw(st.integers(0, 5)) == 0 and c >= 2:
+            # read the source through a channel-slice view (a GetitemOp step)
+            lo = draw(st.integers(0, c - 1))
+            hi = draw(st.integers(lo + 1, c))
+            nodes.append(("getitem", (src,), {"lo": lo, "hi": hi}))
+            shapes.append((hi - lo, h, w))
+            src, c = len(shapes) - 1, hi - lo
+        params = {}
+        sources = (src,)
+        if kind in ("conv", "dense_conv"):
+            params = {"cout": draw(st.integers(2, 6)), "k": draw(st.sampled_from([1, 3])),
+                      "bn": draw(st.booleans()),
+                      "act": draw(st.sampled_from([None, "relu", "silu"]))}
+            shape = (params["cout"], h, w)
+        elif kind in ("add", "concat"):
+            # a partner of the same spatial size (same shape for add): an
+            # earlier tensor when there is one, else the source itself
+            same = [i for i, other in enumerate(shapes)
+                    if other[1:] == (h, w) and (kind == "concat" or other[0] == c)]
+            sources = (src, draw(st.sampled_from(same)))
+            shape = (c + shapes[sources[1]][0], h, w) if kind == "concat" else (c, h, w)
+        elif kind == "maxpool":
+            fits = [(k, s, p) for k, s, p in [(2, 2, 0), (3, 1, 1), (3, 2, 1)] if h + 2 * p >= k]
+            params = {"geometry": draw(st.sampled_from(fits))}
+            k, s, p = params["geometry"]
+            shape = (c, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
+        elif kind == "upsample":
+            if h > 8:
+                kind = "relu"
+            shape = (c, 2 * h, 2 * w) if kind == "upsample" else (c, h, w)
+        else:
+            shape = (c, h, w)
+        nodes.append((kind, sources, params))
+        shapes.append(shape)
+    real = [i + 1 for i, node in enumerate(nodes)]
+    outputs = draw(st.lists(st.sampled_from(real), min_size=1, max_size=3))
+    return {"nodes": nodes, "in_shape": shapes[0], "shapes": shapes, "outputs": outputs,
+            "flip": draw(st.integers(0, 6)) == 0,
+            "batches": draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)),
+            "seed": draw(st.integers(0, 2 ** 31 - 1))}
+
+
+def _pruned_conv(cin, cout, k, pruned, rng):
+    conv = Conv2d(cin, cout, kernel_size=k, padding=k // 2, rng=rng)
+    conv.bias.data[...] = rng.standard_normal(cout).astype(np.float32)
+    if pruned:
+        # at most 1 in 3 weights survives, at least one per kernel row: the direct kernel
+        keep = (rng.random(conv.weight.data.shape) < 0.3).astype(np.float32)
+        keep.reshape(cout, -1)[np.arange(cout), rng.integers(0, cin * k * k, cout)] = 1.0
+        conv.weight.data *= keep
+        conv.pruning_masks["weight"] = keep
+    return conv
+
+
+def _batchnorm(channels, rng):
+    norm = BatchNorm2d(channels)
+    norm.running_mean[...] = rng.standard_normal(channels).astype(np.float32)
+    norm.running_var[...] = (0.2 + rng.random(channels)).astype(np.float32)
+    norm.weight.data[...] = rng.standard_normal(channels).astype(np.float32)
+    norm.bias.data[...] = rng.standard_normal(channels).astype(np.float32)
+    return norm
+
+
+class Generated(Module):
+    """Interprets a drawn node list; every node owns the modules it needs."""
+
+    def __init__(self, case):
+        super().__init__()
+        rng = np.random.default_rng(case["seed"])
+        self.case = case
+        channels = [case["in_shape"][0]]
+        for index, (kind, sources, params) in enumerate(case["nodes"]):
+            cin = channels[sources[0]]
+            layers = []
+            if kind in ("conv", "dense_conv"):
+                layers.append(_pruned_conv(cin, params["cout"], params["k"], kind == "conv", rng))
+                if params["bn"]:
+                    layers.append(_batchnorm(params["cout"], rng))
+                if params["act"]:
+                    layers.append({"relu": ReLU, "silu": SiLU}[params["act"]]())
+                cin = params["cout"]
+            elif kind == "getitem":
+                cin = params["hi"] - params["lo"]
+            elif kind == "concat":
+                layers.append(Concat(1))
+                cin += channels[sources[1]]
+            elif kind == "maxpool":
+                k, s, p = params["geometry"]
+                layers.append(MaxPool2d(k, s, p))
+            else:
+                if kind == "gate":              # x + its per-channel maximum, (n, c, 1, 1)
+                    layers.append(MaxPool2d(case["shapes"][sources[0]][1]))
+                make = {"add": Add, "gate": Add, "relu": ReLU, "sigmoid": Sigmoid, "gelu": GELU,
+                        "upsample": lambda: Upsample(2), "bn": lambda: _batchnorm(cin, rng),
+                        "scale": lambda: None}[kind]
+                layers.append(make())
+            for position, layer in enumerate(layers):
+                if layer is not None:
+                    setattr(self, f"n{index}_{position}", layer)
+            channels.append(cin)
+        self.tail = ReLU()
+
+    def forward(self, x):
+        tensors = [x]
+        for index, (kind, sources, params) in enumerate(self.case["nodes"]):
+            layers = [getattr(self, f"n{index}_{position}") for position in range(3)
+                      if hasattr(self, f"n{index}_{position}")]
+            value = tensors[sources[0]]
+            if kind == "getitem":
+                value = value[:, params["lo"]:params["hi"]]
+            elif kind == "scale":
+                value = value * 0.5
+            elif kind == "gate":
+                value = layers[1](value, layers[0](value))
+            elif kind in ("add", "concat"):
+                pair = [value, tensors[sources[1]]]
+                value = layers[0](pair) if kind == "concat" else layers[0](*pair)
+            else:
+                for layer in layers:
+                    value = layer(value)
+            tensors.append(value)
+        outputs = [tensors[index] for index in self.case["outputs"]]
+        if self.case["flip"]:
+            # rows swap places: not one independent row per image any more
+            outputs[0] = self.tail(outputs[0][::-1])
+        return tuple(outputs)
+
+
+def _flat(value):
+    flat = []
+    map_structure(flat.append, value)
+    return flat
+
+
+def _assert_bits(got, want):
+    for a, b in zip(_flat(got), _flat(want), strict=True):
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def _stack_of_singles(compiled, x):
+    singles = [_flat(compiled.forward_raw(x[i:i + 1])) for i in range(x.shape[0])]
+    return [np.concatenate(parts) for parts in zip(*singles)]
+
+
+def check_case(case, expect_native):
+    model = Generated(case)
+    model.eval()
+    rng = np.random.default_rng(case["seed"] + 1)
+    frames = rng.standard_normal((8, *case["in_shape"])).astype(np.float32)
+    compiled = compile_model(model)
+    first = {}
+    for size in case["batches"] * 2:
+        x = frames[:size]
+        out = compiled.forward_raw(x)
+        assert compiled.engine_mode == "fused", compiled.fuse_failure
+        oracle = BatchRunner(model, batch_size=size).run(x)
+        for got, want in zip(_flat(out), _flat(oracle), strict=True):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= TOL * max(1.0, np.abs(want).max())
+        if not case["flip"]:
+            _assert_bits(out, _stack_of_singles(compiled, x))
+        _assert_bits(out, first.setdefault(size, out))          # and again from the cached cut
+    program = compiled._fused_program
+    assert program.bucket_safe != case["flip"]
+    cuts = [bound for (key, _), bound in program._arena()._bindings.items() if key == "segments"]
+    native = [segment for cut, _ in cuts for segment in cut if isinstance(segment, Segment)]
+    assert bool(native) == (expect_native and any(op.natively() for op in program.steps))
+    assert all(segment.per_image == program.bucket_safe for segment in native)
+    return compiled
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_segments_match_batch_one_forwards_and_the_dense_oracle(case):
+    if sparse_kernel_available():
+        check_case(case, expect_native=True)
+    with portable():
+        check_case(case, expect_native=False)
+
+
+# --------------------------------------------------------------- deterministic
+def _pruned_tiny():
+    model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8))
+    report = prune_with_rtoss(
+        model, entries=2, example_input=Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
+    return model, report
+
+
+class _Gated(Module):
+    """conv, global max-pool, ``y + its maxima`` — (n, c, h, w) + (n, c, 1, 1) —, conv:
+    every step has a native body, but a broadcasting add's does not bind."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.first, self.second = _pruned_conv(3, 4, 3, True, rng), _pruned_conv(4, 5, 3, True, rng)
+        self.pool, self.add = MaxPool2d(8), Add()
+
+    def forward(self, x):
+        y = self.first(x)
+        return self.second(self.add(y, self.pool(y)))
+
+
+def test_a_native_body_that_does_not_bind_puts_the_program_back_on_buckets(rng):
+    """The program looks like one native segment until its first cut: that one
+    forward runs unbucketed and its cut (buffers sized by its batch) is not
+    kept; from then on it buckets, one cut per bucket, like any program with a
+    Python step — and no batch ever runs through tables made for another."""
+    model = _Gated(rng)
+    model.eval()
+    compiled = compile_model(model)
+    frames = rng.standard_normal((8, 3, 8, 8)).astype(np.float32)
+    program = compiled._float_program(frames[:2])
+    assert program._whole == sparse_kernel_available()
+    outs = {size: compiled.forward_raw(frames[:size]) for size in (2, 8, 1, 3, 5, 8, 2)}
+    assert not program._whole and program.bucket_safe
+    singles = _stack_of_singles(compiled, frames)
+    for size, out in outs.items():
+        assert out.shape[0] == size
+        _assert_bits([out], [singles[0][:size]])
+    oracle = BatchRunner(model, batch_size=8).run(frames)
+    assert np.abs(outs[8] - oracle).max() <= TOL * max(1.0, np.abs(oracle).max())
+    arena = program._arena()
+    cuts = {shape: plan[0] for (key, shape), plan in arena._bindings.items() if key == "segments"}
+    assert {shape[0] for shape, cut in cuts.items() if cut} == {1, 2, 4, 8}
+    if sparse_kernel_available():
+        assert all(len(cut) == 3 and not isinstance(cut[1], Segment) for cut in cuts.values() if cut)
+        # the last run writes the model output: an export ([:count] of it is copied
+        # out once), not a result copied out in the call and sliced again
+        assert all(cut[2].exports and not cut[2].results for cut in cuts.values() if cut)
+
+
+def test_calibration_after_warm_forwards_observes_every_conv(rng):
+    """Observers are attached long after the cut was cached: an observed
+    forward must still show every conv its ``in`` / ``pre`` / ``post``, and
+    leave the cached cut — which shares the glue steps' bindings — intact."""
+    model, report = _pruned_tiny()
+    compiled = compile_model(model, report.masks)
+    frames = rng.standard_normal((5, 3, 64, 64)).astype(np.float32)
+    warm = [compiled.forward_raw(frames[:size]) for size in (1, 5, 2)]
+    program = compiled._fused_program
+    seen = []
+    program.observe(lambda stage, name, array: seen.append((stage, name, array.shape[0])))
+    program.run(frames[:3])
+    program.observe(None)
+    convs = [op.layer_name for op in program.steps if isinstance(op, FusedConv)]
+    assert len(convs) == 15
+    for stage in ("in", "pre", "post"):
+        assert [name for s, name, _ in seen if s == stage] == convs
+    assert {rows for _, _, rows in seen} == {3 if program._whole else 4}
+    stats = calibrate_activation_scales(program, [frames])
+    assert sorted(stats) == sorted(convs)
+    assert all(entry["in_max"] > 0 and entry["pre_max"] > 0 for entry in stats.values())
+    assert all(op.observer is None for op in program.steps if isinstance(op, FusedConv))
+    for size, before in zip((1, 5, 2), warm):
+        _assert_bits(compiled.forward_raw(frames[:size]), before)
+
+
+def test_int8_program_runs_its_glue_as_segments_and_is_row_independent(rng):
+    """Every int8 conv is a Python step; the float glue between them still
+    runs as (image-major) segments, and an image's int8 result does not depend
+    on the batch it rode in."""
+    model, report = _pruned_tiny()
+    compiled = compile_model(model, report.masks, int8=True)
+    frames = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
+    compiled.calibrate_int8(frames)
+    out = compiled.forward_raw(frames[:5])
+    assert compiled.engine_mode == "int8"
+    _assert_bits(out, _stack_of_singles(compiled, frames[:5]))
+    reference = compile_model(model, report.masks, apply_masks=False).forward_raw(frames[:5])
+    assert np.abs(out - reference).mean() <= 0.02 * max(1.0, np.abs(reference).mean())
+    if sparse_kernel_available():
+        arena = compiled._int8_program._arena()
+        assert any(isinstance(segment, Segment)
+                   for (key, _), (cut, _) in ((k, v) for k, v in arena._bindings.items()
+                                              if k[0] == "segments") for segment in cut)
+
+
+@pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")
+def test_a_profiled_forward_is_the_same_call_with_stamps(rng):
+    """Profiling adds no second execution path: same bits, every step reported
+    once per forward, conv phases stamped by the library and summed over images."""
+    model, report = _pruned_tiny()
+    compiled = compile_model(model, report.masks)
+    x = rng.standard_normal((4, 3, 64, 64)).astype(np.float32)
+    plain = compiled.forward_raw(x)
+    with compiled.profiled() as profiler:
+        for _ in range(3):
+            _assert_bits(compiled.forward_raw(x), plain)
+    profile = profiler.report(digits=9)
+    names = [op.profile_name() for op in compiled._fused_program.steps]     # the two adds share one
+    assert profile["runs"] == 3
+    assert {row["op"]: row["calls"] for row in profile["ops"]} == {
+        name: 3 * names.count(name) for name in names}
+    assert all(row["total_ms"] > 0 for row in profile["ops"])
+    for row in profile["ops"]:
+        if row["kind"] == "conv":
+            phases = row["phases_ms"]
+            assert set(phases) == {"gather", "gemm", "epilogue"} and phases["gemm"] > 0
+            assert abs(sum(phases.values()) - row["total_ms"]) <= 1e-6
+    assert profile["op_total_ms"] <= profile["total_ms"]
+    _assert_bits(compiled.forward_raw(x), plain)

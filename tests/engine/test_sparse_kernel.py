@@ -402,3 +402,32 @@ def test_artifact_crosses_kernel_modes(tmp_path, monkeypatch, rng):
     back = DeployableArtifact.load(str(tmp_path / "portable.npz"))
     assert max_abs_output_diff(back.compiled.forward_raw(x), native_out) == 0.0
     assert direct_layers(back) > 0
+
+
+@needs_kernel
+def test_args_block_that_disagrees_with_the_library_degrades_to_numpy(monkeypatch, rng):
+    """The C ``*_args`` structs and ``native.ARGS`` are kept in step by hand;
+    the loader holds each ``sizeof`` against its ctypes mirror, and a mirror
+    that drifted costs the fp32 kernels — with one log line, never a crash or
+    a call through a misread block."""
+    import logging
+
+    import repro.engine.native as native
+
+    records = []
+    handler = logging.Handler(level=logging.WARNING)
+    handler.emit = records.append
+    drifted = native._args_block("srcs out", "count spare")      # 8 bytes more than ewise_args
+    monkeypatch.setitem(native.ARGS, "relu_call", drifted)
+    native.log.addHandler(handler)
+    native.reset_native_cache()
+    try:
+        assert native.load_sparse_kernel() is None and not sparse_kernel_available()
+        assert len(records) == 1 and "relu_call" in records[0].getMessage()
+        model = _conv_block(rng, act="relu")
+        _check(model, rng.standard_normal((2, 7, 9, 9)).astype(np.float32), expect_direct=False)
+    finally:
+        native.log.removeHandler(handler)
+        monkeypatch.undo()
+        native.reset_native_cache()
+    assert sparse_kernel_available()

@@ -38,7 +38,6 @@ MODULE_GUARDED: Dict[str, Dict[str, Tuple[str, ...]]] = {
 HOT_FUNCTIONS = {
     # fused fp32 executor (engine/fuse.py)
     "FusedConv.execute",
-    "FusedConv._execute_direct",
     "FusedConv._gather_columns",
     "FusedConv._pointwise_input",
     "_activation_kernel",
@@ -47,18 +46,19 @@ HOT_FUNCTIONS = {
     "_BoundOp.execute",
     "GetitemOp.execute",
     # ... and the per-(arena, input shapes) bodies the glue steps bind: the
-    # portable numpy ones; the native one is BoundCall.run
+    # portable numpy ones; a native one is a step of a Segment
     "ActOp._bind.<locals>.run",
     "EwiseOp._bind.<locals>.run",
     "ConcatOp._bind.<locals>.run",
     "MaxPoolOp._bind.<locals>.run",
     "UpsampleOp._bind.<locals>.run",
-    # bound native calls (engine/native.py, engine/arena.py)
-    "BoundCall.point",
-    "BoundCall.run",
-    "BoundCall.__call__",
-    "WorkspaceArena.binding",
+    # the segment loop and a native segment's call wrapper (engine/fuse.py,
+    # engine/arena.py); FusedProgram._run and Segment.execute carry the
+    # in-source marker as well
     "FusedProgram._run",
+    "Segment.execute",
+    "Segment._point",
+    "WorkspaceArena.binding",
     # int8 hot path (engine/quant.py)
     "QuantFusedConv.execute",
     "QuantFusedConv._execute_native",
