@@ -2,8 +2,8 @@
 #
 #   make test          tier-1 test suite (the roadmap verify command)
 #   make test-engine   engine-focused suite: compiled plans, fused executor,
-#                      sparse kernel, int8 hot path + quantization property
-#                      tests — run twice: with the native kernels, then pinned
+#                      sparse kernel + quantization property tests — run
+#                      twice: with the native kernels, then pinned
 #                      to the portable numpy path (REPRO_NO_NATIVE=1)
 #   make lint          ruff check + format check + reprolint (what the CI lint
 #                      job runs; reprolint is the project-aware AST linter in
@@ -59,8 +59,7 @@ SMOKE_SPEC ?= examples/specs/tiny_rtoss3ep.json
 test:
 	$(PYTHON) -m pytest -x -q
 
-ENGINE_TESTS = tests/engine tests/test_quantization_properties.py \
-	tests/pipeline/test_int8_determinism.py tests/serving/test_cluster_int8.py
+ENGINE_TESTS = tests/engine tests/test_quantization_properties.py
 
 test-engine:
 	$(PYTHON) -m pytest -x -q $(ENGINE_TESTS)

@@ -7,16 +7,15 @@ arena — the one path serving runs) and records what it measures in
 ``BENCH_engine.json``: the engine against the dense forward, the paper's own
 claim on the shipped executor (``pruning_speedup`` = fused-dense / fused-pruned
 on the same TinyDetector, arms paired per round, next to the modeled TX2
-figure) and int8 against fp32.
+figure).
 
 It gates no wall-clock ratio: a single-shot ratio on a shared 2-core host
 swings with the scheduler, and the referee for engine speed is the repo
 benchmark (``python3 -m bench``, paired runs).  What every run still asserts
 is that each measured number belongs to an *equivalent* output (max abs diff
-< 1e-5 on the fused path, mean error within the int8 budget).  The
-deterministic invariants that used to ride along here — zero arena misses
-after warm-up, plans skipping masked taps, the int8 error budget — live in
-``tests/engine/`` (``test_fused_executor.py``, ``test_int8_executor.py``).
+< 1e-5 on the fused path).  The deterministic invariants that used to ride
+along here — zero arena misses after warm-up, plans skipping masked taps —
+live in ``tests/engine/test_fused_executor.py``.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ from repro.utils.rng import set_global_seed
 IMAGE_SIZE = 96
 BATCH = 4
 REPEATS = 5
-
-# Output-error budget of the int8 path vs the fp32 fused oracle (mean abs
-# error over all heads; documented in docs/engine.md).
-QUANTIZED_ERROR_BUDGET = 0.02
 
 #: Measured numbers land here for `make bench-check` (informational entries).
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
@@ -102,8 +97,8 @@ def test_engine_speedup_rtoss_2ep(benchmark):
         "row": row,
     }
     if measurement.sparse_kernel:
-        # Only the native number is recorded (same pattern as
-        # quantized_speedup): the portable path's ~1.0 is a different quantity.
+        # Only the native number is recorded: the portable path's ~1.0 is a
+        # different quantity.
         results["pruning_speedup"] = measurement.pruning_speedup
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
@@ -111,72 +106,6 @@ def test_engine_speedup_rtoss_2ep(benchmark):
     assert measurement.max_abs_diff < 1e-5
     assert measurement.engine_mode == "fused"
     assert measurement.pruning_speedup > 0.0, "the dense twin was not measured"
-
-
-@pytest.mark.benchmark(group="engine")
-def test_engine_quantized_speedup(benchmark):
-    """Integer GEMMs against fp32 BLAS GEMMs on the same operands.
-
-    Writes ``quantized_speedup`` / ``quantized_mean_abs_error`` into
-    BENCH_engine.json.  The speedup is only recorded when the AVX-512 VNNI
-    kernel carries the GEMMs — the numpy fallback kernels exist for
-    correctness, not speed — and the output-error budget is checked on every
-    host.
-
-    The error budget is measured on the pruned model (what ships).  The speed
-    is measured on its *unpruned* twin: the int8 path multiplies the
-    pruned zeros densely, so since the fp32 direct sparse kernel skips them the
-    pruned model's fp32 path is no longer the like-for-like base wherever that
-    kernel runs (there int8 is *slower* than sparse fp32 — recorded below as
-    ``quantized_vs_sparse_fp32``); on the unpruned model both paths are
-    gather + GEMM on every host.
-    """
-    from repro.engine import native_available
-
-    def measure(model, masks, name):
-        return measure_speedup(
-            model, masks=masks, repeats=REPEATS, warmup=1, batch=BATCH,
-            image_size=IMAGE_SIZE, model_name=name, int8=True, quantization={"bits": 8})
-
-    def run():
-        model, report = _pruned_tiny(2)
-        pruned = measure(model, report.masks, "tiny/R-TOSS-2EP")
-        set_global_seed(0)
-        dense_model = TinyDetector(TinyDetectorConfig(
-            num_classes=3, image_size=IMAGE_SIZE, base_channels=16))
-        return pruned, measure(dense_model, None, "tiny/unpruned")
-
-    pruned, dense = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(format_table([pruned.row(), dense.row()],
-                       title="Quantized (int8) vs fp32 fused path on TinyDetector"))
-
-    if pruned.quantized_seconds <= 0.0 or dense.quantized_seconds <= 0.0:
-        pytest.skip("int8 lowering did not engage on this host/model")
-
-    # Merge into BENCH_engine.json (the 2EP test owns the float-path keys).
-    results = {}
-    if RESULT_PATH.exists():
-        results = json.loads(RESULT_PATH.read_text())
-    results["quantized_mean_abs_error"] = float(pruned.quantized_mean_abs_error)
-    results["quantized_max_abs_error"] = float(pruned.quantized_max_abs_error)
-    results["int8_kernel"] = pruned.int8_kernel
-    if native_available():
-        # Only the native number is recorded: numpy-kernel timings are a
-        # different quantity on hosts without AVX-512.
-        results["quantized_speedup"] = dense.quantized_speedup
-        results["quantized_vs_sparse_fp32"] = pruned.quantized_speedup
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-    # Accuracy gates run everywhere, on whichever kernel executed.
-    assert pruned.quantized_mean_abs_error <= QUANTIZED_ERROR_BUDGET, (
-        f"int8 output error {pruned.quantized_mean_abs_error:.4f} exceeds "
-        f"the {QUANTIZED_ERROR_BUDGET} budget vs the fp32 fused path")
-    assert np.isfinite(pruned.quantized_max_abs_error)
-
-    if native_available():
-        assert pruned.int8_kernel == dense.int8_kernel == "vnni"
-        assert not dense.sparse_kernel, "the unpruned twin must run fp32 as gather + GEMM"
 
 
 @pytest.mark.benchmark(group="engine")

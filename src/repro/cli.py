@@ -145,11 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--batch", type=int, default=4, help="measurement batch size")
     engine.add_argument("--repeats", type=int, default=5, help="timing repeats (median)")
     engine.add_argument("--seed", type=int, default=0, help="reproducibility seed")
-    engine.add_argument("--int8", action="store_true",
-                        help="also lower quantized convolutions to the integer "
-                             "hot path (uint8 x int8 GEMM) and report the "
-                             "quantized speedup + output error vs the fp32 "
-                             "fused path")
     engine.add_argument("--plans", action="store_true",
                         help="also print the per-layer compiled plan table")
     engine.add_argument("--profile", action="store_true",
@@ -462,11 +457,11 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     dense_engine = compile_model(_build_cli_model(args))
 
     # One engine serves the measurement, the profile and the plan table.
-    compiled = compile_model(model, report.masks, int8=args.int8)
+    compiled = compile_model(model, report.masks)
     measurement = measure_speedup(
         model, repeats=args.repeats, batch=args.batch,
         image_size=args.image_size, model_name=args.model, seed=args.seed,
-        compiled=compiled, int8=args.int8, dense_engine=dense_engine,
+        compiled=compiled, dense_engine=dense_engine,
     )
 
     # Modeled (analytical) latency for the same pruned model, with the measured
@@ -502,11 +497,8 @@ def _cmd_engine(args: argparse.Namespace) -> int:
 
     if args.plans:
         # The measurement already traced + fused, so the table shows the modes
-        # that actually execute (e.g. "sparse-im2col-gemm+bn+silu+int8").
+        # that actually execute (e.g. "sparse-im2col-gemm+direct+bn+silu").
         print(format_table(compiled.summary(), title="Compiled layer plans"))
-        if args.int8 and compiled.int8_failure:
-            print(f"note: int8 lowering unavailable ({compiled.int8_failure}); "
-                  "the float fused path served")
         print()
     print(format_table([measurement.row()],
                        title=f"{args.framework} on {args.model} — measured on host CPU"))

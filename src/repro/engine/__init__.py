@@ -18,16 +18,16 @@ package makes pruning pay off at inference time on the host CPU:
   allocations in steady-state inference,
 * :mod:`repro.engine.runner` — :class:`BatchRunner`, the batched front door
   used by the evaluator and the CLI (reused staging buffer, padded tail batch),
-* :mod:`repro.engine.quant` — int8 lowering pass: :func:`lower_int8` rewrites
-  a float fused program so quantized convolutions execute as true integer
-  GEMMs (uint8 activation codes x int8 weight codes) with dequantization,
-  BatchNorm and the activation folded into one epilogue,
 * :mod:`repro.engine.native` — optional AVX-512 C kernels (compiled on first
-  use, silently absent on other hosts): the VNNI kernel backing the int8 path
-  and the fp32 direct sparse-convolution kernel that skips pruned weights
-  *inside* the kernel, which is what makes fused-pruned beat fused-dense,
+  use, silently absent on other hosts): the fp32 direct sparse-convolution
+  kernel that skips pruned weights *inside* the kernel, which is what makes
+  fused-pruned beat fused-dense, and the native glue ops between convs,
 * :mod:`repro.engine.bench` — :func:`measure_speedup`, wall-clock dense vs
-  engine (vs int8) comparison with built-in output-equivalence checks.
+  engine comparison with built-in output-equivalence checks.
+
+There is one executor, fp32: quantization (:mod:`repro.compression.quantization`)
+shrinks the stored artifact, it does not change how a forward runs
+(docs/engine.md says why there is no integer executor).
 
 A model the tracer cannot record (``detr`` / ``detr_lite`` in the registry)
 runs its own dense forward under ``no_grad`` instead — exact, just not fused.
@@ -54,12 +54,6 @@ from repro.engine.bench import (
 from repro.engine.compiler import CompiledModel, compile_model
 from repro.engine.fuse import FusedProgram, fuse_graph
 from repro.engine.native import native_available, sparse_kernel_available
-from repro.engine.quant import (
-    QuantFusedConv,
-    QuantLoweringError,
-    calibrate_activation_scales,
-    lower_int8,
-)
 from repro.engine.plan import (
     ConvPlan,
     compile_conv_plan,
@@ -76,17 +70,13 @@ __all__ = [
     "EngineMeasurement",
     "FusedProgram",
     "GraphPlan",
-    "QuantFusedConv",
-    "QuantLoweringError",
     "RunnerStats",
     "TraceError",
     "WorkspaceArena",
-    "calibrate_activation_scales",
     "compile_conv_plan",
     "compile_model",
     "fuse_graph",
     "layout_cache_stats",
-    "lower_int8",
     "max_abs_output_diff",
     "mean_abs_output_diff",
     "measure_speedup",

@@ -123,15 +123,6 @@ class WorkspaceArena:
             "bytes_allocated": self.bytes_allocated,
         }
 
-    def bytes_by_dtype(self) -> Dict[str, int]:
-        """Resident bytes per buffer dtype (e.g. the int8 path's u8 rows vs
-        f32 staging split); keys are numpy dtype names such as ``float32``."""
-        totals: Dict[str, int] = {}
-        for buf in self._slots.values():
-            name = buf.dtype.name
-            totals[name] = totals.get(name, 0) + buf.nbytes
-        return totals
-
     def reset_counters(self) -> None:
         """Zero the hit/miss counters (buffers stay resident)."""
         self.hits = 0
@@ -150,12 +141,7 @@ class WorkspaceArena:
 
 
 def merge_stats(arenas) -> Dict[str, int]:
-    """Aggregate :meth:`WorkspaceArena.stats` over several (per-thread) arenas.
-
-    The ``bytes_<dtype>`` keys break ``bytes_allocated`` down by buffer dtype,
-    which is how the int8 executor's footprint shows up: uint8 rows/codes
-    buffers instead of float32 im2col scratch.
-    """
+    """Aggregate :meth:`WorkspaceArena.stats` over several (per-thread) arenas."""
     total = {"hits": 0, "misses": 0, "buffers": 0, "bytes_allocated": 0, "arenas": 0}
     for arena in arenas:
         stats = arena.stats()
@@ -164,7 +150,4 @@ def merge_stats(arenas) -> Dict[str, int]:
         total["buffers"] += stats["buffers"]
         total["bytes_allocated"] += stats["bytes_allocated"]
         total["arenas"] += 1
-        for name, nbytes in arena.bytes_by_dtype().items():
-            key = f"bytes_{name}"
-            total[key] = total.get(key, 0) + nbytes
     return total

@@ -13,12 +13,11 @@ network on the host CPU and times it.  :func:`measure_speedup` produces an
   :meth:`~repro.engine.compiler.CompiledModel.forward_raw` (and therefore
   serving) runs: the fused fp32 program,
 
-plus ``quantized_seconds`` for the int8 lowering when asked, and — given an
-unpruned compiled twin — ``pruning_speedup``, the paper's own claim stated on
-the shipped executor: fused-dense over fused-pruned, both arms timed in the
-same rounds.  It also records the max absolute output difference between the
-dense and the engine outputs, so every reported speedup is tied to a
-verified-equivalent computation.
+and — given an unpruned compiled twin — ``pruning_speedup``, the paper's own
+claim stated on the shipped executor: fused-dense over fused-pruned, both arms
+timed in the same rounds.  It also records the max absolute output difference
+between the dense and the engine outputs, so every reported speedup is tied
+to a verified-equivalent computation.
 """
 
 from __future__ import annotations
@@ -94,17 +93,6 @@ class EngineMeasurement:
     #: Executor ``compiled_seconds`` timed: ``"fused"``, or ``"eager"`` when
     #: the model is untraceable and its dense no-grad forward served.
     engine_mode: str = ""
-    #: Wall-clock of the int8 fused executor (0.0 when not measured/lowered).
-    quantized_seconds: float = 0.0
-    #: Mean |int8 - fp32 fused| over every output element (the error budget
-    #: metric); NaN when the int8 path was not measured.
-    quantized_mean_abs_error: float = float("nan")
-    #: Max |int8 - fp32 fused| over every output element.
-    quantized_max_abs_error: float = float("nan")
-    #: Which integer GEMM kernel executed ("vnni"/"fp32acc"/"int32"; "" when
-    #: the int8 path was not measured).  Regression gates only trust the
-    #: speedup when the native kernel ran.
-    int8_kernel: str = ""
     #: Layers per executed mode string, taken from the compiled summary (the
     #: fused op's own ``mode``, never a hardcoded label).
     mode_census: Dict[str, int] = field(default_factory=dict)
@@ -133,13 +121,6 @@ class EngineMeasurement:
         return self.dense_nograd_seconds / self.compiled_seconds
 
     @property
-    def quantized_speedup(self) -> float:
-        """Int8 hot path over the fp32 fused path (0.0 if unmeasured)."""
-        if not self.quantized_seconds:
-            return 0.0
-        return self.compiled_seconds / self.quantized_seconds
-
-    @property
     def column_sparsity(self) -> float:
         if not self.total_columns:
             return 0.0
@@ -161,11 +142,6 @@ class EngineMeasurement:
         if self.pruning_speedup:
             row["fused_dense_ms"] = round(self.fused_dense_seconds * 1e3, 2)
             row["pruning_speedup"] = round(self.pruning_speedup, 2)
-        if self.quantized_seconds:
-            row["quantized_ms"] = round(self.quantized_seconds * 1e3, 2)
-            row["quantized_speedup"] = round(self.quantized_speedup, 2)
-            row["quantized_mean_abs_error"] = float(self.quantized_mean_abs_error)
-            row["int8_kernel"] = self.int8_kernel
         return row
 
 
@@ -181,8 +157,6 @@ def measure_speedup(
     batch: int = 4,
     seed: int = 0,
     compiled: Optional[CompiledModel] = None,
-    int8: bool = False,
-    quantization: Optional[Dict[str, object]] = None,
     dense_engine: Optional[CompiledModel] = None,
 ) -> EngineMeasurement:
     """Measure dense vs engine inference latency on the host CPU.
@@ -204,17 +178,6 @@ def measure_speedup(
     compiled:
         An existing :class:`CompiledModel` of ``model`` to measure instead of
         compiling a fresh one (saves a full plan build).
-    int8:
-        Also measure the int8 hot path: ``quantized_seconds`` times the
-        integer lowering of the fused program and
-        ``quantized_mean_abs_error`` records its output deviation from the
-        fp32 fused path (the error-budget metric).  Activation scales come
-        from ``quantization`` (or the engine's stored metadata); when absent,
-        the timing batch itself calibrates them.  The engine's ``int8`` flag
-        is restored on return.
-    quantization:
-        Quantization metadata (``bits``, ``activation_scales``) forwarded to
-        :func:`compile_model` when this call compiles its own engine.
     dense_engine:
         The compiled *unpruned* twin of ``model`` (same architecture and seed,
         no masks).  When given, ``pruning_speedup`` reports fused-dense over
@@ -242,50 +205,26 @@ def measure_speedup(
     dense_nograd_seconds = time_callable(lambda: dense_runner.run(x), repeats, warmup)
 
     if compiled is None:
-        compiled = compile_model(model, masks, apply_masks=False, int8=int8,
-                                 quantization=quantization)
+        compiled = compile_model(model, masks, apply_masks=False)
     elif compiled.model is not model:
         raise ValueError("`compiled` was built for a different model instance")
     runner = BatchRunner(compiled, batch_size=batch_size)
-    armed_int8 = compiled.int8
-    try:
-        # Time the fp32 program with the int8 flag parked, so the engine
-        # baseline means the same thing whether or not int8 is on.
-        compiled.int8 = False
-        compiled_out = runner.run(x)  # traces + warms the arena
-        max_abs_diff = max_abs_output_diff(compiled_out, dense_out)
-        engine_mode = compiled.engine_mode
-        compiled_seconds = time_callable(lambda: runner.run(x), repeats, warmup)
+    compiled_out = runner.run(x)  # traces + warms the arena
+    max_abs_diff = max_abs_output_diff(compiled_out, dense_out)
+    engine_mode = compiled.engine_mode
+    compiled_seconds = time_callable(lambda: runner.run(x), repeats, warmup)
 
-        fused_dense_seconds = pruning_speedup = 0.0
-        if dense_engine is not None:
-            twin_runner = BatchRunner(dense_engine, batch_size=batch_size)
-            fused_dense_seconds, _, pruning_speedup = paired_speedup(
-                lambda: twin_runner.run(x), lambda: runner.run(x),
-                rounds=max(repeats, 3), warmup=max(warmup, 1))
+    fused_dense_seconds = pruning_speedup = 0.0
+    if dense_engine is not None:
+        twin_runner = BatchRunner(dense_engine, batch_size=batch_size)
+        fused_dense_seconds, _, pruning_speedup = paired_speedup(
+            lambda: twin_runner.run(x), lambda: runner.run(x),
+            rounds=max(repeats, 3), warmup=max(warmup, 1))
 
-        quantized_seconds = 0.0
-        quantized_mean = float("nan")
-        quantized_max = float("nan")
-        int8_kernel = ""
-        if int8 and compiled.fused_active:
-            compiled.int8 = True
-            if not compiled.quantization.get("activation_scales"):
-                compiled.calibrate_int8(x)
-            quantized_out = runner.run(x)  # lowers + warms the int8 arena
-            if compiled.int8_active:
-                quantized_mean = mean_abs_output_diff(quantized_out, compiled_out)
-                quantized_max = max_abs_output_diff(quantized_out, compiled_out)
-                quantized_seconds = time_callable(
-                    lambda: runner.run(x), repeats, warmup)
-                int8_kernel = _int8_kernel_census(compiled._int8_program)
-
-        mode_census: Dict[str, int] = {}
-        for layer_row in compiled.summary():
-            mode = str(layer_row["mode"])
-            mode_census[mode] = mode_census.get(mode, 0) + 1
-    finally:
-        compiled.int8 = armed_int8
+    mode_census: Dict[str, int] = {}
+    for layer_row in compiled.summary():
+        mode = str(layer_row["mode"])
+        mode_census[mode] = mode_census.get(mode, 0) + 1
 
     return EngineMeasurement(
         model_name=model_name or type(model).__name__,
@@ -300,23 +239,10 @@ def measure_speedup(
         kept_columns=compiled.kept_columns(),
         total_columns=compiled.total_columns(),
         engine_mode=engine_mode,
-        quantized_seconds=quantized_seconds,
-        quantized_mean_abs_error=quantized_mean,
-        quantized_max_abs_error=quantized_max,
-        int8_kernel=int8_kernel,
         mode_census=mode_census,
         fused_dense_seconds=fused_dense_seconds,
         pruning_speedup=pruning_speedup,
     )
-
-
-def _int8_kernel_census(program) -> str:
-    """Which integer GEMM kernel(s) an int8 program executed with."""
-    from repro.engine.quant import FORCE_GEMM_KERNEL, QuantFusedConv
-
-    kernels = {FORCE_GEMM_KERNEL or op.gemm_kernel
-               for op in program.steps if isinstance(op, QuantFusedConv)}
-    return "+".join(sorted(kernels))
 
 
 def max_abs_output_diff(compiled_out, dense_out) -> float:
@@ -348,11 +274,10 @@ def max_abs_output_diff(compiled_out, dense_out) -> float:
 def mean_abs_output_diff(candidate_out, reference_out) -> float:
     """Mean absolute difference over every element of matching outputs.
 
-    The companion of :func:`max_abs_output_diff` for error *budgets*: the int8
-    path trades a bounded mean deviation for speed, and a mean is the right
-    aggregate for a budget (a max is dominated by the single worst saturated
-    code).  Structure handling matches :func:`max_abs_output_diff`; the mean
-    weights every element equally across the (possibly nested) outputs.
+    The companion of :func:`max_abs_output_diff` for error *budgets*, where a
+    mean is the right aggregate (a max is dominated by the single worst
+    element).  Structure handling matches :func:`max_abs_output_diff`; the
+    mean weights every element equally across the (possibly nested) outputs.
     """
     total, count = _abs_diff_sums(candidate_out, reference_out)
     if count == 0:

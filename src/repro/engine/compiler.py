@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.masks import MaskSet
+from repro.engine.arena import merge_stats
 from repro.engine.plan import ConvPlan, compile_conv_plan
 from repro.nn.layers.conv import Conv2d
 from repro.nn.module import Module
@@ -81,34 +82,17 @@ class CompiledModel:
     _guarded_by_ = {
         "_fused_program": "_fuse_lock",
         "_fuse_failed": "_fuse_lock",
-        "_int8_program": "_fuse_lock",
-        "_int8_failed": "_fuse_lock",
-        "_quantization": "_fuse_lock",
         "_profiler": "_fuse_lock",
     }
 
     def __init__(self, model: Module, plans: Dict[str, ConvPlan],
-                 fallback_layers: List[str], mask_signature: Optional[str] = None,
-                 int8: bool = False,
-                 quantization: Optional[Dict[str, object]] = None) -> None:
+                 fallback_layers: List[str], mask_signature: Optional[str] = None) -> None:
         self.model = model
         self.plans = plans
         self.fallback_layers = fallback_layers
         self.mask_signature = mask_signature
-        #: Whether forwards may use the int8 lowering of the fused program
-        #: (:mod:`repro.engine.quant`).  Toggleable at runtime (the benchmark
-        #: measures fp32-vs-int8 on one engine).  When lowering proves
-        #: impossible (no eligible conv, 16-bit codes, untraceable model) the
-        #: float path keeps serving.
-        self.int8 = int8
-        #: Quantization metadata driving the int8 lowering: ``bits`` and (once
-        #: calibrated) ``activation_scales``.  The pipeline seeds this from the
-        #: artifact; direct users calibrate lazily on the first batch.
-        self._quantization: Dict[str, object] = dict(quantization or {})
         self._fused_program = None
         self._fuse_failed: Optional[str] = None
-        self._int8_program = None
-        self._int8_failed: Optional[str] = None
         self._fuse_lock = threading.Lock()
         #: Engine-wide EngineProfiler (:meth:`enable_profiling`); ``None`` in
         #: steady state so the executors keep their no-op fast branch.
@@ -144,8 +128,6 @@ class CompiledModel:
         with self._fuse_lock:
             self._fused_program = None
             self._fuse_failed = None
-            self._int8_program = None
-            self._int8_failed = None
         modules = dict(self.model.named_modules())
         for name, plan in list(self.plans.items()):
             layer = modules[name]
@@ -156,7 +138,7 @@ class CompiledModel:
 
     # ------------------------------------------------------------------ fusion
     def _float_program(self, data: np.ndarray):
-        """The float fused program, traced lazily on the first forward.
+        """The fused program, traced lazily on the first forward.
 
         Returns None when the model proved untraceable (logged once; the dense
         no-grad forward keeps serving).  Concurrent first calls serialize on
@@ -184,86 +166,6 @@ class CompiledModel:
                         type(self.model).__name__, error)
             return self._fused_program
 
-    def _lower_int8(self, data: np.ndarray):
-        """The int8 program, lowered lazily from the float program.
-
-        Activation scales come from :attr:`quantization` (seeded by the
-        pipeline's build-time calibration); when absent — direct
-        ``compile_model(..., int8=True)`` use — the first batch
-        calibrates them, so the int8 path is self-contained but only
-        deterministic across processes when scales are provided up front.
-        Concurrent first calls serialize on the fuse lock; lowering failures
-        are remembered and the float program keeps serving.
-        """
-        float_program = self._float_program(data)
-        if float_program is None:
-            return None
-        from repro.engine.quant import (
-            QuantLoweringError,
-            calibrate_activation_scales,
-            lower_int8,
-        )
-
-        with self._fuse_lock:
-            if self._int8_program is None and self._int8_failed is None:
-                bits = int(self._quantization.get("bits", 8) or 8)
-                scales = self._quantization.get("activation_scales")
-                try:
-                    if not scales:
-                        scales = calibrate_activation_scales(float_program, [data])
-                        self._quantization["activation_scales"] = scales
-                    self._int8_program = lower_int8(float_program, bits, scales)
-                    self._int8_program.set_profiler(self._profiler)
-                    logger.info(
-                        "lowered %s to int8: %d/%d convs on the integer path",
-                        type(self.model).__name__,
-                        sum(1 for mode in self._int8_program.conv_modes().values()
-                            if "+int8" in mode),
-                        len(self.plans))
-                except QuantLoweringError as error:
-                    self._int8_failed = str(error)
-                    logger.info(
-                        "int8 lowering disabled for %s (float path kept): %s",
-                        type(self.model).__name__, error)
-            return self._int8_program
-
-    def _fused_for(self, data: np.ndarray):
-        """The program forwards should run: int8 when active, else float."""
-        if self.int8:
-            program = self._int8_program
-            if program is None and self._int8_failed is None:
-                program = self._lower_int8(data)
-            if program is not None:
-                return program
-        return self._float_program(data)
-
-    def calibrate_int8(self, data: np.ndarray) -> Dict[str, Dict[str, float]]:
-        """Calibrate activation scales on ``data`` and arm the int8 lowering.
-
-        Runs the float fused program with observers installed, stores the
-        per-layer activation ranges into :attr:`quantization` and drops any
-        previously lowered int8 program so the next forward lowers
-        against the new scales.  Returns the scales (the pipeline persists
-        them into the artifact so reloads lower deterministically).
-        """
-        data = np.ascontiguousarray(data, dtype=np.float32)
-        if self.model.training:
-            self.model.eval()
-        with no_grad():
-            program = self._float_program(data)
-        if program is None:
-            raise RuntimeError(
-                f"cannot calibrate int8 scales: untraceable model ({self._fuse_failed})")
-        from repro.engine.quant import calibrate_activation_scales
-
-        with no_grad():
-            scales = calibrate_activation_scales(program, [data])
-        with self._fuse_lock:
-            self._quantization["activation_scales"] = scales
-            self._int8_program = None
-            self._int8_failed = None
-        return scales
-
     @property
     def fused_active(self) -> bool:
         """True once a fused program has been traced and is in use."""
@@ -275,51 +177,27 @@ class CompiledModel:
         return self._fuse_failed
 
     @property
-    def int8_active(self) -> bool:
-        """True once the int8 lowering exists and forwards use it."""
-        return self.int8 and self._int8_program is not None
-
-    @property
-    def int8_failure(self) -> Optional[str]:
-        """Why int8 lowering failed (None while lowered or not yet attempted)."""
-        return self._int8_failed
-
-    @property
     def engine_mode(self) -> str:
-        """Which executor forwards run: ``int8``, ``fused`` or ``eager``.
+        """Which executor forwards run: ``fused`` or ``eager``.
 
         ``eager`` is the model's own dense no-grad forward: what an engine
         reports before its first trace, and what untraceable models keep.
         """
-        if self.int8_active:
-            return "int8"
-        if self.fused_active:
-            return "fused"
-        return "eager"
-
-    @property
-    def quantization(self) -> Dict[str, object]:
-        """Quantization metadata (bits, calibrated activation scales)."""
-        return self._quantization
+        return "fused" if self.fused_active else "eager"
 
     def arena_stats(self) -> Dict[str, int]:
-        """Aggregated workspace-arena counters across both fused executors."""
-        totals = {"hits": 0, "misses": 0, "buffers": 0,
-                  "bytes_allocated": 0, "arenas": 0}
-        for program in (self._fused_program, self._int8_program):
-            if program is None:
-                continue
-            for key, value in program.arena_stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        """Workspace-arena counters of the fused program (zeros before it exists)."""
+        program = self._fused_program
+        if program is None:
+            return merge_stats(())
+        return program.arena_stats()
 
     # ------------------------------------------------------------------ profiling
     def enable_profiling(self):
         """Attach a per-op :class:`repro.obs.EngineProfiler` (idempotent).
 
-        Covers the fused fp32 program and its int8 lowering (the dense
-        fallback of an untraceable model has no per-op attribution).  Returns
-        the profiler so callers can read
+        Covers the fused program (the dense fallback of an untraceable model
+        has no per-op attribution).  Returns the profiler so callers can read
         :meth:`repro.obs.EngineProfiler.report` directly.
         """
         from repro.obs.profiler import EngineProfiler
@@ -327,18 +205,16 @@ class CompiledModel:
         with self._fuse_lock:
             if self._profiler is None:
                 self._profiler = EngineProfiler()
-            for program in (self._fused_program, self._int8_program):
-                if program is not None:
-                    program.set_profiler(self._profiler)
+            if self._fused_program is not None:
+                self._fused_program.set_profiler(self._profiler)
             return self._profiler
 
     def disable_profiling(self) -> None:
         """Detach the profiler; the executors return to the no-op branch."""
         with self._fuse_lock:
             self._profiler = None
-            for program in (self._fused_program, self._int8_program):
-                if program is not None:
-                    program.set_profiler(None)
+            if self._fused_program is not None:
+                self._fused_program.set_profiler(None)
 
     @contextmanager
     def profiled(self):
@@ -346,29 +222,27 @@ class CompiledModel:
 
         Unlike :meth:`enable_profiling` (engine-wide, sticky) this scopes a
         :class:`repro.obs.EngineProfiler` to the calling thread via the fused
-        executors' thread-local override, so concurrent batches on the same
+        program's thread-local override, so concurrent batches on the same
         engine each get their own attribution.
         """
         from repro.obs.profiler import EngineProfiler
 
         profiler = EngineProfiler()
         with self._fuse_lock:
-            programs = [program for program in
-                        (self._fused_program, self._int8_program)
-                        if program is not None]
-        with ExitStack() as stack:
-            for program in programs:
-                stack.enter_context(program.profiled(profiler))
+            program = self._fused_program
+        if program is None:
             yield profiler
+        else:
+            with program.profiled(profiler):
+                yield profiler
 
     def profile(self, digits: int = 3) -> Dict[str, object]:
         """Per-op timing report of all profiled forwards since enablement.
 
         ``{"engine_mode", "runs", "total_ms", "op_total_ms", "ops": [...]}`` —
         each op row carries calls/total/mean/share and, for compiled convs,
-        the ``phases_ms`` gather/gemm/epilogue (fp32) or quantize/gather/gemm
-        (int8) split.  Raises ``RuntimeError`` unless :meth:`enable_profiling`
-        was called first.
+        the ``phases_ms`` gather/gemm/epilogue split.  Raises ``RuntimeError``
+        unless :meth:`enable_profiling` was called first.
         """
         profiler = self._profiler
         if profiler is None:
@@ -409,16 +283,15 @@ class CompiledModel:
     def forward_raw(self, data: np.ndarray) -> np.ndarray:
         """Numpy-in / numpy-out, no-grad, eval-mode inference: the one engine path.
 
-        Runs the fused program (int8 lowering when armed).  This is what
-        :mod:`repro.serving` resolves models to: raw arrays in, raw arrays
-        out, no Tensor wrapping.  A model the tracer cannot record runs its own
+        Runs the fused program.  This is what :mod:`repro.serving` resolves
+        models to: raw arrays in, raw arrays out, no Tensor wrapping.  A model the tracer cannot record runs its own
         dense forward under ``no_grad`` instead (:attr:`fuse_failure` says why).
         """
         data = np.ascontiguousarray(data, dtype=np.float32)
         if self.model.training:
             self.model.eval()
         with no_grad():
-            program = self._fused_for(data)
+            program = self._float_program(data)
             if program is not None:
                 return program.run(data)
             from repro.engine.runner import _to_numpy
@@ -435,9 +308,8 @@ class CompiledModel:
         ``sparse-im2col-gemm+direct+bn+silu`` when the native direct sparse
         kernel runs it (:func:`repro.engine.native.sparse_kernel_available`).
         """
-        active = (self._int8_program if self.int8_active
-                  else self._fused_program if self.fused_active else None)
-        fused_modes = active.conv_modes() if active is not None else {}
+        program = self._fused_program
+        fused_modes = program.conv_modes() if program is not None else {}
         rows = []
         for name, plan in self.plans.items():
             row = plan.summary()
@@ -468,8 +340,7 @@ def _wrap_tensors(value):
 
 
 def compile_model(model: Module, masks: Optional[MaskSet] = None,
-                  apply_masks: bool = True, int8: bool = False,
-                  quantization: Optional[Dict[str, object]] = None) -> CompiledModel:
+                  apply_masks: bool = True, int8: bool = False) -> CompiledModel:
     """Compile a (pruned) model for pattern-aware sparse inference.
 
     Parameters
@@ -489,16 +360,12 @@ def compile_model(model: Module, masks: Optional[MaskSet] = None,
         Set to ``False`` if the masks were already applied and re-zeroing is
         undesirable.
     int8:
-        Additionally lower the fused program to the integer hot path
-        (:mod:`repro.engine.quant`): int8 weight codes in the packed layout,
-        integer GEMMs, dequant+BN+activation fused into one epilogue.  When
-        lowering is impossible the float fused path serves.
-    quantization:
-        Quantization metadata for the int8 lowering — ``bits`` and optionally
-        pre-calibrated ``activation_scales`` (the pipeline passes the
-        artifact's).  Without scales the first batch calibrates them
-        (see :meth:`CompiledModel.calibrate_int8`).
+        Must be ``False``: int8 execution was removed (docs/engine.md, "No int8
+        executor").  Kept, like :meth:`CompiledModel.attach`, only because the
+        frozen benchmark code in ``bench/frames.py`` passes it.
     """
+    if int8:
+        raise ValueError("int8 execution was removed; the engine runs one fp32 program")
     mask_signature = None
     if masks is not None:
         if apply_masks:
@@ -516,8 +383,7 @@ def compile_model(model: Module, masks: Optional[MaskSet] = None,
         plans[name] = compile_conv_plan(module, name)
 
     model.eval()
-    compiled = CompiledModel(model, plans, fallback, mask_signature,
-                             int8=int8, quantization=quantization)
+    compiled = CompiledModel(model, plans, fallback, mask_signature)
     logger.info(
         "compiled %d conv layers (%d dense fallbacks): %d/%d im2col columns kept",
         compiled.num_compiled_layers, len(fallback),

@@ -219,7 +219,7 @@ class FusedConv(_FusedOp):
     """A compiled convolution with optionally folded BN and activation epilogue."""
 
     __slots__ = ("plan", "weight", "bias", "act", "act_slope", "in_slot",
-                 "mode", "layer_name", "dense_gather", "observer",
+                 "mode", "layer_name", "dense_gather",
                  "direct", "csr_rowptr", "csr_val", "native_epilogue", "_epilogue_args")
 
     def __init__(self, node: OpNode, plan: ConvPlan) -> None:
@@ -231,11 +231,6 @@ class FusedConv(_FusedOp):
         self.bias = None if plan.bias is None else plan.bias.astype(np.float32)
         self.act: Optional[str] = None
         self.act_slope: Optional[float] = None
-        #: Optional calibration hook ``observer(stage, layer_name, array)``
-        #: called with the conv input ("in"), the post-bias GEMM output ("pre")
-        #: and the post-activation output ("post").  None in steady state, so
-        #: the hot path pays one attribute check per stage.
-        self.observer = None
         self.mode = plan.mode
         # When pruning dropped no column at all, the gather is dense: a strided
         # window view copies straight into the column buffer with no index math
@@ -262,12 +257,6 @@ class FusedConv(_FusedOp):
         self.act = tag
         self.act_slope = negative_slope
         self.mode += f"+{tag}"
-
-    def packed_weight(self) -> np.ndarray:
-        """The folded ``(O, K)`` matrix over the plan's kept columns — what the
-        int8 lowering quantizes, whichever way this op's GEMM operand is laid out."""
-        kept = self.plan.kept_columns
-        return self.weight if self.weight.shape[1] == kept.size else self.weight[:, kept]
 
     def choose_kernel(self, sparse_kernel: Optional[SparseConvKernel]) -> None:
         """Pick what executes this op; :func:`fuse_graph` calls it once folding is done.
@@ -305,17 +294,12 @@ class FusedConv(_FusedOp):
 
     # --------------------------------------------------------------- execution
     def natively(self) -> bool:
-        # Calibration observers want the pre-activation tensor, which the
-        # direct kernel never materializes: an observed conv is a Python step
-        # (on every host, so calibrated scales do not depend on the kernel).
-        return self.direct is not None and self.observer is None
+        return self.direct is not None
 
     def execute(self, values, arena, timed=False):
         """Gather -> GEMM (+bias) -> epilogue; returns the phase split if ``timed``."""
         started = time.perf_counter() if timed else 0.0
         data = _contiguous(values[self.in_slot], arena, (self.key, "in"))
-        if self.observer is not None:
-            self.observer("in", self.layer_name, data)
         n, c, h, w = data.shape
         plan = self.plan
         out_channels = plan.out_channels
@@ -342,20 +326,13 @@ class FusedConv(_FusedOp):
         result = arena.buffer((self.key, "out"), (n, out_channels, out_h, out_w))
         out = result.reshape(n, out_channels, out_h * out_w)
         np.matmul(self.weight, gemm_in, out=out)
-        # Observed (calibration) forwards take the numpy passes on every host:
-        # they want the pre-activation tensor the fused pass never stores.
-        fused_epilogue = self.native_epilogue is not None and self.observer is None
-        if self.bias is not None and not fused_epilogue:
+        if self.bias is not None and self.native_epilogue is None:
             out += self.bias.reshape(1, -1, 1)
-        if self.observer is not None:
-            self.observer("pre", self.layer_name, out)
         multiplied = time.perf_counter() if timed else 0.0
-        if fused_epilogue:
+        if self.native_epilogue is not None:
             self.native_epilogue.bias_act(out, *self._epilogue_args)
         else:
             self._epilogue(out, arena)
-        if self.observer is not None:
-            self.observer("post", self.layer_name, out)
         values[self.out_slot] = result
         if not timed:
             return None
@@ -945,8 +922,6 @@ class FusedProgram:
         #: for good by the first cut that proves otherwise (a step whose native
         #: body does not bind to its input shapes: a broadcasting add).
         self._whole = bucket_safe and all(op.natively() for op in steps)
-        #: The calibration hook :meth:`observe` attached, else None.
-        self._observer = None
         self._tls = threading.local()
         # Weak references: an arena is kept alive by its owning thread's local
         # storage, so scratch buffers die with the thread instead of
@@ -998,16 +973,6 @@ class FusedProgram:
         profiler = getattr(self._tls, "profiler", None)
         return profiler if profiler is not None else self._profiler
 
-    def observe(self, observer) -> None:
-        """Attach / detach (``None``) the calibration hook of every float conv
-        (:attr:`FusedConv.observer`).  An observed conv is a Python step, so a
-        forward is cut into segments afresh, unkept, while one is attached.
-        Single-writer, like ``refresh()``: not under another thread's forward."""
-        self._observer = observer
-        for op in self.steps:
-            if type(op) is FusedConv:
-                op.observer = observer
-
     # --------------------------------------------------------------- execution
     def run(self, data: np.ndarray):  # reprolint: hot
         """Execute the fused program on raw NCHW input.
@@ -1057,10 +1022,9 @@ class FusedProgram:
         values[self.graph.input_slot] = data
         # What a forward of this shape runs lives in the arena, like every
         # other binding: (its segments, the outputs they leave in fresh arrays)
-        # — per geometry where no buffer is sized by the batch.  An observed
-        # forward has convs to show to its observer: it cuts its own.
-        plan = ([], set()) if self._observer is not None else arena.binding(
-            "segments", data.shape[1:] if whole else data.shape, lambda arena, key: ([], set()))
+        # — per geometry where no buffer is sized by the batch.
+        plan = arena.binding("segments", data.shape[1:] if whole else data.shape,
+                             lambda arena, key: ([], set()))
         segments, fresh = plan
         started = time.perf_counter()
         with no_grad(), np.errstate(over="ignore"):
@@ -1090,8 +1054,8 @@ class FusedProgram:
         segment of its own, and each is yielded once what it reads exists — a
         native step tells its output shape at bind, a Python step only by
         running.  The finished cut is filled into ``plan`` (what the arena
-        keeps) unless an observer showed up, or the forward took no bucket
-        (``whole``) and some buffer is sized by its batch after all.
+        keeps) unless the forward took no bucket (``whole``) and some buffer is
+        sized by its batch after all.
         """
         steps, rows = self.steps, values[self.graph.input_slot].shape[0]
         last_read = {slot: index for index, op in enumerate(steps) for slot in op.node.inputs}
@@ -1119,11 +1083,10 @@ class FusedProgram:
             if op is not None:
                 cut.append(op)
                 yield op
-        if self._observer is None:
-            if alone or not whole:
-                plan[0].extend(cut)
-            else:
-                self._whole = False
+        if alone or not whole:
+            plan[0].extend(cut)
+        else:
+            self._whole = False
 
     def _native(self, op, arena, values, pending, rows):
         """``(op, its bound native step, the input shapes it is bound for)`` —

@@ -1,12 +1,10 @@
-"""Optional AVX-512 kernels for the fused hot paths (int8 VNNI, fp32 pattern-sparse).
+"""Optional AVX-512 kernels for the fused fp32 hot path (pattern-sparse convolution).
 
-The portable integer GEMM kernels in :mod:`repro.engine.quant` go through
-numpy, whose integer matmul has no SIMD backend — on most hosts it cannot beat
-the float32 BLAS path it is supposed to replace — and the fp32 path multiplies
-a 78 %-zero pattern-pruned weight matrix densely, because R-TOSS patterns
-differ per kernel and so leave no im2col *column* empty.  This module provides
-the kernels that can do better: a small C source (embedded below) compiled on
-first use with the host compiler into one shared library exposing
+The portable fp32 path multiplies a 78 %-zero pattern-pruned weight matrix
+densely, because R-TOSS patterns differ per kernel and so leave no im2col
+*column* empty.  This module provides the kernels that can do better: a small
+C source (embedded below) compiled on first use with the host compiler into
+one shared library exposing
 
 ``sconv_call(args, stamps)`` -> ``sconv_f32``
     One fused fp32 **direct sparse convolution**: per output channel ``o`` and
@@ -37,29 +35,15 @@ first use with the host compiler into one shared library exposing
     whether SiLU is one in-register pass or five numpy passes, which made the
     two answer host contention differently.  AVX-512F only.
 
-``qconv_vnni(x, wpack, alpha, beta, act, slope, out_kind, inv_out_scale,
-out, rows, kp, op)``
-    One fused quantized convolution tile: ``rows x kp`` unsigned-int8
-    activation codes times a packed ``op x kp`` signed-int8 weight matrix,
-    accumulated in int32 by ``vpdpbusd`` (AVX-512 VNNI), with the entire
-    dequant + bias + activation (+ requantize) epilogue applied in registers
-    before anything is stored.  ``out_kind`` 0 stores float32 ``(rows, op)``;
-    1 stores biased uint8 codes for an int8→int8 layer edge.
-
-The weight layout is the standard VNNI tiling ``[op/16][kp/4][16][4]``
-(16 output channels x 4 reduction lanes per 64-byte vector), produced by
-``w.reshape(op//16, 16, kp//4, 4).transpose(0, 2, 1, 3)``.
-
 Design constraints:
 
 * **Zero hard dependency.**  Everything degrades silently: no compiler, a
   compile error, a CPU without the instructions a kernel needs (checked per
   kernel at *runtime* via ``__builtin_cpu_supports``, so a binary cache copied
   to an older machine still refuses cleanly — each function is compiled for
-  exactly its own ``target`` attribute, so the fp32 kernel runs on an AVX-512F
-  host that lacks VNNI), or ``REPRO_NO_NATIVE=1`` all yield ``None`` from
-  :func:`load_native` / :func:`load_sparse_kernel` and the caller falls back
-  to the numpy kernels.
+  exactly its own ``target`` attribute), or ``REPRO_NO_NATIVE=1`` all yield
+  ``None`` from :func:`load_sparse_kernel` and the caller falls back to the
+  numpy kernels.
 * **Build once.**  The shared library is cached under ``.cache/native/`` at
   the repository root (or the system temp dir when the tree is read-only),
   keyed by a hash of the source and compile flags; concurrent builders (e.g.
@@ -83,7 +67,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -106,17 +90,10 @@ _SOURCE = r"""
 #include <time.h>
 
 #define TARGET_F    __attribute__((target("avx512f,popcnt")))
-#define TARGET_VNNI __attribute__((target("avx512f,popcnt,avx512bw,avx512vnni")))
 
 int sconv_supported(void) {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("popcnt");
-}
-
-int igemm_supported(void) {
-    return sconv_supported()
-        && __builtin_cpu_supports("avx512bw")
-        && __builtin_cpu_supports("avx512vnni");
 }
 
 /* Cephes-style vectorized expf, ~1e-7 relative accuracy.  The upper clamp
@@ -163,84 +140,6 @@ static inline TARGET_F __m512 apply_act(__m512 v, int act, __m512 slope) {
     }
     if (act == 3) return silu_ps(v);
     return v;
-}
-
-/* Fused quantized conv tile: int8 GEMM (u8 activations x packed s8 weights,
- * vpdpbusd) with the dequant+bias+activation(+requant) epilogue applied in
- * registers.  out_kind 0: float32 (rows, op); out_kind 1: u8 biased codes. */
-TARGET_VNNI void qconv_vnni(const uint8_t *x, const int8_t *wpack,
-                const float *alpha, const float *beta,
-                int act, float slope_s, int out_kind, float inv_out_scale,
-                void *out, int64_t rows, int64_t kp, int64_t op) {
-    const int64_t kb = kp / 4;
-    const int64_t ob = op / 16;
-    const __m512 slope = _mm512_set1_ps(slope_s);
-    const __m512 invs = _mm512_set1_ps(inv_out_scale);
-    const __m512 bias128 = _mm512_set1_ps(128.0f);
-    const __m512i lo = _mm512_set1_epi32(1), hi = _mm512_set1_epi32(255);
-    float *outf = (float *)out;
-    uint8_t *outq = (uint8_t *)out;
-    int64_t r = 0;
-    for (; r + 4 <= rows; r += 4) {
-        const uint8_t *x0 = x + r * kp, *x1 = x0 + kp, *x2 = x1 + kp, *x3 = x2 + kp;
-        for (int64_t b = 0; b < ob; b++) {
-            const int8_t *w = wpack + b * kb * 64;
-            __m512i a0 = _mm512_setzero_si512(), a1 = a0, a2 = a0, a3 = a0;
-            for (int64_t k = 0; k < kb; k++) {
-                const __m512i wt = _mm512_loadu_si512((const void *)(w + k * 64));
-                a0 = _mm512_dpbusd_epi32(a0, _mm512_set1_epi32(*(const int32_t *)(x0 + k * 4)), wt);
-                a1 = _mm512_dpbusd_epi32(a1, _mm512_set1_epi32(*(const int32_t *)(x1 + k * 4)), wt);
-                a2 = _mm512_dpbusd_epi32(a2, _mm512_set1_epi32(*(const int32_t *)(x2 + k * 4)), wt);
-                a3 = _mm512_dpbusd_epi32(a3, _mm512_set1_epi32(*(const int32_t *)(x3 + k * 4)), wt);
-            }
-            const __m512 al = _mm512_loadu_ps(alpha + b * 16);
-            const __m512 be = _mm512_loadu_ps(beta + b * 16);
-            __m512 v0 = apply_act(_mm512_fmadd_ps(_mm512_cvtepi32_ps(a0), al, be), act, slope);
-            __m512 v1 = apply_act(_mm512_fmadd_ps(_mm512_cvtepi32_ps(a1), al, be), act, slope);
-            __m512 v2 = apply_act(_mm512_fmadd_ps(_mm512_cvtepi32_ps(a2), al, be), act, slope);
-            __m512 v3 = apply_act(_mm512_fmadd_ps(_mm512_cvtepi32_ps(a3), al, be), act, slope);
-            if (out_kind == 0) {
-                _mm512_storeu_ps(outf + r * op + b * 16, v0);
-                _mm512_storeu_ps(outf + (r + 1) * op + b * 16, v1);
-                _mm512_storeu_ps(outf + (r + 2) * op + b * 16, v2);
-                _mm512_storeu_ps(outf + (r + 3) * op + b * 16, v3);
-            } else {
-                __m512i q0 = _mm512_cvtps_epi32(_mm512_fmadd_ps(v0, invs, bias128));
-                __m512i q1 = _mm512_cvtps_epi32(_mm512_fmadd_ps(v1, invs, bias128));
-                __m512i q2 = _mm512_cvtps_epi32(_mm512_fmadd_ps(v2, invs, bias128));
-                __m512i q3 = _mm512_cvtps_epi32(_mm512_fmadd_ps(v3, invs, bias128));
-                q0 = _mm512_max_epi32(_mm512_min_epi32(q0, hi), lo);
-                q1 = _mm512_max_epi32(_mm512_min_epi32(q1, hi), lo);
-                q2 = _mm512_max_epi32(_mm512_min_epi32(q2, hi), lo);
-                q3 = _mm512_max_epi32(_mm512_min_epi32(q3, hi), lo);
-                _mm_storeu_si128((__m128i *)(outq + r * op + b * 16), _mm512_cvtepi32_epi8(q0));
-                _mm_storeu_si128((__m128i *)(outq + (r + 1) * op + b * 16), _mm512_cvtepi32_epi8(q1));
-                _mm_storeu_si128((__m128i *)(outq + (r + 2) * op + b * 16), _mm512_cvtepi32_epi8(q2));
-                _mm_storeu_si128((__m128i *)(outq + (r + 3) * op + b * 16), _mm512_cvtepi32_epi8(q3));
-            }
-        }
-    }
-    for (; r < rows; r++) {
-        const uint8_t *xr = x + r * kp;
-        for (int64_t b = 0; b < ob; b++) {
-            const int8_t *w = wpack + b * kb * 64;
-            __m512i a0 = _mm512_setzero_si512();
-            for (int64_t k = 0; k < kb; k++) {
-                const __m512i wt = _mm512_loadu_si512((const void *)(w + k * 64));
-                a0 = _mm512_dpbusd_epi32(a0, _mm512_set1_epi32(*(const int32_t *)(xr + k * 4)), wt);
-            }
-            const __m512 al = _mm512_loadu_ps(alpha + b * 16);
-            const __m512 be = _mm512_loadu_ps(beta + b * 16);
-            __m512 v0 = apply_act(_mm512_fmadd_ps(_mm512_cvtepi32_ps(a0), al, be), act, slope);
-            if (out_kind == 0) {
-                _mm512_storeu_ps(outf + r * op + b * 16, v0);
-            } else {
-                __m512i q0 = _mm512_cvtps_epi32(_mm512_fmadd_ps(v0, invs, bias128));
-                q0 = _mm512_max_epi32(_mm512_min_epi32(q0, hi), lo);
-                _mm_storeu_si128((__m128i *)(outq + r * op + b * 16), _mm512_cvtepi32_epi8(q0));
-            }
-        }
-    }
 }
 
 /* ---- fp32 direct sparse convolution ------------------------------------ */
@@ -590,53 +489,9 @@ const int64_t args_sizes[] = {sizeof(sconv_args), sizeof(maxpool_args), sizeof(c
                               sizeof(segment_args)};
 """
 
-#: Epilogue activation codes of both kernels (module-level so the executors
+#: Epilogue activation codes of the kernels (module-level so the executors
 #: and tests agree on the mapping).
 ACT_CODES = {None: 0, "relu": 1, "leaky_relu": 2, "silu": 3}
-
-#: ``out_kind`` values of ``qconv_vnni``.
-OUT_REAL = 0
-OUT_CODES = 1
-
-
-class NativeQuantKernel:
-    """ctypes wrapper around ``qconv_vnni`` (one per process)."""
-
-    def __init__(self, lib: ctypes.CDLL, path: Path) -> None:
-        self.path = path
-        self._qconv = lib.qconv_vnni
-        self._qconv.restype = None
-        self._qconv.argtypes = [
-            ctypes.c_void_p, ctypes.c_void_p,       # x codes, packed weights
-            ctypes.c_void_p, ctypes.c_void_p,       # alpha, beta
-            ctypes.c_int, ctypes.c_float,           # act, slope
-            ctypes.c_int, ctypes.c_float,           # out_kind, 1/out_scale
-            ctypes.c_void_p,                        # out
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # rows, kp, op
-        ]
-
-    def qconv(self, x: np.ndarray, wpack: np.ndarray,
-              alpha: np.ndarray, beta: np.ndarray,
-              act: Optional[str], slope: Optional[float],
-              out: np.ndarray, out_scale: Optional[float]) -> None:
-        """Run one fused quantized conv tile (see module docstring).
-
-        ``x`` is ``(rows, kp)`` uint8, ``wpack`` the VNNI-tiled int8 weights,
-        ``alpha``/``beta`` per-channel float32 of length ``op``; ``out`` is
-        ``(rows, op)`` float32 when ``out_scale`` is None, else ``(rows, op)``
-        uint8 receiving biased codes.
-        """
-        rows, kp = x.shape
-        op = alpha.shape[0]
-        out_kind = OUT_REAL if out_scale is None else OUT_CODES
-        inv_scale = 0.0 if out_scale is None else 1.0 / float(out_scale)
-        self._qconv(
-            x.ctypes.data, wpack.ctypes.data,
-            alpha.ctypes.data, beta.ctypes.data,
-            ACT_CODES[act], float(slope or 0.0),
-            out_kind, inv_scale,
-            out.ctypes.data, rows, kp, op)
-
 
 def address(array: Optional[np.ndarray], dtype) -> Optional[int]:
     """Data pointer of a packed kernel operand (``None`` -> ``NULL``).
@@ -753,7 +608,6 @@ class SparseConvKernel:
 
 _load_lock = threading.Lock()
 _loaded = False
-_kernel: Optional[NativeQuantKernel] = None
 _sparse_kernel: Optional[SparseConvKernel] = None
 
 
@@ -763,7 +617,7 @@ def _reinit_after_fork() -> None:
     A child forked while the parent is inside :func:`_load` (compiling or
     dlopen-ing the library) inherits ``_load_lock`` held and would deadlock
     on its own first load.  Only the lock is re-armed: a completed load
-    (``_loaded`` and the kernels) stays valid — the dlopen'd library lives in
+    (``_loaded`` and the kernel) stays valid — the dlopen'd library lives in
     the child's address space too.
     """
     global _load_lock
@@ -789,12 +643,12 @@ def _cache_dir() -> Path:
     return fallback
 
 
-def _build() -> Tuple[Optional[NativeQuantKernel], Optional[SparseConvKernel]]:
-    """Compile (or load from cache) the library; one wrapper per usable kernel."""
+def _build() -> Optional[SparseConvKernel]:
+    """Compile (or load from cache) the library; its wrapper when usable."""
     compiler = shutil.which("gcc") or shutil.which("cc")
     if compiler is None:
         log.info("native kernels disabled: no C compiler on PATH")
-        return None, None
+        return None
     tag = hashlib.sha256(
         (_SOURCE + " ".join(CFLAGS)).encode()).hexdigest()[:16]
     cache = _cache_dir()
@@ -809,64 +663,46 @@ def _build() -> Tuple[Optional[NativeQuantKernel], Optional[SparseConvKernel]]:
         if result.returncode != 0:
             log.info("native kernels disabled: compile failed: %s",
                      result.stderr.strip()[:500])
-            return None, None
+            return None
         # Atomic publish: concurrent builders (forked serving workers) each
         # compile to a private temp file; the last rename wins harmlessly.
         os.replace(tmp_path, so_path)
     lib = ctypes.CDLL(str(so_path))
-    for check in (lib.sconv_supported, lib.igemm_supported):
-        check.restype = ctypes.c_int
-        check.argtypes = []
+    lib.sconv_supported.restype = ctypes.c_int
+    lib.sconv_supported.argtypes = []
     if not lib.sconv_supported():
         log.info("native kernels disabled: CPU lacks AVX-512F")
-        return None, None
-    sparse: Optional[SparseConvKernel] = SparseConvKernel(lib, so_path)
+        return None
     sizes = (ctypes.c_int64 * len(ARGS)).in_dll(lib, "args_sizes")
     for (name, block), size in zip(ARGS.items(), sizes):
         if size != ctypes.sizeof(block):
             # A struct and its mirror drifted apart: no bound call is safe to make.
             log.warning("native fp32 kernels disabled: %s args block is %d bytes here, %d in "
                         "the library", name, ctypes.sizeof(block), size)
-            sparse = None
-            break
-    if not lib.igemm_supported():
-        log.info("native int8 kernel disabled: CPU lacks AVX512-VNNI")
-        return None, sparse
-    return NativeQuantKernel(lib, so_path), sparse
+            return None
+    return SparseConvKernel(lib, so_path)
 
 
 def _load() -> None:
     """Build once per process; every outcome — including failure — is cached."""
-    global _loaded, _kernel, _sparse_kernel
+    global _loaded, _sparse_kernel
     if _loaded:
         return
     with _load_lock:
         if not _loaded:
             try:
-                _kernel, _sparse_kernel = _build()
+                _sparse_kernel = _build()
             except Exception as exc:  # noqa: BLE001 - degrade, never crash
                 log.info("native kernels disabled: %s", exc)
-                _kernel = _sparse_kernel = None
+                _sparse_kernel = None
             _loaded = True
 
 
-def load_native() -> Optional[NativeQuantKernel]:
-    """The process-wide int8 VNNI kernel, or ``None`` when unavailable.
+def load_sparse_kernel() -> Optional[SparseConvKernel]:
+    """The process-wide fp32 direct sparse-conv kernel, or ``None`` when unavailable.
 
     The first call builds (or loads from cache) the shared library.
     Thread-safe.  Set ``REPRO_NO_NATIVE=1`` to force ``None``.
-    """
-    if os.environ.get(DISABLE_ENV):
-        return None
-    _load()
-    return _kernel
-
-
-def load_sparse_kernel() -> Optional[SparseConvKernel]:
-    """The process-wide fp32 direct sparse-conv kernel, or ``None``.
-
-    Same library, build and ``REPRO_NO_NATIVE`` switch as :func:`load_native`,
-    but it only needs AVX-512F, so it also loads on hosts without VNNI.
     """
     if os.environ.get(DISABLE_ENV):
         return None
@@ -875,8 +711,11 @@ def load_sparse_kernel() -> Optional[SparseConvKernel]:
 
 
 def native_available() -> bool:
-    """Whether the fused VNNI int8 kernel is usable in this process."""
-    return load_native() is not None
+    """Always ``False``: the library has no integer kernel, the engine runs fp32
+    only.  Kept, like :meth:`repro.engine.CompiledModel.attach`, because the
+    frozen benchmark code in ``bench/`` asks it whether to run its quantized
+    arm; the fp32 kernel's probe is :func:`sparse_kernel_available`."""
+    return False
 
 
 def sparse_kernel_available() -> bool:
@@ -886,7 +725,7 @@ def sparse_kernel_available() -> bool:
 
 def reset_native_cache() -> None:
     """Forget the cached load outcome (tests toggling ``REPRO_NO_NATIVE``)."""
-    global _loaded, _kernel, _sparse_kernel
+    global _loaded, _sparse_kernel
     with _load_lock:
         _loaded = False
-        _kernel = _sparse_kernel = None
+        _sparse_kernel = None

@@ -15,7 +15,7 @@ Three planes, one package (see docs/observability.md):
   Completed traces land in a ring buffer exportable as Chrome
   ``chrome://tracing`` trace-event JSON.
 * **Profiling** (:mod:`repro.obs.profiler`) — opt-in per-op timing for the
-  fused fp32 / int8 executors, surfaced through
+  fused executor, surfaced through
   ``CompiledModel.profile()`` and ``repro engine --profile``.
 
 ``repro top`` (:mod:`repro.obs.top`) renders the live ops view on top of the

@@ -1,13 +1,12 @@
-"""Per-op engine profiler for the fused fp32 / int8 executors.
+"""Per-op engine profiler for the fused executor.
 
 An :class:`EngineProfiler` attaches to a ``FusedProgram`` (program-wide via
 ``CompiledModel.enable_profiling`` or per-thread via
 ``FusedProgram.profiled``) and aggregates wall time per graph op.  Compiled
 convolutions additionally split into their pipeline phases — ``gather``
 (im2col column build / pointwise channel take), ``gemm`` (matmul + bias) and
-``epilogue`` (fused activation) for fp32, ``quantize``/``gather``/``gemm``
-for the int8 hot path — so a slow layer shows *where* inside the conv the
-time went, and the op's ``mode`` string says whether it ran int8 or fp32.
+``epilogue`` (fused activation) — so a slow layer shows *where* inside the
+conv the time went, and the op's ``mode`` string says which kernel ran it.
 
 When no profiler is attached the executors pay a single ``is None`` check per
 forward; ``benchmarks/test_obs_overhead.py`` gates that at ≤2%.

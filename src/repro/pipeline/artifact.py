@@ -33,7 +33,7 @@ from repro.pipeline.spec import RunSpec
 from repro.utils.serialization import load_state_dict, save_state_dict
 
 #: Format version written into every artifact (bump on incompatible changes).
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 _META_KEY = "__artifact__"
 _STATE_PREFIX = "state::"
@@ -99,7 +99,6 @@ class DeployableArtifact:
             row["quantized_bits"] = self.quantization_meta.get("bits")
         if self.compiled is not None:
             row["compiled_layers"] = self.compiled.num_compiled_layers
-            row["int8"] = bool(self.compiled.int8)
         if self.measurement:
             row["measured_speedup"] = self.measurement.get("measured_speedup")
         return row
@@ -130,13 +129,9 @@ class DeployableArtifact:
             },
             "mask_signature": self.masks.signature() if len(self.masks) else None,
             "quantization": _jsonable(self.quantization_meta),
-            "compiled": self.compiled is not None,
             # load() recompiles accordingly, so serving processes
-            # (InferenceService / cluster WorkerProcess) inherit the integer
-            # hot path for free: the calibrated activation scales travel inside
-            # "quantization", so load() re-lowers into the exact int8 program
-            # this run executed.
-            "int8": bool(self.compiled is not None and self.compiled.int8),
+            # (InferenceService / cluster WorkerProcess) get the engine too.
+            "compiled": self.compiled is not None,
             "measurement": _jsonable(self.measurement),
             "metrics": _jsonable(self.metrics),
             "timings": _jsonable(self.timings),
@@ -212,9 +207,7 @@ class DeployableArtifact:
         compiled = None
         if meta.get("compiled"):
             compiled = compile_model(model, masks if len(masks) else None,
-                                     apply_masks=False,
-                                     int8=bool(meta.get("int8", False)),
-                                     quantization=meta.get("quantization"))
+                                     apply_masks=False)
 
         return cls(
             spec=spec,

@@ -229,11 +229,6 @@ class EngineSpec(_SpecNode):
     enabled: bool = True
     #: Also time dense vs compiled inference on the host CPU.
     measure: bool = False
-    #: Lower quantized convolutions to the integer hot path (uint8 activation
-    #: codes x int8 weight codes, int32 accumulation).  Activation scales are
-    #: calibrated on a seeded batch at compile time and recorded in the
-    #: artifact so ``load()`` re-fuses into the same int path.
-    int8: bool = False
     #: Input resolution of the measured forward passes.
     image_size: int = _bounded(64, ge=32)
     #: Measurement batch size.

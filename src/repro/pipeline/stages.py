@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, runtime_checkable
 
-import numpy as np
-
 from repro.core.report import PruningReport
 from repro.nn.module import Module
 from repro.pipeline.spec import RunSpec
@@ -173,43 +171,14 @@ class CompileStage:
 
         spec = context.spec
         engine = spec.engine
-        context.compiled = compile_model(
-            context.model, context.masks, apply_masks=False,
-            int8=engine.int8, quantization=context.quantization_meta)
-        if engine.int8:
-            self._calibrate_int8(context)
+        context.compiled = compile_model(context.model, context.masks, apply_masks=False)
         if engine.measure:
             # Measures the engine compiled above — the one the artifact ships.
             context.measurement = measure_speedup(
                 context.model, masks=context.masks, repeats=engine.repeats,
                 batch=engine.batch, image_size=engine.image_size,
                 model_name=spec.model.name, seed=spec.seed,
-                compiled=context.compiled, int8=engine.int8)
-
-    @staticmethod
-    def _calibrate_int8(context: PipelineContext) -> None:
-        """Calibrate activation scales on a seeded batch and persist them.
-
-        The calibration batch is derived from ``spec.seed`` alone, so two runs
-        of the same spec record identical scales and ``load()`` re-fuses the
-        artifact into a bit-identical integer path (no data-dependent drift).
-        Pre-calibrated scales (e.g. a re-run seeded from an artifact) win.
-        """
-        spec = context.spec
-        engine = spec.engine
-        meta = dict(context.quantization_meta or {})
-        if not meta.get("activation_scales"):
-            rng = np.random.default_rng(spec.seed)
-            batch = rng.standard_normal(
-                (engine.batch, 3, engine.image_size, engine.image_size)
-            ).astype(np.float32)
-            try:
-                scales = context.compiled.calibrate_int8(batch)
-            except RuntimeError:  # untraceable model: nothing to lower or calibrate
-                return
-            meta["activation_scales"] = scales
-        meta.setdefault("bits", int(context.compiled.quantization.get("bits", 8) or 8))
-        context.quantization_meta = meta
+                compiled=context.compiled)
 
 
 class EvaluateStage:

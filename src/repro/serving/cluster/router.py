@@ -562,11 +562,11 @@ class Router:
         futures may sit on a healthy worker — and count them as failed."""
         now = time.perf_counter()
         for request in pending:
-            request.fail(error)
             if request.fresh:    # the never-placed rest of a burst: admitted all the same
                 self.metrics.record_submit(request.worker_id, request.count)
             self.metrics.record_completion(
                 request.worker_id, now - request.submitted_at, True, request.count)
+            request.fail(error)
 
     # ------------------------------------------------------------------ elasticity
     def add_worker(self) -> int:

@@ -660,10 +660,11 @@ class WorkerProcess:
                 outputs = self._reply_outputs(message)
             first = first_id - request.base_id
             latency = time.perf_counter() - request.submitted_at
-            request.future._settle(request.offset + first, request.offset + first + count,
-                                   outputs, error)
+            # Counted before settling: a caller woken by the future reads it counted.
             if self.metrics is not None:
                 self.metrics.record_completion(self.worker_id, latency, failed, count)
+            request.future._settle(request.offset + first, request.offset + first + count,
+                                   outputs, error)
             # Absorb the worker's shipped-back spans and seal the traces.
             if request.traces:
                 spans = meta.get("spans") or ()

@@ -96,7 +96,7 @@ class PooledModel:
 
     @property
     def engine_mode(self) -> str:
-        """Executor this entry serves through: ``int8``/``fused``/``eager``/``dense``."""
+        """Executor this entry serves through: ``fused``/``eager``/``dense``."""
         compiled = self.compiled_model
         return compiled.engine_mode if compiled is not None else "dense"
 

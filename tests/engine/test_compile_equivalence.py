@@ -17,7 +17,13 @@ from repro.core.kernel_pruning import prune_3x3_layer
 from repro.core.one_by_one import prune_pointwise_weights
 from repro.core.patterns import build_pattern_library
 from repro.core.rtoss import prune_with_rtoss
-from repro.engine import BatchRunner, compile_conv_plan, compile_model, max_abs_output_diff
+from repro.engine import (
+    BatchRunner,
+    compile_conv_plan,
+    compile_model,
+    max_abs_output_diff,
+    native_available,
+)
 from repro.engine.runner import map_structure
 from repro.models.registry import available_models, build_model
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
@@ -189,3 +195,17 @@ def test_every_registry_model_runs_the_one_engine_path(name, rng):
         peak = max_abs_output_diff(oracle, map_structure(np.zeros_like, oracle))
         assert compiled.engine_mode == "fused", compiled.fuse_failure
         assert diff <= TOL * max(1.0, peak)
+
+
+def test_the_benchmark_seams_compile_fp32_and_refuse_int8(rng):
+    """The frozen benchmark code still calls ``compile_model(..., int8=...)``
+    and ``native_available()``: the first compiles the one fp32 program and
+    refuses ``int8=True``, the second says there is no integer kernel."""
+    model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=32))
+    x = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
+    compiled = compile_model(model, int8=False)
+    compiled.forward_raw(x)
+    assert compiled.engine_mode == "fused", compiled.fuse_failure
+    with pytest.raises(ValueError, match="int8 execution was removed"):
+        compile_model(model, int8=True)
+    assert native_available() is False

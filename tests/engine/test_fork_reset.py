@@ -54,9 +54,9 @@ def test_functional_reinit_clears_im2col_cache():
 def test_native_reinit_keeps_completed_load():
     # The dlopen'd library lives in the child's address space: a completed
     # load stays valid and must not be dropped by the reset.
-    before = (native._loaded, native._kernel)
+    before = (native._loaded, native._sparse_kernel)
     native._reinit_after_fork()
-    assert (native._loaded, native._kernel) == before
+    assert (native._loaded, native._sparse_kernel) == before
 
 
 def test_comparison_suite_reinit_keeps_cached_results():

@@ -21,9 +21,8 @@ portable path:
 * running the same sizes again (cached cuts, other sizes in between) changes
   nothing.
 
-Deterministic tests below pin calibration (an observed conv is a Python step:
-every conv is seen although the cut is cached, and the cached cut still gives
-the same bits afterwards), the int8 program and the profile of a segment.
+Deterministic tests below pin a native body that does not bind (the program
+goes back to batch buckets) and the profile of a segment.
 ``--hypothesis-seed=N`` reproduces a failure.
 """
 
@@ -37,8 +36,7 @@ from test_conv_oracle import portable          # pins the portable path, as REPR
 
 from repro.core.rtoss import prune_with_rtoss
 from repro.engine import BatchRunner, compile_model, sparse_kernel_available
-from repro.engine.fuse import FusedConv, Segment
-from repro.engine.quant import calibrate_activation_scales
+from repro.engine.fuse import Segment
 from repro.engine.runner import map_structure
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.nn.layers.activation import GELU, ReLU, Sigmoid, SiLU
@@ -299,52 +297,6 @@ def test_a_native_body_that_does_not_bind_puts_the_program_back_on_buckets(rng):
         # the last run writes the model output: an export ([:count] of it is copied
         # out once), not a result copied out in the call and sliced again
         assert all(cut[2].exports and not cut[2].results for cut in cuts.values() if cut)
-
-
-def test_calibration_after_warm_forwards_observes_every_conv(rng):
-    """Observers are attached long after the cut was cached: an observed
-    forward must still show every conv its ``in`` / ``pre`` / ``post``, and
-    leave the cached cut — which shares the glue steps' bindings — intact."""
-    model, report = _pruned_tiny()
-    compiled = compile_model(model, report.masks)
-    frames = rng.standard_normal((5, 3, 64, 64)).astype(np.float32)
-    warm = [compiled.forward_raw(frames[:size]) for size in (1, 5, 2)]
-    program = compiled._fused_program
-    seen = []
-    program.observe(lambda stage, name, array: seen.append((stage, name, array.shape[0])))
-    program.run(frames[:3])
-    program.observe(None)
-    convs = [op.layer_name for op in program.steps if isinstance(op, FusedConv)]
-    assert len(convs) == 15
-    for stage in ("in", "pre", "post"):
-        assert [name for s, name, _ in seen if s == stage] == convs
-    assert {rows for _, _, rows in seen} == {3 if program._whole else 4}
-    stats = calibrate_activation_scales(program, [frames])
-    assert sorted(stats) == sorted(convs)
-    assert all(entry["in_max"] > 0 and entry["pre_max"] > 0 for entry in stats.values())
-    assert all(op.observer is None for op in program.steps if isinstance(op, FusedConv))
-    for size, before in zip((1, 5, 2), warm):
-        _assert_bits(compiled.forward_raw(frames[:size]), before)
-
-
-def test_int8_program_runs_its_glue_as_segments_and_is_row_independent(rng):
-    """Every int8 conv is a Python step; the float glue between them still
-    runs as (image-major) segments, and an image's int8 result does not depend
-    on the batch it rode in."""
-    model, report = _pruned_tiny()
-    compiled = compile_model(model, report.masks, int8=True)
-    frames = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
-    compiled.calibrate_int8(frames)
-    out = compiled.forward_raw(frames[:5])
-    assert compiled.engine_mode == "int8"
-    _assert_bits(out, _stack_of_singles(compiled, frames[:5]))
-    reference = compile_model(model, report.masks, apply_masks=False).forward_raw(frames[:5])
-    assert np.abs(out - reference).mean() <= 0.02 * max(1.0, np.abs(reference).mean())
-    if sparse_kernel_available():
-        arena = compiled._int8_program._arena()
-        assert any(isinstance(segment, Segment)
-                   for (key, _), (cut, _) in ((k, v) for k, v in arena._bindings.items()
-                                              if k[0] == "segments") for segment in cut)
 
 
 @pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")

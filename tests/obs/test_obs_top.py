@@ -45,7 +45,7 @@ def cluster_snapshot():
                 "worker-0": {"throughput_rps": 325.1, "queue": {"max_depth": 11},
                              "engine_modes": {"default": "fused"}},
                 "worker-1": {"throughput_rps": 347.4, "queue": {"max_depth": 9},
-                             "engine_modes": {"default": "int8"}},
+                             "engine_modes": {"default": "eager"}},
             },
         },
         "metrics": {},
@@ -75,7 +75,7 @@ class TestRender:
         worker0 = next(line for line in lines if line.startswith("worker-0"))
         worker1 = next(line for line in lines if line.startswith("worker-1"))
         assert "325.1" in worker0 and "fused" in worker0 and "11" in worker0
-        assert "int8" in worker1
+        assert "eager" in worker1
         assert any("32 completed" in line and "2 redispatched" in line
                    for line in lines)
 

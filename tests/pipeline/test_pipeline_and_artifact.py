@@ -161,6 +161,24 @@ class TestDeployableArtifact:
         with pytest.raises(ValueError, match="not a DeployableArtifact"):
             DeployableArtifact.load(path)
 
+    def test_load_refuses_older_versions_by_their_version(self, artifact, tmp_path):
+        """A version-2 file carries ``engine.int8`` in its spec: it must be
+        refused for its version, before the spec parser sees the key."""
+        import json
+
+        from repro.utils.serialization import load_state_dict, save_state_dict
+
+        bundle = load_state_dict(artifact.save(str(tmp_path / "current")))
+        meta = json.loads(str(bundle["__artifact__"][()]))
+        meta["spec"]["engine"]["int8"] = False
+        meta["int8"] = False
+        for version in (1, 2):
+            meta["version"] = version
+            bundle["__artifact__"] = np.asarray(json.dumps(meta))
+            path = save_state_dict(bundle, str(tmp_path / f"v{version}"))
+            with pytest.raises(ValueError, match=f"unsupported artifact version {version}"):
+                DeployableArtifact.load(path)
+
 
 class TestCliRun:
     def test_run_command_from_example_spec(self, capsys, tmp_path, monkeypatch):

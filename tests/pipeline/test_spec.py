@@ -27,7 +27,7 @@ FULL_SPEC_DICT = {
     "framework": {"name": "rtoss-2ep", "overrides": {"prune_pointwise": False},
                   "trace_size": 96},
     "quantization": {"enabled": True, "bits": 4, "skip_names": ["head"]},
-    "engine": {"enabled": True, "int8": True, "measure": True,
+    "engine": {"enabled": True, "measure": True,
                "image_size": 96, "batch": 4, "repeats": 2},
     "evaluation": {"enabled": True, "image_size": 96, "probe_size": 64,
                    "baseline_map": 55.5, "platforms": ["jetson_tx2"]},
@@ -111,9 +111,13 @@ class TestUnknownKeyRejection:
             RunSpec.from_dict({"modle": {"name": "tiny"}})
 
     def test_nested_unknown_key_names_section(self):
-        data = {"framework": {"name": "rtoss-3ep", "entriess": 3}}
-        with pytest.raises(ValueError, match=r"FrameworkSpec: unknown key\(s\) \['entriess'\]"):
-            RunSpec.from_dict(data)
+        cases = [({"framework": {"name": "rtoss-3ep", "entriess": 3}},
+                  r"FrameworkSpec: unknown key\(s\) \['entriess'\]"),
+                 # the int8 executor is gone, and so is its switch
+                 ({"engine": {"int8": True}}, r"EngineSpec: unknown key\(s\) \['int8'\]")]
+        for data, message in cases:
+            with pytest.raises(ValueError, match=message):
+                RunSpec.from_dict(data)
 
     def test_error_lists_allowed_keys(self):
         with pytest.raises(ValueError, match="allowed keys"):

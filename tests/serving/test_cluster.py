@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -180,6 +181,15 @@ def cluster_policy():
     return BatchPolicy(max_batch_size=4, max_wait_ms=5.0, queue_capacity=64)
 
 
+def wait_for_restarts(router, count, timeout=30.0):
+    """The supervisor sees a death on its next heartbeat tick, which can come
+    after every request has already finished (a kill that lands once the
+    worker drained its share): wait for it before reading the report."""
+    deadline = time.monotonic() + timeout
+    while router.metrics.restarts < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class TestRouterCluster:
     def test_cluster_matches_sequential_batch_runner(self, artifact_path, serve_artifact,
                                                      images, cluster_policy):
@@ -195,8 +205,11 @@ class TestRouterCluster:
         completed = {w: s["completed"] for w, s in report["workers"].items()}
         assert sum(completed.values()) == images.shape[0]
         assert all(count > 0 for count in completed.values())
-        # Child-service reports made it across the channel.
+        # Child-service reports made it across the channel, each worker's
+        # engine mode among them.
         assert set(report["worker_services"]) == set(report["workers"])
+        assert all(set(child["engine_modes"].values()) == {"fused"}
+                   for child in report["worker_services"].values())
 
     def test_killed_worker_restarts_with_zero_drops(self, artifact_path, images,
                                                     cluster_policy):
@@ -206,6 +219,7 @@ class TestRouterCluster:
                                      timeout=60.0) for i in range(32)]
             router.workers[0].kill()
             results = [future.result(60.0) for future in futures]
+            wait_for_restarts(router, 1)
             report = router.metrics.report()["cluster"]
         assert len(results) == 32 and all(r is not None for r in results)
         assert report["completed"] == 32
@@ -242,6 +256,7 @@ class TestRouterCluster:
             for worker in router.workers:
                 worker.kill()
             results = [future.result(120.0) for future in futures]
+            wait_for_restarts(router, 2)
             report = router.metrics.report()
         cluster = report["cluster"]
         assert len(results) == 24

@@ -108,8 +108,8 @@ class TestBenchCheck:
         assert "info" in out
 
     def test_missing_informational_metric_skips(self, tmp_path):
-        # e.g. quantized_mean_abs_error: the key is only written on hosts
-        # where the int8 path ran, and an informational metric must not gate.
+        # e.g. pruning_speedup: the key is only written on hosts where the
+        # native sparse kernel ran, and an informational metric must not gate.
         baselines = {
             "metrics": [
                 {"name": "err", "file": "BENCH_x.json", "key": "absent",

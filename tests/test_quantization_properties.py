@@ -1,8 +1,8 @@
 """Property-based tests for the quantization primitives (hypothesis).
 
-The int8 executor (:mod:`repro.engine.quant`) recovers the integer codes that
-:func:`quantize_tensor` committed to, so these invariants are load-bearing for
-the whole integer hot path — not just for the storage estimates:
+Storage quantization is what the pipeline ships (``QuantizeStage`` rewrites
+the weights, the artifact records the bytes it saves), so these invariants are
+load-bearing for every quantized artifact — not just for the size estimates:
 
 * quantization never produces NaN/inf scales or codes, even for fully pruned
   (all-zero) channels and subnormal stragglers,

@@ -5,7 +5,7 @@ Three AST checkers enforce the invariants PRs 3-6 established by convention:
 * ``lock-discipline`` -- attributes declared guarded (``_guarded_by_`` class
   convention or the config table) may only be mutated under their lock.
 * ``hot-path-alloc`` -- functions registered as hot (fused executor, GEMM
-  kernels, quant epilogues, ArrayChannel framing) may not call allocating
+  kernels, conv epilogues, ArrayChannel framing) may not call allocating
   numpy APIs outside arena acquisition.
 * ``mutable-global`` / ``fork-lock-reset`` -- fork/thread hygiene for
   module-level mutable state and cross-fork locks (the plan.py at-fork

@@ -59,13 +59,6 @@ HOT_FUNCTIONS = {
     "Segment.execute",
     "Segment._point",
     "WorkspaceArena.binding",
-    # int8 hot path (engine/quant.py)
-    "QuantFusedConv.execute",
-    "QuantFusedConv._execute_native",
-    "QuantFusedConv._execute_numpy",
-    "QuantFusedConv._quantize_input",
-    "QuantFusedConv._rows_pointwise",
-    "QuantFusedConv._rows_window",
     # serving frame path (serving/cluster/channel.py, serving/gateway.py):
     # one copy per frame is the budget, and it is not made in these
     "encode_frame",
