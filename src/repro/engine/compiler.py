@@ -306,7 +306,8 @@ class CompiledModel:
         executes: once traced, a folded layer shows e.g.
         ``sparse-im2col-gemm+bn+silu`` instead of the bare plan label, and
         ``sparse-im2col-gemm+direct+bn+silu`` when the native direct sparse
-        kernel runs it (:func:`repro.engine.native.sparse_kernel_available`).
+        kernel runs it (:func:`repro.engine.native.sparse_kernel_available`),
+        ``...+dense-direct+...`` for the dense direct kernel of a wide stem.
         """
         program = self._fused_program
         fused_modes = program.conv_modes() if program is not None else {}

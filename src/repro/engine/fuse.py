@@ -23,7 +23,7 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
   forward allocates nothing large; only the final outputs are copied out of the
   arena (they must survive the next forward).
 * **Segments** — a forward walks segments, not steps: each maximal run of
-  natively bound steps (direct sparse convolutions, the native glue ops) is
+  natively bound steps (direct convolutions, the native glue ops) is
   *one* call into the library, images outermost, on buffers bound for one image
   (:class:`Segment`); a step with a Python body is a segment of its own.
 * **Direct sparse kernel** — where :mod:`repro.engine.native` loaded its fp32
@@ -31,7 +31,9 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
   zero-padded planes are staged once and one native call walks the CSR of the
   surviving weights (:meth:`FusedConv.choose_kernel` holds the static rule).
   R-TOSS patterns differ per kernel, so this — not column compaction — is what
-  makes a pruned model faster than its dense twin.
+  makes a pruned model faster than its dense twin.  A dense convolution wider
+  than 3x3 (a 6x6 / 7x7 stem, dense in every arm) runs the library's dense
+  direct kernel the same way, so it joins the segment too.
 
 BatchNorm folding changes the floating-point evaluation order (scales are
 applied to weights before the GEMM instead of to activations after it), so
@@ -88,7 +90,8 @@ _LAYOUT_STATS = layout_cache_stats()
 #: A convolution runs the native direct sparse kernel when at most this share
 #: of its dense ``(O, I*kh*kw)`` weight matrix is nonzero (R-TOSS-2EP ~0.22,
 #: 3EP ~0.33).  The kernel pays one input load per FMA where BLAS blocks
-#: registers, so a dense layer (1.0) is faster as gather + GEMM.
+#: registers, so a dense 3x3 / 1x1 layer (1.0) is faster as gather + GEMM; a
+#: dense layer wider than 3x3 runs the register-blocked dense direct kernel.
 DIRECT_MAX_DENSITY = 0.5
 
 #: On the GEMM path a convolution keeps its dense gather (strided-window copy,
@@ -220,7 +223,8 @@ class FusedConv(_FusedOp):
 
     __slots__ = ("plan", "weight", "bias", "act", "act_slope", "in_slot",
                  "mode", "layer_name", "dense_gather",
-                 "direct", "csr_rowptr", "csr_val", "native_epilogue", "_epilogue_args")
+                 "direct", "csr_rowptr", "csr_val", "taps", "native_epilogue",
+                 "_epilogue_args")
 
     def __init__(self, node: OpNode, plan: ConvPlan) -> None:
         super().__init__(node)
@@ -237,9 +241,12 @@ class FusedConv(_FusedOp):
         # (:meth:`choose_kernel` widens this to "dropped next to nothing").
         self.dense_gather = (plan.kept_columns.size == plan.total_columns
                              and plan.mode != MODE_POINTWISE)
-        #: The native direct sparse kernel when this op runs it (see
+        #: The native library when this op runs one of its direct kernels (see
         #: :meth:`choose_kernel`), else None: gather + GEMM.
         self.direct: Optional[SparseConvKernel] = None
+        #: Kept columns the dense direct kernel walks (``csr_val`` then holds
+        #: the packed matrix, ``csr_rowptr`` None); 0: the CSR walk.
+        self.taps = 0
         #: The same library when it applies this op's GEMM epilogue (bias +
         #: activation, one in-register pass), else None: numpy passes.
         self.native_epilogue: Optional[SparseConvKernel] = None
@@ -262,20 +269,27 @@ class FusedConv(_FusedOp):
         """Pick what executes this op; :func:`fuse_graph` calls it once folding is done.
 
         A static rule on what the op can observe — never a timing race, which
-        would let load decide numerics: the native direct sparse kernel when it
-        loaded and the layer is sparse enough (:data:`DIRECT_MAX_DENSITY`),
+        would let load decide numerics.  Where the library loaded: the direct
+        sparse kernel for a layer sparse enough (:data:`DIRECT_MAX_DENSITY`);
+        the dense direct kernel for a denser one whose kernel is larger than
+        3x3 (the 6x6 / 7x7 stems R-TOSS's 3x3 / 1x1 patterns never reach);
         else gather + GEMM.  Nothing here is stored in an artifact: a model
         saved on one kind of host re-fuses, and re-chooses, on the other.
         """
         plan = self.plan
         dropped = plan.total_columns - plan.kept_columns.size
+        sparse = plan.density <= DIRECT_MAX_DENSITY
         if (sparse_kernel is not None and plan.kept_columns.size
-                and plan.density <= DIRECT_MAX_DENSITY):
-            # CSR values of the *folded* matrix, in the plan's structure order.
-            self.csr_rowptr, flat = plan.csr()
-            self.csr_val = self.weight.reshape(-1)[flat]
+                and (sparse or max(plan.kernel_size) > 3)):
+            if sparse:
+                # CSR values of the *folded* matrix, in the plan's structure order.
+                self.csr_rowptr, flat = plan.csr()
+                self.csr_val, tag = self.weight.reshape(-1)[flat], "+direct"
+            else:
+                self.csr_rowptr, self.csr_val = None, sparse_kernel.pack_dense(self.weight)
+                self.taps, tag = self.weight.shape[1], "+dense-direct"
             self.direct = sparse_kernel
-            self.mode = self.mode.replace(plan.mode, plan.mode + "+direct", 1)
+            self.mode = self.mode.replace(plan.mode, plan.mode + tag, 1)
             return
         if sparse_kernel is not None and (self.bias is not None or self.act is not None):
             # The GEMM path gets the epilogue the direct kernel has: bias +
@@ -348,9 +362,10 @@ class FusedConv(_FusedOp):
     def _epilogue(self, buf: np.ndarray, arena: WorkspaceArena) -> None:
         _apply_activation_inplace(self.act, buf, arena, self.key, self.act_slope)
 
-    def _bind(self, arena, shapes) -> BoundCall:
+    def _bind(self, arena, shapes) -> BoundCall:  # reprolint: hot
         """The direct kernel as a bound step: stage the zero-padded (phase-split)
-        planes, walk the CSR — everything no forward changes, resolved once.
+        planes, walk the CSR (or every tap) — everything no forward changes,
+        resolved once.
 
         No im2col buffer, no gather index: the kernel reads every surviving
         weight's tap at a fixed offset from the output position and applies
@@ -359,7 +374,7 @@ class FusedConv(_FusedOp):
         staging, ``gemm`` the kernel, and nothing is left for ``epilogue``.
         """
         n = shapes[0][0]
-        layout = self.plan.direct_layout_for(shapes[0][1:])
+        layout = self.plan.direct_layout_for(shapes[0][1:], per_tap=bool(self.taps))
         # The zero halo is written once (at allocation); every call only
         # refreshes the interior of each phase plane.
         staged = arena.buffer((self.key, "planes"), (n, *layout.staged),
@@ -367,7 +382,7 @@ class FusedConv(_FusedOp):
         out = arena.buffer((self.key, "out"), (n, self.plan.out_channels, *layout.out_hw))
         return self.direct.bind(
             "sconv_call", out=out, staged=staged, n=n, oc=self.plan.out_channels,
-            rowptr=self.csr_rowptr, val=self.csr_val, bias=self.bias,
+            rowptr=self.csr_rowptr, val=self.csr_val, taps=self.taps, bias=self.bias,
             act=ACT_CODES[self.act], slope=float(self.act_slope or 0.0), **layout.operands)
 
     def _pointwise_input(self, data, arena):
@@ -763,10 +778,12 @@ class Segment:
         stamps = np.zeros(2 * len(self.ops), dtype=np.int64)
         self.execute(values, arena, stamps.ctypes.data)
         spent = (stamps * 1e-9).tolist()
+        rows = []
         for index, (name, kind, mode, conv) in enumerate(self._rows):
             first, second = spent[2 * index], spent[2 * index + 1]
             phases = {"gather": first, "gemm": second, "epilogue": 0.0} if conv else None
-            profiler.record_op(name, kind, mode, first + second, phases)
+            rows.append((name, kind, mode, first + second, phases))
+        profiler.record_ops(rows)
 
 
 # ------------------------------------------------------------------- fuse pass

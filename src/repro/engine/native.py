@@ -17,6 +17,13 @@ one shared library exposing
     :meth:`repro.engine.plan.ConvPlan.direct_layout_for`.  Needs AVX-512F only
     (:func:`load_sparse_kernel`).
 
+``sconv_call(args, stamps)`` -> ``dconv_f32`` (``args.taps > 0``)
+    The same convolution for a *dense* layer wider than 3x3 (the 6x6 / 7x7
+    stems): one offset per tap instead of per nonzero, and weights packed
+    ``[ceil(O/6)][K][6]`` (:meth:`SparseConvKernel.pack_dense`) so each tap's
+    four input loads feed 4 x 6 register-blocked FMAs; same planes, tiles,
+    packed stores and epilogue, so a stem is a step of the segment too.
+
 ``maxpool_call`` / ``concat_call`` / ``add_call`` / ``relu_call`` / ``upsample_call``
     The exact glue ops between convolutions, value for value what their numpy
     bodies in :mod:`repro.engine.fuse` compute (NaNs propagate, the pool halo
@@ -30,7 +37,7 @@ one shared library exposing
 
 ``bias_act_f32(buf, bias, act, slope, rows, oc, length)``
     The same bias + activation, in place and in one pass, over the output of
-    a BLAS GEMM: the epilogue of the gather + GEMM path (dense layers), so a
+    a BLAS GEMM: the epilogue of the gather + GEMM path (dense 3x3 / 1x1), so a
     dense and a pruned layer differ in the convolution only — not also in
     whether SiLU is one in-register pass or five numpy passes, which made the
     two answer host contention differently.  AVX-512F only.
@@ -251,6 +258,65 @@ TARGET_F void sconv_f32(const float *in, int64_t in_stride,
     }
 }
 
+/* ---- fp32 dense direct convolution -------------------------------------- */
+
+#define DN 6                                /* output channels per register block */
+const int64_t dense_block = DN;             /* what the packing in native.py reads */
+
+/* mask of the first `count` lanes (none for count <= 0, all from 16 up) */
+static inline __mmask16 first_lanes(int64_t count) {
+    return count >= 16 ? (__mmask16)0xFFFF : count <= 0 ? 0 : (__mmask16)((1u << count) - 1u);
+}
+
+#define DLOAD(v) const __m512 x##v = _mm512_loadu_ps(xt + off[k] + 16 * (v))
+#define DLOADM(v) const __m512 x##v = _mm512_maskz_loadu_ps(lm[v], xt + off[k] + 16 * (v))
+#define DFMA(r, i) { const __m512 w = _mm512_set1_ps(wk[i]); \
+    r##0 = _mm512_fmadd_ps(w, x0, r##0); r##1 = _mm512_fmadd_ps(w, x1, r##1); \
+    r##2 = _mm512_fmadd_ps(w, x2, r##2); r##3 = _mm512_fmadd_ps(w, x3, r##3); }
+#define DTAPS(LOAD) for (int64_t k = 0; k < taps; k++, wk += DN) { \
+    LOAD(0); LOAD(1); LOAD(2); LOAD(3); \
+    DFMA(a, 0); DFMA(b, 1); DFMA(c, 2); DFMA(e, 3); DFMA(f, 4); DFMA(g, 5); }
+#define DINIT(r, i) __m512 r##0 = _mm512_set1_ps(bias && o0 + i < oc ? bias[o0 + i] : 0.0f), \
+    r##1 = r##0, r##2 = r##0, r##3 = r##0
+#define DPUT(r, i) if (o0 + i < oc) { float *d = y + (o0 + i) * length + d0; \
+    d = put(d, ACT(r##0), km[0]); d = put(d, ACT(r##1), km[1]); \
+    d = put(d, ACT(r##2), km[2]); put(d, ACT(r##3), km[3]); }
+
+/* The same output as sconv_f32 for a layer with no zeros worth skipping: every
+ * tap k of the (kept-column) weight matrix, one offset off[k] per tap, on the
+ * same staged planes, tiles of 64 positions and packed stores - but register
+ * blocked over DN output channels too: per tap, 4 input loads and DN weight
+ * broadcasts feed 4 * DN independent accumulators.  wpk is the matrix packed
+ * [ceil(oc / DN)][taps][DN], zero-padded; an exact zero is multiplied, never
+ * skipped.  The last tile loads through masks, so nothing beyond
+ * in[off + npos - 1] is touched.  Each output sums its taps in order,
+ * one chain per position: the result of an image never depends on n. */
+TARGET_F void dconv_f32(const float *in, int64_t in_stride, int64_t taps, const int32_t *off,
+                        const float *wpk, const float *bias, const uint16_t *keep,
+                        const int32_t *tile_dst, int act, float slope_s, float *out,
+                        int64_t n, int64_t oc, int64_t npos, int64_t length) {
+    const __m512 slope = _mm512_set1_ps(slope_s);
+    for (int64_t img = 0; img < n; img++) {
+        const float *x = in + img * in_stride;
+        float *y = out + img * oc * length;
+        for (int64_t t = 0; t * 64 < npos; t++) {
+            const float *xt = x + t * 64;
+            const int64_t d0 = keep ? tile_dst[t] : t * 64;
+            __mmask16 lm[4], km[4];
+            for (int v = 0; v < 4; v++) {
+                lm[v] = first_lanes(npos - t * 64 - 16 * v);
+                km[v] = keep ? keep[t * 4 + v] : lm[v];
+            }
+            for (int64_t o0 = 0; o0 < oc; o0 += DN) {
+                const float *wk = wpk + o0 * taps;
+                DINIT(a, 0); DINIT(b, 1); DINIT(c, 2); DINIT(e, 3); DINIT(f, 4); DINIT(g, 5);
+                if (t * 64 + 64 <= npos) DTAPS(DLOAD) else DTAPS(DLOADM)
+                DPUT(a, 0); DPUT(b, 1); DPUT(c, 2); DPUT(e, 3); DPUT(f, 4); DPUT(g, 5);
+            }
+        }
+    }
+}
+
 /* ---- fp32 GEMM epilogue ------------------------------------------------- */
 
 /* buf[r, :] = act(buf[r, :] + bias[r % oc]) in place over rows of `length`
@@ -279,11 +345,6 @@ TARGET_F void bias_act_f32(float *buf, const float *bias, int act, float slope_s
  * int64s, then doubles, 8 bytes each).  srcs[i] is the i-th input of this
  * forward, re-pointed by the binding only when the input array changed. */
 
-/* mask of the first `count` lanes (none for count <= 0, all from 16 up) */
-static inline __mmask16 first_lanes(int64_t count) {
-    return count >= 16 ? (__mmask16)0xFFFF : count <= 0 ? 0 : (__mmask16)((1u << count) - 1u);
-}
-
 static inline int64_t now_ns(void) {
     struct timespec ts;
     clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -295,7 +356,7 @@ typedef struct {
     const int32_t *rowptr, *off; const float *val, *bias;
     const uint16_t *keep; const int32_t *tile_dst;
     int64_t n, c, h, w, sh, sw, ph, pw, hq, wq, phase_cols, planes;
-    int64_t in_stride, oc, npos, length, act;
+    int64_t in_stride, oc, npos, length, act, taps;
     double slope;
 } sconv_args;
 
@@ -336,14 +397,20 @@ static TARGET_F void stage_planes(const sconv_args *a, const float *in) {
 }
 
 /* One direct convolution: stage (unless the input is used in place), then
- * sconv_f32.  stamps (NULL when untimed) receives CLOCK_MONOTONIC ns after
- * staging and after the kernel: the profiler's gather / gemm boundary. */
+ * sconv_f32 over the CSR, or dconv_f32 over `taps` packed dense columns (val
+ * is then the packed matrix and rowptr NULL).  stamps (NULL when untimed)
+ * receives CLOCK_MONOTONIC ns after staging and after the kernel: the
+ * profiler's gather / gemm boundary. */
 TARGET_F void sconv_call(const sconv_args *a, int64_t *stamps) {
     const float *x = a->srcs[0];
     if (a->staged) { stage_planes(a, x); x = a->staged; }
     if (stamps) stamps[0] = now_ns();
-    sconv_f32(x, a->in_stride, a->rowptr, a->off, a->val, a->bias, a->keep, a->tile_dst,
-              (int)a->act, (float)a->slope, a->out, a->n, a->oc, a->npos, a->length);
+    if (a->taps)
+        dconv_f32(x, a->in_stride, a->taps, a->off, a->val, a->bias, a->keep, a->tile_dst,
+                  (int)a->act, (float)a->slope, a->out, a->n, a->oc, a->npos, a->length);
+    else
+        sconv_f32(x, a->in_stride, a->rowptr, a->off, a->val, a->bias, a->keep, a->tile_dst,
+                  (int)a->act, (float)a->slope, a->out, a->n, a->oc, a->npos, a->length);
     if (stamps) stamps[1] = now_ns();
 }
 
@@ -384,12 +451,16 @@ TARGET_F void maxpool_call(const maxpool_args *a) {
                 const __mmask16 m = first_lanes(a->out_w - x);
                 __m512 acc = ninf;
                 for (int64_t q = 0; q < a->kw; q++) {
-                    const __m512i col = _mm512_add_epi32(
-                        step, _mm512_set1_epi32((int)(x * a->sw + q - a->pw)));
+                    const int64_t first = x * a->sw + q - a->pw;
+                    const __m512i col = _mm512_add_epi32(step, _mm512_set1_epi32((int)first));
                     const __mmask16 in_row = m
                         & _mm512_cmpge_epi32_mask(col, _mm512_setzero_si512())
                         & _mm512_cmplt_epi32_mask(col, _mm512_set1_epi32((int)a->w));
-                    acc = maxn_ps(acc, _mm512_mask_i32gather_ps(ninf, in_row, col, row, 4));
+                    /* stride 1: the columns are adjacent, one load (lanes outside
+                     * the row are masked off, so the address may lie before it) */
+                    acc = maxn_ps(acc, a->sw == 1
+                        ? _mm512_mask_loadu_ps(ninf, in_row, row + first)
+                        : _mm512_mask_i32gather_ps(ninf, in_row, col, row, 4));
                 }
                 _mm512_mask_storeu_ps(out + y * a->out_w + x, m, acc);
             }
@@ -428,14 +499,26 @@ TARGET_F void relu_call(const ewise_args *a) {
 
 typedef struct { const float *const *srcs; float *out; int64_t planes, h, w, scale; } upsample_args;
 
-/* Nearest-neighbour upsampling: widen each input row once, then repeat it. */
-void upsample_call(const upsample_args *a) {
-    const int64_t s = a->scale, wide = a->w * s;
+/* Nearest-neighbour upsampling: widen each input row once, 16 output columns
+ * at a time, then repeat it.  Output column j + l repeats input column
+ * base + (r + l) / s, where j = base * s + r and r < s; the lane permute's
+ * index (r + l + 0.5) / s is computed in float, exact while s < 2^18. */
+TARGET_F void upsample_call(const upsample_args *a) {
+    const int64_t s = a->scale, wide = a->w * s, step = 16 / s, rest = 16 % s;
+    const __m512 half = _mm512_setr_ps(0.5f, 1.5f, 2.5f, 3.5f, 4.5f, 5.5f, 6.5f, 7.5f,
+                                       8.5f, 9.5f, 10.5f, 11.5f, 12.5f, 13.5f, 14.5f, 15.5f);
+    const __m512 inv = _mm512_set1_ps(1.0f / (float)s);
     const float *in = a->srcs[0];
     float *out = a->out;
     for (int64_t row = 0; row < a->planes * a->h; row++, in += a->w) {
-        for (int64_t x = 0; x < a->w; x++)
-            for (int64_t d = 0; d < s; d++) out[x * s + d] = in[x];
+        for (int64_t j = 0, base = 0, r = 0; j < wide; j += 16) {
+            const __m512i idx = _mm512_cvttps_epi32(
+                _mm512_mul_ps(_mm512_add_ps(half, _mm512_set1_ps((float)r)), inv));
+            _mm512_mask_storeu_ps(out + j, first_lanes(wide - j), _mm512_permutexvar_ps(
+                idx, _mm512_maskz_loadu_ps(first_lanes(a->w - base), in + base)));
+            base += step;
+            if ((r += rest) >= s) { r -= s; base++; }
+        }
         for (int64_t d = 1; d < s; d++) memcpy(out + d * wide, out, (size_t)wide * sizeof(float));
         out += s * wide;
     }
@@ -529,7 +612,8 @@ FIELD_DTYPES = {"out": np.float32, "staged": np.float32, "scratch": np.float32,
 ARGS = {
     "sconv_call": _args_block(
         "srcs staged out rowptr off val bias keep tile_dst",
-        "n c h w sh sw ph pw hq wq phase_cols planes in_stride oc npos length act", "slope"),
+        "n c h w sh sw ph pw hq wq phase_cols planes in_stride oc npos length act taps",
+        "slope"),
     "maxpool_call": _args_block("srcs out scratch",
                                 "planes h w kh kw sh sw ph pw out_h out_w"),
     "concat_call": _args_block("srcs sizes out", "parts outer total"),
@@ -577,6 +661,7 @@ class SparseConvKernel:
 
     def __init__(self, lib: ctypes.CDLL, path: Path) -> None:
         self.path = path
+        self._dense_block = ctypes.c_int64.in_dll(lib, "dense_block").value
         self._bias_act = lib.bias_act_f32
         self._bias_act.restype = None
         self._bias_act.argtypes = [
@@ -592,6 +677,15 @@ class SparseConvKernel:
         of its args block — numbers as they are, the :data:`FIELD_DTYPES`
         operands (``out`` among them) as arrays, ``None`` for ``NULL``."""
         return BoundCall(list(ARGS).index(name), ARGS[name](), inputs, fields)
+
+    def pack_dense(self, weight: np.ndarray) -> np.ndarray:
+        """An ``(O, K)`` weight matrix as the dense direct kernel reads it:
+        ``[ceil(O / block)][K][block]``, the last block zero-padded."""
+        rows, taps = weight.shape
+        block = self._dense_block
+        packed = np.zeros((-(-rows // block) * block, taps), dtype=np.float32)
+        packed[:rows] = weight
+        return np.ascontiguousarray(packed.reshape(-1, block, taps).transpose(0, 2, 1))
 
     def bias_act(self, buf: np.ndarray, bias: Optional[int], act: int, slope: float) -> None:
         """``buf = act(buf + bias)`` in place, one pass: the GEMM path's epilogue.

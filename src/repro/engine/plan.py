@@ -20,7 +20,8 @@ into a :class:`ConvPlan` — a column-compacted GEMM description:
   structure: :meth:`ConvPlan.csr` is the CSR structure of the packed matrix and
   :meth:`ConvPlan.direct_layout_for` turns it, per input shape, into one int32
   input offset per nonzero — R-TOSS patterns differ per kernel, so almost no
-  column is empty and the zeros can only be skipped inside the kernel.
+  column is empty and the zeros can only be skipped inside the kernel.  (For
+  the dense direct kernel of the wide dense stems: one offset per kept column.)
 
 A plan is a *description*; the one executor that runs it is
 :class:`repro.engine.fuse.FusedConv`.
@@ -144,7 +145,8 @@ class DirectLayout(NamedTuple):
     plane laid over the staged input plane (``hq x wq``: the zero-padded
     input, split for a strided layer into its ``stride`` x ``stride`` phases
     so that every tap again reads at a fixed offset from ``p``), computing
-    ``sum_j val[j] * staged[off[j] + p]``.  Positions with ``x >= out_w`` wrap
+    ``sum_j val[j] * staged[off[j] + p]`` — ``j`` a nonzero, or for the dense
+    kernel (``per_tap``) a kept column.  Positions with ``x >= out_w`` wrap
     into the next row's halo and are computed but not stored — the
     ``(wq - out_w) / wq`` waste of the flat-plane trick; ``keep`` marks the real
     outputs (``None`` when ``wq == out_w``, i.e. every position is one).
@@ -317,14 +319,18 @@ class ConvPlan:
         """
         return self._cached_layout(input_shape, self._build_layout)
 
-    def direct_layout_for(self, input_shape: Tuple[int, int, int]) -> DirectLayout:
-        """The direct kernel's :class:`DirectLayout` for one ``(C, H, W)`` shape.
+    def direct_layout_for(self, input_shape: Tuple[int, int, int],
+                          per_tap: bool = False) -> DirectLayout:
+        """The direct kernel's :class:`DirectLayout` for one ``(C, H, W)`` shape;
+        ``per_tap``: one offset per kept column, for the dense kernel.
 
         Cached and thread-safe exactly like :meth:`fused_layout_for` (same
         dict, lock and hit/miss counters); dropped by :meth:`refresh_weights`
         because it bakes in the element-level structure :meth:`csr` reports.
         """
-        return self._cached_layout(("direct", *input_shape), self._build_direct_layout)
+        return self._cached_layout(
+            ("direct", per_tap, *input_shape),
+            lambda shape: self._build_direct_layout(shape, per_tap))
 
     def _cached_layout(self, key: tuple, build):
         """The layout cached under ``key`` (which ends in the ``(C, H, W)`` shape)."""
@@ -387,7 +393,7 @@ class ConvPlan:
         return self._csr
 
     def _build_direct_layout(  # reprolint: holds=_lock
-            self, input_shape: Tuple[int, int, int]) -> DirectLayout:
+            self, input_shape: Tuple[int, int, int], per_tap: bool) -> DirectLayout:
         c, h, w = input_shape
         out_h, out_w = self.output_hw(h, w)
         kh, kw = self.kernel_size
@@ -405,8 +411,9 @@ class ConvPlan:
         phase = (self.tap_rows % sh) * phase_cols + self.tap_cols % sw
         column_offset = ((phase * c + self.channel_index) * (hq * wq)
                          + (self.tap_rows // sh) * wq + self.tap_cols // sw)
-        columns = self._pack_csr()[1] % self.weight_matrix.shape[1]
-        off = np.ascontiguousarray(column_offset[columns], dtype=np.int32)
+        if not per_tap:
+            column_offset = column_offset[self._pack_csr()[1] % self.weight_matrix.shape[1]]
+        off = np.ascontiguousarray(column_offset, dtype=np.int32)
 
         npos = (out_h - 1) * wq + out_w
         keep = tile_dst = None

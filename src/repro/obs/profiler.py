@@ -73,15 +73,21 @@ class EngineProfiler:
         seconds: float,
         phases: Optional[Dict[str, float]] = None,
     ) -> None:
+        self.record_ops([(name, kind, mode, seconds, phases)])
+
+    def record_ops(self, rows) -> None:
+        """:meth:`record_op` for each ``(name, kind, mode, seconds, phases)``
+        row, under one acquisition of the lock: a native segment's steps."""
         with self._lock:
-            stat = self._ops.get(name)
-            if stat is None:
-                stat = self._ops[name] = OpStat(name, kind, mode)
-            stat.calls += 1
-            stat.seconds += seconds
-            if phases:
-                for phase, phase_seconds in phases.items():
-                    stat.phases[phase] = stat.phases.get(phase, 0.0) + phase_seconds
+            for name, kind, mode, seconds, phases in rows:
+                stat = self._ops.get(name)
+                if stat is None:
+                    stat = self._ops[name] = OpStat(name, kind, mode)
+                stat.calls += 1
+                stat.seconds += seconds
+                if phases:
+                    for phase, phase_seconds in phases.items():
+                        stat.phases[phase] = stat.phases.get(phase, 0.0) + phase_seconds
 
     def record_run(self, seconds: float) -> None:
         with self._lock:

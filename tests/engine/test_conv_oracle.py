@@ -3,17 +3,19 @@
 The registry-wide equivalence test covers ten models under one pruner each; this
 one covers the *mask and geometry space*.  Hypothesis draws a small convolution
 (kernel 1-7 per axis, stride 1-3, padding 0-3, odd ``H != W`` down to a 1x1
-output, bias / BatchNorm / every epilogue) and a keep-mask (R-TOSS 2EP / 3EP
-from the real pattern libraries — Algorithm 3 on a 1x1 —, PATDNN 4-entry +
-connectivity, unstructured, one all-zero output row, an all-zero layer) and
-asserts
+output, 1-20 output channels so every tail of the dense kernel's channel
+blocks occurs, bias / BatchNorm / every epilogue) and a keep-mask (R-TOSS 2EP /
+3EP from the real pattern libraries — Algorithm 3 on a 1x1 —, PATDNN 4-entry +
+connectivity, unstructured, one all-zero output row, an all-zero layer, dense,
+dense with a few exact zeros) and asserts
 
     native engine  ==  portable engine (``REPRO_NO_NATIVE=1``)  ==  dense masked forward
 
 within ``1e-5`` of the oracle's magnitude, and that each engine gives every
 image the same bits in a batch of 1-5 as alone.  The native engine runs the
 direct sparse kernel — halo / phase staging inside the library — wherever the
-density rule picks it, gather + GEMM with the native epilogue elsewhere; the
+density rule picks it, the dense direct kernel for a denser layer whose kernel
+is larger than 3x3, gather + GEMM with the native epilogue elsewhere; the
 portable one is gather + GEMM with numpy passes.  Without the kernel only the
 portable half runs.  ``--hypothesis-seed=N`` reproduces a failure.
 """
@@ -40,7 +42,8 @@ from repro.pruning.connectivity import connectivity_mask
 
 TOL = 1e-5
 LIBRARIES = {entries: build_pattern_library(entries) for entries in (2, 3, 4)}
-MASK_KINDS = ("rtoss-2ep", "rtoss-3ep", "patdnn", "unstructured", "zero-row", "zero-layer")
+MASK_KINDS = ("rtoss-2ep", "rtoss-3ep", "patdnn", "unstructured", "zero-row", "zero-layer",
+              "dense", "dense-with-zeros")
 ACTS = {None: None, "relu": ReLU, "silu": SiLU,
         "leaky": lambda: LeakyReLU(0.1), "steep": lambda: LeakyReLU(1.7)}
 
@@ -68,6 +71,12 @@ def keep_mask(kind: str, weights: np.ndarray, rng) -> np.ndarray:
         return pattern_mask(weights, 4, rng) * connectivity_mask(weights, 0.3)
     if kind == "unstructured":
         return (rng.random(weights.shape) < rng.uniform(0.05, 0.9)).astype(np.float32)
+    if kind.startswith("dense"):
+        mask = np.ones(weights.size, dtype=np.float32)
+        if kind == "dense-with-zeros":      # a few exact zeros, density still > 0.5
+            zeros = min(int(rng.integers(1, 4)), (weights.size - 1) // 2)
+            mask[rng.choice(weights.size, size=zeros, replace=False)] = 0.0
+        return mask.reshape(weights.shape)
     mask = pattern_mask(weights, 2, rng)
     if kind == "zero-row":
         mask[rng.integers(weights.shape[0])] = 0.0
@@ -85,7 +94,7 @@ def conv_cases(draw):
     w = max(1, kw - 2 * padding[1]) + draw(st.integers(0, 12))
     return {
         "kernel": (kh, kw), "stride": stride, "padding": padding, "hw": (h, w),
-        "cin": draw(st.integers(1, 12)), "cout": draw(st.integers(1, 12)),
+        "cin": draw(st.integers(1, 12)), "cout": draw(st.integers(1, 20)),
         "bias": draw(st.booleans()), "bn": draw(st.booleans()),
         "act": draw(st.sampled_from(sorted(ACTS, key=str))),
         "mask": draw(st.sampled_from(MASK_KINDS)),
@@ -133,12 +142,23 @@ def portable():
             os.environ[DISABLE_ENV] = before
 
 
-def check_engine(model, x, oracle, expect_direct):
+def expected_kernel(plan):
+    """The static rule of ``FusedConv.choose_kernel`` (``DIRECT_MAX_DENSITY = 0.5``):
+    the mode tag of the direct kernel that runs the layer, None for gather + GEMM."""
+    if not plan.kept_columns.size:
+        return None
+    if plan.density <= 0.5:
+        return "+direct"
+    return "+dense-direct" if max(plan.kernel_size) > 3 else None
+
+
+def check_engine(model, x, oracle, expect_kernel):
     compiled = compile_model(model)
     out = compiled.forward_raw(x)
     assert compiled.engine_mode == "fused", compiled.fuse_failure
     mode = compiled.summary()[0]["mode"]
-    assert ("+direct" in mode) == expect_direct, mode
+    ran = [tag for tag in ("+direct", "+dense-direct") if tag in mode]
+    assert ran == ([expect_kernel] if expect_kernel else []), mode
     assert out.shape == oracle.shape
     assert np.abs(out - oracle).max() <= TOL * max(1.0, np.abs(oracle).max()), mode
     # Batch bucketing pads 3 -> 4 and 5 -> 8: an image never sees its neighbours.
@@ -154,9 +174,6 @@ def test_every_executor_matches_the_dense_masked_forward(case):
     model, x = build(case)
     oracle = BatchRunner(model, batch_size=x.shape[0]).run(x)
     with portable():
-        check_engine(model, x, oracle, expect_direct=False)
+        check_engine(model, x, oracle, expect_kernel=None)
     if sparse_kernel_available():
-        plan = compile_model(model).plans["0"]
-        # The static rule of FusedConv.choose_kernel (DIRECT_MAX_DENSITY = 0.5).
-        check_engine(model, x, oracle,
-                     expect_direct=bool(plan.kept_columns.size) and plan.density <= 0.5)
+        check_engine(model, x, oracle, expected_kernel(compile_model(model).plans["0"]))

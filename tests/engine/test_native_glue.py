@@ -97,7 +97,9 @@ def _assert_same(native, portable, bits):
     ((3, 3), (1, 1), (0, 0)), ((3, 3), (3, 3), (1, 1)), ((3, 2), (1, 2), (1, 0)),
     ((1, 1), (1, 1), (0, 0)), ((2, 5), (3, 1), (1, 2)), ((9, 9), (1, 1), (4, 4))])
 def test_maxpool(kernel, stride, padding, batch, rng):
-    for hw in [(13, 9), (5, 5), (1, 1), (2, 37), (18, 17)]:
+    # ((5, 5), (1, 1), (2, 2)) is SPPF's pool; the widths cover 1-4 vectors and
+    # their tails, also for the stride-1 column pass (loads, not a gather)
+    for hw in [(13, 9), (5, 5), (1, 1), (2, 37), (18, 17), (20, 20), (4, 50), (3, 64)]:
         if hw[0] + 2 * padding[0] < kernel[0] or hw[1] + 2 * padding[1] < kernel[1]:
             continue
         data = _values((batch, 3, *hw), rng, special_share=0.1)
@@ -170,8 +172,9 @@ def test_broadcasting_and_constant_arithmetic_keep_the_numpy_body(rng):
     _assert_same(_run(module_add, [a, a], True), a + a, bits=True)
 
 
-@pytest.mark.parametrize("scale", [1, 2, 3])
-@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (1, 4, 5, 5), (3, 2, 7, 20), (2, 3, 10, 1)])
+@pytest.mark.parametrize("scale", [1, 2, 3, 5, 17])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (1, 4, 5, 5), (3, 2, 7, 20), (2, 3, 10, 1),
+                                   (1, 2, 3, 33), (2, 1, 2, 47)])
 def test_upsample(shape, scale, rng):
     data = _values(shape, rng)
     for name, x in _layouts(data):

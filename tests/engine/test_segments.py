@@ -22,11 +22,16 @@ portable path:
   nothing.
 
 Deterministic tests below pin a native body that does not bind (the program
-goes back to batch buckets) and the profile of a segment.
+goes back to batch buckets), the profile of a segment, and the cut of real
+models: a pruned ``yolov5n`` / ``retinanet_lite`` frame — dense 6x6 / 7x7 stem
+included — is one native call, and ``tiny`` (the model ``serve_*`` runs) is
+cut exactly as before the stems became native.
 ``--hypothesis-seed=N`` reproduces a failure.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -37,7 +42,9 @@ from test_conv_oracle import portable          # pins the portable path, as REPR
 from repro.core.rtoss import prune_with_rtoss
 from repro.engine import BatchRunner, compile_model, sparse_kernel_available
 from repro.engine.fuse import Segment
+from repro.engine.native import load_sparse_kernel
 from repro.engine.runner import map_structure
+from repro.models.registry import build_model
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.nn.layers.activation import GELU, ReLU, Sigmoid, SiLU
 from repro.nn.layers.conv import Conv2d
@@ -323,3 +330,103 @@ def test_a_profiled_forward_is_the_same_call_with_stamps(rng):
             assert abs(sum(phases.values()) - row["total_ms"]) <= 1e-6
     assert profile["op_total_ms"] <= profile["total_ms"]
     _assert_bits(compiled.forward_raw(x), plain)
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock, self.taken = threading.Lock(), 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+@pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")
+def test_a_profiled_segment_reports_every_step_under_one_profiler_lock(rng):
+    """A segment hands its steps to the profiler in one ``record_ops`` call:
+    the lock is taken once for the segment and once for the run, and the report
+    is the per-step one — every step's name, kind, mode, calls and phase keys."""
+    model, report = _pruned_tiny()
+    compiled = compile_model(model, report.masks)
+    x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+    compiled.forward_raw(x)
+    with compiled.profiled() as profiler:
+        profiler._lock = lock = _CountingLock()
+        for _ in range(3):
+            compiled.forward_raw(x)
+    assert lock.taken == 3 * 2
+    steps = compiled._fused_program.steps
+    want = {}
+    for op in steps:
+        row = want.setdefault(op.profile_name(), [op.node.kind, op.mode, 0, None])
+        row[2] += 3
+        row[3] = ["epilogue", "gather", "gemm"] if op.node.kind == "conv" else None
+    got = {row["op"]: [row["kind"], row["mode"], row["calls"],
+                       sorted(row["phases_ms"]) if "phases_ms" in row else None]
+           for row in profiler.report()["ops"]}
+    assert got == want
+
+
+def _kept_cut(compiled):
+    """The one cut this thread's arena keeps for the program."""
+    (cut,) = [plan[0] for (key, _), plan in compiled._fused_program._arena()._bindings.items()
+              if key == "segments"]
+    return cut
+
+
+def _cut(compiled):
+    """:func:`_kept_cut`, a segment as its steps' modes, a Python step as its
+    mode (glue: its kind)."""
+    return [[op.mode or op.node.kind for op in step.ops] if isinstance(step, Segment)
+            else step.mode or step.node.kind for step in _kept_cut(compiled)]
+
+
+@pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")
+@pytest.mark.parametrize("name, size", [("yolov5n", 160), ("retinanet_lite", 64)])
+def test_a_pruned_frame_with_a_dense_stem_is_one_native_call(name, size, rng, monkeypatch):
+    """The frames workloads' 2EP programs: the dense stem runs the dense direct
+    kernel, so one segment covers every step and a forward of any batch is one
+    ``run_segment`` call — no GEMM, no ``bias_act_f32``, no bucket."""
+    model = build_model(name, num_classes=3)
+    report = prune_with_rtoss(model, entries=2, example_input=(1, 3, size, size))
+    compiled = compile_model(model, report.masks)
+    frames = rng.standard_normal((8, 3, size, size)).astype(np.float32)
+    first = compiled.forward_raw(frames[:1])
+    program, cut = compiled._fused_program, _kept_cut(compiled)
+    assert len(cut) == 1 and cut[0].ops == program.steps and program._whole
+    stems = [op for op in program.steps if "+dense-direct" in op.mode]
+    assert len(stems) == 1 and max(stems[0].plan.kernel_size) > 3
+    calls = []
+    segment, native = cut[0], cut[0]._call
+    segment._call = lambda *args: calls.append(args[1]) or native(*args)
+    monkeypatch.setattr(load_sparse_kernel(), "bias_act", lambda *args: calls.append("gemm"))
+    batch = compiled.forward_raw(frames)
+    _assert_bits(compiled.forward_raw(frames[:1]), first)
+    assert calls == [8, 1]
+    _assert_bits(_flat(batch), _stack_of_singles(compiled, frames))
+
+
+@pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")
+def test_tiny_is_cut_as_before_the_stems_became_native():
+    """``tiny`` has no conv larger than 3x3: its dense twin keeps every conv a
+    Python step (gather + GEMM) between one-step glue segments, and its 2EP
+    program stays one segment — the ``serve_*`` workloads run the same code."""
+    im, pw, act = "sparse-im2col-gemm", "pointwise-gemm", "+bn+silu"
+    dense = [im + act, im + act, pw + act, pw + act, im + act, ["ewise"], pw + act, ["concat"],
+             pw + act, im + act, pw + act, pw + act, im + act, ["ewise"], pw + act, ["concat"],
+             pw + act, pw + act, pw]
+    x = np.zeros((2, 3, 64, 64), dtype=np.float32)
+    model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8))
+    compiled = compile_model(model)
+    compiled.forward_raw(x)
+    assert _cut(compiled) == dense
+    model, report = _pruned_tiny()
+    compiled = compile_model(model, report.masks)
+    compiled.forward_raw(x)
+    assert _cut(compiled) == [[step.replace("gemm", "gemm+direct") if isinstance(step, str)
+                               else step[0] for step in dense]]

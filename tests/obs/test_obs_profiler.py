@@ -24,6 +24,16 @@ class TestEngineProfiler:
         assert rows["conv1"]["phases_ms"] == {"gather": 12.0, "gemm": 18.0}
         assert "phases_ms" not in rows["add"]  # elementwise ops have no phases
 
+    def test_record_ops_is_record_op_per_row(self):
+        rows = [("conv1", "conv", "m", 0.010, {"gather": 0.004, "gemm": 0.006}),
+                ("add", "ewise", "", 0.001, None),
+                ("conv1", "conv", "m", 0.020, {"gather": 0.008, "gemm": 0.012})]
+        batched, single = EngineProfiler(), EngineProfiler()
+        batched.record_ops(rows)
+        for row in rows:
+            single.record_op(*row)
+        assert batched.report(digits=9) == single.report(digits=9)
+
     def test_report_sorts_by_total_time_and_shares_sum_to_one(self):
         profiler = EngineProfiler()
         profiler.record_op("slow", "conv", "m", 0.09)
