@@ -34,7 +34,6 @@ IMAGE_SIZE = 64
 REQUESTS = 96
 CONCURRENCY = 8
 MAX_BATCH = 8
-MAX_WAIT_MS = 5.0
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
 
@@ -77,8 +76,7 @@ def _measure():
     sequential_rps = REQUESTS / sequential_seconds
 
     with InferenceService(compiled,
-                          policy=BatchPolicy(max_batch_size=MAX_BATCH,
-                                             max_wait_ms=MAX_WAIT_MS)) as service:
+                          policy=BatchPolicy(max_batch_size=MAX_BATCH)) as service:
         served_out = service.submit_many(images)           # also correctness check
         load = closed_loop(service, images, requests=REQUESTS,
                            concurrency=CONCURRENCY)

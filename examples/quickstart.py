@@ -74,7 +74,7 @@ def main() -> None:
 
     images = np.random.default_rng(1).standard_normal((32, 3, 64, 64)).astype(np.float32)
     with InferenceService(restored,
-                          policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0)) as service:
+                          policy=BatchPolicy(max_batch_size=8)) as service:
         load = closed_loop(service, images, requests=32, concurrency=4)
         batches = service.report()["batches"]
     latency = load.latency.summary()
@@ -95,7 +95,7 @@ def main() -> None:
 
     fleet = dataclasses.replace(
         restored.spec.serve, workers=2, routing="least-outstanding",
-        max_batch_size=8, max_wait_ms=2.0,
+        max_batch_size=8,
         cluster=ClusterSpec(heartbeat_interval=0.1, heartbeat_timeout=5.0))
     with build_target(restored, fleet) as stack:
         load = closed_loop(stack.target, images, requests=16, concurrency=4)
@@ -114,7 +114,7 @@ def main() -> None:
 
     set_tracing(True)
     with InferenceService(restored,
-                          policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0)) as service:
+                          policy=BatchPolicy(max_batch_size=8)) as service:
         closed_loop(service, images, requests=16, concurrency=4)
     set_tracing(False)
     trace = get_trace_buffer().traces()[-1]

@@ -81,7 +81,6 @@ _SERVE_OVERRIDES = {
     "requests": "total load-generation requests",
     "concurrency": "closed-loop client threads",
     "max_batch_size": "micro-batch size bound",
-    "max_wait_ms": "micro-batch coalescing wait",
     "queue_capacity": "bounded admission queue",
     "workers": "worker processes; >1 serves through the multi-process cluster "
                "(repro.serving.cluster), sharding load across cores",
@@ -755,8 +754,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print()
     shape = (f"cluster ({spec.workers} workers, {spec.routing} routing, "
              f"{spec.requests} requests)" if stack.clustered else
-             f"({spec.requests} requests, batch<= {spec.max_batch_size}, "
-             f"wait {spec.max_wait_ms}ms)")
+             f"({spec.requests} requests, batch<= {spec.max_batch_size})")
     print(format_table([load.flat_row()],
                        title=f"repro serve — {args.mode}-loop load on {name} {shape}"))
     if stack.clustered:

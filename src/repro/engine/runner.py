@@ -47,10 +47,6 @@ class RunnerStats:
         # throughput; report 0.0 rather than a propagating float("inf").
         return self.images / self.seconds if self.seconds > 0 else 0.0
 
-    @property
-    def mean_batch_seconds(self) -> float:
-        return self.seconds / self.batches if self.batches else 0.0
-
     def record(self, batch_images: int, elapsed_seconds: float) -> None:
         """Account one executed batch."""
         self.batches += 1

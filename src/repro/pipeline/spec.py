@@ -439,10 +439,8 @@ class ServeSpec(_SpecNode):
     #: serve`` serves any artifact (printing a notice when this is false) —
     #: there is no serve stage in the pipeline to gate.
     enabled: bool = False
-    #: Micro-batch closes at this many requests ...
+    #: The most requests one micro-batch takes off the queue.
     max_batch_size: int = _bounded(8, ge=1)
-    #: ... or once its oldest request has waited this long (0 = no coalescing wait).
-    max_wait_ms: float = _bounded(2.0, ge=0)
     #: Bounded admission queue; beyond it requests are rejected.
     queue_capacity: int = _bounded(256, ge=1)
     #: Resident-model bound of the serving ModelPool (LRU beyond it).

@@ -11,9 +11,9 @@ real-time claim:
   loaded, warmed, compiled models keyed by artifact path,
 * :mod:`repro.serving.batcher` — :class:`DynamicBatcher`, a thread-safe queue
   that coalesces requests — single images, or bursts admitted as one unit —
-  into micro-batches (``max_batch_size`` / ``max_wait_ms``) with bounded-queue
-  admission control, and :class:`InferenceFuture`, the handle to one request
-  or to a burst of them,
+  into micro-batches of up to ``max_batch_size`` — an idle worker runs what
+  is queued at once — with bounded-queue admission control, and
+  :class:`InferenceFuture`, the handle to one request or to a burst of them,
 * :mod:`repro.serving.service` — :class:`InferenceService`, the front door:
   ``submit()`` / ``submit_group()`` / ``submit_many()`` / graceful
   ``shutdown()``, with optional detection postprocessing
@@ -54,8 +54,7 @@ Quick use::
     from repro.serving import BatchPolicy, InferenceService
 
     with InferenceService("artifacts/tiny.npz",
-                          policy=BatchPolicy(max_batch_size=8,
-                                             max_wait_ms=2.0)) as service:
+                          policy=BatchPolicy(max_batch_size=8)) as service:
         future = service.submit(image)           # (C, H, W) -> InferenceFuture
         output = future.result()
         print(service.report()["latency"])       # p50/p95/p99 ...

@@ -81,7 +81,6 @@ def build_target(
     """
     policy = BatchPolicy(
         max_batch_size=serve_spec.max_batch_size,
-        max_wait_ms=serve_spec.max_wait_ms,
         queue_capacity=serve_spec.queue_capacity,
     )
     is_path = isinstance(artifact_or_path, str)

@@ -6,10 +6,15 @@ kernel speedup away.  :class:`DynamicBatcher` recovers it at the service
 boundary: producers :meth:`~DynamicBatcher.submit` single images — or
 :meth:`~DynamicBatcher.submit_group` a burst of them as one unit — and get an
 :class:`InferenceFuture` back; a dedicated worker thread coalesces queued
-requests into micro-batches under a :class:`BatchPolicy` — a batch closes when
-it reaches ``max_batch_size`` *or* when the oldest request in it has waited
-``max_wait_ms`` — executes the batch, and resolves each run of requests that
-came in together with its slice of the batched output.
+requests into micro-batches under a :class:`BatchPolicy`, executes each batch,
+and resolves each run of requests that came in together with its slice of the
+batched output.
+
+The worker is work-conserving: once it is free it takes whatever live requests
+are queued, up to ``max_batch_size``, and runs them at once — it never holds a
+request for company that may not come.  Under load batches still fill, from
+what piles up while the previous forward runs, and a burst is cut into full
+batches either way.
 
 A burst is one unit
 -------------------
@@ -40,7 +45,7 @@ shares one of each):
   class first (continuous batching), so a ``high`` request admitted while a
   batch executes jumps ahead of queued ``low`` work,
 * a request whose ``deadline_ms`` already passed — or would pass during the
-  queue's *expected wait* (queue depth × mean batch duration) — is rejected
+  queue's *expected wait* (queue depth ÷ measured images per second) — is rejected
   at admission with :class:`DeadlineExceededError` instead of being queued,
 * a request that expires while queued is **dropped** (it fails with
   :class:`DeadlineExceededError`) rather than executed; the batcher re-checks
@@ -113,25 +118,18 @@ class BatchPolicy:
     """Knobs of the micro-batching policy.
 
     max_batch_size:
-        A batch closes as soon as it holds this many requests.
-    max_wait_ms:
-        ... or as soon as the *oldest* request in it has waited this long.
-        ``0`` disables coalescing waits entirely (each batch takes whatever is
-        queued right now) — lowest latency, least batching.
+        The most requests one batch takes off the queue.
     queue_capacity:
         Bound of the admission queue; beyond it, non-blocking submits are
         rejected with :class:`QueueFullError` (or preempt a lower class).
     """
 
     max_batch_size: int = 8
-    max_wait_ms: float = 2.0
     queue_capacity: int = 256
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError(f"BatchPolicy.max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"BatchPolicy.max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.queue_capacity < 1:
             raise ValueError(f"BatchPolicy.queue_capacity must be >= 1, got {self.queue_capacity}")
 
@@ -504,18 +502,18 @@ class DynamicBatcher:
     def expected_wait_seconds(self) -> float:
         """Estimated queueing delay of a request admitted right now.
 
-        Queue depth in batches × the mean executed-batch duration so far; the
-        admission-time deadline feasibility check uses it.  Returns 0.0 until
-        the first batch completes (no estimate beats a wrong estimate).
+        Queue depth ÷ the images per second executed so far: the engine's
+        cost is linear in the batch size, so a per-image rate prices the
+        queue right whatever mix of batch sizes ran.  The admission-time
+        deadline feasibility check uses it.  Returns 0.0 until the first batch
+        completes (no estimate beats a wrong estimate).
         """
         with self._lock:
             return self._expected_wait_locked()
 
     def _expected_wait_locked(self) -> float:  # reprolint: holds=_lock
-        mean = self.stats.mean_batch_seconds
-        if mean <= 0.0:
-            return 0.0
-        return (self._depth / self.policy.max_batch_size) * mean
+        rate = self.stats.images_per_second
+        return self._depth / rate if rate > 0.0 else 0.0
 
     def submit(self, image: np.ndarray, block: bool = False,
                timeout: Optional[float] = None,
@@ -713,10 +711,12 @@ class DynamicBatcher:
         return take if sink is batch else 0
 
     def _collect_batch(self) -> List[_Run]:
-        """Block until work exists, then coalesce one micro-batch (policy-bound).
+        """Block until work exists, then take what is queued as one micro-batch.
 
+        Work-conserving: the batch is every live request queued right now, up
+        to ``max_batch_size`` — nothing waits for a batch that is not coming.
         Requests pop in priority order (class rank, then admission order) and
-        expired requests are dropped on the way out — the batch that reaches
+        expired requests are dropped on the way out, so the batch that reaches
         :meth:`_execute` holds only live work, refilled from the best class
         first between GEMMs (continuous batching).  A segment longer than the
         room left in the batch stays queued with its front moved up.
@@ -724,7 +724,7 @@ class DynamicBatcher:
         Returns an empty list exactly once: when the batcher is closed and the
         queue is fully drained, signalling the worker to exit.
         """
-        policy = self.policy
+        room = self.policy.max_batch_size
         while True:
             expired: List[_Run] = []
             batch: List[_Run] = []
@@ -734,23 +734,8 @@ class DynamicBatcher:
                     self._work_available.wait()
                 if not self._queue:
                     return []
-                # Seed the batch with the best live requests, dropping expired
-                # ones on the way; the whole queue may turn out to be dead.
-                while self._queue and not batch:
-                    size = self._take_locked(policy.max_batch_size, batch, expired)
-                if batch:
-                    deadline = batch[0][0].enqueued_at + policy.max_wait_ms / 1e3
-                    while size < policy.max_batch_size:
-                        if self._queue:
-                            size += self._take_locked(
-                                policy.max_batch_size - size, batch, expired)
-                            continue
-                        if self._closed:
-                            break
-                        remaining = deadline - time.perf_counter()
-                        if remaining <= 0:
-                            break
-                        self._work_available.wait(remaining)
+                while self._queue and size < room:
+                    size += self._take_locked(room - size, batch, expired)
                 self._space_available.notify(
                     size + sum(stop - start for _, start, stop in expired))
             # Futures resolve outside the queue lock (done-callbacks run here).

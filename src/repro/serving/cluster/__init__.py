@@ -29,7 +29,7 @@ Quick use::
     from repro.serving.cluster import Router
 
     with Router("artifacts/tiny.npz", workers=4,
-                policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0),
+                policy=BatchPolicy(max_batch_size=8),
                 routing="least-outstanding",
                 cluster=ClusterSpec(heartbeat_timeout=5.0)) as router:
         outputs = router.submit_many(images)     # == sequential BatchRunner

@@ -689,7 +689,6 @@ class Router:
         report["routing"] = getattr(self.routing, "name", type(self.routing).__name__)
         report["policy"] = {
             "max_batch_size": self.policy.max_batch_size,
-            "max_wait_ms": self.policy.max_wait_ms,
             "queue_capacity": self.policy.queue_capacity,
         }
         report["artifact"] = self.artifact_path

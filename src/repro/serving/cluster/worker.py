@@ -422,7 +422,6 @@ class WorkerProcess:
                 self.artifact_path,
                 {
                     "max_batch_size": self.policy.max_batch_size,
-                    "max_wait_ms": self.policy.max_wait_ms,
                     "queue_capacity": self.policy.queue_capacity,
                 },
                 self.warmup,

@@ -85,7 +85,7 @@ class InferenceService:
         :class:`Module`.  Paths go through the pool (and can be evicted /
         reloaded); objects are registered under ``name``.
     policy:
-        Micro-batching :class:`BatchPolicy` (batch size / wait / queue bound).
+        Micro-batching :class:`BatchPolicy` (batch size / queue bound).
     pool:
         Optional shared :class:`ModelPool`; a private one is created otherwise.
     postprocess:
@@ -273,7 +273,6 @@ class InferenceService:
         report["engine_modes"] = modes
         report["policy"] = {
             "max_batch_size": self.policy.max_batch_size,
-            "max_wait_ms": self.policy.max_wait_ms,
             "queue_capacity": self.policy.queue_capacity,
         }
         with self._lock:

@@ -162,8 +162,9 @@ class TestDeployableArtifact:
             DeployableArtifact.load(path)
 
     def test_load_refuses_older_versions_by_their_version(self, artifact, tmp_path):
-        """A version-2 file carries ``engine.int8`` in its spec: it must be
-        refused for its version, before the spec parser sees the key."""
+        """A version-2 file carries ``engine.int8`` in its spec and a version-3
+        one ``serve.max_wait_ms``: each must be refused for its version,
+        before the spec parser sees the key."""
         import json
 
         from repro.utils.serialization import load_state_dict, save_state_dict
@@ -172,7 +173,8 @@ class TestDeployableArtifact:
         meta = json.loads(str(bundle["__artifact__"][()]))
         meta["spec"]["engine"]["int8"] = False
         meta["int8"] = False
-        for version in (1, 2):
+        meta["spec"]["serve"]["max_wait_ms"] = 2.0
+        for version in (1, 2, 3):
             meta["version"] = version
             bundle["__artifact__"] = np.asarray(json.dumps(meta))
             path = save_state_dict(bundle, str(tmp_path / f"v{version}"))

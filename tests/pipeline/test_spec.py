@@ -31,7 +31,7 @@ FULL_SPEC_DICT = {
                "image_size": 96, "batch": 4, "repeats": 2},
     "evaluation": {"enabled": True, "image_size": 96, "probe_size": 64,
                    "baseline_map": 55.5, "platforms": ["jetson_tx2"]},
-    "serve": {"enabled": True, "max_batch_size": 4, "max_wait_ms": 1.5,
+    "serve": {"enabled": True, "max_batch_size": 4,
               "queue_capacity": 32, "pool_capacity": 1, "warmup": False,
               "requests": 24, "concurrency": 3, "workers": 4,
               "routing": "least-outstanding",
@@ -114,7 +114,10 @@ class TestUnknownKeyRejection:
         cases = [({"framework": {"name": "rtoss-3ep", "entriess": 3}},
                   r"FrameworkSpec: unknown key\(s\) \['entriess'\]"),
                  # the int8 executor is gone, and so is its switch
-                 ({"engine": {"int8": True}}, r"EngineSpec: unknown key\(s\) \['int8'\]")]
+                 ({"engine": {"int8": True}}, r"EngineSpec: unknown key\(s\) \['int8'\]"),
+                 # the batcher is work-conserving: no coalescing wait to set
+                 ({"serve": {"max_wait_ms": 2.0}},
+                  r"ServeSpec: unknown key\(s\) \['max_wait_ms'\]")]
         for data, message in cases:
             with pytest.raises(ValueError, match=message):
                 RunSpec.from_dict(data)
@@ -158,8 +161,6 @@ class TestValidation:
     def test_serve_spec_validated(self):
         with pytest.raises(ValueError, match="max_batch_size"):
             ServeSpec(max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            ServeSpec(max_wait_ms=-0.5)
         with pytest.raises(ValueError, match="queue_capacity"):
             ServeSpec(queue_capacity=0)
         with pytest.raises(ValueError, match="pool_capacity"):
@@ -354,7 +355,6 @@ BOUNDS = [
     (ClusterSpec, "min_worker_uptime", 0.0, -0.001),
     (ClusterSpec, "restart_backoff_s", 0.0, -0.001),
     (ServeSpec, "max_batch_size", 1, 0),
-    (ServeSpec, "max_wait_ms", 0.0, -0.001),
     (ServeSpec, "queue_capacity", 1, 0),
     (ServeSpec, "pool_capacity", 1, 0),
     (ServeSpec, "requests", 1, 0),

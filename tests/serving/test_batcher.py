@@ -45,8 +45,6 @@ class TestPolicy:
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="max_batch_size"):
             BatchPolicy(max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            BatchPolicy(max_wait_ms=-1.0)
         with pytest.raises(ValueError, match="queue_capacity"):
             BatchPolicy(queue_capacity=0)
 
@@ -54,10 +52,10 @@ class TestPolicy:
 class TestCoalescing:
     def test_requests_coalesce_into_one_batch(self):
         runner = RecordingRunner(gate=threading.Event())
-        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=4, max_wait_ms=500.0))
+        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=4))
         try:
             # The worker stalls on the gate with the first request, so the
-            # remaining ones pile up and must coalesce with it.
+            # remaining ones pile up behind it and coalesce into the next batch.
             futures = [batcher.submit(IMAGE * (i + 1)) for i in range(4)]
             runner.gate.set()
             results = [f.result(10.0) for f in futures]
@@ -70,20 +68,10 @@ class TestCoalescing:
         finally:
             batcher.shutdown(10.0)
 
-    def test_max_wait_closes_small_batch(self):
-        runner = RecordingRunner()
-        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=64, max_wait_ms=10.0))
-        try:
-            future = batcher.submit(IMAGE)
-            assert future.result(10.0) is not None
-            assert runner.batch_sizes == [1]
-        finally:
-            batcher.shutdown(10.0)
-
     def test_batch_never_exceeds_max_batch_size(self):
         gate = threading.Event()
         runner = RecordingRunner(gate=gate)
-        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=3, max_wait_ms=50.0))
+        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=3))
         try:
             futures = [batcher.submit(IMAGE) for _ in range(8)]
             gate.set()
@@ -101,7 +89,7 @@ class TestAdmission:
         runner = RecordingRunner(gate=gate)
         metrics = ServingMetrics()
         batcher = DynamicBatcher(
-            runner, BatchPolicy(max_batch_size=1, max_wait_ms=0.0, queue_capacity=2),
+            runner, BatchPolicy(max_batch_size=1, queue_capacity=2),
             metrics=metrics)
         try:
             # First submit is popped by the (gated) worker; then fill the queue.
@@ -122,7 +110,7 @@ class TestAdmission:
         gate = threading.Event()
         runner = RecordingRunner(gate=gate)
         batcher = DynamicBatcher(
-            runner, BatchPolicy(max_batch_size=2, max_wait_ms=0.0, queue_capacity=2))
+            runner, BatchPolicy(max_batch_size=2, queue_capacity=2))
         try:
             futures = [batcher.submit(IMAGE)]
             assert runner.started.wait(10.0)          # worker now stalled in run_batch
@@ -149,7 +137,7 @@ class TestAdmission:
         gate = threading.Event()
         runner = RecordingRunner(gate=gate)
         batcher = DynamicBatcher(
-            runner, BatchPolicy(max_batch_size=1, max_wait_ms=0.0, queue_capacity=1))
+            runner, BatchPolicy(max_batch_size=1, queue_capacity=1))
         try:
             first = batcher.submit(IMAGE)
             assert runner.started.wait(10.0)        # worker stalled in run_batch
@@ -167,7 +155,7 @@ class TestAdmission:
 
     def test_image_shape_validation(self):
         runner = RecordingRunner()
-        batcher = DynamicBatcher(runner, BatchPolicy(max_wait_ms=0.0))
+        batcher = DynamicBatcher(runner, BatchPolicy())
         try:
             batcher.submit(IMAGE).result(10.0)
             with pytest.raises(ValueError, match="does not match"):
@@ -185,7 +173,7 @@ class TestAdmission:
 class TestShutdown:
     def test_flush_on_shutdown_drops_nothing(self):
         runner = RecordingRunner(delay=0.005)
-        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=4, max_wait_ms=50.0))
+        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=4))
         futures = [batcher.submit(IMAGE * (i + 1)) for i in range(20)]
         batcher.shutdown(30.0)
         assert all(f.done() for f in futures), "shutdown must resolve every future"
@@ -212,7 +200,7 @@ class TestErrors:
         def explode(batch):
             raise RuntimeError("model exploded")
 
-        batcher = DynamicBatcher(explode, BatchPolicy(max_batch_size=4, max_wait_ms=20.0))
+        batcher = DynamicBatcher(explode, BatchPolicy(max_batch_size=4))
         try:
             futures = [batcher.submit(IMAGE) for _ in range(3)]
             for f in futures:
@@ -231,7 +219,7 @@ class TestErrors:
                 raise RuntimeError("first batch fails")
             return batch.sum(axis=(1, 2, 3), keepdims=True).reshape(-1, 1)
 
-        batcher = DynamicBatcher(flaky, BatchPolicy(max_batch_size=1, max_wait_ms=0.0))
+        batcher = DynamicBatcher(flaky, BatchPolicy(max_batch_size=1))
         try:
             with pytest.raises(RuntimeError):
                 batcher.submit(IMAGE).result(10.0)
@@ -259,7 +247,7 @@ class TestStatsReuse:
         from repro.engine.runner import RunnerStats
 
         runner = RecordingRunner()
-        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=2, max_wait_ms=5.0))
+        batcher = DynamicBatcher(runner, BatchPolicy(max_batch_size=2))
         try:
             for _ in range(4):
                 batcher.submit(IMAGE).result(10.0)

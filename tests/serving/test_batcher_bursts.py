@@ -69,19 +69,28 @@ class Harness:
         self.gate = threading.Event()
         self.plugged = threading.Event()
         self.batches = []              # the tags of every executed micro-batch
-        self.depths = []               # queue depth seen from inside run_batch
+        self.depths = []               # queue depth the moment each batch was taken
+        self.started = []              # the fake clock when each batch began
         self.capacity = queue_capacity
         self.batcher = DynamicBatcher(
-            self.run, BatchPolicy(max_batch_size=max_batch_size, max_wait_ms=0.0,
+            self.run, BatchPolicy(max_batch_size=max_batch_size,
                                   queue_capacity=queue_capacity),
             postprocess=postprocess)
+        self.park()
+
+    def park(self):
+        """Hold the (idle) worker inside a fresh plug batch."""
+        self.gate.clear()
+        self.plugged.clear()
         self.plug = self.batcher.submit(image(-1))
         assert self.plugged.wait(10.0)
 
     def run(self, batch):
+        # Read before the script may admit more: what the take left behind.
+        self.depths.append(self.batcher._depth)
+        self.started.append(self.clock.now)
         self.plugged.set()
         assert self.gate.wait(10.0), "the test never released the worker"
-        self.depths.append(self.batcher._depth)
         self.batches.append([int(tag) for tag in batch[:, 0, 0, 0]])
         self.clock.now += BATCH_SECONDS
         return forward(batch)
@@ -162,6 +171,10 @@ def test_bursts_and_singles_keep_every_per_image_promise(
     assert len(executed) == len(set(executed))
     assert all(len(batch) <= max_batch_size for batch in harness.batches)
     assert all(depth <= queue_capacity for depth in harness.depths)
+    # Work-conserving: a batch short of max_batch_size left nothing queued
+    # behind it -- no request was held back to wait for company.
+    for batch, depth in zip(harness.batches, harness.depths):
+        assert len(batch) == max_batch_size or depth == 0, (batch, depth)
     ran = set(executed)
     for future, settles, tags, cls, deadline in admitted:
         assert future.done()
@@ -209,6 +222,41 @@ def test_bursts_and_singles_keep_every_per_image_promise(
                 assert clock_at_batch[tag] <= deadline
             if isinstance(settles.errors[index], DeadlineExceededError):
                 assert deadline is not None
+
+
+def test_a_lone_request_on_an_idle_batcher_runs_at_its_admission_instant(monkeypatch):
+    """Nothing holds a request that has the worker to itself: it executes at
+    the fake instant it was admitted, with no clock advance in between."""
+    harness = Harness(monkeypatch, max_batch_size=8, queue_capacity=64)
+    try:
+        harness.gate.set()
+        harness.plug.result(10.0)            # the worker is idle again
+        harness.clock.now += 0.5
+        admitted_at = harness.clock.now
+        harness.batcher.submit(image(7)).result(10.0)
+    finally:
+        harness.release_and_drain()
+    assert harness.batches[-1] == [7]
+    assert harness.started[-1] == admitted_at
+
+
+def test_the_queue_is_priced_per_image_after_batch_one_forwards(monkeypatch):
+    """Batch-1 history prices a 64-deep queue at ~64 x t1, not 64 / 8 x t1: a
+    burst whose deadline is below that is refused at admission, not queued."""
+    harness = Harness(monkeypatch, max_batch_size=8, queue_capacity=256)
+    try:
+        harness.gate.set()
+        for tag in range(4):                 # idle worker: every batch is one image
+            harness.batcher.submit(image(tag)).result(10.0)
+        assert set(map(len, harness.batches)) == {1}
+        harness.park()
+        harness.batcher.submit_group(np.stack([image(tag) for tag in range(64)]))
+        estimate = harness.batcher.expected_wait_seconds()
+        assert 64 * BATCH_SECONDS / 2 <= estimate <= 64 * BATCH_SECONDS * 2
+        with pytest.raises(DeadlineExceededError, match="expected queue wait"):
+            harness.batcher.submit_group([image(100), image(101)], deadline_ms=32.0)
+    finally:
+        harness.release_and_drain()
 
 
 def test_expired_members_are_dropped_while_their_siblings_ran(monkeypatch):
@@ -349,7 +397,7 @@ def test_a_failed_burst_counts_every_image_as_failed():
 
     metrics = ServingMetrics()
     batcher = DynamicBatcher(
-        broken, BatchPolicy(max_batch_size=8, max_wait_ms=0.0, queue_capacity=64),
+        broken, BatchPolicy(max_batch_size=8, queue_capacity=64),
         metrics=metrics)
     try:
         future = batcher.submit_group([image(tag) for tag in range(8)])

@@ -40,7 +40,7 @@ SERVICE_STATS = {"batches", "engine", "engine_modes", "latency", "policy", "pool
 ROUTER_STATS = {"artifact", "cluster", "degraded", "policy", "routing",
                 "worker_artifacts", "worker_services", "workers"}
 
-SPEC = ServeSpec(max_batch_size=4, max_wait_ms=5.0, queue_capacity=64)
+SPEC = ServeSpec(max_batch_size=4, queue_capacity=64)
 
 
 def port_is_closed(host: str, port: int) -> bool:
@@ -70,7 +70,7 @@ def test_topology_matrix(serve_artifact, artifact_path, images, workers, gateway
         assert set(backend_stats) == (ROUTER_STATS if workers > 1 else SERVICE_STATS)
         # The spec's knobs are the ones running, not the library defaults.
         assert backend_stats["policy"] == {
-            "max_batch_size": 4, "max_wait_ms": 5.0, "queue_capacity": 64}
+            "max_batch_size": 4, "queue_capacity": 64}
         if workers > 1:
             assert backend_stats["routing"] == "least-outstanding"
             assert len(stack.backend.workers) == workers

@@ -115,7 +115,7 @@ class TestFaultStreams:
 # ---------------------------------------------------------------- live drills
 @pytest.fixture(scope="module")
 def cluster_policy():
-    return BatchPolicy(max_batch_size=4, max_wait_ms=5.0, queue_capacity=256)
+    return BatchPolicy(max_batch_size=4, queue_capacity=256)
 
 
 def run_short_drill(artifact_path, policy, chaos, rate_rps=60.0):

@@ -11,7 +11,7 @@ class TestServeCommand:
     def test_serve_closed_loop_reports_and_verifies(self, artifact_path, capsys):
         code = cli_main(["serve", "--artifact", artifact_path,
                          "--requests", "12", "--concurrency", "3",
-                         "--max-batch-size", "4", "--max-wait-ms", "5"])
+                         "--max-batch-size", "4"])
         out = capsys.readouterr().out
         assert code == 0
         assert "OK" in out and "MISMATCH" not in out
@@ -49,8 +49,6 @@ class TestServeCommand:
         assert cli_main(["serve", "--artifact", artifact_path,
                          "--max-batch-size", "0"]) == 2
         assert "error:" in capsys.readouterr().err
-        assert cli_main(["serve", "--artifact", artifact_path,
-                         "--max-wait-ms", "-1"]) == 2
 
     def test_serve_exits_nonzero_on_equivalence_mismatch(self, artifact_path,
                                                          capsys, monkeypatch):
@@ -70,7 +68,7 @@ class TestServeClusterCommand:
     def test_serve_cluster_closed_loop_verifies_and_reports(self, artifact_path, capsys):
         code = cli_main(["serve", "--artifact", artifact_path,
                          "--workers", "2", "--requests", "12", "--concurrency", "3",
-                         "--max-batch-size", "4", "--max-wait-ms", "5"])
+                         "--max-batch-size", "4"])
         out = capsys.readouterr().out
         assert code == 0
         assert "cluster vs sequential BatchRunner" in out

@@ -178,7 +178,7 @@ class TestClusterMetrics:
 # ------------------------------------------------------------------ live cluster
 @pytest.fixture(scope="module")
 def cluster_policy():
-    return BatchPolicy(max_batch_size=4, max_wait_ms=5.0, queue_capacity=64)
+    return BatchPolicy(max_batch_size=4, queue_capacity=64)
 
 
 def wait_for_restarts(router, count, timeout=30.0):
@@ -422,7 +422,7 @@ class TestRouterBursts:
     def test_a_burst_beyond_one_workers_bound_spills_to_the_next(
             self, artifact_path, serve_artifact, images):
         sequential = BatchRunner(serve_artifact.compiled, batch_size=1).run(images)
-        policy = BatchPolicy(max_batch_size=4, max_wait_ms=5.0, queue_capacity=8)
+        policy = BatchPolicy(max_batch_size=4, queue_capacity=8)
         with Router(artifact_path, workers=2, policy=policy) as router:
             assert all(worker.wait_ready(60.0) for worker in router.workers)
             future = router.submit_group(images)           # 12 images, 8 per worker

@@ -148,7 +148,7 @@ class TestAutoscalerDecisions:
 # ------------------------------------------------------------- live elasticity
 @pytest.fixture(scope="module")
 def cluster_policy():
-    return BatchPolicy(max_batch_size=4, max_wait_ms=5.0, queue_capacity=64)
+    return BatchPolicy(max_batch_size=4, queue_capacity=64)
 
 
 @pytest.fixture(scope="module")

@@ -122,7 +122,7 @@ class TestOwnership:
 
     def test_gateway_client_replies_own_their_memory(self, serve_artifact, images):
         with InferenceService(serve_artifact, warmup=False,
-                              policy=BatchPolicy(max_batch_size=4, max_wait_ms=2.0),
+                              policy=BatchPolicy(max_batch_size=4),
                               metrics=ServingMetrics(name="own", register=False)) as service:
             server = start_gateway(service)
             try:
@@ -139,7 +139,7 @@ class TestOwnership:
                 server.shutdown()
 
     def test_router_replies_own_their_memory(self, artifact_path, images):
-        policy = BatchPolicy(max_batch_size=4, max_wait_ms=5.0, queue_capacity=64)
+        policy = BatchPolicy(max_batch_size=4, queue_capacity=64)
         with Router(artifact_path, workers=1, policy=policy) as router:
             futures = [router.submit(image, block=True, timeout=60.0) for image in images]
             results = [future.result(60.0) for future in futures]
@@ -199,7 +199,7 @@ def test_worker_killed_mid_burst_through_the_gateway_loses_nothing(
     one equal to the direct output for *its* image."""
     count = 1024
     direct = BatchRunner(serve_artifact.compiled, batch_size=1).run(images)
-    policy = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, queue_capacity=count)
+    policy = BatchPolicy(max_batch_size=4, queue_capacity=count)
     with Router(artifact_path, workers=2, policy=policy,
                 cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
         assert all(worker.wait_ready(60.0) for worker in router.workers)
@@ -234,7 +234,7 @@ def test_worker_killed_mid_burst_of_multi_image_frames_loses_nothing(
     count, per_frame = 1024, 16
     stack = np.concatenate([images] * (count // len(images) + 1))[:count]
     direct = BatchRunner(serve_artifact.compiled, batch_size=1).run(images)
-    policy = BatchPolicy(max_batch_size=4, max_wait_ms=2.0, queue_capacity=count)
+    policy = BatchPolicy(max_batch_size=4, queue_capacity=count)
     with Router(artifact_path, workers=2, policy=policy,
                 cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
         assert all(worker.wait_ready(60.0) for worker in router.workers)
@@ -286,7 +286,7 @@ class BatcherTarget:
     def __init__(self, max_batch_size):
         self.groups, self.batches = [], []
         self.batcher = DynamicBatcher(
-            self.run, BatchPolicy(max_batch_size=max_batch_size, max_wait_ms=1.0))
+            self.run, BatchPolicy(max_batch_size=max_batch_size))
 
     def run(self, batch):
         self.batches.append(batch)

@@ -62,7 +62,7 @@ class RecordingRunner:
 
 
 def gated_batcher(gate, **policy_kwargs):
-    defaults = dict(max_batch_size=1, max_wait_ms=1.0, queue_capacity=64)
+    defaults = dict(max_batch_size=1, queue_capacity=64)
     defaults.update(policy_kwargs)
     runner = RecordingRunner(gate=gate)
     batcher = DynamicBatcher(runner, BatchPolicy(**defaults),
@@ -212,7 +212,7 @@ class TestDeadlines:
 def service(serve_artifact):
     with InferenceService(
             serve_artifact,
-            policy=BatchPolicy(max_batch_size=4, max_wait_ms=2.0,
+            policy=BatchPolicy(max_batch_size=4,
                                queue_capacity=64),
             metrics=ServingMetrics(name="gw-wire", register=False),
             warmup=False) as svc:

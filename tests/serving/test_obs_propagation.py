@@ -39,7 +39,7 @@ def traced():
 
 @pytest.fixture
 def policy():
-    return BatchPolicy(max_batch_size=4, max_wait_ms=5.0, queue_capacity=64)
+    return BatchPolicy(max_batch_size=4, queue_capacity=64)
 
 
 def wait_for_traces(count, timeout=30.0):

@@ -20,7 +20,7 @@ from repro.serving import (
 @pytest.fixture
 def service(serve_artifact):
     with InferenceService(serve_artifact,
-                          policy=BatchPolicy(max_batch_size=4, max_wait_ms=5.0)) as svc:
+                          policy=BatchPolicy(max_batch_size=4)) as svc:
         yield svc
 
 
@@ -30,8 +30,7 @@ class TestEquivalence:
         sequential single-image BatchRunner outputs to 1e-5."""
         sequential = BatchRunner(serve_artifact.compiled, batch_size=1).run(images)
         with InferenceService(serve_artifact,
-                              policy=BatchPolicy(max_batch_size=4,
-                                                 max_wait_ms=5.0)) as svc:
+                              policy=BatchPolicy(max_batch_size=4)) as svc:
             served = svc.submit_many(images)
         assert served.shape == sequential.shape
         np.testing.assert_allclose(served, sequential, atol=1e-5, rtol=0)
@@ -44,7 +43,7 @@ class TestEquivalence:
 
     def test_service_by_artifact_path(self, artifact_path, serve_artifact, images):
         with InferenceService(artifact_path,
-                              policy=BatchPolicy(max_wait_ms=2.0)) as svc:
+                              policy=BatchPolicy()) as svc:
             served = svc.submit_many(images[:4])
         np.testing.assert_allclose(served, serve_artifact.forward_raw(images[:4]),
                                    atol=1e-5, rtol=0)
@@ -61,9 +60,9 @@ class TestServedUnderConcurrency:
             self, serve_artifact, images):
         stack = np.concatenate([images] * (self.REQUESTS // images.shape[0]))
         sequential = BatchRunner(serve_artifact.compiled, batch_size=1).run(stack)
-        # A batch closes at 8 requests; the wait only ends one early when the
-        # fleet is down to its last clients, so it can be long.
-        policy = BatchPolicy(max_batch_size=self.CONCURRENCY, max_wait_ms=50.0)
+        # Up to 8 requests a batch: what the clients queue while the previous
+        # forward runs.
+        policy = BatchPolicy(max_batch_size=self.CONCURRENCY)
         with InferenceService(serve_artifact, policy=policy) as svc:
             served = svc.submit_many(stack)
             load = closed_loop(svc, stack, requests=self.REQUESTS,
@@ -128,8 +127,7 @@ class TestPostprocess:
     def test_yolo_postprocess_returns_detections(self, serve_artifact, images):
         postprocess = make_yolo_postprocess(serve_artifact.model, conf_threshold=0.01)
         with InferenceService(serve_artifact, postprocess=postprocess,
-                              policy=BatchPolicy(max_batch_size=4,
-                                                 max_wait_ms=5.0)) as svc:
+                              policy=BatchPolicy(max_batch_size=4)) as svc:
             per_image = svc.submit_many(images[:4])
         assert len(per_image) == 4
         for detections in per_image:
@@ -150,8 +148,7 @@ class TestPostprocess:
             return raw
 
         with InferenceService(serve_artifact, postprocess=post,
-                              policy=BatchPolicy(max_batch_size=1,
-                                                 max_wait_ms=0.0)) as svc:
+                              policy=BatchPolicy(max_batch_size=1)) as svc:
             first = svc.submit(images[0])
             with pytest.raises(RuntimeError, match="decode boom"):
                 first.result(30.0)
@@ -200,7 +197,7 @@ class TestLoadGenerators:
     def test_open_loop_overload_rejects_not_hangs(self, serve_artifact, images):
         """Arrival rate far beyond service rate with a tiny queue: admission
         control must reject the overflow and the service must stay healthy."""
-        policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0, queue_capacity=2)
+        policy = BatchPolicy(max_batch_size=1, queue_capacity=2)
         with InferenceService(serve_artifact, policy=policy) as svc:
             report = open_loop(svc, images, requests=50, rate_hz=100000.0)
             assert report.completed + report.rejected == 50
