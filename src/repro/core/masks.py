@@ -64,8 +64,8 @@ class MaskSet:
     * :mod:`repro.hardware` reads the per-layer sparsities for the latency /
       energy / storage models,
     * :func:`repro.engine.compile_model` compiles the masked layers into
-      column-compacted GEMM plans; :meth:`signature` provides the stable cache
-      key that identifies one pattern assignment.
+      masked weight-matrix plans; :meth:`signature` provides the stable key
+      that identifies one pattern assignment.
 
     Example
     -------

@@ -3,9 +3,9 @@
 The pruning side of the repo decides *what* to prune (``repro.core``); this
 package makes pruning pay off at inference time on the host CPU:
 
-* :mod:`repro.engine.plan` — compile step: lower each pruned convolution to a
-  column-compacted gather + GEMM plan that skips masked taps entirely, with
-  layouts cached per (layer, pattern set, input shape),
+* :mod:`repro.engine.plan` — compile step: lower each pruned convolution to
+  its masked ``(O, I*kh*kw)`` weight matrix, with the direct kernel's CSR and
+  per-shape layouts cached per (layer, input shape),
 * :mod:`repro.engine.compiler` — :func:`compile_model` builds the plans;
   :meth:`CompiledModel.forward_raw` is the one no-grad inference path (the
   model itself is never rewired, so training on it stays correct),

@@ -88,8 +88,6 @@ class EngineMeasurement:
     max_abs_diff: float
     compiled_layers: int = 0
     fallback_layers: int = 0
-    kept_columns: int = 0
-    total_columns: int = 0
     #: Executor ``compiled_seconds`` timed: ``"fused"``, or ``"eager"`` when
     #: the model is untraceable and its dense no-grad forward served.
     engine_mode: str = ""
@@ -119,12 +117,6 @@ class EngineMeasurement:
         if not self.compiled_seconds:
             return float("inf")
         return self.dense_nograd_seconds / self.compiled_seconds
-
-    @property
-    def column_sparsity(self) -> float:
-        if not self.total_columns:
-            return 0.0
-        return 1.0 - self.kept_columns / self.total_columns
 
     def row(self) -> Dict[str, object]:
         """Flat dictionary for the table formatters (the Fig. 6 'measured' row)."""
@@ -236,8 +228,6 @@ def measure_speedup(
         max_abs_diff=max_abs_diff,
         compiled_layers=compiled.num_compiled_layers,
         fallback_layers=len(compiled.fallback_layers),
-        kept_columns=compiled.kept_columns(),
-        total_columns=compiled.total_columns(),
         engine_mode=engine_mode,
         mode_census=mode_census,
         fused_dense_seconds=fused_dense_seconds,

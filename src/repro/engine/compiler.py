@@ -49,8 +49,8 @@ class CompiledModel:
     """A model paired with its pattern-aware execution engine.
 
     Calling a ``CompiledModel`` runs a no-grad, eval-mode forward pass through
-    the fused program: compiled convolutions execute their column-compacted
-    plans, everything the model's own ``forward`` does between them
+    the fused program: compiled convolutions execute their masked weight
+    matrices, everything the model's own ``forward`` does between them
     (BatchNorm, activations, concats, residual adds, ...) runs as recorded raw
     ops, so arbitrary traceable architectures are supported.
 
@@ -69,7 +69,7 @@ class CompiledModel:
     :class:`~repro.engine.runner.BatchRunner` use from multiple threads is safe
     — the first call traces under a lock, program execution only reads
     compiled state, and the per-shape layout caches take a per-plan lock on
-    miss (:meth:`repro.engine.plan.ConvPlan.fused_layout_for`).
+    miss (:meth:`repro.engine.plan.ConvPlan.direct_layout_for`).
     :meth:`refresh` is single-writer: it re-packs plans and must not race
     concurrent inference.  Callers that serve a model warm it with one forward
     pass first (which settles ``eval()`` and the trace), then fan out; see
@@ -118,23 +118,20 @@ class CompiledModel:
         """No-op counterpart of :meth:`attach`."""
 
     def refresh(self) -> None:
-        """Re-sync plans with the model's current weights.
+        """Re-sync plans with the model's current weights and keep-masks.
 
-        Weight-value changes are re-packed in place; a changed keep-mask (e.g.
-        after re-pruning) recompiles that layer's plan.  The fused program
-        holds folded copies of weights and BN statistics, so it is dropped and
-        lazily re-traced on the next forward.
+        Every plan re-packs its matrix (:meth:`ConvPlan.refresh_weights`), so
+        changed weight values and a changed mask (e.g. after re-pruning) are
+        both picked up.  The fused program holds folded copies of weights and
+        BN statistics, so it is dropped and lazily re-traced on the next
+        forward.
         """
         with self._fuse_lock:
             self._fused_program = None
             self._fuse_failed = None
         modules = dict(self.model.named_modules())
-        for name, plan in list(self.plans.items()):
-            layer = modules[name]
-            if plan.is_stale(layer):
-                self.plans[name] = compile_conv_plan(layer, name)
-            else:
-                plan.refresh_weights(layer)
+        for name, plan in self.plans.items():
+            plan.refresh_weights(modules[name])
 
     # ------------------------------------------------------------------ fusion
     def _float_program(self, data: np.ndarray):
@@ -319,7 +316,7 @@ class CompiledModel:
             rows.append(row)
         for name in self.fallback_layers:
             rows.append({"layer": name, "mode": "dense-fallback", "kernel": "-",
-                         "columns": "-", "column_sparsity": 0.0, "weight_sparsity": 0.0})
+                         "density": "-"})
         return rows
 
     @property
@@ -327,10 +324,19 @@ class CompiledModel:
         return len(self.plans)
 
     def total_columns(self) -> int:
-        return sum(plan.total_columns for plan in self.plans.values())
+        """im2col columns (``I * kh * kw``) summed over the compiled layers.
+
+        A statistic of the masks, kept (with :meth:`kept_columns`) only because
+        the frozen benchmark driver ``bench/frames.py`` reports
+        ``kept_columns() / total_columns()``; the engine executes every column.
+        """
+        return sum(plan.weight_matrix.shape[1] for plan in self.plans.values())
 
     def kept_columns(self) -> int:
-        return sum(int(plan.kept_columns.size) for plan in self.plans.values())
+        """Columns with at least one nonzero weight, summed over the compiled
+        layers (see :meth:`total_columns`)."""
+        return sum(int(np.any(plan.weight_matrix != 0.0, axis=0).sum())
+                   for plan in self.plans.values())
 
 
 def _wrap_tensors(value):
@@ -356,7 +362,7 @@ def compile_model(model: Module, masks: Optional[MaskSet] = None,
         they are (re)applied first so the layer weights and registered masks are
         guaranteed consistent; the mask-set signature is recorded for caching.
         ``None`` compiles whatever zero structure the weights already have — a
-        dense model compiles too, it just keeps every column.
+        dense model compiles too.
     apply_masks:
         Set to ``False`` if the masks were already applied and re-zeroing is
         undesirable.
@@ -385,9 +391,6 @@ def compile_model(model: Module, masks: Optional[MaskSet] = None,
 
     model.eval()
     compiled = CompiledModel(model, plans, fallback, mask_signature)
-    logger.info(
-        "compiled %d conv layers (%d dense fallbacks): %d/%d im2col columns kept",
-        compiled.num_compiled_layers, len(fallback),
-        compiled.kept_columns(), compiled.total_columns(),
-    )
+    logger.info("compiled %d conv layers (%d dense fallbacks)",
+                compiled.num_compiled_layers, len(fallback))
     return compiled

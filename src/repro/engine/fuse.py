@@ -15,13 +15,13 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
   :mod:`repro.engine.native` loaded, bias + activation are one in-register
   pass (``bias_act_f32``), the epilogue the direct sparse kernel applies.
 * **Arena execution** — a step with a Python body writes into whole-batch
-  buffers keyed by ``(op, role, shape)``; convolution gathers go through a
-  single flat ``np.take(..., out=..., mode="clip")`` into the GEMM-ready column
-  buffer (``as_strided`` window views where the gather is dense, i.e.
-  compaction dropped next to nothing), and the GEMM itself is ``np.matmul(W,
-  cols, out=...)``.  After one warmup pass per input shape, a steady-state
-  forward allocates nothing large; only the final outputs are copied out of the
-  arena (they must survive the next forward).
+  buffers keyed by ``(op, role, shape)``; a convolution's gather is one
+  strided-window copy (``as_strided`` view) into the GEMM-ready column buffer
+  — a 1x1 multiplies the feature map as is — and the GEMM itself is
+  ``np.matmul(W, cols, out=...)`` over the full-width weight matrix.  After
+  one warmup pass per input shape, a steady-state forward allocates nothing
+  large; only the final outputs are copied out of the arena (they must
+  survive the next forward).
 * **Segments** — a forward walks segments, not steps: each maximal run of
   natively bound steps (direct convolutions, the native glue ops) is
   *one* call into the library, images outermost, on buffers bound for one image
@@ -30,10 +30,10 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
   kernel, a pruned convolution skips gather, GEMM and epilogue altogether: the
   zero-padded planes are staged once and one native call walks the CSR of the
   surviving weights (:meth:`FusedConv.choose_kernel` holds the static rule).
-  R-TOSS patterns differ per kernel, so this — not column compaction — is what
-  makes a pruned model faster than its dense twin.  A dense convolution wider
-  than 3x3 (a 6x6 / 7x7 stem, dense in every arm) runs the library's dense
-  direct kernel the same way, so it joins the segment too.
+  R-TOSS patterns differ per kernel, so this is what makes a pruned model
+  faster than its dense twin.  A dense convolution wider than 3x3 (a 6x6 /
+  7x7 stem, dense in every arm) runs the library's dense direct kernel the
+  same way, so it joins the segment too.
 
 BatchNorm folding changes the floating-point evaluation order (scales are
 applied to weights before the GEMM instead of to activations after it), so
@@ -93,13 +93,6 @@ _LAYOUT_STATS = layout_cache_stats()
 #: registers, so a dense 3x3 / 1x1 layer (1.0) is faster as gather + GEMM; a
 #: dense layer wider than 3x3 runs the register-blocked dense direct kernel.
 DIRECT_MAX_DENSITY = 0.5
-
-#: On the GEMM path a convolution keeps its dense gather (strided-window copy,
-#: or the feature map as is for a 1x1) and a full-width weight matrix while
-#: compaction dropped at most this share of the im2col columns: ``np.take``
-#: through a gather index costs more than multiplying the few all-zero columns
-#: it would save (measured break-even: 5-30 % dropped, by geometry).
-WINDOW_MAX_DROPPED = 0.125
 
 
 def _leaky_slope_supported(params: Dict) -> bool:
@@ -221,9 +214,8 @@ class _FusedOp:
 class FusedConv(_FusedOp):
     """A compiled convolution with optionally folded BN and activation epilogue."""
 
-    __slots__ = ("plan", "weight", "bias", "act", "act_slope", "in_slot",
-                 "mode", "layer_name", "dense_gather",
-                 "direct", "csr_rowptr", "csr_val", "taps", "native_epilogue",
+    __slots__ = ("plan", "weight", "bias", "act", "act_slope", "in_slot", "mode",
+                 "layer_name", "direct", "csr_rowptr", "csr_val", "taps", "native_epilogue",
                  "_epilogue_args")
 
     def __init__(self, node: OpNode, plan: ConvPlan) -> None:
@@ -236,16 +228,11 @@ class FusedConv(_FusedOp):
         self.act: Optional[str] = None
         self.act_slope: Optional[float] = None
         self.mode = plan.mode
-        # When pruning dropped no column at all, the gather is dense: a strided
-        # window view copies straight into the column buffer with no index math
-        # (:meth:`choose_kernel` widens this to "dropped next to nothing").
-        self.dense_gather = (plan.kept_columns.size == plan.total_columns
-                             and plan.mode != MODE_POINTWISE)
         #: The native library when this op runs one of its direct kernels (see
         #: :meth:`choose_kernel`), else None: gather + GEMM.
         self.direct: Optional[SparseConvKernel] = None
-        #: Kept columns the dense direct kernel walks (``csr_val`` then holds
-        #: the packed matrix, ``csr_rowptr`` None); 0: the CSR walk.
+        #: Columns the dense direct kernel walks (``csr_val`` then holds the
+        #: packed matrix, ``csr_rowptr`` None); 0: the CSR walk.
         self.taps = 0
         #: The same library when it applies this op's GEMM epilogue (bias +
         #: activation, one in-register pass), else None: numpy passes.
@@ -277,10 +264,8 @@ class FusedConv(_FusedOp):
         saved on one kind of host re-fuses, and re-chooses, on the other.
         """
         plan = self.plan
-        dropped = plan.total_columns - plan.kept_columns.size
         sparse = plan.density <= DIRECT_MAX_DENSITY
-        if (sparse_kernel is not None and plan.kept_columns.size
-                and (sparse or max(plan.kernel_size) > 3)):
+        if sparse_kernel is not None and (sparse or max(plan.kernel_size) > 3):
             if sparse:
                 # CSR values of the *folded* matrix, in the plan's structure order.
                 self.csr_rowptr, flat = plan.csr()
@@ -297,14 +282,6 @@ class FusedConv(_FusedOp):
             self._epilogue_args = (address(self.bias, np.float32),
                                    ACT_CODES[self.act], float(self.act_slope or 0.0))
             self.native_epilogue = sparse_kernel
-        if 0 < dropped <= WINDOW_MAX_DROPPED * plan.total_columns:
-            # Compaction removed next to nothing: scatter the packed weights
-            # back to full width and skip the np.take gather (strided-window
-            # copy for a spatial conv, the feature map as is for a 1x1).
-            full = np.zeros((plan.out_channels, plan.total_columns), dtype=np.float32)
-            full[:, plan.kept_columns] = self.weight
-            self.weight = full
-            self.dense_gather = True
 
     # --------------------------------------------------------------- execution
     def natively(self) -> bool:
@@ -314,21 +291,9 @@ class FusedConv(_FusedOp):
         """Gather -> GEMM (+bias) -> epilogue; returns the phase split if ``timed``."""
         started = time.perf_counter() if timed else 0.0
         data = _contiguous(values[self.in_slot], arena, (self.key, "in"))
-        n, c, h, w = data.shape
+        n = data.shape[0]
         plan = self.plan
         out_channels = plan.out_channels
-
-        if plan.kept_columns.size == 0:
-            out_h, out_w = plan.output_hw(h, w)
-            out = arena.buffer((self.key, "out"), (n, out_channels, out_h, out_w))
-            if self.bias is None:
-                out.fill(0.0)
-            else:
-                out[...] = self.bias.reshape(1, -1, 1, 1)
-            self._epilogue(out, arena)
-            values[self.out_slot] = out
-            return None
-
         if plan.mode == MODE_POINTWISE:
             gemm_in, (out_h, out_w) = self._pointwise_input(data, arena)
         else:
@@ -386,53 +351,32 @@ class FusedConv(_FusedOp):
             act=ACT_CODES[self.act], slope=float(self.act_slope or 0.0), **layout.operands)
 
     def _pointwise_input(self, data, arena):
-        plan = self.plan
-        sh, sw = plan.stride
+        sh, sw = self.plan.stride
         if (sh, sw) != (1, 1):
             data = _contiguous(data[:, :, ::sh, ::sw], arena, (self.key, "stride"))
         n, c, out_h, out_w = data.shape
-        length = out_h * out_w
-        feat = data.reshape(n, c, length)
-        if plan.pointwise_channels is not None and not self.dense_gather:
-            cols = arena.buffer(
-                (self.key, "cols"), (n, plan.pointwise_channels.size, length))
-            np.take(feat, plan.pointwise_channels, axis=1, out=cols, mode="clip")
-            feat = cols
-        return feat, (out_h, out_w)
+        return data.reshape(n, c, out_h * out_w), (out_h, out_w)
 
     def _gather_columns(self, data, arena):
         plan = self.plan
         n, c, h, w = data.shape
-        ph, pw = plan.padding
-        if self.dense_gather:
-            # No column was pruned: a strided window view replaces the gather
-            # entirely, so the flat index array is never built.
-            flat_index = None
-            out_h, out_w = plan.output_hw(h, w)
-            hp, wp = h + 2 * ph, w + 2 * pw
-        else:
-            flat_index, out_h, out_w, (hp, wp) = plan.fused_layout_for((c, h, w))
+        (kh, kw), (sh, sw), (ph, pw) = plan.kernel_size, plan.stride, plan.padding
+        out_h, out_w = plan.output_hw(h, w)
         if ph or pw:
-            padded = arena.buffer((self.key, "pad"), (n, c, hp, wp), fill=0.0)
+            padded = arena.buffer((self.key, "pad"), (n, c, h + 2 * ph, w + 2 * pw), fill=0.0)
             # The zero halo is written once (at allocation); every call only
             # refreshes the interior, so steady state is a single strided copy.
             padded[:, :, ph:ph + h, pw:pw + w] = data
         else:
             padded = data
-        length = out_h * out_w
-        cols = arena.buffer((self.key, "cols"), (n, self.weight.shape[1], length))
-        if self.dense_gather:
-            kh, kw = plan.kernel_size
-            sh, sw = plan.stride
-            s0, s1, s2, s3 = padded.strides
-            windows = np.lib.stride_tricks.as_strided(
-                padded,
-                shape=(n, c, kh, kw, out_h, out_w),
-                strides=(s0, s1, s2, s3, s2 * sh, s3 * sw),
-            )
-            np.copyto(cols.reshape(n, c, kh, kw, out_h, out_w), windows)
-        else:
-            np.take(padded.reshape(n, -1), flat_index, axis=1, out=cols, mode="clip")
+        cols = arena.buffer((self.key, "cols"), (n, c * kh * kw, out_h * out_w))
+        s0, s1, s2, s3 = padded.strides
+        windows = np.lib.stride_tricks.as_strided(
+            padded,
+            shape=(n, c, kh, kw, out_h, out_w),
+            strides=(s0, s1, s2, s3, s2 * sh, s3 * sw),
+        )
+        np.copyto(cols.reshape(n, c, kh, kw, out_h, out_w), windows)
         return cols, (out_h, out_w)
 
 

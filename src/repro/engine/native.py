@@ -283,7 +283,7 @@ static inline __mmask16 first_lanes(int64_t count) {
     d = put(d, ACT(r##2), km[2]); put(d, ACT(r##3), km[3]); }
 
 /* The same output as sconv_f32 for a layer with no zeros worth skipping: every
- * tap k of the (kept-column) weight matrix, one offset off[k] per tap, on the
+ * tap (column) k of the weight matrix, one offset off[k] per tap, on the
  * same staged planes, tiles of 64 positions and packed stores - but register
  * blocked over DN output channels too: per tap, 4 input loads and DN weight
  * broadcasts feed 4 * DN independent accumulators.  wpk is the matrix packed

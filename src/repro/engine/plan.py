@@ -1,49 +1,32 @@
 """Per-layer execution plans for the pattern-aware sparse engine.
 
 The compile step (:func:`compile_conv_plan`) lowers one pruned :class:`Conv2d`
-into a :class:`ConvPlan` — a column-compacted GEMM description:
+into a :class:`ConvPlan`: its weight tensor ``(O, I, kh, kw)`` with the
+keep-mask applied, flattened to the full-width ``(O, I*kh*kw)`` matrix the
+executor multiplies (1x1 convolutions: a channel GEMM on the feature map as
+is, the fast path for the layers Algorithm 3 prunes).
 
-* the weight tensor ``(O, I, kh, kw)`` is flattened to a matrix ``(O, I*kh*kw)``
-  and every column that is zero for *all* output channels (a tap that no kernel's
-  pattern keeps for that input channel) is dropped entirely — those taps are
-  never gathered from the input again,
-* the surviving columns are described by ``(channel, tap_row, tap_col)`` index
-  vectors from which a flat gather ("partial im2col") index is built lazily per
-  input shape and cached — re-running the same layer on the same shape reuses
-  the cached layout,
-* 1x1 convolutions skip the gather altogether and execute as a channel GEMM on
-  the (optionally channel-compacted) feature map — the fast path for the layers
-  Algorithm 3 prunes.
-
-* for the native direct sparse-convolution kernel
-  (:mod:`repro.engine.native`) the plan also packs the *element-level* zero
-  structure: :meth:`ConvPlan.csr` is the CSR structure of the packed matrix and
-  :meth:`ConvPlan.direct_layout_for` turns it, per input shape, into one int32
-  input offset per nonzero — R-TOSS patterns differ per kernel, so almost no
-  column is empty and the zeros can only be skipped inside the kernel.  (For
-  the dense direct kernel of the wide dense stems: one offset per kept column.)
+For the native direct sparse-convolution kernel (:mod:`repro.engine.native`)
+the plan also packs the *element-level* zero structure: :meth:`ConvPlan.csr`
+is the CSR structure of the matrix and :meth:`ConvPlan.direct_layout_for`
+turns it, per input shape, into one int32 input offset per nonzero — R-TOSS
+patterns differ per kernel, so almost no im2col column is empty and the zeros
+can only be skipped inside the kernel.  (For the dense direct kernel of the
+wide dense stems: one offset per column.)  There is no column compaction
+(docs/engine.md, "Why no column compaction").
 
 A plan is a *description*; the one executor that runs it is
 :class:`repro.engine.fuse.FusedConv`.
 
-Dropping all-zero columns is *exact*: a zero weight contributes nothing to the
-convolution, so the compiled output equals the dense masked output bit-for-bit
-up to float summation order.  The more structure a pruner produces (shared
-patterns within a DFS group, connectivity pruning, whole-kernel removal), the
-more columns drop and the smaller both the gather and the GEMM become.
-
-Cache structure: every plan owns its gather and direct layouts, keyed by input
-shape, so one compiled model reuses layouts per (layer, pattern set, input
-shape) across calls.  The plan's ``signature`` hashes its kept-column set; ``is_stale``
-compares it against the layer's current mask so ``CompiledModel.refresh()``
-recompiles exactly the layers whose pattern assignment changed (plain weight
-updates are re-packed without recompiling).  A fresh ``compile_model`` call
-always builds fresh plans.
+Cache structure: every plan owns its direct layouts, keyed by input shape, so
+one compiled model reuses layouts per (layer, input shape) across calls.
+:meth:`ConvPlan.refresh_weights` re-packs the matrix from the layer's current
+weights and mask and drops the CSR and the layouts built from it.  A fresh
+``compile_model`` call always builds fresh plans.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import threading
@@ -146,8 +129,8 @@ class DirectLayout(NamedTuple):
     input, split for a strided layer into its ``stride`` x ``stride`` phases
     so that every tap again reads at a fixed offset from ``p``), computing
     ``sum_j val[j] * staged[off[j] + p]`` — ``j`` a nonzero, or for the dense
-    kernel (``per_tap``) a kept column.  Positions with ``x >= out_w`` wrap
-    into the next row's halo and are computed but not stored — the
+    kernel (``per_tap``) a column.  Positions with ``x >= out_w`` wrap into
+    the next row's halo and are computed but not stored — the
     ``(wq - out_w) / wq`` waste of the flat-plane trick; ``keep`` marks the real
     outputs (``None`` when ``wq == out_w``, i.e. every position is one).
 
@@ -177,16 +160,10 @@ class ConvPlan:
         otherwise.
     kernel_size, stride, padding:
         Geometry copied from the layer at compile time.
-    total_columns / kept_columns:
-        Size of the dense im2col column space (``I * kh * kw``) and the indices
-        of the columns that survived compaction.
     weight_matrix:
-        ``(O, K)`` compacted weight matrix (only kept columns).
+        ``(O, I*kh*kw)`` weight matrix with the keep-mask applied.
     bias:
         Per-output-channel bias or ``None``.
-    signature:
-        Content hash of the kept-column set — part of the layout-cache key and
-        compared against the layer's current mask by :meth:`is_stale`.
     """
 
     layer_name: str
@@ -195,20 +172,11 @@ class ConvPlan:
     stride: Tuple[int, int]
     padding: Tuple[int, int]
     out_channels: int
-    total_columns: int
-    kept_columns: np.ndarray
     weight_matrix: np.ndarray
     bias: Optional[np.ndarray]
-    channel_index: np.ndarray
-    tap_rows: np.ndarray
-    tap_cols: np.ndarray
-    signature: str
-    # Kept input channels for the pointwise fast path; None means "all channels".
-    pointwise_channels: Optional[np.ndarray] = None
-    # Per-image layouts — deliberately batch-independent: micro-batches of
-    # any size share one.  Flat gather layouts are keyed by (C, H, W), the
-    # direct kernel's by ("direct", C, H, W).
-    _layouts: Dict[tuple, object] = field(default_factory=dict, repr=False)
+    # The direct kernel's per-image layouts, keyed by (per_tap, C, H, W) —
+    # deliberately batch-independent: micro-batches of any size share one.
+    _layouts: Dict[tuple, DirectLayout] = field(default_factory=dict, repr=False)
     # CSR structure of ``weight_matrix`` (see :meth:`csr`), packed on first use.
     _csr: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
     # Guards layout computation/insertion so concurrent no-grad forward passes
@@ -223,33 +191,14 @@ class ConvPlan:
 
     # ------------------------------------------------------------------ statistics
     @property
-    def dropped_columns(self) -> int:
-        """Columns (input-channel x tap pairs) the compiled path never touches."""
-        return self.total_columns - int(self.kept_columns.size)
-
-    @property
-    def column_sparsity(self) -> float:
-        """Fraction of the dense im2col column space that was dropped."""
-        if self.total_columns == 0:
-            return 0.0
-        return self.dropped_columns / self.total_columns
-
-    @property
-    def weight_sparsity(self) -> float:
-        """Fraction of zeros remaining *inside* the compacted weight matrix."""
-        if self.weight_matrix.size == 0:
-            return 0.0
-        return 1.0 - np.count_nonzero(self.weight_matrix) / self.weight_matrix.size
-
-    @property
     def density(self) -> float:
-        """Nonzero share of the *dense* ``(O, I*kh*kw)`` weight matrix.
+        """Nonzero share of the ``(O, I*kh*kw)`` weight matrix.
 
         What the direct kernel's selection rule reads: ~0.22 for R-TOSS-2EP,
         ~0.33 for 3EP, 1.0 for an unpruned layer.
         """
-        total = self.out_channels * self.total_columns
-        return np.count_nonzero(self.weight_matrix) / total if total else 0.0
+        size = self.weight_matrix.size
+        return np.count_nonzero(self.weight_matrix) / size if size else 0.0
 
     def summary(self) -> Dict[str, object]:
         """One table row describing this plan (used by ``CompiledModel.summary``)."""
@@ -257,37 +206,24 @@ class ConvPlan:
             "layer": self.layer_name,
             "mode": self.mode,
             "kernel": f"{self.kernel_size[0]}x{self.kernel_size[1]}",
-            "columns": f"{int(self.kept_columns.size)}/{self.total_columns}",
-            "column_sparsity": round(float(self.column_sparsity), 4),
-            "weight_sparsity": round(float(self.weight_sparsity), 4),
+            "density": round(float(self.density), 4),
         }
 
-    # ------------------------------------------------------------------ staleness
-    def is_stale(self, layer: Conv2d) -> bool:
-        """True when the layer's mask no longer matches this plan.
-
-        Weight *values* may change freely (the compiled matrix is refreshed via
-        :meth:`refresh_weights`); a changed *mask* requires recompilation.
-        """
-        return column_signature(_kept_column_indices(layer)) != self.signature
-
     def refresh_weights(self, layer: Conv2d) -> None:
-        """Re-pack the compacted weight matrix from the layer's current weights.
+        """Re-pack the weight matrix from the layer's current weights and mask.
 
-        Call after fine-tuning steps that changed weight values but kept the
-        pattern assignment (the usual R-TOSS fine-tuning regime).  The keep-mask
-        is applied during packing, so weights that drifted nonzero at masked
-        positions (fine-tuning without ``masks.reapply``) are still treated as
-        pruned — the compiled path always computes the *masked* forward.
+        Call after fine-tuning steps or re-pruning.  The keep-mask is applied
+        during packing, so weights that drifted nonzero at masked positions
+        (fine-tuning without ``masks.reapply``) are still treated as pruned —
+        the compiled path always computes the *masked* forward.
         """
-        self.weight_matrix = _packed_weight_matrix(layer, self.kept_columns)
+        self.weight_matrix = _masked_weight_matrix(layer)
         self.bias = None if layer.bias is None else layer.bias.data.astype(np.float32)
         # A weight that became (or stopped being) exactly zero changes the
         # element-level structure the direct layouts were built from.
         with self._lock:
             self._csr = None
-            self._layouts = {key: layout for key, layout in self._layouts.items()
-                             if key[0] != "direct"}
+            self._layouts = {}
 
     # ------------------------------------------------------------------ layout
     def output_hw(self, h: int, w: int) -> Tuple[int, int]:
@@ -304,36 +240,17 @@ class ConvPlan:
             )
         return out_h, out_w
 
-    def fused_layout_for(self, input_shape: Tuple[int, int, int]) -> tuple:
-        """Flat gather indices for one ``(C, H, W)`` input shape (cached per plan).
-
-        Returns ``(flat, out_h, out_w, (hp, wp))`` where ``flat`` is one
-        ``(K, L)`` int index array into each image's *flattened padded* plane,
-        so the executor can gather straight into its arena column buffer with
-        a single buffer-free ``np.take(..., axis=1)``.  Deliberately
-        batch-independent: serving micro-batches of varying sizes share one
-        cached index per geometry.
-
-        Thread-safe: concurrent callers on a shape miss serialize on the plan's
-        lock and the layout is computed exactly once.
-        """
-        return self._cached_layout(input_shape, self._build_layout)
-
     def direct_layout_for(self, input_shape: Tuple[int, int, int],
                           per_tap: bool = False) -> DirectLayout:
         """The direct kernel's :class:`DirectLayout` for one ``(C, H, W)`` shape;
-        ``per_tap``: one offset per kept column, for the dense kernel.
+        ``per_tap``: one offset per column, for the dense kernel.
 
-        Cached and thread-safe exactly like :meth:`fused_layout_for` (same
-        dict, lock and hit/miss counters); dropped by :meth:`refresh_weights`
-        because it bakes in the element-level structure :meth:`csr` reports.
+        Cached per plan and dropped by :meth:`refresh_weights`, because it
+        bakes in the element-level structure :meth:`csr` reports.
+        Thread-safe: concurrent callers on a shape miss serialize on the
+        plan's lock and the layout is computed exactly once.
         """
-        return self._cached_layout(
-            ("direct", per_tap, *input_shape),
-            lambda shape: self._build_direct_layout(shape, per_tap))
-
-    def _cached_layout(self, key: tuple, build):
-        """The layout cached under ``key`` (which ends in the ``(C, H, W)`` shape)."""
+        key = (per_tap, *input_shape)
         cached = self._layouts.get(key)
         if cached is not None:
             # Deliberately lock-free hit counting (see _GLOBAL_CACHE_STATS).
@@ -344,33 +261,18 @@ class ConvPlan:
             if cached is not None:
                 _GLOBAL_CACHE_STATS.hits += 1  # reprolint: disable=lock-discipline
                 return cached
-            layout = build(key[-3:])
+            layout = self._build_direct_layout(input_shape, per_tap)
             self._layouts[key] = layout
         with _STATS_LOCK:
             _GLOBAL_CACHE_STATS.misses += 1
         return layout
-
-    def _build_layout(self, input_shape: Tuple[int, int, int]) -> tuple:
-        _, h, w = input_shape
-        out_h, out_w = self.output_hw(h, w)
-        sh, sw = self.stride
-        ph, pw = self.padding
-        hp, wp = h + 2 * ph, w + 2 * pw
-        oy = sh * np.repeat(np.arange(out_h), out_w)
-        ox = sw * np.tile(np.arange(out_w), out_h)
-        rows = self.tap_rows[:, None] + oy[None, :]            # (K, L)
-        cols = self.tap_cols[:, None] + ox[None, :]            # (K, L)
-        flat = self.channel_index[:, None] * (hp * wp) + rows * wp + cols
-        flat = np.ascontiguousarray(flat, dtype=np.intp)
-        flat.setflags(write=False)
-        return (flat, out_h, out_w, (hp, wp))
 
     # ------------------------------------------------------------------ direct kernel
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR structure ``(rowptr, flat)`` of the packed matrix's nonzeros.
 
         ``flat`` holds the nonzeros' positions in the row-major ``(O, K)``
-        matrix (``row * K + kept column``), ascending — so ``flat % K`` is the
+        matrix (``row * K + column``), ascending — so ``flat % K`` is the
         CSR column index and ``matrix.reshape(-1)[flat]`` lists, in CSR order,
         the values of any matrix of the same shape, which is how the executor
         packs its BN-folded copy.  Packed on first use (only layers the direct
@@ -408,11 +310,15 @@ class ConvPlan:
         if planes * c * hq * wq >= 2 ** 31:
             raise ValueError(f"input {input_shape} is too large for int32 offsets")
 
-        phase = (self.tap_rows % sh) * phase_cols + self.tap_cols % sw
-        column_offset = ((phase * c + self.channel_index) * (hq * wq)
-                         + (self.tap_rows // sh) * wq + self.tap_cols // sw)
+        # Offsets per column, then gathered per nonzero: the same arithmetic
+        # done per nonzero made retinanet_lite's first forward ~50 ms slower.
+        width = self.weight_matrix.shape[1]
+        channel, tap = np.divmod(np.arange(width), kh * kw)
+        row, col = np.divmod(tap, kw)
+        phase = (row % sh) * phase_cols + col % sw
+        column_offset = (phase * c + channel) * (hq * wq) + (row // sh) * wq + col // sw
         if not per_tap:
-            column_offset = column_offset[self._pack_csr()[1] % self.weight_matrix.shape[1]]
+            column_offset = column_offset[self._pack_csr()[1] % width]
         off = np.ascontiguousarray(column_offset, dtype=np.int32)
 
         npos = (out_h - 1) * wq + out_w
@@ -432,25 +338,10 @@ class ConvPlan:
                  in_stride=math.prod(staged), npos=npos, length=out_h * out_w))
 
 
-def _kept_column_indices(layer: Conv2d) -> np.ndarray:
-    """Indices of im2col columns with at least one surviving weight."""
-    weight = layer.weight.data
-    mask = layer.keep_mask()
-    effective = weight * mask
-    flat = effective.reshape(effective.shape[0], -1)
-    return np.nonzero(np.any(flat != 0.0, axis=0))[0]
-
-
-def _packed_weight_matrix(layer: Conv2d, kept: np.ndarray) -> np.ndarray:
-    """Column-compacted ``(O, K)`` weight matrix with the keep-mask applied."""
+def _masked_weight_matrix(layer: Conv2d) -> np.ndarray:
+    """Full-width ``(O, I*kh*kw)`` weight matrix with the keep-mask applied."""
     effective = layer.weight.data * layer.keep_mask()
-    wmat = effective.reshape(effective.shape[0], -1)
-    return np.ascontiguousarray(wmat[:, kept], dtype=np.float32)
-
-
-def column_signature(kept: np.ndarray) -> str:
-    """Stable hash of a kept-column set (part of the layout-cache key)."""
-    return hashlib.sha256(np.asarray(kept, dtype=np.int64).tobytes()).hexdigest()[:16]
+    return np.ascontiguousarray(effective.reshape(effective.shape[0], -1), dtype=np.float32)
 
 
 def compile_conv_plan(layer: Conv2d, layer_name: str = "") -> ConvPlan:
@@ -467,36 +358,15 @@ def compile_conv_plan(layer: Conv2d, layer_name: str = "") -> ConvPlan:
             f"cannot compile grouped convolution {layer_name!r} (groups={layer.groups}); "
             "leave it on the dense fallback path"
         )
-    weight = layer.weight.data
-    out_channels = weight.shape[0]
     kh, kw = layer.kernel_size
-    kept = _kept_column_indices(layer)
-
-    channel_index = kept // (kh * kw)
-    tap = kept % (kh * kw)
-    tap_rows = tap // kw
-    tap_cols = tap % kw
-
     pointwise = (kh, kw) == (1, 1) and layer.padding == (0, 0)
-    pointwise_channels: Optional[np.ndarray] = None
-    if pointwise and kept.size < weight.shape[1]:
-        pointwise_channels = channel_index
-
-    plan = ConvPlan(
+    return ConvPlan(
         layer_name=layer_name,
         mode=MODE_POINTWISE if pointwise else MODE_IM2COL,
         kernel_size=(kh, kw),
         stride=layer.stride,
         padding=layer.padding,
-        out_channels=out_channels,
-        total_columns=int(weight.size // out_channels) if out_channels else 0,
-        kept_columns=kept,
-        weight_matrix=_packed_weight_matrix(layer, kept),
+        out_channels=layer.weight.data.shape[0],
+        weight_matrix=_masked_weight_matrix(layer),
         bias=None if layer.bias is None else layer.bias.data.astype(np.float32),
-        channel_index=channel_index,
-        tap_rows=tap_rows,
-        tap_cols=tap_cols,
-        signature=column_signature(kept),
-        pointwise_channels=pointwise_channels,
     )
-    return plan

@@ -7,10 +7,9 @@ fine-tuning and sparsity accounting can see them.
 
 The stored masks are also what the pattern-aware execution engine
 (:mod:`repro.engine`) compiles: :meth:`Conv2d.keep_mask` exposes the effective
-keep-mask from which the engine derives its column-compacted GEMM plans, and
-:func:`repro.engine.compile_model` shadows :meth:`Conv2d.forward` with the
-compiled fast path (the dense autograd path below remains the fallback whenever
-gradients are enabled).
+keep-mask the engine applies to the weight matrix of each plan.  The engine
+never rewires the layer: :meth:`Conv2d.forward` below stays the dense autograd
+path, and the oracle the engine is tested against.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ class Conv2d(Module):
         When a pruner has registered a mask (via :meth:`repro.core.masks.MaskSet.apply`)
         that mask is returned; otherwise the non-zero map of the weights is used, so
         an unpruned layer reports an all-ones mask.  The execution engine
-        (:mod:`repro.engine`) compiles its per-layer gather plans from this mask.
+        (:mod:`repro.engine`) applies this mask to each plan's weight matrix.
         """
         mask = self.pruning_masks.get("weight")
         if mask is not None:

@@ -84,10 +84,9 @@ def test_pointwise_strided_equivalence(rng):
 
 
 def test_dense_unpruned_layer_equivalence(rng):
-    """A dense layer compiles too (keeps every column) and stays exact."""
+    """A dense layer compiles too and stays exact."""
     layer = Conv2d(4, 6, kernel_size=3, rng=np.random.default_rng(11))
-    plan = compile_conv_plan(layer, "dense")
-    assert plan.dropped_columns == 0
+    assert compile_conv_plan(layer, "dense").density == 1.0
     x = rng.standard_normal((2, 4, 12, 12)).astype(np.float32)
     np.testing.assert_allclose(_compiled_forward(layer, x), _dense_forward(layer, x),
                                atol=TOL, rtol=0)
@@ -97,8 +96,7 @@ def test_fully_pruned_layer_outputs_bias(rng):
     layer = Conv2d(3, 5, kernel_size=3, bias=True, rng=np.random.default_rng(5))
     layer.weight.data[...] = 0.0
     layer.bias.data[...] = np.arange(5, dtype=np.float32)
-    plan = compile_conv_plan(layer, "empty")
-    assert plan.kept_columns.size == 0
+    assert compile_conv_plan(layer, "empty").density == 0.0
     x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
     out = _compiled_forward(layer, x)
     np.testing.assert_allclose(out, _dense_forward(layer, x), atol=TOL, rtol=0)
@@ -158,18 +156,6 @@ def test_compiled_model_is_gradient_safe(rng):
     out.sum().backward()
     grads = [p.grad for _, p in model.named_parameters() if p.grad is not None]
     assert grads, "backward through a compiled model must still reach parameters"
-
-
-def test_column_dropping_is_mask_derived():
-    """Masked taps that no kernel keeps are skipped by the gather entirely."""
-    layer = Conv2d(2, 3, kernel_size=3, rng=np.random.default_rng(0))
-    mask = np.ones_like(layer.weight.data)
-    mask[:, 0, 0, 0] = 0.0   # tap (0,0) of channel 0 pruned in every kernel
-    layer.weight.data *= mask
-    layer.pruning_masks["weight"] = mask
-    plan = compile_conv_plan(layer, "layer")
-    assert plan.dropped_columns == 1
-    assert 0 not in plan.kept_columns
 
 
 # ---------------------------------------------------------------------- registry

@@ -144,9 +144,8 @@ def portable():
 
 def expected_kernel(plan):
     """The static rule of ``FusedConv.choose_kernel`` (``DIRECT_MAX_DENSITY = 0.5``):
-    the mode tag of the direct kernel that runs the layer, None for gather + GEMM."""
-    if not plan.kept_columns.size:
-        return None
+    the mode tag of the direct kernel that runs the layer (an all-zero layer is an
+    empty CSR), None for gather + GEMM."""
     if plan.density <= 0.5:
         return "+direct"
     return "+dense-direct" if max(plan.kernel_size) > 3 else None

@@ -50,18 +50,16 @@ def _pruned_tiny(entries: int, image_size: int = 64):
 
 @pytest.mark.parametrize("bits", [4, 8, 16])
 @pytest.mark.parametrize("entries", [2, 3, 4, 5])
-def test_quantized_pruned_model_keeps_no_pruned_column_and_matches_the_oracle(
+def test_quantized_pruned_model_keeps_no_pruned_weight_and_matches_the_oracle(
         entries, bits, rng):
     model, report = _pruned_tiny(entries)
-    pruned = {name: plan.kept_columns
-              for name, plan in compile_model(model, report.masks).plans.items()}
-
     quantize_model(model, bits=bits, apply=True)
     compiled = compile_model(model, report.masks)
-    assert compiled.plans.keys() == pruned.keys()
-    for name, plan in compiled.plans.items():
-        assert np.isin(plan.kept_columns, pruned[name]).all(), (
-            f"{name}: quantization revived a pruned column")
+    for mask in report.masks:
+        matrix = compiled.plans[mask.layer_name].weight_matrix
+        pruned = mask.mask.reshape(matrix.shape) == 0.0
+        assert not matrix[pruned].any(), (
+            f"{mask.layer_name}: quantization revived a pruned weight")
 
     x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
     model.eval()
@@ -104,8 +102,6 @@ def test_zero_codes_are_exact_zeros_in_the_folded_weights(with_bn, act, rng):
     suffix = ("+bn" if with_bn else "") + (f"+{act}" if act else "")
     assert op.mode.endswith(suffix), op.mode
     codes = quantized.values.reshape(16, -1)
-    if op.weight.shape[1] < codes.shape[1]:     # compacted, not scattered back to full width
-        codes = codes[:, op.plan.kept_columns]
     zero = codes == 0
     assert zero.any(), "test seed must code at least one kept weight to zero"
     assert not op.weight[zero].any(), "a zero code became a nonzero folded weight"
