@@ -1,8 +1,9 @@
-"""Setup shim so the package installs in environments without the `wheel` package.
+"""The package's only build metadata: name, version, dependencies, `src/` layout.
 
-`pip install -e . --no-build-isolation --no-use-pep517` (or a plain
-`python setup.py develop`) works offline; the canonical metadata lives in
-pyproject.toml.
+Installing is optional — everything runs with `PYTHONPATH=src` from the repo
+root.  `pip install -e . --no-build-isolation --no-use-pep517` (or a plain
+`python setup.py develop`) installs it offline, without the `wheel` package.
+The version is kept in step with `src/repro/version.py` by hand.
 """
 
 from setuptools import find_packages, setup

@@ -25,7 +25,9 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
 * **Segments** — a forward walks segments, not steps: each maximal run of
   natively bound steps (direct convolutions, the native glue ops) is
   *one* call into the library, images outermost, on buffers bound for one image
-  (:class:`Segment`); a step with a Python body is a segment of its own.
+  — from its first conv whose plane fits one vector on, steps outermost over
+  groups of images that share that conv's vector lanes (:class:`Segment`); a
+  step with a Python body is a segment of its own.
 * **Direct sparse kernel** — where :mod:`repro.engine.native` loaded its fp32
   kernel, a pruned convolution skips gather, GEMM and epilogue altogether: the
   zero-padded planes are staged once and one native call walks the CSR of the
@@ -93,6 +95,11 @@ _LAYOUT_STATS = layout_cache_stats()
 #: registers, so a dense 3x3 / 1x1 layer (1.0) is faster as gather + GEMM; a
 #: dense layer wider than 3x3 runs the register-blocked dense direct kernel.
 DIRECT_MAX_DENSITY = 0.5
+
+#: fp32 lanes of one AVX-512 vector.  A direct sparse conv whose one-image plane
+#: has at most this many flat positions runs the images of a group in the lanes
+#: of one call (docs/engine.md, "Batch-major tail").
+VECTOR_LANES = 16
 
 
 def _leaky_slope_supported(params: Dict) -> bool:
@@ -200,6 +207,11 @@ class _FusedOp:
         depend on the shapes): such steps run inside a :class:`Segment`."""
         return False
 
+    def one_vector(self, shape) -> bool:
+        """Whether this step is a direct sparse conv whose one-image output plane
+        fits one vector on input ``shape``: a segment binds it for a group."""
+        return False
+
     def profile(self, values, arena, profiler, *timed) -> None:
         """:meth:`execute`, timed into ``profiler``."""
         started = time.perf_counter()
@@ -287,6 +299,10 @@ class FusedConv(_FusedOp):
     def natively(self) -> bool:
         return self.direct is not None
 
+    def one_vector(self, shape) -> bool:
+        return (self.direct is not None and not self.taps
+                and self.plan.direct_layout_for(shape[1:]).operands["npos"] <= VECTOR_LANES)
+
     def execute(self, values, arena, timed=False):
         """Gather -> GEMM (+bias) -> epilogue; returns the phase split if ``timed``."""
         started = time.perf_counter() if timed else 0.0
@@ -337,16 +353,22 @@ class FusedConv(_FusedOp):
         bias + activation in registers.  Staging happens inside the call, so a
         profiled one has the library stamp the boundary: ``gather`` is the
         staging, ``gemm`` the kernel, and nothing is left for ``epilogue``.
+        Bound for a group (at most the library's ``group`` images) on a plane
+        that fits one vector, it stages the group interleaved into ``lanes`` —
+        scratch shared by every conv of that size — and the images share the
+        vector lanes; a group of one is staged and run as alone.
         """
         n = shapes[0][0]
         layout = self.plan.direct_layout_for(shapes[0][1:], per_tap=bool(self.taps))
+        grouped = 1 < n <= self.direct.group and self.one_vector(shapes[0])
         # The zero halo is written once (at allocation); every call only
         # refreshes the interior of each phase plane.
-        staged = arena.buffer((self.key, "planes"), (n, *layout.staged),
+        staged = arena.buffer((self.key, "planes"), (1 if grouped else n, *layout.staged),
                               fill=0.0) if layout.staged else None
         out = arena.buffer((self.key, "out"), (n, self.plan.out_channels, *layout.out_hw))
+        lanes = arena.buffer("lanes", (n * layout.operands["in_stride"],)) if grouped else None
         return self.direct.bind(
-            "sconv_call", out=out, staged=staged, n=n, oc=self.plan.out_channels,
+            "sconv_call", out=out, staged=staged, lanes=lanes, n=n, oc=self.plan.out_channels,
             rowptr=self.csr_rowptr, val=self.csr_val, taps=self.taps, bias=self.bias,
             act=ACT_CODES[self.act], slope=float(self.act_slope or 0.0), **layout.operands)
 
@@ -625,57 +647,75 @@ class Segment:
     step order.  With ``rows`` (the program is ``bucket_safe``) the steps are
     bound for *one* image and the library loops images outermost, steps
     innermost (docs/engine.md, "Segments"); with None they are bound whole-batch
-    and the loop runs once.  Every slot the run touches is addressed as
-    ``bases[i] + image * stride``:
+    and the loop runs once.  A run with a **tail** — from its first conv whose
+    one-image plane fits one vector (:meth:`_FusedOp.one_vector`, bound for a
+    group of images) on — takes images in groups: steps before the tail image by
+    image, the tail step by step, such a conv in one call for the whole group
+    (docs/engine.md, "Batch-major tail").  Every slot the run touches is
+    addressed as ``bases[i] + image * stride + (its place in the group) * lane``:
 
-    * written and read only in here: the writer's one-image buffer, stride 0;
+    * written and read only in here, before the tail: the writer's one-image
+      buffer, reused by every image;
+    * written in the tail, or read there or copied out after it: a buffer of
+      one group of images, ``lane`` bytes apart;
     * an **import**, read from outside (the model input, a Python step's
       output): the whole-batch array this forward holds in ``values``;
     * an **export**, read after the run (``exported(slot)``): a whole-batch
       arena buffer of ``rows`` images, published in ``values``;
     * a **result**, a model output (``fresh``) of a run that is the whole
-      program: copied image by image out of the writer's buffer into an array
+      program: copied group by group out of the writer's buffer into an array
       that is new each forward — the mandatory copy-out, done once.
 
     The tables hold raw addresses: the segment keeps the bindings (hence every
     buffer) alive, and the arena keeps the segment.
     """
 
-    __slots__ = ("ops", "per_image", "imports", "exports", "results", "_rows", "_convs",
+    __slots__ = ("ops", "per_image", "tail", "imports", "exports", "results", "_rows", "_convs",
                  "_held", "_bases", "_block", "_call", "_alive", "__weakref__")
 
     def __init__(self, arena, run, rows, exported, fresh=()) -> None:
         self.ops = [op for op, _, _ in run]
         self.per_image = rows is not None
+        grouped = [self.per_image and bound.out.shape[0] > 1 for _, bound, _ in run]
+        self.tail = grouped.index(True) if any(grouped) else len(run)
+        group = run[0][0].native.group if any(grouped) else 1
+        # what a head step writes into a group buffer: read in the tail, or copied out after it
+        late = {slot for op in self.ops[self.tail:] for slot in op.node.inputs}
+        late.update(fresh if any(grouped) else ())
         self.imports, self.exports, self.results = [], [], []
-        where: Dict[int, tuple] = {}     # slot -> (its index in bases, bytes per image)
+        where: Dict[int, tuple] = {}     # slot -> (its index in bases, stride, lane)
         bases: List[int] = []            # 0 where every forward sets the address
         steps, patches, copies = [], [], []
-        for op, bound, shapes in run:
-            for index, slot in enumerate(op.node.inputs):
+        for index, (op, bound, shapes) in enumerate(run):
+            for position, slot in enumerate(op.node.inputs):
                 if slot not in where:
-                    where[slot] = (len(bases), 4 * math.prod(shapes[index]))
-                    self.imports.append((len(bases), slot, tuple(shapes[index])))
+                    where[slot] = (len(bases), 4 * math.prod(shapes[position]), 0)
+                    self.imports.append((len(bases), slot, tuple(shapes[position])))
                     bases.append(0)
-                patches.append((ctypes.addressof(bound.srcs) + 8 * index, *where[slot]))
-            out = whole = bound.out
+                patches.append((ctypes.addressof(bound.srcs) + 8 * position, *where[slot]))
+            out = bound.out
+            shape = (1, *out.shape[1:]) if self.per_image else out.shape
+            nbytes = 4 * math.prod(shape)
+            stride = lane = 0
             if exported(op.out_slot):
                 if self.per_image:
-                    whole = arena.buffer((op.key, "out"), (rows, *out.shape[1:]))
-                self.exports.append((op.out_slot, whole))
-            where[op.out_slot] = (len(bases), 0 if whole is out else out.nbytes)
+                    out, stride = arena.buffer((op.key, "out"), (rows, *shape[1:])), nbytes
+                self.exports.append((op.out_slot, out))
+            elif index >= self.tail or op.out_slot in late:
+                out, lane = arena.buffer((op.key, "out"), (group, *shape[1:])), nbytes
+            where[op.out_slot] = (len(bases), stride, lane)
             patches.append((bound.out_at, *where[op.out_slot]))
-            bases.append(whole.ctypes.data)
+            bases.append(out.ctypes.data)
             if op.out_slot in fresh:
-                self.results.append((len(bases), op.out_slot, out.shape))
-                copies.append((out.ctypes.data, len(bases), out.nbytes))
+                self.results.append((len(bases), op.out_slot, shape))
+                copies.append((out.ctypes.data, len(bases), nbytes))
                 bases.append(0)
-            steps.append((bound.op, bound.block))
+            steps.append((bound.op, bound.block, len(patches), grouped[index]))
         self._bases = np.array(bases, dtype=np.int64)
         fields = dict(steps=np.array(steps, dtype=np.int64),
                       patches=np.array(patches, dtype=np.int64),
                       copies=np.array(copies, dtype=np.int64), bases=self._bases,
-                      nsteps=len(steps), npatches=len(patches), ncopies=len(copies))
+                      nsteps=len(steps), ncopies=len(copies), tail=self.tail, group=group)
         args = ARGS["run_segment"]()
         self._block = fill(args, fields)
         self._alive = (args, fields, run)
@@ -944,8 +984,8 @@ class FusedProgram:
         bounds the arena to at most log2 whole-batch buffer sets per geometry
         instead of one per distinct micro-batch size the serving batcher
         happens to form.  A program that is one native segment end to end runs
-        on one-image buffers, which leave a bucket nothing to bound: it
-        executes exactly the images it was given.  Graphs that are not
+        on one-image (or one-group) buffers, which leave a bucket nothing to
+        bound: it executes exactly the images it was given.  Graphs that are not
         ``bucket_safe`` run unpadded, whole-batch.
 
         Returns the model's output structure as *fresh* numpy arrays — results
@@ -1063,7 +1103,11 @@ class FusedProgram:
                     return None                      # not one row per image after all
                 shape = (1, *shape[1:])
             shapes.append(shape)
-        bound = arena.binding(op.key, tuple(shapes), op._bind)
+        # A conv whose plane fits one vector is bound for a group of images: the
+        # segment's tail runs them in its lanes, a group per call.
+        group = ([(op.native.group, *shapes[0][1:])]
+                 if self.bucket_safe and op.one_vector(shapes[0]) else shapes)
+        bound = arena.binding(op.key, tuple(group), op._bind)
         return (op, bound, shapes) if isinstance(bound, BoundCall) else None
 
     # --------------------------------------------------------------- reporting

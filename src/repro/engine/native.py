@@ -6,18 +6,24 @@ densely, because R-TOSS patterns differ per kernel and so leave no im2col
 C source (embedded below) compiled on first use with the host compiler into
 one shared library exposing
 
-``sconv_call(args, stamps)`` -> ``sconv_f32``
-    One fused fp32 **direct sparse convolution**: per output channel ``o`` and
-    flat position ``p`` of the (zero-padded, phase-split) input plane,
-    ``out[o, p] = act(bias[o] + sum_j val[j] * in[off[j] + p])`` over the CSR
-    row ``rowptr[o]..rowptr[o+1]`` — the pruned weights are skipped *inside*
-    the kernel, there is no im2col buffer, and bias + activation are applied
-    in registers.  The planes are staged inside the call too.  The layout
-    (``off``, ``keep``, ``tile_dst``) is described at
+``sconv_call(args, n, stamps)`` -> ``sconv_f32``
+    One fused fp32 **direct sparse convolution** of ``n`` images: per output
+    channel ``o`` and flat position ``p`` of the (zero-padded, phase-split)
+    input plane, ``out[o, p] = act(bias[o] + sum_j val[j] * in[off[j] + p])``
+    over the CSR row ``rowptr[o]..rowptr[o+1]`` — the pruned weights are
+    skipped *inside* the kernel, there is no im2col buffer, and bias +
+    activation are applied in registers.  The planes are staged inside the
+    call too.  The layout (``off``, ``keep``, ``tile_dst``) is described at
     :meth:`repro.engine.plan.ConvPlan.direct_layout_for`.  Needs AVX-512F only
     (:func:`load_sparse_kernel`).
 
-``sconv_call(args, stamps)`` -> ``dconv_f32`` (``args.taps > 0``)
+``sconv_call(args, n, stamps)`` -> ``sconv_lanes`` (``args.lanes`` bound, ``n > 1``)
+    The same convolution where one image's plane fits one vector: the
+    ``n <= lane_group`` images are staged interleaved into the vector lanes
+    and one walk of each CSR row serves them all, bit for bit what each image
+    gets alone (docs/engine.md, "Batch-major tail").
+
+``sconv_call(args, n, stamps)`` -> ``dconv_f32`` (``args.taps > 0``)
     The same convolution for a *dense* layer wider than 3x3 (the 6x6 / 7x7
     stems): one offset per tap instead of per nonzero, and weights packed
     ``[ceil(O/6)][K][6]`` (:meth:`SparseConvKernel.pack_dense`) so each tap's
@@ -33,7 +39,8 @@ one shared library exposing
 
 ``run_segment(segment, images, stamps)``
     What a forward calls: a maximal run of bound steps, image by image, on
-    one-image buffers that stay in cache (:class:`repro.engine.fuse.Segment`).
+    one-image buffers that stay in cache — from the run's first one-vector
+    conv on, step by step over groups of images (:class:`repro.engine.fuse.Segment`).
 
 ``bias_act_f32(buf, bias, act, slope, rows, oc, length)``
     The same bias + activation, in place and in one pass, over the output of
@@ -169,6 +176,98 @@ static inline TARGET_F float *put(float *dst, __m512 v, __mmask16 keep) {
 #define ADD _mm512_add_ps
 #define ACT(a) apply_act(a, act, slope)
 
+/* mask of the first `count` lanes (none for count <= 0, all from 16 up) */
+static inline __mmask16 first_lanes(int64_t count) {
+    return count >= 16 ? (__mmask16)0xFFFF : count <= 0 ? 0 : (__mmask16)((1u << count) - 1u);
+}
+
+/* ---- images in the lanes ------------------------------------------------ */
+
+#define GROUP 8                             /* images that share the lanes of one call */
+const int64_t lane_group = GROUP;           /* what fuse.py binds a group for */
+
+/* One CSR row over nv (1-3) vectors of interleaved lanes at xc: 8 chains per
+ * vector, bias in chain 0, the taps past the last whole 8 in chain 0 too, then
+ * ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)) - per lane the very order
+ * of a one-vector tile, whatever g is.  Masked loads where lm says so. */
+static inline __attribute__((always_inline)) TARGET_F void lanes_row(
+        const float *xc, int64_t g, const int32_t *off, const float *val, int64_t j, int64_t j1,
+        __m512 b, const __mmask16 *lm, const int nv, const int masked, __m512 *res) {
+    __m512 a[8][3];
+    for (int v = 0; v < nv; v++) {
+        a[0][v] = b;
+        for (int k = 1; k < 8; k++) a[k][v] = _mm512_setzero_ps();
+    }
+#define LOAD(src, v) (masked ? _mm512_maskz_loadu_ps(lm[v], (src) + 16 * (v)) \
+                             : _mm512_loadu_ps((src) + 16 * (v)))
+    for (; j + 8 <= j1; j += 8)
+        for (int k = 0; k < 8; k++) {
+            const __m512 w = _mm512_set1_ps(val[j + k]);
+            const float *src = xc + off[j + k] * g;
+            for (int v = 0; v < nv; v++) a[k][v] = _mm512_fmadd_ps(w, LOAD(src, v), a[k][v]);
+        }
+    for (; j < j1; j++) {
+        const __m512 w = _mm512_set1_ps(val[j]);
+        const float *src = xc + off[j] * g;
+        for (int v = 0; v < nv; v++) a[0][v] = _mm512_fmadd_ps(w, LOAD(src, v), a[0][v]);
+    }
+#undef LOAD
+    for (int v = 0; v < nv; v++)
+        res[v] = ADD(ADD(ADD(a[0][v], a[1][v]), ADD(a[2][v], a[3][v])),
+                     ADD(ADD(a[4][v], a[5][v]), ADD(a[6][v], a[7][v])));
+}
+
+/* The last tile of sconv_f32 when it is one vector wide (npos <= 16), for g
+ * <= GROUP images at once: xt holds their planes interleaved, position-major
+ * and image-minor (lane p * g + i is position p of image i, and tap j reads
+ * xt[off[j] * g + lane]), so one val / off load feeds the npos * g lanes of the
+ * whole group, three vectors at a time (24 accumulators).  Image i's positions
+ * in keep0 go packed to y + i * img_stride + o * length; for g = 1 that is the
+ * one vector's put. */
+static TARGET_F void sconv_lanes(const float *xt, int64_t g, const int32_t *rowptr,
+                                 const int32_t *off, const float *val, const float *bias,
+                                 __mmask16 keep0, int act, float slope_s, float *y,
+                                 int64_t img_stride, int64_t oc, int64_t npos, int64_t length) {
+    const __m512 slope = _mm512_set1_ps(slope_s);
+    if (g == 1) {
+        const __mmask16 lm[1] = {first_lanes(npos)};
+        for (int64_t o = 0; o < oc; o++) {
+            __m512 a;
+            lanes_row(xt, 1, off, val, rowptr[o], rowptr[o + 1],
+                      _mm512_set1_ps(bias ? bias[o] : 0.0f), lm, 1, 1, &a);
+            put(y + o * length, ACT(a), keep0);
+        }
+        return;
+    }
+    const int64_t lanes = npos * g, vecs = (lanes + 15) / 16;
+    const __mmask16 kept = first_lanes(__builtin_popcount(keep0));
+    /* lane of image 0's k-th kept position */
+    const __m512i at = _mm512_mullo_epi32(_mm512_maskz_compress_epi32(keep0, _mm512_setr_epi32(
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)), _mm512_set1_epi32((int)g));
+    float row[16 * GROUP] __attribute__((aligned(64)));       /* the lanes of one row */
+    for (int64_t o = 0; o < oc; o++) {
+        const __m512 b = _mm512_set1_ps(bias ? bias[o] : 0.0f);
+        for (int64_t v0 = 0; v0 < vecs; v0 += 3) {
+            const int64_t left = lanes - 16 * v0;
+            const __mmask16 lm[3] = {first_lanes(left), first_lanes(left - 16),
+                                     first_lanes(left - 32)};
+            const float *xc = xt + 16 * v0;
+            const int64_t j = rowptr[o], j1 = rowptr[o + 1];
+            __m512 res[3] = {b, b, b};
+            if (left >= 48) lanes_row(xc, g, off, val, j, j1, b, lm, 3, 0, res);
+            else if (left > 32) lanes_row(xc, g, off, val, j, j1, b, lm, 3, 1, res);
+            else if (left > 16) lanes_row(xc, g, off, val, j, j1, b, lm, 2, 1, res);
+            else lanes_row(xc, g, off, val, j, j1, b, lm, 1, 1, res);
+            for (int64_t v = 0; v < 3 && v0 + v < vecs; v++)
+                _mm512_store_ps(row + 16 * (v0 + v), ACT(res[v]));
+        }
+        for (int64_t i = 0; i < g; i++)
+            _mm512_mask_storeu_ps(y + i * img_stride + o * length, kept,
+                _mm512_mask_i32gather_ps(_mm512_setzero_ps(), kept,
+                                         _mm512_add_epi32(at, _mm512_set1_epi32((int)i)), row, 4));
+    }
+}
+
 /* out[img, o, :] = act(bias[o] + sum_j val[j] * in[img, off[j] + p]) over the
  * npos flat positions p of one image's staged input, tiles of 64 positions
  * (4 zmm accumulators) outermost so a tile's input stays in L1 across all
@@ -177,8 +276,9 @@ static inline TARGET_F float *put(float *dst, __m512 v, __mmask16 keep) {
  * at tile_dst[t].  The last tile loads through masks, so nothing beyond
  * in[off + npos - 1] is ever touched.  A tile that is one or two vectors wide
  * would be FMA-latency bound with one accumulator per vector, so its row is
- * split over 8 / 4 (/ 2) independent chains.  The summation order depends on
- * the tile only - never on n - so an image's result is the same in any batch. */
+ * split over 8 / 4 (/ 2) independent chains (one vector: sconv_lanes, g = 1).
+ * The summation order depends on the tile only - never on n - so an image's
+ * result is the same in any batch. */
 TARGET_F void sconv_f32(const float *in, int64_t in_stride,
                         const int32_t *rowptr, const int32_t *off, const float *val,
                         const float *bias, const uint16_t *keep, const int32_t *tile_dst,
@@ -219,21 +319,17 @@ TARGET_F void sconv_f32(const float *in, int64_t in_stride,
         if (!rem) continue;
         const float *xt = x + full * 64;
         const int64_t d0 = keep ? tile_dst[full] : full * 64;
+        if (rem_vecs == 1) {
+            sconv_lanes(xt, 1, rowptr, off, val, bias, km[0], act, slope_s, y + d0, 0, oc, rem,
+                        length);
+            continue;
+        }
         for (int64_t o = 0; o < oc; o++) {
             const __m512 b = _mm512_set1_ps(bias ? bias[o] : 0.0f);
             int64_t j = rowptr[o];
             const int64_t j1 = rowptr[o + 1];
             float *d = y + o * length + d0;
-            if (rem_vecs == 1) {
-                __m512 a0 = b, a1 = z, a2 = z, a3 = z, a4 = z, a5 = z, a6 = z, a7 = z;
-                for (; j + 8 <= j1; j += 8) {
-                    TAPM(a0, j, 0); TAPM(a1, j + 1, 0); TAPM(a2, j + 2, 0); TAPM(a3, j + 3, 0);
-                    TAPM(a4, j + 4, 0); TAPM(a5, j + 5, 0); TAPM(a6, j + 6, 0); TAPM(a7, j + 7, 0);
-                }
-                for (; j < j1; j++) TAPM(a0, j, 0);
-                a0 = ADD(ADD(ADD(a0, a1), ADD(a2, a3)), ADD(ADD(a4, a5), ADD(a6, a7)));
-                put(d, ACT(a0), km[0]);
-            } else if (rem_vecs == 2) {
+            if (rem_vecs == 2) {
                 __m512 a0 = b, a1 = b, c0 = z, c1 = z, e0 = z, e1 = z, f0 = z, f1 = z;
                 for (; j + 4 <= j1; j += 4) {
                     TAP(a0, j, 0); TAPM(a1, j, 1); TAP(c0, j + 1, 0); TAPM(c1, j + 1, 1);
@@ -262,11 +358,6 @@ TARGET_F void sconv_f32(const float *in, int64_t in_stride,
 
 #define DN 6                                /* output channels per register block */
 const int64_t dense_block = DN;             /* what the packing in native.py reads */
-
-/* mask of the first `count` lanes (none for count <= 0, all from 16 up) */
-static inline __mmask16 first_lanes(int64_t count) {
-    return count >= 16 ? (__mmask16)0xFFFF : count <= 0 ? 0 : (__mmask16)((1u << count) - 1u);
-}
 
 #define DLOAD(v) const __m512 x##v = _mm512_loadu_ps(xt + off[k] + 16 * (v))
 #define DLOADM(v) const __m512 x##v = _mm512_maskz_loadu_ps(lm[v], xt + off[k] + 16 * (v))
@@ -352,7 +443,7 @@ static inline int64_t now_ns(void) {
 }
 
 typedef struct {
-    const float *const *srcs; float *staged, *out;
+    const float *const *srcs; float *staged, *out, *lanes;
     const int32_t *rowptr, *off; const float *val, *bias;
     const uint16_t *keep; const int32_t *tile_dst;
     int64_t n, c, h, w, sh, sw, ph, pw, hq, wq, phase_cols, planes;
@@ -360,11 +451,15 @@ typedef struct {
     double slope;
 } sconv_args;
 
-/* Refresh the interior of the staged planes (n, planes, c, hq, wq) from the
- * (n, c, h, w) input: the zero-padded input, split for a strided layer into
- * its stride x stride phases (phase (a, b) holds the padded rows = a mod sh
- * and columns = b mod sw).  The zero halo was written once, at allocation. */
-static TARGET_F void stage_planes(const sconv_args *a, const float *in) {
+/* Refresh the interior of the staged planes (planes, c, hq, wq) of n images
+ * from the (n, c, h, w) input: the zero-padded input, split for a strided layer
+ * into its stride x stride phases (phase (a, b) holds the padded rows = a mod sh
+ * and columns = b mod sw).  Flat position q of image img goes to
+ * dst[img * img_step + q * step]: the staged buffer (img_step one image's
+ * planes, step 1; its zero halo was written once, at allocation) or the lanes
+ * of a group (img_step 1, step n: image-minor). */
+static TARGET_F void stage_planes(const sconv_args *a, const float *in, int64_t n, float *dst0,
+                                  int64_t img_step, int64_t step) {
     const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
     for (int64_t p = 0; p < a->planes; p++) {
         /* first input row / column of this phase, where it lands in the
@@ -376,13 +471,14 @@ static TARGET_F void stage_planes(const sconv_args *a, const float *in) {
         if (ni > a->hq - qi) ni = a->hq - qi;
         if (nj > a->wq - qj) nj = a->wq - qj;
         if (ni <= 0 || nj <= 0) continue;
-        for (int64_t img = 0; img < a->n; img++)
+        for (int64_t img = 0; img < n; img++)
             for (int64_t ch = 0; ch < a->c; ch++) {
                 const float *src = in + ((img * a->c + ch) * a->h + i0) * a->w + j0;
-                float *dst = a->staged
-                    + (((img * a->planes + p) * a->c + ch) * a->hq + qi) * a->wq + qj;
-                for (int64_t r = 0; r < ni; r++, src += a->sh * a->w, dst += a->wq) {
-                    if (a->sw == 1) memcpy(dst, src, (size_t)nj * sizeof(float));
+                float *dst = dst0 + img * img_step
+                    + (((p * a->c + ch) * a->hq + qi) * a->wq + qj) * step;
+                for (int64_t r = 0; r < ni; r++, src += a->sh * a->w, dst += a->wq * step) {
+                    if (step != 1) for (int64_t x = 0; x < nj; x++) dst[x * step] = src[x * a->sw];
+                    else if (a->sw == 1) memcpy(dst, src, (size_t)nj * sizeof(float));
                     else if (a->sw != 2) for (int64_t x = 0; x < nj; x++) dst[x] = src[x * a->sw];
                     else for (int64_t x = 0; x < nj; x += 16) {
                         /* every other float of the 2 * (nj - x) - 1 this block spans */
@@ -396,21 +492,35 @@ static TARGET_F void stage_planes(const sconv_args *a, const float *in) {
     }
 }
 
-/* One direct convolution: stage (unless the input is used in place), then
- * sconv_f32 over the CSR, or dconv_f32 over `taps` packed dense columns (val
- * is then the packed matrix and rowptr NULL).  stamps (NULL when untimed)
- * receives CLOCK_MONOTONIC ns after staging and after the kernel: the
- * profiler's gather / gemm boundary. */
-TARGET_F void sconv_call(const sconv_args *a, int64_t *stamps) {
+/* One direct convolution of n images: stage (unless the input is used in
+ * place), then sconv_f32 over the CSR, or dconv_f32 over `taps` packed dense
+ * columns (val is then the packed matrix and rowptr NULL).  A conv whose plane
+ * fits one vector, bound for a group (lanes: a scratch of n <= lane_group
+ * images' planes, shared with other convs, so its halo is zeroed per call),
+ * stages several images interleaved and runs them as one sconv_lanes call.
+ * stamps (NULL when untimed) receives CLOCK_MONOTONIC ns after staging and
+ * after the kernel: the profiler's gather / gemm boundary. */
+TARGET_F void sconv_call(const sconv_args *a, int64_t n, int64_t *stamps) {
     const float *x = a->srcs[0];
-    if (a->staged) { stage_planes(a, x); x = a->staged; }
+    const int64_t size = a->in_stride, grouped = a->lanes && n > 1;
+    if (grouped) {
+        if (a->staged) memset(a->lanes, 0, (size_t)(n * size) * sizeof(float));
+        stage_planes(a, x, n, a->lanes, 1, n);
+    } else if (a->staged) {
+        stage_planes(a, x, n, a->staged, size, 1);
+        x = a->staged;
+    }
     if (stamps) stamps[0] = now_ns();
-    if (a->taps)
-        dconv_f32(x, a->in_stride, a->taps, a->off, a->val, a->bias, a->keep, a->tile_dst,
-                  (int)a->act, (float)a->slope, a->out, a->n, a->oc, a->npos, a->length);
+    if (grouped)
+        sconv_lanes(a->lanes, n, a->rowptr, a->off, a->val, a->bias,
+                    a->keep ? a->keep[0] : first_lanes(a->npos), (int)a->act, (float)a->slope,
+                    a->out, a->oc * a->length, a->oc, a->npos, a->length);
+    else if (a->taps)
+        dconv_f32(x, size, a->taps, a->off, a->val, a->bias, a->keep, a->tile_dst,
+                  (int)a->act, (float)a->slope, a->out, n, a->oc, a->npos, a->length);
     else
-        sconv_f32(x, a->in_stride, a->rowptr, a->off, a->val, a->bias, a->keep, a->tile_dst,
-                  (int)a->act, (float)a->slope, a->out, a->n, a->oc, a->npos, a->length);
+        sconv_f32(x, size, a->rowptr, a->off, a->val, a->bias, a->keep, a->tile_dst,
+                  (int)a->act, (float)a->slope, a->out, n, a->oc, a->npos, a->length);
     if (stamps) stamps[1] = now_ns();
 }
 
@@ -527,42 +637,65 @@ TARGET_F void upsample_call(const upsample_args *a) {
 /* ---- segments ----------------------------------------------------------- */
 
 /* A run of bound steps as one call (fuse.Segment fills the tables, rows of
- * int64s).  Per image: aim every pointer field the run reads or writes through
- * at bases[base] + img * stride (stride 0: a buffer the run keeps to itself,
- * reused by every image), run the steps in order, copy the model outputs out. */
-typedef struct { int64_t op; const void *args; } seg_step;
-typedef struct { char **field; int64_t base, stride; } seg_patch;
+ * int64s).  Images go through in groups of `group` (1 when the run has no
+ * tail): steps before `tail` image by image, then step by step, a step flagged
+ * `whole` (a conv whose plane fits one vector, bound for GROUP images) in one
+ * call for the group, any other once per image.  Before it runs for image img,
+ * the i-th of its group, a step aims each pointer field it reads or writes
+ * through (its patches, up to its `patches` row) at bases[base] + img * stride
+ * + i * lane: stride for whole-batch arrays, lane for buffers that hold a
+ * group, neither for a buffer every image reuses.  After the group, the model
+ * outputs are copied out of their group buffers. */
+typedef struct { int64_t op; const void *args; int64_t patches, whole; } seg_step;
+typedef struct { char **field; int64_t base, stride, lane; } seg_patch;
 typedef struct { const char *src; int64_t base, bytes; } seg_copy;
 typedef struct {
     const seg_step *steps; const seg_patch *patches; const seg_copy *copies; char *const *bases;
-    int64_t nsteps, npatches, ncopies;
+    int64_t nsteps, ncopies, tail, group;
 } segment_args;
 
-/* stamps (NULL when untimed) sums two ns counts per step over the images:
- * staging and kernel of a convolution, the whole step and 0 for glue. */
+/* Step i for images img.. (count of them when it is `whole`, else one); with
+ * stamps, adds its two ns counts since `last` (staging and kernel of a
+ * convolution, the whole step and 0 for glue) and returns the time it ended. */
+static int64_t run_step(const segment_args *s, int64_t i, int64_t img, int64_t lane,
+                        int64_t count, int64_t *stamps, int64_t last) {
+    const seg_step *step = s->steps + i;
+    for (const seg_patch *p = s->patches + (i ? step[-1].patches : 0);
+         p < s->patches + step->patches; p++)
+        *p->field = s->bases[p->base] + img * p->stride + lane * p->lane;
+    int64_t at[2];
+    const void *a = step->args;
+    switch (step->op) {                               /* the order of native.ARGS */
+        case 0: sconv_call(a, step->whole ? count : ((const sconv_args *)a)->n,
+                           stamps ? at : NULL); break;
+        case 1: maxpool_call(a); break;
+        case 2: concat_call(a); break;
+        case 3: add_call(a); break;
+        case 4: relu_call(a); break;
+        case 5: upsample_call(a); break;
+    }
+    if (!stamps) return 0;
+    if (step->op) at[0] = at[1] = now_ns();
+    stamps[2 * i] += at[0] - last;
+    stamps[2 * i + 1] += at[1] - at[0];
+    return at[1];
+}
+
+/* stamps (NULL when untimed) sums two ns counts per step over the images. */
 void run_segment(const segment_args *s, int64_t images, int64_t *stamps) {
-    for (int64_t img = 0; img < images; img++) {
-        for (const seg_patch *p = s->patches; p < s->patches + s->npatches; p++)
-            *p->field = s->bases[p->base] + img * p->stride;
-        int64_t last = stamps ? now_ns() : 0, at[2];
-        for (int64_t i = 0; i < s->nsteps; i++) {
-            const void *a = s->steps[i].args;
-            switch (s->steps[i].op) {                     /* the order of native.ARGS */
-                case 0: sconv_call(a, stamps ? at : NULL); break;
-                case 1: maxpool_call(a); break;
-                case 2: concat_call(a); break;
-                case 3: add_call(a); break;
-                case 4: relu_call(a); break;
-                case 5: upsample_call(a); break;
-            }
-            if (!stamps) continue;
-            if (s->steps[i].op) at[0] = at[1] = now_ns();
-            stamps[2 * i] += at[0] - last;
-            stamps[2 * i + 1] += at[1] - at[0];
-            last = at[1];
-        }
+    for (int64_t first = 0; first < images; first += s->group) {
+        const int64_t count = images - first < s->group ? images - first : s->group;
+        int64_t last = stamps ? now_ns() : 0;
+        for (int64_t img = 0; img < count; img++)
+            for (int64_t i = 0; i < s->tail; i++)
+                last = run_step(s, i, first + img, img, 1, stamps, last);
+        for (int64_t i = s->tail; i < s->nsteps; i++)
+            if (s->steps[i].whole)
+                last = run_step(s, i, first, 0, count, stamps, last);
+            else for (int64_t img = 0; img < count; img++)
+                last = run_step(s, i, first + img, img, 1, stamps, last);
         for (const seg_copy *c = s->copies; c < s->copies + s->ncopies; c++)
-            memcpy(s->bases[c->base] + img * c->bytes, c->src, (size_t)c->bytes);
+            memcpy(s->bases[c->base] + first * c->bytes, c->src, (size_t)(count * c->bytes));
     }
 }
 
@@ -602,8 +735,8 @@ def _args_block(pointers: str, ints: str = "", doubles: str = ""):
 
 
 #: dtype of the array whose :func:`address` a pointer field takes.
-FIELD_DTYPES = {"out": np.float32, "staged": np.float32, "scratch": np.float32,
-                "val": np.float32, "bias": np.float32, "rowptr": np.int32, "off": np.int32,
+FIELD_DTYPES = {"out": np.float32, "staged": np.float32, "lanes": np.float32,
+                "scratch": np.float32, "val": np.float32, "bias": np.float32, "rowptr": np.int32, "off": np.int32,
                 "tile_dst": np.int32, "keep": np.uint16, "sizes": np.int64,
                 "steps": np.int64, "patches": np.int64, "copies": np.int64, "bases": np.int64}
 
@@ -611,7 +744,7 @@ FIELD_DTYPES = {"out": np.float32, "staged": np.float32, "scratch": np.float32,
 #: checks the sizes).  A step's position here is its opcode in ``run_segment``.
 ARGS = {
     "sconv_call": _args_block(
-        "srcs staged out rowptr off val bias keep tile_dst",
+        "srcs staged out lanes rowptr off val bias keep tile_dst",
         "n c h w sh sw ph pw hq wq phase_cols planes in_stride oc npos length act taps",
         "slope"),
     "maxpool_call": _args_block("srcs out scratch",
@@ -620,7 +753,7 @@ ARGS = {
     "add_call": _args_block("srcs out", "count"),
     "relu_call": _args_block("srcs out", "count"),
     "upsample_call": _args_block("srcs out", "planes h w scale"),
-    "run_segment": _args_block("steps patches copies bases", "nsteps npatches ncopies"),
+    "run_segment": _args_block("steps patches copies bases", "nsteps ncopies tail group"),
 }
 
 
@@ -662,6 +795,8 @@ class SparseConvKernel:
     def __init__(self, lib: ctypes.CDLL, path: Path) -> None:
         self.path = path
         self._dense_block = ctypes.c_int64.in_dll(lib, "dense_block").value
+        #: Images that share the vector lanes of a conv whose plane fits one vector.
+        self.group = ctypes.c_int64.in_dll(lib, "lane_group").value
         self._bias_act = lib.bias_act_f32
         self._bias_act.restype = None
         self._bias_act.argtypes = [

@@ -226,9 +226,10 @@ class Histogram(_Instrument):
 
     def _render(self, labels: Dict[str, str], stats: LatencyStats) -> List[Sample]:
         meta = (self.kind, self.help)
+        values = stats.quantiles_seconds(q for _, q in _QUANTILES)
         quantiles = [
-            Sample(self.name, dict(labels, quantile=text), stats.quantile_seconds(q), *meta)
-            for text, q in _QUANTILES
+            Sample(self.name, dict(labels, quantile=text), value, *meta)
+            for (text, _), value in zip(_QUANTILES, values)
         ]
         return quantiles + [
             Sample(self.name + "_sum", labels, stats.total_seconds, *meta),

@@ -31,9 +31,13 @@ def percentile(values: Iterable[float], q: float) -> float:
     >>> percentile([], 95)
     0.0
     """
+    return _ranked(sorted(float(v) for v in values), q)
+
+
+def _ranked(ordered: List[float], q: float) -> float:
+    """:func:`percentile` of values that are already sorted."""
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(float(v) for v in values)
     if not ordered:
         return 0.0
     rank = (len(ordered) - 1) * (q / 100.0)
@@ -151,17 +155,23 @@ class LatencyStats:
     def quantile_seconds(self, q: float) -> float:
         return percentile(self.samples, q)
 
+    def quantiles_seconds(self, qs: Iterable[float]) -> List[float]:
+        """:meth:`quantile_seconds` at each of ``qs``, the reservoir sorted once."""
+        ordered = sorted(self.samples)
+        return [_ranked(ordered, q) for q in qs]
+
     def summary(self, digits: int = 3) -> Dict[str, float]:
         """Flat milliseconds report: count, mean, p50/p95/p99, max."""
         if self._count == 0:
             return {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0,
                     "p99_ms": 0.0, "max_ms": 0.0}
         to_ms = lambda seconds: round(seconds * 1e3, digits)
+        p50, p95, p99 = self.quantiles_seconds((50, 95, 99))
         return {
             "count": self._count,
             "mean_ms": to_ms(self.mean_seconds),
-            "p50_ms": to_ms(self.quantile_seconds(50)),
-            "p95_ms": to_ms(self.quantile_seconds(95)),
-            "p99_ms": to_ms(self.quantile_seconds(99)),
+            "p50_ms": to_ms(p50),
+            "p95_ms": to_ms(p95),
+            "p99_ms": to_ms(p99),
             "max_ms": to_ms(self._max),
         }

@@ -18,14 +18,18 @@ density rule picks it, the dense direct kernel for a denser layer whose kernel
 is larger than 3x3, gather + GEMM with the native epilogue elsewhere; the
 portable one is gather + GEMM with numpy passes.  Without the kernel only the
 portable half runs.  ``--hypothesis-seed=N`` reproduces a failure.
+
+A targeted sweep adds the planes that fit one vector (1x1 / 2x2 outputs),
+whose images share the vector lanes eight at a time, at batches 1-17.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,3 +180,45 @@ def test_every_executor_matches_the_dense_masked_forward(case):
         check_engine(model, x, oracle, expect_kernel=None)
     if sparse_kernel_available():
         check_engine(model, x, oracle, expected_kernel(compile_model(model).plans["0"]))
+
+
+# ------------------------------------------------------- planes of one vector
+#: Batches around the lane group of 8: one image, a partial group (3 images of a
+#: 1x1 plane fill 3 of 16 lanes), one group, a group and one, two and one.
+ONE_VECTOR_BATCHES = (1, 3, 8, 9, 17)
+ONE_VECTOR_ACTS = ("silu", "relu", None, "leaky")
+
+
+@pytest.mark.parametrize("mask", ["rtoss-2ep", "rtoss-3ep", "zero-row"])
+@pytest.mark.parametrize("out_hw", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_planes_that_fit_one_vector_match_in_any_batch(kernel, stride, out_hw, mask):
+    """A 1x1 / 2x2 output plane fits one vector: a batch runs its images in the
+    lanes of one call, eight at a time.  native == portable == dense masked
+    forward, and each image is the bits of its batch-1 forward, for full groups,
+    a partial last group and groups narrower than a vector."""
+    pad = kernel // 2
+    side = (out_hw - 1) * stride + kernel - 2 * pad + stride - 1
+    index = kernel + 2 * stride + 4 * out_hw
+    case = {"kernel": (kernel, kernel), "stride": (stride, stride), "padding": (pad, pad),
+            "hw": (side, side), "cin": (64, 23, 48, 9)[index % 4], "cout": 5 + index,
+            "bias": index % 2 == 0, "bn": index % 3 != 0,
+            "act": ONE_VECTOR_ACTS[index % 4], "mask": mask,
+            "batch": max(ONE_VECTOR_BATCHES), "seed": index * 31 + len(mask)}
+    model, x = build(case)
+    oracle = BatchRunner(model, batch_size=x.shape[0]).run(x)
+    engines = [portable, nullcontext] if sparse_kernel_available() else [portable]
+    for engine in engines:
+        with engine():
+            compiled = compile_model(model)
+            alone = [compiled.forward_raw(x[i:i + 1])[0] for i in range(x.shape[0])]
+            for batch in ONE_VECTOR_BATCHES:
+                out = compiled.forward_raw(x[:batch])
+                want = oracle[:batch]
+                assert np.abs(out - want).max() <= TOL * max(1.0, np.abs(want).max()), batch
+                for image in range(batch):
+                    assert np.array_equal(out[image].view(np.uint32),
+                                          alone[image].view(np.uint32)), (batch, image)
+            conv = compiled._fused_program.steps[0]
+            assert conv.one_vector(x[:1].shape) == (engine is not portable), conv.mode

@@ -21,9 +21,11 @@ portable path:
 * running the same sizes again (cached cuts, other sizes in between) changes
   nothing.
 
-Deterministic tests below pin a native body that does not bind (the program
-goes back to batch buckets), the profile of a segment, and the cut of real
-models: a pruned ``yolov5n`` / ``retinanet_lite`` frame — dense 6x6 / 7x7 stem
+Deterministic tests below pin a tail that starts mid-segment (from a conv
+whose plane fits one vector on, groups of images run step by step; batches up
+to 17), a native body that does not bind (the program goes back to batch
+buckets), the profile of a segment and of ``retinanet_lite``'s tail, and the
+cut of real models: a pruned ``yolov5n`` / ``retinanet_lite`` frame — dense 6x6 / 7x7 stem
 included — is one native call, and ``tiny`` (the model ``serve_*`` runs) is
 cut exactly as before the stems became native.
 ``--hypothesis-seed=N`` reproduces a failure.
@@ -223,7 +225,7 @@ def check_case(case, expect_native):
     model = Generated(case)
     model.eval()
     rng = np.random.default_rng(case["seed"] + 1)
-    frames = rng.standard_normal((8, *case["in_shape"])).astype(np.float32)
+    frames = rng.standard_normal((max(8, *case["batches"]), *case["in_shape"])).astype(np.float32)
     compiled = compile_model(model)
     first = {}
     for size in case["batches"] * 2:
@@ -256,6 +258,54 @@ def test_segments_match_batch_one_forwards_and_the_dense_oracle(case):
 
 
 # --------------------------------------------------------------- deterministic
+#: A tail that starts mid-segment: an 8x8 plane, pooled to 2x2, where a conv's
+#: plane fits one vector; glue in the tail (add, relu, upsample to 4x4), a 1x1
+#: conv on 4x4 (16 positions: one vector again), a concat with a head tensor and
+#: a 3x3 conv on 4x4 (22 positions: once per image in the tail).  The outputs are
+#: a head tensor, a tail tensor read again downstream and the last one.
+TAIL_NODES = [
+    ("conv", (0,), {"cout": 4, "k": 3, "bn": True, "act": "silu"}),     # 1: 8x8
+    ("maxpool", (1,), {"geometry": (2, 2, 0)}),                         # 2: 4x4
+    ("maxpool", (2,), {"geometry": (2, 2, 0)}),                         # 3: 2x2
+    ("conv", (3,), {"cout": 12, "k": 3, "bn": False, "act": "relu"}),   # 4: tail
+    ("conv", (4,), {"cout": 12, "k": 1, "bn": True, "act": None}),      # 5
+    ("add", (4, 5), {}),                                                # 6
+    ("relu", (6,), {}),                                                 # 7
+    ("upsample", (7,), {}),                                             # 8: 4x4
+    ("conv", (8,), {"cout": 4, "k": 1, "bn": False, "act": "silu"}),    # 9
+    ("concat", (9, 2), {}),                                             # 10
+    ("conv", (10,), {"cout": 3, "k": 3, "bn": True, "act": None}),      # 11
+]
+TAIL_SHAPES = [(3, 8, 8), (4, 8, 8), (4, 4, 4), (4, 2, 2), (12, 2, 2), (12, 2, 2), (12, 2, 2),
+               (12, 2, 2), (12, 4, 4), (4, 4, 4), (8, 4, 4), (3, 4, 4)]
+
+
+@pytest.mark.parametrize("seed, flip", [(0, False), (1, False), (2, True)])
+def test_a_tail_that_starts_mid_segment_runs_groups_of_images(seed, flip):
+    """From the first conv whose plane fits one vector on, a segment runs step
+    by step over groups of eight images: batch == stacked batch-1 forwards bit
+    for bit == dense oracle for full, partial and several groups — natively one
+    segment, whose tail starts at that conv, and one call per forward.  With
+    the batch reversed (rows not independent) the runs are whole-batch: such a
+    conv then shares its lanes among the batch's images up to a group of 8."""
+    case = {"nodes": TAIL_NODES, "in_shape": TAIL_SHAPES[0], "shapes": TAIL_SHAPES,
+            "outputs": [11, 4, 1], "flip": flip, "batches": [1, 3, 8, 9, 17], "seed": seed}
+    compiled = check_case(case, expect_native=True)
+    if sparse_kernel_available() and not flip:
+        program = compiled._fused_program
+        (segment,) = _kept_cut(compiled)
+        assert isinstance(segment, Segment) and segment.ops == program.steps
+        names = [op.node.kind for op in program.steps]
+        assert segment.tail == names.index("conv", 1) == 3       # after conv, 2 max-pools
+        calls = []
+        native = segment._call
+        segment._call = lambda *args: calls.append(args[1]) or native(*args)
+        compiled.forward_raw(np.zeros((17, *TAIL_SHAPES[0]), dtype=np.float32))
+        assert calls == [17]
+    with portable():
+        check_case(case, expect_native=False)
+
+
 def _pruned_tiny():
     model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8))
     report = prune_with_rtoss(
@@ -409,6 +459,33 @@ def test_a_pruned_frame_with_a_dense_stem_is_one_native_call(name, size, rng, mo
     _assert_bits(compiled.forward_raw(frames[:1]), first)
     assert calls == [8, 1]
     _assert_bits(_flat(batch), _stack_of_singles(compiled, frames))
+
+
+@pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")
+def test_a_profiled_batch_major_tail_stamps_every_step(rng):
+    """``retinanet_lite``@64's tail starts at ``layer3.0.downsample`` (a 1x1 on a
+    4x4 plane: 16 positions).  A profiled batch-8 forward is the same one call:
+    every tail conv — those that take a group in one call (layer4, P6 / P7)
+    among them — reports its staging / kernel phases, and the steps' stamps
+    account for the forward's wall time."""
+    model = build_model("retinanet_lite", num_classes=3)
+    report = prune_with_rtoss(model, entries=2, example_input=(1, 3, 64, 64))
+    compiled = compile_model(model, report.masks)
+    frames = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
+    plain = compiled.forward_raw(frames)
+    (segment,) = _kept_cut(compiled)
+    assert segment.ops[segment.tail].layer_name == "backbone.layer3.0.downsample.0"
+    with compiled.profiled() as profiler:
+        _assert_bits(_flat(compiled.forward_raw(frames)), _flat(plain))
+    profile = profiler.report(digits=9)
+    rows = {row["op"]: row for row in profile["ops"]}
+    tail = {op.profile_name() for op in segment.ops[segment.tail:] if op.node.kind == "conv"}
+    assert {"backbone.layer4.1.conv2", "fpn.p6", "fpn.p7"} <= tail
+    for name in tail:
+        phases = rows[name]["phases_ms"]
+        assert set(phases) == {"gather", "gemm", "epilogue"} and phases["gemm"] > 0, name
+        assert abs(sum(phases.values()) - rows[name]["total_ms"]) <= 1e-6
+    assert 0.9 * profile["total_ms"] <= profile["op_total_ms"] <= profile["total_ms"]
 
 
 @pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")

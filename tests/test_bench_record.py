@@ -43,3 +43,22 @@ def test_line_carries_median_and_quartiles_per_metric_and_workload():
 
 def test_a_single_run_is_its_own_quartiles():
     assert bench_record.summarise_values([3.5]) == {"median": 3.5, "q1": 3.5, "q3": 3.5}
+
+
+def test_a_late_load_generator_marks_its_workload_invalid():
+    """The traced run's generator lag p99 above ``lag_limit_ms`` of
+    ``bench/workloads.json`` (bench/README.md's validity rule) makes the line
+    say so, with the reason; at or under the limit the workload is valid."""
+    limit = bench_record.lag_limit_ms()
+    values = {"bulk_img_per_s": ("img/s", [4000.0, 4200.0, 3900.0])}
+    late = bench_record.build_line(result_set(values, {"loadgen.lag_ms_p99": 13.4}), "late")
+    fleet = late["workloads"]["serve_fleet"]
+    assert limit == 10.0 and fleet["valid"] is False
+    assert fleet["reason"] == "loadgen.lag_ms_p99 13.4 ms > lag_limit_ms 10 ms"
+    for lag in (limit, 2.4):
+        line = bench_record.build_line(result_set(values, {"loadgen.lag_ms_p99": lag}), "ok")
+        fleet = line["workloads"]["serve_fleet"]
+        assert fleet["valid"] is True and "reason" not in fleet
+    # a workload without a generator (frames_*) traces no lag: valid
+    line = bench_record.build_line(result_set(values, {"engine.compile_s": 0.2}), "frames")
+    assert line["workloads"]["serve_fleet"]["valid"] is True

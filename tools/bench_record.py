@@ -6,8 +6,10 @@ frozen referee: every workload in a process of its own, N untraced runs on
 seeds ``S .. S+N-1`` plus one traced run) and appends one summarised JSON line
 to ``docs/perf/history.jsonl``: commit and tree hash, host fingerprint, and per workload the
 median and quartiles of every end-to-end metric plus the traced per-layer
-values.  One line per PR is the trajectory ROADMAP item 1 asks for; the raw
-result set lives in a temporary directory and stays out of git.
+values, and ``"valid": false`` with a ``"reason"`` where the traced run's load
+generator ran later than ``bench/README.md`` allows (``lag_limit_ms``).  One
+line per PR is the trajectory ROADMAP item 1 asks for; the raw result set
+lives in a temporary directory and stays out of git.
 
 The numbers are only comparable between lines of one host class — the
 fingerprint is in the line for that reason.  To *compare* two commits use
@@ -30,6 +32,14 @@ from typing import Any, Dict, List, Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HISTORY = os.path.join(REPO_ROOT, "docs", "perf", "history.jsonl")
+WORKLOADS = os.path.join(REPO_ROOT, "bench", "workloads.json")
+
+
+def lag_limit_ms() -> float:
+    """``bench/README.md``'s validity rule for a ladder: the generator's lag p99
+    may not exceed ``lag_limit_ms`` of ``bench/workloads.json`` (read, never edited)."""
+    with open(WORKLOADS) as handle:
+        return float(json.load(handle)["lag_limit_ms"])
 
 
 def summarise_values(values: List[float]) -> Dict[str, float]:
@@ -40,8 +50,21 @@ def summarise_values(values: List[float]) -> Dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def validity(traced: Dict[str, float], limit_ms: float) -> Dict[str, Any]:
+    """``{"valid": True}``, or False with the reason: the traced run's load
+    generator ran late (lag p99 above ``limit_ms``), so its ladder says more
+    about the generator than about the stack."""
+    lag = traced.get("loadgen.lag_ms_p99", 0.0)
+    if lag > limit_ms:
+        return {"valid": False,
+                "reason": f"loadgen.lag_ms_p99 {lag:.1f} ms > lag_limit_ms {limit_ms:g} ms"}
+    return {"valid": True}
+
+
 def summarise_set(result_set: Dict[str, Any]) -> Dict[str, Any]:
-    """Per workload: end-to-end metric -> median/q1/q3/unit, traced values, failures."""
+    """Per workload: end-to-end metric -> median/q1/q3/unit, traced values,
+    failures, and whether the run is valid (:func:`validity`)."""
+    limit_ms = lag_limit_ms()
     workloads: Dict[str, Any] = {}
     for name, entry in result_set["workloads"].items():
         runs = entry["runs"]
@@ -50,14 +73,16 @@ def summarise_set(result_set: Dict[str, Any]) -> Dict[str, Any]:
             summary = summarise_values([run["metrics"][metric]["value"] for run in runs])
             end_to_end[metric] = {**summary, "unit": first["unit"]}
         traced = entry["traced"]
+        # A layer that is not on the workload's path reports 0: left out.
+        values = {metric: value["value"]
+                  for metric, value in traced["metrics"].items() if value["value"]}
         workloads[name] = {
             "seeds": [run["seed"] for run in runs],
             "end_to_end": end_to_end,
-            # A layer that is not on the workload's path reports 0: left out.
-            "traced": {metric: value["value"]
-                       for metric, value in traced["metrics"].items() if value["value"]},
+            "traced": values,
             "failed": sum(run["failed"] for run in runs) + traced["failed"],
             "attempted": sum(run["attempted"] for run in runs) + traced["attempted"],
+            **validity(values, limit_ms),
         }
     return workloads
 
@@ -127,6 +152,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"bench-record: appended {line['commit'][:10]}"
           f"{' (dirty)' if line['dirty'] else ''} to {os.path.relpath(HISTORY, REPO_ROOT)}"
           f"; failed operations: {failed}")
+    for name, entry in line["workloads"].items():
+        if not entry["valid"]:
+            print(f"bench-record: {name} is not valid: {entry['reason']}")
     return status
 
 
