@@ -17,7 +17,7 @@ package makes pruning pay off at inference time on the host CPU:
 * :mod:`repro.engine.arena` — shape-keyed workspace arena: zero large-array
   allocations in steady-state inference,
 * :mod:`repro.engine.runner` — :class:`BatchRunner`, the batched front door
-  used by the evaluator and the CLI (reused staging buffer, padded tail batch),
+  used by the evaluator and the CLI (fixed-size chunks, a short last one),
 * :mod:`repro.engine.native` — optional AVX-512 C kernels (compiled on first
   use, silently absent on other hosts): the fp32 direct sparse-convolution
   kernel that skips pruned weights *inside* the kernel, which is what makes

@@ -42,10 +42,9 @@ applied to weights before the GEMM instead of to activations after it), so
 fused outputs match the dense forward to ~1e-6 — well inside the 1e-5 equivalence
 bound every benchmark and artifact check enforces — but not bit-for-bit.
 
-Thread safety: a :class:`FusedProgram` is immutable after construction (but for
-a flag that only ever goes from True to False); each executing thread checks
-out its own :class:`~repro.engine.arena.WorkspaceArena` (thread-local), so
-concurrent forwards never share scratch buffers.
+Thread safety: a :class:`FusedProgram` is immutable after construction; each
+executing thread checks out its own :class:`~repro.engine.arena.WorkspaceArena`
+(thread-local), so concurrent forwards never share scratch buffers.
 """
 
 from __future__ import annotations
@@ -644,7 +643,7 @@ class Segment:
     """A maximal run of natively bound steps: one ``run_segment`` call per forward.
 
     ``run`` lists ``(op, its BoundCall, the input shapes it was bound for)`` in
-    step order.  With ``rows`` (the program is ``bucket_safe``) the steps are
+    step order.  With ``rows`` (the program runs ``per_image``) the steps are
     bound for *one* image and the library loops images outermost, steps
     innermost (docs/engine.md, "Segments"); with None they are bound whole-batch
     and the loop runs once.  A run with a **tail** — from its first conv whose
@@ -848,22 +847,21 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
         op.native = sparse_kernel
         if isinstance(op, FusedConv):
             op.choose_kernel(sparse_kernel)
-    return FusedProgram(graph, steps, bucket_safe=_batch_axis_preserved(graph))
+    return FusedProgram(graph, steps, per_image=_batch_axis_preserved(graph))
 
 
 def _batch_axis_preserved(graph: GraphPlan) -> bool:
     """Whether every tensor of the graph provably carries the batch on axis 0,
     one independent row per image.
 
-    Batch-bucketing (padding a batch and slicing ``[:count]`` off every
-    output) and running a segment image by image are only legal when that
-    holds.  Flags propagate conservatively by
-    op kind: raw kernels preserve the axis by construction; ``getitem`` only
-    counts when it leaves axis 0 as a full slice; ``concat`` must not join on
-    axis 0; replayed modules must have produced outputs whose traced leading
-    dimension equals the traced batch (demoted 1-in/1-out nodes carry no
-    shapes and are elementwise by construction).  Anything unprovable simply
-    disables both — the program still runs, unpadded and whole-batch.
+    Running a segment image by image is only legal when that holds.  Flags
+    propagate conservatively by op kind: raw kernels preserve the axis by
+    construction; ``getitem`` only counts when it leaves axis 0 as a full
+    slice; ``concat`` must not join on axis 0; replayed modules must have
+    produced outputs whose traced leading dimension equals the traced batch
+    (demoted 1-in/1-out nodes carry no shapes and are elementwise by
+    construction).  Anything unprovable simply runs every segment
+    whole-batch.
     """
     flags: Dict[int, bool] = {graph.input_slot: True}
     for node in graph.ops:
@@ -909,20 +907,13 @@ class FusedProgram:
     # every serving thread's first forward and mutates only under its lock.
     _guarded_by_ = {"_arenas": "_arena_lock"}
 
-    def __init__(self, graph: GraphPlan, steps: List[_FusedOp],
-                 bucket_safe: bool = True) -> None:
+    def __init__(self, graph: GraphPlan, steps: List[_FusedOp], per_image: bool) -> None:
         self.graph = graph
         self.steps = steps
         #: Whether every tensor provably holds one independent row per image
         #: (see :func:`_batch_axis_preserved`): native runs then execute image
-        #: by image and batches may be bucketed; unsafe graphs run whole-batch
-        #: and unpadded.
-        self.bucket_safe = bucket_safe
-        #: One run of native steps end to end, as far as anyone has seen:
-        #: nothing in it is sized by the batch, so it takes no bucket.  Cleared
-        #: for good by the first cut that proves otherwise (a step whose native
-        #: body does not bind to its input shapes: a broadcasting add).
-        self._whole = bucket_safe and all(op.natively() for op in steps)
+        #: by image; otherwise every segment runs whole-batch.
+        self.per_image = per_image
         self._tls = threading.local()
         # Weak references: an arena is kept alive by its owning thread's local
         # storage, so scratch buffers die with the thread instead of
@@ -976,17 +967,8 @@ class FusedProgram:
 
     # --------------------------------------------------------------- execution
     def run(self, data: np.ndarray):  # reprolint: hot
-        """Execute the fused program on raw NCHW input.
-
-        A ``bucket_safe`` program with a Python-bodied step pads the batch up
-        to the next power of two before executing (padding rows replicate the
-        last real row and are discarded): rows are independent, and bucketing
-        bounds the arena to at most log2 whole-batch buffer sets per geometry
-        instead of one per distinct micro-batch size the serving batcher
-        happens to form.  A program that is one native segment end to end runs
-        on one-image (or one-group) buffers, which leave a bucket nothing to
-        bound: it executes exactly the images it was given.  Graphs that are not
-        ``bucket_safe`` run unpadded, whole-batch.
+        """Execute the fused program on raw NCHW input: exactly the images it
+        was given, nothing padded.
 
         Returns the model's output structure as *fresh* numpy arrays — results
         never alias arena buffers, so callers (e.g. the serving layer handing
@@ -1006,30 +988,15 @@ class FusedProgram:
         # batcher's stacked batches) is a no-op view, anything else is a
         # one-off boundary copy before the zero-alloc steady state begins.
         data = np.ascontiguousarray(data, dtype=np.float32)  # reprolint: disable=hot-path-alloc
-        count = data.shape[0]
-        bucket = 1 << max(0, count - 1).bit_length()
-        whole = self._whole
-        padded = self.bucket_safe and not whole and bucket != count
-        if padded:
-            staged = arena.buffer(("input", "bucket"), (bucket, *data.shape[1:]))
-            staged[:count] = data
-            # Pad with a replica of the last real row, not zeros: padded rows
-            # then compute exactly what a real row computes, so a model that
-            # e.g. divides by an input-derived quantity cannot produce FP
-            # warnings/NaNs the unpadded run would not produce.
-            staged[count:] = data[count - 1] if count else 0.0
-            data = staged
         values: List[Optional[np.ndarray]] = [None] * self.graph.num_slots
         values[self.graph.input_slot] = data
         # What a forward of this shape runs lives in the arena, like every
-        # other binding: (its segments, the outputs they leave in fresh arrays)
-        # — per geometry where no buffer is sized by the batch.
-        plan = arena.binding("segments", data.shape[1:] if whole else data.shape,
-                             lambda arena, key: ([], set()))
+        # other binding: its segments and the outputs they leave in fresh arrays.
+        plan = arena.binding("segments", data.shape, lambda arena, key: ([], set()))
         segments, fresh = plan
         started = time.perf_counter()
         with no_grad(), np.errstate(over="ignore"):
-            for segment in segments or self._resolve(arena, values, plan, whole):
+            for segment in segments or self._resolve(arena, values, plan):
                 if profiler is None:
                     segment.execute(values, arena)
                 else:
@@ -1038,25 +1005,22 @@ class FusedProgram:
             profiler.record_run(time.perf_counter() - started)
 
         def result(slot):
-            if slot in fresh and not padded:
+            if slot in fresh:
                 return values[slot]                  # its segment copied it out already
             # Mandatory copy-out: results must never alias arena buffers (the
             # next forward overwrites them under the caller's feet).
             # reprolint: disable=hot-path-alloc
-            return np.array(values[slot][:count] if padded else values[slot],
-                            dtype=np.float32, copy=True)
+            return np.array(values[slot], dtype=np.float32, copy=True)
         return fill_template(self.graph.output_template, result)
 
-    def _resolve(self, arena, values, plan, whole):
+    def _resolve(self, arena, values, plan):
         """Cut the steps into segments for this input shape, while running them.
 
         A generator the forward's one loop drives: each maximal run of steps
         that bind natively becomes a :class:`Segment`, every other step is a
         segment of its own, and each is yielded once what it reads exists — a
         native step tells its output shape at bind, a Python step only by
-        running.  The finished cut is filled into ``plan`` (what the arena
-        keeps) unless the forward took no bucket (``whole``) and some buffer is
-        sized by its batch after all.
+        running.  Only a finished cut is filled into ``plan``, what the arena keeps.
         """
         steps, rows = self.steps, values[self.graph.input_slot].shape[0]
         last_read = {slot: index for index, op in enumerate(steps) for slot in op.node.inputs}
@@ -1064,7 +1028,6 @@ class FusedProgram:
         pending: Dict[int, tuple] = {}     # slot -> shape a bound, not yet run step gives it
         cut: list = []
         run: list = []
-        alone = False                      # whether one run is the whole program
         for index, op in enumerate([*steps, None]):
             bound = None if op is None else self._native(op, arena, values, pending, rows)
             if bound is not None:
@@ -1072,9 +1035,9 @@ class FusedProgram:
                 pending[op.out_slot] = bound[1].out.shape
                 continue
             if run:
-                alone = len(run) == len(steps)
+                alone = len(run) == len(steps)     # one run is the whole program
                 cut.append(Segment(
-                    arena, run, rows if self.bucket_safe else None,
+                    arena, run, rows if self.per_image else None,
                     lambda slot: last_read.get(slot, -1) >= index or (slot in outputs and not alone),
                     outputs if alone else ()))
                 if alone:
@@ -1084,10 +1047,7 @@ class FusedProgram:
             if op is not None:
                 cut.append(op)
                 yield op
-        if alone or not whole:
-            plan[0].extend(cut)
-        else:
-            self._whole = False
+        plan[0].extend(cut)
 
     def _native(self, op, arena, values, pending, rows):
         """``(op, its bound native step, the input shapes it is bound for)`` —
@@ -1098,7 +1058,7 @@ class FusedProgram:
         for slot in op.node.inputs:
             x = values[slot]
             shape = pending[slot] if x is None else x.shape
-            if self.bucket_safe:
+            if self.per_image:
                 if x is not None and shape[:1] != (rows,):
                     return None                      # not one row per image after all
                 shape = (1, *shape[1:])
@@ -1106,7 +1066,7 @@ class FusedProgram:
         # A conv whose plane fits one vector is bound for a group of images: the
         # segment's tail runs them in its lanes, a group per call.
         group = ([(op.native.group, *shapes[0][1:])]
-                 if self.bucket_safe and op.one_vector(shapes[0]) else shapes)
+                 if self.per_image and op.one_vector(shapes[0]) else shapes)
         bound = arena.binding(op.key, tuple(group), op._bind)
         return (op, bound, shapes) if isinstance(bound, BoundCall) else None
 

@@ -13,9 +13,8 @@ obtain their dense oracle.
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from repro.engine.compiler import CompiledModel
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, no_grad
-from repro.utils.profiling import LatencyStats
 
 
 @dataclass
@@ -38,8 +36,6 @@ class RunnerStats:
     batches: int = 0
     images: int = 0
     seconds: float = 0.0
-    #: Per-batch durations in a bounded reservoir (a batcher records forever).
-    _batch_latency: LatencyStats = field(default_factory=LatencyStats, init=False, repr=False)
 
     @property
     def images_per_second(self) -> float:
@@ -52,11 +48,6 @@ class RunnerStats:
         self.batches += 1
         self.images += int(batch_images)
         self.seconds += float(elapsed_seconds)
-        self._batch_latency.add(elapsed_seconds)
-
-    def batch_latency(self) -> LatencyStats:
-        """Per-batch wall-clock samples as a :class:`LatencyStats` (p50/p95/p99)."""
-        return self._batch_latency
 
     def as_dict(self) -> dict:
         return {
@@ -126,17 +117,6 @@ def _copy_if_aliased(output, buffer: np.ndarray):
         output)
 
 
-def _take_first(output, count: int):
-    """Keep the first ``count`` batch entries of a (nested) batched output.
-
-    Used by :class:`BatchRunner` to discard the zero-padding rows of the final
-    short batch; arrays are sliced along the batch axis (views — the following
-    :func:`_concat_outputs` copies them into the stacked result).  Non-array
-    leaves pass through unchanged, matching :func:`_concat_outputs` tolerance.
-    """
-    return map_structure(lambda array: array[:count], output)
-
-
 def _concat_outputs(outputs: List):
     """Concatenate per-batch outputs along the batch axis, structure-preserving."""
     first = outputs[0]
@@ -178,14 +158,6 @@ class BatchRunner:
         self.model = model
         self.batch_size = int(batch_size)
         self.last_stats = RunnerStats()
-        # Reusable per-batch staging buffer for stacked-array inputs: batches
-        # are copied into it instead of materializing a fresh contiguous array
-        # per chunk, and the final short batch is padded in place so every
-        # forward of a run sees one shape — which is exactly what keeps the
-        # fused executor's shape-keyed arena on its steady-state path.
-        # Thread-local, so a runner shared across threads (the serving layer's
-        # documented pattern) can never interleave two requests' rows.
-        self._staging_tls = threading.local()
 
     # ------------------------------------------------------------------ execution
     def _forward(self, batch: np.ndarray):
@@ -196,65 +168,28 @@ class BatchRunner:
         with no_grad():
             return _to_numpy(self.model(Tensor(batch)))
 
-    def _staging_for(self, item_shape: tuple) -> np.ndarray:
-        shape = (self.batch_size, *item_shape)
-        staging = getattr(self._staging_tls, "buffer", None)
-        if staging is None or staging.shape != shape:
-            staging = np.empty(shape, dtype=np.float32)
-            self._staging_tls.buffer = staging
-        return staging
-
     def run(self, inputs: Union[np.ndarray, Tensor, Sequence[np.ndarray]]):
         """Run every input image and return the stacked outputs.
 
-        ``inputs`` may be a stacked NCHW array/Tensor or a sequence of NCHW
-        batches; outputs are concatenated along the batch axis (tuples/dicts of
-        tensors are concatenated element-wise).
-
-        Stacked-array inputs that span several batches run through a reused
-        staging buffer, and a final short batch is padded to the full batch
-        size (padding rows replicate the last real image and are discarded).
-        Inference runs in eval mode, where every batch row is independent, so
-        padding never changes the real rows' outputs — it only keeps the
-        forward shape stable for the fused executor's workspace arena.
+        ``inputs`` may be a stacked NCHW array/Tensor, run in chunks of at most
+        ``batch_size`` images (the last one shorter, never padded), or a
+        sequence of NCHW batches, each run as given; outputs are concatenated
+        along the batch axis (tuples/dicts of tensors are concatenated
+        element-wise).
         """
         if isinstance(inputs, Tensor):
             inputs = inputs.data
+        if isinstance(inputs, np.ndarray):
+            inputs = [inputs[offset:offset + self.batch_size]
+                      for offset in range(0, inputs.shape[0], self.batch_size)]
 
         stats = RunnerStats()
         outputs = []
-        if isinstance(inputs, np.ndarray):
-            total = inputs.shape[0]
-            if total and total <= self.batch_size:
-                batch = np.ascontiguousarray(inputs, dtype=np.float32)
-                start = time.perf_counter()
-                outputs.append(self._forward(batch))
-                stats.record(total, time.perf_counter() - start)
-            elif total:
-                staging = self._staging_for(inputs.shape[1:])
-                for offset in range(0, total, self.batch_size):
-                    count = min(self.batch_size, total - offset)
-                    staging[:count] = inputs[offset:offset + count]
-                    if count < self.batch_size:
-                        # Replicate the last real image (not zeros) so padding
-                        # rows cannot produce FP warnings a real row would not.
-                        staging[count:] = staging[count - 1]
-                    start = time.perf_counter()
-                    out = self._forward(staging)
-                    elapsed = time.perf_counter() - start
-                    if count < self.batch_size:
-                        out = _take_first(out, count)
-                    # A pathological model could return (views of) its input;
-                    # those must be copied before the staging buffer is reused.
-                    out = _copy_if_aliased(out, staging)
-                    outputs.append(out)
-                    stats.record(count, elapsed)
-        else:
-            for batch in inputs:
-                batch = np.ascontiguousarray(batch, dtype=np.float32)
-                start = time.perf_counter()
-                outputs.append(self._forward(batch))
-                stats.record(batch.shape[0], time.perf_counter() - start)
+        for batch in inputs:
+            batch = np.ascontiguousarray(batch, dtype=np.float32)
+            start = time.perf_counter()
+            outputs.append(self._forward(batch))
+            stats.record(batch.shape[0], time.perf_counter() - start)
         self.last_stats = stats
         if not outputs:
             raise ValueError("BatchRunner.run received no input batches")

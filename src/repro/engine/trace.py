@@ -95,7 +95,7 @@ class GraphPlan:
     output_template: Any
     num_slots: int
     #: Batch size of the traced example (used by the fusion pass to decide
-    #: whether batch-bucketing is provably safe for this graph).
+    #: whether segments may provably run image by image).
     example_batch: int = 0
 
     def output_slots(self) -> List[int]:
@@ -234,7 +234,7 @@ class _Tracer:
                     (args, kwargs), lambda t: self.lookup(t, name)),
                 "out_template": build_template(output, self.register),
                 # Traced output shapes: the fusion pass checks these to decide
-                # whether the module preserved the batch axis (bucketing).
+                # whether the module preserved the batch axis.
                 "out_shapes": tuple(tuple(t.shape) for t in tensors_out),
             }
         out_slots = tuple(self.register(t) for t in tensors_out)

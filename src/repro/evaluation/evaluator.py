@@ -11,6 +11,8 @@ records a *measured* host-CPU speedup next to the modeled platform speedups.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -28,6 +30,18 @@ from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
 ModelFactory = Callable[[], Module]
+
+
+def built_once(build: ModelFactory) -> ModelFactory:
+    """A factory that calls ``build`` once and hands out deep copies of its model.
+
+    The factories in :mod:`repro.models` are deterministic, so a copy is the
+    model a fresh build would return, weight for weight; drawing a full-size
+    model's weights costs several times the copy (RetinaNet-50: ≈ 0.9 s against
+    ≈ 0.1 s on a 2-core AVX-512 host).
+    """
+    model = functools.cache(build)
+    return lambda: copy.deepcopy(model())
 
 
 def snapshot_weight_energy(model: Module) -> Dict[str, float]:

@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 from repro.evaluation.accuracy_proxy import baseline_map_for
 from repro.evaluation.comparison import compare_frameworks
-from repro.evaluation.evaluator import DetectorEvaluator, FrameworkResult
+from repro.evaluation.evaluator import DetectorEvaluator, FrameworkResult, built_once
 from repro.experiments.table3 import RETINANET_DENSE_LAYERS
 from repro.models import retinanet_resnet50, yolov5s
 from repro.pruning.registry import paper_suite
@@ -53,12 +53,12 @@ def comparison_results(model_key: str = "yolov5s", image_size: int = 640,
             return _CACHE[key]
 
         if model_key == "yolov5s":
-            evaluator = DetectorEvaluator(lambda: yolov5s(), "yolov5s",
+            evaluator = DetectorEvaluator(built_once(yolov5s), "yolov5s",
                                           baseline_map_for("yolov5s"),
                                           image_size=image_size, probe_size=probe_size)
             suite = paper_suite()
         elif model_key == "retinanet":
-            evaluator = DetectorEvaluator(lambda: retinanet_resnet50(), "retinanet",
+            evaluator = DetectorEvaluator(built_once(retinanet_resnet50), "retinanet",
                                           baseline_map_for("retinanet"),
                                           image_size=image_size, probe_size=probe_size)
             suite = paper_suite(dense_layer_names=RETINANET_DENSE_LAYERS)

@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.config import RTOSSConfig
 from repro.core.rtoss import RTOSSPruner
 from repro.evaluation.accuracy_proxy import baseline_map_for
-from repro.evaluation.evaluator import DetectorEvaluator, FrameworkResult
+from repro.evaluation.evaluator import DetectorEvaluator, FrameworkResult, built_once
 from repro.hardware.platform import RTX_2080TI
 from repro.models import retinanet_resnet50, yolov5s
 
@@ -67,11 +67,11 @@ class Table3Row:
 
 def _evaluator_for(model_key: str, image_size: int, probe_size: int) -> Tuple[DetectorEvaluator, Tuple[str, ...]]:
     if model_key == "yolov5s":
-        return DetectorEvaluator(lambda: yolov5s(), "yolov5s", baseline_map_for("yolov5s"),
+        return DetectorEvaluator(built_once(yolov5s), "yolov5s", baseline_map_for("yolov5s"),
                                  image_size=image_size, probe_size=probe_size,
                                  platforms=[RTX_2080TI]), ()
     if model_key == "retinanet":
-        return DetectorEvaluator(lambda: retinanet_resnet50(), "retinanet",
+        return DetectorEvaluator(built_once(retinanet_resnet50), "retinanet",
                                  baseline_map_for("retinanet"), image_size=image_size,
                                  probe_size=probe_size,
                                  platforms=[RTX_2080TI]), RETINANET_DENSE_LAYERS

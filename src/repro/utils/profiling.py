@@ -2,9 +2,8 @@
 
 :func:`percentile` and :class:`LatencyStats` are what the obs-registry
 :class:`~repro.obs.registry.Histogram` (and through it every serving metrics
-class), the load generators and the engine's
-:class:`repro.engine.runner.RunnerStats` use to report p50/p95/p99 latency
-instead of a bare mean.
+class) and the load generators use to report p50/p95/p99 latency instead of a
+bare mean.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ image where rows are independent, so one per step serves every batch size.
 The arena also keeps how a forward of one input shape is cut into segments
 (:class:`repro.engine.fuse.Segment`: tables of raw addresses of those args
 blocks).  These tests pin who owns all that and when it dies: one per thread
-arena and shape, shared by interleaved batch buckets, immune to a caller's
+arena and shape, shared by interleaved batch sizes, immune to a caller's
 input moving in memory, left alone by a ``refresh()`` that happens under a
 running forward, dropped by ``arena.clear()`` and by the exit of its thread.
 They run in both kernel modes; the assertions about ``BoundCall`` and
@@ -95,7 +95,7 @@ def test_two_threads_get_separate_bindings_and_identical_outputs(rng):
 
 class _Squashed(Module):
     """Pruned tiny with a stand-alone sigmoid behind it: a Python-bodied last
-    step, so the program buckets its batches."""
+    step, so a cut exports whole-batch buffers sized by its batch."""
 
     def __init__(self, body):
         super().__init__()
@@ -105,29 +105,31 @@ class _Squashed(Module):
         return self.squash(self.body(x))
 
 
-def test_interleaved_batch_buckets_reuse_one_binding_per_shape(rng):
-    """One binding per native step, shared by every bucket: a step in a run of
-    native steps is bound for one image.  Per bucket there is only the cut
-    itself and what a Python-bodied step resolves whole-batch."""
+def test_interleaved_batch_sizes_reuse_one_binding_per_native_step(rng):
+    """One binding per native step, shared by every batch size: a step in a run
+    of native steps is bound for one image.  Per batch size there is only the
+    cut itself and what a Python-bodied step resolves whole-batch."""
     model = _Squashed(_pruned_tiny()[0])
     compiled = compile_model(model)
     frames = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
     alone = [compiled.forward_raw(frames[i:i + 1]) for i in range(8)]
-    for size in (1, 2, 4, 8, 3, 5):                       # 3 and 5 also stage their padding
+    sizes = (1, 2, 4, 8, 3, 5, 7)
+    for size in sizes:
         compiled.forward_raw(frames[:size])
     arena = _arena(compiled)
     warm = dict(arena._bindings)
     steps = compiled._fused_program.steps
     native = [op for op in steps if op.natively()]
     python = [op for op in steps if isinstance(op, _BoundOp) and not op.natively()]
-    assert python and not compiled._fused_program._whole
-    assert len(_bound_calls(arena)) == len(native), "one binding per native step, not per bucket"
-    assert len(warm) == len(native) + 4 * (len(python) + 1), "per bucket: Python steps + the cut"
+    assert python
+    assert len(_bound_calls(arena)) == len(native), "one binding per native step, not per size"
+    assert len(warm) == len(native) + len(sizes) * (len(python) + 1), (
+        "per batch size: Python steps + the cut")
     if native:
         assert all(segment.per_image for segment in _segments(arena))
         assert {call.out.shape[0] for call in _bound_calls(arena)} == {1}
     misses = compiled.arena_stats()["misses"]
-    for size in (8, 1, 4, 3, 2, 5, 1, 8, 7):             # 3 -> 4, 5 and 7 -> 8
+    for size in (8, 1, 4, 3, 2, 5, 1, 8, 7):
         batched = compiled.forward_raw(frames[:size])
         for i in range(size):
             assert max_abs_output_diff(batched[i:i + 1], alone[i]) == 0.0
@@ -137,16 +139,18 @@ def test_interleaved_batch_buckets_reuse_one_binding_per_shape(rng):
 
 
 @pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")
-def test_one_native_segment_takes_no_bucket(rng):
+def test_one_native_segment_allocates_nothing_per_batch_size(rng):
     """Pruned tiny is one run of native steps: every buffer is one image's, so
-    a micro-batch of 3 runs 3 images and batches 1...8 allocate what batch 1 did."""
+    batches 1...8 allocate what batch 1 did, and the cut each size makes runs
+    the same bound steps."""
     _, compiled = _pruned_tiny()
     frames = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
     alone = [compiled.forward_raw(frames[i:i + 1]) for i in range(8)]
     arena = _arena(compiled)
     after_one = arena.stats()
+    bound = _bound_calls(arena)
     (segment,) = _segments(arena)
-    assert compiled._fused_program._whole and len(segment.ops) == len(compiled._fused_program)
+    assert len(segment.ops) == len(compiled._fused_program)
     assert segment.results and not segment.exports, "outputs leave by the copy table only"
     for size in (2, 3, 4, 5, 6, 7, 8, 0):
         batched = compiled.forward_raw(frames[:size])
@@ -156,8 +160,12 @@ def test_one_native_segment_takes_no_bucket(rng):
     stats = arena.stats()
     assert (stats["buffers"], stats["bytes_allocated"], stats["misses"]) == (
         after_one["buffers"], after_one["bytes_allocated"], after_one["misses"])
-    assert _segments(arena) == [segment], "one cut for every batch size"
-    assert ("input", "bucket") not in {key for key, _, _ in arena._slots}
+    segments = _segments(arena)
+    assert len(segments) == 9, "one cut, of one segment, per batch size"
+    assert _bound_calls(arena) == bound
+    for each in segments:
+        assert [id(call) for _, call, _ in each._alive[2]] == [
+            id(call) for _, call, _ in segment._alive[2]], "every cut runs the same bound steps"
 
 
 def test_caller_input_that_moves_between_calls(rng):

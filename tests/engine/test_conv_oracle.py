@@ -164,7 +164,7 @@ def check_engine(model, x, oracle, expect_kernel):
     assert ran == ([expect_kernel] if expect_kernel else []), mode
     assert out.shape == oracle.shape
     assert np.abs(out - oracle).max() <= TOL * max(1.0, np.abs(oracle).max()), mode
-    # Batch bucketing pads 3 -> 4 and 5 -> 8: an image never sees its neighbours.
+    # An image's output does not depend on the batch it rode in.
     for index in range(x.shape[0]):
         alone = compiled.forward_raw(x[index:index + 1])
         assert np.array_equal(alone[0], out[index]), (mode, index)

@@ -9,13 +9,16 @@ result ever aliasing arena scratch space — even under concurrent serving.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from test_conv_oracle import portable          # pins the portable path, as REPRO_NO_NATIVE=1 does
 
 from repro.core.rtoss import prune_with_rtoss
 from repro.engine import BatchRunner, compile_model, layout_cache_stats
 from repro.engine.arena import ALIGNMENT
+from repro.engine.native import sparse_kernel_available
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.nn import functional as F
 from repro.nn.layers.activation import build_activation
@@ -415,8 +418,8 @@ def test_concurrent_submit_many_no_cross_request_aliasing(rng):
             np.testing.assert_allclose(result, snapshot, atol=0, rtol=0)
 
 
-def test_batch_axis_dropping_output_disables_bucketing(rng):
-    """A model output without a leading batch axis must never be bucket-sliced."""
+def test_batch_axis_dropping_output_runs_whole_batch(rng):
+    """A model output without a leading batch axis: nothing runs image by image."""
 
     class DropBatch(Module):
         def __init__(self):
@@ -428,20 +431,21 @@ def test_batch_axis_dropping_output_disables_bucketing(rng):
 
     model = DropBatch()
     model.eval()
-    for n in (3, 4, 5):                   # non-pow2 sizes would pad if bucketed
+    for n in (3, 4, 5):
         x = rng.standard_normal((n, 3, 8, 8)).astype(np.float32)
         dense = model(Tensor(x)).data.copy()
         compiled = compile_model(model)
         fused = compiled.forward_raw(x)
         assert compiled.fused_active, compiled.fuse_failure
-        assert not compiled._fused_program.bucket_safe
+        assert not compiled._fused_program.per_image
         assert fused.shape == dense.shape
         np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
 
 
-def test_array_valued_batch_index_fuses_without_bucketing(rng):
-    """Fancy-indexing the batch axis replays fine but must disable bucketing
-    (and must not crash the batch-axis analysis with an ambiguous-truth array)."""
+def test_array_valued_batch_index_fuses_whole_batch(rng):
+    """Fancy-indexing the batch axis replays fine but must keep every segment
+    whole-batch (and must not crash the batch-axis analysis with an
+    ambiguous-truth array)."""
 
     class Gathered(Module):
         def __init__(self):
@@ -458,14 +462,14 @@ def test_array_valued_batch_index_fuses_without_bucketing(rng):
     compiled = compile_model(model)
     fused = compiled.forward_raw(x)
     assert compiled.fused_active, compiled.fuse_failure
-    assert not compiled._fused_program.bucket_safe
+    assert not compiled._fused_program.per_image
     np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
 
 
-def test_variable_micro_batches_bucket_to_powers_of_two(rng):
-    """Serving batchers form batches of 1..max; the fused program pads them to
-    the next power of two, so the arena holds log2 buffer sets, not one per
-    distinct batch size — and every padded result still matches the dense path."""
+def test_variable_micro_batches_match_dense_and_warm_once(rng):
+    """Serving batchers form batches of 1..max; the fused program runs each as
+    given, every result matches the dense path, and once a size has run a
+    second sweep over the same sizes allocates nothing."""
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
     for n in range(1, 9):
@@ -475,19 +479,11 @@ def test_variable_micro_batches_bucket_to_powers_of_two(rng):
         dense = BatchRunner(model, batch_size=n).run(x)
         np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
     after_sweep = compiled.arena_stats()
-    # Batch sizes 1..8 collapse onto buckets {1, 2, 4, 8}.
     for n in range(1, 9):
         x = rng.standard_normal((n, 3, 64, 64)).astype(np.float32)
         compiled.forward_raw(x)
     assert compiled.arena_stats()["misses"] == after_sweep["misses"], (
         "a second sweep over the same batch sizes must be allocation-free")
-    # Strict bound: buffers grew for 4 buckets, not 8 batch sizes.
-    fresh = compile_model(model, report.masks, apply_masks=False)
-    fresh.forward_raw(rng.standard_normal((4, 3, 64, 64)).astype(np.float32))
-    one_bucket = fresh.arena_stats()["buffers"]
-    assert after_sweep["buffers"] <= 4 * (one_bucket + 1), (
-        f"{after_sweep['buffers']} buffers for 8 batch sizes; expected at "
-        f"most 4 buckets x ~{one_bucket}")
 
 
 def test_dead_thread_arenas_are_reclaimed(rng):
@@ -509,43 +505,72 @@ def test_dead_thread_arenas_are_reclaimed(rng):
 
 
 # ---------------------------------------------------------------- batch runner
-def test_batch_runner_pads_tail_batch_through_one_shape(rng):
+def test_batch_runner_runs_a_short_tail_batch_as_is(rng):
     model, report = _pruned_tiny()
     compiled = compile_model(model, report.masks, apply_masks=False)
     x = rng.standard_normal((7, 3, 64, 64)).astype(np.float32)
     runner = BatchRunner(compiled, batch_size=3)
-    out = runner.run(x)                        # batches: 3, 3, 1 (padded)
+    out = runner.run(x)                        # batches: 3, 3, 1
     assert out.shape[0] == 7
     assert runner.last_stats.batches == 3 and runner.last_stats.images == 7
     np.testing.assert_allclose(
         out, BatchRunner(compiled, batch_size=7).run(x), atol=0, rtol=0)
-    # Every batch (incl. the padded tail) ran at one shape -> one arena set.
+    # Each batch size warmed its arena set on the first run.
     warm = compiled.arena_stats()["misses"]
     runner.run(x)
     assert compiled.arena_stats()["misses"] == warm
 
 
-def test_batch_runner_staging_buffer_is_reused(rng):
-    model, _ = _pruned_tiny()
-    runner = BatchRunner(model, batch_size=2)
-    x = rng.standard_normal((5, 3, 64, 64)).astype(np.float32)
-    runner.run(x)
-    staging = runner._staging_tls.buffer
-    assert staging is not None and staging.shape == (2, 3, 64, 64)
-    runner.run(x)
-    assert runner._staging_tls.buffer is staging, (
-        "same-shape runs must reuse the staging buffer")
-    # The buffer is thread-local: another thread gets (and keeps) its own.
-    seen = {}
+class _Rows(Module):
+    """A Python-bodied step that notes how many rows each forward hands it."""
 
-    def other():
-        runner.run(x)
-        seen["buffer"] = runner._staging_tls.buffer
+    def __init__(self):
+        super().__init__()
+        self.rows = []
 
-    t = threading.Thread(target=other)
-    t.start()
-    t.join(30.0)
-    assert seen["buffer"] is not staging
+    def forward(self, x):
+        self.rows.append(x.shape[0])
+        return x * 1.0
+
+
+class _Recorded(Module):
+    def __init__(self, body):
+        super().__init__()
+        self.body, self.record = body, _Rows()
+
+    def forward(self, x):
+        return self.record(self.body(x))
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "portable"])
+def test_a_forward_runs_exactly_the_batch_it_is_given(native, rng):
+    """Nothing pads a batch: the fused program's Python steps see exactly the
+    rows it was given, and ``BatchRunner`` hands the model chunks of at most
+    ``batch_size`` with a short last one — at both layers each image's output
+    is its own forward's, within the oracle's tolerance."""
+    if native and not sparse_kernel_available():
+        pytest.skip("needs the native library")
+    with nullcontext() if native else portable():
+        model = _Recorded(TinyDetector(TinyDetectorConfig(
+            num_classes=3, image_size=64, base_channels=8)))
+        model.eval()
+        compiled = compile_model(model)
+        frames = rng.standard_normal((7, 3, 64, 64)).astype(np.float32)
+        oracle = BatchRunner(model, batch_size=1).run(frames)
+        compiled.forward_raw(frames[:1])
+        assert compiled.fused_active, compiled.fuse_failure
+        assert compiled._fused_program.per_image
+        limit = TOL * max(1.0, np.abs(oracle).max())
+        rows = model.record.rows
+        for size in (0, 3, 5, 7):
+            rows.clear()
+            out = compiled.forward_raw(frames[:size])
+            assert rows == [size] and out.shape[0] == size
+            assert np.abs(out - oracle[:size]).max(initial=0.0) <= limit
+        rows.clear()
+        out = BatchRunner(compiled, batch_size=2).run(frames[:5])
+        assert rows == [2, 2, 1]
+        assert np.abs(out - oracle[:5]).max() <= limit
 
 
 # ------------------------------------------------------------------- artifacts

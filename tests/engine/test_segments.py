@@ -23,9 +23,9 @@ portable path:
 
 Deterministic tests below pin a tail that starts mid-segment (from a conv
 whose plane fits one vector on, groups of images run step by step; batches up
-to 17), a native body that does not bind (the program goes back to batch
-buckets), the profile of a segment and of ``retinanet_lite``'s tail, and the
-cut of real models: a pruned ``yolov5n`` / ``retinanet_lite`` frame — dense 6x6 / 7x7 stem
+to 17), a native body that does not bind (its run ends there, and the cut is
+kept under the full input shape like every other), the profile of a segment
+and of ``retinanet_lite``'s tail, and the cut of real models: a pruned ``yolov5n`` / ``retinanet_lite`` frame — dense 6x6 / 7x7 stem
 included — is one native call, and ``tiny`` (the model ``serve_*`` runs) is
 cut exactly as before the stems became native.
 ``--hypothesis-seed=N`` reproduces a failure.
@@ -240,11 +240,11 @@ def check_case(case, expect_native):
             _assert_bits(out, _stack_of_singles(compiled, x))
         _assert_bits(out, first.setdefault(size, out))          # and again from the cached cut
     program = compiled._fused_program
-    assert program.bucket_safe != case["flip"]
+    assert program.per_image != case["flip"]
     cuts = [bound for (key, _), bound in program._arena()._bindings.items() if key == "segments"]
     native = [segment for cut, _ in cuts for segment in cut if isinstance(segment, Segment)]
     assert bool(native) == (expect_native and any(op.natively() for op in program.steps))
-    assert all(segment.per_image == program.bucket_safe for segment in native)
+    assert all(segment.per_image == program.per_image for segment in native)
     return compiled
 
 
@@ -293,10 +293,11 @@ def test_a_tail_that_starts_mid_segment_runs_groups_of_images(seed, flip):
     compiled = check_case(case, expect_native=True)
     if sparse_kernel_available() and not flip:
         program = compiled._fused_program
-        (segment,) = _kept_cut(compiled)
-        assert isinstance(segment, Segment) and segment.ops == program.steps
         names = [op.node.kind for op in program.steps]
-        assert segment.tail == names.index("conv", 1) == 3       # after conv, 2 max-pools
+        for (segment,) in _kept_cuts(compiled).values():             # one cut per batch size
+            assert isinstance(segment, Segment) and segment.ops == program.steps
+            assert segment.tail == names.index("conv", 1) == 3   # after conv, 2 max-pools
+        (segment,) = _kept_cuts(compiled)[(17, *TAIL_SHAPES[0])]
         calls = []
         native = segment._call
         segment._call = lambda *args: calls.append(args[1]) or native(*args)
@@ -327,19 +328,18 @@ class _Gated(Module):
         return self.second(self.add(y, self.pool(y)))
 
 
-def test_a_native_body_that_does_not_bind_puts_the_program_back_on_buckets(rng):
-    """The program looks like one native segment until its first cut: that one
-    forward runs unbucketed and its cut (buffers sized by its batch) is not
-    kept; from then on it buckets, one cut per bucket, like any program with a
-    Python step — and no batch ever runs through tables made for another."""
+def test_a_native_body_that_does_not_bind_keeps_its_cut_under_the_full_shape(rng):
+    """Every step looks native, but the broadcasting add does not bind: it is a
+    Python step between two native runs.  Each batch size gets its own cut
+    (the exports between the runs are sized by the batch), kept under the full
+    input shape — and no batch ever runs through tables made for another."""
     model = _Gated(rng)
     model.eval()
     compiled = compile_model(model)
     frames = rng.standard_normal((8, 3, 8, 8)).astype(np.float32)
     program = compiled._float_program(frames[:2])
-    assert program._whole == sparse_kernel_available()
     outs = {size: compiled.forward_raw(frames[:size]) for size in (2, 8, 1, 3, 5, 8, 2)}
-    assert not program._whole and program.bucket_safe
+    assert program.per_image
     singles = _stack_of_singles(compiled, frames)
     for size, out in outs.items():
         assert out.shape[0] == size
@@ -348,7 +348,7 @@ def test_a_native_body_that_does_not_bind_puts_the_program_back_on_buckets(rng):
     assert np.abs(outs[8] - oracle).max() <= TOL * max(1.0, np.abs(oracle).max())
     arena = program._arena()
     cuts = {shape: plan[0] for (key, shape), plan in arena._bindings.items() if key == "segments"}
-    assert {shape[0] for shape, cut in cuts.items() if cut} == {1, 2, 4, 8}
+    assert {shape[0] for shape, cut in cuts.items() if cut} == {1, 2, 3, 5, 8}
     if sparse_kernel_available():
         assert all(len(cut) == 3 and not isinstance(cut[1], Segment) for cut in cuts.values() if cut)
         # the last run writes the model output: an export ([:count] of it is copied
@@ -422,10 +422,15 @@ def test_a_profiled_segment_reports_every_step_under_one_profiler_lock(rng):
     assert got == want
 
 
+def _kept_cuts(compiled):
+    """Input shape -> the cut this thread's arena keeps for it."""
+    return {shape: plan[0] for (key, shape), plan
+            in compiled._fused_program._arena()._bindings.items() if key == "segments"}
+
+
 def _kept_cut(compiled):
     """The one cut this thread's arena keeps for the program."""
-    (cut,) = [plan[0] for (key, _), plan in compiled._fused_program._arena()._bindings.items()
-              if key == "segments"]
+    (cut,) = _kept_cuts(compiled).values()
     return cut
 
 
@@ -441,19 +446,22 @@ def _cut(compiled):
 def test_a_pruned_frame_with_a_dense_stem_is_one_native_call(name, size, rng, monkeypatch):
     """The frames workloads' 2EP programs: the dense stem runs the dense direct
     kernel, so one segment covers every step and a forward of any batch is one
-    ``run_segment`` call — no GEMM, no ``bias_act_f32``, no bucket."""
+    ``run_segment`` call — no GEMM, no ``bias_act_f32``."""
     model = build_model(name, num_classes=3)
     report = prune_with_rtoss(model, entries=2, example_input=(1, 3, size, size))
     compiled = compile_model(model, report.masks)
     frames = rng.standard_normal((8, 3, size, size)).astype(np.float32)
     first = compiled.forward_raw(frames[:1])
-    program, cut = compiled._fused_program, _kept_cut(compiled)
-    assert len(cut) == 1 and cut[0].ops == program.steps and program._whole
+    compiled.forward_raw(frames)
+    program, cuts = compiled._fused_program, _kept_cuts(compiled)
+    assert len(cuts) == 2 and all(len(cut) == 1 and cut[0].ops == program.steps
+                                  for cut in cuts.values())
     stems = [op for op in program.steps if "+dense-direct" in op.mode]
     assert len(stems) == 1 and max(stems[0].plan.kernel_size) > 3
     calls = []
-    segment, native = cut[0], cut[0]._call
-    segment._call = lambda *args: calls.append(args[1]) or native(*args)
+    for (segment,) in cuts.values():
+        native = segment._call
+        segment._call = lambda *args, native=native: calls.append(args[1]) or native(*args)
     monkeypatch.setattr(load_sparse_kernel(), "bias_act", lambda *args: calls.append("gemm"))
     batch = compiled.forward_raw(frames)
     _assert_bits(compiled.forward_raw(frames[:1]), first)

@@ -218,9 +218,9 @@ def test_gemm_path_silu_epilogue_survives_extreme_activations(rng):
 # ------------------------------------------------------------- batch / threads
 @needs_kernel
 def test_result_is_bit_identical_in_any_batch(rng):
-    """Batch bucketing pads 3 -> 4 and 5 -> 8: an image's output must not
-    depend on the batch it rode in (serving replies are compared at 1e-5, and
-    the bench's reference is the batch-1 output)."""
+    """An image's output must not depend on the batch it rode in, of any size
+    (serving replies are compared at 1e-5, and the bench's reference is the
+    batch-1 output)."""
     model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8))
     report = prune_with_rtoss(model, entries=2,
                               example_input=Tensor(np.zeros((1, 3, 64, 64), np.float32)))

@@ -255,6 +255,5 @@ class TestStatsReuse:
             assert batcher.stats.images == 4
             assert batcher.stats.batches >= 2
             assert batcher.stats.images_per_second > 0
-            assert batcher.stats.batch_latency().count == batcher.stats.batches
         finally:
             batcher.shutdown(10.0)
