@@ -36,13 +36,12 @@
 #                      asserts the report and the exported series agree, and
 #                      that a 2-worker fleet behind a gateway exports its
 #                      repro_gateway_* / repro_cluster_* series too
-#   make bench         paper figures/tables + measured engine/serving/cluster
-#                      speedups (writes benchmarks/BENCH_*.json)
-#   make bench-check   compare BENCH_*.json against benchmarks/baselines.json
-#                      (±tolerance band; non-zero exit on regression)
+#   make bench         the benchmarks/ half of `make test`, uncaptured: prints
+#                      the regenerated paper figures/tables and the measured
+#                      engine / gateway / observability rows (writes no file)
 #   make bench-record  run the frozen repo benchmark (python3 -m bench
-#                      --workload all, BENCH_RUNS untraced runs per workload
-#                      from BENCH_SEED, plus one traced) and append one line —
+#                      --workload all, RECORD_RUNS untraced runs per workload
+#                      from RECORD_SEED, plus one traced) and append one line —
 #                      commit, host fingerprint, median + quartiles per metric
 #                      and workload — to docs/perf/history.jsonl (~10 min)
 #   make docs-check    docs hygiene: README exists, docs/ exists, and every
@@ -54,7 +53,7 @@ export PYTHONPATH
 
 SMOKE_SPEC ?= examples/specs/tiny_rtoss3ep.json
 
-.PHONY: test test-engine lint lint-baseline smoke serve-smoke cluster-smoke gateway-smoke chaos-smoke obs-smoke bench bench-check bench-record docs-check
+.PHONY: test test-engine lint lint-baseline smoke serve-smoke cluster-smoke gateway-smoke chaos-smoke obs-smoke bench bench-record docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -137,17 +136,14 @@ obs-smoke:
 			|| { echo "obs-smoke: the fleet export is missing $$series"; exit 1; }; done
 
 bench:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m pytest benchmarks -q -s
 
-bench-check:
-	$(PYTHON) tools/bench_check.py --baselines benchmarks/baselines.json --bench-dir benchmarks
-
-BENCH_RUNS ?= 3
-BENCH_SEED ?= 0
-BENCH_LABEL ?=
+RECORD_RUNS ?= 3
+RECORD_SEED ?= 0
+RECORD_LABEL ?=
 
 bench-record:
-	$(PYTHON) tools/bench_record.py --runs $(BENCH_RUNS) --seed $(BENCH_SEED) --label "$(BENCH_LABEL)"
+	$(PYTHON) tools/bench_record.py --runs $(RECORD_RUNS) --seed $(RECORD_SEED) --label "$(RECORD_LABEL)"
 
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing"; exit 1; }

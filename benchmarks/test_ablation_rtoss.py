@@ -1,8 +1,7 @@
 """Ablations of the R-TOSS design choices (DFS grouping, 1x1 transform, connectivity)
-and micro-benchmarks of the framework's hot kernels."""
+and one-call checks of the framework's hot kernels on benchmark-sized inputs."""
 
 import numpy as np
-import pytest
 
 from repro.core.dfs_grouping import group_model
 from repro.core.kernel_pruning import assign_patterns, assign_patterns_reference
@@ -18,9 +17,8 @@ from repro.models.yolov5 import yolov5s
 from repro.nn.tensor import Tensor
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_design_choices(benchmark):
-    rows = benchmark.pedantic(run_rtoss_ablation, rounds=1, iterations=1)
+def test_ablation_design_choices():
+    rows = run_rtoss_ablation()
 
     print()
     print(format_table([row.as_dict() for row in rows],
@@ -29,45 +27,38 @@ def test_ablation_design_choices(benchmark):
     assert all(checks.values()), checks
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_vectorised_vs_reference_assignment(benchmark):
-    result = benchmark.pedantic(run_vectorisation_ablation,
-                                kwargs={"out_channels": 128, "in_channels": 64},
-                                rounds=1, iterations=1)
+def test_ablation_vectorised_vs_reference_assignment():
+    result = run_vectorisation_ablation(out_channels=128, in_channels=64)
     print(f"\nvectorised Algorithm 2: {result.speedup:.0f}x faster than the literal "
           f"pseudo-code on {result.kernels} kernels (identical output: {result.identical})")
     assert result.identical
     assert result.speedup > 10.0
 
 
-# ----------------------------------------------------------------------- micro-benchmarks
-@pytest.mark.benchmark(group="kernels")
-def test_bench_pattern_assignment_vectorised(benchmark):
+# ----------------------------------------------------------------------- hot kernels
+def test_bench_pattern_assignment_vectorised():
     library = build_pattern_library(3)
     weights = np.random.default_rng(0).standard_normal((256, 128, 3, 3)).astype(np.float32)
-    assignment = benchmark(assign_patterns, weights, library)
+    assignment = assign_patterns(weights, library)
     assert assignment.mask.shape == weights.shape
 
 
-@pytest.mark.benchmark(group="kernels")
-def test_bench_pattern_assignment_reference(benchmark):
+def test_bench_pattern_assignment_reference():
     library = build_pattern_library(3)
     weights = np.random.default_rng(0).standard_normal((16, 8, 3, 3)).astype(np.float32)
-    assignment = benchmark(assign_patterns_reference, weights, library)
+    assignment = assign_patterns_reference(weights, library)
     assert assignment.mask.shape == weights.shape
 
 
-@pytest.mark.benchmark(group="kernels")
-def test_bench_pointwise_transformation(benchmark):
+def test_bench_pointwise_transformation():
     library = build_pattern_library(2)
     weights = np.random.default_rng(0).standard_normal((512, 256, 1, 1)).astype(np.float32)
-    assignment = benchmark(prune_pointwise_weights, weights, library)
+    assignment = prune_pointwise_weights(weights, library)
     assert assignment.mask.shape == weights.shape
 
 
-@pytest.mark.benchmark(group="kernels")
-def test_bench_dfs_grouping_yolov5s(benchmark):
+def test_bench_dfs_grouping_yolov5s():
     model = yolov5s()
     example = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
-    result = benchmark.pedantic(group_model, args=(model, example), rounds=2, iterations=1)
+    result = group_model(model, example)
     assert result.num_groups >= 1

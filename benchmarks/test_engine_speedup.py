@@ -2,12 +2,12 @@
 
 Fig. 6 reports *modeled* platform speedups from :mod:`repro.hardware`; this
 benchmark runs the pruned network for real through the pattern-aware execution
-engine (column-compacted plans + BN folding + activation epilogues + workspace
-arena — the one path serving runs) and records what it measures in
-``BENCH_engine.json``: the engine against the dense forward, the paper's own
-claim on the shipped executor (``pruning_speedup`` = fused-dense / fused-pruned
-on the same TinyDetector, arms paired per round, next to the modeled TX2
-figure).
+engine (masked full-width plans + BN folding + activation epilogues + workspace
+arena — the one path serving runs) and prints what it measures: the engine
+against the dense forward, the paper's own claim on the shipped executor
+(``pruning_speedup`` = fused-dense / fused-pruned on the same TinyDetector, arms
+paired per round, next to the modeled TX2 figure).  ``pytest
+benchmarks/test_engine_speedup.py -s`` shows the table.
 
 It gates no wall-clock ratio: a single-shot ratio on a shared 2-core host
 swings with the scheduler, and the referee for engine speed is the repo
@@ -20,11 +20,7 @@ live in ``tests/engine/test_fused_executor.py``.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
-import pytest
 
 from repro.core.rtoss import prune_with_rtoss
 from repro.engine import compile_model, measure_speedup
@@ -37,9 +33,6 @@ from repro.utils.rng import set_global_seed
 IMAGE_SIZE = 96
 BATCH = 4
 REPEATS = 5
-
-#: Measured numbers land here for `make bench-check` (informational entries).
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 
 
 def _pruned_tiny(entries: int):
@@ -77,9 +70,8 @@ def _measure(entries: int):
     return measurement, modeled_speedup
 
 
-@pytest.mark.benchmark(group="engine")
-def test_engine_speedup_rtoss_2ep(benchmark):
-    measurement, modeled = benchmark.pedantic(_measure, args=(2,), rounds=1, iterations=1)
+def test_engine_speedup_rtoss_2ep():
+    measurement, modeled = _measure(2)
 
     row = measurement.row()
     row["modeled_speedup[Jetson TX2]"] = round(modeled, 2)
@@ -87,30 +79,14 @@ def test_engine_speedup_rtoss_2ep(benchmark):
     print(format_table([row], title="Engine speedup, R-TOSS-2EP on TinyDetector "
                                     "(measured on host CPU vs modeled)"))
 
-    results = {
-        "speedup": measurement.speedup,
-        "nograd_speedup": measurement.nograd_speedup,
-        "max_abs_diff": float(measurement.max_abs_diff),
-        "modeled_speedup_jetson_tx2": modeled,
-        "mode_census": measurement.mode_census,
-        "sparse_kernel": measurement.sparse_kernel,
-        "row": row,
-    }
-    if measurement.sparse_kernel:
-        # Only the native number is recorded: the portable path's ~1.0 is a
-        # different quantity.
-        results["pruning_speedup"] = measurement.pruning_speedup
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
     # The measured speedup only counts on equivalent outputs.
     assert measurement.max_abs_diff < 1e-5
     assert measurement.engine_mode == "fused"
     assert measurement.pruning_speedup > 0.0, "the dense twin was not measured"
 
 
-@pytest.mark.benchmark(group="engine")
-def test_engine_speedup_rtoss_3ep(benchmark):
-    measurement, modeled = benchmark.pedantic(_measure, args=(3,), rounds=1, iterations=1)
+def test_engine_speedup_rtoss_3ep():
+    measurement, modeled = _measure(3)
     row = measurement.row()
     row["modeled_speedup[Jetson TX2]"] = round(modeled, 2)
     print()

@@ -6,11 +6,8 @@ from repro.evaluation.tables import format_bar_chart
 from repro.experiments.figures import fig4_checks, run_fig4_sparsity
 
 
-@pytest.mark.benchmark(group="fig4")
-def test_fig4_sparsity_yolov5s(benchmark, yolov5s_comparison):
-    ratios = benchmark.pedantic(
-        run_fig4_sparsity, kwargs={"model_key": "yolov5s", "results": yolov5s_comparison},
-        rounds=1, iterations=1)
+def test_fig4_sparsity_yolov5s(yolov5s_comparison):
+    ratios = run_fig4_sparsity(model_key="yolov5s", results=yolov5s_comparison)
 
     print()
     print(format_bar_chart(ratios, title="Fig. 4(a) compression ratio vs BM (YOLOv5s)", unit="x"))
@@ -21,11 +18,8 @@ def test_fig4_sparsity_yolov5s(benchmark, yolov5s_comparison):
     assert ratios["R-TOSS-3EP"] == pytest.approx(2.9, rel=0.25)
 
 
-@pytest.mark.benchmark(group="fig4")
-def test_fig4_sparsity_retinanet(benchmark, retinanet_comparison):
-    ratios = benchmark.pedantic(
-        run_fig4_sparsity, kwargs={"model_key": "retinanet", "results": retinanet_comparison},
-        rounds=1, iterations=1)
+def test_fig4_sparsity_retinanet(retinanet_comparison):
+    ratios = run_fig4_sparsity(model_key="retinanet", results=retinanet_comparison)
 
     print()
     print(format_bar_chart(ratios, title="Fig. 4(b) compression ratio vs BM (RetinaNet)", unit="x"))

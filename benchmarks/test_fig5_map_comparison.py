@@ -10,11 +10,8 @@ from repro.evaluation.tables import format_bar_chart
 from repro.experiments.figures import fig5_checks, run_fig5_map
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_map_yolov5s(benchmark, yolov5s_comparison):
-    maps = benchmark.pedantic(
-        run_fig5_map, kwargs={"model_key": "yolov5s", "results": yolov5s_comparison},
-        rounds=1, iterations=1)
+def test_fig5_map_yolov5s(yolov5s_comparison):
+    maps = run_fig5_map(model_key="yolov5s", results=yolov5s_comparison)
 
     print()
     print(format_bar_chart(maps, title="Fig. 5(a) mAP comparison (YOLOv5s, estimated)"))
@@ -26,11 +23,8 @@ def test_fig5_map_yolov5s(benchmark, yolov5s_comparison):
     assert maps["R-TOSS-2EP"] == pytest.approx(76.42, rel=0.05)
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_map_retinanet(benchmark, retinanet_comparison):
-    maps = benchmark.pedantic(
-        run_fig5_map, kwargs={"model_key": "retinanet", "results": retinanet_comparison},
-        rounds=1, iterations=1)
+def test_fig5_map_retinanet(retinanet_comparison):
+    maps = run_fig5_map(model_key="retinanet", results=retinanet_comparison)
 
     print()
     print(format_bar_chart(maps, title="Fig. 5(b) mAP comparison (RetinaNet, estimated)"))

@@ -6,11 +6,8 @@ from repro.evaluation.tables import format_bar_chart
 from repro.experiments.figures import fig6_checks, run_fig6_speedup
 
 
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_speedup_yolov5s(benchmark, yolov5s_comparison):
-    speedups = benchmark.pedantic(
-        run_fig6_speedup, kwargs={"model_key": "yolov5s", "results": yolov5s_comparison},
-        rounds=1, iterations=1)
+def test_fig6_speedup_yolov5s(yolov5s_comparison):
+    speedups = run_fig6_speedup(model_key="yolov5s", results=yolov5s_comparison)
 
     print()
     for platform, values in speedups.items():
@@ -27,11 +24,8 @@ def test_fig6_speedup_yolov5s(benchmark, yolov5s_comparison):
     assert rtx["R-TOSS-2EP"] == pytest.approx(1.97, rel=0.20)
 
 
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_speedup_retinanet(benchmark, retinanet_comparison):
-    speedups = benchmark.pedantic(
-        run_fig6_speedup, kwargs={"model_key": "retinanet", "results": retinanet_comparison},
-        rounds=1, iterations=1)
+def test_fig6_speedup_retinanet(retinanet_comparison):
+    speedups = run_fig6_speedup(model_key="retinanet", results=retinanet_comparison)
 
     print()
     for platform, values in speedups.items():

@@ -1,16 +1,11 @@
 """Fig. 7 — energy reduction over the base model on both platforms."""
 
-import pytest
-
 from repro.evaluation.tables import format_bar_chart
 from repro.experiments.figures import fig7_checks, run_fig7_energy
 
 
-@pytest.mark.benchmark(group="fig7")
-def test_fig7_energy_yolov5s(benchmark, yolov5s_comparison):
-    reductions = benchmark.pedantic(
-        run_fig7_energy, kwargs={"model_key": "yolov5s", "results": yolov5s_comparison},
-        rounds=1, iterations=1)
+def test_fig7_energy_yolov5s(yolov5s_comparison):
+    reductions = run_fig7_energy(model_key="yolov5s", results=yolov5s_comparison)
 
     print()
     for platform, values in reductions.items():
@@ -26,11 +21,8 @@ def test_fig7_energy_yolov5s(benchmark, yolov5s_comparison):
     assert 35.0 < rtx["R-TOSS-2EP"] < 60.0
 
 
-@pytest.mark.benchmark(group="fig7")
-def test_fig7_energy_retinanet(benchmark, retinanet_comparison):
-    reductions = benchmark.pedantic(
-        run_fig7_energy, kwargs={"model_key": "retinanet", "results": retinanet_comparison},
-        rounds=1, iterations=1)
+def test_fig7_energy_retinanet(retinanet_comparison):
+    reductions = run_fig7_energy(model_key="retinanet", results=retinanet_comparison)
 
     print()
     for platform, values in reductions.items():

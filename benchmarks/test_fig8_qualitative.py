@@ -6,19 +6,15 @@ tiny (distant) objects — reproducing the figure's point that R-TOSS keeps dete
 the small car with good confidence.
 """
 
-import pytest
-
 from repro.evaluation.tables import format_table
 from repro.experiments.fig8 import fig8_checks, run_fig8
 from repro.experiments.training import TinyTrainingConfig
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_qualitative(benchmark):
+def test_fig8_qualitative():
     config = TinyTrainingConfig(num_scenes=48, train_steps=60, finetune_steps=12,
                                 learning_rate=4e-3, conf_threshold=0.3)
-    rows = benchmark.pedantic(run_fig8, kwargs={"training_config": config},
-                              rounds=1, iterations=1)
+    rows = run_fig8(training_config=config)
 
     print()
     print(format_table([row.as_dict() for row in rows],

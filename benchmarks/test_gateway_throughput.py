@@ -1,27 +1,19 @@
 """Gateway end-to-end — the serving stack driven over localhost TCP, with SLOs.
 
-test_serving_throughput.py proves micro-batching beats sequential calls
-in-process; this benchmark proves the **network front door** keeps that win:
-a closed-loop fleet driven through :class:`~repro.serving.gateway.GatewayClient`
-(real sockets, real frames) must hold a large fraction of the in-process
-throughput with bit-identical outputs, and a mixed-priority overload must show
-the SLO machinery working — the high class holds >= 99% of its deadline hit
-rate while the low class absorbs the rejections/expiries, and **no request is
-ever executed after its deadline** (verified from the gateway trace spans: a
-trace with a ``deadline-expired`` span must have no ``worker-execute`` span).
-
-The measured numbers merge into ``BENCH_serving.json`` under the ``gateway``
-key (both benchmarks read-update-write the file, so ordering does not matter).
+A closed-loop fleet driven through :class:`~repro.serving.gateway.GatewayClient`
+(real sockets, real frames) must hold a large fraction of the same loop's
+in-process throughput with bit-identical outputs, and a mixed-priority overload
+must show the SLO machinery working — the high class holds >= 99% of its
+deadline hit rate while the low class absorbs the rejections/expiries, and **no
+request is ever executed after its deadline** (verified from the gateway trace
+spans: a trace with a ``deadline-expired`` span must have no ``worker-execute``
+span).  The measured row is printed; ``python3 -m bench --workload serve_fleet``
+is the referee for the wire's speed.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
-import pytest
 
 from repro.core.rtoss import prune_with_rtoss
 from repro.engine import compile_model, max_abs_output_diff
@@ -51,20 +43,6 @@ MIN_WIRE_RATIO = 0.5
 # Acceptance: the high class holds >= 99% of its deadlines under mixed load.
 MIN_HIGH_HIT_RATE = 0.99
 
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
-
-
-def _merge_result(update: dict) -> None:
-    """Read-update-write: the serving benchmark shares BENCH_serving.json."""
-    data = {}
-    if RESULT_PATH.exists():
-        try:
-            data = json.loads(RESULT_PATH.read_text())
-        except ValueError:
-            data = {}
-    data.update(update)
-    RESULT_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
 
 def _pruned_compiled():
     model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=IMAGE_SIZE,
@@ -91,7 +69,7 @@ def _measure():
                          queue_capacity=256)
     spec = GatewaySpec(enabled=True, port=0, max_inflight_per_client=512)
     with InferenceService(compiled, policy=policy) as service:
-        # In-process reference: the same closed loop the serving benchmark runs.
+        # In-process reference: the same closed loop, without the wire.
         service.submit_many(images[:8])                    # warm layout caches
         inprocess = closed_loop(service, images, requests=REQUESTS,
                                 concurrency=CONCURRENCY)
@@ -153,26 +131,20 @@ def _measure():
     }
 
 
-@pytest.mark.benchmark(group="gateway")
-def test_gateway_holds_throughput_and_slos(benchmark):
-    def run():
-        result = _measure()
-        for _ in range(2):
-            if result["wire_overhead_ratio"] >= MIN_WIRE_RATIO:
-                break
-            # Same noise protocol as the engine gates: each closed loop is one
-            # ~50 ms shot and a late scheduler slice on either side takes a
-            # large share of it.  Re-measured at PR 14 without this retry:
-            # isolated the ratio reads 1.09-1.21, after the other benchmarks
-            # in the same process 0.29-1.10 (median 0.83 of ten runs, two of
-            # eleven under the floor), so a re-measure still separates a
-            # regression from noise.
-            retry = _measure()
-            if retry["wire_overhead_ratio"] > result["wire_overhead_ratio"]:
-                result = retry
-        return result
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_gateway_holds_throughput_and_slos():
+    result = _measure()
+    for _ in range(2):
+        if result["wire_overhead_ratio"] >= MIN_WIRE_RATIO:
+            break
+        # Each closed loop is one ~50 ms shot and a late scheduler slice on
+        # either side takes a large share of it.  Re-measured at PR 14
+        # without this retry: isolated the ratio reads 1.09-1.21, after the
+        # other benchmarks in the same process 0.29-1.10 (median 0.83 of ten
+        # runs, two of eleven under the floor), so a re-measure still
+        # separates a regression from noise.
+        retry = _measure()
+        if retry["wire_overhead_ratio"] > result["wire_overhead_ratio"]:
+            result = retry
 
     row = {
         "inprocess_rps": round(result["inprocess_rps"], 1),
@@ -187,8 +159,6 @@ def test_gateway_holds_throughput_and_slos(benchmark):
     print()
     print(format_table([row], title="Gateway end-to-end, R-TOSS-2EP TinyDetector "
                                     "(wire client vs in-process + mixed SLOs)"))
-
-    _merge_result({"gateway": result})
 
     # Correctness first: bit-identical outputs across the wire.
     assert result["max_abs_diff"] == 0.0

@@ -6,9 +6,8 @@ from repro.evaluation.tables import format_table
 from repro.experiments.motivation import motivation_checks, run_kernel_census
 
 
-@pytest.mark.benchmark(group="motivation")
-def test_motivation_kernel_census(benchmark):
-    censuses = benchmark.pedantic(run_kernel_census, rounds=1, iterations=1)
+def test_motivation_kernel_census():
+    censuses = run_kernel_census()
 
     print()
     print(format_table([c.as_dict() for c in censuses],

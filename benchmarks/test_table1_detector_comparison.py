@@ -4,15 +4,12 @@ Regenerates the paper's Table 1: the published mAP / fps reference numbers next 
 the inference rate our hardware model predicts for the detectors we construct.
 """
 
-import pytest
-
 from repro.evaluation.tables import format_table
 from repro.experiments.table1 import run_table1, table1_checks
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_detector_comparison(benchmark):
-    rows = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+def test_table1_detector_comparison():
+    rows = run_table1()
 
     print()
     print(format_table([row.as_dict() for row in rows],

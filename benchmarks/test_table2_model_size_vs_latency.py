@@ -5,15 +5,12 @@ DETR), counts parameters and estimates the dense 640x640 execution time on the T
 platform model.
 """
 
-import pytest
-
 from repro.evaluation.tables import format_table
 from repro.experiments.table2 import run_table2, table2_checks
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_model_size_vs_latency(benchmark):
-    rows = benchmark.pedantic(run_table2, rounds=1, iterations=1)
+def test_table2_model_size_vs_latency():
+    rows = run_table2()
 
     print()
     print(format_table([row.as_dict() for row in rows],

@@ -11,9 +11,8 @@ from repro.evaluation.tables import format_table
 from repro.experiments.table3 import PAPER_TABLE3, run_table3, table3_checks
 
 
-@pytest.mark.benchmark(group="table3")
-def test_table3_sensitivity(benchmark):
-    rows = benchmark.pedantic(run_table3, rounds=1, iterations=1)
+def test_table3_sensitivity():
+    rows = run_table3()
 
     print()
     print(format_table([row.as_dict() for row in rows],

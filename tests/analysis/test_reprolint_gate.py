@@ -1,9 +1,8 @@
 """The reprolint CI gate, driven the way CI drives it.
 
-Mirrors ``tests/test_bench_check.py``: the acceptance criterion is
-behavioral -- the gate must *demonstrably fail* (exit 1) on an injected
-violation, pass once the finding is baselined or pragma'd, and report stale
-baseline entries without failing.  Subprocess tests assert the exact exit
+The acceptance criterion is behavioral -- the gate must *demonstrably fail*
+(exit 1) on an injected violation, pass once the finding is baselined or
+pragma'd, and report stale baseline entries without failing.  Subprocess tests assert the exact exit
 codes CI sees; the final test is the repo-wide gate itself.
 """
 

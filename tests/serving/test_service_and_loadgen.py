@@ -50,9 +50,9 @@ class TestEquivalence:
 
 
 class TestServedUnderConcurrency:
-    """What ``benchmarks/test_serving_throughput.py`` used to assert next to
-    its wall-clock floor, without the clock: same closed-loop fleet, same
-    policy shape, correctness only."""
+    """A closed-loop fleet through the service, without a clock: served ≡
+    sequential, every request completes, micro-batches form.  Speed is
+    refereed by ``python3 -m bench --workload serve_inproc``."""
 
     REQUESTS, CONCURRENCY = 96, 8
 
