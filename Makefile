@@ -11,7 +11,10 @@
 #   make lint-baseline regenerate tools/reprolint/baseline.json from the
 #                      current findings (accepted-debt workflow)
 #   make smoke         end-to-end pipeline run from the example RunSpec
-#                      (prune → quantize → compile → evaluate + artifact reload)
+#                      (prune → quantize → compile → evaluate + artifact reload),
+#                      then `repro engine` on tiny at batch 8: the speedup from
+#                      pruning of both R-TOSS variants (exits non-zero if
+#                      either variant's output stops matching its model)
 #   make serve-smoke   pipeline run + the artifact served under concurrent load
 #                      through repro.serving (equivalence check + latency report)
 #   make cluster-smoke the artifact served through the multi-process cluster
@@ -90,6 +93,7 @@ lint-baseline:
 
 smoke:
 	$(PYTHON) -m repro.cli run --spec $(SMOKE_SPEC) --artifact artifacts/smoke.npz
+	$(PYTHON) -m repro.cli engine --model tiny --batch 8 --image-size 64 --repeats 5
 
 serve-smoke:
 	$(PYTHON) -m repro.cli run --spec $(SMOKE_SPEC) --artifact artifacts/serve-smoke.npz --no-verify

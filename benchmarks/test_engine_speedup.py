@@ -3,10 +3,10 @@
 Fig. 6 reports *modeled* platform speedups from :mod:`repro.hardware`; this
 benchmark runs the pruned network for real through the pattern-aware execution
 engine (masked full-width plans + BN folding + activation epilogues + workspace
-arena — the one path serving runs) and prints what it measures: the engine
-against the dense forward, the paper's own claim on the shipped executor
-(``pruning_speedup`` = fused-dense / fused-pruned on the same TinyDetector, arms
-paired per round, next to the modeled TX2 figure).  ``pytest
+arena — the one path serving runs) and prints what it measures: the paper's own
+claim on the shipped executor (``pruning_speedup`` = fused-dense / fused-pruned
+on the same TinyDetector, arms paired per round, next to the modeled TX2
+figure).  ``pytest
 benchmarks/test_engine_speedup.py -s`` shows the table.
 
 It gates no wall-clock ratio: a single-shot ratio on a shared 2-core host
@@ -58,9 +58,8 @@ def _measure(entries: int):
     set_global_seed(0)
     model, report = _pruned_tiny(entries)
     measurement = measure_speedup(
-        model, masks=report.masks, repeats=REPEATS, warmup=1,
+        model, dense_engine, masks=report.masks, repeats=REPEATS, warmup=1,
         batch=BATCH, image_size=IMAGE_SIZE, model_name=f"tiny/R-TOSS-{entries}EP",
-        dense_engine=dense_engine,
     )
     # Modeled (Fig. 6 style) speedup of the same pruned model for context.
     profile = profile_model(model, IMAGE_SIZE, 64, model_name="tiny")

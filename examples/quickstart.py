@@ -7,7 +7,7 @@ This is the 2-minute tour of the library's canonical API (`repro.pipeline`):
      pruning framework, whether to quantize, how to compile and evaluate,
   2. execute it: prune (Algorithms 1-3) → quantize → compile with the
      pattern-aware execution engine → evaluate (modeled Jetson TX2 latency and
-     energy plus a measured host-CPU speedup),
+     energy plus the measured host-CPU speedup from pruning),
   3. save the result as a single deployable artifact file and load it back —
      the reloaded model is recompiled and produces identical outputs.
 
@@ -54,10 +54,9 @@ def main() -> None:
           f"{metrics['speedup[Jetson TX2]']:.2f}x speedup, "
           f"energy -{metrics['energy_reduction_%[Jetson TX2]']:.0f}%")
     measurement = artifact.measurement
-    print(f"host CPU (measured):  dense {measurement['dense_ms']:.0f} ms -> "
-          f"engine ({measurement['engine_mode']}) {measurement['compiled_ms']:.0f} ms "
-          f"({measurement['measured_speedup']:.2f}x, "
-          f"{measurement['measured_speedup_nograd']:.2f}x vs no-grad dense; "
+    print(f"host CPU (measured):  fused dense {measurement['fused_dense_ms']:.0f} ms -> "
+          f"fused pruned ({measurement['engine_mode']}) {measurement['compiled_ms']:.0f} ms "
+          f"({measurement['pruning_speedup']:.2f}x from pruning; "
           f"outputs match to {measurement['max_abs_diff']:.1e})")
     print(f"stage timings (s): {artifact.timings}")
 

@@ -134,7 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=0, help="reproducibility seed")
 
     engine = sub.add_parser(
-        "engine", help="measured dense-vs-compiled inference speedup (repro.engine)", parents=[common])
+        "engine", help="measured speedup from pruning: fused-dense twin vs "
+                       "fused-pruned engine (repro.engine)", parents=[common])
     engine.add_argument("--model", default="tiny",
                         help="registry model name (tiny is fast; larger models take longer)")
     engine.add_argument("--framework", default="rtoss-2ep", choices=framework_choices)
@@ -142,7 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--image-size", type=int, default=96,
                         help="input resolution of the measured forward passes")
     engine.add_argument("--batch", type=int, default=4, help="measurement batch size")
-    engine.add_argument("--repeats", type=int, default=5, help="timing repeats (median)")
+    engine.add_argument("--repeats", type=int, default=5,
+                        help="paired timing rounds (median; at least 3 run)")
     engine.add_argument("--seed", type=int, default=0, help="reproducibility seed")
     engine.add_argument("--plans", action="store_true",
                         help="also print the per-layer compiled plan table")
@@ -383,13 +385,13 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 def _pruning_claim_rows(args: argparse.Namespace, dense_engine, known) -> list:
     """The paper's claim, R-TOSS-2EP and -3EP: speedup *from pruning*.
 
-    Measured on the shipped executor (fused-dense over fused-pruned, arms in
-    the same rounds) next to the modelled Jetson TX2 / RTX 2080Ti figures of
-    the same pruned model.  ``known`` maps a framework already pruned and
-    measured by the caller to its ``(model, report, pruning_speedup)``.
+    Measured on the shipped executor (:func:`repro.engine.measure_speedup`:
+    fused-dense over fused-pruned, arms in the same rounds, output checked)
+    next to the modelled Jetson TX2 / RTX 2080Ti figures of the same pruned
+    model.  ``known`` maps a framework already pruned and measured by the
+    caller to its ``(model, report, measurement)``.
     """
-    from repro.engine import compile_model
-    from repro.engine.bench import paired_speedup
+    from repro.engine import measure_speedup
     from repro.hardware import (
         JETSON_TX2,
         RTX_2080TI,
@@ -399,29 +401,29 @@ def _pruning_claim_rows(args: argparse.Namespace, dense_engine, known) -> list:
         speedup_over,
     )
 
-    x = np.random.default_rng(args.seed).standard_normal(
-        (args.batch, 3, args.image_size, args.image_size)).astype(np.float32)
     probe_size = max(32, min(args.image_size, 64))
     rows = []
     for framework in ("rtoss-2ep", "rtoss-3ep"):
         if framework in known:
-            model, report, measured = known[framework]
+            model, report, measurement = known[framework]
         else:
             set_global_seed(args.seed)
             model = _build_cli_model(args)
             report = _build_pruner(framework, args.seed).prune(
                 model, (1, 3, args.image_size, args.image_size), args.model)
-            engine = compile_model(model, report.masks)
-            _, _, measured = paired_speedup(
-                lambda: dense_engine.forward_raw(x), lambda: engine.forward_raw(x),
-                rounds=max(args.repeats, 3))
+            measurement = measure_speedup(
+                model, dense_engine, masks=report.masks, repeats=args.repeats,
+                batch=args.batch, image_size=args.image_size,
+                model_name=args.model, seed=args.seed)
         profile = profile_model(model, args.image_size, probe_size, model_name=args.model)
         sparsity = SparsityProfile.from_report(report)
-        row = {"framework": framework, "pruning_speedup[host, measured]": round(measured, 2)}
+        row = {"framework": framework,
+               "pruning_speedup[host, measured]": round(measurement.pruning_speedup, 2)}
         for platform in (JETSON_TX2, RTX_2080TI):
             row[f"pruning_speedup[{platform.name}, modelled]"] = round(speedup_over(
                 estimate_latency(profile, platform),
                 estimate_latency(profile, platform, sparsity)), 2)
+        row["max_abs_diff"] = float(measurement.max_abs_diff)
         rows.append(row)
     return rows
 
@@ -458,9 +460,9 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     # One engine serves the measurement, the profile and the plan table.
     compiled = compile_model(model, report.masks)
     measurement = measure_speedup(
-        model, repeats=args.repeats, batch=args.batch,
+        model, dense_engine, repeats=args.repeats, batch=args.batch,
         image_size=args.image_size, model_name=args.model, seed=args.seed,
-        compiled=compiled, dense_engine=dense_engine,
+        compiled=compiled,
     )
 
     # Modeled (analytical) latency for the same pruned model, with the measured
@@ -505,13 +507,17 @@ def _cmd_engine(args: argparse.Namespace) -> int:
                        title="Modeled (Jetson TX2) vs measured (host) latency"))
     kernel = ("native direct sparse kernel" if sparse_kernel_available()
               else "portable gather + GEMM path: zeros are multiplied, expect ~1x")
+    claim_rows = _pruning_claim_rows(args, dense_engine, {
+        args.framework: (model, report, measurement)})
     print(format_table(
-        _pruning_claim_rows(args, dense_engine, {
-            args.framework: (model, report, measurement.pruning_speedup)}),
-        title=f"Speedup from pruning (fused-dense / fused-pruned; {kernel})"))
-    ok = measurement.max_abs_diff < 1e-5
-    print(f"output equivalence (max abs diff): {measurement.max_abs_diff:.2e} "
-          f"{'OK' if ok else 'MISMATCH'}")
+        claim_rows, title=f"Speedup from pruning (fused-dense / fused-pruned; {kernel})"))
+    # Every measured variant must compute what its pruned model computes.
+    diffs = {args.framework: measurement.max_abs_diff,
+             **{row["framework"]: row["max_abs_diff"] for row in claim_rows}}
+    ok = all(diff < 1e-5 for diff in diffs.values())
+    print("output equivalence (max abs diff): "
+          + ", ".join(f"{name} {diff:.2e}" for name, diff in diffs.items())
+          + f" {'OK' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 
 

@@ -22,8 +22,9 @@ package makes pruning pay off at inference time on the host CPU:
   use, silently absent on other hosts): the fp32 direct sparse-convolution
   kernel that skips pruned weights *inside* the kernel, which is what makes
   fused-pruned beat fused-dense, and the native glue ops between convs,
-* :mod:`repro.engine.bench` — :func:`measure_speedup`, wall-clock dense vs
-  engine comparison with built-in output-equivalence checks.
+* :mod:`repro.engine.bench` — :func:`measure_speedup`, the wall-clock
+  speedup from pruning (fused-dense twin vs fused-pruned engine, paired per
+  round) with a built-in output-equivalence check.
 
 There is one executor, fp32: quantization (:mod:`repro.compression.quantization`)
 shrinks the stored artifact, it does not change how a forward runs
@@ -39,8 +40,9 @@ Quick use::
     report = RTOSSPruner(RTOSSConfig(entries=2)).prune(model, example)
     engine = compile_model(model, report.masks)
     outputs = engine(batch)                       # fused no-grad inference
-    m = measure_speedup(model, masks=report.masks)
-    print(m.speedup, m.nograd_speedup, m.max_abs_diff)
+    dense_engine = compile_model(unpruned_twin)   # same architecture, no masks
+    m = measure_speedup(model, dense_engine, compiled=engine)
+    print(m.pruning_speedup, m.max_abs_diff)
 """
 
 from repro.engine.arena import WorkspaceArena
@@ -49,7 +51,6 @@ from repro.engine.bench import (
     max_abs_output_diff,
     mean_abs_output_diff,
     measure_speedup,
-    time_callable,
 )
 from repro.engine.compiler import CompiledModel, compile_model
 from repro.engine.fuse import FusedProgram, fuse_graph
@@ -83,6 +84,5 @@ __all__ = [
     "native_available",
     "reset_layout_cache_stats",
     "sparse_kernel_available",
-    "time_callable",
     "trace_graph",
 ]

@@ -1,23 +1,20 @@
-"""Measured (wall-clock) latency of the compiled engine vs the dense path.
+"""Measured (wall-clock) speedup from pruning on the shipped executor.
 
 Everything in :mod:`repro.hardware` is an analytical *model* of latency on the
 paper's platforms; this module is the complement — it actually runs the pruned
-network on the host CPU and times it.  :func:`measure_speedup` produces an
-:class:`EngineMeasurement` with three numbers:
+network on the host CPU and times it.  :func:`measure_speedup` times two arms
+through the fused executor that
+:meth:`~repro.engine.compiler.CompiledModel.forward_raw` (and therefore
+serving) runs, both in the same rounds:
 
-* ``dense_seconds`` — the repo's status-quo inference path (taped autograd
-  im2col convolution), i.e. what every caller paid before the engine existed,
-* ``dense_nograd_seconds`` — the same dense kernels under ``no_grad``; comparing
-  against this isolates the execution-strategy win from the tape-overhead win,
-* ``compiled_seconds`` — the engine, i.e. exactly what
-  :meth:`~repro.engine.compiler.CompiledModel.forward_raw` (and therefore
-  serving) runs: the fused fp32 program,
+* ``fused_dense_seconds`` — the caller's *unpruned* twin of the model,
+* ``compiled_seconds`` — the pruned engine,
 
-and — given an unpruned compiled twin — ``pruning_speedup``, the paper's own
-claim stated on the shipped executor: fused-dense over fused-pruned, both arms
-timed in the same rounds.  It also records the max absolute output difference
-between the dense and the engine outputs, so every reported speedup is tied
-to a verified-equivalent computation.
+and reports ``pruning_speedup`` = fused-dense / fused-pruned, the paper's own
+claim stated on the shipped executor.  It also records the max absolute
+difference between the engine output and one untimed no-grad forward of the
+pruned model, so every reported speedup is tied to a verified-equivalent
+computation.
 """
 
 from __future__ import annotations
@@ -30,27 +27,13 @@ import numpy as np
 
 from repro.core.masks import MaskSet
 from repro.engine.compiler import CompiledModel, compile_model
-from repro.engine.runner import BatchRunner, _to_numpy
+from repro.engine.runner import _to_numpy
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
-def time_callable(fn: Callable[[], object], repeats: int = 5, warmup: int = 1) -> float:
-    """Median wall-clock seconds of ``fn()`` over ``repeats`` runs."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
-
-
-def paired_speedup(base: Callable[[], object], other: Callable[[], object],
-                   rounds: int = 9, warmup: int = 1) -> Tuple[float, float, float]:
+def _paired_speedup(base: Callable[[], object], other: Callable[[], object],
+                    rounds: int, warmup: int) -> Tuple[float, float, float]:
     """``(base seconds, other seconds, base/other)`` with both arms in every round.
 
     Each round times both callables back to back, alternating which goes
@@ -58,8 +41,6 @@ def paired_speedup(base: Callable[[], object], other: Callable[[], object],
     is the median of the per-round ratios (a host that slows down for a second
     moves both arms of a round, not the ratio), the seconds are medians.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     for _ in range(warmup):
         base()
         other()
@@ -77,14 +58,17 @@ def paired_speedup(base: Callable[[], object], other: Callable[[], object],
 
 @dataclass
 class EngineMeasurement:
-    """Outcome of one dense-vs-engine wall-clock comparison."""
+    """Outcome of one fused-dense vs fused-pruned wall-clock comparison."""
 
     model_name: str
     input_shape: Tuple[int, ...]
     repeats: int
-    dense_seconds: float
-    dense_nograd_seconds: float
+    #: Median wall-clock of the *unpruned* twin and of the pruned engine, both
+    #: through the fused executor, and ``fused-dense / fused-pruned`` paired
+    #: per round — the speedup *from pruning*.
+    fused_dense_seconds: float
     compiled_seconds: float
+    pruning_speedup: float
     max_abs_diff: float
     compiled_layers: int = 0
     fallback_layers: int = 0
@@ -94,69 +78,42 @@ class EngineMeasurement:
     #: Layers per executed mode string, taken from the compiled summary (the
     #: fused op's own ``mode``, never a hardcoded label).
     mode_census: Dict[str, int] = field(default_factory=dict)
-    #: Wall-clock of the *unpruned* twin through the same fused executor, and
-    #: ``fused-dense / fused-pruned`` paired per round — the speedup *from
-    #: pruning* (0.0 unless ``measure_speedup(dense_engine=...)`` was given).
-    fused_dense_seconds: float = 0.0
-    pruning_speedup: float = 0.0
-
-    @property
-    def sparse_kernel(self) -> bool:
-        """Whether any layer ran the native fp32 direct sparse kernel (gates
-        only trust ``pruning_speedup > 1`` when it did)."""
-        return any("+direct" in mode for mode in self.mode_census)
-
-    @property
-    def speedup(self) -> float:
-        """Engine speedup over the status-quo (taped) dense path."""
-        return self.dense_seconds / self.compiled_seconds if self.compiled_seconds else float("inf")
-
-    @property
-    def nograd_speedup(self) -> float:
-        """Engine speedup over the no-grad dense path (execution strategy only)."""
-        if not self.compiled_seconds:
-            return float("inf")
-        return self.dense_nograd_seconds / self.compiled_seconds
 
     def row(self) -> Dict[str, object]:
         """Flat dictionary for the table formatters (the Fig. 6 'measured' row)."""
-        row = {
+        return {
             "model": self.model_name,
             "input": "x".join(str(dim) for dim in self.input_shape),
             "engine_mode": self.engine_mode,
-            "dense_ms": round(self.dense_seconds * 1e3, 2),
-            "dense_nograd_ms": round(self.dense_nograd_seconds * 1e3, 2),
+            "fused_dense_ms": round(self.fused_dense_seconds * 1e3, 2),
             "compiled_ms": round(self.compiled_seconds * 1e3, 2),
-            "measured_speedup": round(self.speedup, 2),
-            "measured_speedup_nograd": round(self.nograd_speedup, 2),
+            "pruning_speedup": round(self.pruning_speedup, 2),
             "max_abs_diff": float(self.max_abs_diff),
         }
-        if self.pruning_speedup:
-            row["fused_dense_ms"] = round(self.fused_dense_seconds * 1e3, 2)
-            row["pruning_speedup"] = round(self.pruning_speedup, 2)
-        return row
 
 
 def measure_speedup(
     model: Module,
+    dense_engine: CompiledModel,
     x: Optional[np.ndarray] = None,
     masks: Optional[MaskSet] = None,
     repeats: int = 5,
     warmup: int = 1,
-    batch_size: Optional[int] = None,
     model_name: str = "",
     image_size: int = 96,
     batch: int = 4,
     seed: int = 0,
     compiled: Optional[CompiledModel] = None,
-    dense_engine: Optional[CompiledModel] = None,
 ) -> EngineMeasurement:
-    """Measure dense vs engine inference latency on the host CPU.
+    """Measure the speedup from pruning on the host CPU.
 
     Parameters
     ----------
     model:
         The (already pruned, or about-to-be-masked via ``masks``) model.
+    dense_engine:
+        The compiled *unpruned* twin of ``model`` (same architecture, no
+        masks): the base of ``pruning_speedup``.
     x:
         NCHW input batch; a deterministic random batch of shape
         ``(batch, 3, image_size, image_size)`` is generated when omitted.
@@ -164,54 +121,34 @@ def measure_speedup(
         Optional mask set re-applied before compiling (see
         :func:`repro.engine.compiler.compile_model`).
     repeats / warmup:
-        Timing protocol; the median of ``repeats`` runs is reported.
-    batch_size:
-        Runner batch size (defaults to the full input in one batch).
+        Timing protocol: both arms run in every one of ``max(repeats, 3)``
+        rounds, order alternating; the ratio is the median of the per-round
+        ratios, the seconds are medians.
     compiled:
         An existing :class:`CompiledModel` of ``model`` to measure instead of
         compiling a fresh one (saves a full plan build).
-    dense_engine:
-        The compiled *unpruned* twin of ``model`` (same architecture and seed,
-        no masks).  When given, ``pruning_speedup`` reports fused-dense over
-        fused-pruned — the paper's claim on the shipped executor — with both
-        arms timed in the same rounds (:func:`paired_speedup`).
     """
     if x is None:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((batch, 3, image_size, image_size)).astype(np.float32)
     x = np.ascontiguousarray(x, dtype=np.float32)
-    if batch_size is None:
-        batch_size = x.shape[0]
 
     model.eval()
     if masks is not None:
         masks.apply(model)
-
-    # Status-quo dense path: taped autograd forward, exactly what callers ran
-    # before the engine existed.
-    dense_out = _to_numpy(model(Tensor(x)))
-    dense_seconds = time_callable(lambda: model(Tensor(x)), repeats, warmup)
-
-    # Dense kernels without tape construction (isolates the strategy win).
-    dense_runner = BatchRunner(model, batch_size=batch_size)
-    dense_nograd_seconds = time_callable(lambda: dense_runner.run(x), repeats, warmup)
-
     if compiled is None:
         compiled = compile_model(model, masks, apply_masks=False)
     elif compiled.model is not model:
         raise ValueError("`compiled` was built for a different model instance")
-    runner = BatchRunner(compiled, batch_size=batch_size)
-    compiled_out = runner.run(x)  # traces + warms the arena
-    max_abs_diff = max_abs_output_diff(compiled_out, dense_out)
-    engine_mode = compiled.engine_mode
-    compiled_seconds = time_callable(lambda: runner.run(x), repeats, warmup)
 
-    fused_dense_seconds = pruning_speedup = 0.0
-    if dense_engine is not None:
-        twin_runner = BatchRunner(dense_engine, batch_size=batch_size)
-        fused_dense_seconds, _, pruning_speedup = paired_speedup(
-            lambda: twin_runner.run(x), lambda: runner.run(x),
-            rounds=max(repeats, 3), warmup=max(warmup, 1))
+    # Equivalence oracle, untimed: the pruned model's own no-grad forward.
+    with no_grad():
+        dense_out = _to_numpy(model(Tensor(x)))
+    max_abs_diff = max_abs_output_diff(compiled.forward_raw(x), dense_out)
+
+    fused_dense_seconds, compiled_seconds, pruning_speedup = _paired_speedup(
+        lambda: dense_engine.forward_raw(x), lambda: compiled.forward_raw(x),
+        rounds=max(repeats, 3), warmup=max(warmup, 1))
 
     mode_census: Dict[str, int] = {}
     for layer_row in compiled.summary():
@@ -222,16 +159,14 @@ def measure_speedup(
         model_name=model_name or type(model).__name__,
         input_shape=tuple(x.shape),
         repeats=repeats,
-        dense_seconds=dense_seconds,
-        dense_nograd_seconds=dense_nograd_seconds,
+        fused_dense_seconds=fused_dense_seconds,
         compiled_seconds=compiled_seconds,
+        pruning_speedup=pruning_speedup,
         max_abs_diff=max_abs_diff,
         compiled_layers=compiled.num_compiled_layers,
         fallback_layers=len(compiled.fallback_layers),
-        engine_mode=engine_mode,
+        engine_mode=compiled.engine_mode,
         mode_census=mode_census,
-        fused_dense_seconds=fused_dense_seconds,
-        pruning_speedup=pruning_speedup,
     )
 
 

@@ -4,9 +4,10 @@ For a given model factory and pruner the evaluator produces everything the paper
 figures need: compression ratio (parameters and storage), per-platform latency and
 speedup, per-platform energy and reduction, and the estimated mAP.
 
-With ``measure_engine=True`` it additionally feeds the pruned model through the
-pattern-aware execution engine (:mod:`repro.engine`) via its batched runner and
-records a *measured* host-CPU speedup next to the modeled platform speedups.
+With ``measure_engine=True`` it additionally times the pruned model through the
+pattern-aware execution engine (:mod:`repro.engine`) against its unpruned twin
+and records the *measured* host-CPU speedup from pruning next to the modeled
+platform speedups.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class FrameworkResult:
         for platform, value in self.energy_reduction_percent.items():
             row[f"energy_reduction_%[{platform}]"] = round(value, 2)
         if self.measured is not None:
-            row["measured_speedup[host]"] = round(self.measured.speedup, 2)
+            row["pruning_speedup[host]"] = round(self.measured.pruning_speedup, 2)
             row["measured_latency_ms[host]"] = round(self.measured.compiled_seconds * 1e3, 2)
         return row
 
@@ -140,10 +141,11 @@ class DetectorEvaluator:
     platforms:
         Platform models to evaluate on; defaults to RTX 2080Ti and Jetson TX2.
     measure_engine:
-        When True, every :meth:`evaluate` call also runs the pruned model through
-        the compiled execution engine (batched by
-        :class:`repro.engine.runner.BatchRunner`) and stores the wall-clock
-        measurement on :attr:`FrameworkResult.measured`.  Off by default because
+        When True, every :meth:`evaluate` call also times the pruned model's
+        compiled engine against a fresh ``model_factory()`` twin compiled
+        unpruned (:func:`repro.engine.bench.measure_speedup`) and stores the
+        measurement, whose ``pruning_speedup`` the row publishes, on
+        :attr:`FrameworkResult.measured`.  Off by default because
         it performs real forward passes; the measurement input is a
         ``(measure_batch, 3, trace_size, trace_size)`` batch, not the full
         ``image_size`` resolution.
@@ -259,11 +261,13 @@ class DetectorEvaluator:
         )
 
     def _measure_engine(self, model: Module, report: PruningReport):
-        """Wall-clock dense-vs-compiled measurement of the freshly pruned model."""
+        """Wall-clock speedup from pruning of the freshly pruned model."""
         from repro.engine.bench import measure_speedup
+        from repro.engine.compiler import compile_model
 
         return measure_speedup(
             model,
+            compile_model(self.model_factory()),
             masks=report.masks,
             repeats=self.measure_repeats,
             batch=self.measure_batch,

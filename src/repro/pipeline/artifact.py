@@ -33,7 +33,7 @@ from repro.pipeline.spec import RunSpec
 from repro.utils.serialization import load_state_dict, save_state_dict
 
 #: Format version written into every artifact (bump on incompatible changes).
-ARTIFACT_VERSION = 4
+ARTIFACT_VERSION = 5
 
 _META_KEY = "__artifact__"
 _STATE_PREFIX = "state::"
@@ -100,7 +100,7 @@ class DeployableArtifact:
         if self.compiled is not None:
             row["compiled_layers"] = self.compiled.num_compiled_layers
         if self.measurement:
-            row["measured_speedup"] = self.measurement.get("measured_speedup")
+            row["pruning_speedup"] = self.measurement.get("pruning_speedup")
         return row
 
     # ------------------------------------------------------------------ persistence

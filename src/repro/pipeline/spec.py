@@ -227,7 +227,8 @@ class EngineSpec(_SpecNode):
     """Compilation (and optional wall-clock measurement) with the execution engine."""
 
     enabled: bool = True
-    #: Also time dense vs compiled inference on the host CPU.
+    #: Also time the compiled engine against its unpruned twin on the host
+    #: CPU (``pruning_speedup``, fused-dense / fused-pruned).
     measure: bool = False
     #: Input resolution of the measured forward passes.
     image_size: int = _bounded(64, ge=32)

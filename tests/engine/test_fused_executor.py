@@ -48,13 +48,13 @@ def test_fused_matches_dense_on_pruned_tiny(rng):
 
     model.eval()
     dense_grad = model(Tensor(x)).data.copy()          # taped autograd forward
-    dense_nograd = BatchRunner(model, batch_size=3).run(x)
+    dense_no_tape = BatchRunner(model, batch_size=3).run(x)
 
     compiled = compile_model(model, report.masks, apply_masks=False)
     fused = compiled.forward_raw(x)
     assert compiled.fused_active, compiled.fuse_failure
     np.testing.assert_allclose(fused, dense_grad, atol=TOL, rtol=0)
-    np.testing.assert_allclose(fused, dense_nograd, atol=TOL, rtol=0)
+    np.testing.assert_allclose(fused, dense_no_tape, atol=TOL, rtol=0)
 
 
 def test_fused_is_deterministic_across_calls(rng):

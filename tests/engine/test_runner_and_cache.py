@@ -236,20 +236,23 @@ def test_runner_and_bench_handle_multi_output_models(rng):
     compiled = compile_model(model)
     out_a, out_b = BatchRunner(compiled, batch_size=2).run(x)
     assert out_a.shape[0] == 5 and out_b.shape[0] == 5
-    m = measure_speedup(model, x=x, repeats=1, warmup=0, model_name="twohead")
+    m = measure_speedup(model, compile_model(TwoHead()), x=x, repeats=1, warmup=0,
+                        model_name="twohead")
     assert m.max_abs_diff < 1e-5  # diff computed across the whole tuple
 
 
 # --------------------------------------------------------------------------- bench
 def test_measure_speedup_reports_equivalent_outputs():
     model, report = _pruned_tiny()
-    m = measure_speedup(model, masks=report.masks, repeats=1, warmup=0,
+    dense_engine = compile_model(
+        TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8)))
+    m = measure_speedup(model, dense_engine, masks=report.masks, repeats=1, warmup=0,
                         batch=1, image_size=64, model_name="tiny")
     assert m.max_abs_diff < 1e-5
-    assert m.dense_seconds > 0 and m.compiled_seconds > 0
+    assert m.fused_dense_seconds > 0 and m.compiled_seconds > 0
     assert m.compiled_layers > 0
     row = m.row()
-    assert "measured_speedup" in row and "dense_ms" in row
+    assert "pruning_speedup" in row and "fused_dense_ms" in row
     # The mode census comes from the executed plans, not a hardcoded label.
     assert any("+bn" in mode for mode in m.mode_census), m.mode_census
     # Measuring never rewires the model: it stays the taped dense path.
@@ -275,8 +278,7 @@ def test_evaluator_measured_column():
     # runs (the fused program), not a second executor's.
     assert measured.engine_mode == "fused"
     row = result.row()
-    assert row["measured_speedup[host]"] == round(
-        measured.dense_seconds / measured.compiled_seconds, 2)
+    assert row["pruning_speedup[host]"] == round(measured.pruning_speedup, 2)
     assert row["measured_latency_ms[host]"] == round(measured.compiled_seconds * 1e3, 2)
 
     # The measured columns must survive table rendering even when the first
@@ -285,4 +287,4 @@ def test_evaluator_measured_column():
 
     baseline = evaluator.evaluate_baseline()
     table = format_table([baseline.row(), row])
-    assert "measured_speedup[host]" in table
+    assert "pruning_speedup[host]" in table

@@ -162,9 +162,10 @@ class TestDeployableArtifact:
             DeployableArtifact.load(path)
 
     def test_load_refuses_older_versions_by_their_version(self, artifact, tmp_path):
-        """A version-2 file carries ``engine.int8`` in its spec and a version-3
-        one ``serve.max_wait_ms``: each must be refused for its version,
-        before the spec parser sees the key."""
+        """A version-2 file carries ``engine.int8`` in its spec, a version-3
+        one ``serve.max_wait_ms`` and a version-4 one a measurement whose
+        speedup was taken against the taped dense forward: each must be
+        refused for its version, before the spec parser sees the key."""
         import json
 
         from repro.utils.serialization import load_state_dict, save_state_dict
@@ -174,7 +175,7 @@ class TestDeployableArtifact:
         meta["spec"]["engine"]["int8"] = False
         meta["int8"] = False
         meta["spec"]["serve"]["max_wait_ms"] = 2.0
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             meta["version"] = version
             bundle["__artifact__"] = np.asarray(json.dumps(meta))
             path = save_state_dict(bundle, str(tmp_path / f"v{version}"))
@@ -211,7 +212,7 @@ class TestCliRun:
         assert (tmp_path / "from_flag.npz").exists()
         assert not (tmp_path / "from_spec.npz").exists()
 
-    def test_run_command_measure_reuses_compiled_engine(self):
+    def test_run_command_measure_reuses_compiled_engine(self, tmp_path):
         # With measure on, the engine measured is the artifact's own: only the
         # measurement runs a forward here, so it is what traced this engine.
         spec = RunSpec.from_dict(dict(TINY_SPEC, name="measured",
@@ -224,6 +225,13 @@ class TestCliRun:
         assert result.compiled is not None and result.compiled.fused_active
         assert result.measurement["engine_mode"] == "fused"
         assert result.measurement["max_abs_diff"] < 1e-5
+        # One speed number: the paired ratio, published as stored.
+        speedup = result.measurement["pruning_speedup"]
+        assert speedup > 0
+        assert result.summary()["pruning_speedup"] == speedup
+        restored = DeployableArtifact.load(result.save(str(tmp_path / "measured")))
+        assert restored.measurement["pruning_speedup"] == speedup
+        assert restored.summary()["pruning_speedup"] == speedup
 
     def test_run_command_missing_spec(self, capsys):
         assert cli_main(["run", "--spec", "/does/not/exist.json"]) == 2
