@@ -15,9 +15,7 @@ Rules (Section IV.A):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import Dict, List
 
 from repro.nn.graph import ModelGraph, trace
 from repro.nn.layers.conv import Conv2d
@@ -84,8 +82,13 @@ def group_layers_dfs(graph: ModelGraph) -> GroupingResult:
     groups: Dict[str, LayerGroup] = {}
 
     # Deterministic traversal order: depth-first from the graph roots, in the order
-    # the layers appear in the model definition (networkx preserves insertion order).
-    roots = [n for n in conv_graph.nodes if conv_graph.in_degree(n) == 0]
+    # the layers appear in the model definition (``conv_graph`` is keyed in model
+    # order, and so are the predecessor lists built from it).
+    predecessors: Dict[str, List[str]] = {name: [] for name in conv_graph}
+    for source, targets in conv_graph.items():
+        for target in targets:
+            predecessors[target].append(source)
+    roots = [n for n in conv_graph if not predecessors[n]]
     visited: List[str] = []
     seen = set()
 
@@ -94,27 +97,27 @@ def group_layers_dfs(graph: ModelGraph) -> GroupingResult:
             return
         seen.add(node)
         visited.append(node)
-        for successor in conv_graph.successors(node):
+        for successor in conv_graph[node]:
             dfs(successor)
 
     for root in roots:
         dfs(root)
     # Any layer unreachable from a root (e.g. isolated or cyclic regions) still gets
     # processed so the grouping covers every convolution.
-    for node in conv_graph.nodes:
+    for node in conv_graph:
         if node not in seen:
             dfs(node)
 
     for layer_name in visited:
-        predecessors = [p for p in conv_graph.predecessors(layer_name) if p in parent_of]
-        if not predecessors:
+        parents = [p for p in predecessors[layer_name] if p in parent_of]
+        if not parents:
             # No convolutional parent: this layer opens its own group (lines 7-9).
             parent_of[layer_name] = layer_name
             groups[layer_name] = LayerGroup(layer_name)
         else:
             # Join the group of the first discovered parent (lines 5-6).  The parent
             # of the group is the root of that group, so pattern sharing cascades.
-            direct_parent = predecessors[0]
+            direct_parent = parents[0]
             group_parent = parent_of[direct_parent]
             parent_of[layer_name] = group_parent
             groups[group_parent].children.append(layer_name)

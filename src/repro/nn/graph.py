@@ -7,9 +7,11 @@ captured with forward hooks: every *leaf* module (a module without children, i.e
 Conv2d, BatchNorm2d, activations, Concat, Add, ...) is a node, and an edge A→B is
 added whenever a tensor produced by A is consumed by B.
 
-Two views are exposed:
+Both views are plain dicts in model order (``named_modules()`` order), so every
+traversal over them is deterministic:
 
-* :meth:`ModelGraph.module_graph` — the full leaf-module graph (networkx DiGraph).
+* :attr:`ModelGraph.successors` — the full leaf-module graph, each node's
+  successors in the order their edges were first seen.
 * :meth:`ModelGraph.conv_graph` — the projection onto Conv2d nodes only, where an
   edge means "the output of this convolution reaches that convolution without
   passing through another convolution".  This is the graph Algorithm 1 walks.
@@ -17,9 +19,7 @@ Two views are exposed:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Tuple
 
 from repro.nn.layers.conv import Conv2d
 from repro.nn.module import Module
@@ -45,66 +45,45 @@ class ModelGraph:
     ----------
     model:
         The model whose graph was traced.
-    graph:
-        Directed graph over leaf-module names.
+    successors:
+        Leaf-module name → the leaf modules that consume its output, keyed in
+        model order.
     """
 
-    def __init__(self, model: Module, graph: nx.DiGraph) -> None:
+    def __init__(self, model: Module, successors: Dict[str, List[str]]) -> None:
         self.model = model
-        self._graph = graph
+        self.successors = successors
 
-    # ------------------------------------------------------------------ views
-    def module_graph(self) -> nx.DiGraph:
-        """The full leaf-module graph (copy-safe reference)."""
-        return self._graph
+    def conv_layers(self) -> Dict[str, Conv2d]:
+        """Mapping of qualified name → Conv2d for every traced convolution, in model order."""
+        modules = dict(self.model.named_modules())
+        return {name: modules[name] for name in self.successors
+                if isinstance(modules[name], Conv2d)}
 
-    def conv_graph(self) -> nx.DiGraph:
-        """Project the module graph onto convolution nodes.
+    def conv_graph(self) -> Dict[str, List[str]]:
+        """Project the leaf-module graph onto convolution nodes, in model order.
 
         An edge conv_a → conv_b is added when there is a path from conv_a to conv_b
-        in the module graph that does not pass through any other convolution.
+        in the leaf-module graph that does not pass through any other convolution.
         """
-        conv_names = {
-            name for name, data in self._graph.nodes(data=True)
-            if isinstance(data.get("module"), Conv2d)
-        }
-        projected = nx.DiGraph()
-        for name in conv_names:
-            projected.add_node(name, module=self._graph.nodes[name]["module"])
-
-        for source in conv_names:
-            # Breadth-first search that stops whenever another conv is reached.
-            frontier = list(self._graph.successors(source))
+        convs = self.conv_layers()
+        projected: Dict[str, List[str]] = {}
+        for source in convs:
+            # Search with a LIFO frontier that stops whenever another conv is
+            # reached; ``visited`` admits every node once, so no edge repeats.
+            reached = projected[source] = []
+            frontier = list(self.successors[source])
             visited = set(frontier)
             while frontier:
                 node = frontier.pop()
-                if node in conv_names:
-                    projected.add_edge(source, node)
+                if node in convs:
+                    reached.append(node)
                     continue
-                for successor in self._graph.successors(node):
+                for successor in self.successors[node]:
                     if successor not in visited:
                         visited.add(successor)
                         frontier.append(successor)
         return projected
-
-    # ------------------------------------------------------------------ queries
-    def conv_layers(self) -> Dict[str, Conv2d]:
-        """Mapping of qualified name → Conv2d for every traced convolution."""
-        return {
-            name: data["module"]
-            for name, data in self._graph.nodes(data=True)
-            if isinstance(data.get("module"), Conv2d)
-        }
-
-    def roots(self) -> List[str]:
-        """Nodes with no predecessors (model inputs feed these directly)."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._graph
-
-    def __len__(self) -> int:
-        return self._graph.number_of_nodes()
 
 
 def _leaf_modules(model: Module) -> List[Tuple[str, Module]]:
@@ -124,14 +103,12 @@ def trace(model: Module, example_input: Tensor) -> ModelGraph:
     The model is temporarily put in ``eval`` mode so that tracing has no side
     effects on BatchNorm running statistics.
     """
-    graph = nx.DiGraph()
     producer_of: Dict[int, str] = {}
     removals = []
     was_training = model.training
 
     leaves = _leaf_modules(model)
-    for name, module in leaves:
-        graph.add_node(name, module=module)
+    successors: Dict[str, List[str]] = {name: [] for name, _ in leaves}
 
     def find_producers(tensor: Tensor, visited: set) -> List[str]:
         """Producers of a tensor, walking through non-module ops (adds, concats,
@@ -151,8 +128,8 @@ def trace(model: Module, example_input: Tensor) -> ModelGraph:
         def hook(module: Module, inputs, output) -> None:
             for tensor in _iter_tensors(inputs):
                 for source in find_producers(tensor, set()):
-                    if source != name:
-                        graph.add_edge(source, name)
+                    if source != name and name not in successors[source]:
+                        successors[source].append(name)
             for tensor in _iter_tensors(output):
                 producer_of[id(tensor)] = name
 
@@ -168,4 +145,4 @@ def trace(model: Module, example_input: Tensor) -> ModelGraph:
             remove()
         model.train(was_training)
 
-    return ModelGraph(model, graph)
+    return ModelGraph(model, successors)

@@ -1,5 +1,10 @@
 """Pruning masks (MaskSet) and Algorithm 1 (DFS layer grouping)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,8 @@ from repro.core.dfs_grouping import group_layers_dfs, group_model, trivial_group
 from repro.core.masks import MaskSet, PruningMask
 from repro.nn.graph import trace
 from repro.nn.layers.conv import Conv2d
-from repro.nn.module import Sequential
+from repro.nn.layers.merge import Concat
+from repro.nn.module import Module, Sequential
 from repro.nn.layers.activation import ReLU
 from repro.nn.tensor import Tensor
 
@@ -89,6 +95,29 @@ class TestMaskSet:
         assert len(merged) == 2
 
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+class TwoRoots(Module):
+    """``left`` (3x3) and ``right`` (1x1) both read the input and feed ``out`` through
+    a concat: two roots, which Algorithm 1 must visit in model order."""
+
+    def __init__(self):
+        super().__init__()
+        self.left = Conv2d(3, 4, 3)
+        self.right = Conv2d(3, 4, 1, padding=0)
+        self.concat = Concat()
+        self.out = Conv2d(8, 2, 1, padding=0)
+
+    def forward(self, x):
+        return self.out(self.concat([self.left(x), self.right(x)]))
+
+
+def two_root_groups():
+    result = group_model(TwoRoots(), Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32)))
+    return [(group.parent, group.children) for group in result.groups]
+
+
 class TestDFSGrouping:
     def test_chain_produces_single_group(self, rng):
         model = Sequential(Conv2d(3, 4, 3, rng=rng), ReLU(), Conv2d(4, 4, 3, rng=rng),
@@ -127,6 +156,18 @@ class TestDFSGrouping:
         trivial = trivial_grouping(tiny_model)
         assert dfs.num_groups < trivial.num_groups
         assert trivial.num_groups == trivial.num_layers
+
+    def test_two_roots_group_in_model_order_under_any_hash_seed(self):
+        # String hashing must not pick the root that ``out`` joins.
+        code = f"import runpy; print(runpy.run_path({str(Path(__file__))!r})['two_root_groups']())"
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath},
+                           ).stdout.strip()
+            for seed in ("0", "1")
+        ]
+        assert outputs == ["[('left', ['out']), ('right', [])]"] * 2
 
     def test_group_layers_dfs_on_traced_graph(self, tiny_model, tiny_input):
         graph = trace(tiny_model, tiny_input)

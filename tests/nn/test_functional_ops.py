@@ -1,5 +1,7 @@
 """Activations, pooling, normalisation, softmax, concat, upsample, dropout."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,9 +40,8 @@ class TestActivations:
         assert abs(numeric[0] - x.grad[0]) < 1e-3
 
     def test_gelu_tanh_close_to_exact(self):
-        from scipy.stats import norm
         x = np.linspace(-3, 3, 13).astype(np.float32)
-        exact = x * norm.cdf(x)
+        exact = np.array([v * 0.5 * (1 + math.erf(v / math.sqrt(2))) for v in x])
         np.testing.assert_allclose(F.gelu(Tensor(x)).data, exact, atol=2e-2)
 
     def test_hardswish_boundaries(self):

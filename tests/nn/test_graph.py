@@ -36,24 +36,23 @@ class TestTrace:
     def test_sequential_chain_edges(self):
         model = Sequential(Conv2d(3, 4, 3), BatchNorm2d(4), ReLU(), Conv2d(4, 2, 3))
         graph = trace(model, _input())
-        module_graph = graph.module_graph()
-        assert module_graph.has_edge("0", "1")
-        assert module_graph.has_edge("1", "2")
-        assert module_graph.has_edge("2", "3")
+        assert "1" in graph.successors["0"]
+        assert "2" in graph.successors["1"]
+        assert "3" in graph.successors["2"]
 
     def test_conv_graph_skips_intermediate_modules(self):
         model = Sequential(Conv2d(3, 4, 3), BatchNorm2d(4), ReLU(), Conv2d(4, 2, 3))
         conv_graph = trace(model, _input()).conv_graph()
-        assert conv_graph.has_edge("0", "3")
-        assert conv_graph.number_of_nodes() == 2
+        assert "3" in conv_graph["0"]
+        assert len(conv_graph) == 2
 
     def test_branching_model_edges(self):
         graph = trace(Branchy(), _input())
         conv_graph = graph.conv_graph()
-        assert conv_graph.has_edge("conv1", "branch_a")
-        assert conv_graph.has_edge("conv1", "branch_b")
-        assert conv_graph.has_edge("branch_a", "conv_out")
-        assert conv_graph.has_edge("branch_b", "conv_out")
+        assert "branch_a" in conv_graph["conv1"]
+        assert "branch_b" in conv_graph["conv1"]
+        assert "conv_out" in conv_graph["branch_a"]
+        assert "conv_out" in conv_graph["branch_b"]
 
     def test_conv_layers_mapping(self):
         graph = trace(Branchy(), _input())
@@ -62,8 +61,8 @@ class TestTrace:
         assert all(isinstance(m, Conv2d) for m in convs.values())
 
     def test_roots_are_input_layers(self):
-        graph = trace(Branchy(), _input())
-        assert "conv1" in graph.roots()
+        conv_graph = trace(Branchy(), _input()).conv_graph()
+        assert all("conv1" not in targets for targets in conv_graph.values())
 
     def test_trace_restores_training_mode(self):
         model = Branchy()
@@ -78,12 +77,12 @@ class TestTrace:
 
     def test_len_and_contains(self):
         graph = trace(Branchy(), _input())
-        assert len(graph) >= 5
-        assert "conv1" in graph
+        assert len(graph.successors) >= 5
+        assert "conv1" in graph.successors
 
     def test_tiny_detector_graph(self, tiny_model, tiny_input):
         graph = trace(tiny_model, tiny_input)
         conv_graph = graph.conv_graph()
         # Every TinyDetector convolution is reached by the trace.
-        assert conv_graph.number_of_nodes() == len(graph.conv_layers())
-        assert conv_graph.number_of_edges() >= conv_graph.number_of_nodes() - 1
+        assert len(conv_graph) == len(graph.conv_layers())
+        assert sum(map(len, conv_graph.values())) >= len(conv_graph) - 1

@@ -15,9 +15,6 @@ load-bearing for every quantized artifact — not just for the size estimates:
 from __future__ import annotations
 
 import numpy as np
-import pytest
-
-hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
