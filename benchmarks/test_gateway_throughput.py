@@ -67,7 +67,7 @@ def _measure():
     # REQUESTS frames can be queued at once during the equivalence check.
     policy = BatchPolicy(max_batch_size=MAX_BATCH,
                          queue_capacity=256)
-    spec = GatewaySpec(enabled=True, port=0, max_inflight_per_client=512)
+    spec = GatewaySpec(port=0, max_inflight_per_client=512)
     with InferenceService(compiled, policy=policy) as service:
         # In-process reference: the same closed loop, without the wire.
         service.submit_many(images[:8])                    # warm layout caches

@@ -686,14 +686,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         gateway = None
         if args.gateway:
             host, port = _parse_hostport(args.gateway)
-            gateway = dataclasses.replace(spec.gateway, enabled=True,
-                                          host=host, port=port)
+            gateway = dataclasses.replace(spec.gateway, host=host, port=port)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if not spec.enabled:
-        print("note: the artifact's spec does not mark it for serving "
-              "(serve.enabled is false); serving with its serve-section defaults anyway")
 
     name = artifact.spec.name
     images = _random_images(artifact, spec.requests, args.seed)

@@ -26,7 +26,7 @@ SpecT = TypeVar("SpecT", bound="_SpecNode")
 #: Routing policies a ServeSpec may name.  This is the serializable contract;
 #: the implementations live in repro.serving.cluster.router, whose registry is
 #: asserted to match this tuple (the spec layer must not import serving).
-ROUTING_POLICY_NAMES = ("round-robin", "least-outstanding", "model-affinity")
+ROUTING_POLICY_NAMES = ("round-robin", "least-outstanding")
 
 #: Request priority classes a GatewaySpec may configure, best first.  Same
 #: contract pattern as ROUTING_POLICY_NAMES: repro.serving.api asserts its
@@ -267,9 +267,6 @@ class GatewaySpec(_SpecNode):
     carry their own ``deadline_ms``.
     """
 
-    #: Marks the artifact as intended for network serving (informational,
-    #: like ServeSpec.enabled: `repro serve --gateway` serves any artifact).
-    enabled: bool = False
     #: Listen address; port 0 binds an ephemeral port (tests, smoke runs).
     host: str = _bounded("127.0.0.1", nonempty=True)
     port: int = _bounded(0, ge=0, le=65535)
@@ -280,8 +277,6 @@ class GatewaySpec(_SpecNode):
     burst: int = _bounded(32, ge=1)
     #: Bound on one client's simultaneously in-flight requests.
     max_inflight_per_client: int = _bounded(64, ge=1)
-    #: Priority class assigned to requests that do not name one.
-    default_priority: str = _bounded("normal", choices=PRIORITY_CLASS_NAMES)
     #: Per-class SLO deadline in ms applied when a request carries none
     #: (e.g. {"high": 50.0}); classes absent here get no implied deadline.
     slo_ms: Dict[str, float] = field(default_factory=dict)
@@ -436,18 +431,10 @@ class ServeSpec(_SpecNode):
     parameterizes the CLI's default load-generation run.
     """
 
-    #: Marks the artifact as intended for serving.  Informational: ``repro
-    #: serve`` serves any artifact (printing a notice when this is false) —
-    #: there is no serve stage in the pipeline to gate.
-    enabled: bool = False
     #: The most requests one micro-batch takes off the queue.
     max_batch_size: int = _bounded(8, ge=1)
     #: Bounded admission queue; beyond it requests are rejected.
     queue_capacity: int = _bounded(256, ge=1)
-    #: Resident-model bound of the serving ModelPool (LRU beyond it).
-    pool_capacity: int = _bounded(2, ge=1)
-    #: Warm loaded models with one forward pass before accepting traffic.
-    warmup: bool = True
     #: Default load-generation volume of the `serve` CLI subcommand.
     requests: int = _bounded(64, ge=1)
     #: Default closed-loop client count of the `serve` CLI subcommand.

@@ -3,12 +3,13 @@
 The rest of the repo produces a fast pruned model
 (:class:`~repro.pipeline.artifact.DeployableArtifact` + the compiled engine);
 this package keeps it resident and pushes concurrent request streams through
-it — the layer that turns measured *kernel* speedups into measured
+it — every serving stack serves exactly the one artifact it was started with
+— — the layer that turns measured *kernel* speedups into measured
 *end-to-end* throughput under a latency budget, which is the R-TOSS paper's
 real-time claim:
 
-* :mod:`repro.serving.pool` — :class:`ModelPool`, an LRU-bounded pool of
-  loaded, warmed, compiled models keyed by artifact path,
+* :mod:`repro.serving.pool` — :class:`PooledModel`, one loaded, warmed,
+  compiled model, and :class:`ModelPool`, which loads each artifact path once,
 * :mod:`repro.serving.batcher` — :class:`DynamicBatcher`, a thread-safe queue
   that coalesces requests — single images, or bursts admitted as one unit —
   into micro-batches of up to ``max_batch_size`` — an idle worker runs what
@@ -42,7 +43,7 @@ real-time claim:
   latency vs. the SLO, with per-direction cooldowns,
 * :mod:`repro.serving.assembly` — :func:`build_target`, the one factory from
   a :class:`~repro.pipeline.spec.ServeSpec` tree to a running stack
-  (policy, pool, service or router, autoscaler, gateway + client) behind one
+  (policy, service or router, autoscaler, gateway + client) behind one
   :class:`ServingStack` handle that tears it all down in order,
 * :mod:`repro.serving.chaos` — :class:`FaultInjector`, seeded deterministic
   fault injection (worker crashes, hangs, heartbeat loss, torn frames,

@@ -104,7 +104,6 @@ class InferenceTarget(Protocol):
     def submit(
         self,
         image: np.ndarray,
-        model: Optional[str] = None,
         block: bool = False,
         timeout: Optional[float] = None,
         priority: str = DEFAULT_PRIORITY,
@@ -114,7 +113,6 @@ class InferenceTarget(Protocol):
     def submit_group(
         self,
         images: Union[np.ndarray, Sequence[np.ndarray]],
-        model: Optional[str] = None,
         block: bool = False,
         timeout: Optional[float] = None,
         priority: str = DEFAULT_PRIORITY,
@@ -124,7 +122,6 @@ class InferenceTarget(Protocol):
     def submit_many(
         self,
         images: Union[np.ndarray, Sequence[np.ndarray]],
-        model: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> Any: ...
 

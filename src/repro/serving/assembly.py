@@ -22,7 +22,6 @@ from repro.serving.chaos import FaultInjector
 from repro.serving.cluster.router import Router
 from repro.serving.elastic import Autoscaler
 from repro.serving.gateway import GatewayClient, GatewayServer
-from repro.serving.pool import ModelPool
 from repro.serving.service import InferenceService
 
 __all__ = ["ServingStack", "build_target"]
@@ -101,8 +100,6 @@ def build_target(
                 routing=serve_spec.routing,
                 cluster=serve_spec.cluster,
                 chaos=chaos,
-                warmup=serve_spec.warmup,
-                pool_capacity=serve_spec.pool_capacity,
             )
             on_shutdown(backend.shutdown)
             if serve_spec.cluster.autoscaler.enabled:
@@ -115,8 +112,6 @@ def build_target(
             backend = InferenceService(
                 artifact_or_path,
                 policy=policy,
-                pool=ModelPool(capacity=serve_spec.pool_capacity, warmup=serve_spec.warmup),
-                warmup=serve_spec.warmup,
                 **name,
             )
             on_shutdown(backend.shutdown)

@@ -439,12 +439,11 @@ class DynamicBatcher:
         Optional callable applied to each request's sliced output *outside* the
         queue lock (e.g. detection decoding + NMS); its return value becomes
         the request's result.
-    engine_source:
-        Optional zero-arg callable resolving to the
-        :class:`~repro.engine.compiler.CompiledModel` behind ``run_batch`` (or
-        ``None``).  Only consulted for *traced* batches: the batcher profiles
-        the forward through it so the worker-execute span carries the per-op
-        engine breakdown.
+    engine:
+        Optional :class:`~repro.engine.compiler.CompiledModel` behind
+        ``run_batch``.  Only consulted for *traced* batches: the batcher
+        profiles the forward through it so the worker-execute span carries
+        the per-op engine breakdown.
     """
 
     # reprolint lock-discipline contract: queue state mutates only under the
@@ -463,13 +462,13 @@ class DynamicBatcher:
         metrics: Optional[ServingMetrics] = None,
         postprocess: Optional[Callable[[Any], Any]] = None,
         name: str = "batcher",
-        engine_source: Optional[Callable[[], Any]] = None,
+        engine: Optional[Any] = None,
     ) -> None:
         self._run_batch = run_batch
         self.policy = policy or BatchPolicy()
         self.metrics = metrics
         self._postprocess = postprocess
-        self._engine_source = engine_source
+        self._engine = engine
         self.name = name
         self.stats = RunnerStats()
 
@@ -775,7 +774,7 @@ class DynamicBatcher:
         profiler = None
         try:
             stacked = self._stack(batch, size)
-            engine = self._traced_engine() if traced else None
+            engine = self._engine if traced else None
             if engine is not None:
                 # Per-op engine attribution for the worker-execute span; the
                 # profiler is thread-local to this batch, so concurrent
@@ -865,16 +864,6 @@ class DynamicBatcher:
                 trace.finish()
             future._settle(index, index + 1, *outcome)
         return failed
-
-    def _traced_engine(self):
-        """The CompiledModel behind ``run_batch``, for traced batches only."""
-        if self._engine_source is None:
-            return None
-        try:
-            engine = self._engine_source()
-        except Exception:  # never let observability break the batch
-            return None
-        return engine if hasattr(engine, "profiled") else None
 
     def _worker_loop(self) -> None:
         while True:

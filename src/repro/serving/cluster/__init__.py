@@ -5,14 +5,14 @@ GIL, at most one core of compiled-kernel work no matter how many clients push
 load.  This package scales it horizontally on one host:
 
 * :mod:`repro.serving.cluster.worker` — :class:`WorkerProcess`, an
-  ``InferenceService`` (ModelPool + DynamicBatcher) hosted in a
+  ``InferenceService`` (one warmed model + its DynamicBatcher) hosted in a
   ``multiprocessing`` subprocess behind a pickle-free ndarray pipe channel,
 * :mod:`repro.serving.cluster.channel` — :class:`ArrayChannel`, the raw-bytes
   framing that moves images and (possibly nested) outputs across the process
   boundary without pickling arrays,
 * :mod:`repro.serving.cluster.router` — :class:`Router`, the front door:
-  pluggable routing policies (round-robin, least-outstanding, model-affinity
-  hashing), one supervisor thread (health-check heartbeats, worker restart,
+  pluggable routing policies (round-robin, least-outstanding), one
+  supervisor thread (health-check heartbeats, worker restart,
   in-flight request re-dispatch), elastic ``add_worker`` / ``remove_worker``,
   and zero-downtime rolling ``swap_artifact`` (:class:`ArtifactSwapError` on
   rollback) — the shell that performs what
@@ -56,7 +56,6 @@ from repro.serving.cluster.router import (
     ROUTING_POLICIES,
     ArtifactSwapError,
     LeastOutstandingPolicy,
-    ModelAffinityPolicy,
     RoundRobinPolicy,
     Router,
     available_routing_policies,
@@ -75,7 +74,6 @@ __all__ = [
     "ChannelClosedError",
     "ClusterMetrics",
     "LeastOutstandingPolicy",
-    "ModelAffinityPolicy",
     "RemoteInferenceError",
     "RoundRobinPolicy",
     "Router",

@@ -5,8 +5,8 @@ the process boundary.  Latency is recorded per request from router admission
 to future resolution — it includes channel transport, the worker's queueing
 delay and the model forward, i.e. the number a cluster client actually
 observes.  Per-worker sections make routing-policy skew visible (a
-round-robin cluster should complete roughly equal counts per worker; a
-model-affinity cluster deliberately should not), and the failure counters
+round-robin cluster should complete roughly equal counts per worker), and
+the failure counters
 (``restarts``, ``redispatched``) quantify the supervision machinery.
 
 As in :mod:`repro.serving.metrics`, the obs-registry instruments are the

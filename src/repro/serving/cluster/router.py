@@ -15,11 +15,7 @@ Routing policies are pluggable (``routing=`` name or a policy object):
 
 * ``round-robin`` — cycle over live workers; even load, no state inspection,
 * ``least-outstanding`` — pick the live worker with the fewest in-flight
-  requests; adapts to stragglers,
-* ``model-affinity`` — hash the request's model key to a worker slot so each
-  model's :class:`~repro.serving.pool.ModelPool` entry stays warm in exactly
-  one process instead of thrashing every pool (falls back deterministically
-  when the home slot is dead).
+  requests; adapts to stragglers.
 
 Failure handling: one supervisor thread health-checks every slot (process
 liveness + heartbeat freshness).  A dead worker is restarted in place and every
@@ -33,7 +29,6 @@ the clock and ``fork`` and performs what the table returns.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import threading
@@ -93,7 +88,7 @@ class RoundRobinPolicy:
         self._lock = threading.Lock()
         self._next = 0
 
-    def select(self, workers: Sequence[Any], model_key: str) -> Any:
+    def select(self, workers: Sequence[Any]) -> Any:
         with self._lock:
             for offset in range(len(workers)):
                 worker = workers[(self._next + offset) % len(workers)]
@@ -108,32 +103,11 @@ class LeastOutstandingPolicy:
 
     name = "least-outstanding"
 
-    def select(self, workers: Sequence[Any], model_key: str) -> Any:
+    def select(self, workers: Sequence[Any]) -> Any:
         live = [worker for worker in workers if worker.accepting]
         if not live:
             raise WorkerUnavailableError("no live workers to route to")
         return min(live, key=lambda worker: worker.outstanding_count)
-
-
-class ModelAffinityPolicy:
-    """Hash the model key to a home slot so that worker's pool stays warm."""
-
-    name = "model-affinity"
-
-    @staticmethod
-    def _slot(model_key: str, count: int) -> int:
-        digest = hashlib.sha256(model_key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % count
-
-    def select(self, workers: Sequence[Any], model_key: str) -> Any:
-        if not workers:
-            raise WorkerUnavailableError("no live workers to route to")
-        home = self._slot(model_key, len(workers))
-        for offset in range(len(workers)):
-            worker = workers[(home + offset) % len(workers)]
-            if worker.accepting:
-                return worker
-        raise WorkerUnavailableError("no live workers to route to")
 
 
 # Write-once policy table (checked against the spec below, never mutated).
@@ -141,7 +115,6 @@ class ModelAffinityPolicy:
 ROUTING_POLICIES: Dict[str, Callable[[], Any]] = {
     "round-robin": RoundRobinPolicy,
     "least-outstanding": LeastOutstandingPolicy,
-    "model-affinity": ModelAffinityPolicy,
 }
 
 assert set(ROUTING_POLICIES) == set(ROUTING_POLICY_NAMES), (
@@ -177,7 +150,7 @@ class Router:
         Per-worker :class:`BatchPolicy` (micro-batching + admission bound).
     routing:
         Policy name from :func:`available_routing_policies` or a policy object
-        with a ``select(workers, model_key)`` method.
+        with a ``select(workers)`` method.
     cluster:
         The :class:`~repro.pipeline.spec.ClusterSpec` supervision contract
         (heartbeats, restart backoff, shedding; each field is documented
@@ -209,9 +182,7 @@ class Router:
         routing: Union[str, Any] = "round-robin",
         cluster: Optional[ClusterSpec] = None,
         chaos: Optional[ChaosSpec] = None,
-        warmup: bool = True,
         metrics: Optional[ClusterMetrics] = None,
-        pool_capacity: int = 2,
     ) -> None:
         if workers < 1:
             raise ValueError(f"Router needs at least one worker, got {workers}")
@@ -220,8 +191,6 @@ class Router:
         self.routing = build_routing_policy(routing) if isinstance(routing, str) else routing
         self.metrics = metrics or ClusterMetrics()
         self.cluster = cluster or ClusterSpec()
-        self.warmup = warmup
-        self.pool_capacity = pool_capacity
 
         #: Active fault-injection schedule (None: chaos off).  The window end
         #: is computed *once* here in wall-clock time so every worker child —
@@ -260,9 +229,7 @@ class Router:
             artifact_path=artifact_path,
             policy=self.policy,
             metrics=self.metrics,
-            warmup=self.warmup,
             heartbeat_interval=self.cluster.heartbeat_interval,
-            pool_capacity=self.pool_capacity,
             chaos_wire=chaos_wire,
         )
         worker.start()
@@ -278,8 +245,13 @@ class Router:
             worker.stop(5.0)
         return installed
 
-    def shutdown(self, timeout: float = 30.0) -> None:
-        """Stop admissions, drain every worker, stop the supervisor (idempotent)."""
+    def shutdown(self, timeout: Optional[float] = None) -> None:
+        """Stop admissions, drain every worker, stop the supervisor (idempotent).
+
+        ``timeout`` bounds each worker's drain (``None``: 30 s) — a hung
+        worker is terminated after it, never waited for without end.
+        """
+        timeout = 30.0 if timeout is None else timeout
         with self._lock:
             workers = self._table.close()
             self._worker_available.notify_all()
@@ -330,7 +302,6 @@ class Router:
     def submit(
         self,
         image: np.ndarray,
-        model: Optional[str] = None,
         block: bool = False,
         timeout: Optional[float] = None,
         trace: Optional[TraceContext] = None,
@@ -345,14 +316,13 @@ class Router:
         A group of one through :meth:`submit_group`, which documents the rest.
         """
         return self.submit_group(
-            one_image(image), model=model, block=block, timeout=timeout,
+            one_image(image), block=block, timeout=timeout,
             traces=None if trace is None else (trace,),
             priority=priority, deadline_ms=deadline_ms)
 
     def submit_group(
         self,
         images: Images,
-        model: Optional[str] = None,
         block: bool = False,
         timeout: Optional[float] = None,
         traces: Optional[Sequence[TraceContext]] = None,
@@ -400,8 +370,7 @@ class Router:
         future = InferenceFuture(len(images))
         future.traces = traces if traces is not None else mint_traces(len(images))
         self._dispatch(
-            _PendingRequest(future, 0, images, model, future.traces, priority,
-                            request_deadline),
+            _PendingRequest(future, 0, images, future.traces, priority, request_deadline),
             block, timeout)
         return future
 
@@ -415,17 +384,16 @@ class Router:
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
         dispatch_started = time.time() if request.traces else 0.0
-        model_key = request.model if request.model is not None else "default"
         whole = request
         try:
             while request is not None:
-                request = self._place(request, model_key, block, deadline, dispatch_started)
+                request = self._place(request, block, deadline, dispatch_started)
         except (ServingError, TimeoutError) as error:
             if request is whole:
                 raise
             self._fail([request], error)
 
-    def _place(self, request: _PendingRequest, model_key: str, block: bool,
+    def _place(self, request: _PendingRequest, block: bool,
                deadline: Optional[float], dispatch_started: float
                ) -> Optional[_PendingRequest]:
         """One frame of ``request`` onto a live worker; returns what is left of it."""
@@ -435,7 +403,7 @@ class Router:
                     raise ServiceClosedError("Router has been shut down")
                 workers = self._table.workers
             try:
-                worker = self.routing.select(workers, model_key)
+                worker = self.routing.select(workers)
             except WorkerUnavailableError:
                 remaining = None if deadline is None else deadline - time.perf_counter()
                 with self._worker_available:
@@ -471,7 +439,6 @@ class Router:
     def submit_many(
         self,
         images: Union[np.ndarray, Sequence[np.ndarray]],
-        model: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> Any:
         """Submit a stack of images with backpressure and wait for all results.
@@ -491,7 +458,7 @@ class Router:
         workers = len(self.workers)
         share = -(-len(images) // workers)
         return submit_bursts(
-            partial(self.submit_group, model=model, block=True, timeout=timeout),
+            partial(self.submit_group, block=True, timeout=timeout),
             images, min(burst_images(images[0].nbytes), share), 2 * workers, timeout)
 
     # ------------------------------------------------------------------ supervision

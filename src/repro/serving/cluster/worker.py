@@ -1,9 +1,9 @@
 """One cluster worker: an :class:`InferenceService` hosted in a subprocess.
 
-The serving layer of PR 3 is thread-based, so every micro-batch still executes
-under one GIL — the compiled sparse kernels never use more than one core.
-:class:`WorkerProcess` moves the whole service (ModelPool + DynamicBatcher)
-into a ``multiprocessing`` subprocess and talks to it through an
+The in-process serving layer is thread-based, so every micro-batch still
+executes under one GIL — the compiled sparse kernels never use more than one
+core.  :class:`WorkerProcess` moves the whole service (the warmed model + its
+DynamicBatcher) into a ``multiprocessing`` subprocess and talks to it through an
 :class:`~repro.serving.cluster.channel.ArrayChannel`:
 
 * the parent keeps a lightweight handle: ``dispatch()`` records a burst of
@@ -100,14 +100,11 @@ def _worker_main(
     worker_id: str,
     artifact_path: str,
     policy_kwargs: Dict[str, Any],
-    warmup: bool,
     heartbeat_interval: float,
-    pool_capacity: int = 2,
     chaos_wire: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Entry point of the worker subprocess: serve the pipe until shutdown."""
     # Imported lazily so a "spawn" child only pays for what it uses.
-    from repro.serving.pool import ModelPool
     from repro.serving.service import InferenceService
 
     injector = None
@@ -147,8 +144,6 @@ def _worker_main(
         service = InferenceService(
             artifact_path,
             policy=BatchPolicy(**policy_kwargs),
-            pool=ModelPool(capacity=pool_capacity, warmup=warmup),
-            warmup=warmup,
             name=worker_id,
         )
     except BaseException as error:
@@ -230,7 +225,7 @@ def _worker_main(
                     # the (recomputed-at-send) remaining deadline feed the
                     # child batcher's SLO scheduler.
                     future = service.submit_group(
-                        images, model=meta.get("model"), block=True, traces=traces,
+                        images, block=True, traces=traces,
                         priority=meta.get("priority", "normal"),
                         deadline_ms=meta.get("deadline_ms"),
                     )
@@ -274,11 +269,10 @@ class _PendingRequest:
     unanswered.
     """
 
-    __slots__ = ("future", "offset", "images", "count", "model", "submitted_at", "traces",
+    __slots__ = ("future", "offset", "images", "count", "submitted_at", "traces",
                  "priority", "deadline", "base_id", "fresh", "worker_id")
 
     def __init__(self, future: InferenceFuture, offset: int, images: Images,
-                 model: Optional[str],
                  traces: Optional[Sequence[TraceContext]] = None,
                  priority: str = "normal",
                  deadline: Optional[float] = None) -> None:
@@ -286,7 +280,6 @@ class _PendingRequest:
         self.offset = offset
         self.images = images
         self.count = len(images)
-        self.model = model
         self.submitted_at = time.perf_counter()
         #: Router-side TraceContexts, one per request; they survive worker
         #: death (the record is re-dispatched with the same traces, so one
@@ -307,7 +300,7 @@ class _PendingRequest:
     def part(self, start: int, stop: int) -> "_PendingRequest":
         """The record of requests ``[start, stop)`` of this one, to send by itself."""
         part = _PendingRequest(
-            self.future, self.offset + start, self.images[start:stop], self.model,
+            self.future, self.offset + start, self.images[start:stop],
             self.traces[start:stop] if self.traces else None, self.priority, self.deadline)
         # Recorded latency stays admission-to-resolution across every leg.
         part.submitted_at = self.submitted_at
@@ -336,9 +329,6 @@ class WorkerProcess:
     policy:
         The child service's :class:`BatchPolicy`; its ``queue_capacity`` also
         bounds this handle's outstanding requests (admission control).
-    pool_capacity:
-        Residency bound of the child service's :class:`ModelPool`
-        (``ServeSpec.pool_capacity``).
     metrics:
         Optional shared :class:`~repro.serving.cluster.metrics.ClusterMetrics`.
     """
@@ -361,17 +351,13 @@ class WorkerProcess:
         heartbeat_interval: float,
         policy: Optional[BatchPolicy] = None,
         metrics: Optional[Any] = None,
-        warmup: bool = True,
-        pool_capacity: int = 2,
         chaos_wire: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.worker_id = worker_id
         self.artifact_path = artifact_path
         self.policy = policy or BatchPolicy()
         self.metrics = metrics
-        self.warmup = warmup
         self.heartbeat_interval = heartbeat_interval
-        self.pool_capacity = pool_capacity
         #: Wire form of the child's FaultInjector (None: no fault injection).
         self.chaos_wire = chaos_wire
 
@@ -424,9 +410,7 @@ class WorkerProcess:
                     "max_batch_size": self.policy.max_batch_size,
                     "queue_capacity": self.policy.queue_capacity,
                 },
-                self.warmup,
                 self.heartbeat_interval,
-                self.pool_capacity,
                 self.chaos_wire,
             ),
             name=f"repro-cluster-{self.worker_id}",
@@ -567,8 +551,7 @@ class WorkerProcess:
         if self.metrics is not None and request.fresh:
             self.metrics.record_submit(self.worker_id, request.count)
         request.fresh = False
-        meta: Dict[str, Any] = {"id": first_id, "model": request.model,
-                                "priority": request.priority}
+        meta: Dict[str, Any] = {"id": first_id, "priority": request.priority}
         if request.deadline is not None:
             # Recompute the remaining budget as late as possible: parent-side
             # blocking above may have consumed part of it.

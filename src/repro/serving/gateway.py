@@ -16,10 +16,11 @@ where the payload is exactly the pickle-free format the cluster pipe already
 speaks (:func:`repro.serving.cluster.channel.encode_frame`): a 4-byte JSON
 header length, the JSON header (``kind`` / ``meta`` / array dtypes+shapes) and
 the raw contiguous array bytes.  Client → server kinds are ``infer``
-(``meta = {id, count?, model?, priority?, deadline_ms?}`` plus one array: a
+(``meta = {id, count?, priority?, deadline_ms?}`` plus one array: a
 ``(C, H, W)`` image, or an ``(N, C, H, W)`` burst whose requests take the ids
 ``id .. id + N - 1`` and share the rest of the header) and ``stats``
-(``meta = {id}``); server → client kinds are ``result``
+(``meta = {id}``); no header field selects a model — the server answers
+with whatever its target serves.  Server → client kinds are ``result``
 (``meta = {id, count?, treedef}`` plus the flattened output arrays, batched
 over the ``count`` consecutive requests they answer — one frame per
 micro-batch that ran, not one per image), ``error``
@@ -73,7 +74,6 @@ import asyncio
 import socket
 import threading
 import time
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -440,7 +440,7 @@ class GatewayServer:
         ids while the others go on.
         """
         meta = message.meta
-        priority = meta.get("priority", self.spec.default_priority)
+        priority = meta.get("priority", DEFAULT_PRIORITY)
         deadline_ms = meta.get("deadline_ms")
         count = meta.get("count", 1)
         admission_started = time.time()
@@ -494,7 +494,7 @@ class GatewayServer:
         submitted = time.perf_counter()
         try:
             future = self.target.submit_group(
-                images, model=meta.get("model"), block=False,
+                images, block=False,
                 priority=priority, deadline_ms=deadline_ms, traces=traces)
         except (ServingError, TypeError, ValueError) as error:
             if not isinstance(error, ServingError):
@@ -684,16 +684,16 @@ class GatewayClient:
             return True
 
     # ------------------------------------------------------------------ protocol
-    def submit(self, image: np.ndarray, model: Optional[str] = None,
-               block: bool = False, timeout: Optional[float] = None,
+    def submit(self, image: np.ndarray, block: bool = False,
+               timeout: Optional[float] = None,
                priority: str = DEFAULT_PRIORITY,
                deadline_ms: Optional[float] = None) -> InferenceFuture:
         """Send one infer frame; the future resolves when its response lands."""
-        return self.submit_group(one_image(image), model=model, priority=priority,
+        return self.submit_group(one_image(image), priority=priority,
                                  deadline_ms=deadline_ms)
 
-    def submit_group(self, images: Images, model: Optional[str] = None,
-                     block: bool = False, timeout: Optional[float] = None,
+    def submit_group(self, images: Images, block: bool = False,
+                     timeout: Optional[float] = None,
                      priority: str = DEFAULT_PRIORITY,
                      deadline_ms: Optional[float] = None) -> InferenceFuture:
         """Send a burst — an ``(N, C, H, W)`` stack or N images — as one infer frame.
@@ -710,8 +710,6 @@ class GatewayClient:
         array = images if count > 1 else images[0]
         if count > 1:
             base_meta["count"] = count
-        if model is not None:
-            base_meta["model"] = model
         if deadline_ms is not None:
             base_meta["deadline_ms"] = float(deadline_ms)
         for attempt in (0, 1):
@@ -741,7 +739,6 @@ class GatewayClient:
         raise AssertionError("unreachable")  # pragma: no cover
 
     def submit_many(self, images: Union[np.ndarray, Sequence[np.ndarray]],
-                    model: Optional[str] = None,
                     timeout: Optional[float] = None) -> Any:
         """Submit a stack and wait; outputs concatenated in request order.
 
@@ -754,7 +751,7 @@ class GatewayClient:
         artifact.
         """
         images, _ = as_images(images)
-        return submit_bursts(partial(self.submit_group, model=model), images,
+        return submit_bursts(self.submit_group, images,
                              burst_images(images[0].nbytes), BURSTS_IN_FLIGHT, timeout)
 
     def stats(self) -> Dict[str, Any]:

@@ -235,7 +235,6 @@ def closed_loop(
     images: np.ndarray,
     requests: int,
     concurrency: int = 8,
-    model: Optional[str] = None,
     timeout: float = 120.0,
 ) -> LoadReport:
     """Drive ``requests`` total requests from ``concurrency`` closed-loop clients.
@@ -264,8 +263,8 @@ def closed_loop(
                 issued += 1
             started = time.perf_counter()
             try:
-                service.submit(next_image(index), model=model,
-                               block=True, timeout=timeout).result(timeout)
+                service.submit(next_image(index), block=True,
+                               timeout=timeout).result(timeout)
                 error = None
             except Exception as raised:
                 error = raised
@@ -299,7 +298,6 @@ def open_loop(
     images: np.ndarray,
     requests: int,
     rate_hz: float,
-    model: Optional[str] = None,
     seed: int = 0,
     timeout: float = 120.0,
     clock: Callable[[], float] = time.perf_counter,
@@ -324,7 +322,7 @@ def open_loop(
 
     started = clock()
     sent, refused, lag = _dispatch(
-        lambda index: service.submit(next_image(index), model=model, block=False),
+        lambda index: service.submit(next_image(index), block=False),
         poisson_gaps(rate_hz, requests, seed=seed), clock, sleep)
     # A deferred rejection (queue eviction, deadline expiry, a gateway error
     # frame) is still admission control, not a failure.
@@ -403,7 +401,6 @@ def mixed_priority_load(
     service: InferenceTarget,
     images: np.ndarray,
     loads: Sequence[ClassLoad],
-    model: Optional[str] = None,
     seed: int = 0,
     timeout: float = 120.0,
     clock: Callable[[], float] = time.perf_counter,
@@ -437,7 +434,7 @@ def mixed_priority_load(
     def stream(load: ClassLoad, stream_seed: int) -> None:
         sent, refused, _ = _dispatch(
             lambda index: service.submit(
-                next_image(index), model=model, block=False,
+                next_image(index), block=False,
                 priority=load.priority, deadline_ms=load.deadline_ms),
             poisson_gaps(load.rate_hz, load.requests, seed=stream_seed), clock, sleep)
         counts, completed, _ = _settle(sent, refused, timeout)

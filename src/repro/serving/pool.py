@@ -1,23 +1,15 @@
-"""LRU-bounded pool of warmed-up deployable models.
+"""Warmed deployable models, loaded once per path.
 
-A long-running service cannot afford to reload + recompile a
-:class:`~repro.pipeline.artifact.DeployableArtifact` on every request, nor can
-it keep an unbounded number of models resident.  :class:`ModelPool` sits in
-between: :meth:`~ModelPool.get` returns a warmed
-:class:`PooledModel` for an artifact path (loading, recompiling and warming it
-on first use), keeps at most ``capacity`` models resident and evicts the least
-recently used one beyond that — the bounded-resource design the elastic-submap
-reconstruction literature argues for.
+:class:`PooledModel` is one served model: a loaded
+:class:`~repro.pipeline.artifact.DeployableArtifact` (or compiled model, or
+plain module), warmed with one forward pass at construction so serving threads
+never pay it, plus its batch entry point.  Every serving stack holds exactly
+one; :class:`~repro.serving.service.InferenceService` builds it from the
+artifact it was started with.
 
-Eviction is reference-safe: an evicted entry is only dropped from the pool's
-map, never torn down, so threads still inferring through a handle they obtained
-earlier keep a fully functional model (it is garbage-collected once the last
-handle goes away).  Re-``get`` after eviction reloads from disk.
-
-Concurrency: the pool map sits behind one lock; artifact loading happens
-*outside* it with per-key in-flight tracking, so two threads requesting the
-same artifact share one load and threads requesting different artifacts load in
-parallel.
+:class:`ModelPool` is the load-once cache in front of it: :meth:`ModelPool.get`
+loads, recompiles and warms an artifact path on its first call and returns the
+same entry on every later one.
 """
 
 from __future__ import annotations
@@ -61,38 +53,23 @@ def as_batch_callable(model: Any) -> Callable[[np.ndarray], Any]:
 
 
 class PooledModel:
-    """One resident model: a loaded artifact (or model) plus its batch entry point."""
+    """One served model, warmed: a loaded artifact (or model) plus its batch entry point.
 
-    def __init__(self, key: str, model: Any) -> None:
-        self.key = key
+    ``model`` is an artifact ``.npz`` path (loaded here) or an object
+    :func:`as_batch_callable` accepts.  Construction runs one throwaway
+    forward pass, which settles everything the compiled engine mutates
+    lazily — layer ``eval()`` flags, the engine's trace and the per-shape
+    layout caches — and is what makes later *concurrent* inference safe (see
+    the thread-safety contract on :class:`repro.engine.compiler.CompiledModel`).
+    """
+
+    def __init__(self, model: Any) -> None:
+        if isinstance(model, str):
+            logger.info("loading artifact %s", model)
+            model = DeployableArtifact.load(model)
         self.model = model
-        self._run = as_batch_callable(model)
-        self._warmed = False
-
-    @property
-    def artifact(self) -> Any:
-        """Alias kept for callers that think in artifacts."""
-        return self.model
-
-    def run(self, batch: np.ndarray) -> Any:
-        """No-grad inference on one stacked NCHW batch (numpy in, numpy out)."""
-        return self._run(batch)
-
-    def warmup(self, image_shape: Optional[Tuple[int, int, int]] = None) -> None:
-        """Run one throwaway forward pass so serving threads never pay it.
-
-        Warming settles everything the compiled engine mutates lazily — layer
-        ``eval()`` flags, the engine's trace and the per-shape layout caches —
-        which is what makes subsequent *concurrent* inference safe (see the
-        thread-safety contract on :class:`repro.engine.compiler.CompiledModel`).
-        """
-        if self._warmed:
-            return
-        if image_shape is None:
-            image_shape = self.default_image_shape()
-        probe = np.zeros((1, *image_shape), dtype=np.float32)
-        self.run(probe)
-        self._warmed = True
+        self.run = as_batch_callable(model)
+        self.run(np.zeros((1, *self.default_image_shape()), dtype=np.float32))
 
     @property
     def engine_mode(self) -> str:
@@ -104,8 +81,8 @@ class PooledModel:
     def compiled_model(self) -> Optional[Any]:
         """The :class:`~repro.engine.compiler.CompiledModel` behind this entry.
 
-        ``None`` for plain-module entries; used by the serving layer to attach
-        per-batch engine profilers to traced requests.
+        ``None`` for plain-module entries; the batcher profiles traced batches
+        through it.
         """
         from repro.engine.compiler import CompiledModel
 
@@ -125,146 +102,26 @@ class PooledModel:
         size = int(getattr(config, "image_size", 64) or 64)
         return (3, size, size)
 
-    @property
-    def warmed(self) -> bool:
-        return self._warmed
-
 
 class ModelPool:
-    """LRU-bounded, thread-safe pool of :class:`PooledModel` entries.
+    """Thread-safe load-once cache of :class:`PooledModel` entries by artifact path."""
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of resident models; the least recently used entry is
-        evicted beyond it.
-    warmup:
-        Warm every loaded model with one forward pass before returning it.
-    loader:
-        Injectable artifact loader (defaults to
-        :meth:`DeployableArtifact.load`); tests substitute counting loaders.
-    """
+    # reprolint lock-discipline contract: the entry map mutates only under the
+    # pool lock.
+    _guarded_by_ = {"_entries": "_lock"}
 
-    # reprolint lock-discipline contract: LRU state and counters mutate only
-    # under the pool lock.
-    _guarded_by_ = {
-        "_entries": "_lock",
-        "_loading": "_lock",
-        "hits": "_lock",
-        "misses": "_lock",
-        "evictions": "_lock",
-    }
-
-    def __init__(self, capacity: int = 2, warmup: bool = True,
-                 loader: Callable[[str], DeployableArtifact] = DeployableArtifact.load) -> None:
-        if capacity < 1:
-            raise ValueError(f"ModelPool capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._warmup = warmup
-        self._loader = loader
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: Dict[str, PooledModel] = {}   # insertion order = LRU order
-        self._loading: Dict[str, threading.Event] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    # ------------------------------------------------------------------ access
-    @staticmethod
-    def key_for(path: str) -> str:
-        """Canonical pool key of an artifact path."""
-        return os.path.abspath(path)
+        self._entries: Dict[str, PooledModel] = {}
 
     def get(self, path: str) -> PooledModel:
-        """The resident model for ``path``, loading (and warming) on miss."""
-        key = self.key_for(path)
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self.hits += 1
-                    self._touch(key)
-                    return entry
-                in_flight = self._loading.get(key)
-                if in_flight is None:
-                    event = threading.Event()
-                    self._loading[key] = event
-                    break
-            # Another thread is loading this key: wait, then re-check (the
-            # entry may exist now — or may already have been evicted again).
-            in_flight.wait()
-        try:
-            entry = self._load(key, path)
-        finally:
-            with self._lock:
-                del self._loading[key]
-                event.set()
-        return entry
+        """The warmed model for ``path``, loaded on the first call only.
 
-    def add(self, key: str, model: Any, warmup: Optional[bool] = None) -> PooledModel:
-        """Register an already-loaded artifact/model under an explicit key.
-
-        Unlike path-keyed entries, an object registered this way cannot be
-        reloaded after eviction — callers serving objects should hold on to the
-        returned :class:`PooledModel` (the service does).
+        The load runs under the lock, so concurrent first calls share it.
         """
-        entry = PooledModel(key, model)
-        should_warm = self._warmup if warmup is None else warmup
-        if should_warm:
-            entry.warmup()
+        key = os.path.abspath(path)
         with self._lock:
-            self._entries[key] = entry
-            self._touch(key)
-            self._evict_overflow()
-        return entry
-
-    # ------------------------------------------------------------------ internals
-    def _load(self, key: str, path: str) -> PooledModel:
-        logger.info("loading artifact %s into the pool", path)
-        artifact = self._loader(path)
-        entry = PooledModel(key, artifact)
-        if self._warmup:
-            entry.warmup()
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = entry
-            self._touch(key)
-            self._evict_overflow()
-        return entry
-
-    def _touch(self, key: str) -> None:  # reprolint: holds=_lock
-        """Move ``key`` to the most-recently-used end (caller holds the lock)."""
-        entry = self._entries.pop(key)
-        self._entries[key] = entry
-
-    def _evict_overflow(self) -> None:  # reprolint: holds=_lock
-        while len(self._entries) > self.capacity:
-            victim_key = next(iter(self._entries))
-            self._entries.pop(victim_key)
-            self.evictions += 1
-            logger.info("evicted %s (pool over capacity %d)", victim_key, self.capacity)
-
-    # ------------------------------------------------------------------ reporting
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, path: str) -> bool:
-        with self._lock:
-            return self.key_for(path) in self._entries
-
-    def keys(self) -> Tuple[str, ...]:
-        """Resident keys, least → most recently used."""
-        with self._lock:
-            return tuple(self._entries)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"resident": len(self._entries), "capacity": self.capacity,
-                    "hits": self.hits, "misses": self.misses, "evictions": self.evictions}
-
-    def engine_modes(self) -> Dict[str, str]:
-        """Executor mode of each resident model, keyed by its short name."""
-        with self._lock:
-            return {key.rsplit("/", 1)[-1]: entry.engine_mode
-                    for key, entry in self._entries.items()}
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = PooledModel(path)
+            return entry

@@ -1,8 +1,9 @@
-"""The serving front door: pool + batcher + optional detection postprocessing.
+"""The serving front door: one model + its batcher + optional detection postprocessing.
 
-:class:`InferenceService` is what a deployment embeds: it owns a
-:class:`~repro.serving.pool.ModelPool`, lazily creates one
-:class:`~repro.serving.batcher.DynamicBatcher` per served model, and exposes
+:class:`InferenceService` is what a deployment embeds: it serves exactly the
+artifact it was started with — one warmed
+:class:`~repro.serving.pool.PooledModel` behind one
+:class:`~repro.serving.batcher.DynamicBatcher` — and exposes
 
 * :meth:`~InferenceService.submit` — admit one image, get an
   :class:`~repro.serving.batcher.InferenceFuture` (raises
@@ -25,7 +26,7 @@ as a per-image callable so detection services return
 
 from __future__ import annotations
 
-import threading
+import os
 from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -40,12 +41,11 @@ from repro.serving.batcher import (
     DynamicBatcher,
     Images,
     InferenceFuture,
-    ServiceClosedError,
     one_image,
     collect,
 )
 from repro.serving.metrics import ServingMetrics
-from repro.serving.pool import ModelPool, PooledModel
+from repro.serving.pool import PooledModel
 
 
 def make_yolo_postprocess(model: Module, conf_threshold: float = 0.25,
@@ -75,104 +75,44 @@ def make_yolo_postprocess(model: Module, conf_threshold: float = 0.25,
 
 
 class InferenceService:
-    """High-throughput inference over deployable artifacts.
+    """High-throughput inference over one deployable artifact.
 
     Parameters
     ----------
     model:
         What to serve: an artifact ``.npz`` path, a loaded
         :class:`DeployableArtifact`, a :class:`CompiledModel` or a plain
-        :class:`Module`.  Paths go through the pool (and can be evicted /
-        reloaded); objects are registered under ``name``.
+        :class:`Module`.  It is loaded (a path) and warmed before the service
+        accepts traffic, and served until :meth:`shutdown`.
     policy:
         Micro-batching :class:`BatchPolicy` (batch size / queue bound).
-    pool:
-        Optional shared :class:`ModelPool`; a private one is created otherwise.
     postprocess:
         Optional per-image callable applied to each request's output (see
         :func:`make_yolo_postprocess`).
-    warmup:
-        Warm served models with one forward pass before accepting traffic.
+    name:
+        The ``service=`` label of the metrics, and the served model's name in
+        :meth:`report` (a path is named there by its file name instead).
     """
-
-    # reprolint lock-discipline contract: batcher table and lifecycle flag
-    # mutate only under the service lock (after __init__).
-    _guarded_by_ = {
-        "_batchers": "_lock",
-        "_closed": "_lock",
-        "_pinned": "_lock",
-    }
 
     def __init__(
         self,
         model: Union[str, DeployableArtifact, CompiledModel, Module],
         policy: Optional[BatchPolicy] = None,
-        pool: Optional[ModelPool] = None,
         postprocess=None,
         metrics: Optional[ServingMetrics] = None,
-        warmup: bool = True,
         name: str = "default",
     ) -> None:
         self.policy = policy or BatchPolicy()
         self.metrics = metrics or ServingMetrics(name=name)
-        # Not `pool or ...`: ModelPool defines __len__, so a freshly created
-        # (empty) pool is falsy and would be silently replaced.
-        self.pool = pool if pool is not None else ModelPool(warmup=warmup)
-        self._postprocess = postprocess
-        self._warmup = warmup
-        self._lock = threading.Lock()
-        self._batchers: Dict[str, DynamicBatcher] = {}
-        self._closed = False
-
-        # Object-registered entries are pinned (held by self._pinned): they have
-        # no path to reload from, so eviction must not be able to drop them
-        # out from under their batcher.  Path-keyed models route through the
-        # pool on every batch instead, so LRU order tracks real use and an
-        # evicted artifact is transparently reloaded.
-        self._pinned: Dict[str, PooledModel] = {}
-        if isinstance(model, str):
-            self._default_key = self.pool.key_for(model)
-            self.pool.get(model)                      # load + warm up front
-        else:
-            self._pinned[name] = self.pool.add(name, model, warmup=warmup)
-            self._default_key = name
+        model_name = os.path.basename(model) if isinstance(model, str) else name
+        self.model = PooledModel(model)
+        self._batcher = DynamicBatcher(
+            self.model.run, policy=self.policy, metrics=self.metrics,
+            postprocess=postprocess, name=model_name, engine=self.model.compiled_model)
 
     # ------------------------------------------------------------------ serving
-    def _batcher_for(self, model: Optional[str]) -> DynamicBatcher:
-        if model is None:
-            key = self._default_key
-        elif model in self._pinned:
-            key = model
-        else:
-            key = self.pool.key_for(model)
-        # The usual case takes no lock: a batcher, once made, stays in the
-        # table (and refuses submits itself after shutdown).
-        batcher = self._batchers.get(key)
-        return batcher if batcher is not None else self._make_batcher(key)
-
-    def _make_batcher(self, key: str) -> DynamicBatcher:
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("InferenceService has been shut down")
-            batcher = self._batchers.get(key)
-            if batcher is None:
-                pinned = self._pinned.get(key)
-                if pinned is not None:
-                    run = pinned.run
-                    engine_source = lambda pinned=pinned: pinned.compiled_model
-                else:
-                    run = lambda batch, key=key: self.pool.get(key).run(batch)
-                    engine_source = (
-                        lambda key=key: self.pool.get(key).compiled_model)
-                batcher = DynamicBatcher(
-                    run, policy=self.policy, metrics=self.metrics,
-                    postprocess=self._postprocess, name=key.rsplit("/", 1)[-1],
-                    engine_source=engine_source)
-                self._batchers[key] = batcher
-            return batcher
-
-    def submit(self, image: np.ndarray, model: Optional[str] = None,
-               block: bool = False, timeout: Optional[float] = None,
+    def submit(self, image: np.ndarray, block: bool = False,
+               timeout: Optional[float] = None,
                trace: Optional[TraceContext] = None,
                priority: str = DEFAULT_PRIORITY,
                deadline_ms: Optional[float] = None) -> InferenceFuture:
@@ -185,12 +125,12 @@ class InferenceService:
         :meth:`submit_group`, which documents the rest.
         """
         return self.submit_group(
-            one_image(image), model=model, block=block, timeout=timeout,
+            one_image(image), block=block, timeout=timeout,
             traces=None if trace is None else (trace,),
             priority=priority, deadline_ms=deadline_ms)
 
-    def submit_group(self, images: Images, model: Optional[str] = None,
-                     block: bool = False, timeout: Optional[float] = None,
+    def submit_group(self, images: Images, block: bool = False,
+                     timeout: Optional[float] = None,
                      traces: Optional[Sequence[TraceContext]] = None,
                      priority: str = DEFAULT_PRIORITY,
                      deadline_ms: Optional[float] = None) -> InferenceFuture:
@@ -219,12 +159,11 @@ class InferenceService:
         """
         if traces is None:
             traces = mint_traces(len(images))     # None unless tracing is enabled
-        return self._batcher_for(model).submit_group(
+        return self._batcher.submit_group(
             images, block=block, timeout=timeout, traces=traces,
             priority=priority, deadline_ms=deadline_ms)
 
     def submit_many(self, images: Union[np.ndarray, Sequence[np.ndarray]],
-                    model: Optional[str] = None,
                     timeout: Optional[float] = None) -> Any:
         """Submit a stack of images with backpressure and wait for all results.
 
@@ -235,17 +174,13 @@ class InferenceService:
         installed the return value is the list of per-image postprocessed
         results instead.
         """
-        future = self.submit_group(images, model=model, block=True, timeout=timeout)
+        future = self.submit_group(images, block=True, timeout=timeout)
         return collect((future,), timeout)
 
     # ------------------------------------------------------------------ lifecycle
     def shutdown(self, timeout: Optional[float] = None) -> None:
-        """Drain every batcher and stop admissions (idempotent)."""
-        with self._lock:
-            self._closed = True
-            batchers = list(self._batchers.values())
-        for batcher in batchers:
-            batcher.shutdown(timeout)
+        """Drain the batcher and stop admissions (idempotent)."""
+        self._batcher.shutdown(timeout)
 
     def __enter__(self) -> "InferenceService":
         return self
@@ -255,44 +190,24 @@ class InferenceService:
 
     @property
     def closed(self) -> bool:
-        with self._lock:
-            return self._closed
+        return self._batcher.closed
 
     # ------------------------------------------------------------------ reporting
     def report(self) -> Dict[str, Any]:
-        """Serving metrics + pool statistics + the effective batch policy."""
+        """Serving metrics + the executor mode + the effective batch policy."""
+        name = self._batcher.name
         report = dict(self.metrics.report())
-        report["pool"] = self.pool.stats()
-        # Executor mode per served model (fused/eager/dense).  Cluster
-        # workers relay this report, so `repro serve --workers N` shows which
-        # path each process actually serves through.
-        modes = self.pool.engine_modes()
-        with self._lock:
-            for key, pinned in self._pinned.items():
-                modes[key.rsplit("/", 1)[-1]] = pinned.engine_mode
-        report["engine_modes"] = modes
+        # Executor mode (fused/eager/dense).  Cluster workers relay this
+        # report, so `repro serve --workers N` shows which path each process
+        # actually serves through.
+        report["engine_modes"] = {name: self.model.engine_mode}
         report["policy"] = {
             "max_batch_size": self.policy.max_batch_size,
             "queue_capacity": self.policy.queue_capacity,
         }
-        with self._lock:
-            report["engine"] = {
-                key.rsplit("/", 1)[-1]: batcher.stats.as_dict()
-                for key, batcher in self._batchers.items()
-            }
+        report["engine"] = {name: self._batcher.stats.as_dict()}
         return report
 
     def stats(self) -> Dict[str, Any]:
         """:class:`~repro.serving.api.InferenceTarget` alias of :meth:`report`."""
         return self.report()
-
-    def expected_wait_seconds(self, model: Optional[str] = None) -> float:
-        """The default (or named) model's current queueing-delay estimate."""
-        if model is None:
-            key = self._default_key
-        elif model in self._pinned:
-            key = model
-        else:
-            key = self.pool.key_for(model)
-        batcher = self._batchers.get(key)
-        return 0.0 if batcher is None else batcher.expected_wait_seconds()

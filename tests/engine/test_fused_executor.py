@@ -389,8 +389,7 @@ def test_concurrent_submit_many_no_cross_request_aliasing(rng):
 
     results = [None] * len(inputs)
     errors = []
-    with InferenceService(compiled, policy=BatchPolicy(max_batch_size=4),
-                          warmup=True) as service:
+    with InferenceService(compiled, policy=BatchPolicy(max_batch_size=4)) as service:
         barrier = threading.Barrier(len(inputs))
 
         def client(index):

@@ -163,9 +163,10 @@ class TestDeployableArtifact:
 
     def test_load_refuses_older_versions_by_their_version(self, artifact, tmp_path):
         """A version-2 file carries ``engine.int8`` in its spec, a version-3
-        one ``serve.max_wait_ms`` and a version-4 one a measurement whose
-        speedup was taken against the taped dense forward: each must be
-        refused for its version, before the spec parser sees the key."""
+        one ``serve.max_wait_ms``, a version-4 one a measurement whose
+        speedup was taken against the taped dense forward and a version-5 one
+        ``serve.pool_capacity`` / ``serve.warmup`` / ``serve.enabled``: each
+        must be refused for its version, before the spec parser sees the key."""
         import json
 
         from repro.utils.serialization import load_state_dict, save_state_dict
@@ -175,7 +176,8 @@ class TestDeployableArtifact:
         meta["spec"]["engine"]["int8"] = False
         meta["int8"] = False
         meta["spec"]["serve"]["max_wait_ms"] = 2.0
-        for version in (1, 2, 3, 4):
+        meta["spec"]["serve"].update(pool_capacity=2, warmup=True, enabled=False)
+        for version in (1, 2, 3, 4, 5):
             meta["version"] = version
             bundle["__artifact__"] = np.asarray(json.dumps(meta))
             path = save_state_dict(bundle, str(tmp_path / f"v{version}"))

@@ -31,14 +31,12 @@ FULL_SPEC_DICT = {
                "image_size": 96, "batch": 4, "repeats": 2},
     "evaluation": {"enabled": True, "image_size": 96, "probe_size": 64,
                    "baseline_map": 55.5, "platforms": ["jetson_tx2"]},
-    "serve": {"enabled": True, "max_batch_size": 4,
-              "queue_capacity": 32, "pool_capacity": 1, "warmup": False,
+    "serve": {"max_batch_size": 4, "queue_capacity": 32,
               "requests": 24, "concurrency": 3, "workers": 4,
               "routing": "least-outstanding",
-              "gateway": {"enabled": True, "host": "127.0.0.1", "port": 8707,
+              "gateway": {"host": "127.0.0.1", "port": 8707,
                           "rate_limit_rps": 500.0, "burst": 16,
                           "max_inflight_per_client": 32,
-                          "default_priority": "normal",
                           "slo_ms": {"high": 50.0, "normal": 200.0},
                           "max_frame_mb": 16.0},
               "cluster": {"heartbeat_interval": 0.1, "heartbeat_timeout": 3.0,
@@ -75,8 +73,7 @@ class TestDefaults:
         assert spec.name == "minimal"
         assert spec.framework.trace_size == 64
         assert spec.quantization.bits == 8
-        # Serving section defaults off but carries usable policy defaults.
-        assert not spec.serve.enabled
+        # The serving section carries usable policy defaults.
         assert spec.serve.max_batch_size == 8
         assert spec.serve.queue_capacity == 256
 
@@ -163,8 +160,6 @@ class TestValidation:
             ServeSpec(max_batch_size=0)
         with pytest.raises(ValueError, match="queue_capacity"):
             ServeSpec(queue_capacity=0)
-        with pytest.raises(ValueError, match="pool_capacity"):
-            ServeSpec(pool_capacity=0)
         with pytest.raises(ValueError, match="requests"):
             ServeSpec(requests=0)
         with pytest.raises(ValueError, match="concurrency"):
@@ -175,10 +170,10 @@ class TestValidation:
             ServeSpec(routing="random")
 
     def test_serve_cluster_fields_round_trip_and_match_registry(self):
-        spec = RunSpec.from_dict({"serve": {"workers": 4, "routing": "model-affinity"}})
+        spec = RunSpec.from_dict({"serve": {"workers": 4, "routing": "least-outstanding"}})
         assert spec.serve.workers == 4
-        assert spec.serve.routing == "model-affinity"
-        assert RunSpec.from_dict(spec.to_dict()).serve.routing == "model-affinity"
+        assert spec.serve.routing == "least-outstanding"
+        assert RunSpec.from_dict(spec.to_dict()).serve.routing == "least-outstanding"
         # The serializable names must be exactly the implemented policies.
         from repro.pipeline.spec import ROUTING_POLICY_NAMES
         from repro.serving.cluster import available_routing_policies
@@ -196,18 +191,17 @@ class TestValidation:
             RunSpec.from_dict({"serve": {"gateway": {"prot": 8707}}})
 
     def test_gateway_round_trip(self):
-        data = {"serve": {"gateway": {"enabled": True, "port": 8707,
+        data = {"serve": {"gateway": {"port": 8707,
                                       "slo_ms": {"high": 25.0}}}}
         spec = RunSpec.from_dict(data)
-        assert spec.serve.gateway.enabled
         assert spec.serve.gateway.port == 8707
         assert spec.serve.gateway.slo_ms == {"high": 25.0}
         again = RunSpec.from_dict(spec.to_dict())
         assert again.serve.gateway.port == 8707
         assert again.to_dict() == spec.to_dict()
-        # Defaults: disabled, ephemeral port, no rate limit.
-        assert not ServeSpec().gateway.enabled
+        # Defaults: ephemeral port, no rate limit.
         assert ServeSpec().gateway.port == 0
+        assert ServeSpec().gateway.rate_limit_rps == 0.0
 
     def test_gateway_spec_validated(self):
         with pytest.raises(ValueError, match="port"):
@@ -220,8 +214,6 @@ class TestValidation:
             GatewaySpec(burst=0)
         with pytest.raises(ValueError, match="max_inflight_per_client"):
             GatewaySpec(max_inflight_per_client=0)
-        with pytest.raises(ValueError, match="default_priority"):
-            GatewaySpec(default_priority="urgent")
         with pytest.raises(ValueError, match="slo_ms"):
             GatewaySpec(slo_ms={"urgent": 10.0})
         with pytest.raises(ValueError, match="slo_ms"):
@@ -329,7 +321,6 @@ BOUNDS = [
     (GatewaySpec, "rate_limit_rps", 0.0, -0.001),
     (GatewaySpec, "burst", 1, 0),
     (GatewaySpec, "max_inflight_per_client", 1, 0),
-    (GatewaySpec, "default_priority", "low", "lowest"),
     (GatewaySpec, "max_frame_mb", 0.001, 0.0),
     (AutoscalerSpec, "min_workers", 1, 0),
     (AutoscalerSpec, "interval_s", 0.001, 0.0),
@@ -356,11 +347,10 @@ BOUNDS = [
     (ClusterSpec, "restart_backoff_s", 0.0, -0.001),
     (ServeSpec, "max_batch_size", 1, 0),
     (ServeSpec, "queue_capacity", 1, 0),
-    (ServeSpec, "pool_capacity", 1, 0),
     (ServeSpec, "requests", 1, 0),
     (ServeSpec, "concurrency", 1, 0),
     (ServeSpec, "workers", 1, 0),
-    (ServeSpec, "routing", "model-affinity", "random"),
+    (ServeSpec, "routing", "least-outstanding", "random"),
     (RunSpec, "name", "r", ""),
 ]
 

@@ -16,7 +16,7 @@ TINY_SERVE_SPEC = {
     "engine": {"enabled": True, "measure": False, "image_size": 64, "batch": 1,
                "repeats": 1},
     "evaluation": {"enabled": False},
-    "serve": {"enabled": True, "max_batch_size": 4,
+    "serve": {"max_batch_size": 4,
               "queue_capacity": 64, "requests": 16, "concurrency": 4},
 }
 

@@ -35,7 +35,7 @@ from repro.serving import (
     build_target,
 )
 
-SERVICE_STATS = {"batches", "engine", "engine_modes", "latency", "policy", "pool",
+SERVICE_STATS = {"batches", "engine", "engine_modes", "latency", "policy",
                  "queue", "requests", "throughput_rps"}
 ROUTER_STATS = {"artifact", "cluster", "degraded", "policy", "routing",
                 "worker_artifacts", "worker_services", "workers"}
@@ -112,10 +112,9 @@ def test_cluster_and_autoscaler_nodes_reach_their_consumers(artifact_path):
         heartbeat_interval=0.1, heartbeat_timeout=2.0, shed_low_priority=False,
         autoscaler=AutoscalerSpec(enabled=True, min_workers=2, max_workers=3,
                                   interval_s=30.0))
-    spec = dataclasses.replace(SPEC, workers=2, pool_capacity=1, cluster=cluster)
+    spec = dataclasses.replace(SPEC, workers=2, cluster=cluster)
     with build_target(artifact_path, spec) as stack:
         assert stack.backend.cluster is cluster
-        assert stack.backend.pool_capacity == 1
         assert stack.autoscaler.spec is cluster.autoscaler
         assert stack.autoscaler.router is stack.backend
         assert stack.autoscaler._thread.is_alive()

@@ -15,7 +15,6 @@ from repro.serving.cluster import (
     ArrayChannel,
     ClusterMetrics,
     LeastOutstandingPolicy,
-    ModelAffinityPolicy,
     RoundRobinPolicy,
     Router,
     WorkerUnavailableError,
@@ -53,7 +52,7 @@ class TestArrayChannel:
         parent, child = multiprocessing.Pipe(duplex=True)
         sender, receiver = ArrayChannel(parent), ArrayChannel(child)
         payload = np.random.default_rng(0).standard_normal((2, 3, 4)).astype(np.float32)
-        sender.send("infer", {"id": 7, "model": None}, [payload])
+        sender.send("infer", {"id": 7}, [payload])
         message = receiver.recv()
         assert message.kind == "infer"
         assert message.meta["id"] == 7
@@ -78,8 +77,7 @@ class FakeWorker:
 
 class TestRoutingPolicies:
     def test_registry_names(self):
-        assert available_routing_policies() == (
-            "round-robin", "least-outstanding", "model-affinity")
+        assert available_routing_policies() == ("round-robin", "least-outstanding")
         for name in available_routing_policies():
             assert build_routing_policy(name).name == name
         with pytest.raises(KeyError, match="unknown routing policy"):
@@ -88,36 +86,18 @@ class TestRoutingPolicies:
     def test_round_robin_cycles_and_skips_dead(self):
         policy = RoundRobinPolicy()
         workers = [FakeWorker(), FakeWorker(accepting=False), FakeWorker()]
-        picks = [policy.select(workers, "default") for _ in range(4)]
+        picks = [policy.select(workers) for _ in range(4)]
         assert picks == [workers[0], workers[2], workers[0], workers[2]]
 
     def test_round_robin_all_dead_raises(self):
         with pytest.raises(WorkerUnavailableError):
-            RoundRobinPolicy().select([FakeWorker(accepting=False)], "default")
+            RoundRobinPolicy().select([FakeWorker(accepting=False)])
 
     def test_least_outstanding_picks_idle(self):
         policy = LeastOutstandingPolicy()
         workers = [FakeWorker(outstanding=5), FakeWorker(outstanding=1),
                    FakeWorker(outstanding=3)]
-        assert policy.select(workers, "default") is workers[1]
-
-    def test_model_affinity_is_sticky_and_spreads(self):
-        policy = ModelAffinityPolicy()
-        workers = [FakeWorker() for _ in range(4)]
-        # Sticky: the same key always lands on the same worker.
-        first = policy.select(workers, "model-a")
-        assert all(policy.select(workers, "model-a") is first for _ in range(8))
-        # Spreading: many distinct keys hit more than one slot.
-        slots = {id(policy.select(workers, f"model-{i}")) for i in range(32)}
-        assert len(slots) > 1
-
-    def test_model_affinity_falls_back_when_home_is_dead(self):
-        policy = ModelAffinityPolicy()
-        workers = [FakeWorker() for _ in range(4)]
-        home = policy._slot("model-a", 4)
-        workers[home].accepting = False
-        fallback = policy.select(workers, "model-a")
-        assert fallback is workers[(home + 1) % 4]
+        assert policy.select(workers) is workers[1]
 
 
 # -------------------------------------------------------------------- metrics
@@ -234,16 +214,6 @@ class TestRouterCluster:
         assert out.flags.writeable
         out *= 2.0   # must not raise
 
-    def test_pool_capacity_reaches_worker_services(self, artifact_path, images,
-                                                   cluster_policy):
-        """ServeSpec.pool_capacity must bound each child's ModelPool."""
-        with Router(artifact_path, workers=1, policy=cluster_policy,
-                    pool_capacity=1) as router:
-            router.submit(images[0], block=True, timeout=60.0).result(60.0)
-            stats = router.workers[0].request_stats(10.0)
-        assert stats is not None
-        assert stats["pool"]["capacity"] == 1
-
     def test_both_workers_killed_mid_load_still_recovers(self, artifact_path, images,
                                                          cluster_policy):
         """Supervision must survive a second death during recovery: re-dispatch
@@ -350,7 +320,7 @@ def burst_record(count):
 
     images = np.arange(count, dtype=np.float32)[:, None, None, None] * np.ones((1, 1, 2, 2),
                                                                                np.float32)
-    return _PendingRequest(InferenceFuture(count), 0, images, None), images
+    return _PendingRequest(InferenceFuture(count), 0, images), images
 
 
 class TestWorkerBursts:

@@ -292,7 +292,7 @@ class EchoTarget:
 @pytest.fixture(scope="module")
 def echo_gateway():
     server = GatewayServer(EchoTarget(),
-                           spec=GatewaySpec(enabled=True, port=0, max_frame_mb=0.25),
+                           spec=GatewaySpec(port=0, max_frame_mb=0.25),
                            metrics=GatewayMetrics(register=False)).start()
     yield server
     server.shutdown()
@@ -557,7 +557,7 @@ class TestBurstFrames:
         from repro.serving.cluster.channel import BURST_BYTES, burst_images
 
         server = GatewayServer(EchoTarget(),
-                               spec=GatewaySpec(enabled=True, port=0, max_frame_mb=8.0),
+                               spec=GatewaySpec(port=0, max_frame_mb=8.0),
                                metrics=GatewayMetrics(register=False)).start()
         try:
             side = 128                                     # 3 x 128 x 128 x 4 = 192 KiB an image

@@ -32,7 +32,7 @@ PREFIX = struct.Struct("!I")
 
 
 def start_gateway(target, injector=None, **spec_kwargs):
-    spec = GatewaySpec(enabled=True, port=0, **spec_kwargs)
+    spec = GatewaySpec(port=0, **spec_kwargs)
     return GatewayServer(target, spec=spec, metrics=GatewayMetrics(register=False),
                          injector=injector).start()
 
@@ -121,7 +121,7 @@ class TestOwnership:
             np.testing.assert_array_equal(result, snapshot)
 
     def test_gateway_client_replies_own_their_memory(self, serve_artifact, images):
-        with InferenceService(serve_artifact, warmup=False,
+        with InferenceService(serve_artifact,
                               policy=BatchPolicy(max_batch_size=4),
                               metrics=ServingMetrics(name="own", register=False)) as service:
             server = start_gateway(service)
@@ -292,7 +292,7 @@ class BatcherTarget:
         self.batches.append(batch)
         return batch.sum(axis=(1, 2, 3)).reshape(-1, 1)
 
-    def submit_group(self, images, model=None, **kwargs):
+    def submit_group(self, images, **kwargs):
         self.groups.append(images)
         return self.batcher.submit_group(images, **kwargs)
 

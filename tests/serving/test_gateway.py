@@ -214,14 +214,13 @@ def service(serve_artifact):
             serve_artifact,
             policy=BatchPolicy(max_batch_size=4,
                                queue_capacity=64),
-            metrics=ServingMetrics(name="gw-wire", register=False),
-            warmup=False) as svc:
+            metrics=ServingMetrics(name="gw-wire", register=False)) as svc:
         yield svc
 
 
 def start_gateway(target, **spec_kwargs):
     spec_kwargs.setdefault("port", 0)
-    spec = GatewaySpec(enabled=True, **spec_kwargs)
+    spec = GatewaySpec(**spec_kwargs)
     server = GatewayServer(target, spec=spec,
                            metrics=GatewayMetrics(register=False))
     return server.start()

@@ -81,7 +81,7 @@ class ImmediateFakeService:
     def __init__(self):
         self.submitted = 0
 
-    def submit(self, image, model=None, block=False, timeout=None):
+    def submit(self, image, block=False, timeout=None):
         self.submitted += 1
         future = InferenceFuture()
         future._resolve(np.zeros((1, 1), dtype=np.float32))
@@ -98,7 +98,7 @@ class ConcurrencyTrackingService:
         self.submitted = 0
         self._service_time = service_time
 
-    def submit(self, image, model=None, block=False, timeout=None):
+    def submit(self, image, block=False, timeout=None):
         future = InferenceFuture()
         with self._lock:
             self.submitted += 1
@@ -140,7 +140,7 @@ class StallOnceService:
         self.sent_at = []
         self.metrics = ClusterMetrics(register=False)     # what the drill reads restarts off
 
-    def submit(self, image, model=None, block=False, timeout=None, **scheduling):
+    def submit(self, image, block=False, timeout=None, **scheduling):
         self.sent_at.append(self.clock.now)
         if len(self.sent_at) - 1 == self.stall_at:
             self.clock.sleep(self.stall_s)

@@ -1,8 +1,7 @@
-"""ModelPool: LRU bounds, warmup, concurrent loading and eviction safety."""
+"""ModelPool / PooledModel: load once per path, always warm, concurrent first gets."""
 
 from __future__ import annotations
 
-import shutil
 import threading
 
 import numpy as np
@@ -12,98 +11,54 @@ from repro.pipeline import DeployableArtifact
 from repro.serving.pool import ModelPool, PooledModel, as_batch_callable
 
 
-@pytest.fixture
-def second_artifact_path(artifact_path, tmp_path) -> str:
-    """A byte-identical copy under a different path (a distinct pool key)."""
-    copy = tmp_path / "tiny_serve_copy.npz"
-    shutil.copyfile(artifact_path, copy)
-    return str(copy)
-
-
 class TestBasics:
-    def test_get_loads_warms_and_caches(self, artifact_path, images):
-        pool = ModelPool(capacity=2)
+    def test_get_loads_once_and_caches(self, artifact_path, images):
+        pool = ModelPool()
         entry = pool.get(artifact_path)
-        assert entry.warmed
-        assert pool.stats()["misses"] == 1 and pool.stats()["resident"] == 1
-        again = pool.get(artifact_path)
-        assert again is entry
-        assert pool.stats()["hits"] == 1 and pool.stats()["misses"] == 1
+        assert pool.get(artifact_path) is entry
         out = entry.run(images[:2])
         assert out.shape[0] == 2
 
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError, match="capacity"):
-            ModelPool(capacity=0)
-
-    def test_warmup_can_be_disabled(self, artifact_path):
-        pool = ModelPool(capacity=1, warmup=False)
-        assert not pool.get(artifact_path).warmed
-
-    def test_contains_and_keys(self, artifact_path):
-        pool = ModelPool(capacity=1)
-        assert artifact_path not in pool
-        pool.get(artifact_path)
-        assert artifact_path in pool
-        assert pool.keys() == (pool.key_for(artifact_path),)
-
-    def test_add_registers_objects(self, serve_artifact, images):
-        pool = ModelPool(capacity=2)
-        entry = pool.add("tiny", serve_artifact)
-        assert entry.warmed
-        assert len(pool) == 1
-        out = entry.run(images[:1])
-        np.testing.assert_allclose(out, serve_artifact.forward_raw(images[:1]),
+    def test_objects_are_served_as_they_are(self, serve_artifact, images):
+        entry = PooledModel(serve_artifact)
+        assert entry.model is serve_artifact
+        assert entry.engine_mode == "fused"
+        np.testing.assert_allclose(entry.run(images[:1]),
+                                   serve_artifact.forward_raw(images[:1]),
                                    atol=0, rtol=0)
+
+    def test_construction_warms(self, serve_artifact):
+        """Serving always warms: one forward pass runs before the entry is returned."""
+        calls = []
+
+        class Counting:
+            spec = serve_artifact.spec
+
+            def forward_raw(self, batch):
+                calls.append(batch.shape)
+                return batch
+
+        PooledModel(Counting())
+        assert calls == [(1, 3, 64, 64)]
 
     def test_as_batch_callable_rejects_unknown(self):
         with pytest.raises(TypeError, match="cannot serve"):
             as_batch_callable(object())
 
 
-class TestLRU:
-    def test_lru_eviction_at_capacity_one(self, artifact_path, second_artifact_path):
-        pool = ModelPool(capacity=1)
-        first = pool.get(artifact_path)
-        second = pool.get(second_artifact_path)
-        stats = pool.stats()
-        assert stats["resident"] == 1 and stats["evictions"] == 1
-        assert pool.keys() == (pool.key_for(second_artifact_path),)
-        # Re-get of the evicted artifact reloads from disk (a new entry).
-        reloaded = pool.get(artifact_path)
-        assert reloaded is not first
-        assert pool.stats()["misses"] == 3
-        assert second is not reloaded
-
-    def test_lru_order_follows_use(self, artifact_path, second_artifact_path):
-        pool = ModelPool(capacity=2)
-        pool.get(artifact_path)
-        pool.get(second_artifact_path)
-        pool.get(artifact_path)           # touch -> most recently used
-        assert pool.keys()[-1] == pool.key_for(artifact_path)
-
-    def test_evicted_entry_remains_usable(self, artifact_path, second_artifact_path,
-                                          images):
-        """A handle obtained before eviction keeps serving (reference safety)."""
-        pool = ModelPool(capacity=1)
-        first = pool.get(artifact_path)
-        reference = first.run(images[:2])
-        pool.get(second_artifact_path)            # evicts `first` from the map
-        assert pool.key_for(artifact_path) not in pool.keys()
-        np.testing.assert_allclose(first.run(images[:2]), reference, atol=0, rtol=0)
-
-
 class TestConcurrency:
-    def test_concurrent_load_same_key_shares_one_load(self, artifact_path):
+    def test_concurrent_first_gets_share_one_load(self, artifact_path, monkeypatch):
         loads = []
         load_lock = threading.Lock()
+        load = DeployableArtifact.load
 
-        def counting_loader(path):
+        def counting_load(path):
             with load_lock:
                 loads.append(path)
-            return DeployableArtifact.load(path)
+            return load(path)
 
-        pool = ModelPool(capacity=1, loader=counting_loader)
+        monkeypatch.setattr(DeployableArtifact, "load", staticmethod(counting_load))
+        pool = ModelPool()
         entries = [None] * 4
         barrier = threading.Barrier(4)
 
@@ -117,50 +72,18 @@ class TestConcurrency:
         for t in threads:
             t.join(30.0)
         assert all(e is not None for e in entries)
-        assert len(loads) == 1, "concurrent gets of one key must share one load"
+        assert len(loads) == 1, "concurrent gets of one path must share one load"
         assert len({id(e) for e in entries}) == 1
-
-    def test_concurrent_load_and_eviction_lru_size_one(
-            self, artifact_path, second_artifact_path, images):
-        """Two threads loading different artifacts through an LRU-1 pool: both
-        get working models, the pool ends bounded, nothing deadlocks."""
-        pool = ModelPool(capacity=1)
-        results = {}
-        errors = []
-        barrier = threading.Barrier(2)
-
-        def worker(name, path):
-            try:
-                barrier.wait()
-                entry = pool.get(path)
-                # Run inference through the handle even if the other thread
-                # evicted it meanwhile — eviction must be reference-safe.
-                results[name] = entry.run(images[:2])
-            except BaseException as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        threads = [threading.Thread(target=worker, args=("a", artifact_path)),
-                   threading.Thread(target=worker, args=("b", second_artifact_path))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60.0)
-        assert not errors
-        assert set(results) == {"a", "b"}
-        # Identical weights in both artifacts -> identical outputs.
-        np.testing.assert_allclose(results["a"], results["b"], atol=0, rtol=0)
-        assert len(pool) == 1, "LRU-1 pool must stay bounded"
 
 
 class TestPooledModel:
     def test_default_image_shape_from_spec(self, serve_artifact):
-        entry = PooledModel("k", serve_artifact)
+        entry = PooledModel(serve_artifact)
         assert entry.default_image_shape() == (3, 64, 64)
 
     def test_pool_entry_outputs_match_direct_artifact(self, artifact_path,
                                                       serve_artifact, images):
-        pool = ModelPool(capacity=1)
-        entry = pool.get(artifact_path)
+        entry = ModelPool().get(artifact_path)
         np.testing.assert_allclose(entry.run(images[:3]),
                                    serve_artifact.forward_raw(images[:3]),
                                    atol=1e-5, rtol=0)

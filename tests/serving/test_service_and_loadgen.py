@@ -99,24 +99,12 @@ class TestLifecycleAndMetrics:
         assert report["requests"]["completed"] == 6
         assert report["batches"]["count"] >= 2          # 6 requests, batches <= 4
         assert report["batches"]["max_size"] <= 4
-        assert report["pool"]["resident"] == 1
+        assert report["engine_modes"] == {"default": "fused"}
         assert report["policy"]["max_batch_size"] == 4
         assert "default" in report["engine"]
         assert report["engine"]["default"]["images"] == 6
         row = service.metrics.flat_row()
         assert row["completed"] == 6 and row["throughput_rps"] > 0
-
-    def test_service_uses_the_passed_pool(self, serve_artifact):
-        """A freshly created pool is empty and therefore falsy (ModelPool has
-        __len__) — the service must still honour it, not silently replace it."""
-        from repro.serving import ModelPool
-
-        pool = ModelPool(capacity=1, warmup=False)
-        svc = InferenceService(serve_artifact, pool=pool, warmup=False)
-        try:
-            assert svc.pool is pool
-        finally:
-            svc.shutdown(30.0)
 
     def test_empty_submit_many_rejected(self, service):
         with pytest.raises(ValueError, match="no images"):
