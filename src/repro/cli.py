@@ -712,10 +712,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     with stack:
         backend = stack.backend
-        if stack.autoscaler is not None:
-            bounds = spec.cluster.autoscaler
-            print(f"autoscaler enabled: fleet "
-                  f"[{bounds.min_workers}, {bounds.max_workers}] workers")
         if sequential is not None:
             diff = max_abs_output_diff(backend.submit_many(images), sequential)
             ok = diff < 1e-5

@@ -297,45 +297,6 @@ class GatewaySpec(_SpecNode):
 
 
 @dataclass
-class AutoscalerSpec(_SpecNode):
-    """Elastic fleet sizing nested inside :class:`ClusterSpec`.
-
-    Consumed by :class:`repro.serving.elastic.Autoscaler`: a supervisor loop
-    that grows the Router's worker fleet when queue depth or the windowed p95
-    latency breaches the targets below, and shrinks it back once load drains,
-    with per-direction cooldowns so decisions do not flap.
-    """
-
-    enabled: bool = False
-    #: Fleet bounds the autoscaler may move between (inclusive).
-    min_workers: int = _bounded(1, ge=1)
-    max_workers: int = 4
-    #: Seconds between supervisor evaluations.
-    interval_s: float = _bounded(0.5, gt=0)
-    #: Scale up when mean queued-per-worker exceeds this ...
-    scale_up_queue_depth: float = _bounded(4.0, gt=0)
-    #: ... scale down when it falls below this (must stay < scale_up).
-    scale_down_queue_depth: float = _bounded(1.0, ge=0)
-    #: Also scale up when the windowed p95 latency exceeds this many ms
-    #: (0 disables the latency trigger; queue depth still applies).
-    slo_p95_ms: float = _bounded(0.0, ge=0)
-    #: Minimum seconds between consecutive scale-ups / scale-downs.
-    cooldown_up_s: float = _bounded(2.0, ge=0)
-    cooldown_down_s: float = _bounded(10.0, ge=0)
-
-    def _check(self) -> None:
-        if self.max_workers < self.min_workers:
-            raise ValueError(
-                f"AutoscalerSpec.max_workers must be >= min_workers "
-                f"({self.min_workers}), got {self.max_workers}")
-        if self.scale_down_queue_depth >= self.scale_up_queue_depth:
-            raise ValueError(
-                f"AutoscalerSpec.scale_down_queue_depth must be < "
-                f"scale_up_queue_depth ({self.scale_up_queue_depth}), "
-                f"got {self.scale_down_queue_depth}")
-
-
-@dataclass
 class ChaosSpec(_SpecNode):
     """Seeded fault-injection schedule nested inside :class:`ServeSpec`.
 
@@ -384,12 +345,13 @@ class ChaosSpec(_SpecNode):
 
 @dataclass
 class ClusterSpec(_SpecNode):
-    """Supervision/elasticity knobs nested inside :class:`ServeSpec`.
+    """Supervision knobs nested inside :class:`ServeSpec`.
 
     Consumed by ``repro serve --workers N`` and
     :class:`repro.serving.cluster.Router`: the heartbeat liveness contract,
     the bounded exponential-backoff restart policy for crash-looping
-    artifacts, graceful degradation, and the optional autoscaler.
+    artifacts, and graceful degradation.  The fleet size is
+    ``ServeSpec.workers``, fixed for the router's life.
     """
 
     #: Seconds between worker heartbeat frames.
@@ -407,7 +369,6 @@ class ClusterSpec(_SpecNode):
     #: While degraded (any slot abandoned/respawning), shed 'low'-priority
     #: requests at admission instead of queueing work the fleet cannot absorb.
     shed_low_priority: bool = True
-    autoscaler: AutoscalerSpec = field(default_factory=AutoscalerSpec)
 
     def _check(self) -> None:
         if self.heartbeat_timeout <= self.heartbeat_interval:
@@ -447,8 +408,8 @@ class ServeSpec(_SpecNode):
     routing: str = _bounded("round-robin", choices=ROUTING_POLICY_NAMES)
     #: Network gateway configuration (repro serve --gateway / GatewayServer).
     gateway: GatewaySpec = field(default_factory=GatewaySpec)
-    #: Cluster supervision/elasticity knobs (heartbeats, restart backoff,
-    #: autoscaler) applied when workers > 1.
+    #: Cluster supervision knobs (heartbeats, restart backoff, shedding)
+    #: applied when workers > 1.
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     #: Seeded fault-injection schedule (repro chaos / FaultInjector).
     chaos: ChaosSpec = field(default_factory=ChaosSpec)
@@ -460,8 +421,11 @@ class RunSpec(_SpecNode):
 
     #: Display name of the run; also the default artifact stem.
     name: str = _bounded("run", nonempty=True)
-    #: Master seed threaded through utils.rng, the pruning config and the engine
-    #: benchmark so the whole run is reproducible end to end.
+    #: Seeds the global ``repro.utils.rng`` stream, the pruner's ``seed``
+    #: (unless ``framework.overrides`` sets one) and the engine measurement's
+    #: input draw.  It does not seed the model weights: those come from the
+    #: model config's own ``seed`` (``TinyDetectorConfig.seed`` = 29, YOLOv5
+    #: 7, RetinaNet 11), which no registered model builder takes as an argument.
     seed: int = 0
     model: ModelSpec = field(default_factory=ModelSpec)
     framework: FrameworkSpec = field(default_factory=FrameworkSpec)

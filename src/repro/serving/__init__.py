@@ -38,12 +38,9 @@ real-time claim:
   per-client admission control, priority classes and deadline propagation,
   and the matching wire-level :class:`GatewayClient` with bounded
   auto-reconnect,
-* :mod:`repro.serving.elastic` — :class:`Autoscaler`, a supervisor loop that
-  grows and shrinks the Router fleet from queue depth and windowed p95
-  latency vs. the SLO, with per-direction cooldowns,
 * :mod:`repro.serving.assembly` — :func:`build_target`, the one factory from
   a :class:`~repro.pipeline.spec.ServeSpec` tree to a running stack
-  (policy, service or router, autoscaler, gateway + client) behind one
+  (policy, service or router, gateway + client) behind one
   :class:`ServingStack` handle that tears it all down in order,
 * :mod:`repro.serving.chaos` — :class:`FaultInjector`, seeded deterministic
   fault injection (worker crashes, hangs, heartbeat loss, torn frames,
@@ -61,7 +58,7 @@ Quick use::
         print(service.report()["latency"])       # p50/p95/p99 ...
 
 or the whole stack an artifact's spec describes — in-process service or
-worker fleet, autoscaler, TCP gateway — from that spec alone::
+worker fleet, TCP gateway — from that spec alone::
 
     from repro.pipeline import DeployableArtifact
     from repro.serving import build_target
@@ -101,7 +98,6 @@ from repro.serving.cluster import (
     WorkerUnavailableError,
     available_routing_policies,
 )
-from repro.serving.elastic import Autoscaler
 from repro.serving.errors import (
     AdmissionRejectedError,
     BadRequestError,
@@ -128,7 +124,6 @@ __all__ = [
     "PRIORITY_CLASSES",
     "AdmissionRejectedError",
     "ArtifactSwapError",
-    "Autoscaler",
     "BadRequestError",
     "BatchPolicy",
     "ChaosDrillReport",

@@ -3,10 +3,10 @@
 The spec tree is the serving configuration and :func:`build_target` is the one
 place that reads it: the micro-batching knobs become the ``BatchPolicy``,
 ``workers`` picks the backend (in-process ``InferenceService`` or a ``Router``
-fleet), the ``cluster`` node goes to the router whole, its ``autoscaler`` child
-to the ``Autoscaler``, and a gateway node to a ``GatewayServer`` with a
-connected ``GatewayClient`` in front.  ``repro serve|chaos|metrics|top`` build
-every target through it; usage is in the :mod:`repro.serving` docstring.
+fleet of that fixed size), the ``cluster`` node goes to the router whole, and
+a gateway node to a ``GatewayServer`` with a connected ``GatewayClient`` in
+front.  ``repro serve|chaos|metrics|top`` build every target through it;
+usage is in the :mod:`repro.serving` docstring.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.pipeline.spec import ChaosSpec, GatewaySpec, ServeSpec
 from repro.serving.batcher import BatchPolicy
 from repro.serving.chaos import FaultInjector
 from repro.serving.cluster.router import Router
-from repro.serving.elastic import Autoscaler
 from repro.serving.gateway import GatewayClient, GatewayServer
 from repro.serving.service import InferenceService
 
@@ -38,8 +37,7 @@ class ServingStack:
     #: describe what actually served.
     backend: Union[InferenceService, Router, None] = None
     gateway: Optional[GatewayServer] = None
-    autoscaler: Optional[Autoscaler] = None
-    # Unwinds in reverse build order — client, gateway, autoscaler, backend —
+    # Unwinds in reverse build order — client, gateway, backend —
     # each step running even if an earlier one raised.
     _teardown: contextlib.ExitStack = field(
         default_factory=contextlib.ExitStack, init=False, repr=False
@@ -102,9 +100,6 @@ def build_target(
                 chaos=chaos,
             )
             on_shutdown(backend.shutdown)
-            if serve_spec.cluster.autoscaler.enabled:
-                stack.autoscaler = Autoscaler(backend, serve_spec.cluster.autoscaler).start()
-                on_shutdown(stack.autoscaler.stop)
         else:
             # A loaded artifact is served as the object it is (no second
             # load + recompile), under its run's name.

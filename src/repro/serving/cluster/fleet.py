@@ -4,8 +4,9 @@ What a :class:`~repro.serving.cluster.router.Router` worker slot is doing —
 serving, waiting for a respawn, given up on — is one :class:`Slot` record in
 one :class:`SlotTable`, and every rule about it is a method here: quick-death
 counting and abandonment, the jittered exponential restart backoff, which slots
-are due a respawn, whether the fleet is degraded or lost, what a scale or swap
-step may do, and the autoscaler's up / down / hold (:func:`scale_decision`).
+are due a respawn, whether the fleet is degraded or lost, and what a swap step
+may do.  The table holds as many slots as the router was built with, for its
+whole life.
 
 The module is *pure*: no ``threading``, ``time``, ``os``, ``multiprocessing``
 or ``random`` — ``now`` and the backoff ``jitter`` are arguments — and a worker
@@ -21,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.pipeline.spec import AutoscalerSpec, ClusterSpec
-from repro.serving.errors import ServiceClosedError
+from repro.pipeline.spec import ClusterSpec
 
 #: :meth:`SlotTable.died` verdicts: does the slot come back, and what becomes
 #: of the requests its dead worker still owed.
 RESPAWN = "respawn"   # due a new worker at the slot's ``respawn_at``; re-dispatch
 ABANDON = "abandon"   # too many quick deaths: no respawn; fail them
 CLOSED = "closed"     # the fleet shut down meanwhile: no respawn; fail them
-GONE = "gone"         # slot scaled away or occupant replaced meanwhile; re-dispatch
+GONE = "gone"         # occupant replaced meanwhile (a rolling swap); re-dispatch
 
 
 @dataclass
@@ -58,8 +58,8 @@ class SlotTable:
         self.closed = False
         #: Last "fatal" startup error any dead worker reported (diagnostics).
         self.last_fatal_error: Optional[str] = None
-        # Spawns per slot index.  Outlives the slot: one scaled away and back
-        # never replays an earlier incarnation's chaos schedule.
+        # Spawns per slot index, counted from before the slot is first
+        # installed: each incarnation gets its own chaos schedule.
         self._spawned: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ views
@@ -74,7 +74,7 @@ class SlotTable:
         return all(slot.abandoned for slot in self.slots)
 
     def holds(self, slot: int, worker: Any) -> bool:
-        return slot < len(self.slots) and self.slots[slot].worker is worker
+        return self.slots[slot].worker is worker
 
     def watched(self) -> List[Tuple[int, Any]]:
         """``(slot, worker)`` the supervisor health-checks: not abandoned, not waiting."""
@@ -106,10 +106,10 @@ class SlotTable:
         """The one place a worker enters a slot.
 
         ``expect`` is the occupant the caller decided to replace (None: a new
-        slot at the end).  False — the fleet closed, the slot was scaled away
-        or its occupant changed meanwhile — means ``worker`` is *not* in and
-        the caller retires it.  ``ready``: it proved it can serve, which
-        clears the slot's quick-death count.
+        slot at the end, while the router fills its fleet).  False — the
+        fleet closed or the slot's occupant changed meanwhile — means
+        ``worker`` is *not* in and the caller retires it.  ``ready``: it
+        proved it can serve, which clears the slot's quick-death count.
         """
         if self.closed or slot > len(self.slots):
             return False
@@ -162,27 +162,11 @@ class SlotTable:
         it is not needed: the fleet closed, or the supervisor already brought
         the slot back on ``path`` (a crash during the swap) — keep that worker.
         """
-        if slot < len(self.slots):
-            current = self.slots[slot].worker
-            upgraded = current.artifact_path == path and current.accepting
-            if not upgraded and self.install(slot, replacement, expect=current, ready=True):
-                return current
+        current = self.slots[slot].worker
+        upgraded = current.artifact_path == path and current.accepting
+        if not upgraded and self.install(slot, replacement, expect=current, ready=True):
+            return current
         return replacement
-
-    def next_slot(self) -> int:
-        """The index a scale-up fills."""
-        if self.closed:
-            raise ServiceClosedError("Router has been shut down")
-        return len(self.slots)
-
-    def shrink(self) -> Any:
-        """Scale-down: drop the last slot, whatever its state; returns its worker to drain."""
-        if self.closed:
-            raise ServiceClosedError("Router has been shut down")
-        if len(self.slots) <= 1:
-            raise ValueError("cannot scale below one worker")
-        self.workers = self.workers[:-1]
-        return self.slots.pop().worker
 
     def close(self) -> Tuple[Any, ...]:
         """Close the fleet; returns the workers to drain (nothing the second time)."""
@@ -190,22 +174,3 @@ class SlotTable:
         self.closed = True
         return workers
 
-
-def scale_decision(spec: AutoscalerSpec, workers: int, queue_depth: float, p95_ms: float,
-                   now: float, last_up: float, last_down: float) -> str:
-    """The autoscaler's step: ``"up"``, ``"down"`` or ``"hold"``.
-
-    Pressure — mean queue depth over ``scale_up_queue_depth``, or the windowed
-    p95 over the SLO — grows the fleet up to ``max_workers``; an idle one
-    shrinks down to ``min_workers``.  Each direction waits out its cooldown,
-    and shrinking also waits ``cooldown_down_s`` after the last *growth*:
-    never retire the worker a spike that is still draining just got.
-    """
-    slo_breached = spec.slo_p95_ms > 0 and p95_ms > spec.slo_p95_ms
-    if queue_depth > spec.scale_up_queue_depth or slo_breached:
-        if workers < spec.max_workers and now - last_up >= spec.cooldown_up_s:
-            return "up"
-    elif (queue_depth < spec.scale_down_queue_depth and workers > spec.min_workers
-          and now - max(last_up, last_down) >= spec.cooldown_down_s):
-        return "down"
-    return "hold"

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.obs.registry import Instruments, Sample, get_registry
 from repro.serving.metrics import _counts, _rate
-from repro.utils.profiling import percentile
 
 #: Distinguishes concurrent clusters in the obs registry's label sets.
 _CLUSTER_SERIAL = itertools.count(1)
@@ -41,9 +39,6 @@ class ClusterMetrics:
     restart/redispatch totals and the latency summaries alongside the serving
     and engine series.
     """
-
-    #: Bound on the timestamped recent-latency window (autoscaler signal).
-    RECENT_CAPACITY = 4096
 
     def __init__(self, name: Optional[str] = None, register: bool = True) -> None:
         self.name = name or f"cluster-{next(_CLUSTER_SERIAL)}"
@@ -65,9 +60,6 @@ class ClusterMetrics:
         # Timestamps, not metrics: plain fields under the same lock.
         self._first_submit: Optional[float] = None
         self._last_completion: Optional[float] = None
-        #: (perf_counter, latency_s, images) of recent reply frames: the
-        #: autoscaler's sliding *time* window, which no instrument keeps.
-        self._recent: Deque[Tuple[float, float, int]] = deque(maxlen=self.RECENT_CAPACITY)
         if register:
             get_registry().register_collector(f"cluster.{self.name}", self.samples)
 
@@ -75,7 +67,6 @@ class ClusterMetrics:
         """Zero every instrument (e.g. between a verification phase and a load run)."""
         with self._lock:
             self._instruments.clear()
-            self._recent.clear()
             self._first_submit = self._last_completion = None
 
     # ------------------------------------------------------------------ recording
@@ -98,7 +89,6 @@ class ClusterMetrics:
                 self._requests.labels(worker, "completed").inc(count)
                 self._latency.observe(latency_seconds, count)
                 self._worker_latency.labels(worker).observe(latency_seconds, count)
-                self._recent.append((now, latency_seconds, count))
             self._last_completion = now
 
     def record_restart(self, worker: str) -> None:
@@ -140,22 +130,6 @@ class ClusterMetrics:
     @property
     def redispatched(self) -> int:
         return sum(_counts(self._redispatched).values())
-
-    def recent_p95_ms(self, window_s: float = 5.0) -> float:
-        """p95 latency (ms) over completions in the trailing ``window_s``.
-
-        The all-time latency summary is useless as a control signal once a
-        load spike is minutes old.  This is the *windowed* view the
-        autoscaler compares against its SLO (0.0 when the window is empty);
-        a reply frame weighs as many samples as it carried images.
-        """
-        cutoff = time.perf_counter() - window_s
-        recent: List[float] = []
-        with self._lock:
-            for stamp, latency, images in self._recent:
-                if stamp >= cutoff:
-                    recent.extend([latency] * images)
-        return percentile(recent, 95.0) * 1e3
 
     def throughput(self) -> float:
         """Completed requests per second of wall-clock cluster time."""

@@ -21,8 +21,8 @@ Failure handling: one supervisor thread health-checks every slot (process
 liveness + heartbeat freshness).  A dead worker is restarted in place and every
 request that was in flight on it is **re-dispatched** to a live worker under the
 same future — the client keeps waiting on the handle it already has and no
-admitted request is ever dropped.  *What* to do about a death, a scale step or a
-swap step is decided by the clock-free slot table in
+admitted request is ever dropped.  The fleet keeps the size it was built with
+for the router's whole life.  *What* to do about a death or a swap step is decided by the clock-free slot table in
 :mod:`repro.serving.cluster.fleet`; this module is the shell that owns the lock,
 the clock and ``fork`` and performs what the table returns.
 """
@@ -157,8 +157,7 @@ class Router:
         there), taken whole the way ``GatewayServer`` takes its node.  A slot
         abandoned after ``max_restart_attempts`` quick deaths fails its pending
         requests with the child's fatal error, and once every slot is abandoned
-        submits raise instead of blocking forever.  The ``autoscaler`` child
-        is the :class:`~repro.serving.elastic.Autoscaler`'s, not read here.
+        submits raise instead of blocking forever.
     chaos:
         Optional :class:`~repro.pipeline.spec.ChaosSpec` the workers inject.
     """
@@ -166,9 +165,9 @@ class Router:
     # reprolint lock-discipline contract: the slot table (every worker handle,
     # each slot's supervision state, `closed`, the last fatal error) and the
     # artifact path respawns load are read and changed only under `_lock`
-    # (`_worker_available` is a Condition over the same lock).  `_scale_lock`
-    # serializes fleet-shape changes (swap/add/remove) against each other; it
-    # is always taken *before* `_lock`, never inside it.
+    # (`_worker_available` is a Condition over the same lock).  `_swap_lock`
+    # keeps two `swap_artifact` calls from rolling the fleet at once; it is
+    # always taken *before* `_lock`, never inside it.
     _guarded_by_ = {
         "_table": ("_lock", "_worker_available"),
         "artifact_path": ("_lock", "_worker_available"),
@@ -203,7 +202,7 @@ class Router:
 
         self._lock = threading.Lock()
         self._worker_available = threading.Condition(self._lock)
-        self._scale_lock = threading.Lock()
+        self._swap_lock = threading.Lock()
         self._table = fleet.SlotTable(self.cluster)
         for slot in range(workers):
             self._table.install(slot, self._spawn(slot))
@@ -235,15 +234,14 @@ class Router:
         worker.start()
         return worker
 
-    def _install(self, slot: int, worker: WorkerProcess,
-                 expect: Optional[WorkerProcess] = None) -> bool:
-        """Put a started ``worker`` into ``slot`` — or retire it when the table refuses."""
+    def _install(self, slot: int, worker: WorkerProcess, expect: WorkerProcess) -> None:
+        """Put a started ``worker`` into ``slot`` in place of ``expect`` — or retire
+        it when the table refuses."""
         with self._lock:
             installed = self._table.install(slot, worker, expect)
             self._worker_available.notify_all()
         if not installed:
             worker.stop(5.0)
-        return installed
 
     def shutdown(self, timeout: Optional[float] = None) -> None:
         """Stop admissions, drain every worker, stop the supervisor (idempotent).
@@ -535,39 +533,7 @@ class Router:
                 request.worker_id, now - request.submitted_at, True, request.count)
             request.fail(error)
 
-    # ------------------------------------------------------------------ elasticity
-    def add_worker(self) -> int:
-        """Grow the fleet by one slot; returns the new slot index.
-
-        Used by the autoscaler's scale-up decision; safe against concurrent
-        swaps/removals (``_scale_lock``) and against the supervisor (the new
-        slot only becomes visible once its worker handle is installed).
-        """
-        with self._scale_lock:
-            with self._lock:
-                slot = self._table.next_slot()
-            if not self._install(slot, self._spawn(slot)):
-                raise ServiceClosedError("Router has been shut down")
-            logger.info("scaled up: added worker slot %d", slot)
-            return slot
-
-    def remove_worker(self, timeout: float = 30.0) -> int:
-        """Shrink the fleet by draining and retiring the last slot.
-
-        The retired worker stops *gracefully* — every request it admitted is
-        executed and resolved before its process exits — and anything still
-        unresolved afterwards (it died mid-drain) is re-dispatched, so scale-
-        down never drops requests.
-        """
-        with self._scale_lock:
-            with self._lock:
-                worker = self._table.shrink()
-                slot = len(self._table.slots)
-                self._worker_available.notify_all()
-            self._retire(worker, timeout)
-            logger.info("scaled down: removed worker slot %d", slot)
-            return slot
-
+    # ------------------------------------------------------------------ artifact swap
     def swap_artifact(self, path: str, timeout_per_worker: float = 60.0) -> None:
         """Zero-downtime rolling upgrade of every worker to a new artifact.
 
@@ -586,7 +552,7 @@ class Router:
         it respawns on ``self.artifact_path``, which already names the new
         version, so recovery converges on the rollout's target.
         """
-        with self._scale_lock:
+        with self._swap_lock:
             with self._lock:
                 if self._table.closed:
                     raise ServiceClosedError("Router has been shut down")

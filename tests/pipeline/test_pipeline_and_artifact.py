@@ -164,9 +164,10 @@ class TestDeployableArtifact:
     def test_load_refuses_older_versions_by_their_version(self, artifact, tmp_path):
         """A version-2 file carries ``engine.int8`` in its spec, a version-3
         one ``serve.max_wait_ms``, a version-4 one a measurement whose
-        speedup was taken against the taped dense forward and a version-5 one
-        ``serve.pool_capacity`` / ``serve.warmup`` / ``serve.enabled``: each
-        must be refused for its version, before the spec parser sees the key."""
+        speedup was taken against the taped dense forward, a version-5 one
+        ``serve.pool_capacity`` / ``serve.warmup`` / ``serve.enabled`` and a
+        version-6 one ``serve.cluster.autoscaler``: each must be refused for
+        its version, before the spec parser sees the key."""
         import json
 
         from repro.utils.serialization import load_state_dict, save_state_dict
@@ -177,7 +178,8 @@ class TestDeployableArtifact:
         meta["int8"] = False
         meta["spec"]["serve"]["max_wait_ms"] = 2.0
         meta["spec"]["serve"].update(pool_capacity=2, warmup=True, enabled=False)
-        for version in (1, 2, 3, 4, 5):
+        meta["spec"]["serve"]["cluster"]["autoscaler"] = {"enabled": False}
+        for version in (1, 2, 3, 4, 5, 6):
             meta["version"] = version
             bundle["__artifact__"] = np.asarray(json.dumps(meta))
             path = save_state_dict(bundle, str(tmp_path / f"v{version}"))

@@ -7,7 +7,6 @@ import pytest
 
 from repro.pipeline import spec as spec_module
 from repro.pipeline.spec import (
-    AutoscalerSpec,
     ChaosSpec,
     ClusterSpec,
     EngineSpec,
@@ -43,14 +42,7 @@ FULL_SPEC_DICT = {
                           "max_restart_attempts": 2, "min_worker_uptime": 0.5,
                           "restart_backoff_s": 0.05,
                           "restart_backoff_max_s": 2.0,
-                          "shed_low_priority": False,
-                          "autoscaler": {"enabled": True, "min_workers": 2,
-                                         "max_workers": 6, "interval_s": 0.25,
-                                         "scale_up_queue_depth": 3.0,
-                                         "scale_down_queue_depth": 0.5,
-                                         "slo_p95_ms": 80.0,
-                                         "cooldown_up_s": 1.0,
-                                         "cooldown_down_s": 5.0}},
+                          "shed_low_priority": False},
               "chaos": {"enabled": True, "seed": 7, "warmup_s": 1.0,
                         "duration_s": 4.0, "crash_rate": 0.5, "hang_rate": 0.25,
                         "heartbeat_drop_rate": 0.1, "torn_frame_rate": 0.05,
@@ -114,7 +106,10 @@ class TestUnknownKeyRejection:
                  ({"engine": {"int8": True}}, r"EngineSpec: unknown key\(s\) \['int8'\]"),
                  # the batcher is work-conserving: no coalescing wait to set
                  ({"serve": {"max_wait_ms": 2.0}},
-                  r"ServeSpec: unknown key\(s\) \['max_wait_ms'\]")]
+                  r"ServeSpec: unknown key\(s\) \['max_wait_ms'\]"),
+                 # the fleet keeps the size it was built with: no autoscaler
+                 ({"serve": {"cluster": {"autoscaler": {}}}},
+                  r"ClusterSpec: unknown key\(s\) \['autoscaler'\]")]
         for data, message in cases:
             with pytest.raises(ValueError, match=message):
                 RunSpec.from_dict(data)
@@ -224,20 +219,15 @@ class TestValidation:
     def test_cluster_round_trip(self):
         data = {"serve": {"cluster": {"heartbeat_interval": 0.1,
                                       "heartbeat_timeout": 2.0,
-                                      "max_restart_attempts": 7,
-                                      "autoscaler": {"enabled": True,
-                                                     "max_workers": 8}}}}
+                                      "max_restart_attempts": 7}}}
         spec = RunSpec.from_dict(data)
         assert spec.serve.cluster.heartbeat_interval == 0.1
         assert spec.serve.cluster.heartbeat_timeout == 2.0
         assert spec.serve.cluster.max_restart_attempts == 7
-        assert spec.serve.cluster.autoscaler.enabled
-        assert spec.serve.cluster.autoscaler.max_workers == 8
         again = RunSpec.from_dict(spec.to_dict())
         assert again.to_dict() == spec.to_dict()
         assert again.serve.cluster.max_restart_attempts == 7
-        # Defaults: supervision on, autoscaler off, shedding on.
-        assert not ServeSpec().cluster.autoscaler.enabled
+        # Defaults: supervision on, shedding on.
         assert ServeSpec().cluster.shed_low_priority
         assert ServeSpec().cluster.max_restart_attempts == 5
 
@@ -246,15 +236,11 @@ class TestValidation:
                            match=r"ClusterSpec: unknown key\(s\) \['hartbeat'\]"):
             RunSpec.from_dict({"serve": {"cluster": {"hartbeat": 1.0}}})
         with pytest.raises(ValueError,
-                           match=r"AutoscalerSpec: unknown key\(s\) \['mni'\]"):
-            RunSpec.from_dict(
-                {"serve": {"cluster": {"autoscaler": {"mni": 1}}}})
-        with pytest.raises(ValueError,
                            match=r"ChaosSpec: unknown key\(s\) \['crashrate'\]"):
             RunSpec.from_dict({"serve": {"chaos": {"crashrate": 0.5}}})
 
     def test_cluster_spec_validated(self):
-        from repro.pipeline.spec import AutoscalerSpec, ChaosSpec, ClusterSpec
+        from repro.pipeline.spec import ChaosSpec, ClusterSpec
 
         with pytest.raises(ValueError, match="heartbeat_interval"):
             ClusterSpec(heartbeat_interval=0.0)
@@ -266,12 +252,6 @@ class TestValidation:
             ClusterSpec(restart_backoff_s=-0.1)
         with pytest.raises(ValueError, match="restart_backoff_max_s"):
             ClusterSpec(restart_backoff_s=2.0, restart_backoff_max_s=1.0)
-        with pytest.raises(ValueError, match="min_workers"):
-            AutoscalerSpec(min_workers=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            AutoscalerSpec(min_workers=4, max_workers=2)
-        with pytest.raises(ValueError, match="interval_s"):
-            AutoscalerSpec(interval_s=0.0)
         with pytest.raises(ValueError, match="crash_rate"):
             ChaosSpec(crash_rate=-1.0)
         with pytest.raises(ValueError, match="duration_s"):
@@ -322,13 +302,6 @@ BOUNDS = [
     (GatewaySpec, "burst", 1, 0),
     (GatewaySpec, "max_inflight_per_client", 1, 0),
     (GatewaySpec, "max_frame_mb", 0.001, 0.0),
-    (AutoscalerSpec, "min_workers", 1, 0),
-    (AutoscalerSpec, "interval_s", 0.001, 0.0),
-    (AutoscalerSpec, "scale_up_queue_depth", 1.001, 0.0),
-    (AutoscalerSpec, "scale_down_queue_depth", 0.0, -0.001),
-    (AutoscalerSpec, "slo_p95_ms", 0.0, -0.001),
-    (AutoscalerSpec, "cooldown_up_s", 0.0, -0.001),
-    (AutoscalerSpec, "cooldown_down_s", 0.0, -0.001),
     (ChaosSpec, "warmup_s", 0.0, -0.001),
     (ChaosSpec, "duration_s", 0.001, 0.0),
     (ChaosSpec, "crash_rate", 0.0, -0.001),
@@ -362,17 +335,12 @@ CROSS_FIELD = [
     (ClusterSpec, "restart_backoff_max_s",
      dict(restart_backoff_s=2.0, restart_backoff_max_s=2.0),
      dict(restart_backoff_s=2.0, restart_backoff_max_s=1.999)),
-    (AutoscalerSpec, "max_workers",
-     dict(min_workers=3, max_workers=3), dict(min_workers=3, max_workers=2)),
-    (AutoscalerSpec, "scale_down_queue_depth",
-     dict(scale_up_queue_depth=2.0, scale_down_queue_depth=1.999),
-     dict(scale_up_queue_depth=2.0, scale_down_queue_depth=2.0)),
     (GatewaySpec, "slo_ms",
      dict(slo_ms={"low": 0.001}), dict(slo_ms={"low": 0.0})),
 ]
 
 SPEC_NODES = [ModelSpec, FrameworkSpec, QuantizationSpec, EngineSpec, EvaluationSpec,
-              GatewaySpec, AutoscalerSpec, ChaosSpec, ClusterSpec, ServeSpec, RunSpec]
+              GatewaySpec, ChaosSpec, ClusterSpec, ServeSpec, RunSpec]
 
 
 class TestDeclaredBounds:
@@ -436,7 +404,7 @@ class TestEveryNodeRoundTrips:
         run = RunSpec.from_dict(FULL_SPEC_DICT)
         nodes = [run, run.model, run.framework, run.quantization, run.engine,
                  run.evaluation, run.serve, run.serve.gateway, run.serve.cluster,
-                 run.serve.cluster.autoscaler, run.serve.chaos]
+                 run.serve.chaos]
         assert {type(node) for node in nodes} == set(SPEC_NODES)
         for node in nodes:
             assert type(node).from_dict(node.to_dict()) == node

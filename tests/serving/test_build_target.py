@@ -4,8 +4,8 @@
   tiny artifact: outputs match a sequential ``BatchRunner``, the wire is
   bit-identical to in-process, and ``stats()`` keeps its per-backend shape;
 * the **teardown order** — an exception in the body (or during the build)
-  stops client -> gateway -> autoscaler -> backend, leaving no supervisor
-  thread, worker process or listening port behind;
+  stops client -> gateway -> backend, leaving no worker process or
+  listening port behind;
 * the **spec is consumed whole** — every node reaches the part that reads it,
   including the chaos schedule reaching the gateway.
 """
@@ -20,13 +20,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.engine import BatchRunner, max_abs_output_diff
 from repro.pipeline import DeployableArtifact
-from repro.pipeline.spec import (
-    AutoscalerSpec,
-    ChaosSpec,
-    ClusterSpec,
-    GatewaySpec,
-    ServeSpec,
-)
+from repro.pipeline.spec import ChaosSpec, ClusterSpec, GatewaySpec, ServeSpec
 from repro.serving import (
     GatewayClient,
     InferenceService,
@@ -61,7 +55,6 @@ def test_topology_matrix(serve_artifact, artifact_path, images, workers, gateway
         assert isinstance(stack, ServingStack)
         assert isinstance(stack.backend, Router if workers > 1 else InferenceService)
         assert stack.clustered == (workers > 1)
-        assert stack.autoscaler is None
 
         served = stack.target.submit_many(images)
         assert max_abs_output_diff(served, sequential) < 1e-5
@@ -107,19 +100,12 @@ def test_loaded_artifact_is_served_as_the_object(artifact_path, images):
 
 
 # ------------------------------------------------------- the spec, consumed whole
-def test_cluster_and_autoscaler_nodes_reach_their_consumers(artifact_path):
-    cluster = ClusterSpec(
-        heartbeat_interval=0.1, heartbeat_timeout=2.0, shed_low_priority=False,
-        autoscaler=AutoscalerSpec(enabled=True, min_workers=2, max_workers=3,
-                                  interval_s=30.0))
+def test_the_cluster_node_reaches_the_router(artifact_path):
+    cluster = ClusterSpec(heartbeat_interval=0.1, heartbeat_timeout=2.0,
+                          shed_low_priority=False)
     spec = dataclasses.replace(SPEC, workers=2, cluster=cluster)
     with build_target(artifact_path, spec) as stack:
         assert stack.backend.cluster is cluster
-        assert stack.autoscaler.spec is cluster.autoscaler
-        assert stack.autoscaler.router is stack.backend
-        assert stack.autoscaler._thread.is_alive()
-        thread = stack.autoscaler._thread
-    assert not thread.is_alive()
 
 
 def test_armed_chaos_reaches_workers_and_gateway(artifact_path, images):
@@ -159,30 +145,26 @@ class Boom(Exception):
 
 
 def test_body_exception_tears_down_front_to_back(artifact_path, monkeypatch):
-    """`_serve_cluster` started the Autoscaler, then returned early (mismatch,
-    bind error) from *outside* the `finally` that stopped it — shutting the
-    Router down under a live supervisor thread."""
+    """An exception in the body unwinds the stack front to back: the gateway
+    stops taking connections before the router closes under it."""
     order = []
     real_stop = Router.shutdown
 
     def recording_shutdown(router, *args, **kwargs):
-        order.append(("router-shutdown", scaler_thread.is_alive()))
+        order.append(("router-shutdown", port_is_closed(*address)))
         return real_stop(router, *args, **kwargs)
 
     monkeypatch.setattr(Router, "shutdown", recording_shutdown)
-    spec = dataclasses.replace(
-        SPEC, workers=2,
-        cluster=ClusterSpec(autoscaler=AutoscalerSpec(enabled=True, interval_s=0.05)))
+    spec = dataclasses.replace(SPEC, workers=2)
     with pytest.raises(Boom):
         with build_target(artifact_path, spec, gateway=GatewaySpec()) as stack:
-            scaler_thread = stack.autoscaler._thread
             workers = stack.backend.workers
             address = (stack.gateway.host, stack.gateway.port)
-            assert scaler_thread.is_alive() and not port_is_closed(*address)
+            assert not port_is_closed(*address)
             raise Boom
 
-    # The supervisor was joined before the router closed under it ...
-    assert order == [("router-shutdown", False)]
+    # The gateway was closed before the router closed under it ...
+    assert order == [("router-shutdown", True)]
     assert stack.backend.closed
     # ... and nothing is left behind.
     for worker in workers:
@@ -193,8 +175,8 @@ def test_body_exception_tears_down_front_to_back(artifact_path, monkeypatch):
 
 
 def test_failed_build_leaves_nothing_running(artifact_path, monkeypatch):
-    """A gateway that cannot bind fails the build *after* the router and the
-    autoscaler are up; both must be gone when the error reaches the caller."""
+    """A gateway that cannot bind fails the build *after* the router is up; it
+    must be gone when the error reaches the caller."""
     built = []
     real_init = Router.__init__
 
@@ -207,9 +189,7 @@ def test_failed_build_leaves_nothing_running(artifact_path, monkeypatch):
         taken.bind(("127.0.0.1", 0))
         taken.listen(1)
         port = taken.getsockname()[1]
-        spec = dataclasses.replace(
-            SPEC, workers=2,
-            cluster=ClusterSpec(autoscaler=AutoscalerSpec(enabled=True)))
+        spec = dataclasses.replace(SPEC, workers=2)
         with pytest.raises(RuntimeError, match="failed to bind"):
             build_target(artifact_path, spec, gateway=GatewaySpec(port=port))
     (router,) = built

@@ -3,8 +3,8 @@
 ``repro.serving.cluster.fleet`` is where every supervision decision lives; the
 router only performs what it returns.  These are the table tests (the cases
 the ``Router.__new__`` harness in the old ``test_router_recovery.py`` reached
-through stub workers and an instrumented lock), the autoscaler's rule, and the
-guard that keeps the module pure.  ``test_fleet_simulation.py`` drives the
+through stub workers and an instrumented lock) and the guard that keeps the
+module pure.  ``test_fleet_simulation.py`` drives the
 table *and* the router shell over generated schedules.
 """
 
@@ -15,10 +15,9 @@ import types
 
 import pytest
 
-from repro.pipeline.spec import AutoscalerSpec, ClusterSpec
+from repro.pipeline.spec import ClusterSpec
 from repro.serving.cluster import fleet
-from repro.serving.cluster.fleet import ABANDON, CLOSED, GONE, RESPAWN, SlotTable, scale_decision
-from repro.serving.errors import ServiceClosedError
+from repro.serving.cluster.fleet import ABANDON, CLOSED, GONE, RESPAWN, SlotTable
 
 
 def worker(name="w", path="v1", accepting=True):
@@ -110,12 +109,10 @@ class TestDeathVerdicts:
         assert not table.install(0, worker("replacement"), expect=occupant)
 
     def test_a_stale_handle_is_not_recovered(self):
-        table, (occupant, last) = table_of(2)
+        table, (occupant, _) = table_of(2)
         swapped_in = worker("swapped-in")
         assert table.install(0, swapped_in, expect=occupant, ready=True)
         assert die(table, 0, occupant) == GONE             # replaced meanwhile
-        assert table.shrink() is last
-        assert die(table, 1, last) == GONE                 # scaled away meanwhile
         assert table.slots[0].failures == 0 and not table.degraded
 
 
@@ -128,32 +125,14 @@ class TestInstall:
         assert not table.install(2, worker("x"), expect=second)     # new slots expect nobody
         assert table.workers == (first, second)
         third = worker("w2")
-        assert table.next_slot() == 2 and table.install(2, third)
+        assert table.install(2, third)
         assert table.workers == (first, second, third)
 
-    def test_a_scaled_away_slot_takes_no_respawn(self):
-        table, (first, last) = table_of(2)
-        die(table, 1, last)
-        assert table.shrink() is last                      # whatever its state
-        assert not table.install(1, worker("respawn"), expect=last)
-        assert table.workers == (first,) and not table.degraded
-        with pytest.raises(ValueError, match="below one worker"):
-            table.shrink()
-
-    def test_a_closed_fleet_neither_grows_nor_shrinks(self):
-        table, _ = table_of(2)
-        table.close()
-        with pytest.raises(ServiceClosedError):
-            table.next_slot()
-        with pytest.raises(ServiceClosedError):
-            table.shrink()
-
-    def test_incarnations_count_per_slot_and_outlive_the_slot(self):
+    def test_incarnations_count_per_slot(self):
         table = SlotTable(ClusterSpec())
         assert [table.claim(0), table.claim(1), table.claim(0)] == [1, 1, 2]
         table.install(0, worker()), table.install(1, worker())
-        table.shrink()
-        assert table.claim(1) == 2           # a re-added slot is a new chaos scope
+        assert table.claim(1) == 2           # a respawn is a new chaos scope
 
 
 class TestRollStep:
@@ -183,37 +162,9 @@ class TestRollStep:
         assert table.roll(0, spare, "v2") is spare and table.workers == (old,)
 
 
-class TestScaleDecision:
-    SPEC = AutoscalerSpec(min_workers=1, max_workers=3, scale_up_queue_depth=4.0,
-                          scale_down_queue_depth=1.0, slo_p95_ms=100.0,
-                          cooldown_up_s=10.0, cooldown_down_s=60.0)
-    NEVER = float("-inf")
-
-    def decide(self, workers=2, depth=2.0, p95=0.0, now=1000.0, up=NEVER, down=NEVER):
-        return scale_decision(self.SPEC, workers, depth, p95, now, up, down)
-
-    def test_pressure_grows_idleness_shrinks_and_the_band_between_holds(self):
-        assert self.decide(depth=5.0) == "up"
-        assert self.decide(depth=0.0, p95=500.0) == "up"           # SLO breach alone
-        assert self.decide(depth=0.5) == "down"
-        assert self.decide(depth=2.0) == "hold"
-
-    def test_bounds(self):
-        assert self.decide(workers=3, depth=50.0) == "hold"
-        assert self.decide(workers=1, depth=0.0) == "hold"
-
-    def test_cooldowns(self):
-        assert self.decide(depth=5.0, up=995.0) == "hold"
-        assert self.decide(depth=5.0, up=990.0) == "up"
-        assert self.decide(depth=0.0, down=950.0) == "hold"
-        # Shrinking also waits out the last *growth*: the spike may still be draining.
-        assert self.decide(depth=0.0, up=950.0) == "hold"
-        assert self.decide(depth=0.0, up=940.0, down=940.0) == "down"
-
-
 def test_the_core_stays_pure():
-    """No clock, lock, thread, process or RNG of its own; of ``repro.serving``
-    only the errors (the spec comes from ``repro.pipeline``)."""
+    """No clock, lock, thread, process or RNG of its own, and nothing of
+    ``repro.serving`` (the spec comes from ``repro.pipeline``)."""
     banned = {"threading", "time", "os", "multiprocessing", "random", "signal", "subprocess"}
     with open(fleet.__file__) as source:
         tree = ast.parse(source.read())
@@ -226,5 +177,4 @@ def test_the_core_stays_pure():
             continue
         for module in modules:
             assert module.split(".")[0] not in banned, f"fleet.py imports {module}"
-            if module.startswith("repro.serving"):
-                assert module == "repro.serving.errors", f"fleet.py imports {module}"
+            assert not module.startswith("repro.serving"), f"fleet.py imports {module}"

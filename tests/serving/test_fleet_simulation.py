@@ -13,7 +13,7 @@ clock, starts a process, or starts a thread.
 A schedule is a list of events -- submit a burst of 1-40 images / one worker
 answers a run (or fails it) / a worker dies after k replies, hangs, or has its
 stream torn / the next n spawns die at start with a fatal / the clock ticks and
-the supervisor takes a step / scale +-1 / a rolling swap / shutdown -- and the
+the supervisor takes a step / a rolling swap / shutdown -- and the
 properties at the bottom are the ROADMAP's list.  What a property needs to know
 about the schedule (which images were admitted, which deaths a step found) is
 ground truth the driver records itself, never read back from the code under
@@ -283,12 +283,12 @@ class World:
         # given up on / images a recovered or retired worker never answered.
         self.found = self.lost = self.redispatched = 0
         self.accounted = set()            # processes whose unanswered images are in the above
-        self.died_before = set()          # slots with an earlier death and no swap/scale since
+        self.died_before = set()          # slots with an earlier death and no swap since
         self.awaited = {}                 # slot -> (dead worker, found at, a repeat quick death)
         self.respawn_waits = []           # (seconds waited, a repeat quick death) per respawn
         self.lost_tags = set()            # images an abandoned slot's last worker never answered
         self.shut_down = False
-        self.target = workers
+        self.size = workers               # the fleet never grows or shrinks
         self.router = Router(VERSIONS[0], workers=workers, cluster=SPEC,
                              policy=BatchPolicy(max_batch_size=MAX_BATCH,
                                                 queue_capacity=QUEUE_CAPACITY),
@@ -352,7 +352,7 @@ class World:
         self.pump()
 
     def reshaped(self):
-        """After a scale or swap event: account for what retired workers never
+        """After a swap event: account for what retired workers never
         answered, and forget pacing history the event may have reset."""
         workers = self.router._table.workers
         for process in self.processes:
@@ -389,14 +389,6 @@ class World:
         assert not (priority == "low" and degraded), "low admitted while degraded"
         self.bursts.append(Settles(future, tags, deadline))
 
-    def scale(self, up):
-        try:
-            self.router.add_worker() if up else self.router.remove_worker(timeout=5.0)
-            self.target += 1 if up else -1
-        except (ValueError, ServiceClosedError):
-            pass
-        self.reshaped()
-
     def swap(self):
         path = VERSIONS[self.router.artifact_path == VERSIONS[0]]
         try:
@@ -428,8 +420,6 @@ class World:
             self.poison = min(self.poison + args[0], MAX_POISON)
         elif kind == "tick":
             self.tick(*args)
-        elif kind == "scale":
-            self.scale(args[0])
         elif kind == "swap":
             self.swap()
         elif kind == "shutdown":
@@ -448,9 +438,9 @@ class World:
     # ------------------------------------------------------------------ invariants
     def check_slots(self):
         """A slot never holds two live workers, and no worker lives outside the
-        table: installed into a closed or scaled-away slot, or left behind."""
+        table: installed into a closed slot, or left behind."""
         workers = self.router._table.workers
-        assert len(set(map(id, workers))) == len(workers) == self.target
+        assert len(set(map(id, workers))) == len(workers) == self.size
         alive = [process.handle for process in self.processes if process.alive]
         if self.router.closed:
             assert alive == [], "a worker outlived the closed fleet"
@@ -500,7 +490,6 @@ events = st.one_of(
     st.tuples(st.just("hang"), worker_index),
     st.tuples(st.just("tear"), worker_index),
     st.tuples(st.just("poison"), st.integers(1, MAX_POISON)),
-    st.tuples(st.just("scale"), st.booleans()),
     st.tuples(st.just("swap")),
 )
 schedules = st.tuples(
@@ -593,7 +582,7 @@ def test_the_fleet_converges_and_a_slot_holds_one_live_worker(schedule):
             assert router.degraded == any(slot.abandoned for slot in router._table.slots)
         world.apply(("shutdown",))
         spawned = len(world.processes)
-        for late in [("tick", 2.5), ("scale", True), ("swap",), ("tick", 2.5)]:
+        for late in [("tick", 2.5), ("swap",), ("tick", 2.5)]:
             world.apply(late)
         assert len(world.processes) == spawned and router.closed
 

@@ -229,12 +229,12 @@ def test_a_burst_larger_than_the_queue_keeps_the_depth_sum_a_count():
 
 
 @pytest.mark.parametrize("as_one_run", [True, False])
-def test_recent_p95_weighs_a_run_by_its_image_count(as_one_run):
-    """The autoscaler's windowed signal counts images, not reply frames."""
+def test_the_reported_p95_weighs_a_run_by_its_image_count(as_one_run):
+    """The latency distribution counts images, not reply frames."""
     metrics = ClusterMetrics(register=False)
     for latency_ms in (1.0, 2.0, 3.0, 4.0):          # the 3.85 ms case of test_cluster.py ...
         metrics.record_completion("w0", latency_ms / 1e3)
-    assert metrics.recent_p95_ms() == pytest.approx(3.85)
+    assert metrics.report()["cluster"]["latency"]["p95_ms"] == pytest.approx(3.85)
     # ... then four images at 10 ms, as one reply frame or as four.
     if as_one_run:
         metrics.record_completion("w0", 0.010, count=4)
@@ -243,7 +243,6 @@ def test_recent_p95_weighs_a_run_by_its_image_count(as_one_run):
             metrics.record_completion("w0", 0.010)
     weighted = percentile([1.0, 2.0, 3.0, 4.0] + [10.0] * 4, 95.0)
     assert weighted != percentile([1.0, 2.0, 3.0, 4.0, 10.0], 95.0)    # frames would say 8.8
-    assert metrics.recent_p95_ms() == pytest.approx(weighted)
     assert metrics.report()["cluster"]["latency"]["p95_ms"] == pytest.approx(weighted)
 
 

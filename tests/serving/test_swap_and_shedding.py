@@ -1,15 +1,12 @@
-"""Elastic cluster: autoscaler decisions, rolling hot-swap, graceful shedding.
+"""Rolling hot-swap, graceful shedding and fork hygiene of a live cluster.
 
-Three layers under test:
+Two layers under test:
 
-* the **autoscaler control loop** — driven against a stub router (no
-  processes), asserting the up/down/hold decisions, the cooldown clocks and
-  the [min, max] bounds;
 * the **zero-downtime swap** — a live two-worker cluster upgraded to a new
   artifact while a background load keeps submitting: zero dropped requests,
   the fleet ends coherently on the new version, and a worker crash after the
   rollout converges the slot on the *new* artifact (the upgrade-mid-load and
-  crash-during-swap drills from the resilience issue);
+  crash-during-swap drills);
 * the **degradation path** — shed ``low``-priority admissions while a slot is
   down, typed as ``admission_rejected``.
 """
@@ -18,134 +15,16 @@ from __future__ import annotations
 
 import threading
 import time
-import types
 
-import numpy as np
 import pytest
 
-from repro.pipeline.spec import AutoscalerSpec, ClusterSpec
+from repro.pipeline.spec import ClusterSpec
 from repro.serving import BatchPolicy
 from repro.serving.cluster import ArtifactSwapError, Router
-from repro.serving.elastic import Autoscaler
 from repro.serving.errors import AdmissionRejectedError
 
 
-# ----------------------------------------------------------------- autoscaler
-class StubWorker:
-    def __init__(self, outstanding=0):
-        self.outstanding_count = outstanding
-        self.accepting = True
-
-
-class StubRouter:
-    """Just enough Router surface for the Autoscaler: workers + metrics."""
-
-    def __init__(self, workers=1, outstanding=0, p95_ms=0.0):
-        self._workers = [StubWorker(outstanding) for _ in range(workers)]
-        self.outstanding = outstanding
-        self.p95_ms = p95_ms
-        self.closed = False
-        self.metrics = types.SimpleNamespace(
-            recent_p95_ms=lambda window_s=5.0: self.p95_ms)
-
-    @property
-    def workers(self):
-        return tuple(self._workers)
-
-    def add_worker(self):
-        self._workers.append(StubWorker(self.outstanding))
-        return len(self._workers) - 1
-
-    def remove_worker(self, timeout=30.0):
-        self._workers.pop()
-        return len(self._workers)
-
-
-def make_scaler(router, **kwargs):
-    defaults = dict(min_workers=1, max_workers=4, cooldown_up_s=0.0,
-                    cooldown_down_s=0.0)
-    defaults.update(kwargs)
-    return Autoscaler(router, AutoscalerSpec(**defaults))
-
-
-class TestAutoscalerDecisions:
-    def test_queue_pressure_scales_up(self):
-        router = StubRouter(workers=1, outstanding=10)
-        scaler = make_scaler(router, scale_up_queue_depth=4.0)
-        assert scaler.evaluate_once() == "up"
-        assert len(router.workers) == 2
-        assert scaler.last_decision["decision"] == "up"
-        assert scaler.last_decision["queue_depth"] == 10.0
-
-    def test_slo_breach_scales_up_even_with_empty_queues(self):
-        router = StubRouter(workers=1, outstanding=0, p95_ms=500.0)
-        scaler = make_scaler(router, slo_p95_ms=100.0)
-        assert scaler.evaluate_once() == "up"
-
-    def test_idle_fleet_scales_down_to_min(self):
-        router = StubRouter(workers=3, outstanding=0)
-        scaler = make_scaler(router, min_workers=2,
-                             scale_down_queue_depth=1.0)
-        assert scaler.evaluate_once() == "down"
-        assert len(router.workers) == 2
-        # At min_workers the controller holds even when idle.
-        assert scaler.evaluate_once() == "hold"
-        assert len(router.workers) == 2
-
-    def test_max_workers_bounds_growth(self):
-        router = StubRouter(workers=2, outstanding=50)
-        scaler = make_scaler(router, max_workers=2)
-        assert scaler.evaluate_once() == "hold"
-        assert len(router.workers) == 2
-
-    def test_up_cooldown_prevents_flapping(self):
-        router = StubRouter(workers=1, outstanding=50)
-        scaler = make_scaler(router, max_workers=8, cooldown_up_s=60.0)
-        assert scaler.evaluate_once() == "up"
-        # Still under pressure, but inside the cooldown: hold, don't thrash.
-        assert scaler.evaluate_once() == "hold"
-        assert len(router.workers) == 2
-
-    def test_scale_down_respects_recent_scale_up(self):
-        # A spike just grew the fleet; the queue drained instantly.  The
-        # down path must also wait out the *up* clock, or it would retire
-        # the worker the spike still needs.
-        router = StubRouter(workers=1, outstanding=50)
-        scaler = make_scaler(router, cooldown_down_s=60.0)
-        assert scaler.evaluate_once() == "up"
-        router.outstanding = 0
-        for worker in router._workers:
-            worker.outstanding_count = 0
-        assert scaler.evaluate_once() == "hold"
-        assert len(router.workers) == 2
-
-    def test_slo_breach_blocks_scale_down(self):
-        router = StubRouter(workers=3, outstanding=0, p95_ms=500.0)
-        scaler = make_scaler(router, slo_p95_ms=100.0, max_workers=3)
-        assert scaler.evaluate_once() == "hold"
-        assert len(router.workers) == 3
-
-    def test_the_spec_node_is_the_configuration(self):
-        # No copy: the controller reads the node it was handed, and a bare
-        # Autoscaler(router) runs on the spec's own defaults.
-        spec = AutoscalerSpec(enabled=True, min_workers=2, max_workers=6,
-                              slo_p95_ms=80.0, cooldown_up_s=1.5)
-        assert Autoscaler(StubRouter(workers=2), spec).spec is spec
-        assert Autoscaler(StubRouter()).spec == AutoscalerSpec()
-
-    def test_supervisor_thread_lifecycle(self):
-        router = StubRouter(workers=1, outstanding=10)
-        scaler = make_scaler(router, interval_s=0.02)
-        with scaler.start():
-            deadline = time.time() + 10.0
-            while time.time() < deadline and len(router.workers) < 2:
-                time.sleep(0.01)
-        assert len(router.workers) >= 2
-        with pytest.raises(RuntimeError, match="called twice"):
-            scaler.start()
-
-
-# ------------------------------------------------------------- live elasticity
+# ------------------------------------------------------------- live swaps
 @pytest.fixture(scope="module")
 def cluster_policy():
     return BatchPolicy(max_batch_size=4, queue_capacity=64)
@@ -191,25 +70,7 @@ class LoadThread:
         self._thread.join(30.0)
 
 
-class TestElasticRouter:
-    def test_add_and_remove_worker_live(self, artifact_path, images,
-                                        cluster_policy):
-        with Router(artifact_path, workers=1, policy=cluster_policy) as router:
-            slot = router.add_worker()
-            assert slot == 1 and len(router.workers) == 2
-            router.submit(images[0], block=True, timeout=60.0).result(60.0)
-            assert router.remove_worker() == 1
-            assert len(router.workers) == 1
-            # The survivor still serves.
-            out = router.submit(images[1], block=True,
-                                timeout=60.0).result(60.0)
-            assert out is not None
-
-    def test_remove_refuses_last_worker(self, artifact_path, cluster_policy):
-        with Router(artifact_path, workers=1, policy=cluster_policy) as router:
-            with pytest.raises(ValueError, match="below one worker"):
-                router.remove_worker()
-
+class TestRollingSwap:
     def test_swap_under_load_zero_drops_and_coherent_version(
             self, artifact_path, artifact_path_v2, images, cluster_policy):
         """The upgrade-mid-load drill: rolling swap with live traffic must
