@@ -186,6 +186,22 @@ class TestDeployableArtifact:
             with pytest.raises(ValueError, match=f"unsupported artifact version {version}"):
                 DeployableArtifact.load(path)
 
+    def test_a_current_file_with_an_autoscaler_node_is_refused_by_its_spec(
+            self, artifact, tmp_path):
+        """The version gate lets a current-version file through; a stored
+        ``serve.cluster.autoscaler`` in it is then an unknown key, named as such."""
+        import json
+
+        from repro.utils.serialization import load_state_dict, save_state_dict
+
+        bundle = load_state_dict(artifact.save(str(tmp_path / "current")))
+        meta = json.loads(str(bundle["__artifact__"][()]))
+        meta["spec"]["serve"]["cluster"]["autoscaler"] = {"enabled": False}
+        bundle["__artifact__"] = np.asarray(json.dumps(meta))
+        path = save_state_dict(bundle, str(tmp_path / "edited"))
+        with pytest.raises(ValueError, match=r"ClusterSpec: unknown key\(s\) \['autoscaler'\]"):
+            DeployableArtifact.load(path)
+
 
 class TestCliRun:
     def test_run_command_from_example_spec(self, capsys, tmp_path, monkeypatch):

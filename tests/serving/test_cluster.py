@@ -151,6 +151,19 @@ class TestClusterMetrics:
         assert report["cluster"]["restarts"] == 0
         assert metrics.throughput() == 0.0
 
+    def test_reset_forgets_the_latency_distribution(self):
+        # The latencies live in the histograms alone: after a reset the p95
+        # is that of the samples recorded since, not of a window kept aside.
+        metrics = ClusterMetrics()
+        metrics.record_completion("w0", 0.500)
+        metrics.reset()
+        assert metrics.report()["cluster"]["latency"]["count"] == 0
+        for latency_ms in (1.0, 2.0, 3.0, 4.0):
+            metrics.record_completion("w1", latency_ms / 1e3)
+        latency = metrics.report()["cluster"]["latency"]
+        assert latency["count"] == 4
+        assert latency["p95_ms"] == pytest.approx(3.85)
+
 
 # ------------------------------------------------------------------ live cluster
 @pytest.fixture(scope="module")

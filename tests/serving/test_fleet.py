@@ -3,8 +3,9 @@
 ``repro.serving.cluster.fleet`` is where every supervision decision lives; the
 router only performs what it returns.  These are the table tests (the cases
 the ``Router.__new__`` harness in the old ``test_router_recovery.py`` reached
-through stub workers and an instrumented lock) and the guard that keeps the
-module pure.  ``test_fleet_simulation.py`` drives the
+through stub workers and an instrumented lock), a property that no sequence
+of deaths, respawns, swap steps and shutdown changes the table's size, and
+the guard that keeps the module pure.  ``test_fleet_simulation.py`` drives the
 table *and* the router shell over generated schedules.
 """
 
@@ -14,6 +15,8 @@ import ast
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pipeline.spec import ClusterSpec
 from repro.serving.cluster import fleet
@@ -116,6 +119,23 @@ class TestDeathVerdicts:
         assert table.slots[0].failures == 0 and not table.degraded
 
 
+class TestViews:
+    def test_not_on_names_the_slots_a_rollback_must_restore(self):
+        table, (_, second, _) = table_of(3)
+        assert table.not_on("v1") == []
+        second.artifact_path = "v2"                        # a swap got this far
+        assert table.not_on("v1") == [1]
+        assert table.not_on("v2") == [0, 2]
+
+    def test_a_closed_table_watches_nothing_and_takes_no_new_slot(self):
+        table, (first, second) = table_of(2)
+        assert table.watched() == [(0, first), (1, second)]
+        table.close()
+        assert table.watched() == [] and table.due(1e9) == []
+        assert not table.install(2, worker("late"))
+        assert table.workers == (first, second)
+
+
 class TestInstall:
     def test_only_the_expected_occupant_is_replaced(self):
         table, (first, second) = table_of(2)
@@ -127,6 +147,18 @@ class TestInstall:
         third = worker("w2")
         assert table.install(2, third)
         assert table.workers == (first, second, third)
+
+    def test_only_a_ready_worker_clears_the_quick_death_count(self):
+        table, (occupant,) = table_of(1)
+        die(table, 0, occupant)
+        respawn = worker("respawn")
+        assert table.install(0, respawn, expect=occupant)
+        assert table.slots[0].failures == 1
+        die(table, 0, respawn)
+        assert table.slots[0].failures == 2
+        proven = worker("proven")
+        assert table.install(0, proven, expect=respawn, ready=True)
+        assert table.slots[0].failures == 0 and table.slots[0].respawn_at is None
 
     def test_incarnations_count_per_slot(self):
         table = SlotTable(ClusterSpec())
@@ -160,6 +192,42 @@ class TestRollStep:
         table.close()
         spare = worker("spare", path="v2")
         assert table.roll(0, spare, "v2") is spare and table.workers == (old,)
+
+
+# What the router does to its table after the fleet is filled: a death (found
+# with some uptime), the respawn the verdict asks for, one rolling-swap step,
+# or shutdown.  Nothing in it adds or removes a slot.
+table_steps = st.lists(st.one_of(
+    st.tuples(st.just("die"), st.integers(0, 3), st.sampled_from([0.0, 5.0])),
+    st.tuples(st.just("respawn"), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("roll"), st.integers(0, 3), st.sampled_from(["v1", "v2"])),
+    st.tuples(st.just("close"),),
+), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.integers(1, 4), steps=table_steps)
+def test_the_table_keeps_the_size_it_was_filled_to(size, steps):
+    """Deaths, respawns, abandonment, swaps and shutdown replace occupants;
+    the slot count and the occupant tuple stay the size the router built."""
+    table, _ = table_of(size, max_restart_attempts=2)
+    spawned = 0
+    for kind, *args in steps:
+        slot = args[0] % size if args else 0
+        occupant = table.slots[slot].worker
+        if kind == "die":
+            die(table, slot, occupant, uptime=args[1])
+        elif kind == "respawn" and table.slots[slot].respawn_at is not None:
+            spawned += 1
+            table.install(slot, worker(f"r{spawned}"), expect=occupant, ready=args[1])
+        elif kind == "roll":
+            spawned += 1
+            table.roll(slot, worker(f"r{spawned}", path=args[1]), args[1])
+        elif kind == "close":
+            table.close()
+        assert len(table.slots) == len(table.workers) == size
+        assert table.workers == tuple(record.worker for record in table.slots)
+        assert len(set(map(id, table.workers))) == size
 
 
 def test_the_core_stays_pure():

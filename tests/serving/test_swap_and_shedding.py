@@ -142,6 +142,30 @@ class TestRollingSwap:
         assert set(report["worker_artifacts"].values()) == {artifact_path}
         assert report["cluster"]["swaps"] == 0
 
+    def test_the_fleet_keeps_its_size_through_a_crash_and_a_swap(
+            self, artifact_path, artifact_path_v2, images, cluster_policy):
+        """A respawn refills the dead worker's own slot and a swap replaces
+        occupants one for one: the router serves with the workers it was
+        built with, for its whole life."""
+        with Router(artifact_path, workers=2, policy=cluster_policy,
+                    cluster=ClusterSpec(heartbeat_interval=0.1)) as router:
+            survivor, doomed = router.workers
+            doomed.kill()
+            deadline = time.time() + 60.0
+            while time.time() < deadline:
+                if router.metrics.restarts >= 1 and all(
+                        worker.accepting for worker in router.workers):
+                    break
+                time.sleep(0.05)
+            respawned = router.workers
+            router.swap_artifact(artifact_path_v2)
+            swapped = router.workers
+            report = router.report()
+        assert len(respawned) == 2 and respawned[0] is survivor
+        assert respawned[1] is not doomed
+        assert len(swapped) == 2 and not set(swapped) & set(respawned)
+        assert list(report["worker_artifacts"].values()) == [artifact_path_v2] * 2
+
     def test_swap_to_missing_artifact_aborts_before_touching_fleet(
             self, artifact_path, images, cluster_policy):
         with Router(artifact_path, workers=2, policy=cluster_policy) as router:

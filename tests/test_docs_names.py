@@ -9,8 +9,10 @@ that the name imports as a module or resolves as an attribute of one.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,11 @@ def documented_names():
 
 
 def resolves(name: str) -> bool:
-    """The longest importable prefix of ``name``, then attributes for the rest."""
+    """The longest importable prefix of ``name``, then attributes for the rest.
+
+    A dataclass field built by ``default_factory`` is no class attribute, so
+    it resolves through the class's fields, to its annotated type.
+    """
     parts = name.split(".")
     for cut in range(len(parts), 0, -1):
         try:
@@ -39,9 +45,13 @@ def resolves(name: str) -> bool:
         except ModuleNotFoundError:
             continue
         for attribute in parts[cut:]:
-            if not hasattr(target, attribute):
+            if hasattr(target, attribute):
+                target = getattr(target, attribute)
+            elif isinstance(target, type) and dataclasses.is_dataclass(target) and any(
+                    spec_field.name == attribute for spec_field in dataclasses.fields(target)):
+                target = typing.get_type_hints(target)[attribute]
+            else:
                 return False
-            target = getattr(target, attribute)
         return True
     return False
 
@@ -56,8 +66,25 @@ def test_every_documented_repro_name_resolves():
 @pytest.mark.parametrize("name,expected", [
     ("repro.serving.cluster.fleet", True),                      # a module
     ("repro.serving.cluster.fleet.SlotTable.roll", True),       # attributes of one
-    ("repro.serving.cluster.fleet.SlotTable.shrink", False),    # a deleted method
+    ("repro.serving.cluster.router.Router.swap_artifact", True),
+    ("repro.pipeline.spec.ClusterSpec.heartbeat_interval", True),   # a field with a default
+    ("repro.pipeline.spec.ServeSpec.cluster", True),            # ... built by default_factory
+    ("repro.pipeline.spec.ServeSpec.cluster.heartbeat_interval", True),
+    ("repro.serving.assembly.ServingStack.backend", True),
+    ("repro.nonexistent", False),                               # no such module at all
+    ("repro.pipeline.spec.ServeSpec.cluster.autoscaler", False),
+    # Every name the fleet's fixed size deleted:
     ("repro.serving.elastic", False),                           # a deleted module
+    ("repro.serving.elastic.Autoscaler", False),
+    ("repro.serving.cluster.fleet.SlotTable.shrink", False),    # a deleted method
+    ("repro.serving.cluster.fleet.SlotTable.next_slot", False),
+    ("repro.serving.cluster.fleet.scale_decision", False),
+    ("repro.serving.cluster.router.Router.add_worker", False),
+    ("repro.serving.cluster.router.Router.remove_worker", False),
+    ("repro.serving.cluster.metrics.ClusterMetrics.recent_p95_ms", False),
+    ("repro.serving.assembly.ServingStack.autoscaler", False),
+    ("repro.pipeline.spec.AutoscalerSpec", False),
+    ("repro.pipeline.spec.ClusterSpec.autoscaler", False),
 ])
 def test_the_resolver_tells_a_live_name_from_a_deleted_one(name, expected):
     assert resolves(name) is expected
