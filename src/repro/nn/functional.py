@@ -3,13 +3,14 @@
 Every function accepts and returns :class:`repro.nn.tensor.Tensor` objects and wires
 the operation into the autograd tape.  Convolution is implemented with im2col so both
 the forward pass and the weight/input gradients reduce to large matrix multiplies,
-which is the only way to get acceptable throughput out of pure numpy.
+which is the only way to get acceptable throughput out of pure numpy.  The columns
+are one copy of a strided window view (the way the fused engine gathers them) and the
+input gradient is one strided slice-add per kernel tap; nothing is cached between
+calls, so the module holds no state.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,82 +29,23 @@ def _pair(value: IntOrPair) -> Tuple[int, int]:
 
 
 # --------------------------------------------------------------------------- im2col
-#: Gather-index cache keyed on ((C, H, W), kernel, stride, padding).  The
-#: indices only depend on geometry (never on the batch size or the data), and
-#: every conv2d call — including the _col2im scatter on the backward path —
-#: used to rebuild them from scratch.  Bounded FIFO so pathological shape
-#: churn (e.g. randomized property tests) cannot grow it without limit.
-_IM2COL_INDEX_CACHE: dict = {}
-_IM2COL_CACHE_LOCK = threading.Lock()
-_IM2COL_CACHE_MAX = 128
-
-
-def _reinit_after_fork() -> None:
-    """Re-arm the im2col cache for forked children (engine/plan.py pattern).
-
-    A cluster worker forked while another thread sits inside the cache-insert
-    critical section would inherit ``_IM2COL_CACHE_LOCK`` held (deadlock on the
-    child's first conv backward) and a possibly torn cache dict.  Fresh lock,
-    empty cache: entries are cheap to rebuild and describe parent traffic.
-    """
-    global _IM2COL_CACHE_LOCK
-    _IM2COL_CACHE_LOCK = threading.Lock()
-    _IM2COL_INDEX_CACHE.clear()
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows ("spawn" children re-import)
-    os.register_at_fork(after_in_child=_reinit_after_fork)
-
-
-def _im2col_cache_stats() -> Tuple[int, int]:
-    """(entries, capacity) of the gather-index cache (tests/observability)."""
-    return len(_IM2COL_INDEX_CACHE), _IM2COL_CACHE_MAX
-
-
-def _im2col_indices(
-    x_shape: Tuple[int, int, int, int],
+def _output_hw(
+    op: str,
+    x_shape: Tuple[int, ...],
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]:
-    """Gather indices turning an NCHW image into column form (cached).
-
-    The returned index arrays are shared across calls and marked read-only;
-    callers index with them but must never write into them.
-    """
-    n, c, h, w = x_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    key = ((c, h, w), (kh, kw), (sh, sw), (ph, pw))
-    cached = _IM2COL_INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out_h = (h + 2 * ph - kh) // sh + 1
-    out_w = (w + 2 * pw - kw) // sw + 1
+) -> Tuple[int, int]:
+    """Output height and width of a sliding-window ``op`` over an NCHW input."""
+    h, w = x_shape[2], x_shape[3]
+    out_h = (h + 2 * padding[0] - kernel[0]) // stride[0] + 1
+    out_w = (w + 2 * padding[1] - kernel[1]) // stride[1] + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
-            f"convolution output would be empty for input {x_shape}, kernel {kernel}, "
+            f"{op} output would be empty for input {tuple(x_shape)}, kernel {kernel}, "
             f"stride {stride}, padding {padding}"
         )
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, c)
-    i1 = sh * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = sw * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    for array in (k, i, j):
-        array.setflags(write=False)
-    entry = (k, i, j, (out_h, out_w))
-    with _IM2COL_CACHE_LOCK:
-        if len(_IM2COL_INDEX_CACHE) >= _IM2COL_CACHE_MAX:
-            # FIFO eviction: drop the oldest inserted geometry.
-            _IM2COL_INDEX_CACHE.pop(next(iter(_IM2COL_INDEX_CACHE)), None)
-        _IM2COL_INDEX_CACHE[key] = entry
-    return entry
+    return out_h, out_w
 
 
 def _im2col(
@@ -111,21 +53,26 @@ def _im2col(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Return columns of shape ``(N, C*kh*kw, out_h*out_w)``."""
-    ph, pw = padding
+    out_hw: Tuple[int, int],
+) -> np.ndarray:
+    """Return columns of shape ``(N, C*kh*kw, out_h*out_w)``.
+
+    One copy of a strided window view.  The copy's memory order is
+    ``(C*kh*kw, out_h*out_w, N)``, the layout numpy gives a fancy-index gather
+    ``x[:, k, i, j]``, so the ``einsum`` calls that consume it sum in the same
+    order as over that gather (the reference the tests compare with).
+    """
+    n, c = x.shape[0], x.shape[1]
+    (kh, kw), (sh, sw), (ph, pw), (out_h, out_w) = kernel, stride, padding, out_hw
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-    k, i, j, out_hw = _im2col_indices(
-        (x.shape[0], x.shape[1], x.shape[2] - 2 * 0, x.shape[3] - 2 * 0)
-        if False
-        else (x.shape[0], x.shape[1], x.shape[2], x.shape[3]),
-        kernel,
-        stride,
-        (0, 0),
-    )
-    cols = x[:, k, i, j]
-    return cols, out_hw
+    s0, s1, s2, s3 = x.strides
+    cols = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(c, kh, kw, out_h, out_w, n),
+        strides=(s1, s2, s3, s2 * sh, s3 * sw, s0),
+    ).copy()
+    return cols.reshape(c * kh * kw, out_h * out_w, n).transpose(2, 0, 1)
 
 
 def _col2im(
@@ -134,17 +81,22 @@ def _col2im(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
+    out_hw: Tuple[int, int],
 ) -> np.ndarray:
-    """Scatter-add columns back to an image of ``x_shape`` (inverse of im2col)."""
+    """Scatter-add columns back to an image of ``x_shape`` (inverse of im2col).
+
+    One strided slice-add per kernel tap, taps in ``(row, column)`` order: each
+    pixel sums its contributions in the order a scatter over the flattened
+    column index would.
+    """
     n, c, h, w = x_shape
-    ph, pw = padding
-    h_pad, w_pad = h + 2 * ph, w + 2 * pw
-    padded = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
-    k, i, j, _ = _im2col_indices((n, c, h_pad, w_pad), kernel, stride, (0, 0))
-    np.add.at(padded, (slice(None), k, i, j), cols)
-    if ph or pw:
-        return padded[:, :, ph:h_pad - ph if ph else h_pad, pw:w_pad - pw if pw else w_pad]
-    return padded
+    (kh, kw), (sh, sw), (ph, pw), (out_h, out_w) = kernel, stride, padding, out_hw
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    taps = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for r in range(kh):
+        for s in range(kw):
+            padded[:, :, r:r + sh * out_h:sh, s:s + sw * out_w:sw] += taps[:, :, r, s]
+    return padded[:, :, ph:ph + h, pw:pw + w]
 
 
 # --------------------------------------------------------------------------- conv2d
@@ -174,9 +126,10 @@ def conv2d(
             f"weight expects {c_in_per_group} input channels per group but input has "
             f"{c_in // groups}"
         )
+    out_h, out_w = _output_hw("conv2d", x.shape, (kh, kw), stride, padding)
 
     if groups == 1:
-        cols, (out_h, out_w) = _im2col(x.data, (kh, kw), stride, padding)
+        cols = _im2col(x.data, (kh, kw), stride, padding, (out_h, out_w))
         w_mat = weight.data.reshape(c_out, -1)
         out = np.einsum("of,nfl->nol", w_mat, cols, optimize=True)
         out = out.reshape(n, c_out, out_h, out_w)
@@ -188,11 +141,10 @@ def conv2d(
         cols_per_group = []
         group_slices = []
         outputs = []
-        out_h = out_w = None
         for g in range(groups):
             in_sl = slice(g * group_in, (g + 1) * group_in)
             out_sl = slice(g * group_out, (g + 1) * group_out)
-            cols_g, (out_h, out_w) = _im2col(x.data[:, in_sl], (kh, kw), stride, padding)
+            cols_g = _im2col(x.data[:, in_sl], (kh, kw), stride, padding, (out_h, out_w))
             w_mat = weight.data[out_sl].reshape(group_out, -1)
             out_g = np.einsum("of,nfl->nol", w_mat, cols_g, optimize=True)
             outputs.append(out_g.reshape(n, group_out, out_h, out_w))
@@ -217,7 +169,7 @@ def conv2d(
             if x.requires_grad:
                 w_mat = weight.data.reshape(c_out, -1)
                 grad_cols = np.einsum("of,nol->nfl", w_mat, g_out, optimize=True)
-                grad_x = _col2im(grad_cols, x.shape, (kh, kw), stride, padding)
+                grad_x = _col2im(grad_cols, x.shape, (kh, kw), stride, padding, (out_h, out_w))
                 x._accumulate(grad_x)
         else:
             group_out = c_out // groups
@@ -234,7 +186,9 @@ def conv2d(
                     w_mat = weight.data[out_sl].reshape(group_out, -1)
                     grad_cols = np.einsum("of,nol->nfl", w_mat, g_out, optimize=True)
                     sub_shape = (n, in_sl.stop - in_sl.start, h, w)
-                    grad_x_full[:, in_sl] = _col2im(grad_cols, sub_shape, (kh, kw), stride, padding)
+                    grad_x_full[:, in_sl] = _col2im(
+                        grad_cols, sub_shape, (kh, kw), stride, padding, (out_h, out_w)
+                    )
             if grad_w_full is not None:
                 weight._accumulate(grad_w_full)
             if grad_x_full is not None:
@@ -497,7 +451,8 @@ def avg_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = 
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride if stride is not None else kernel_size)
     ph, pw = _pair(padding)
-    cols, (out_h, out_w) = _im2col(x.data, (kh, kw), (sh, sw), (ph, pw))
+    out_h, out_w = _output_hw("avg_pool2d", x.shape, (kh, kw), (sh, sw), (ph, pw))
+    cols = _im2col(x.data, (kh, kw), (sh, sw), (ph, pw), (out_h, out_w))
     n, c = x.shape[0], x.shape[1]
     cols = cols.reshape(n, c, kh * kw, out_h * out_w)
     out = cols.mean(axis=2).reshape(n, c, out_h, out_w)
@@ -505,7 +460,7 @@ def avg_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = 
     def backward(grad: np.ndarray) -> None:
         g = grad.reshape(n, c, 1, out_h * out_w) / (kh * kw)
         g = np.broadcast_to(g, (n, c, kh * kw, out_h * out_w)).reshape(n, c * kh * kw, -1)
-        x._accumulate(_col2im(g, x.shape, (kh, kw), (sh, sw), (ph, pw)))
+        x._accumulate(_col2im(g, x.shape, (kh, kw), (sh, sw), (ph, pw), (out_h, out_w)))
 
     return Tensor._make(out.astype(np.float32), (x,), backward)
 

@@ -2,13 +2,14 @@
 
 ``fork-lock-reset`` flagged modules whose module-level locks had no
 ``os.register_at_fork`` re-arm (a child forked while another thread held the
-lock would deadlock on first use): ``repro.nn.functional``,
-``repro.engine.native``, ``repro.engine.trace`` -- plus
-``repro.experiments.comparison_suite`` fixed in the same pass.  These
-tests simulate the forked-child state directly: acquire the lock (the
-"parent thread mid-critical-section" a fork would freeze), run the module's
-``_reinit_after_fork``, and assert the replacement lock is immediately
-usable and caches are in the documented post-fork state.
+lock would deadlock on first use): ``repro.engine.native``,
+``repro.engine.trace`` -- plus ``repro.experiments.comparison_suite`` fixed in
+the same pass.  These tests simulate the forked-child state directly: acquire
+the lock (the "parent thread mid-critical-section" a fork would freeze), run
+the module's ``_reinit_after_fork``, and assert the replacement lock is
+immediately usable and caches are in the documented post-fork state.
+``repro.nn.functional`` keeps no state between calls, so it has nothing to
+re-arm: a forked child just convolves like its parent.
 """
 
 import os
@@ -22,7 +23,6 @@ import repro.experiments.comparison_suite as comparison_suite
 import repro.nn.functional as functional
 
 AT_FORK_MODULES = [
-    (functional, "_IM2COL_CACHE_LOCK"),
     (native, "_load_lock"),
     (trace, "_TRACE_LOCK"),
     (comparison_suite, "_CACHE_LOCK"),
@@ -45,10 +45,34 @@ def test_reinit_replaces_a_held_lock(module, lock_name):
         old.release()
 
 
-def test_functional_reinit_clears_im2col_cache():
-    functional._IM2COL_INDEX_CACHE[("sentinel",)] = object()
-    functional._reinit_after_fork()
-    assert ("sentinel",) not in functional._IM2COL_INDEX_CACHE
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_convolves_like_its_parent():
+    """No gather-index cache and no lock to inherit: a forked child's conv2d
+    forward and backward give the parent's bits."""
+    import numpy as np
+
+    from repro.nn.tensor import Tensor
+
+    rng = np.random.default_rng(0)
+    x, w = (rng.standard_normal(shape).astype(np.float32) for shape in [(2, 3, 9, 9), (4, 3, 3, 3)])
+    upstream = rng.standard_normal((2, 4, 5, 5)).astype(np.float32)
+
+    def run():
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = functional.conv2d(xt, wt, stride=2, padding=1)
+        out.backward(upstream)
+        return out.data, xt.grad, wt.grad
+
+    expected = run()
+    pid = os.fork()
+    if pid == 0:                                         # child: report through the exit code
+        code = 1
+        try:
+            code = 0 if all(np.array_equal(a, b) for a, b in zip(run(), expected)) else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_native_reinit_keeps_completed_load():

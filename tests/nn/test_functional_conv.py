@@ -1,7 +1,13 @@
 """Convolution: forward correctness against a naive reference, gradient checks."""
 
+import gc
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -64,6 +70,21 @@ class TestConvForward:
         with pytest.raises(ValueError):
             F.conv2d(x, w, stride=1, padding=0)
 
+    def test_empty_output_error_names_the_callers_input(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
+        w = Tensor(rng.standard_normal((1, 2, 7, 7)).astype(np.float32))
+        message = (r"conv2d output would be empty for input \(1, 2, 3, 3\), "
+                   r"kernel \(7, 7\), stride \(1, 1\), padding \(1, 1\)")
+        with pytest.raises(ValueError, match=message):
+            F.conv2d(x, w, stride=1, padding=1)
+
+    def test_empty_pool_output_error_names_the_pool(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
+        message = (r"avg_pool2d output would be empty for input \(1, 2, 3, 3\), "
+                   r"kernel \(7, 7\), stride \(1, 1\), padding \(1, 1\)")
+        with pytest.raises(ValueError, match=message):
+            F.avg_pool2d(x, 7, stride=1, padding=1)
+
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 4, 4)).astype(np.float32))
         w = Tensor(rng.standard_normal((2, 4, 3, 3)).astype(np.float32))
@@ -121,40 +142,119 @@ class TestConvBackward:
         assert np.abs(w.grad[0, 0]).sum() > 0
 
 
-class TestIm2colIndexCache:
-    """The gather-index cache: one build per geometry, shared fwd/bwd, bounded."""
+class TestIm2col:
+    """The strided-window gather and the per-tap scatter: the same bits as the
+    fancy-index gather and ``np.add.at`` scatter kept below as references, and
+    no state kept between calls."""
 
-    def test_forward_and_backward_share_one_cache_entry(self, rng):
-        from repro.nn.functional import _IM2COL_INDEX_CACHE
+    def test_columns_have_the_fancy_index_layout(self, rng):
+        x = rng.standard_normal((3, 2, 7, 9)).astype(np.float32)
+        args = ((3, 2), (2, 1), (1, 0), F._output_hw("conv2d", x.shape, (3, 2), (2, 1), (1, 0)))
+        cols, expected = F._im2col(x, *args), _reference_im2col(x, *args)
+        assert cols.strides == expected.strides
+        assert np.array_equal(cols, expected)
 
-        _IM2COL_INDEX_CACHE.clear()
-        x = Tensor(rng.standard_normal((2, 3, 9, 9)).astype(np.float32),
-                   requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
-                   requires_grad=True)
-        F.conv2d(x, w, stride=1, padding=1).sum().backward()
-        entries_after_first = len(_IM2COL_INDEX_CACHE)
-        assert entries_after_first >= 1
-        # A second identical forward+backward reuses every cached geometry.
-        F.conv2d(x, w, stride=1, padding=1).sum().backward()
-        assert len(_IM2COL_INDEX_CACHE) == entries_after_first
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_conv2d_matches_the_reference_bit_for_bit(self, data):
+        kind = data.draw(st.sampled_from(["dense", "depthwise", "grouped"]))
+        groups = data.draw({"dense": st.just(1), "depthwise": st.integers(1, 4),
+                            "grouped": st.integers(2, 3)}[kind])
+        c_in = groups if kind == "depthwise" else groups * data.draw(st.integers(1, 3))
+        c_out = groups * data.draw(st.integers(1, 3))
+        x, kernel, stride, padding, seed = data.draw(_geometries(c_in))
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((c_out, c_in // groups) + kernel).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
 
-    def test_cached_indices_are_read_only_and_correct(self, rng):
-        from repro.nn.functional import _im2col_indices
+        def run():
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+            out = F.conv2d(*tensors, stride=stride, padding=padding, groups=groups)
+            out.backward(np.random.default_rng(seed).standard_normal(out.shape).astype(np.float32))
+            return [out.data] + [t.grad for t in tensors]
 
-        k, i, j, (out_h, out_w) = _im2col_indices((1, 2, 6, 6), (3, 3), (1, 1), (0, 0))
-        assert (out_h, out_w) == (4, 4)
-        assert not k.flags.writeable and not i.flags.writeable
-        again = _im2col_indices((1, 2, 6, 6), (3, 3), (1, 1), (0, 0))
-        assert again[0] is k, "same geometry must return the cached arrays"
-        # The batch size is not part of the key.
-        batched = _im2col_indices((8, 2, 6, 6), (3, 3), (1, 1), (0, 0))
-        assert batched[0] is k
+        _assert_same_bits(run)
 
-    def test_cache_is_bounded(self):
-        from repro.nn import functional as nf
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_avg_pool2d_matches_the_reference_bit_for_bit(self, data):
+        x, kernel, stride, padding, seed = data.draw(_geometries(data.draw(st.integers(1, 4))))
 
-        nf._IM2COL_INDEX_CACHE.clear()
-        for size in range(6, 6 + nf._IM2COL_CACHE_MAX + 20):
-            nf._im2col_indices((1, 1, size, size), (3, 3), (1, 1), (0, 0))
-        assert len(nf._IM2COL_INDEX_CACHE) <= nf._IM2COL_CACHE_MAX
+        def run():
+            tensor = Tensor(x.copy(), requires_grad=True)
+            out = F.avg_pool2d(tensor, kernel, stride=stride, padding=padding)
+            out.backward(np.random.default_rng(seed).standard_normal(out.shape).astype(np.float32))
+            return [out.data, tensor.grad]
+
+        _assert_same_bits(run)
+
+    def test_new_geometries_retain_no_memory(self, rng):
+        """Columns and index arithmetic live for one call: forward + backward
+        over 40 geometries this process never ran leave the traced heap flat."""
+
+        def run(size):
+            x = Tensor(rng.standard_normal((1, 3, size, size + 1)).astype(np.float32),
+                       requires_grad=True)
+            w = Tensor(rng.standard_normal((2, 3, 3, 5)).astype(np.float32), requires_grad=True)
+            F.conv2d(x, w, stride=1, padding=(1, 2)).sum().backward()
+
+        run(5)
+        tracemalloc.start()
+        try:
+            gc.collect()        # a backward's tape is cyclic garbage until collected
+            before = tracemalloc.get_traced_memory()[0]
+            for size in range(41, 81):
+                run(size)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024, f"{retained} bytes retained across new geometries"
+
+
+def _reference_indices(c, kernel, stride, out_hw):
+    """The int64 gather indices of the fancy-index im2col: (channel, row, column)."""
+    (kh, kw), (sh, sw), (out_h, out_w) = kernel, stride, out_hw
+    i = np.tile(np.repeat(np.arange(kh), kw), c)[:, None] + sh * np.repeat(np.arange(out_h), out_w)
+    j = np.tile(np.arange(kw), kh * c)[:, None] + sw * np.tile(np.arange(out_w), out_h)
+    k = np.repeat(np.arange(c), kh * kw)[:, None]
+    return k, i, j
+
+
+def _reference_im2col(x, kernel, stride, padding, out_hw):
+    (ph, pw) = padding
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+    k, i, j = _reference_indices(x.shape[1], kernel, stride, out_hw)
+    return padded[:, k, i, j]
+
+
+def _reference_col2im(cols, x_shape, kernel, stride, padding, out_hw):
+    n, c, h, w = x_shape
+    (ph, pw) = padding
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    np.add.at(padded, (slice(None),) + _reference_indices(c, kernel, stride, out_hw), cols)
+    return padded[:, :, ph:ph + h, pw:pw + w]
+
+
+@st.composite
+def _geometries(draw, channels):
+    """(input, kernel, stride, padding, seed) with a non-empty output."""
+    kernel = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    padding = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    h = max(1, kernel[0] - 2 * padding[0]) + draw(st.integers(0, 8))
+    w = max(1, kernel[1] - 2 * padding[1]) + draw(st.integers(0, 8))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    x = np.random.default_rng(seed).standard_normal((draw(st.integers(1, 4)), channels, h, w))
+    return x.astype(np.float32), kernel, stride, padding, seed
+
+
+def _assert_same_bits(run):
+    """``run()`` gives the same arrays, bit for bit, with the reference gather
+    and scatter patched in."""
+    got = run()
+    with mock.patch.object(F, "_im2col", _reference_im2col), \
+            mock.patch.object(F, "_col2im", _reference_col2im):
+        expected = run()
+    for name, a, b in zip(["out", "x.grad", "w.grad", "b.grad"], got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
