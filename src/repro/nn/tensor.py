@@ -191,18 +191,23 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = _as_array(grad, dtype=self.data.dtype)
 
+        # Post-order over the tape (parents first, in ``_parents`` order), with
+        # an explicit stack: no recursion limit on long chains, and no closure
+        # that refers to itself and would keep the tape alive as cyclic garbage.
         topo: List[Tensor] = []
-        visited = set()
-
-        def visit(node: "Tensor") -> None:
-            if id(node) in visited or not node.requires_grad:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            topo.append(node)
-
-        visit(self)
+        if self.requires_grad:
+            visited = {id(self)}
+            stack = [(self, iter(self._parents))]
+            while stack:
+                node, parents = stack[-1]
+                for parent in parents:
+                    if id(parent) not in visited and parent.requires_grad:
+                        visited.add(id(parent))
+                        stack.append((parent, iter(parent._parents)))
+                        break
+                else:
+                    stack.pop()
+                    topo.append(node)
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:

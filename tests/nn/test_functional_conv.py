@@ -201,7 +201,6 @@ class TestIm2col:
         run(5)
         tracemalloc.start()
         try:
-            gc.collect()        # a backward's tape is cyclic garbage until collected
             before = tracemalloc.get_traced_memory()[0]
             for size in range(41, 81):
                 run(size)

@@ -192,3 +192,67 @@ class TestHypothesisProperties:
         a = Tensor(np.zeros((n, k), dtype=np.float32))
         b = Tensor(np.zeros((k, m), dtype=np.float32))
         assert (a @ b).shape == (n, m)
+
+
+class TestBackwardWalk:
+    """``backward`` walks the tape without recursion and leaves no cycle behind."""
+
+    def test_a_chain_of_3000_additions_backpropagates(self):
+        x = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        y = x
+        for _ in range(3000):
+            y = y + 1.0
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+    def test_the_tape_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+            hidden = x * 2.0 + x
+            alive = weakref.ref(hidden.data)      # Tensor has __slots__; its array does not
+            loss = hidden.sum()
+            del hidden
+            loss.backward()
+            del loss
+            assert alive() is None, "the tape outlived its last reference"
+        finally:
+            if enabled:
+                gc.enable()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("+*-"), st.integers(0, 40), st.integers(0, 40)),
+                    min_size=1, max_size=30))
+    def test_gradients_flow_in_the_recursive_post_order(self, ops):
+        """Nodes run their backward in reverse depth-first post-order over
+        ``_parents`` -- the order gradient sums were always added in."""
+        nodes = [Tensor(np.full(2, float(i + 1), np.float32), requires_grad=True)
+                 for i in range(3)]
+        for op, a, b in ops:
+            left, right = nodes[a % len(nodes)], nodes[b % len(nodes)]
+            nodes.append({"+": left.__add__, "*": left.__mul__, "-": left.__sub__}[op](right))
+        root = nodes[-1]
+
+        expected, seen = [], set()
+
+        def visit(node):
+            if id(node) in seen or not node.requires_grad:
+                return
+            seen.add(id(node))
+            for parent in node._parents:
+                visit(parent)
+            expected.append(node)
+
+        visit(root)
+        ran = []
+        for node in nodes:
+            if node._backward is not None:
+                node._backward = (lambda step, node: lambda grad: (ran.append(node), step(grad)))(
+                    node._backward, node)
+        root.backward()
+        assert [id(n) for n in ran] == [id(n) for n in reversed(expected)
+                                        if n._backward is not None]
