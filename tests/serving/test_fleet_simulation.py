@@ -11,13 +11,18 @@ an in-memory process + channel instead of forking.  Nothing here reads a wall
 clock, starts a process, or starts a thread.
 
 A schedule is a list of events -- submit a burst of 1-40 images / one worker
-answers a run (or fails it) / a worker dies after k replies, hangs, or has its
-stream torn / the next n spawns die at start with a fatal / the clock ticks and
-the supervisor takes a step / a rolling swap / shutdown -- and the
+answers a run (or fails it) / a worker dies after k replies, hangs, stops
+beating for a while but still answers, holds its replies for seconds, or has
+its stream torn / the next n spawns die at start with a fatal / the clock ticks
+and the supervisor takes a step / a rolling swap / shutdown -- and the
 properties at the bottom are the ROADMAP's list.  What a property needs to know
-about the schedule (which images were admitted, which deaths a step found) is
-ground truth the driver records itself, never read back from the code under
-test.
+about the schedule (which images were admitted, when each worker last beat,
+which deaths a step found, which artifact a finished swap left) is ground truth
+the driver records itself, never read back from the code under test.
+
+Each worker-side fault stream has its property here: crash (``kill``), hang,
+heartbeat loss (``mute``), slow frames (``slow``) and a torn stream (``tear``;
+the bytes of a torn frame are ``test_frame_fuzz.py``'s).
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from repro.pipeline.spec import ClusterSpec
 from repro.serving.batcher import BatchPolicy
 from repro.serving.cluster.channel import ChannelClosedError, Message, flatten_arrays
 from repro.serving.cluster.metrics import ClusterMetrics
+from repro.serving.metrics import _counts
 from repro.serving.cluster.router import ArtifactSwapError, Router
 from repro.serving.cluster.worker import WorkerProcess
 from repro.serving.errors import (
@@ -51,6 +57,7 @@ from repro.serving.errors import (
     RemoteInferenceError,
     ServiceClosedError,
     WorkerUnavailableError,
+    error_code,
 )
 
 SPEC = ClusterSpec(heartbeat_interval=0.25, heartbeat_timeout=1.0, max_restart_attempts=3,
@@ -65,11 +72,21 @@ MAX_POISON = 6
 #: longest backoff, with a few to spare for hung workers and re-dispatches.
 SETTLE_STEP = 0.9
 SETTLE_STEPS = MAX_POISON * (1 + int(SPEC.restart_backoff_max_s / SETTLE_STEP + 1)) + 6
+#: Slack for the float round trip of a deadline through ``deadline_ms``.
+EPS = 1e-6
 
 
-def forward(images: np.ndarray) -> np.ndarray:
-    """The model: per image, batch-size independent; an image is its tag."""
-    return images.reshape(len(images), -1)[:, :1] * 2.0 + 1.0
+def forward(images: np.ndarray, version: int = 0) -> np.ndarray:
+    """The model: per image, batch-size independent; an image is its tag, and
+    the artifact version that served it is the output's fraction."""
+    return images.reshape(len(images), -1)[:, :1] * 2.0 + 1.0 + 0.25 * version
+
+
+def served_by(tag: int, output: float) -> int:
+    """The artifact version (index into ``VERSIONS``) behind an image's output."""
+    version = (output - (tag * 2.0 + 1.0)) / 0.25
+    assert version in range(len(VERSIONS)), f"image {tag} got a foreign output {output}"
+    return int(version)
 
 
 # --------------------------------------------------------------------- the fake host
@@ -91,12 +108,17 @@ class FakeProcess:
         self.world, self.handle = world, handle
         self.pid = len(world.processes) + 1
         self.alive, self.hung, self.reported = True, False, False
+        self.torn = False                      # its stream was torn: the parent read EOF
         self.fatal = world.poison > 0          # dies at start, reporting a fatal
         world.poison -= self.fatal
         self.dies_after = None                 # reply runs left before it crashes
-        self.inbox = deque()                   # [first id, images] per unanswered frame
+        self.inbox = deque()                   # [first id, images, expiry] per unanswered frame
         self.never_arrived = []                # frames sent after it died (the parent holds them)
         self.spawned_at = world.clock.now
+        self.version = VERSIONS.index(handle.artifact_path)
+        self.last_beat = world.clock.now       # its start counts as the first beat
+        self.mute_until = 0.0                  # sends no heartbeat before this time
+        self.hold_until = 0.0                  # sends no reply before this time
         world.processes.append(self)
 
     # what the parent calls on a multiprocessing.Process
@@ -122,9 +144,11 @@ class FakeProcess:
                 self.never_arrived.append(images)
             raise ChannelClosedError("peer is gone")
         if kind == "infer":
-            self.inbox.append([meta["id"], images])
+            budget = meta.get("deadline_ms")
+            expiry = None if budget is None else self.world.clock.now + budget / 1e3
+            self.inbox.append([meta["id"], images, expiry])
         elif kind == "shutdown" and not self.hung:
-            while self.alive and self.inbox:   # drain: answer everything admitted
+            while self.alive and self.inbox:   # drain: answer everything admitted, held or not
                 self.reply()
             if self.alive:
                 self.handle._handle(Message("bye"))
@@ -135,23 +159,36 @@ class FakeProcess:
 
     def unanswered(self):
         """Tags of the images the parent sent and this child never answered."""
-        frames = self.never_arrived + [images for _, images in self.inbox]
+        frames = self.never_arrived + [frame[1] for frame in self.inbox]
         return [int(tag) for images in frames for tag in images[:, 0, 0, 0]]
 
     # what the child does
+    def answers(self):
+        """Alive, not hung, owes a frame and holds no reply back."""
+        return (self.alive and not self.hung and bool(self.inbox)
+                and self.world.clock.now >= self.hold_until)
+
     def reply(self, error=False):
-        """Answer one run: up to ``MAX_BATCH`` images off the head frame."""
+        """Answer one run: up to ``MAX_BATCH`` images off the head frame -- or,
+        as the child's batcher does, expire it if its deadline has passed."""
         frame = self.inbox[0]
-        first_id, images = frame[0], frame[1][:MAX_BATCH]
+        first_id, images, expiry = frame[0], frame[1][:MAX_BATCH], frame[2]
         frame[0], frame[1] = first_id + len(images), frame[1][MAX_BATCH:]
         if not len(frame[1]):
             self.inbox.popleft()
         meta = {"id": first_id, "count": len(images)}
-        if error:
-            self.world.errored.update(int(tag) for tag in images[:, 0, 0, 0])
+        tags = [int(tag) for tag in images[:, 0, 0, 0]]
+        now = self.world.clock.now
+        if expiry is not None and now > expiry:
+            expired = DeadlineExceededError("deadline expired in the worker's queue")
+            message = Message("error", dict(meta, error=str(expired), type="DeadlineExceededError",
+                                            code=error_code(expired)))
+        elif error:
+            self.world.errored.update(tags)
             message = Message("error", dict(meta, error="boom", type="ValueError"))
         else:
-            meta["tree"], arrays = flatten_arrays(forward(images))
+            self.world.executed.update(dict.fromkeys(tags, now))
+            meta["tree"], arrays = flatten_arrays(forward(images, self.version))
             message = Message("result", meta, arrays)
         self.handle._handle(message)
         if self.dies_after is not None:
@@ -168,7 +205,8 @@ class FakeProcess:
                 self.alive = False
             else:
                 self.handle._handle(Message("ready"))
-        if self.alive and not self.hung:
+        if self.alive and not self.hung and self.world.clock.now >= self.mute_until:
+            self.last_beat = self.world.clock.now
             self.handle._handle(Message("heartbeat"))
 
 
@@ -249,21 +287,37 @@ FAKE_THREADING = SimpleNamespace(Lock=threading.Lock, Condition=FakeCondition,
 
 
 class Settles:
-    """Run callback: how often each image of a burst settled, and with what."""
+    """Run callback: how often each image of a burst settled, when, and with what
+    -- and, per run, what the router's ledger counted by then and which
+    artifact versions the run's outputs came from."""
 
-    def __init__(self, future, tags, deadline):
-        self.tags, self.deadline = tags, deadline
+    def __init__(self, world, future, tags, deadline, version):
+        self.world, self.tags, self.deadline = world, tags, deadline
+        #: The artifact the fleet served when the burst was admitted (ground truth).
+        self.version = version
         self.counts = [0] * len(tags)
         self.errors = [None] * len(tags)
         self.outputs = [None] * len(tags)
+        self.settled_at = [None] * len(tags)
+        #: Swaps begun before the burst was admitted / before each image settled.
+        self.epoch = world.swaps
+        self.settled_epoch = [None] * len(tags)
         future.add_run_callback(self)
 
     def __call__(self, future, start, stop, outputs, error):
+        world = self.world
+        world.settled += stop - start
+        world.count_log.append((self.tags[start:stop], world.counted(), world.settled))
         for index in range(start, stop):
             self.counts[index] += 1
             self.errors[index] = error
+            self.settled_at[index] = world.clock.now
+            self.settled_epoch[index] = world.swaps
             if error is None:
                 self.outputs[index] = float(outputs[index - start][0])
+        if error is None:
+            world.run_versions.append({served_by(tag, output) for tag, output in
+                                       zip(self.tags[start:stop], self.outputs[start:stop])})
 
 
 class World:
@@ -278,6 +332,14 @@ class World:
         self.bursts = []                  # a Settles per admitted burst
         self.deadlines = {}               # tag -> absolute deadline of an admitted image
         self.errored = set()              # tags a child answered with an error frame
+        self.executed = {}                # tag -> when a child ran it to a result
+        self.settled = 0                  # images settled so far, over every burst
+        self.count_log = []               # (tags, ledger count, images settled) per settled run
+        self.run_versions = []            # the versions behind each answered run's outputs
+        self.step_log = []                # (worker, stale or not, seconds since its beat, survived)
+        self.version = 0                  # the artifact the fleet serves between swaps
+        self.swaps = 0                    # swaps begun
+        self.swap_log = []                # (versions of the live children, expected) per swap
         self.next_tag = 0
         # Ground truth for the ledger: deaths the steps found / of those, slots
         # given up on / images a recovered or retired worker never answered.
@@ -306,10 +368,15 @@ class World:
         for process in list(self.processes):
             process.pump()
 
+    def counted(self):
+        """Images the router's ledger counts as completed or failed."""
+        counts = _counts(self.router.metrics._requests)
+        return sum(n for (_, outcome), n in counts.items() if outcome != "submitted")
+
     def idle(self, timeout):
         """A caller is blocked: children answer; if none can, time passes and the
         supervisor takes a step."""
-        busy = [p for p in self.processes if p.alive and not p.hung and p.inbox]
+        busy = [p for p in self.processes if p.answers()]
         for process in busy:
             process.reply()
         if not busy:
@@ -321,8 +388,16 @@ class World:
         ``closing``, a shutdown lands in the middle of the step's first recovery."""
         self.clock.now += seconds
         self.pump()
+        for process in list(self.processes):       # a muted child still answers
+            if process.answers() and self.clock.now < process.mute_until:
+                process.reply()
         router, now = self.router, self.clock.now
-        found = [(slot, worker) for slot, worker in router._table.watched()
+        watched = router._table.watched()
+        # Ground truth, from the children: alive, stream whole, beat within the timeout.
+        sound = {worker for _, worker in watched
+                 if worker.process.alive and not worker.process.torn
+                 and now - worker.process.last_beat < SPEC.heartbeat_timeout}
+        found = [(slot, worker) for slot, worker in watched
                  if not worker.healthy(SPEC.heartbeat_timeout)]
         if closing and found:
             def reap_then_close(reap=found[0][1].reap):
@@ -331,8 +406,12 @@ class World:
                 return pending
             found[0][1].reap = reap_then_close
         router._supervise_once()
+        if not self.shut_down:
+            for slot, worker in watched:
+                self.step_log.append((
+                    worker.worker_id, worker in sound, now - worker.process.last_beat,
+                    worker.process.alive and router._table.holds(slot, worker)))
         for slot, worker in found:
-            assert not worker.process.alive, "a hung worker outlived the step that found it"
             self.accounted.add(worker.process)
             if self.shut_down:
                 continue                  # found, but the fleet closed under the recovery
@@ -376,6 +455,7 @@ class World:
         self.next_tag += count
         images = np.stack([np.full((1, 2, 2), float(tag), np.float32) for tag in tags])
         degraded = self.router.degraded
+        version = self.version
         deadline = None if deadline_ms is None else self.clock.now + deadline_ms / 1e3
         self.deadlines.update(dict.fromkeys(tags, deadline))
         try:
@@ -387,15 +467,28 @@ class World:
         except (QueueFullError, WorkerUnavailableError, ServiceClosedError):
             return                       # nothing of it was admitted: no future
         assert not (priority == "low" and degraded), "low admitted while degraded"
-        self.bursts.append(Settles(future, tags, deadline))
+        self.bursts.append(Settles(self, future, tags, deadline, version))
 
     def swap(self):
         path = VERSIONS[self.router.artifact_path == VERSIONS[0]]
+        self.swaps += 1
         try:
             self.router.swap_artifact(path, timeout_per_worker=5.0)
-        except (ArtifactSwapError, ServiceClosedError):
+        except ServiceClosedError:
             pass
+        except ArtifactSwapError:
+            # Rolled back: every slot serves the old version again.
+            self.check_versions()
+        else:
+            self.version = VERSIONS.index(path)
+            self.check_versions()
         self.reshaped()
+
+    def check_versions(self):
+        """Log the versions the live children run once a swap returned (a dead
+        occupant serves nothing; its respawn loads the router's path)."""
+        self.swap_log.append(([worker.process.version for worker in self.router._table.workers
+                               if worker.process.alive], self.version))
 
     def apply(self, event):
         kind, *args = event
@@ -403,7 +496,7 @@ class World:
             self.submit(*args)
         elif kind == "reply":
             process = self.occupant(args[0])
-            if process.alive and not process.hung and process.inbox:
+            if process.answers():
                 process.reply(error=args[1])
         elif kind == "kill":
             process = self.occupant(args[0])
@@ -414,8 +507,14 @@ class World:
                     process.handle._mark_dead()
         elif kind == "hang":
             self.occupant(args[0]).hung = True
+        elif kind == "mute":                               # heartbeats lost; replies still flow
+            self.occupant(args[0]).mute_until = self.clock.now + args[1]
+        elif kind == "slow":                               # replies held; heartbeats still flow
+            self.occupant(args[0]).hold_until = self.clock.now + args[1]
         elif kind == "tear":                               # a torn frame: EOF from a live child
-            self.occupant(args[0]).handle._mark_dead()
+            process = self.occupant(args[0])
+            process.torn = True
+            process.handle._mark_dead()
         elif kind == "poison":
             self.poison = min(self.poison + args[0], MAX_POISON)
         elif kind == "tick":
@@ -432,7 +531,7 @@ class World:
         """No new faults: let the poison and every backoff run out and every child answer."""
         for _ in range(SETTLE_STEPS):
             self.apply(("tick", SETTLE_STEP))
-            while any(p.alive and not p.hung and p.inbox for p in self.processes):
+            while any(p.answers() for p in self.processes):
                 self.idle(None)
 
     # ------------------------------------------------------------------ invariants
@@ -453,6 +552,14 @@ class World:
             for index, tag in enumerate(burst.tags):
                 yield (tag, burst.counts[index], burst.errors[index], burst.outputs[index],
                        burst.deadline, len(burst.tags))
+
+    def settles(self):
+        """``(tag, when it settled, error, output, deadline, version at admission,
+        whether a swap began between its admission and its settling)``."""
+        for burst in self.bursts:
+            for index, tag in enumerate(burst.tags):
+                yield (tag, burst.settled_at[index], burst.errors[index], burst.outputs[index],
+                       burst.deadline, burst.version, burst.settled_epoch[index] != burst.epoch)
 
 
 CLOCK = FakeTime()
@@ -482,12 +589,15 @@ submits = st.tuples(st.just("submit"), st.integers(1, 40),
                     st.sampled_from(["high", "normal", "low"]),
                     st.sampled_from([None, None, None, 300.0, 3000.0]))      # deadline_ms
 replies = st.tuples(st.just("reply"), worker_index, st.sampled_from([False] * 3 + [True]))
+mutes = st.tuples(st.just("mute"), worker_index, st.sampled_from([0.8, 1.5, float("inf")] * 2))
 ticks = st.tuples(st.just("tick"), st.sampled_from([0.05, 0.25, 0.3, 0.7, 1.1, 2.5]),
                   st.sampled_from([False] * 9 + [True]))     # a shutdown lands mid-recovery
 events = st.one_of(
     submits, submits, submits, replies, replies, ticks, ticks, ticks,
-    st.tuples(st.just("kill"), worker_index, st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("kill"), worker_index, st.integers(0, 3), st.booleans()),     # crash
     st.tuples(st.just("hang"), worker_index),
+    mutes, mutes,
+    st.tuples(st.just("slow"), worker_index, st.sampled_from([0.4, 1.2, 2.5, 4.0])),
     st.tuples(st.just("tear"), worker_index),
     st.tuples(st.just("poison"), st.integers(1, MAX_POISON)),
     st.tuples(st.just("swap")),
@@ -526,7 +636,7 @@ def test_every_admitted_image_resolves_exactly_once(schedule):
         for tag, settled, error, output, deadline, burst_size in world.images():
             assert settled == 1, f"image {tag} settled {settled} times"
             if error is None:
-                assert output == tag * 2.0 + 1.0
+                served_by(tag, output)
             elif isinstance(error, RemoteInferenceError):
                 assert tag in world.errored
             elif isinstance(error, DeadlineExceededError):
@@ -589,6 +699,66 @@ def test_the_fleet_converges_and_a_slot_holds_one_live_worker(schedule):
 
 @PROPERTY
 @given(schedules)
+def test_every_settled_image_is_already_in_the_ledger(schedule):
+    """A run is counted (completed or failed) before its future settles, so a
+    caller woken by the future reads it counted -- on the reply path, the
+    failure path and the shutdown path alike."""
+    with run(schedule) as world:
+        for tags, counted, settled in world.count_log:
+            assert counted >= settled, f"images {tags} settled before the ledger counted them"
+
+
+@PROPERTY
+@given(schedules)
+def test_a_worker_is_killed_in_the_step_that_finds_its_heartbeat_stale(schedule):
+    """Heartbeat loss and hangs: a watched worker whose child has not beaten for
+    ``heartbeat_timeout`` -- or whose stream tore, or which died -- is gone
+    after that step, not left for the next one; one that beat in time keeps
+    its slot, however long it holds its replies back (slow frames)."""
+    with run(schedule) as world:
+        for worker_id, sound, silent_for, survived in world.step_log:
+            if sound:
+                assert survived, f"{worker_id} was killed {silent_for:.2f}s after its last beat"
+            else:
+                assert not survived, f"{worker_id} outlived the step that found it " \
+                                     f"({silent_for:.2f}s after its last beat)"
+
+
+@PROPERTY
+@given(schedules)
+def test_nothing_runs_past_its_deadline_and_no_deadline_error_comes_early(schedule):
+    """A child never runs an image past its deadline -- also after the image
+    sat in a slow worker's queue, or was re-dispatched from a dead one with
+    what is left of its budget -- and a ``DeadlineExceededError`` settles an
+    image only once its deadline has passed."""
+    with run(schedule) as world:
+        for tag, settled_at, error, _, deadline, _, _ in world.settles():
+            if deadline is None:
+                continue
+            if tag in world.executed:
+                assert world.executed[tag] <= deadline + EPS, f"image {tag} ran past its deadline"
+            if isinstance(error, DeadlineExceededError):
+                assert settled_at >= deadline - EPS, f"image {tag} expired early"
+
+
+@PROPERTY
+@given(schedules)
+def test_no_reply_run_mixes_artifact_versions_across_a_rolling_swap(schedule):
+    """Every answered run comes from one artifact version; once a swap returns
+    -- rolled out or rolled back -- every live child runs the version it left;
+    and an image whose whole life fell between two swaps is answered by the
+    version the fleet served then."""
+    with run(schedule) as world:
+        assert all(len(versions) == 1 for versions in world.run_versions)
+        for live, expected in world.swap_log:
+            assert live == [expected] * len(live), f"a swap left {live}, not {expected}"
+        for tag, _, error, output, _, version, swapped in world.settles():
+            if error is None and not swapped:
+                assert served_by(tag, output) == version, f"image {tag} crossed versions"
+
+
+@PROPERTY
+@given(schedules)
 def test_a_repeat_quick_death_waits_at_least_half_the_backoff(schedule):
     """A slot that dies again within ``min_worker_uptime`` of its respawn is
     not respawned for at least ``restart_backoff_s / 2``: a crash loop cannot
@@ -637,8 +807,8 @@ def test_a_failed_run_of_n_images_is_n_failures():
 
 
 def test_a_hung_worker_is_killed_in_the_step_that_finds_its_heartbeat_stale():
-    """The chaos ``hang`` stream without a wall clock: SIGKILL at once, so the
-    step sits out no join and what the worker held is served elsewhere."""
+    """A hang without a wall clock: SIGKILL at once, so the step sits out no
+    join and what the worker held is served elsewhere."""
     with simulated(2) as world:
         world.submit(16, "normal", None)
         hung = world.router.workers[0]
@@ -669,3 +839,96 @@ def test_recovery_during_shutdown_fails_pending_and_spawns_nothing(noticed):
         assert burst.counts == [1] * 4
         assert all("shut down" in str(error) for error in burst.errors)
         assert len(world.processes) == 1
+
+
+def test_a_muted_worker_is_killed_in_the_step_that_finds_it_stale_and_its_answers_stand():
+    """Heartbeat loss: worker 0 stops beating but still answers a run per
+    step.  It keeps its slot at 0.9 s; at 1.2 s it answers one more run, and
+    that step kills it all the same; the 16 it answered settle once, the 8 it
+    still owed are served elsewhere."""
+    with simulated(2) as world:
+        world.submit(24, "normal", None)
+        world.submit(12, "normal", None)
+        muted = world.router.workers[0]
+        world.apply(("mute", 0, float("inf")))
+        world.apply(("tick", 0.9))
+        first, second = world.bursts
+        assert muted.process.alive and world.router.workers[0] is muted
+        assert first.counts == [1] * 8 + [0] * 16
+        world.apply(("tick", 0.3))
+        assert first.counts == [1] * 16 + [0] * 8
+        assert not muted.process.alive and world.router.workers[0] is not muted
+        world.settle()
+        for burst in (first, second):
+            assert burst.counts == [1] * len(burst.tags) and not any(burst.errors)
+            assert burst.outputs == [tag * 2.0 + 1.0 for tag in burst.tags]
+        cluster = world.router.metrics.report()["cluster"]
+        assert (cluster["completed"], cluster["failed"]) == (36, 0)
+        assert (cluster["restarts"], cluster["redispatched"]) == (1, 8)
+
+
+def test_a_slow_worker_keeps_its_slot_and_a_burst_it_holds_past_its_deadline_expires():
+    """Slow frames: worker 0 holds its replies for 2.5 s -- across nine
+    supervisor steps and past the 300 ms budget of one burst it owes -- and
+    keeps beating.  It is not killed; that burst fails as
+    ``DeadlineExceededError``, once per image and counted as 6 failures, at or
+    after its deadline; its burst without a deadline is answered when the hold
+    ends."""
+    with simulated(2) as world:
+        world.submit(6, "normal", 300.0)            # -> worker 0
+        world.submit(6, "normal", None)             # -> worker 1
+        world.submit(6, "normal", None)             # -> worker 0
+        slow = world.router.workers[0]
+        world.apply(("slow", 0, 2.5))
+        for _ in range(9):
+            world.apply(("tick", SPEC.heartbeat_interval))
+            world.apply(("reply", 1, False))
+        timed, elsewhere, late = world.bursts
+        assert slow.process.alive and world.router.workers[0] is slow
+        assert (timed.counts, late.counts, elsewhere.counts) == ([0] * 6, [0] * 6, [1] * 6)
+        world.settle()
+        assert timed.counts == [1] * 6
+        assert all(isinstance(error, DeadlineExceededError) for error in timed.errors)
+        assert min(timed.settled_at) >= timed.deadline
+        assert late.counts == [1] * 6 and late.errors == [None] * 6
+        cluster = world.router.metrics.report()["cluster"]
+        assert (cluster["completed"], cluster["failed"]) == (12, 6)
+        assert (cluster["restarts"], cluster["redispatched"]) == (0, 0)
+
+
+#: Each worker-side fault stream as the event that faults worker 0, and how
+#: many images it still owes when the step 1.2 s later replaces it (None: a
+#: slow worker keeps its slot).
+STREAMS = {
+    "crash": (("kill", 0, 0, False), 16),
+    "hang": (("hang", 0), 16),
+    "heartbeat loss": (("mute", 0, float("inf")), 8),     # answered a run before that step
+    "torn frame": (("tear", 0), 16),
+    "slow frame": (("slow", 0, 2.5), None),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_each_fault_stream_loses_nothing(stream):
+    """Worker 0 answers a run of 8 of its 24 images, then faults; after one
+    step past the heartbeat timeout and quiescence every image of both bursts
+    has settled once with its output, and the ledger balances: what the
+    worker still owed was re-dispatched once it was replaced, or came late
+    from the slot it kept."""
+    event, owed = STREAMS[stream]
+    with simulated(2) as world:
+        world.submit(24, "normal", None)
+        world.submit(24, "normal", None)
+        world.apply(("reply", 0, False))
+        faulted = world.router.workers[0]
+        world.apply(event)
+        world.apply(("tick", 1.2))
+        assert (world.router.workers[0] is faulted) == (owed is None)
+        world.settle()
+        for burst in world.bursts:
+            assert burst.counts == [1] * 24 and burst.errors == [None] * 24
+            assert burst.outputs == [tag * 2.0 + 1.0 for tag in burst.tags]
+        cluster = world.router.metrics.report()["cluster"]
+        assert (cluster["completed"], cluster["failed"]) == (48, 0)
+        assert (cluster["restarts"], cluster["redispatched"]) == (
+            (0, 0) if owed is None else (1, owed))

@@ -6,6 +6,12 @@ or with ``ValueError``; the pipe turns that into ``ChannelClosedError`` and the
 gateway into a ``bad_request`` error frame (or, after an oversized prefix, an
 answer and a hang-up) -- never a hang, never a dead loop thread.  And however a
 stream is cut into reads, :class:`FrameSplitter` yields the same frames.
+
+At the router-worker boundary a torn frame -- the real ``infer`` frame the
+parent writes, or the real ``result`` frame a child writes, cut inside its
+length prefix, its header or its arrays -- reads as ``ChannelClosedError``
+whether the writer died at that byte or its stream goes on, and the parent
+handle treats it as the worker's death.
 """
 
 import json
@@ -13,6 +19,9 @@ import multiprocessing
 import os
 import socket
 import struct
+import threading
+import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.pipeline.spec import GatewaySpec
 from repro.serving.batcher import InferenceFuture
+from repro.obs.tracing import TraceContext
 from repro.serving.cluster.channel import (
     ArrayChannel,
     ChannelClosedError,
@@ -27,6 +37,14 @@ from repro.serving.cluster.channel import (
     FrameTooLargeError,
     decode_frame,
     encode_frame,
+    frame_buffers,
+)
+from repro.serving import service as service_module
+from repro.serving.cluster.worker import (
+    WorkerProcess,
+    _PendingRequest,
+    _reply_frame,
+    _worker_main,
 )
 from repro.serving.gateway import GatewayClient, GatewayServer
 from repro.serving.metrics import GatewayMetrics
@@ -268,6 +286,174 @@ class TestChannelDecoder:
         finally:
             near.close()
             channel.close()
+
+
+# ------------------------------------------- torn frames at the router-worker boundary
+class Recorder:
+    """Stands in for a worker's channel: keeps what ``send`` was given."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, kind, meta=None, arrays=()):
+        self.sent.append((kind, meta, arrays))
+
+
+@lru_cache(maxsize=None)
+def parent_infer_frame() -> bytes:
+    """The bytes :meth:`WorkerProcess.dispatch` writes for a traced 3-image
+    burst with a deadline -- captured from the real method (once: trace ids
+    and the remaining budget differ from call to call)."""
+    handle = WorkerProcess("worker-0", "unused.npz", heartbeat_interval=0.25)
+    handle.channel, handle._accepting = Recorder(), True
+    images = np.arange(3 * 3 * 4 * 4, dtype=np.float32).reshape(3, 3, 4, 4)
+    traces = [TraceContext() for _ in range(3)]
+    request = _PendingRequest(InferenceFuture(3), 0, images, traces, "high",
+                              time.perf_counter() + 60.0)
+    assert handle.dispatch(request) is None
+    ((kind, meta, arrays),) = handle.channel.sent
+    assert kind == "infer" and {"id", "priority", "deadline_ms", "trace"} <= set(meta)
+    return b"".join(bytes(buffer) for buffer in frame_buffers(kind, meta, arrays))
+
+
+@lru_cache(maxsize=None)
+def child_result_frame() -> bytes:
+    """The bytes a child's responder writes for a run of 3 answered images."""
+    outputs = (np.arange(12, dtype=np.float32).reshape(3, 4),
+               {"boxes": np.ones((3, 2, 4), dtype=np.float32)})
+    kind, meta, arrays = _reply_frame(7, 3, outputs, None, [TraceContext() for _ in range(3)])
+    assert kind == "result" and meta["count"] == 3
+    return b"".join(bytes(buffer) for buffer in frame_buffers(kind, meta, arrays))
+
+
+#: direction -> (the frame, does the parent write it)
+DIRECTIONS = {"parent -> child infer": (parent_infer_frame, True),
+              "child -> parent result": (child_result_frame, False)}
+
+
+def region(frame: bytes, where: str):
+    """``[first, last]`` cut positions strictly inside a part of one frame."""
+    header_end = 2 * PREFIX.size + PREFIX.unpack_from(frame, PREFIX.size)[0]
+    return {"prefix": (1, PREFIX.size - 1),
+            "header": (PREFIX.size + 1, header_end - 1),
+            "arrays": (header_end + 1, len(frame) - 1)}[where]
+
+
+def torn(frame: bytes, cut: int, ending: str) -> bytes:
+    """``frame`` cut at byte ``cut``: as a writer that died there left it, or
+    with its prefix announcing only what is left, as a frame torn mid-write
+    leaves a stream that goes on."""
+    if ending == "writer died":
+        return frame[:cut]
+    payload = frame[PREFIX.size:cut]
+    return PREFIX.pack(len(payload)) + payload
+
+
+TORN_CASES = [(direction, where, ending)
+              for direction in sorted(DIRECTIONS)
+              for where in ("prefix", "header", "arrays")
+              for ending in ("writer died", "stream goes on")
+              if not (where == "prefix" and ending == "stream goes on")]
+
+
+class TestTornFrames:
+    @pytest.mark.parametrize("direction,where,ending", TORN_CASES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_a_torn_frame_reads_as_a_closed_channel(self, direction, where, ending, data):
+        build, parent_writes = DIRECTIONS[direction]
+        frame = build()
+        cut = data.draw(st.integers(*region(frame, where)), label="cut")
+        parent_end, child_end = multiprocessing.Pipe(duplex=True)
+        writer, reader = (parent_end, child_end) if parent_writes else (child_end, parent_end)
+        channel = ArrayChannel(reader)
+        try:
+            os.write(writer.fileno(), torn(frame, cut, ending))
+            if ending == "writer died":
+                writer.close()
+            with pytest.raises(ChannelClosedError):
+                channel.recv()
+        finally:
+            writer.close()
+            channel.close()
+
+    @pytest.mark.parametrize("where,ending", [case[1:] for case in TORN_CASES
+                                              if case[0] == "child -> parent result"])
+    def test_a_torn_reply_is_the_workers_death_and_loses_nothing(self, where, ending):
+        """The real receiver thread reads a torn reply as a dead worker: the
+        handle stops accepting, and the burst it owed stays whole in its table
+        for the router to re-dispatch -- neither settled nor failed."""
+        parent_end, child_end = multiprocessing.Pipe(duplex=True)
+
+        class Child:
+            pid = 0
+
+            def is_alive(self):
+                return True
+
+        handle = WorkerProcess("worker-0", "unused.npz", heartbeat_interval=0.25)
+        handle._launch = lambda: (Child(), ArrayChannel(parent_end))
+        handle.start()
+        try:
+            future = InferenceFuture(3)
+            request = _PendingRequest(future, 0, np.zeros((3, 3, 4, 4), dtype=np.float32))
+            handle.dispatch(request)
+            frame = child_result_frame()
+            lo, hi = region(frame, where)
+            os.write(child_end.fileno(), torn(frame, (lo + hi) // 2, ending))
+            if ending == "writer died":
+                child_end.close()
+            handle._receiver.join(10.0)
+            assert not handle._receiver.is_alive() and not handle.accepting
+            assert not future.done()
+            (owed,) = handle.take_outstanding()
+            assert owed.future is future and (owed.offset, owed.count) == (0, 3)
+        finally:
+            child_end.close()
+            handle.channel.close()
+
+    @pytest.mark.parametrize("where,ending", [case[1:] for case in TORN_CASES
+                                              if case[0] == "parent -> child infer"])
+    def test_a_torn_request_ends_the_childs_loop_and_drains_it(self, where, ending,
+                                                                 monkeypatch):
+        """The real child loop reads a torn ``infer`` frame as its parent's
+        death: it admits nothing from it, drains its service, and says ``bye``
+        if anyone is still listening."""
+        services = []
+
+        class Service:
+            def __init__(self, artifact_path, policy=None, name=None):
+                self.drained = False
+                services.append(self)
+
+            def submit_group(self, *args, **kwargs):
+                raise AssertionError("a torn frame was admitted")
+
+            def shutdown(self):
+                self.drained = True
+
+        monkeypatch.setattr(service_module, "InferenceService", Service)
+        parent_end, child_end = multiprocessing.Pipe(duplex=True)
+        child = threading.Thread(target=_worker_main, daemon=True, args=(
+            child_end, "worker-0", "unused.npz", {"max_batch_size": 4, "queue_capacity": 8}, 0.05))
+        child.start()
+        parent = ArrayChannel(parent_end)
+        try:
+            while parent.recv().kind != "ready":
+                pass
+            frame = parent_infer_frame()
+            lo, hi = region(frame, where)
+            os.write(parent_end.fileno(), torn(frame, (lo + hi) // 2, ending))
+            if ending == "writer died":
+                parent_end.close()
+            else:
+                while parent.recv().kind != "bye":
+                    pass
+            child.join(10.0)
+            assert not child.is_alive()
+            assert [service.drained for service in services] == [True]
+        finally:
+            parent.close()
 
 
 # ------------------------------------------------------------------------ gateway
