@@ -27,10 +27,6 @@
 #                      results are bit-identical to in-process submits (the
 #                      2-worker leg sends a submit_many longer than one burst
 #                      frame and also checks it against the direct output)
-#   make chaos-smoke   seeded fault-injection drill against the 2-worker
-#                      cluster (repro chaos: crash schedule under open-loop
-#                      load; exits non-zero on any dropped request or if p95
-#                      does not recover to its pre-fault band in time)
 #   make obs-smoke     observability end-to-end: a traced serve run exporting
 #                      snapshot.json / metrics.prom / metrics.jsonl /
 #                      trace.json (Chrome trace-event format), rendered once
@@ -56,7 +52,7 @@ export PYTHONPATH
 
 SMOKE_SPEC ?= examples/specs/tiny_rtoss3ep.json
 
-.PHONY: test test-engine lint lint-baseline smoke serve-smoke cluster-smoke gateway-smoke chaos-smoke obs-smoke bench bench-record docs-check
+.PHONY: test test-engine lint lint-baseline smoke serve-smoke cluster-smoke gateway-smoke obs-smoke bench bench-record docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -112,12 +108,6 @@ gateway-smoke:
 		> artifacts/gateway-smoke.log; status=$$?; cat artifacts/gateway-smoke.log; test $$status -eq 0
 	@grep -Eq 'in ([2-9]|[1-9][0-9]+) burst frames\): bit-identical OK' artifacts/gateway-smoke.log \
 		|| { echo "gateway-smoke: the submit_many was not longer than one burst frame"; exit 1; }
-
-chaos-smoke:
-	@test -f artifacts/serve-smoke.npz || \
-		$(PYTHON) -m repro.cli run --spec $(SMOKE_SPEC) --artifact artifacts/serve-smoke.npz --no-verify
-	$(PYTHON) -m repro.cli chaos --artifact artifacts/serve-smoke.npz --workers 2 \
-		--seed 11 --warmup 2 --duration 3 --crash-rate 1.0 --rate 60 --recovery 7
 
 obs-smoke:
 	@test -f artifacts/serve-smoke.npz || \

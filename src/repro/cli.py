@@ -186,36 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "metrics.prom, metrics.jsonl and trace.json "
                             "(Chrome trace-event format)")
 
-    chaos = sub.add_parser(
-        "chaos", help="seeded fault-injection drill: crash/hang/starve a "
-                      "worker cluster under load and verify it recovers "
-                      "with zero dropped requests", parents=[common])
-    chaos.add_argument("--artifact", required=True,
-                       help="path to a DeployableArtifact .npz (see `run`)")
-    chaos.add_argument("--spec", default=None, metavar="FILE",
-                       help="JSON file with ChaosSpec keys (either bare or "
-                            "under a top-level \"chaos\" key); overrides the "
-                            "artifact spec's chaos section, and the flags "
-                            "below override both")
-    chaos.add_argument("--workers", type=int, default=2,
-                       help="worker processes in the drilled cluster")
-    chaos.add_argument("--rate", type=float, default=100.0,
-                       help="open-loop load during the drill, requests/s")
-    chaos.add_argument("--seed", type=int, default=None,
-                       help="fault-schedule + load seed (default: spec's)")
-    chaos.add_argument("--duration", type=float, default=None,
-                       help="fault-window seconds (default: spec's)")
-    chaos.add_argument("--warmup", type=float, default=None,
-                       help="pre-fault baseline seconds (default: spec's)")
-    chaos.add_argument("--recovery", type=float, default=5.0,
-                       help="post-fault measurement window, seconds")
-    chaos.add_argument("--crash-rate", type=float, default=None,
-                       help="worker crashes/s (default: spec's)")
-    chaos.add_argument("--hang-rate", type=float, default=None,
-                       help="worker SIGSTOP hangs/s (default: spec's)")
-    chaos.add_argument("--json", action="store_true",
-                       help="emit the drill report as JSON instead of a table")
-
     metrics = sub.add_parser(
         "metrics", help="run a short load against an artifact and dump the "
                         "unified obs metrics registry", parents=[common])
@@ -621,18 +591,16 @@ def _load_cli_artifact(path: str):
         return None
 
 
-def _with_flags(spec, args: argparse.Namespace, *flags: str, **renamed: str):
+def _with_flags(spec, args: argparse.Namespace, *flags: str):
     """``dataclasses.replace(spec, ...)`` with every listed flag the user set.
 
-    ``flags`` are named like their spec field, ``renamed`` maps
-    ``field="flag"``; one left at ``None`` keeps the spec's value.  The replace
-    re-runs the spec's validator: a bad flag is a ``ValueError`` naming the field.
+    ``flags`` are named like their spec field; one left at ``None`` keeps the
+    spec's value.  The replace re-runs the spec's validator: a bad flag is a
+    ``ValueError`` naming the field.
     """
     import dataclasses
 
-    changes = {field: getattr(args, flag)
-               for field, flag in {**dict(zip(flags, flags)), **renamed}.items()
-               if getattr(args, flag) is not None}
+    changes = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     return dataclasses.replace(spec, **changes)
 
 
@@ -799,86 +767,6 @@ def _print_cluster_tables(cluster_row, report) -> None:
         print(format_table(worker_rows, title="Per-worker breakdown"))
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """``repro chaos``: seeded fault-injection drill against a worker cluster.
-
-    Exit code 0 only if the drill dropped zero requests AND the cluster's p95
-    returned to its pre-fault band within the recovery window — the same gate
-    ``make chaos-smoke`` applies.
-    """
-    import dataclasses
-    import json as _json
-
-    from repro.pipeline.spec import ChaosSpec
-    from repro.serving.chaos import run_chaos_drill
-
-    artifact = _load_cli_artifact(args.artifact)
-    if artifact is None:
-        return 2
-    # Artifact's chaos section < --spec FILE < flags; anything wrong with the
-    # result is one error exit.
-    try:
-        chaos_dict = artifact.spec.serve.chaos.to_dict()
-        if args.spec is not None:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                loaded = _json.load(handle)
-            if not isinstance(loaded, dict):
-                raise ValueError("the --spec file must hold a JSON object")
-            chaos_dict.update(loaded.get("chaos", loaded))
-        chaos = dataclasses.replace(
-            _with_flags(ChaosSpec.from_dict(chaos_dict), args, "seed", "crash_rate",
-                        "hang_rate", duration_s="duration", warmup_s="warmup"),
-            enabled=True)
-        spec = dataclasses.replace(artifact.spec.serve, workers=args.workers)
-        # The drill fronts no gateway, so gateway_latency_ms alone injects nothing.
-        if not dataclasses.replace(chaos, gateway_latency_ms=0.0).any_faults():
-            raise ValueError(
-                "every worker fault rate is zero — nothing to inject (set e.g. "
-                "--crash-rate 0.5; gateway_latency_ms needs a gateway, which "
-                "this drill does not front)")
-    except (OSError, ValueError) as error:
-        print(f"error: invalid chaos configuration: {error}", file=sys.stderr)
-        return 2
-
-    images = _random_images(artifact, 32, chaos.seed)
-    print(f"chaos drill: {spec.workers} workers, seed {chaos.seed}, "
-          f"{chaos.warmup_s:.1f}s warmup + {chaos.duration_s:.1f}s faults "
-          f"(crash {chaos.crash_rate}/s, hang {chaos.hang_rate}/s) + "
-          f"{args.recovery:.1f}s recovery at {args.rate:.0f} rps")
-    stack = _start_target(artifact, spec, chaos=chaos)
-    if stack is None:
-        return 2
-    with stack:
-        report = run_chaos_drill(stack.target, images, chaos=chaos,
-                                 rate_rps=args.rate, recovery_s=args.recovery,
-                                 seed=chaos.seed, progress=print)
-
-    payload = report.as_dict()
-    if args.json:
-        print(_json.dumps(payload, indent=2))
-    else:
-        print()
-        print(format_table([{k: ("-" if v is None else v)
-                             for k, v in payload.items()
-                             if k != "drop_errors"}],
-                           title="repro chaos — drill report"))
-    ok = True
-    if report.dropped:
-        ok = False
-        print(f"error: {report.dropped} requests dropped (first causes: "
-              f"{report.drop_errors[:3]})", file=sys.stderr)
-    if report.pre_fault_p95_ms > 0 and report.recovery_p95_seconds is None:
-        ok = False
-        print("error: p95 latency never recovered to its pre-fault band "
-              "within the recovery window", file=sys.stderr)
-    if ok:
-        recovered = ("immediately" if report.recovery_p95_seconds is None
-                     else f"in {report.recovery_p95_seconds:.2f}s")
-        print(f"ok: zero drops, {report.restarts} restarts, "
-              f"{report.redispatched} redispatched, p95 recovered {recovered}")
-    return 0 if ok else 1
-
-
 def _start_demo_target(args: argparse.Namespace, concurrency: int):
     """``repro metrics|top``: the artifact in-process, ready for a short load.
 
@@ -1013,8 +901,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_engine(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
     if args.command == "top":

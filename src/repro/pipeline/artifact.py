@@ -33,7 +33,7 @@ from repro.pipeline.spec import RunSpec
 from repro.utils.serialization import load_state_dict, save_state_dict
 
 #: Format version written into every artifact (bump on incompatible changes).
-ARTIFACT_VERSION = 7
+ARTIFACT_VERSION = 8
 
 _META_KEY = "__artifact__"
 _STATE_PREFIX = "state::"

@@ -297,53 +297,6 @@ class GatewaySpec(_SpecNode):
 
 
 @dataclass
-class ChaosSpec(_SpecNode):
-    """Seeded fault-injection schedule nested inside :class:`ServeSpec`.
-
-    Consumed by ``repro chaos`` and
-    :class:`repro.serving.chaos.FaultInjector`: which faults to inject, how
-    often, and over what window.  Rates are independent Poisson/Bernoulli
-    streams derived from one seed, so a drill replays the same fault
-    schedule on every run.
-    """
-
-    enabled: bool = False
-    #: Seed of every fault stream (crash/hang/heartbeat/frame schedules).
-    seed: int = 0
-    #: Quiet period after each worker (re)start before faults may fire —
-    #: without it a crash-looping schedule never lets the fleet recover.
-    warmup_s: float = _bounded(2.0, ge=0)
-    #: Wall-clock length of the fault window; faults stop after it so the
-    #: drill can measure recovery back to the pre-fault baseline.
-    duration_s: float = _bounded(10.0, gt=0)
-    #: Worker crash events per second (Poisson; os._exit inside the child).
-    crash_rate: float = _bounded(0.0, ge=0)
-    #: Worker hang events per second (Poisson; SIGSTOP — heartbeats stop but
-    #: the process stays alive, exercising the heartbeat-timeout path).
-    hang_rate: float = _bounded(0.0, ge=0)
-    #: Probability each heartbeat frame is silently dropped (Bernoulli).
-    heartbeat_drop_rate: float = _bounded(0.0, ge=0, le=1)
-    #: Probability a channel frame is truncated mid-write (Bernoulli; the
-    #: peer sees a torn frame -> ChannelClosedError -> recovery).
-    torn_frame_rate: float = _bounded(0.0, ge=0, le=1)
-    #: Probability a channel frame is delayed by slow_frame_ms before send.
-    slow_frame_rate: float = _bounded(0.0, ge=0, le=1)
-    slow_frame_ms: float = _bounded(0.0, ge=0)
-    #: Artificial latency added to every gateway response write (ms).
-    gateway_latency_ms: float = _bounded(0.0, ge=0)
-
-    def _check(self) -> None:
-        self.seed = int(self.seed)
-
-    def any_faults(self) -> bool:
-        """True when at least one fault stream has a non-zero rate."""
-        return any((
-            self.crash_rate, self.hang_rate, self.heartbeat_drop_rate,
-            self.torn_frame_rate, self.slow_frame_rate, self.gateway_latency_ms,
-        ))
-
-
-@dataclass
 class ClusterSpec(_SpecNode):
     """Supervision knobs nested inside :class:`ServeSpec`.
 
@@ -385,8 +338,8 @@ class ClusterSpec(_SpecNode):
 class ServeSpec(_SpecNode):
     """Serving configuration baked into an artifact.
 
-    The whole tree — this node plus its ``gateway`` / ``cluster`` / ``chaos``
-    children — is what :func:`repro.serving.build_target` turns into a running
+    The whole tree — this node plus its ``gateway`` / ``cluster`` children —
+    is what :func:`repro.serving.build_target` turns into a running
     serving stack; ``repro serve`` applies its flags as a
     ``dataclasses.replace`` over it.  The ``requests`` / ``concurrency`` pair
     parameterizes the CLI's default load-generation run.
@@ -411,8 +364,6 @@ class ServeSpec(_SpecNode):
     #: Cluster supervision knobs (heartbeats, restart backoff, shedding)
     #: applied when workers > 1.
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
-    #: Seeded fault-injection schedule (repro chaos / FaultInjector).
-    chaos: ChaosSpec = field(default_factory=ChaosSpec)
 
 
 @dataclass

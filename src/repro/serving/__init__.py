@@ -41,11 +41,7 @@ real-time claim:
 * :mod:`repro.serving.assembly` — :func:`build_target`, the one factory from
   a :class:`~repro.pipeline.spec.ServeSpec` tree to a running stack
   (policy, service or router, gateway + client) behind one
-  :class:`ServingStack` handle that tears it all down in order,
-* :mod:`repro.serving.chaos` — :class:`FaultInjector`, seeded deterministic
-  fault injection (worker crashes, hangs, heartbeat loss, torn frames,
-  response latency) plus :func:`run_chaos_drill`, the scripted
-  kill-it-under-load resilience drill behind ``repro chaos``.
+  :class:`ServingStack` handle that tears it all down in order.
 
 Quick use::
 
@@ -88,7 +84,6 @@ from repro.serving.batcher import (
     QueueFullError,
     ServiceClosedError,
 )
-from repro.serving.chaos import ChaosDrillReport, FaultInjector, run_chaos_drill
 from repro.serving.cluster import (
     ArtifactSwapError,
     ClusterMetrics,
@@ -126,13 +121,11 @@ __all__ = [
     "ArtifactSwapError",
     "BadRequestError",
     "BatchPolicy",
-    "ChaosDrillReport",
     "ClassLoad",
     "ClassReport",
     "ClusterMetrics",
     "DeadlineExceededError",
     "DynamicBatcher",
-    "FaultInjector",
     "GatewayClient",
     "GatewayDisconnectedError",
     "GatewayMetrics",
@@ -160,7 +153,6 @@ __all__ = [
     "mixed_priority_load",
     "open_loop",
     "poisson_gaps",
-    "run_chaos_drill",
     "priority_index",
     "priority_name",
 ]

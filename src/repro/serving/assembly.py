@@ -5,7 +5,7 @@ place that reads it: the micro-batching knobs become the ``BatchPolicy``,
 ``workers`` picks the backend (in-process ``InferenceService`` or a ``Router``
 fleet of that fixed size), the ``cluster`` node goes to the router whole, and
 a gateway node to a ``GatewayServer`` with a connected ``GatewayClient`` in
-front.  ``repro serve|chaos|metrics|top`` build every target through it;
+front.  ``repro serve|metrics|top`` build every target through it;
 usage is in the :mod:`repro.serving` docstring.
 """
 
@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from repro.pipeline.artifact import DeployableArtifact
-from repro.pipeline.spec import ChaosSpec, GatewaySpec, ServeSpec
+from repro.pipeline.spec import GatewaySpec, ServeSpec
 from repro.serving.batcher import BatchPolicy
-from repro.serving.chaos import FaultInjector
 from repro.serving.cluster.router import Router
 from repro.serving.gateway import GatewayClient, GatewayServer
 from repro.serving.service import InferenceService
@@ -63,16 +62,13 @@ def build_target(
     artifact_or_path: Union[str, DeployableArtifact],
     serve_spec: ServeSpec,
     gateway: Optional[GatewaySpec] = None,
-    chaos: Optional[ChaosSpec] = None,
 ) -> ServingStack:
     """Start the serving stack ``serve_spec`` describes over one artifact.
 
     ``gateway`` fronts the backend with a TCP gateway bound per that node and
-    makes a connected wire client the stack's ``target``.  ``chaos`` arms
-    fault injection; faults live in worker processes, so an armed drill runs
-    on the cluster backend even at ``workers == 1``, and the gateway (if any)
-    gets an injector over the same schedule.  Workers load the artifact from
-    its file, so an in-memory one (``path is None``) only serves in-process.
+    makes a connected wire client the stack's ``target``.  Workers load the
+    artifact from its file, so an in-memory one (``path is None``) only serves
+    in-process.
     If a step fails, what was already started is shut down before the error
     propagates.
     """
@@ -84,7 +80,7 @@ def build_target(
     stack = ServingStack()
     on_shutdown = stack._teardown.callback
     try:
-        if serve_spec.workers > 1 or chaos is not None:
+        if serve_spec.workers > 1:
             path = artifact_or_path if is_path else artifact_or_path.path
             if path is None:
                 raise ValueError(
@@ -97,7 +93,6 @@ def build_target(
                 policy=policy,
                 routing=serve_spec.routing,
                 cluster=serve_spec.cluster,
-                chaos=chaos,
             )
             on_shutdown(backend.shutdown)
         else:
@@ -112,12 +107,7 @@ def build_target(
             on_shutdown(backend.shutdown)
         stack.backend = stack.target = backend
         if gateway is not None:
-            injector = None
-            if stack.clustered and backend.chaos is not None:
-                injector = FaultInjector(
-                    backend.chaos, scope="gateway", until_wall=backend.chaos_until_wall
-                )
-            stack.gateway = GatewayServer(backend, gateway, injector=injector).start()
+            stack.gateway = GatewayServer(backend, gateway).start()
             on_shutdown(stack.gateway.shutdown)
             stack.target = GatewayClient(stack.gateway.host, stack.gateway.port)
             on_shutdown(stack.target.shutdown)

@@ -56,7 +56,6 @@ import os
 import re
 import struct
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -394,17 +393,11 @@ class ArrayChannel:
     is one ``writev`` of :func:`frame_buffers`, ``recv`` drains a
     :class:`FrameSplitter`, so a burst of frames from the peer costs one read.
     Received arrays are read-only views of their own frame's bytes.
-
-    ``injector`` is an optional :class:`~repro.serving.chaos.FaultInjector`
-    (duck-typed: ``frame_delay_s()`` / ``maybe_tear(frame)``) applied on the
-    send side — slow frames sleep before the write, torn frames truncate the
-    payload so the peer observes exactly a sender dying mid-write.
     """
 
-    def __init__(self, connection, injector: Optional[Any] = None) -> None:
+    def __init__(self, connection) -> None:
         self._connection = connection
         self._send_lock = threading.Lock()
-        self._injector = injector
         self._splitter = FrameSplitter()
         #: Frames of the last read not yet handed out by :meth:`recv`.
         self._received: Deque[Any] = deque()
@@ -424,16 +417,7 @@ class ArrayChannel:
         """Send ``(kind, meta, arrays)`` messages, in order, with one gather-write."""
         buffers: List[Any] = []
         for kind, meta, arrays in messages:
-            frame = frame_buffers(kind, meta, arrays)
-            if self._injector is not None:
-                delay = self._injector.frame_delay_s()
-                if delay > 0:
-                    time.sleep(delay)
-                # The injector tears the payload; the prefix announces what is
-                # left, as a sender dying mid-write would leave the stream.
-                payload = self._injector.maybe_tear(b"".join(frame)[_LEN.size:])
-                frame = [_LEN.pack(len(payload)), payload]
-            buffers += frame
+            buffers += frame_buffers(kind, meta, arrays)
         try:
             with self._send_lock:
                 send_buffers(partial(os.writev, self._connection.fileno()), buffers)

@@ -20,7 +20,7 @@ made under, the clock and ``fork``, and *performs* what the table returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.pipeline.spec import ClusterSpec
 
@@ -58,9 +58,6 @@ class SlotTable:
         self.closed = False
         #: Last "fatal" startup error any dead worker reported (diagnostics).
         self.last_fatal_error: Optional[str] = None
-        # Spawns per slot index, counted from before the slot is first
-        # installed: each incarnation gets its own chaos schedule.
-        self._spawned: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ views
     @property
@@ -97,11 +94,6 @@ class SlotTable:
                 if worker.artifact_path != path]
 
     # ------------------------------------------------------------------ transitions
-    def claim(self, slot: int) -> int:
-        """Count one more spawn for ``slot``; returns its incarnation number (from 1)."""
-        self._spawned[slot] = self._spawned.get(slot, 0) + 1
-        return self._spawned[slot]
-
     def install(self, slot: int, worker: Any, expect: Any = None, ready: bool = False) -> bool:
         """The one place a worker enters a slot.
 

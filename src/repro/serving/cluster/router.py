@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs.tracing import TraceContext, mint_traces
-from repro.pipeline.spec import ROUTING_POLICY_NAMES, ChaosSpec, ClusterSpec
+from repro.pipeline.spec import ROUTING_POLICY_NAMES, ClusterSpec
 from repro.serving.api import DEFAULT_PRIORITY, priority_index
 from repro.serving.batcher import (
     BatchPolicy,
@@ -158,8 +158,6 @@ class Router:
         abandoned after ``max_restart_attempts`` quick deaths fails its pending
         requests with the child's fatal error, and once every slot is abandoned
         submits raise instead of blocking forever.
-    chaos:
-        Optional :class:`~repro.pipeline.spec.ChaosSpec` the workers inject.
     """
 
     # reprolint lock-discipline contract: the slot table (every worker handle,
@@ -180,7 +178,6 @@ class Router:
         policy: Optional[BatchPolicy] = None,
         routing: Union[str, Any] = "round-robin",
         cluster: Optional[ClusterSpec] = None,
-        chaos: Optional[ChaosSpec] = None,
         metrics: Optional[ClusterMetrics] = None,
     ) -> None:
         if workers < 1:
@@ -190,15 +187,6 @@ class Router:
         self.routing = build_routing_policy(routing) if isinstance(routing, str) else routing
         self.metrics = metrics or ClusterMetrics()
         self.cluster = cluster or ClusterSpec()
-
-        #: Active fault-injection schedule (None: chaos off).  The window end
-        #: is computed *once* here in wall-clock time so every worker child —
-        #: including ones (re)spawned mid-drill — goes quiet together.
-        self.chaos = chaos if (chaos is not None and chaos.enabled
-                               and chaos.any_faults()) else None
-        self.chaos_until_wall = (
-            time.time() + self.chaos.warmup_s + self.chaos.duration_s
-            if self.chaos is not None else 0.0)
 
         self._lock = threading.Lock()
         self._worker_available = threading.Condition(self._lock)
@@ -214,22 +202,13 @@ class Router:
     # ------------------------------------------------------------------ lifecycle
     def _spawn(self, slot: int) -> WorkerProcess:
         with self._lock:
-            incarnation = self._table.claim(slot)
             artifact_path = self.artifact_path
-        chaos_wire = None
-        if self.chaos is not None:
-            chaos_wire = {
-                "spec": self.chaos.to_dict(),
-                "scope": f"worker-{slot}#{incarnation}",
-                "until_wall": self.chaos_until_wall,
-            }
         worker = WorkerProcess(
             worker_id=f"worker-{slot}",
             artifact_path=artifact_path,
             policy=self.policy,
             metrics=self.metrics,
             heartbeat_interval=self.cluster.heartbeat_interval,
-            chaos_wire=chaos_wire,
         )
         worker.start()
         return worker

@@ -101,18 +101,12 @@ def _worker_main(
     artifact_path: str,
     policy_kwargs: Dict[str, Any],
     heartbeat_interval: float,
-    chaos_wire: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Entry point of the worker subprocess: serve the pipe until shutdown."""
     # Imported lazily so a "spawn" child only pays for what it uses.
     from repro.serving.service import InferenceService
 
-    injector = None
-    if chaos_wire is not None:
-        from repro.serving.chaos import FaultInjector
-
-        injector = FaultInjector.from_wire(chaos_wire)
-    channel = ArrayChannel(connection, injector=injector)
+    channel = ArrayChannel(connection)
     stop_heartbeat = threading.Event()
     # Requests admitted (written by the main loop) and answered (by the
     # responder): single writers, so the heartbeat reads them without a lock.
@@ -127,11 +121,10 @@ def _worker_main(
                 "pid": os.getpid(),
                 "outstanding": state["admitted"] - state["answered"],
             }
-            if injector is None or not injector.heartbeat_dropped():
-                try:
-                    channel.send("heartbeat", meta)
-                except ChannelClosedError:
-                    return
+            try:
+                channel.send("heartbeat", meta)
+            except ChannelClosedError:
+                return
             if stop_heartbeat.wait(heartbeat_interval):
                 return
 
@@ -156,15 +149,11 @@ def _worker_main(
         return
 
     # The artifact loaded and the service is accepting: tell the parent (the
-    # rolling-swap path waits for this before retiring the old worker) and
-    # only now arm the chaos lifecycle — a crash schedule must not be able to
-    # masquerade as an artifact that cannot load (quick-death abandonment).
+    # rolling-swap path waits for this before retiring the old worker).
     try:
         channel.send("ready", {"worker_id": worker_id, "pid": os.getpid()})
     except ChannelClosedError:
         pass
-    if injector is not None:
-        injector.start_lifecycle()
 
     #: Settled runs waiting for the responder, as `_reply_frame` arguments.
     settled: Deque[Tuple[Any, ...]] = deque()
@@ -351,15 +340,12 @@ class WorkerProcess:
         heartbeat_interval: float,
         policy: Optional[BatchPolicy] = None,
         metrics: Optional[Any] = None,
-        chaos_wire: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.worker_id = worker_id
         self.artifact_path = artifact_path
         self.policy = policy or BatchPolicy()
         self.metrics = metrics
         self.heartbeat_interval = heartbeat_interval
-        #: Wire form of the child's FaultInjector (None: no fault injection).
-        self.chaos_wire = chaos_wire
 
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.channel: Optional[ArrayChannel] = None
@@ -411,7 +397,6 @@ class WorkerProcess:
                     "queue_capacity": self.policy.queue_capacity,
                 },
                 self.heartbeat_interval,
-                self.chaos_wire,
             ),
             name=f"repro-cluster-{self.worker_id}",
             daemon=True,

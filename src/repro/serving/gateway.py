@@ -239,20 +239,9 @@ class _Connection(asyncio.BufferedProtocol):
             self._wake_pending = True
         if wake:
             try:
-                self.server._loop.call_soon_threadsafe(self._flush)
+                self.server._loop.call_soon_threadsafe(self._drain)
             except RuntimeError:  # pragma: no cover - loop shut down first
                 pass
-
-    def _flush(self) -> None:
-        injector = self.server.injector
-        delay = injector.response_delay_s() if injector is not None else 0.0
-        if delay > 0:
-            # call_later, not time.sleep: only *this* connection's responses
-            # lag (one delay per write; responses resolved meanwhile ride
-            # along); the loop keeps serving everyone else.
-            self.server._loop.call_later(delay, self._drain)
-        else:
-            self._drain()
 
     def _drain(self) -> None:
         """Write the whole outbox with one ``writelines`` (loop thread)."""
@@ -289,16 +278,11 @@ class GatewayServer:
 
     def __init__(self, target: Any, spec: Optional[GatewaySpec] = None,
                  metrics: Optional[GatewayMetrics] = None,
-                 name: str = "gateway",
-                 injector: Optional[Any] = None) -> None:
+                 name: str = "gateway") -> None:
         self.target = target
         self.spec = spec or GatewaySpec()
         self.metrics = metrics or GatewayMetrics(name=name)
         self.name = name
-        #: Optional chaos :class:`~repro.serving.chaos.FaultInjector`
-        #: (duck-typed: ``response_delay_s()``) — artificial latency before
-        #: each response write, for drilling client timeout/SLO behavior.
-        self.injector = injector
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         #: Open connections (loop thread only); aborted on shutdown.

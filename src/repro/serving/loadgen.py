@@ -15,10 +15,10 @@ Two standard load models:
   how late the dispatcher ran is reported next to the latencies
   (``lag_ms_p99`` / ``late_share``).
 
-Every open loop here (:func:`open_loop`, each class stream of
-:func:`mixed_priority_load`, the chaos drill in :mod:`repro.serving.chaos`)
-runs on the one due-time dispatcher, :func:`_dispatch`, and reads how each
-request ended through the one classifier, :func:`_outcome`.
+Both open loops here (:func:`open_loop` and each class stream of
+:func:`mixed_priority_load`) run on the one due-time dispatcher,
+:func:`_dispatch`, and read how each request ended through the one
+classifier, :func:`_outcome`.
 
 All three load models target any
 :class:`~repro.serving.api.InferenceTarget` — the in-process

@@ -7,7 +7,6 @@ import pytest
 
 from repro.pipeline import spec as spec_module
 from repro.pipeline.spec import (
-    ChaosSpec,
     ClusterSpec,
     EngineSpec,
     EvaluationSpec,
@@ -42,12 +41,7 @@ FULL_SPEC_DICT = {
                           "max_restart_attempts": 2, "min_worker_uptime": 0.5,
                           "restart_backoff_s": 0.05,
                           "restart_backoff_max_s": 2.0,
-                          "shed_low_priority": False},
-              "chaos": {"enabled": True, "seed": 7, "warmup_s": 1.0,
-                        "duration_s": 4.0, "crash_rate": 0.5, "hang_rate": 0.25,
-                        "heartbeat_drop_rate": 0.1, "torn_frame_rate": 0.05,
-                        "slow_frame_rate": 0.2, "slow_frame_ms": 15.0,
-                        "gateway_latency_ms": 2.0}},
+                          "shed_low_priority": False}},
     "artifact_path": "artifacts/full.npz",
 }
 
@@ -235,12 +229,15 @@ class TestValidation:
         with pytest.raises(ValueError,
                            match=r"ClusterSpec: unknown key\(s\) \['hartbeat'\]"):
             RunSpec.from_dict({"serve": {"cluster": {"hartbeat": 1.0}}})
-        with pytest.raises(ValueError,
-                           match=r"ChaosSpec: unknown key\(s\) \['crashrate'\]"):
-            RunSpec.from_dict({"serve": {"chaos": {"crashrate": 0.5}}})
+
+    def test_a_spec_file_with_the_removed_chaos_node_is_refused(self):
+        """Fault injection left the serving spec; an old spec that still
+        carries a ``chaos`` node fails loudly instead of being ignored."""
+        with pytest.raises(ValueError, match=r"ServeSpec: unknown key\(s\) \['chaos'\]"):
+            RunSpec.from_dict({"serve": {"chaos": {}}})
 
     def test_cluster_spec_validated(self):
-        from repro.pipeline.spec import ChaosSpec, ClusterSpec
+        from repro.pipeline.spec import ClusterSpec
 
         with pytest.raises(ValueError, match="heartbeat_interval"):
             ClusterSpec(heartbeat_interval=0.0)
@@ -252,14 +249,6 @@ class TestValidation:
             ClusterSpec(restart_backoff_s=-0.1)
         with pytest.raises(ValueError, match="restart_backoff_max_s"):
             ClusterSpec(restart_backoff_s=2.0, restart_backoff_max_s=1.0)
-        with pytest.raises(ValueError, match="crash_rate"):
-            ChaosSpec(crash_rate=-1.0)
-        with pytest.raises(ValueError, match="duration_s"):
-            ChaosSpec(duration_s=-1.0)
-        # any_faults reflects whether any injection rate is positive.
-        assert not ChaosSpec().any_faults()
-        assert ChaosSpec(crash_rate=0.5).any_faults()
-        assert ChaosSpec(gateway_latency_ms=5.0).any_faults()
 
     def test_priority_classes_match_serving_registry(self):
         # The serializable names must be exactly the classes serving schedules.
@@ -302,18 +291,6 @@ BOUNDS = [
     (GatewaySpec, "burst", 1, 0),
     (GatewaySpec, "max_inflight_per_client", 1, 0),
     (GatewaySpec, "max_frame_mb", 0.001, 0.0),
-    (ChaosSpec, "warmup_s", 0.0, -0.001),
-    (ChaosSpec, "duration_s", 0.001, 0.0),
-    (ChaosSpec, "crash_rate", 0.0, -0.001),
-    (ChaosSpec, "hang_rate", 0.0, -0.001),
-    (ChaosSpec, "heartbeat_drop_rate", 0.0, -0.001),
-    (ChaosSpec, "heartbeat_drop_rate", 1.0, 1.001),
-    (ChaosSpec, "torn_frame_rate", 0.0, -0.001),
-    (ChaosSpec, "torn_frame_rate", 1.0, 1.001),
-    (ChaosSpec, "slow_frame_rate", 0.0, -0.001),
-    (ChaosSpec, "slow_frame_rate", 1.0, 1.001),
-    (ChaosSpec, "slow_frame_ms", 0.0, -0.001),
-    (ChaosSpec, "gateway_latency_ms", 0.0, -0.001),
     (ClusterSpec, "heartbeat_interval", 0.001, 0.0),
     (ClusterSpec, "max_restart_attempts", 1, 0),
     (ClusterSpec, "min_worker_uptime", 0.0, -0.001),
@@ -340,7 +317,7 @@ CROSS_FIELD = [
 ]
 
 SPEC_NODES = [ModelSpec, FrameworkSpec, QuantizationSpec, EngineSpec, EvaluationSpec,
-              GatewaySpec, ChaosSpec, ClusterSpec, ServeSpec, RunSpec]
+              GatewaySpec, ClusterSpec, ServeSpec, RunSpec]
 
 
 class TestDeclaredBounds:
@@ -389,8 +366,8 @@ class TestDeclaredBounds:
     def test_wrong_typed_value_names_the_field(self):
         with pytest.raises(ValueError, match=r"ServeSpec\.max_batch_size"):
             ServeSpec(max_batch_size="4")
-        with pytest.raises(ValueError, match=r"ChaosSpec\.crash_rate"):
-            ChaosSpec(crash_rate=None)
+        with pytest.raises(ValueError, match=r"ClusterSpec\.restart_backoff_s"):
+            ClusterSpec(restart_backoff_s=None)
 
 
 class TestEveryNodeRoundTrips:
@@ -403,8 +380,7 @@ class TestEveryNodeRoundTrips:
     def test_non_default_tree_round_trips_node_by_node(self):
         run = RunSpec.from_dict(FULL_SPEC_DICT)
         nodes = [run, run.model, run.framework, run.quantization, run.engine,
-                 run.evaluation, run.serve, run.serve.gateway, run.serve.cluster,
-                 run.serve.chaos]
+                 run.evaluation, run.serve, run.serve.gateway, run.serve.cluster]
         assert {type(node) for node in nodes} == set(SPEC_NODES)
         for node in nodes:
             assert type(node).from_dict(node.to_dict()) == node

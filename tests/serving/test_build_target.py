@@ -6,8 +6,7 @@
 * the **teardown order** — an exception in the body (or during the build)
   stops client -> gateway -> backend, leaving no worker process or
   listening port behind;
-* the **spec is consumed whole** — every node reaches the part that reads it,
-  including the chaos schedule reaching the gateway.
+* the **spec is consumed whole** — every node reaches the part that reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.engine import BatchRunner, max_abs_output_diff
 from repro.pipeline import DeployableArtifact
-from repro.pipeline.spec import ChaosSpec, ClusterSpec, GatewaySpec, ServeSpec
+from repro.pipeline.spec import ClusterSpec, GatewaySpec, ServeSpec
 from repro.serving import (
     GatewayClient,
     InferenceService,
@@ -106,37 +105,6 @@ def test_the_cluster_node_reaches_the_router(artifact_path):
     spec = dataclasses.replace(SPEC, workers=2, cluster=cluster)
     with build_target(artifact_path, spec) as stack:
         assert stack.backend.cluster is cluster
-
-
-def test_armed_chaos_reaches_workers_and_gateway(artifact_path, images):
-    """`gateway_latency_ms` used to be counted by `any_faults()` yet injected
-    nowhere: no non-test code handed the gateway an injector."""
-    chaos = ChaosSpec(enabled=True, seed=3, warmup_s=0.0, duration_s=60.0,
-                      gateway_latency_ms=40.0)
-    # Armed chaos runs on the cluster backend even at workers == 1.
-    with build_target(artifact_path, SPEC, gateway=GatewaySpec(), chaos=chaos) as stack:
-        assert stack.clustered and stack.backend.chaos is chaos
-        injector = stack.gateway.injector
-        assert injector is not None and injector.spec is chaos
-        # One window for the whole fleet: workers and gateway go quiet together.
-        assert injector.until_wall == stack.backend.chaos_until_wall
-        assert injector.response_delay_s() == pytest.approx(0.040)
-        assert stack.target.submit(images[0], block=True).result(60.0) is not None
-
-    disarmed = dataclasses.replace(chaos, enabled=False)
-    with build_target(artifact_path, SPEC, gateway=GatewaySpec(), chaos=disarmed) as stack:
-        assert stack.backend.chaos is None and stack.gateway.injector is None
-
-
-def test_chaos_cli_refuses_a_drill_that_can_inject_nothing(artifact_path, tmp_path,
-                                                          capsys):
-    # `repro chaos` fronts no gateway, so this spec would drill nothing and
-    # (at the parent) exit 0.
-    spec_file = tmp_path / "gateway_only.json"
-    spec_file.write_text('{"chaos": {"gateway_latency_ms": 5.0}}')
-    code = cli_main(["chaos", "--artifact", artifact_path, "--spec", str(spec_file)])
-    assert code == 2
-    assert "gateway_latency_ms" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- teardown

@@ -160,12 +160,6 @@ class TestInstall:
         assert table.install(0, proven, expect=respawn, ready=True)
         assert table.slots[0].failures == 0 and table.slots[0].respawn_at is None
 
-    def test_incarnations_count_per_slot(self):
-        table = SlotTable(ClusterSpec())
-        assert [table.claim(0), table.claim(1), table.claim(0)] == [1, 1, 2]
-        table.install(0, worker()), table.install(1, worker())
-        assert table.claim(1) == 2           # a respawn is a new chaos scope
-
 
 class TestRollStep:
     def test_the_replacement_goes_in_and_the_old_worker_is_retired(self):

@@ -2,8 +2,7 @@
 
 The hot path forwards views and coalesces wake-ups; these tests pin what that
 must never change: who owns a decoded array, what a retained request keeps
-alive, the order and accounting of coalesced replies, and that the chaos hooks
-still bite where they used to.
+alive, and the order and accounting of coalesced replies.
 """
 
 import multiprocessing
@@ -21,7 +20,6 @@ from repro.serving import BatchPolicy, InferenceService, Router
 from repro.serving.batcher import DynamicBatcher, InferenceFuture
 from repro.serving.cluster.channel import (
     ArrayChannel,
-    ChannelClosedError,
     decode_frame,
     encode_frame,
 )
@@ -31,10 +29,9 @@ from repro.serving.metrics import GatewayMetrics, ServingMetrics
 PREFIX = struct.Struct("!I")
 
 
-def start_gateway(target, injector=None, **spec_kwargs):
+def start_gateway(target, **spec_kwargs):
     spec = GatewaySpec(port=0, **spec_kwargs)
-    return GatewayServer(target, spec=spec, metrics=GatewayMetrics(register=False),
-                         injector=injector).start()
+    return GatewayServer(target, spec=spec, metrics=GatewayMetrics(register=False)).start()
 
 
 def framed_infer(request_id: int, image: np.ndarray) -> bytes:
@@ -369,73 +366,3 @@ class TestCoalescedReplies:
                 assert target.count() == 2 * limit
         finally:
             server.shutdown()
-
-    def test_response_delay_lags_only_its_own_connection(self):
-        class DelayFirstWrite:
-            def __init__(self):
-                self.delays = [0.5]
-
-            def response_delay_s(self):
-                return self.delays.pop() if self.delays else 0.0
-
-        server = start_gateway(CapturingTarget(resolve_at_once=True),
-                               injector=DelayFirstWrite())
-        image = np.ones((3, 4, 4), dtype=np.float32)
-        try:
-            with socket.create_connection((server.host, server.port), timeout=10.0) as slow, \
-                    socket.create_connection((server.host, server.port), timeout=10.0) as fast:
-                started = time.perf_counter()
-                slow.sendall(framed_infer(1, image))
-                time.sleep(0.05)                    # the slow write is parked by now
-                fast.sendall(framed_infer(2, image))
-                assert read_reply(fast).meta["id"] == 2
-                fast_after = time.perf_counter() - started
-                assert read_reply(slow).meta["id"] == 1
-                slow_after = time.perf_counter() - started
-            assert fast_after < 0.4 <= slow_after
-        finally:
-            server.shutdown()
-
-
-# ------------------------------------------------------------------ chaos hooks
-class TestChannelInjector:
-    class Injector:
-        def __init__(self, delay=0.0, keep=None):
-            self.delay, self.keep, self.torn = delay, keep, []
-
-        def frame_delay_s(self):
-            return self.delay
-
-        def maybe_tear(self, frame):
-            self.torn.append(len(frame))
-            return frame if self.keep is None else frame[:self.keep]
-
-    def pipe(self, injector):
-        near, far = multiprocessing.Pipe(duplex=True)
-        return ArrayChannel(near, injector=injector), ArrayChannel(far)
-
-    def test_slow_frame_sleeps_before_the_write(self):
-        injector = self.Injector(delay=0.05)
-        sender, receiver = self.pipe(injector)
-        try:
-            image = np.arange(12, dtype=np.float32).reshape(3, 2, 2)
-            started = time.perf_counter()
-            sender.send("infer", {"id": 1}, [image])
-            assert time.perf_counter() - started >= 0.05
-            np.testing.assert_array_equal(receiver.recv().arrays[0], image)
-            # The injector saw the payload, without the length prefix.
-            assert injector.torn == [len(encode_frame("infer", {"id": 1}, [image]))]
-        finally:
-            sender.close()
-            receiver.close()
-
-    @pytest.mark.parametrize("keep", [1, 9, 40, 100])
-    def test_torn_frame_reads_as_a_dead_peer(self, keep):
-        sender, receiver = self.pipe(self.Injector(keep=keep))
-        try:
-            sender.send("infer", {"id": 1}, [np.zeros((3, 4, 4), dtype=np.float32)])
-            with pytest.raises(ChannelClosedError):
-                receiver.recv()
-        finally:
-            sender.close()
-            receiver.close()

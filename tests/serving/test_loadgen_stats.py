@@ -13,7 +13,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.pipeline.spec import ChaosSpec
 from repro.serving import (
     ClassLoad,
     ClusterMetrics,
@@ -22,7 +21,6 @@ from repro.serving import (
     mixed_priority_load,
     open_loop,
     poisson_gaps,
-    run_chaos_drill,
 )
 from repro.utils.profiling import LatencyStats, percentile
 
@@ -150,16 +148,15 @@ class StallOnceService:
         return future
 
 
-@pytest.mark.parametrize("generator", ["open_loop", "mixed_priority_load", "run_chaos_drill"])
+@pytest.mark.parametrize("generator", ["open_loop", "mixed_priority_load"])
 class TestOpenLoopsTimeFromDue:
     """Deterministic: the clock is fake, so every expectation is an equality.
 
-    The three open loops -- ``open_loop``, a ``mixed_priority_load`` class
-    stream and the chaos drill -- run the same due-time schedule."""
+    Both open loops -- ``open_loop`` and a ``mixed_priority_load`` class
+    stream -- run the same due-time schedule."""
 
     RATE, COUNT, SEED = 1000.0, 200, 5
     STALL_AT, STALL_S, SERVICE_S = 20, 0.050, 0.002
-    WARMUP_S, FAULT_S, RECOVERY_S = 0.08, 0.04, 0.08      # a 0.2 s drill: ~COUNT arrivals
 
     def run(self, generator, stall_s):
         clock = FakeClock()
@@ -168,42 +165,25 @@ class TestOpenLoopsTimeFromDue:
         seams = dict(seed=self.SEED, clock=clock, sleep=clock.sleep)
         if generator == "open_loop":
             report = open_loop(service, images, requests=self.COUNT, rate_hz=self.RATE, **seams)
-        elif generator == "mixed_priority_load":
+        else:
             load = ClassLoad("normal", requests=self.COUNT, rate_hz=self.RATE)
             report = mixed_priority_load(service, images, [load], **seams)["normal"]
-        else:
-            chaos = ChaosSpec(enabled=True, warmup_s=self.WARMUP_S, duration_s=self.FAULT_S)
-            report = run_chaos_drill(service, images, chaos=chaos, rate_rps=self.RATE,
-                                     recovery_s=self.RECOVERY_S, **seams)
         gaps = poisson_gaps(self.RATE, 2 * self.COUNT, seed=self.SEED)
-        due = 100.0 + np.concatenate([[0.0], np.cumsum(gaps)])
-        if generator == "run_chaos_drill":      # as many as are due inside the drill
-            due = due[due < 100.0 + self.WARMUP_S + self.FAULT_S + self.RECOVERY_S]
-        else:
-            due = due[:self.COUNT]
+        due = 100.0 + np.concatenate([[0.0], np.cumsum(gaps)])[:self.COUNT]
         return report, service, due
 
-    def check_latencies(self, generator, report, sent_at, due):
+    def check_latencies(self, report, sent_at, due):
         """Every request is timed from when it was due, whoever reports it."""
         latencies = sent_at + self.SERVICE_S - due
         assert report.completed == len(due)
-        if generator == "run_chaos_drill":
-            assert report.submitted == len(due) and report.dropped == report.rejected == 0
-            done = sent_at + self.SERVICE_S
-            fault_start = 100.0 + self.WARMUP_S
-            assert report.pre_fault_p95_ms == pytest.approx(
-                np.percentile(latencies[done < fault_start], 95) * 1e3)
-            assert report.post_fault_p95_ms == pytest.approx(
-                np.percentile(latencies[done >= fault_start + self.FAULT_S], 95) * 1e3)
-        else:
-            assert report.latency.count == self.COUNT
-            assert report.latency.max_seconds == pytest.approx(latencies.max())
-            assert report.latency.mean_seconds == pytest.approx(latencies.mean())
+        assert report.latency.count == self.COUNT
+        assert report.latency.max_seconds == pytest.approx(latencies.max())
+        assert report.latency.mean_seconds == pytest.approx(latencies.mean())
 
     def test_without_a_stall_every_request_is_on_time(self, generator):
         report, service, due = self.run(generator, stall_s=0.0)
         np.testing.assert_allclose(service.sent_at, due)
-        self.check_latencies(generator, report, due, due)
+        self.check_latencies(report, due, due)
         if generator == "open_loop":
             assert report.late_share == 0.0
             assert report.lag_ms_p99 == pytest.approx(0.0, abs=1e-6)
@@ -222,10 +202,7 @@ class TestOpenLoopsTimeFromDue:
         delayed = int((lag > 0).sum())
         assert delayed >= 10                  # the stall covered real arrivals
         # Latency runs from *due*: the delayed arrivals carry their wait ...
-        self.check_latencies(generator, report, expected_sent, due)
-        if generator == "run_chaos_drill":
-            assert report.pre_fault_p95_ms > (self.SERVICE_S + 0.5 * self.STALL_S) * 1e3
-            return
+        self.check_latencies(report, expected_sent, due)
         assert report.latency.max_seconds > self.SERVICE_S + 0.9 * self.STALL_S
         if generator == "open_loop":
             # ... and the report says the generator, not the target, ran late.
