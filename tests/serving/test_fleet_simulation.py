@@ -47,7 +47,6 @@ from repro.pipeline.spec import ClusterSpec
 from repro.serving.batcher import BatchPolicy
 from repro.serving.cluster.channel import ChannelClosedError, Message, flatten_arrays
 from repro.serving.cluster.metrics import ClusterMetrics
-from repro.serving.metrics import _counts
 from repro.serving.cluster.router import ArtifactSwapError, Router
 from repro.serving.cluster.worker import WorkerProcess
 from repro.serving.errors import (
@@ -59,6 +58,7 @@ from repro.serving.errors import (
     WorkerUnavailableError,
     error_code,
 )
+from repro.serving.metrics import _counts
 
 SPEC = ClusterSpec(heartbeat_interval=0.25, heartbeat_timeout=1.0, max_restart_attempts=3,
                    min_worker_uptime=1.0, restart_backoff_s=0.4, restart_backoff_max_s=2.0)
