@@ -1,7 +1,7 @@
 """Observability tax: the disabled profiler hook must cost ≤2% per forward.
 
-``FusedProgram.run`` resolves the attached profiler before executing — two
-attribute reads and an ``is None`` branch when profiling is off (the steady
+``FusedProgram.run`` reads this thread's profiler slot before executing — one
+attribute read and an ``is None`` branch when profiling is off (the steady
 state for every serving deployment).  This benchmark measures that entry
 against the raw executor body (``_run`` with the profiler pre-resolved to
 ``None``) as the median of paired per-forward ratios, and gates it at

@@ -444,14 +444,14 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     attach_measured(modeled, measurement.compiled_seconds)
 
     if args.profile:
-        # Per-op attribution of the measured path: enable the EngineProfiler,
-        # run the measured batch a few times, print where the time went.
+        # Per-op attribution of the measured path: run the measured batch a
+        # few times under a profiler, print where the time went.
         probe = np.random.default_rng(args.seed).standard_normal(
             (args.batch, 3, args.image_size, args.image_size)).astype(np.float32)
-        compiled.enable_profiling()
-        for _ in range(max(1, args.repeats)):
-            compiled.forward_raw(probe)
-        profile = compiled.profile()
+        with compiled.profiled() as profiler:
+            for _ in range(max(1, args.repeats)):
+                compiled.forward_raw(probe)
+        profile = profiler.report()
         rows = []
         for op in profile["ops"]:
             row = {k: op[k] for k in ("op", "kind", "mode", "calls",
@@ -461,8 +461,8 @@ def _cmd_engine(args: argparse.Namespace) -> int:
                 row["phases_ms"] = " ".join(f"{k}={v}" for k, v in phases.items())
             rows.append(row)
         print(format_table(
-            rows, title=f"Engine profile — {profile['model']} "
-                        f"({profile['engine_mode']} mode, {profile['runs']} runs, "
+            rows, title=f"Engine profile — {args.model} "
+                        f"({compiled.engine_mode} mode, {profile['runs']} runs, "
                         f"{profile['total_ms']}ms total)"))
         print()
 

@@ -1,6 +1,6 @@
 """R-TOSS: the paper's semi-structured pruning framework."""
 
-from repro.core.config import RTOSSConfig, rtoss_2ep, rtoss_3ep, rtoss_4ep, rtoss_5ep
+from repro.core.config import RTOSSConfig
 from repro.core.dfs_grouping import (
     GroupingResult,
     LayerGroup,
@@ -35,7 +35,7 @@ from repro.core.report import LayerReport, PruningReport, build_layer_report
 from repro.core.rtoss import RTOSSPruner, prune_with_rtoss
 
 __all__ = [
-    "RTOSSConfig", "rtoss_2ep", "rtoss_3ep", "rtoss_4ep", "rtoss_5ep",
+    "RTOSSConfig",
     "GroupingResult", "LayerGroup", "group_layers_dfs", "group_model", "trivial_grouping",
     "PatternAssignment", "assign_patterns", "assign_patterns_reference", "prune_3x3_layer",
     "MaskSet", "PruningMask",

@@ -67,23 +67,3 @@ class RTOSSConfig:
     def variant_name(self) -> str:
         """Paper-style name, e.g. 'R-TOSS-3EP'."""
         return f"R-TOSS-{self.entries}EP"
-
-
-def rtoss_2ep(**overrides) -> RTOSSConfig:
-    """The R-TOSS-2EP configuration (highest sparsity)."""
-    return RTOSSConfig(entries=2, **overrides)
-
-
-def rtoss_3ep(**overrides) -> RTOSSConfig:
-    """The R-TOSS-3EP configuration (best YOLOv5s accuracy)."""
-    return RTOSSConfig(entries=3, **overrides)
-
-
-def rtoss_4ep(**overrides) -> RTOSSConfig:
-    """4-entry sensitivity variant (the pattern size used by PATDNN)."""
-    return RTOSSConfig(entries=4, **overrides)
-
-
-def rtoss_5ep(**overrides) -> RTOSSConfig:
-    """5-entry sensitivity variant."""
-    return RTOSSConfig(entries=5, **overrides)

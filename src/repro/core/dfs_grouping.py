@@ -50,13 +50,6 @@ class GroupingResult:
     parent_of: Dict[str, str]
     conv_layers: Dict[str, Conv2d]
 
-    def group_of(self, layer_name: str) -> LayerGroup:
-        parent = self.parent_of[layer_name]
-        for group in self.groups:
-            if group.parent == parent:
-                return group
-        raise KeyError(f"no group with parent {parent!r}")
-
     @property
     def num_groups(self) -> int:
         return len(self.groups)

@@ -163,19 +163,9 @@ class MaskSet:
     def pruned_parameters(self) -> int:
         return sum(mask.total - mask.kept for mask in self)
 
-    def sparsity_by_layer(self) -> Dict[str, float]:
-        return {mask.full_name: mask.sparsity for mask in self}
-
     def overall_sparsity(self) -> float:
         """Sparsity over the masked parameters only."""
         total = self.masked_parameters()
-        if total == 0:
-            return 0.0
-        return self.pruned_parameters() / total
-
-    def model_sparsity(self, model: Module) -> float:
-        """Sparsity over *all* model parameters (unmasked parameters count as dense)."""
-        total = model.num_parameters()
         if total == 0:
             return 0.0
         return self.pruned_parameters() / total

@@ -62,27 +62,6 @@ class PruningReport:
         """Total parameters over kept parameters (the paper's "reduction ratio")."""
         return self.total_parameters / max(self.kept_parameters, 1)
 
-    def conv_sparsity(self) -> float:
-        """Sparsity restricted to convolution weights (what the masks cover)."""
-        return self.masks.overall_sparsity()
-
-    def sparsity_by_kernel_size(self) -> Dict[str, float]:
-        """Mean sparsity split by kernel size ('1x1', '3x3', 'other')."""
-        buckets: Dict[str, List[LayerReport]] = {"1x1": [], "3x3": [], "other": []}
-        for layer in self.layers:
-            if layer.kernel_size == (1, 1):
-                buckets["1x1"].append(layer)
-            elif layer.kernel_size == (3, 3):
-                buckets["3x3"].append(layer)
-            else:
-                buckets["other"].append(layer)
-        result = {}
-        for key, group in buckets.items():
-            total = sum(l.total_weights for l in group)
-            kept = sum(l.kept_weights for l in group)
-            result[key] = 1.0 - kept / total if total else 0.0
-        return result
-
     # ------------------------------------------------------------------ presentation
     def summary(self) -> Dict[str, float]:
         return {

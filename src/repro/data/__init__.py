@@ -1,14 +1,6 @@
-"""Datasets (synthetic KITTI / COCO substitutes), KITTI label I/O and batching."""
+"""Datasets (synthetic KITTI substitute) and batching."""
 
 from repro.data.dataset import Batch, DataLoader, DetectionDataset, collate
-from repro.data.kitti_format import (
-    KittiLabel,
-    class_id_for,
-    read_label_file,
-    scene_to_labels,
-    write_label_file,
-)
-from repro.data.synthetic_coco import COCO_CLASSES, SyntheticCoco, SyntheticCocoConfig
 from repro.data.synthetic_kitti import (
     KITTI_CLASSES,
     Scene,
@@ -16,21 +8,8 @@ from repro.data.synthetic_kitti import (
     SyntheticKitti,
     SyntheticKittiConfig,
 )
-from repro.data.transforms import (
-    TrainAugmentation,
-    apply_letterbox_to_boxes,
-    color_jitter,
-    horizontal_flip,
-    letterbox,
-    normalize,
-    resize_nearest,
-)
 
 __all__ = [
     "Batch", "DataLoader", "DetectionDataset", "collate",
-    "KittiLabel", "class_id_for", "read_label_file", "scene_to_labels", "write_label_file",
-    "COCO_CLASSES", "SyntheticCoco", "SyntheticCocoConfig",
     "KITTI_CLASSES", "Scene", "SceneObject", "SyntheticKitti", "SyntheticKittiConfig",
-    "TrainAugmentation", "apply_letterbox_to_boxes", "color_jitter", "horizontal_flip",
-    "letterbox", "normalize", "resize_nearest",
 ]

@@ -1,19 +1,17 @@
 """Dataset views and batching.
 
-``DetectionDataset`` wraps a scene source (synthetic KITTI or synthetic COCO) plus an
-index subset and an optional augmentation; ``DataLoader`` batches scenes into the
-dense arrays the training loop consumes.
+``DetectionDataset`` wraps a scene source (synthetic KITTI) plus an index subset;
+``DataLoader`` batches scenes into the dense arrays the training loop consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.data.synthetic_kitti import Scene
-from repro.detection.metrics import GroundTruth
 
 
 @dataclass
@@ -38,56 +36,34 @@ class Batch:
 
 
 class DetectionDataset:
-    """Index-subset view over a scene source with optional augmentation."""
+    """Index-subset view over a scene source."""
 
-    def __init__(
-        self,
-        source,
-        indices: Optional[Sequence[int]] = None,
-        augmentation: Optional[Callable[[Scene], Scene]] = None,
-    ) -> None:
+    def __init__(self, source, indices: Optional[Sequence[int]] = None) -> None:
         self.source = source
         self.indices = list(indices) if indices is not None else list(range(len(source)))
-        self.augmentation = augmentation
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __getitem__(self, position: int) -> Scene:
-        scene = self.source[self.indices[position]]
-        if self.augmentation is not None:
-            scene = self.augmentation(scene)
-        return scene
-
-    def ground_truths(self) -> List[GroundTruth]:
-        """All ground-truth boxes of the (un-augmented) subset, for mAP evaluation."""
-        records: List[GroundTruth] = []
-        for position in range(len(self)):
-            scene = self.source[self.indices[position]]
-            for obj, box in zip(scene.objects, scene.boxes_xyxy):
-                records.append(GroundTruth(box, obj.class_id, image_id=scene.image_id))
-        return records
+        return self.source[self.indices[position]]
 
 
 class DataLoader:
     """Minimal batching iterator (sequential or shuffled)."""
 
     def __init__(self, dataset: DetectionDataset, batch_size: int = 8,
-                 shuffle: bool = False, seed: int = 0, drop_last: bool = False) -> None:
+                 shuffle: bool = False, seed: int = 0) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
         self.seed = int(seed)
-        self.drop_last = bool(drop_last)
         self._epoch = 0
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Batch]:
         order = np.arange(len(self.dataset))
@@ -98,8 +74,6 @@ class DataLoader:
 
         for start in range(0, len(order), self.batch_size):
             positions = order[start:start + self.batch_size]
-            if self.drop_last and positions.size < self.batch_size:
-                break
             scenes = [self.dataset[int(p)] for p in positions]
             yield collate(scenes)
 

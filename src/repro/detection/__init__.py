@@ -8,15 +8,12 @@ from repro.detection.anchors import (
     grid_centers,
     kmeans_anchors,
     retinanet_anchors,
-    yolo_anchor_grid,
 )
 from repro.detection.boxes import (
     box_area,
     clip_boxes,
     cxcywh_to_xyxy,
-    decode_boxes,
     encode_boxes,
-    generalized_iou,
     iou_matrix,
     iou_pairwise,
     xyxy_to_cxcywh,
@@ -27,12 +24,11 @@ from repro.detection.metrics import (
     Detection,
     GroundTruth,
     average_precision_for_class,
-    coco_map,
     detection_counts,
     mean_average_precision,
 )
-from repro.detection.nms import batched_nms, nms, soft_nms
-from repro.detection.postprocess import decode_retinanet, decode_yolo_single_scale
+from repro.detection.nms import batched_nms, nms
+from repro.detection.postprocess import decode_yolo_single_scale
 from repro.detection.targets import (
     RetinaTargets,
     YoloTargets,
@@ -42,13 +38,13 @@ from repro.detection.targets import (
 
 __all__ = [
     "RETINANET_STRIDES", "YOLOV5_ANCHORS", "YOLOV5_STRIDES", "RetinaAnchorConfig",
-    "grid_centers", "kmeans_anchors", "retinanet_anchors", "yolo_anchor_grid",
-    "box_area", "clip_boxes", "cxcywh_to_xyxy", "decode_boxes", "encode_boxes",
-    "generalized_iou", "iou_matrix", "iou_pairwise", "xyxy_to_cxcywh",
+    "grid_centers", "kmeans_anchors", "retinanet_anchors",
+    "box_area", "clip_boxes", "cxcywh_to_xyxy", "encode_boxes",
+    "iou_matrix", "iou_pairwise", "xyxy_to_cxcywh",
     "RetinaLoss", "YoloLoss", "YoloLossWeights",
-    "APResult", "Detection", "GroundTruth", "average_precision_for_class", "coco_map",
+    "APResult", "Detection", "GroundTruth", "average_precision_for_class",
     "detection_counts", "mean_average_precision",
-    "batched_nms", "nms", "soft_nms",
-    "decode_retinanet", "decode_yolo_single_scale",
+    "batched_nms", "nms",
+    "decode_yolo_single_scale",
     "RetinaTargets", "YoloTargets", "assign_retinanet_targets", "assign_yolo_targets",
 ]

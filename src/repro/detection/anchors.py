@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -30,20 +30,6 @@ def grid_centers(feature_height: int, feature_width: int, stride: int) -> np.nda
     )
     centers = np.stack([(xs + 0.5) * stride, (ys + 0.5) * stride], axis=-1)
     return centers.reshape(-1, 2)
-
-
-def yolo_anchor_grid(image_size: int, strides: Sequence[int] = YOLOV5_STRIDES,
-                     anchors: Sequence = YOLOV5_ANCHORS) -> List[np.ndarray]:
-    """Per-scale anchor boxes in cxcywh, shape (H*W*A, 4) for each scale."""
-    grids = []
-    for stride, anchor_set in zip(strides, anchors):
-        fh = fw = image_size // stride
-        centers = grid_centers(fh, fw, stride)  # (HW, 2)
-        sizes = np.asarray(anchor_set, dtype=np.float32)  # (A, 2)
-        centers_rep = np.repeat(centers, len(anchor_set), axis=0)
-        sizes_rep = np.tile(sizes, (centers.shape[0], 1))
-        grids.append(np.concatenate([centers_rep, sizes_rep], axis=1))
-    return grids
 
 
 @dataclass

@@ -98,23 +98,6 @@ def iou_pairwise(boxes_a: np.ndarray, boxes_b: np.ndarray, eps: float = 1e-9) ->
     return inter / (union + eps)
 
 
-def generalized_iou(boxes_a: np.ndarray, boxes_b: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-    """Element-wise GIoU (used by the CIoU/GIoU-style YOLO box regression loss)."""
-    boxes_a = np.asarray(boxes_a, dtype=np.float32)
-    boxes_b = np.asarray(boxes_b, dtype=np.float32)
-    iou = iou_pairwise(boxes_a, boxes_b, eps)
-    enclose_left = np.minimum(boxes_a[..., 0], boxes_b[..., 0])
-    enclose_top = np.minimum(boxes_a[..., 1], boxes_b[..., 1])
-    enclose_right = np.maximum(boxes_a[..., 2], boxes_b[..., 2])
-    enclose_bottom = np.maximum(boxes_a[..., 3], boxes_b[..., 3])
-    enclose_area = np.clip(enclose_right - enclose_left, 0.0, None) * np.clip(
-        enclose_bottom - enclose_top, 0.0, None
-    )
-    inter = iou * (box_area(boxes_a) + box_area(boxes_b)) / (1.0 + iou + eps)
-    union = box_area(boxes_a) + box_area(boxes_b) - inter
-    return iou - (enclose_area - union) / (enclose_area + eps)
-
-
 def encode_boxes(gt_boxes: np.ndarray, anchors: np.ndarray,
                  stds: Tuple[float, float, float, float] = (0.1, 0.1, 0.2, 0.2)) -> np.ndarray:
     """Encode ground-truth xyxy boxes relative to anchor xyxy boxes (R-CNN deltas).
@@ -130,15 +113,3 @@ def encode_boxes(gt_boxes: np.ndarray, anchors: np.ndarray,
     deltas[..., 3] = np.log(np.maximum(gt[..., 3], 1e-6) / np.maximum(an[..., 3], 1e-6))
     return deltas / np.asarray(stds, dtype=np.float32)
 
-
-def decode_boxes(deltas: np.ndarray, anchors: np.ndarray,
-                 stds: Tuple[float, float, float, float] = (0.1, 0.1, 0.2, 0.2)) -> np.ndarray:
-    """Inverse of :func:`encode_boxes`; returns xyxy boxes."""
-    deltas = np.asarray(deltas, dtype=np.float32) * np.asarray(stds, dtype=np.float32)
-    an = xyxy_to_cxcywh(anchors)
-    out = np.empty_like(deltas)
-    out[..., 0] = deltas[..., 0] * an[..., 2] + an[..., 0]
-    out[..., 1] = deltas[..., 1] * an[..., 3] + an[..., 1]
-    out[..., 2] = np.exp(np.clip(deltas[..., 2], -10, 10)) * an[..., 2]
-    out[..., 3] = np.exp(np.clip(deltas[..., 3], -10, 10)) * an[..., 3]
-    return cxcywh_to_xyxy(out)

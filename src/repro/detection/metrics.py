@@ -132,29 +132,6 @@ def mean_average_precision(
     return results
 
 
-def coco_map(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    num_classes: int,
-    iou_thresholds: Sequence[float] | None = None,
-) -> Dict[str, float]:
-    """COCO-style AP@[.5:.95] plus AP@0.5 and AP@0.75."""
-    if iou_thresholds is None:
-        iou_thresholds = np.arange(0.5, 1.0, 0.05)
-    per_threshold = []
-    summary: Dict[str, float] = {}
-    for threshold in iou_thresholds:
-        result = mean_average_precision(detections, ground_truths, num_classes, float(threshold))
-        per_threshold.append(result["mAP"])
-        if abs(threshold - 0.5) < 1e-6:
-            summary["mAP@0.5"] = result["mAP"]
-        if abs(threshold - 0.75) < 1e-6:
-            summary["mAP@0.75"] = result["mAP"]
-    summary["mAP@[.5:.95]"] = float(np.mean(per_threshold)) if per_threshold else 0.0
-    summary.setdefault("mAP@0.5", per_threshold[0] if per_threshold else 0.0)
-    return summary
-
-
 def detection_counts(
     detections: Sequence[Detection],
     ground_truths: Sequence[GroundTruth],

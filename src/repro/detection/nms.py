@@ -51,30 +51,3 @@ def batched_nms(boxes: np.ndarray, scores: np.ndarray, class_ids: np.ndarray,
     max_extent = float(boxes.max()) + 1.0 if boxes.size else 1.0
     offsets = class_ids.astype(np.float32)[:, None] * max_extent
     return nms(boxes + offsets, scores, iou_threshold)
-
-
-def soft_nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.3,
-             sigma: float = 0.5, score_threshold: float = 0.001) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian soft-NMS; returns (kept indices, rescored confidences)."""
-    boxes = np.asarray(boxes, dtype=np.float32).reshape(-1, 4)
-    scores = np.asarray(scores, dtype=np.float32).copy().reshape(-1)
-    n = boxes.shape[0]
-    if n == 0:
-        return np.zeros((0,), dtype=np.int64), np.zeros((0,), dtype=np.float32)
-
-    indices = np.arange(n)
-    keep: List[int] = []
-    kept_scores: List[float] = []
-    ious_full = iou_matrix(boxes, boxes)
-    active = np.ones(n, dtype=bool)
-    while active.any():
-        candidate = int(np.argmax(np.where(active, scores, -np.inf)))
-        if scores[candidate] < score_threshold:
-            break
-        keep.append(int(indices[candidate]))
-        kept_scores.append(float(scores[candidate]))
-        active[candidate] = False
-        overlap = ious_full[candidate]
-        decay = np.exp(-(overlap**2) / sigma)
-        scores = np.where(active, scores * decay, scores)
-    return np.asarray(keep, dtype=np.int64), np.asarray(kept_scores, dtype=np.float32)

@@ -6,7 +6,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.detection.boxes import clip_boxes, cxcywh_to_xyxy, decode_boxes
+from repro.detection.boxes import clip_boxes, cxcywh_to_xyxy
 from repro.detection.metrics import Detection
 from repro.detection.nms import batched_nms
 
@@ -87,43 +87,5 @@ def decode_yolo_single_scale(
         results.append([
             Detection(boxes_cat[i], int(classes_cat[i]), float(scores_cat[i]), image_id=b)
             for i in keep_idx
-        ])
-    return results
-
-
-def decode_retinanet(
-    class_logits: np.ndarray,
-    box_deltas: np.ndarray,
-    anchors: np.ndarray,
-    image_size: int,
-    conf_threshold: float = 0.05,
-    iou_threshold: float = 0.5,
-    max_detections: int = 300,
-) -> List[List[Detection]]:
-    """Decode RetinaNet head outputs (flattened over anchors) into detections.
-
-    ``class_logits``: (B, N, C); ``box_deltas``: (B, N, 4); ``anchors``: (N, 4) xyxy.
-    """
-    class_logits = np.asarray(class_logits, dtype=np.float32)
-    box_deltas = np.asarray(box_deltas, dtype=np.float32)
-    batch = class_logits.shape[0]
-    probs = _sigmoid(class_logits)
-
-    results: List[List[Detection]] = []
-    for b in range(batch):
-        scores = probs[b].max(axis=1)
-        classes = probs[b].argmax(axis=1)
-        keep = scores >= conf_threshold
-        if not keep.any():
-            results.append([])
-            continue
-        decoded = decode_boxes(box_deltas[b][keep], np.asarray(anchors)[keep])
-        decoded = clip_boxes(decoded, (image_size, image_size))
-        keep_idx = batched_nms(decoded, scores[keep], classes[keep], iou_threshold)[:max_detections]
-        kept_scores = scores[keep][keep_idx]
-        kept_classes = classes[keep][keep_idx]
-        results.append([
-            Detection(decoded[i], int(kept_classes[j]), float(kept_scores[j]), image_id=b)
-            for j, i in enumerate(keep_idx)
         ])
     return results

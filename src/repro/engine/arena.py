@@ -123,11 +123,6 @@ class WorkspaceArena:
             "bytes_allocated": self.bytes_allocated,
         }
 
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters (buffers stay resident)."""
-        self.hits = 0
-        self.misses = 0
-
     def clear(self) -> None:
         """Drop every buffer and binding (and the counters) — e.g. after a model refresh."""
         self._bindings.clear()

@@ -71,7 +71,6 @@ class EngineMeasurement:
     pruning_speedup: float
     max_abs_diff: float
     compiled_layers: int = 0
-    fallback_layers: int = 0
     #: Executor ``compiled_seconds`` timed: ``"fused"``, or ``"eager"`` when
     #: the model is untraceable and its dense no-grad forward served.
     engine_mode: str = ""
@@ -164,7 +163,6 @@ def measure_speedup(
         pruning_speedup=pruning_speedup,
         max_abs_diff=max_abs_diff,
         compiled_layers=compiled.num_compiled_layers,
-        fallback_layers=len(compiled.fallback_layers),
         engine_mode=compiled.engine_mode,
         mode_census=mode_census,
     )

@@ -16,10 +16,6 @@ gradient-enabled call on the raw model is always the dense taped forward
 forward — under :class:`repro.nn.tensor.no_grad` — is the fallback for the
 rare model the tracer cannot record, and the oracle every equivalence test
 compares against.
-
-Grouped convolutions (``groups > 1``) have no plan; inside the fused program
-they replay their own module and are listed in
-:attr:`CompiledModel.fallback_layers`.
 """
 
 from __future__ import annotations
@@ -82,21 +78,16 @@ class CompiledModel:
     _guarded_by_ = {
         "_fused_program": "_fuse_lock",
         "_fuse_failed": "_fuse_lock",
-        "_profiler": "_fuse_lock",
     }
 
     def __init__(self, model: Module, plans: Dict[str, ConvPlan],
-                 fallback_layers: List[str], mask_signature: Optional[str] = None) -> None:
+                 mask_signature: Optional[str] = None) -> None:
         self.model = model
         self.plans = plans
-        self.fallback_layers = fallback_layers
         self.mask_signature = mask_signature
         self._fused_program = None
         self._fuse_failed: Optional[str] = None
         self._fuse_lock = threading.Lock()
-        #: Engine-wide EngineProfiler (:meth:`enable_profiling`); ``None`` in
-        #: steady state so the executors keep their no-op fast branch.
-        self._profiler = None
         self._engine_label = f"{type(model).__name__}#{next(_ENGINE_SERIAL)}"
         # Publish arena/engine-mode counters into the process metrics registry
         # (weak collector: this engine's series vanish when it is collected).
@@ -152,7 +143,6 @@ class CompiledModel:
                 try:
                     graph = trace_graph(self.model, data)
                     self._fused_program = fuse_graph(graph, self.plans)
-                    self._fused_program.set_profiler(self._profiler)
                     logger.info(
                         "fused %s: %d traced ops -> %d fused steps",
                         type(self.model).__name__, len(graph), len(self._fused_program))
@@ -190,37 +180,17 @@ class CompiledModel:
         return program.arena_stats()
 
     # ------------------------------------------------------------------ profiling
-    def enable_profiling(self):
-        """Attach a per-op :class:`repro.obs.EngineProfiler` (idempotent).
-
-        Covers the fused program (the dense fallback of an untraceable model
-        has no per-op attribution).  Returns the profiler so callers can read
-        :meth:`repro.obs.EngineProfiler.report` directly.
-        """
-        from repro.obs.profiler import EngineProfiler
-
-        with self._fuse_lock:
-            if self._profiler is None:
-                self._profiler = EngineProfiler()
-            if self._fused_program is not None:
-                self._fused_program.set_profiler(self._profiler)
-            return self._profiler
-
-    def disable_profiling(self) -> None:
-        """Detach the profiler; the executors return to the no-op branch."""
-        with self._fuse_lock:
-            self._profiler = None
-            if self._fused_program is not None:
-                self._fused_program.set_profiler(None)
-
     @contextmanager
     def profiled(self):
         """Profile just this thread's forwards, yielding a fresh profiler.
 
-        Unlike :meth:`enable_profiling` (engine-wide, sticky) this scopes a
-        :class:`repro.obs.EngineProfiler` to the calling thread via the fused
-        program's thread-local override, so concurrent batches on the same
-        engine each get their own attribution.
+        The :class:`repro.obs.EngineProfiler` is scoped to the calling thread
+        (the fused program's thread-local slot), so concurrent batches on the
+        same engine each get their own attribution.  Its
+        :meth:`~repro.obs.EngineProfiler.report` is the per-op table: each op
+        row carries calls/total/mean/share and, for compiled convs, the
+        ``phases_ms`` gather/gemm/epilogue split.  The dense forward of an
+        untraceable model has no per-op attribution.
         """
         from repro.obs.profiler import EngineProfiler
 
@@ -232,24 +202,6 @@ class CompiledModel:
         else:
             with program.profiled(profiler):
                 yield profiler
-
-    def profile(self, digits: int = 3) -> Dict[str, object]:
-        """Per-op timing report of all profiled forwards since enablement.
-
-        ``{"engine_mode", "runs", "total_ms", "op_total_ms", "ops": [...]}`` —
-        each op row carries calls/total/mean/share and, for compiled convs,
-        the ``phases_ms`` gather/gemm/epilogue split.  Raises ``RuntimeError``
-        unless :meth:`enable_profiling` was called first.
-        """
-        profiler = self._profiler
-        if profiler is None:
-            raise RuntimeError(
-                "profiling is not enabled on this engine; call "
-                "enable_profiling() before profiled forwards")
-        report = profiler.report(digits=digits)
-        report["engine_mode"] = self.engine_mode
-        report["model"] = type(self.model).__name__
-        return report
 
     def collect_metrics(self):
         """Obs-registry collector: arena counters + engine mode gauge."""
@@ -297,7 +249,7 @@ class CompiledModel:
 
     # ------------------------------------------------------------------ reporting
     def summary(self) -> List[Dict[str, object]]:
-        """One row per compiled layer plus a row per dense fallback layer.
+        """One row per compiled layer.
 
         The ``mode`` column always reports the mode string of what actually
         executes: once traced, a folded layer shows e.g.
@@ -314,9 +266,6 @@ class CompiledModel:
             if name in fused_modes:
                 row["mode"] = fused_modes[name]
             rows.append(row)
-        for name in self.fallback_layers:
-            rows.append({"layer": name, "mode": "dense-fallback", "kernel": "-",
-                         "density": "-"})
         return rows
 
     @property
@@ -379,18 +328,10 @@ def compile_model(model: Module, masks: Optional[MaskSet] = None,
             masks.apply(model)
         mask_signature = masks.signature()
 
-    plans: Dict[str, ConvPlan] = {}
-    fallback: List[str] = []
-    for name, module in model.named_modules():
-        if not isinstance(module, Conv2d):
-            continue
-        if module.groups != 1:
-            fallback.append(name)
-            continue
-        plans[name] = compile_conv_plan(module, name)
+    plans = {name: compile_conv_plan(module, name)
+             for name, module in model.named_modules() if isinstance(module, Conv2d)}
 
     model.eval()
-    compiled = CompiledModel(model, plans, fallback, mask_signature)
-    logger.info("compiled %d conv layers (%d dense fallbacks)",
-                compiled.num_compiled_layers, len(fallback))
+    compiled = CompiledModel(model, plans, mask_signature)
+    logger.info("compiled %d conv layers", compiled.num_compiled_layers)
     return compiled

@@ -778,8 +778,8 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
     graph:
         The op-plan list from :func:`repro.engine.trace.trace_graph`.
     plans:
-        ``layer name -> ConvPlan`` of the owning CompiledModel; conv nodes
-        without a plan (grouped/depthwise fallbacks) replay their module.
+        ``layer name -> ConvPlan`` of the owning CompiledModel; a conv node
+        without a plan replays its module.
     """
     ops: List[_FusedOp] = []
     for node in graph.ops:
@@ -920,9 +920,6 @@ class FusedProgram:
         # accumulating for the life of the program (thread-per-request callers).
         self._arenas: List["weakref.ref[WorkspaceArena]"] = []
         self._arena_lock = threading.Lock()
-        #: Program-wide EngineProfiler (``CompiledModel.enable_profiling``);
-        #: ``None`` in steady state — the hot path pays one check per forward.
-        self._profiler = None
 
     # ------------------------------------------------------------------ arenas
     def _arena(self) -> WorkspaceArena:
@@ -947,10 +944,6 @@ class FusedProgram:
         return merge_stats(arenas)
 
     # ----------------------------------------------------------- profiling
-    def set_profiler(self, profiler) -> None:
-        """Attach/detach (``None``) a program-wide per-op profiler."""
-        self._profiler = profiler
-
     @contextmanager
     def profiled(self, profiler):
         """Profile this thread's forwards only — the serving batcher uses
@@ -961,10 +954,6 @@ class FusedProgram:
         finally:
             self._tls.profiler = None
 
-    def _active_profiler(self):
-        profiler = getattr(self._tls, "profiler", None)
-        return profiler if profiler is not None else self._profiler
-
     # --------------------------------------------------------------- execution
     def run(self, data: np.ndarray):  # reprolint: hot
         """Execute the fused program on raw NCHW input: exactly the images it
@@ -974,13 +963,14 @@ class FusedProgram:
         never alias arena buffers, so callers (e.g. the serving layer handing
         slices to concurrent clients) can hold them across later forwards.
 
-        Profiling (``repro.obs``): resolving the attached profiler is the one
-        instrumentation cost the unprofiled path pays — two attribute reads
-        and an ``is None`` branch per *forward* (not per op), gated ≤2% by
-        ``benchmarks/test_obs_overhead.py``.  A profiled forward makes the
-        same calls; the library stamps the steps of a segment as it goes.
+        Profiling (``repro.obs``): reading this thread's profiler slot
+        (:meth:`profiled`) is the one instrumentation cost the unprofiled path
+        pays — one attribute read and an ``is None`` branch per *forward* (not
+        per op), gated ≤2% by ``benchmarks/test_obs_overhead.py``.  A profiled
+        forward makes the same calls; the library stamps the steps of a
+        segment as it goes.
         """
-        return self._run(data, self._active_profiler())
+        return self._run(data, getattr(self._tls, "profiler", None))
 
     def _run(self, data: np.ndarray, profiler):  # reprolint: hot
         arena = self._arena()

@@ -345,19 +345,7 @@ def _masked_weight_matrix(layer: Conv2d) -> np.ndarray:
 
 
 def compile_conv_plan(layer: Conv2d, layer_name: str = "") -> ConvPlan:
-    """Lower one convolution layer into a :class:`ConvPlan`.
-
-    Raises
-    ------
-    ValueError
-        For grouped convolutions (``groups > 1``) — the caller is expected to
-        leave those on the dense fallback path.
-    """
-    if layer.groups != 1:
-        raise ValueError(
-            f"cannot compile grouped convolution {layer_name!r} (groups={layer.groups}); "
-            "leave it on the dense fallback path"
-        )
+    """Lower one convolution layer into a :class:`ConvPlan`."""
     kh, kw = layer.kernel_size
     pointwise = (kh, kw) == (1, 1) and layer.padding == (0, 0)
     return ConvPlan(

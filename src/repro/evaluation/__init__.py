@@ -7,7 +7,6 @@ from repro.evaluation.accuracy_proxy import (
     estimate_pruned_map,
 )
 from repro.evaluation.comparison import (
-    PAPER_FRAMEWORK_ORDER,
     compare_frameworks,
     default_framework_suite,
     normalised_metric,
@@ -23,7 +22,7 @@ from repro.evaluation.tables import format_bar_chart, format_comparison, format_
 
 __all__ = [
     "BASELINE_MAP", "AccuracyEstimate", "baseline_map_for", "estimate_pruned_map",
-    "PAPER_FRAMEWORK_ORDER", "compare_frameworks", "default_framework_suite",
+    "compare_frameworks", "default_framework_suite",
     "normalised_metric", "results_by_framework",
     "DetectorEvaluator", "FrameworkResult",
     "snapshot_weight_energy", "weight_energy_retention",

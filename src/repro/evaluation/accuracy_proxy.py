@@ -77,10 +77,6 @@ class AccuracyEstimate:
     relative_change: float
     components: Dict[str, float]
 
-    @property
-    def absolute_change(self) -> float:
-        return self.estimated_map - self.baseline_map
-
 
 def _overparameterisation(total_params: int) -> float:
     """How over-provisioned the model is relative to YOLOv5s (>= 0.6)."""

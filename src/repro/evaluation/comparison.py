@@ -12,16 +12,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.evaluation.evaluator import DetectorEvaluator, FrameworkResult
-from repro.pruning.registry import paper_suite, paper_suite_entries
+from repro.pruning.registry import paper_suite
 
 PrunerFactory = Callable[[], object]
-
-# Paper framework labels, in the order they appear in Figs. 4-7 (the baseline
-# model plus every registry entry flagged as part of the paper suite).
-PAPER_FRAMEWORK_ORDER: Tuple[str, ...] = (
-    "BM", *(entry.label for entry in paper_suite_entries()),
-)
-
 
 def default_framework_suite(dense_layer_names: Tuple[str, ...] = ()) -> Dict[str, PrunerFactory]:
     """Pruner factories for every compared framework at its default operating point.

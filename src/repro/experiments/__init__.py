@@ -8,9 +8,8 @@ from repro.experiments.ablation import (
     run_vectorisation_ablation,
 )
 from repro.experiments.comparison_suite import clear_cache, comparison_results
-from repro.experiments.fig8 import FIG8_FRAMEWORKS, Fig8Row, fig8_checks, run_fig8
+from repro.experiments.fig8 import Fig8Row, fig8_checks, run_fig8
 from repro.experiments.figures import (
-    FRAMEWORKS_COMPARED,
     fig4_checks,
     fig5_checks,
     fig6_checks,
@@ -48,8 +47,8 @@ __all__ = [
     "AblationRow", "VectorisationResult", "ablation_checks", "run_rtoss_ablation",
     "run_vectorisation_ablation",
     "clear_cache", "comparison_results",
-    "FIG8_FRAMEWORKS", "Fig8Row", "fig8_checks", "run_fig8",
-    "FRAMEWORKS_COMPARED", "fig4_checks", "fig5_checks", "fig6_checks", "fig7_checks",
+    "Fig8Row", "fig8_checks", "run_fig8",
+    "fig4_checks", "fig5_checks", "fig6_checks", "fig7_checks",
     "run_fig4_sparsity", "run_fig5_map", "run_fig6_speedup", "run_fig7_energy",
     "KernelCensus", "census_for_model", "motivation_checks", "run_kernel_census",
     "Table1Row", "run_table1", "table1_checks",

@@ -32,8 +32,6 @@ from repro.nn.tensor import Tensor
 from repro.pruning.neural_pruning import NeuralPruner
 from repro.pruning.patdnn import PatDNNPruner
 
-FIG8_FRAMEWORKS = ("NP", "PD", "R-TOSS-3EP", "R-TOSS-2EP")
-
 
 @dataclass
 class Fig8Row:
@@ -120,8 +118,7 @@ def run_fig8(training: Optional[TinyTrainingResult] = None,
     rows: List[Fig8Row] = []
     for name, pruner in _framework_pruners().items():
         outcome: PruneFinetuneOutcome = prune_and_finetune(training, pruner, baseline, name)
-        # Rebuild the fine-tuned model's qualitative metrics on the tiny-object scenes.
-        metrics = _qualitative_metrics(training, _finetuned_model(outcome, training), scenes)
+        metrics = _qualitative_metrics(training, outcome.model, scenes)
         rows.append(Fig8Row(
             framework=name,
             map_after_finetune=outcome.map_after_finetune,
@@ -130,28 +127,6 @@ def run_fig8(training: Optional[TinyTrainingResult] = None,
             missed_objects=metrics["missed_objects"],
         ))
     return rows
-
-
-def _finetuned_model(outcome: PruneFinetuneOutcome, training: TinyTrainingResult):
-    """The pruned+fine-tuned model is not retained by prune_and_finetune; rebuild it.
-
-    ``prune_and_finetune`` returns only metrics, so for the qualitative pass we
-    re-apply the outcome's masks to a copy of the trained model — the detections are
-    produced by the same masked architecture (without the short fine-tune, which
-    keeps this function cheap; the measured mAP after fine-tuning is already in the
-    outcome).
-    """
-    from repro.models.tiny import TinyDetector, TinyDetectorConfig
-
-    config = training.config
-    clone = TinyDetector(TinyDetectorConfig(
-        num_classes=config.num_classes, image_size=config.image_size,
-        base_channels=config.base_channels, seed=29 + config.seed,
-    ))
-    clone.load_state_dict(training.model.state_dict())
-    outcome.report.masks.apply(clone)
-    clone.eval()
-    return clone
 
 
 def fig8_checks(rows: List[Fig8Row]) -> Dict[str, bool]:

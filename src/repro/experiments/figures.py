@@ -13,10 +13,6 @@ from repro.evaluation.comparison import normalised_metric, results_by_framework
 from repro.evaluation.evaluator import FrameworkResult
 from repro.experiments.comparison_suite import comparison_results
 from repro.hardware.platform import JETSON_TX2, RTX_2080TI
-from repro.pruning.registry import paper_suite_entries
-
-#: Paper labels of the compared frameworks, from the framework registry.
-FRAMEWORKS_COMPARED = tuple(entry.label for entry in paper_suite_entries())
 
 
 # --------------------------------------------------------------------------- Fig. 4

@@ -65,6 +65,14 @@ class TinyTrainingResult:
         return Tensor(np.zeros((1, 3, size, size), dtype=np.float32))
 
 
+def _new_detector(config: TinyTrainingConfig) -> TinyDetector:
+    """The untrained TinyDetector a training config describes."""
+    return TinyDetector(TinyDetectorConfig(
+        num_classes=config.num_classes, image_size=config.image_size,
+        base_channels=config.base_channels, seed=29 + config.seed,
+    ))
+
+
 def _build_dataset(config: TinyTrainingConfig) -> SyntheticKitti:
     return SyntheticKitti(
         config.num_scenes,
@@ -109,10 +117,7 @@ def train_tiny_detector(config: Optional[TinyTrainingConfig] = None) -> TinyTrai
     dataset = _build_dataset(config)
     train_idx, val_idx = dataset.split(0.6)
 
-    model = TinyDetector(TinyDetectorConfig(
-        num_classes=config.num_classes, image_size=config.image_size,
-        base_channels=config.base_channels, seed=29 + config.seed,
-    ))
+    model = _new_detector(config)
     loader = DataLoader(DetectionDataset(dataset, train_idx), batch_size=config.batch_size,
                         shuffle=True, seed=config.seed)
     loss_fn = YoloLoss(config.num_classes, model.config.num_anchors)
@@ -169,10 +174,8 @@ class PruneFinetuneOutcome:
     map_before_finetune: float
     map_after_finetune: float
     baseline_map: float
-
-    @property
-    def map_drop_vs_baseline(self) -> float:
-        return self.baseline_map - self.map_after_finetune
+    #: The pruned, fine-tuned detector that ``map_after_finetune`` measured.
+    model: TinyDetector
 
 
 def prune_and_finetune(result: TinyTrainingResult, pruner, baseline_map: float,
@@ -182,10 +185,7 @@ def prune_and_finetune(result: TinyTrainingResult, pruner, baseline_map: float,
     The original trained model in ``result`` is left untouched.
     """
     config = result.config
-    clone = TinyDetector(TinyDetectorConfig(
-        num_classes=config.num_classes, image_size=config.image_size,
-        base_channels=config.base_channels, seed=29 + config.seed,
-    ))
+    clone = _new_detector(config)
     clone.load_state_dict(result.model.state_dict())
 
     report = pruner.prune(clone, result.example_input(), "tiny")
@@ -202,4 +202,5 @@ def prune_and_finetune(result: TinyTrainingResult, pruner, baseline_map: float,
 
     logger.info("%s on TinyDetector: mAP %.3f -> %.3f (baseline %.3f)",
                 report.framework, map_before, map_after, baseline_map)
-    return PruneFinetuneOutcome(report.framework, report, map_before, map_after, baseline_map)
+    return PruneFinetuneOutcome(report.framework, report, map_before, map_after, baseline_map,
+                                clone)

@@ -65,14 +65,6 @@ class ModelSizeEstimate:
     def compression_ratio(self) -> float:
         return self.dense_bytes / max(self.compressed_bytes, 1.0)
 
-    @property
-    def dense_megabytes(self) -> float:
-        return self.dense_bytes / 1e6
-
-    @property
-    def compressed_megabytes(self) -> float:
-        return self.compressed_bytes / 1e6
-
 
 def estimate_model_size(profile: ModelCostProfile,
                         sparsity: Optional[SparsityProfile] = None) -> ModelSizeEstimate:

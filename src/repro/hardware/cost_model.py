@@ -183,8 +183,7 @@ def _layer_cost(name: str, module: Module, inputs, output, scale: float) -> Opti
         out = output
         batch, out_channels, out_h, out_w = out.shape
         kh, kw = module.kernel_size
-        in_per_group = module.in_channels // module.groups
-        macs = out_h * out_w * out_channels * in_per_group * kh * kw * scale
+        macs = out_h * out_w * out_channels * module.in_channels * kh * kw * scale
         weight_count = module.weight.size + (module.bias.size if module.bias is not None else 0)
         activation_bytes = out.size * BYTES_PER_WEIGHT * scale
         return LayerCost(name, "conv", float(macs), int(weight_count),

@@ -57,10 +57,6 @@ class LatencyEstimate:
         return self.total_seconds * 1e3
 
     @property
-    def measured_milliseconds(self) -> Optional[float]:
-        return None if self.measured_seconds is None else self.measured_seconds * 1e3
-
-    @property
     def fps(self) -> float:
         return 1.0 / self.total_seconds if self.total_seconds > 0 else float("inf")
 

@@ -15,8 +15,6 @@ _METHOD_TO_STRUCTURE = {
     "patdnn-4ep+connectivity": "pattern",
     "magnitude-layer": "unstructured",
     "magnitude-global": "unstructured",
-    "gradient-saliency": "unstructured",
-    "synflow": "unstructured",
     "growing-reg+l1": "unstructured",
     "filter-l1": "structured",
     "bn-channel": "structured",
@@ -59,12 +57,6 @@ class SparsityProfile:
 
     def for_layer(self, layer_name: str) -> Optional[LayerSparsity]:
         return self.layers.get(layer_name)
-
-    @property
-    def mean_sparsity(self) -> float:
-        if not self.layers:
-            return 0.0
-        return sum(l.sparsity for l in self.layers.values()) / len(self.layers)
 
     @classmethod
     def from_report(cls, report: PruningReport) -> "SparsityProfile":

@@ -30,12 +30,12 @@ class ConvBNAct(Module):
     """Conv2d + BatchNorm2d + activation — the 'Conv' block of YOLOv5."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 1,
-                 stride: int = 1, padding: Optional[int] = None, groups: int = 1,
+                 stride: int = 1, padding: Optional[int] = None,
                  act: str = "silu", rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         self.conv = Conv2d(
             in_channels, out_channels, kernel_size, stride,
-            autopad(kernel_size, padding), groups=groups, bias=False, rng=rng,
+            autopad(kernel_size, padding), bias=False, rng=rng,
         )
         self.bn = BatchNorm2d(out_channels)
         self.act = build_activation(act)

@@ -12,22 +12,16 @@ from repro.nn.graph import ModelGraph, trace
 from repro.nn.layers import (
     GELU,
     Add,
-    AdaptiveAvgPool2d,
-    AvgPool2d,
     BatchNorm2d,
     Concat,
     Conv2d,
-    DepthwiseConv2d,
     Flatten,
-    GlobalAvgPool2d,
-    GroupNorm,
     Hardswish,
     LayerNorm,
     LeakyReLU,
     Linear,
     MaxPool2d,
     MultiHeadAttention,
-    PointwiseConv2d,
     ReLU,
     SiLU,
     Sigmoid,
@@ -36,24 +30,22 @@ from repro.nn.layers import (
     TransformerDecoderLayer,
     TransformerEncoderLayer,
     Upsample,
-    ZeroPad2d,
     build_activation,
 )
 from repro.nn.module import Identity, Module, ModuleList, Parameter, Sequential
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StepLR, WarmupCosineLR
+from repro.nn.optim import Adam
 from repro.nn.tensor import (Tensor, as_example_input, as_tensor, is_grad_enabled,
-                             no_grad, ones, randn, zeros)
+                             no_grad, ones, zeros)
 
 __all__ = [
     "functional", "init", "losses",
     "ModelGraph", "trace",
     "Tensor", "as_example_input", "as_tensor", "is_grad_enabled", "no_grad", "ones",
-    "randn", "zeros",
+    "zeros",
     "Identity", "Module", "ModuleList", "Parameter", "Sequential",
-    "SGD", "Adam", "CosineAnnealingLR", "StepLR", "WarmupCosineLR",
-    "GELU", "Add", "AdaptiveAvgPool2d", "AvgPool2d", "BatchNorm2d", "Concat", "Conv2d",
-    "DepthwiseConv2d", "Flatten", "GlobalAvgPool2d", "GroupNorm", "Hardswish", "LayerNorm",
-    "LeakyReLU", "Linear", "MaxPool2d", "MultiHeadAttention", "PointwiseConv2d", "ReLU",
+    "Adam",
+    "GELU", "Add", "BatchNorm2d", "Concat", "Conv2d", "Flatten", "Hardswish", "LayerNorm",
+    "LeakyReLU", "Linear", "MaxPool2d", "MultiHeadAttention", "ReLU",
     "SiLU", "Sigmoid", "Softmax", "Tanh", "TransformerDecoderLayer", "TransformerEncoderLayer",
-    "Upsample", "ZeroPad2d", "build_activation",
+    "Upsample", "build_activation",
 ]

@@ -106,11 +106,10 @@ def conv2d(
     bias: Optional[Tensor] = None,
     stride: IntOrPair = 1,
     padding: IntOrPair = 0,
-    groups: int = 1,
 ) -> Tensor:
     """2-D convolution over NCHW input.
 
-    ``weight`` has shape ``(out_channels, in_channels // groups, kh, kw)``.
+    ``weight`` has shape ``(out_channels, in_channels, kh, kw)``.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
@@ -118,39 +117,16 @@ def conv2d(
     padding = _pair(padding)
 
     n, c_in, h, w = x.shape
-    c_out, c_in_per_group, kh, kw = weight.shape
-    if c_in % groups or c_out % groups:
-        raise ValueError(f"channels ({c_in}->{c_out}) not divisible by groups={groups}")
-    if c_in // groups != c_in_per_group:
+    c_out, c_in_weight, kh, kw = weight.shape
+    if c_in != c_in_weight:
         raise ValueError(
-            f"weight expects {c_in_per_group} input channels per group but input has "
-            f"{c_in // groups}"
-        )
+            f"weight expects {c_in_weight} input channels but input has {c_in}")
     out_h, out_w = _output_hw("conv2d", x.shape, (kh, kw), stride, padding)
 
-    if groups == 1:
-        cols = _im2col(x.data, (kh, kw), stride, padding, (out_h, out_w))
-        w_mat = weight.data.reshape(c_out, -1)
-        out = np.einsum("of,nfl->nol", w_mat, cols, optimize=True)
-        out = out.reshape(n, c_out, out_h, out_w)
-        cols_per_group = [cols]
-        group_slices = [(slice(0, c_in), slice(0, c_out))]
-    else:
-        group_in = c_in // groups
-        group_out = c_out // groups
-        cols_per_group = []
-        group_slices = []
-        outputs = []
-        for g in range(groups):
-            in_sl = slice(g * group_in, (g + 1) * group_in)
-            out_sl = slice(g * group_out, (g + 1) * group_out)
-            cols_g = _im2col(x.data[:, in_sl], (kh, kw), stride, padding, (out_h, out_w))
-            w_mat = weight.data[out_sl].reshape(group_out, -1)
-            out_g = np.einsum("of,nfl->nol", w_mat, cols_g, optimize=True)
-            outputs.append(out_g.reshape(n, group_out, out_h, out_w))
-            cols_per_group.append(cols_g)
-            group_slices.append((in_sl, out_sl))
-        out = np.concatenate(outputs, axis=1)
+    cols = _im2col(x.data, (kh, kw), stride, padding, (out_h, out_w))
+    w_mat = weight.data.reshape(c_out, -1)
+    out = np.einsum("of,nfl->nol", w_mat, cols, optimize=True)
+    out = out.reshape(n, c_out, out_h, out_w)
 
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1, 1)
@@ -161,38 +137,14 @@ def conv2d(
         grad = grad.reshape(n, c_out, -1)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2)))
-        if groups == 1:
-            g_out = grad
-            if weight.requires_grad:
-                grad_w = np.einsum("nol,nfl->of", g_out, cols_per_group[0], optimize=True)
-                weight._accumulate(grad_w.reshape(weight.shape))
-            if x.requires_grad:
-                w_mat = weight.data.reshape(c_out, -1)
-                grad_cols = np.einsum("of,nol->nfl", w_mat, g_out, optimize=True)
-                grad_x = _col2im(grad_cols, x.shape, (kh, kw), stride, padding, (out_h, out_w))
-                x._accumulate(grad_x)
-        else:
-            group_out = c_out // groups
-            grad_x_full = np.zeros(x.shape, dtype=x.data.dtype) if x.requires_grad else None
-            grad_w_full = (
-                np.zeros(weight.shape, dtype=weight.data.dtype) if weight.requires_grad else None
-            )
-            for g, (in_sl, out_sl) in enumerate(group_slices):
-                g_out = grad[:, out_sl.start:out_sl.stop].reshape(n, group_out, -1)
-                if grad_w_full is not None:
-                    grad_w = np.einsum("nol,nfl->of", g_out, cols_per_group[g], optimize=True)
-                    grad_w_full[out_sl] = grad_w.reshape(group_out, *weight.shape[1:])
-                if grad_x_full is not None:
-                    w_mat = weight.data[out_sl].reshape(group_out, -1)
-                    grad_cols = np.einsum("of,nol->nfl", w_mat, g_out, optimize=True)
-                    sub_shape = (n, in_sl.stop - in_sl.start, h, w)
-                    grad_x_full[:, in_sl] = _col2im(
-                        grad_cols, sub_shape, (kh, kw), stride, padding, (out_h, out_w)
-                    )
-            if grad_w_full is not None:
-                weight._accumulate(grad_w_full)
-            if grad_x_full is not None:
-                x._accumulate(grad_x_full)
+        if weight.requires_grad:
+            grad_w = np.einsum("nol,nfl->of", grad, cols, optimize=True)
+            weight._accumulate(grad_w.reshape(weight.shape))
+        if x.requires_grad:
+            w_mat = weight.data.reshape(c_out, -1)
+            grad_cols = np.einsum("of,nol->nfl", w_mat, grad, optimize=True)
+            grad_x = _col2im(grad_cols, x.shape, (kh, kw), stride, padding, (out_h, out_w))
+            x._accumulate(grad_x)
 
     return Tensor._make(out.astype(np.float32), parents, backward)
 
@@ -383,19 +335,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out.astype(np.float32), (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - log_sum
-
-    def backward(grad: np.ndarray) -> None:
-        softmax_val = np.exp(out)
-        x._accumulate(grad - softmax_val * grad.sum(axis=axis, keepdims=True))
-
-    return Tensor._make(out.astype(np.float32), (x,), backward)
-
-
 # --------------------------------------------------------------------------- pooling
 def max_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = None,
                padding: IntOrPair = 0) -> Tensor:
@@ -444,41 +383,6 @@ def max_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = 
     return Tensor._make(out.astype(np.float32), (x,), backward)
 
 
-def avg_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = None,
-               padding: IntOrPair = 0) -> Tensor:
-    """Average pooling over NCHW input."""
-    x = as_tensor(x)
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride if stride is not None else kernel_size)
-    ph, pw = _pair(padding)
-    out_h, out_w = _output_hw("avg_pool2d", x.shape, (kh, kw), (sh, sw), (ph, pw))
-    cols = _im2col(x.data, (kh, kw), (sh, sw), (ph, pw), (out_h, out_w))
-    n, c = x.shape[0], x.shape[1]
-    cols = cols.reshape(n, c, kh * kw, out_h * out_w)
-    out = cols.mean(axis=2).reshape(n, c, out_h, out_w)
-
-    def backward(grad: np.ndarray) -> None:
-        g = grad.reshape(n, c, 1, out_h * out_w) / (kh * kw)
-        g = np.broadcast_to(g, (n, c, kh * kw, out_h * out_w)).reshape(n, c * kh * kw, -1)
-        x._accumulate(_col2im(g, x.shape, (kh, kw), (sh, sw), (ph, pw), (out_h, out_w)))
-
-    return Tensor._make(out.astype(np.float32), (x,), backward)
-
-
-def adaptive_avg_pool2d(x: Tensor, output_size: IntOrPair = 1) -> Tensor:
-    """Adaptive average pooling; only output sizes that evenly divide are supported."""
-    oh, ow = _pair(output_size)
-    n, c, h, w = x.shape
-    if h % oh or w % ow:
-        raise ValueError(f"adaptive_avg_pool2d requires divisible sizes, got {h}x{w} -> {oh}x{ow}")
-    return avg_pool2d(x, (h // oh, w // ow), stride=(h // oh, w // ow))
-
-
-def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Mean over the spatial dimensions, keeping NCHW rank with H=W=1."""
-    return x.mean(axis=(2, 3), keepdims=True)
-
-
 # --------------------------------------------------------------------------- resize / merge
 def upsample_nearest2d(x: Tensor, scale_factor: int = 2) -> Tensor:
     """Nearest-neighbour upsampling by an integer factor."""
@@ -510,39 +414,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return Tensor._make(out, tuple(tensors), backward)
 
 
-def pad2d(x: Tensor, padding: Tuple[int, int, int, int], value: float = 0.0) -> Tensor:
-    """Pad the spatial dims of NCHW input by ``(top, bottom, left, right)``."""
-    x = as_tensor(x)
-    top, bottom, left, right = padding
-    out = np.pad(
-        x.data, ((0, 0), (0, 0), (top, bottom), (left, right)),
-        mode="constant", constant_values=value,
-    )
-    h, w = x.shape[2], x.shape[3]
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad[:, :, top:top + h, left:left + w])
-
-    return Tensor._make(out, (x,), backward)
-
-
 def flatten(x: Tensor, start_dim: int = 1) -> Tensor:
     """Flatten all dimensions from ``start_dim`` onwards."""
     shape = x.shape[:start_dim] + (int(np.prod(x.shape[start_dim:])),)
     return x.reshape(*shape)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; identity at evaluation time."""
-    if not training or p <= 0.0:
-        return x
-    from repro.utils.rng import default_rng
-
-    rng = rng if rng is not None else default_rng()
-    mask = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
-    x = as_tensor(x)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
-
-    return Tensor._make(x.data * mask, (x,), backward)

@@ -37,20 +37,6 @@ def kaiming_normal(shape: Sequence[int], rng: Optional[np.random.Generator] = No
     return (rng.standard_normal(shape) * std).astype(np.float32)
 
 
-def kaiming_uniform(shape: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    rng = rng if rng is not None else default_rng()
-    fan_in, _ = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_normal(shape: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    rng = rng if rng is not None else default_rng()
-    fan_in, fan_out = _fan_in_out(shape)
-    std = np.sqrt(2.0 / max(fan_in + fan_out, 1))
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
 def xavier_uniform(shape: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
     rng = rng if rng is not None else default_rng()
     fan_in, fan_out = _fan_in_out(shape)

@@ -17,21 +17,21 @@ from repro.nn.layers.attention import (
     TransformerDecoderLayer,
     TransformerEncoderLayer,
 )
-from repro.nn.layers.conv import Conv2d, DepthwiseConv2d, PointwiseConv2d
+from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.linear import Linear
 from repro.nn.layers.merge import Add, Concat, Flatten
-from repro.nn.layers.norm import BatchNorm2d, GroupNorm, LayerNorm
-from repro.nn.layers.pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
-from repro.nn.layers.upsample import Upsample, ZeroPad2d
+from repro.nn.layers.norm import BatchNorm2d, LayerNorm
+from repro.nn.layers.pooling import MaxPool2d
+from repro.nn.layers.upsample import Upsample
 
 __all__ = [
     "GELU", "Hardswish", "LeakyReLU", "ReLU", "Sigmoid", "SiLU", "Softmax", "Tanh",
     "build_activation",
     "FeedForward", "MultiHeadAttention", "TransformerDecoderLayer", "TransformerEncoderLayer",
-    "Conv2d", "DepthwiseConv2d", "PointwiseConv2d",
+    "Conv2d",
     "Linear",
     "Add", "Concat", "Flatten",
-    "BatchNorm2d", "GroupNorm", "LayerNorm",
-    "AdaptiveAvgPool2d", "AvgPool2d", "GlobalAvgPool2d", "MaxPool2d",
-    "Upsample", "ZeroPad2d",
+    "BatchNorm2d", "LayerNorm",
+    "MaxPool2d",
+    "Upsample",
 ]

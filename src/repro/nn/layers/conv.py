@@ -31,7 +31,7 @@ class Conv2d(Module):
     ----------
     in_channels, out_channels:
         Channel fan-in / fan-out.
-    kernel_size, stride, padding, groups:
+    kernel_size, stride, padding:
         Usual convolution hyper-parameters (square kernels supported via int,
         rectangular via tuple).
     bias:
@@ -45,7 +45,6 @@ class Conv2d(Module):
         kernel_size: int | tuple = 3,
         stride: int | tuple = 1,
         padding: int | tuple | None = None,
-        groups: int = 1,
         bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -59,11 +58,8 @@ class Conv2d(Module):
         self.kernel_size = (kh, kw)
         self.stride = F._pair(stride)
         self.padding = F._pair(padding)
-        self.groups = int(groups)
-        if in_channels % self.groups:
-            raise ValueError(f"in_channels={in_channels} not divisible by groups={groups}")
 
-        weight_shape = (out_channels, in_channels // self.groups, kh, kw)
+        weight_shape = (out_channels, in_channels, kh, kw)
         self.weight = Parameter(init.kaiming_normal(weight_shape, rng=rng), name="weight")
         if bias:
             self.bias = Parameter(init.zeros((out_channels,)), name="bias")
@@ -80,7 +76,6 @@ class Conv2d(Module):
             self.bias,
             stride=self.stride,
             padding=self.padding,
-            groups=self.groups,
         )
 
     # ------------------------------------------------------------------ helpers
@@ -115,29 +110,7 @@ class Conv2d(Module):
     def extra_repr(self) -> str:
         return (
             f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "
-            f"stride={self.stride}, padding={self.padding}, groups={self.groups}, "
+            f"stride={self.stride}, padding={self.padding}, "
             f"bias={self.bias is not None}"
         )
 
-
-class DepthwiseConv2d(Conv2d):
-    """Depthwise convolution (groups == in_channels)."""
-
-    def __init__(self, channels: int, kernel_size: int = 3, stride: int = 1,
-                 padding: int | None = None, bias: bool = True,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__(
-            channels, channels, kernel_size=kernel_size, stride=stride,
-            padding=padding, groups=channels, bias=bias, rng=rng,
-        )
-
-
-class PointwiseConv2d(Conv2d):
-    """1x1 convolution; exists as a named type purely for readability in model code."""
-
-    def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
-                 bias: bool = True, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__(
-            in_channels, out_channels, kernel_size=1, stride=stride, padding=0,
-            bias=bias, rng=rng,
-        )

@@ -77,31 +77,3 @@ class LayerNorm(Module):
     def extra_repr(self) -> str:
         return f"{self.normalized_shape}, eps={self.eps}"
 
-
-class GroupNorm(Module):
-    """Group normalisation (used by the RetinaNet heads in some configurations)."""
-
-    def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if num_channels % num_groups:
-            raise ValueError(f"channels {num_channels} not divisible by groups {num_groups}")
-        self.num_groups = int(num_groups)
-        self.num_channels = int(num_channels)
-        self.eps = float(eps)
-        self.weight = Parameter(np.ones(num_channels, dtype=np.float32), name="weight")
-        self.bias = Parameter(np.zeros(num_channels, dtype=np.float32), name="bias")
-
-    def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        grouped = x.reshape(n, self.num_groups, c // self.num_groups * h * w)
-        mean = grouped.mean(axis=2, keepdims=True)
-        centered = grouped - mean
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        normalised = centered / (var + self.eps) ** 0.5
-        out = normalised.reshape(n, c, h, w)
-        # Reshape the learnable parameters through autograd-aware views so their
-        # gradients flow during fine-tuning.
-        return out * self.weight.reshape(1, c, 1, 1) + self.bias.reshape(1, c, 1, 1)
-
-    def extra_repr(self) -> str:
-        return f"{self.num_groups}, {self.num_channels}, eps={self.eps}"

@@ -20,35 +20,3 @@ class MaxPool2d(Module):
     def extra_repr(self) -> str:
         return f"kernel_size={self.kernel_size}, stride={self.stride}, padding={self.padding}"
 
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: int | None = None, padding: int = 0) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride, self.padding)
-
-    def extra_repr(self) -> str:
-        return f"kernel_size={self.kernel_size}, stride={self.stride}, padding={self.padding}"
-
-
-class AdaptiveAvgPool2d(Module):
-    def __init__(self, output_size: int = 1) -> None:
-        super().__init__()
-        self.output_size = output_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.output_size == 1:
-            return F.global_avg_pool2d(x)
-        return F.adaptive_avg_pool2d(x, self.output_size)
-
-    def extra_repr(self) -> str:
-        return f"output_size={self.output_size}"
-
-
-class GlobalAvgPool2d(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool2d(x)

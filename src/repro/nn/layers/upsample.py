@@ -20,16 +20,3 @@ class Upsample(Module):
     def extra_repr(self) -> str:
         return f"scale_factor={self.scale_factor}"
 
-
-class ZeroPad2d(Module):
-    """Constant zero padding of the spatial dimensions."""
-
-    def __init__(self, padding: tuple[int, int, int, int]) -> None:
-        super().__init__()
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.pad2d(x, self.padding)
-
-    def extra_repr(self) -> str:
-        return f"padding={self.padding}"

@@ -1,8 +1,8 @@
 """Loss functions.
 
-Includes the generic regression/classification losses plus the focal loss that
-RetinaNet introduced (and which the paper highlights as RetinaNet's answer to the
-small-object class-imbalance problem).
+Binary cross-entropy on logits plus the focal loss that RetinaNet introduced
+(and which the paper highlights as RetinaNet's answer to the small-object
+class-imbalance problem).
 """
 
 from __future__ import annotations
@@ -13,29 +13,6 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, as_tensor
-
-
-def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean squared error."""
-    target = as_tensor(target)
-    diff = prediction - target
-    return (diff * diff).mean()
-
-
-def l1_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean absolute error."""
-    target = as_tensor(target)
-    return (prediction - target).abs().mean()
-
-
-def smooth_l1_loss(prediction: Tensor, target: Tensor | np.ndarray, beta: float = 1.0) -> Tensor:
-    """Huber / smooth-L1 loss used for bounding-box regression."""
-    target = as_tensor(target)
-    diff = (prediction - target).abs()
-    quadratic = (diff * diff) * (0.5 / beta)
-    linear = diff - 0.5 * beta
-    below = Tensor((diff.data < beta).astype(np.float32))
-    return (below * quadratic + (1.0 - below) * linear).mean()
 
 
 def binary_cross_entropy_with_logits(
@@ -59,23 +36,6 @@ def binary_cross_entropy_with_logits(
     if reduction == "sum":
         return loss.sum()
     return loss
-
-
-def cross_entropy(logits: Tensor, target_index: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Categorical cross-entropy from logits and integer class labels.
-
-    ``logits`` has shape (N, C); ``target_index`` has shape (N,).
-    """
-    log_probs = F.log_softmax(logits, axis=-1)
-    n = logits.shape[0]
-    one_hot = np.zeros(logits.shape, dtype=np.float32)
-    one_hot[np.arange(n), np.asarray(target_index, dtype=np.int64)] = 1.0
-    picked = -(log_probs * Tensor(one_hot)).sum(axis=-1)
-    if reduction == "mean":
-        return picked.mean()
-    if reduction == "sum":
-        return picked.sum()
-    return picked
 
 
 def focal_loss(

@@ -174,10 +174,6 @@ class Module:
             total += param.size
         return total
 
-    def num_nonzero_parameters(self) -> int:
-        """Number of non-zero parameter entries (post-pruning sparsity accounting)."""
-        return int(sum(np.count_nonzero(p.data) for p in self.parameters()))
-
     def extra_repr(self) -> str:
         return ""
 

@@ -1,4 +1,4 @@
-"""Optimisers and learning-rate schedules for fine-tuning pruned detectors."""
+"""Optimisers for fine-tuning pruned detectors."""
 
 from __future__ import annotations
 
@@ -24,33 +24,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with momentum and weight decay."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.9, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.parameters:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity.get(id(param))
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(param)] = velocity
-                grad = velocity
-            param.data -= self.lr * grad
 
 
 class Adam(Optimizer):
@@ -89,58 +62,3 @@ class Adam(Optimizer):
             v_hat = v / (1 - self.beta2**t)
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-class LRScheduler:
-    """Base learning-rate scheduler mutating ``optimizer.lr``."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr(self.epoch)
-        return self.optimizer.lr
-
-    def get_lr(self, epoch: int) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base LR to ``eta_min`` over ``total_epochs``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        self.total_epochs = int(total_epochs)
-        self.eta_min = float(eta_min)
-
-    def get_lr(self, epoch: int) -> float:
-        progress = min(epoch, self.total_epochs) / max(self.total_epochs, 1)
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + np.cos(np.pi * progress))
-
-
-class WarmupCosineLR(CosineAnnealingLR):
-    """Linear warm-up followed by cosine decay (YOLO-style fine-tuning schedule)."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, warmup_epochs: int = 3,
-                 eta_min: float = 0.0) -> None:
-        super().__init__(optimizer, total_epochs, eta_min)
-        self.warmup_epochs = int(warmup_epochs)
-
-    def get_lr(self, epoch: int) -> float:
-        if epoch <= self.warmup_epochs and self.warmup_epochs > 0:
-            return self.base_lr * epoch / self.warmup_epochs
-        return super().get_lr(epoch - self.warmup_epochs)

@@ -3,8 +3,7 @@
 The R-TOSS framework needs three things from its deep-learning substrate:
 
 1. forward inference of convolutional detectors (to evaluate pruned models),
-2. gradients (to fine-tune pruned models and to drive gradient-based baselines
-   such as SNIP-style and SynFlow pruning),
+2. gradients (to train and fine-tune pruned models),
 3. a computational graph (Algorithm 1 builds parent→child layer groups from it).
 
 ``Tensor`` provides (1) and (2): it wraps a ``numpy.ndarray`` and records, for every
@@ -433,10 +432,3 @@ def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
 def ones(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
 
-
-def randn(shape: Sequence[int], rng: Optional[np.random.Generator] = None,
-          requires_grad: bool = False) -> Tensor:
-    from repro.utils.rng import default_rng
-
-    rng = rng if rng is not None else default_rng()
-    return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=requires_grad)

@@ -16,7 +16,7 @@ Three planes, one package (see docs/observability.md):
   ``chrome://tracing`` trace-event JSON.
 * **Profiling** (:mod:`repro.obs.profiler`) — opt-in per-op timing for the
   fused executor, surfaced through
-  ``CompiledModel.profile()`` and ``repro engine --profile``.
+  ``CompiledModel.profiled()`` and ``repro engine --profile``.
 
 ``repro top`` (:mod:`repro.obs.top`) renders the live ops view on top of the
 registry + Router snapshots.

@@ -1,8 +1,8 @@
 """Per-op engine profiler for the fused executor.
 
-An :class:`EngineProfiler` attaches to a ``FusedProgram`` (program-wide via
-``CompiledModel.enable_profiling`` or per-thread via
-``FusedProgram.profiled``) and aggregates wall time per graph op.  Compiled
+An :class:`EngineProfiler` attaches to one thread's forwards of a
+``FusedProgram`` (``CompiledModel.profiled`` / ``FusedProgram.profiled``) and
+aggregates wall time per graph op.  Compiled
 convolutions additionally split into their pipeline phases — ``gather``
 (im2col column build / pointwise channel take), ``gemm`` (matmul + bias) and
 ``epilogue`` (fused activation) — so a slow layer shows *where* inside the

@@ -128,10 +128,6 @@ class TraceContext:
 
     # -- span recording ------------------------------------------------------
 
-    def begin(self, name: str, **args: Any) -> Span:
-        """Open a span; close it with :meth:`end`."""
-        return Span(name, args=args or None)
-
     def end(self, span: Span) -> Span:
         """Close ``span`` and record it."""
         if span.end is None:

@@ -2,9 +2,8 @@
 
 from repro.pruning.base import Pruner, global_magnitude_threshold, prunable_conv_layers
 from repro.pruning.channel_pruning import NetworkSlimmingPruner, find_conv_bn_pairs
-from repro.pruning.connectivity import connectivity_mask, prune_layer_connectivity
+from repro.pruning.connectivity import connectivity_mask
 from repro.pruning.filter_pruning import FilterPruner
-from repro.pruning.gradient import GradientMagnitudePruner
 from repro.pruning.magnitude import MagnitudePruner
 from repro.pruning.neural_pruning import NeuralPruner
 from repro.pruning.patdnn import PatDNNPruner
@@ -19,25 +18,16 @@ from repro.pruning.registry import (
     paper_suite_entries,
     register_framework,
 )
-from repro.pruning.schedule import (
-    IterationRecord,
-    IterativeSchedule,
-    run_iterative_pruning,
-)
-from repro.pruning.synflow import SynFlowPruner
 
 __all__ = [
     "Pruner", "global_magnitude_threshold", "prunable_conv_layers",
     "NetworkSlimmingPruner", "find_conv_bn_pairs",
-    "connectivity_mask", "prune_layer_connectivity",
+    "connectivity_mask",
     "FilterPruner",
-    "GradientMagnitudePruner",
     "MagnitudePruner",
     "NeuralPruner",
     "PatDNNPruner",
     "FrameworkEntry", "available_frameworks", "build_framework",
     "framework_accepts", "framework_entries", "framework_entry",
     "paper_suite", "paper_suite_entries", "register_framework",
-    "IterationRecord", "IterativeSchedule", "run_iterative_pruning",
-    "SynFlowPruner",
 ]

@@ -1,7 +1,7 @@
 """Shared infrastructure for the baseline pruning frameworks.
 
 Every baseline (PATDNN, SparseML magnitude, Network Slimming, Pruning Filters,
-Neural Pruning, SNIP-style gradient pruning, SynFlow) implements the same
+Neural Pruning) implements the same
 :class:`Pruner` interface as R-TOSS so that the comparison experiments (Figs. 4-7)
 can iterate over frameworks uniformly.
 """
@@ -69,8 +69,3 @@ def global_magnitude_threshold(layers: Dict[str, Conv2d], sparsity: float) -> fl
         return -1.0
     return float(np.quantile(magnitudes, sparsity))
 
-
-def collect_gradients(model: Module, loss: Tensor) -> None:
-    """Backward pass helper for gradient-based pruners (clears old grads first)."""
-    model.zero_grad()
-    loss.backward()

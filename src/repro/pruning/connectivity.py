@@ -10,11 +10,7 @@ connectivity-pruning ablation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-from repro.nn.layers.conv import Conv2d
 
 
 def connectivity_mask(weights: np.ndarray, ratio: float,
@@ -54,8 +50,3 @@ def connectivity_mask(weights: np.ndarray, ratio: float,
             mask[filter_idx, best_kernel] = 1.0
     return mask
 
-
-def prune_layer_connectivity(layer: Conv2d, ratio: float,
-                             protect_last_kernel: bool = False) -> np.ndarray:
-    """Connectivity keep-mask for a convolution layer."""
-    return connectivity_mask(layer.weight.data, ratio, protect_last_kernel)

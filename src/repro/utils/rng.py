@@ -1,7 +1,7 @@
 """Deterministic random number management.
 
 Every stochastic component in the library (weight initialisation, synthetic data
-generation, pattern-selection calibration, augmentation) draws from a
+generation, pattern-selection calibration) draws from a
 ``numpy.random.Generator`` obtained through this module so that experiments are
 reproducible bit-for-bit across runs.
 """

@@ -142,10 +142,11 @@ class TestDFSGrouping:
         assert sorted(members) == sorted(result.conv_layers)
         assert len(members) == len(set(members))
 
-    def test_group_of_lookup(self, tiny_model, tiny_input):
+    def test_every_layer_is_in_its_parents_group(self, tiny_model, tiny_input):
         result = group_model(tiny_model, tiny_input)
-        any_layer = next(iter(result.conv_layers))
-        assert any_layer in result.group_of(any_layer)
+        by_parent = {group.parent: group for group in result.groups}
+        for layer in result.conv_layers:
+            assert layer in by_parent[result.parent_of[layer]]
 
     def test_summary_fields(self, tiny_model, tiny_input):
         summary = group_model(tiny_model, tiny_input).summary()

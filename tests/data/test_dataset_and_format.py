@@ -1,28 +1,9 @@
-"""DataLoader/Dataset views, KITTI label I/O and transforms."""
+"""DataLoader/Dataset views and batching."""
 
-import os
-
-import numpy as np
 import pytest
 
 from repro.data.dataset import Batch, DataLoader, DetectionDataset, collate
-from repro.data.kitti_format import (
-    KittiLabel,
-    class_id_for,
-    read_label_file,
-    scene_to_labels,
-    write_label_file,
-)
-from repro.data.synthetic_kitti import Scene, SceneObject, SyntheticKitti, SyntheticKittiConfig
-from repro.data.transforms import (
-    TrainAugmentation,
-    apply_letterbox_to_boxes,
-    color_jitter,
-    horizontal_flip,
-    letterbox,
-    normalize,
-    resize_nearest,
-)
+from repro.data.synthetic_kitti import SyntheticKitti, SyntheticKittiConfig
 
 
 @pytest.fixture
@@ -36,15 +17,6 @@ class TestDetectionDataset:
         assert len(view) == 3
         assert view[0].image_id == 3
 
-    def test_augmentation_applied(self, dataset):
-        flipped = DetectionDataset(dataset, indices=[0], augmentation=horizontal_flip)
-        plain = DetectionDataset(dataset, indices=[0])
-        assert not np.array_equal(flipped[0].image, plain[0].image)
-
-    def test_ground_truths_cover_all_objects(self, dataset):
-        view = DetectionDataset(dataset, indices=[0, 1])
-        expected = len(dataset[0].objects) + len(dataset[1].objects)
-        assert len(view.ground_truths()) == expected
 
 
 class TestDataLoader:
@@ -53,11 +25,6 @@ class TestDataLoader:
         sizes = [len(batch) for batch in loader]
         assert sum(sizes) == len(dataset)
         assert len(loader) == 3
-
-    def test_drop_last(self, dataset):
-        loader = DataLoader(DetectionDataset(dataset), batch_size=5, drop_last=True)
-        assert len(loader) == 2
-        assert all(len(batch) == 5 for batch in loader)
 
     def test_shuffle_changes_order_but_not_content(self, dataset):
         loader = DataLoader(DetectionDataset(dataset), batch_size=12, shuffle=True, seed=3)
@@ -81,76 +48,3 @@ class TestDataLoader:
         big = SyntheticKitti(1, SyntheticKittiConfig(image_size=96))[0]
         with pytest.raises(ValueError):
             collate([small, big])
-
-
-class TestKittiFormat:
-    def test_label_roundtrip_via_file(self, dataset, tmp_path):
-        scene = dataset[0]
-        labels = scene_to_labels(scene)
-        path = write_label_file(labels, os.path.join(tmp_path, "000000.txt"))
-        parsed = read_label_file(path)
-        assert len(parsed) == len(labels)
-        np.testing.assert_allclose(parsed[0].box, labels[0].box, atol=1e-2)
-        assert parsed[0].object_type == labels[0].object_type
-
-    def test_line_format_has_15_fields(self, dataset):
-        label = scene_to_labels(dataset[0])[0]
-        assert len(label.to_line().split()) == 15
-
-    def test_score_appended_when_present(self):
-        label = KittiLabel("Car", 0.0, 0, 0.0, np.array([0, 0, 10, 10]), score=0.87)
-        assert len(label.to_line().split()) == 16
-
-    def test_malformed_line_raises(self):
-        with pytest.raises(ValueError):
-            KittiLabel.from_line("Car 0.0 0")
-
-    def test_class_id_lookup(self):
-        assert class_id_for("Car") == 0
-        with pytest.raises(KeyError):
-            class_id_for("Spaceship")
-
-
-class TestTransforms:
-    def test_normalize(self, rng):
-        image = rng.random((3, 8, 8)).astype(np.float32)
-        out = normalize(image, mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
-        np.testing.assert_allclose(out, (image - 0.5) / 0.5, rtol=1e-6)
-
-    def test_resize_nearest_shape(self, rng):
-        image = rng.random((3, 20, 30)).astype(np.float32)
-        assert resize_nearest(image, 16).shape == (3, 16, 16)
-
-    def test_letterbox_preserves_aspect(self, rng):
-        image = rng.random((3, 20, 40)).astype(np.float32)
-        padded, scale, (top, left) = letterbox(image, 64)
-        assert padded.shape == (3, 64, 64)
-        assert scale == pytest.approx(64 / 40)
-        assert top > 0 and left == 0
-
-    def test_letterbox_box_mapping(self):
-        boxes = np.array([[10.0, 10.0, 4.0, 4.0]])
-        mapped = apply_letterbox_to_boxes(boxes, scale=2.0, pad=(5, 3))
-        np.testing.assert_allclose(mapped, [[23.0, 25.0, 8.0, 8.0]])
-
-    def test_horizontal_flip_mirrors_boxes(self, dataset):
-        scene = dataset[0]
-        flipped = horizontal_flip(scene)
-        size = scene.image.shape[2]
-        for original, mirrored in zip(scene.objects, flipped.objects):
-            assert mirrored.cx == pytest.approx(size - original.cx)
-            assert mirrored.cy == original.cy
-
-    def test_double_flip_is_identity(self, dataset):
-        scene = dataset[1]
-        twice = horizontal_flip(horizontal_flip(scene))
-        np.testing.assert_allclose(twice.image, scene.image)
-
-    def test_color_jitter_stays_in_range(self, dataset, rng):
-        jittered = color_jitter(dataset[0], rng, strength=0.3)
-        assert jittered.image.min() >= 0.0 and jittered.image.max() <= 1.0
-
-    def test_train_augmentation_deterministic_given_rng(self, dataset):
-        aug_a = TrainAugmentation(rng=np.random.default_rng(0))
-        aug_b = TrainAugmentation(rng=np.random.default_rng(0))
-        np.testing.assert_allclose(aug_a(dataset[0]).image, aug_b(dataset[0]).image)

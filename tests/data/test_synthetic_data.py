@@ -1,11 +1,10 @@
-"""Synthetic KITTI / COCO datasets: determinism, splits, content."""
+"""Synthetic KITTI dataset: determinism, splits, content."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.synthetic_coco import SyntheticCoco
 from repro.data.synthetic_kitti import (
     KITTI_CLASSES,
     SyntheticKitti,
@@ -89,17 +88,6 @@ class TestSyntheticKitti:
         assert scene.image.shape == (3, 48, 48)
         assert len(scene.objects) >= 1
         assert np.isfinite(scene.image).all()
-
-
-class TestSyntheticCoco:
-    def test_more_cluttered_than_kitti_defaults(self):
-        ds = SyntheticCoco(6)
-        counts = [len(scene.objects) for scene in ds]
-        assert max(counts) >= 3
-
-    def test_class_names_subset(self):
-        ds = SyntheticCoco(2)
-        assert len(ds.class_names) == ds.config.num_classes
 
     def test_kitti_class_names_exported(self):
         assert "Car" in KITTI_CLASSES and "Pedestrian" in KITTI_CLASSES

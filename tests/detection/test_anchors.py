@@ -1,4 +1,4 @@
-"""Anchor generation (YOLO grids, RetinaNet pyramid, k-means auto-anchors)."""
+"""Anchor generation (RetinaNet pyramid, k-means auto-anchors)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.detection.anchors import (
     grid_centers,
     kmeans_anchors,
     retinanet_anchors,
-    yolo_anchor_grid,
 )
 
 
@@ -19,18 +18,6 @@ class TestGridCenters:
 
     def test_count(self):
         assert grid_centers(5, 7, 4).shape == (35, 2)
-
-
-class TestYoloAnchors:
-    def test_three_scales(self):
-        grids = yolo_anchor_grid(64)
-        assert len(grids) == 3
-        assert grids[0].shape == ((64 // 8) ** 2 * 3, 4)
-        assert grids[2].shape == ((64 // 32) ** 2 * 3, 4)
-
-    def test_anchor_sizes_attached(self):
-        grids = yolo_anchor_grid(64)
-        assert set(np.unique(grids[0][:, 2])) == {10.0, 16.0, 33.0}
 
 
 class TestRetinaAnchors:

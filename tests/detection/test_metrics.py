@@ -7,7 +7,6 @@ from repro.detection.metrics import (
     Detection,
     GroundTruth,
     average_precision_for_class,
-    coco_map,
     detection_counts,
     mean_average_precision,
 )
@@ -79,20 +78,6 @@ class TestMeanAveragePrecision:
 
     def test_empty_everything(self):
         assert mean_average_precision([], [], 3)["mAP"] == 0.0
-
-
-class TestCocoMap:
-    def test_contains_expected_keys(self):
-        gts = [_gt([0, 0, 10, 10])]
-        dets = [_det([0, 0, 10, 10], 0.9)]
-        result = coco_map(dets, gts, num_classes=1)
-        assert {"mAP@0.5", "mAP@0.75", "mAP@[.5:.95]"} <= set(result)
-
-    def test_coco_map_le_map50(self):
-        gts = [_gt([0, 0, 10, 10])]
-        dets = [_det([1, 1, 11, 11], 0.9)]
-        result = coco_map(dets, gts, num_classes=1)
-        assert result["mAP@[.5:.95]"] <= result["mAP@0.5"] + 1e-6
 
 
 class TestDetectionCounts:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.detection.nms import batched_nms, nms, soft_nms
+from repro.detection.nms import batched_nms, nms
 
 
 def _boxes():
@@ -47,20 +47,3 @@ class TestBatchedNMS:
 
     def test_empty(self):
         assert batched_nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0)).shape == (0,)
-
-
-class TestSoftNMS:
-    def test_decays_instead_of_removes(self):
-        keep, scores = soft_nms(_boxes(), np.array([0.9, 0.85, 0.7]), score_threshold=0.0)
-        assert len(keep) == 3
-        # The overlapping second box gets a decayed score below its original value.
-        decayed = dict(zip(keep.tolist(), scores.tolist()))
-        assert decayed[1] < 0.85
-
-    def test_score_threshold_drops_tail(self):
-        keep, _ = soft_nms(_boxes(), np.array([0.9, 0.85, 0.01]), score_threshold=0.05)
-        assert 2 not in keep
-
-    def test_empty(self):
-        keep, scores = soft_nms(np.zeros((0, 4)), np.zeros(0))
-        assert keep.shape == (0,) and scores.shape == (0,)

@@ -2,9 +2,7 @@
 
 import numpy as np
 
-from repro.detection.postprocess import decode_retinanet, decode_yolo_single_scale
-from repro.detection.anchors import retinanet_anchors
-from repro.detection.boxes import encode_boxes
+from repro.detection.postprocess import decode_yolo_single_scale
 
 ANCHORS = np.array([[12, 12], [30, 30], [50, 40]], dtype=np.float32)
 
@@ -57,27 +55,3 @@ class TestDecodeYolo:
         pred = np.concatenate([_raw_prediction(), _raw_prediction()], axis=0)
         out = decode_yolo_single_scale(pred, ANCHORS, 64, 3)
         assert len(out) == 2
-
-
-class TestDecodeRetinanet:
-    def test_decodes_encoded_ground_truth(self):
-        anchors = retinanet_anchors(64)
-        gt = np.array([[8.0, 8.0, 40.0, 40.0]], dtype=np.float32)
-        # Find the anchor with best IoU and give it a confident class score.
-        from repro.detection.boxes import iou_matrix
-        best = int(iou_matrix(anchors, gt)[:, 0].argmax())
-        logits = np.full((1, anchors.shape[0], 3), -12.0, dtype=np.float32)
-        logits[0, best, 1] = 10.0
-        deltas = np.zeros((1, anchors.shape[0], 4), dtype=np.float32)
-        deltas[0, best] = encode_boxes(gt, anchors[best:best + 1])[0]
-        out = decode_retinanet(logits, deltas, anchors, 64, conf_threshold=0.3)
-        assert len(out[0]) == 1
-        det = out[0][0]
-        assert det.class_id == 1
-        np.testing.assert_allclose(det.box, gt[0], atol=1.0)
-
-    def test_empty_when_all_low(self):
-        anchors = retinanet_anchors(64)
-        logits = np.full((1, anchors.shape[0], 3), -12.0, dtype=np.float32)
-        deltas = np.zeros((1, anchors.shape[0], 4), dtype=np.float32)
-        assert decode_retinanet(logits, deltas, anchors, 64)[0] == []

@@ -27,7 +27,7 @@ from repro.engine import (
 from repro.engine.runner import map_structure
 from repro.models.registry import available_models, build_model
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
-from repro.nn.layers.conv import Conv2d, DepthwiseConv2d
+from repro.nn.layers.conv import Conv2d
 from repro.nn.module import Sequential
 from repro.nn.tensor import Tensor
 
@@ -109,12 +109,6 @@ def test_rectangular_kernel_equivalence(rng):
     x = rng.standard_normal((2, 4, 9, 9)).astype(np.float32)
     np.testing.assert_allclose(_compiled_forward(layer, x), _dense_forward(layer, x),
                                atol=TOL, rtol=0)
-
-
-def test_grouped_conv_refuses_compilation():
-    layer = DepthwiseConv2d(6, kernel_size=3)
-    with pytest.raises(ValueError, match="grouped"):
-        compile_conv_plan(layer, "dw")
 
 
 @pytest.mark.parametrize("entries", [2, 3, 4, 5])

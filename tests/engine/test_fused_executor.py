@@ -22,7 +22,7 @@ from repro.engine.native import sparse_kernel_available
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.nn import functional as F
 from repro.nn.layers.activation import build_activation
-from repro.nn.layers.conv import Conv2d, DepthwiseConv2d
+from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.module import Module, Sequential
 from repro.nn.tensor import Tensor
@@ -117,28 +117,6 @@ def test_leaky_relu_slope_variants(slope, rng):
         assert not any("+leaky_relu" in mode for mode in modes), modes
 
 
-@pytest.mark.parametrize("act", ["silu", "relu", None])
-def test_depthwise_conv_bn_act_falls_back_per_layer(act, rng):
-    """Grouped convs replay their module; BN/act around them still run raw."""
-    layers = [DepthwiseConv2d(5, kernel_size=3, rng=np.random.default_rng(1)),
-              BatchNorm2d(5)]
-    layers[1].running_mean[...] = rng.standard_normal(5).astype(np.float32)
-    layers[1].running_var[...] = (0.5 + rng.random(5)).astype(np.float32)
-    if act is not None:
-        layers.append(build_activation(act))
-    model = Sequential(*layers)
-    model.eval()
-
-    x = rng.standard_normal((2, 5, 9, 9)).astype(np.float32)
-    dense = model(Tensor(x)).data.copy()
-
-    compiled = compile_model(model)
-    assert compiled.fallback_layers  # the depthwise conv has no plan
-    fused = compiled.forward_raw(x)
-    assert compiled.fused_active, compiled.fuse_failure
-    np.testing.assert_allclose(fused, dense, atol=TOL, rtol=0)
-
-
 def test_glue_ops_slicing_concat_pool_upsample(rng):
     """Focus-style slicing, concat, maxpool and upsample all trace and replay."""
     from repro.nn.layers.pooling import MaxPool2d
@@ -225,7 +203,8 @@ def test_pruned_detector_plans_skip_masked_taps():
     compiled.forward_raw(np.zeros((1, 3, 96, 96), dtype=np.float32))
     summary = compiled.summary()
     assert compiled.kept_columns() <= compiled.total_columns()
-    assert not compiled.fallback_layers and len(summary) == compiled.num_compiled_layers
+    convs = [name for name, module in model.named_modules() if isinstance(module, Conv2d)]
+    assert list(compiled.plans) == convs and len(summary) == len(convs)
     assert [row["density"] for row in summary] == [
         round(plan.density, 4) for plan in compiled.plans.values()]
     assert all(row["density"] <= 0.5 for row in summary), (

@@ -92,4 +92,4 @@ class TestInit:
 
     def test_dtype_is_float32(self):
         assert init.kaiming_normal((4, 4)).dtype == np.float32
-        assert init.xavier_normal((4, 4)).dtype == np.float32
+        assert init.xavier_uniform((4, 4)).dtype == np.float32

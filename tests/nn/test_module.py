@@ -142,8 +142,3 @@ class TestParameter:
     def test_parameter_requires_grad_by_default(self):
         p = Parameter(np.zeros(3))
         assert p.requires_grad
-
-    def test_nonzero_count(self):
-        net = SmallNet()
-        net.conv.weight.data[...] = 0
-        assert net.num_nonzero_parameters() < net.num_parameters()

@@ -1,10 +1,10 @@
-"""Optimisers and LR schedules."""
+"""Optimisers."""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StepLR, WarmupCosineLR
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
 
@@ -14,43 +14,6 @@ def _quadratic_step(param):
     param.grad = None
     loss.backward()
     return float(loss.data)
-
-
-class TestSGD:
-    def test_minimises_quadratic(self):
-        p = Parameter(np.array([5.0, -3.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1, momentum=0.0)
-        first = _quadratic_step(p)
-        for _ in range(50):
-            _quadratic_step(p)
-            opt.step()
-        assert (p.data**2).sum() < 1e-2 < first
-
-    def test_momentum_accelerates(self):
-        p_plain = Parameter(np.array([5.0], dtype=np.float32))
-        p_momentum = Parameter(np.array([5.0], dtype=np.float32))
-        plain = SGD([p_plain], lr=0.02, momentum=0.0)
-        momentum = SGD([p_momentum], lr=0.02, momentum=0.9)
-        for _ in range(20):
-            _quadratic_step(p_plain); plain.step()
-            _quadratic_step(p_momentum); momentum.step()
-        assert abs(p_momentum.data[0]) < abs(p_plain.data[0])
-
-    def test_weight_decay_shrinks_without_gradient_signal(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1, momentum=0.0, weight_decay=0.5)
-        p.grad = np.zeros(1, dtype=np.float32)
-        opt.step()
-        assert p.data[0] < 1.0
-
-    def test_skips_parameters_without_gradients(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        SGD([p], lr=0.1).step()
-        assert p.data[0] == 1.0
-
-    def test_empty_parameter_list_raises(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -71,32 +34,11 @@ class TestAdam:
         assert abs(p.data[0] - before[0]) < 0.11
 
 
-class TestSchedulers:
-    def _opt(self):
-        return SGD([Parameter(np.zeros(1, dtype=np.float32))], lr=1.0)
+    def test_skips_parameters_without_gradients(self):
+        p = Parameter(np.array([1.0], dtype=np.float32))
+        Adam([p], lr=0.1).step()
+        assert p.data[0] == 1.0
 
-    def test_step_lr_decays(self):
-        opt = self._opt()
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs[0] == 1.0 and abs(lrs[1] - 0.1) < 1e-9 and abs(lrs[3] - 0.01) < 1e-9
-
-    def test_cosine_reaches_eta_min(self):
-        opt = self._opt()
-        sched = CosineAnnealingLR(opt, total_epochs=10, eta_min=0.05)
-        for _ in range(10):
-            last = sched.step()
-        assert abs(last - 0.05) < 1e-6
-
-    def test_cosine_monotone_decreasing(self):
-        opt = self._opt()
-        sched = CosineAnnealingLR(opt, total_epochs=8)
-        lrs = [sched.step() for _ in range(8)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_warmup_then_decay(self):
-        opt = self._opt()
-        sched = WarmupCosineLR(opt, total_epochs=10, warmup_epochs=3)
-        lrs = [sched.step() for _ in range(6)]
-        assert lrs[0] < lrs[1] < lrs[2]          # warm-up ramps up
-        assert lrs[3] >= lrs[4] >= lrs[5]        # cosine decays afterwards
+    def test_empty_parameter_list_raises(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)

@@ -36,9 +36,9 @@ class TestTraceContext:
         recorded = trace.record("phase", 0.0)
         assert recorded.closed and recorded.end > 0.0
 
-    def test_begin_end_scope(self):
+    def test_end_closes_and_records_an_open_span(self):
         trace = TraceContext(buffered=False)
-        opened = trace.begin("work")
+        opened = Span("work")
         assert not opened.closed
         trace.end(opened)
         assert opened.closed and trace.spans == [opened]
@@ -160,7 +160,7 @@ class TestBufferAndExport:
         buffer = TraceBuffer()
         trace = TraceContext(buffered=False)
         trace.record("worker-execute", 1.0, end=1.5, batch=2)
-        open_span = trace.begin("never-closed")
+        open_span = Span("never-closed")
         trace.spans.append(open_span)  # unclosed spans must be skipped
         buffer.push(trace)
         doc = buffer.to_chrome()

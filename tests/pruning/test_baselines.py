@@ -1,4 +1,4 @@
-"""Baseline pruning frameworks: PD, NMS, NS, PF, NP, SNIP, SynFlow, schedules."""
+"""Baseline pruning frameworks: PD, NMS, NS, PF, NP."""
 
 import numpy as np
 import pytest
@@ -8,17 +8,13 @@ from repro.nn.layers.conv import Conv2d
 from repro.nn.tensor import Tensor
 from repro.pruning import (
     FilterPruner,
-    GradientMagnitudePruner,
-    IterativeSchedule,
     MagnitudePruner,
     NetworkSlimmingPruner,
     NeuralPruner,
     PatDNNPruner,
-    SynFlowPruner,
     connectivity_mask,
     find_conv_bn_pairs,
     prunable_conv_layers,
-    run_iterative_pruning,
 )
 
 
@@ -122,11 +118,11 @@ class TestPatDNN:
     def test_connectivity_increases_sparsity(self):
         base = PatDNNPruner(connectivity_ratio=0.0).prune(_tiny())
         with_conn = PatDNNPruner(connectivity_ratio=0.4).prune(_tiny())
-        assert with_conn.conv_sparsity() > base.conv_sparsity()
+        assert with_conn.masks.overall_sparsity() > base.masks.overall_sparsity()
 
     def test_4ep_pattern_density_without_connectivity(self):
         report = PatDNNPruner(connectivity_ratio=0.0).prune(_tiny())
-        assert report.conv_sparsity() == pytest.approx(1 - 4 / 9, abs=0.02)
+        assert report.masks.overall_sparsity() == pytest.approx(1 - 4 / 9, abs=0.02)
 
     def test_library_is_4_entry(self):
         assert PatDNNPruner().library.entries == 4
@@ -150,63 +146,3 @@ class TestConnectivityMask:
         mask = connectivity_mask(weights, ratio=0.9, protect_last_kernel=True)
         per_filter = mask.reshape(2, 2, -1).sum(axis=(1, 2))
         assert np.all(per_filter > 0)
-
-
-class TestGradientAndSynFlow:
-    def test_snip_prunes_low_saliency(self):
-        model = _tiny()
-        batch = Tensor(np.random.default_rng(0).standard_normal(
-            (2, 3, 64, 64)).astype(np.float32))
-
-        def loss_fn(m):
-            out = m(batch)
-            return (out * out).mean()
-
-        report = GradientMagnitudePruner(loss_fn, sparsity=0.5).prune(model)
-        assert report.masks.overall_sparsity() == pytest.approx(0.5, abs=0.1)
-
-    def test_synflow_reaches_target(self):
-        model = _tiny()
-        report = SynFlowPruner(sparsity=0.5, iterations=3,
-                               input_shape=(1, 3, 64, 64)).prune(model)
-        assert report.masks.overall_sparsity() == pytest.approx(0.5, abs=0.12)
-
-    def test_synflow_restores_weights(self):
-        model = _tiny()
-        before = model.stem.conv.weight.data.copy()
-        report = SynFlowPruner(sparsity=0.3, iterations=2,
-                               input_shape=(1, 3, 64, 64)).prune(model)
-        after = model.stem.conv.weight.data
-        # Surviving weights keep their original (signed) values.
-        kept = after != 0
-        np.testing.assert_allclose(after[kept], before[kept], rtol=1e-5)
-
-
-class TestIterativeSchedule:
-    def test_schedule_monotone(self):
-        schedule = IterativeSchedule(final_sparsity=0.7, num_iterations=4, start_sparsity=0.1)
-        values = [schedule.sparsity_at(i) for i in range(4)]
-        assert values[0] == pytest.approx(0.1)
-        assert values[-1] == pytest.approx(0.7)
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_invalid_schedule(self):
-        with pytest.raises(ValueError):
-            IterativeSchedule(final_sparsity=1.5)
-
-    def test_run_iterative_pruning_records(self):
-        model = _tiny()
-        schedule = IterativeSchedule(final_sparsity=0.6, num_iterations=3)
-        finetune_calls = []
-
-        def finetune(m, masks, iteration):
-            finetune_calls.append(iteration)
-            return float(iteration)
-
-        records = run_iterative_pruning(
-            model, lambda s: MagnitudePruner(sparsity=s), schedule,
-            finetune=finetune, model_name="tiny",
-        )
-        assert len(records) == 3
-        assert finetune_calls == [0, 1, 2]
-        assert records[-1].achieved_sparsity >= records[0].achieved_sparsity

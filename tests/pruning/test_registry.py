@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.evaluation.comparison import PAPER_FRAMEWORK_ORDER, default_framework_suite
+from repro.evaluation.comparison import default_framework_suite
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.pruning.registry import (
     available_frameworks,
@@ -80,7 +80,8 @@ class TestFactoryOverrides:
 
 class TestPaperSuite:
     def test_matches_paper_order(self):
-        assert tuple(paper_suite()) == PAPER_FRAMEWORK_ORDER[1:]  # minus "BM"
+        # Figs. 4-7 order, after the base model (BM).
+        assert tuple(paper_suite()) == ("PD", "NMS", "NS", "PF", "NP", "R-TOSS-3EP", "R-TOSS-2EP")
 
     def test_default_framework_suite_delegates_to_registry(self):
         suite = default_framework_suite()

@@ -1,29 +1,36 @@
 """The dependency surface: numpy is the only third-party distribution the library
-imports, and the only one ``requirements.txt`` and ``setup.py`` declare."""
+imports, and the only one ``requirements.txt`` and ``setup.py`` declare; and every
+name a module exports in ``__all__`` exists, so ``from repro.x import *`` works."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
-# Imports every module under ``repro`` and prints the distributions that adds to
-# the ones already loaded by the interpreter and this probe.
+# Imports every module under ``repro`` and prints, as JSON, the distributions
+# that adds to the ones already loaded by the interpreter and this probe, and
+# the ``__all__`` entries that name nothing in their module.
 PROBE = """
-import importlib, importlib.metadata, pkgutil, sys
+import importlib, importlib.metadata, json, pkgutil, sys
 owners = importlib.metadata.packages_distributions()
 def loaded():
     return {d for name in list(sys.modules) for d in owners.get(name.partition(".")[0], ())}
 before = loaded()
 import repro
-for info in pkgutil.walk_packages(repro.__path__, "repro."):
-    importlib.import_module(info.name)
-print(sorted(loaded() - before))
+modules = [repro] + [importlib.import_module(info.name)
+                     for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+unresolved = [f"{module.__name__}.{name}" for module in modules
+              for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+print(json.dumps({"added": sorted(loaded() - before), "unresolved": unresolved}))
 """
 
 
@@ -31,11 +38,16 @@ def _name(requirement: str) -> str:
     return re.split(r"[<>=!~;\[ ]", requirement.strip(), maxsplit=1)[0].lower()
 
 
-def test_numpy_is_the_only_runtime_dependency():
+@pytest.fixture(scope="module")
+def probe():
     pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     completed = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
                                check=True, env={**os.environ, "PYTHONPATH": pythonpath})
-    assert completed.stdout.strip() == "['numpy']"
+    return json.loads(completed.stdout)
+
+
+def test_numpy_is_the_only_runtime_dependency(probe):
+    assert probe["added"] == ["numpy"]
 
     requirements = [line for line in (REPO / "requirements.txt").read_text().splitlines()
                     if line.strip() and not line.lstrip().startswith("#")]
@@ -46,3 +58,7 @@ def test_numpy_is_the_only_runtime_dependency():
     install_requires = next(ast.literal_eval(keyword.value) for keyword in setup_call.keywords
                             if keyword.arg == "install_requires")
     assert [_name(requirement) for requirement in install_requires] == ["numpy"]
+
+
+def test_every_all_entry_names_something_in_its_module(probe):
+    assert probe["unresolved"] == []

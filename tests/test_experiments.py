@@ -124,5 +124,15 @@ class TestTinyTrainingPipeline:
         assert outcome.framework == "R-TOSS-3EP"
         assert outcome.report.overall_sparsity > 0.3
         assert 0.0 <= outcome.map_after_finetune <= 1.0
+        # The outcome carries the pruned, fine-tuned model its mAP measured:
+        # the masks hold on it, and fine-tuning moved the weights they keep.
+        trained = dict(training.model.named_modules())
+        for name, module in outcome.model.named_modules():
+            mask = getattr(module, "pruning_masks", {}).get("weight")
+            if mask is not None:
+                assert np.all(module.weight.data[mask == 0] == 0), name
+                assert not np.array_equal(module.weight.data,
+                                          trained[name].weight.data * mask), name
+        assert evaluate_tiny_map(training, outcome.model)["mAP"] == outcome.map_after_finetune
         # The original trained model is untouched by the prune-and-finetune run.
         assert evaluate_tiny_map(training)["mAP"] == pytest.approx(baseline, abs=1e-9)

@@ -59,8 +59,11 @@ class TestPrunedModelPersistence:
         restored = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64,
                                                    base_channels=8))
         restored.load_state_dict(load_state_dict(path))
-        original_nonzero = model.num_nonzero_parameters()
-        assert restored.num_nonzero_parameters() == original_nonzero
+        def nonzero(net):
+            return sum(int(np.count_nonzero(p.data)) for p in net.parameters())
+
+        original_nonzero = nonzero(model)
+        assert nonzero(restored) == original_nonzero
         assert original_nonzero < model.num_parameters()
 
 
@@ -80,8 +83,8 @@ class TestYolov5nEndToEnd:
         assert pruned_latency.total_seconds < dense_latency.total_seconds
         assert report.compression_ratio > 3.0
 
-    def test_masks_survive_an_sgd_step(self):
-        from repro.nn.optim import SGD
+    def test_masks_survive_an_adam_step(self):
+        from repro.nn.optim import Adam
         model = yolov5n(num_classes=3)
         example = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
         report = RTOSSPruner(RTOSSConfig(entries=3)).prune(model, example, "yolov5n")
@@ -91,7 +94,7 @@ class TestYolov5nEndToEnd:
         outputs = model(rng_input)
         loss = sum((o * o).mean() for o in outputs)
         loss.backward()
-        SGD(model.parameters(), lr=0.01).step()
+        Adam(model.parameters(), lr=0.01).step()
         report.masks.reapply(model)
 
         for name, module in model.named_modules():

@@ -126,10 +126,14 @@ class TestCLI:
     def test_engine_command(self, capsys):
         code = cli_main(["engine", "--model", "tiny", "--framework", "rtoss-2ep",
                          "--image-size", "64", "--batch", "1", "--repeats", "1",
-                         "--plans"])
+                         "--plans", "--profile"])
         assert code == 0
         out = capsys.readouterr().out
         assert "measured on host CPU" in out
         assert "Compiled layer plans" in out
+        # The per-op profile: a conv row carries its gather/gemm/epilogue split.
+        profile = out[out.index("Engine profile — tiny (fused mode"):out.index("Compiled layer plans")]
+        assert "phases_ms" in profile
+        assert any(" | conv " in line and "gemm=" in line for line in profile.splitlines())
         assert "measured_ms" in out      # the latency-model "measured" column
         assert "OK" in out
