@@ -522,6 +522,9 @@ class WorkerProcess:
                     raise TimeoutError(f"timed out waiting for space on worker {self.worker_id}")
                 if not self._accepting:
                     raise WorkerUnavailableError(f"worker {self.worker_id} died while waiting")
+                if request.deadline is not None and request.deadline <= time.perf_counter():
+                    raise DeadlineExceededError(
+                        f"deadline expired waiting for space on worker {self.worker_id}")
             room = self.policy.queue_capacity - len(self._outstanding)
             if room < request.count:
                 request, rest = request.part(0, room), request.part(room, request.count)

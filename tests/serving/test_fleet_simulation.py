@@ -36,7 +36,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.serving.batcher as batcher_module
@@ -657,6 +657,10 @@ def test_every_admitted_image_resolves_exactly_once(schedule):
 
 @PROPERTY
 @given(schedules)
+# A re-dispatched burst waits for space on a slow worker past its deadline: the
+# part that found no room must fail on its own, not the whole record again.
+@example(schedule=(2, [("swap",), ("hang", 0), ("slow", 1, 4.0), ("poison", 1),
+                       ("submit", 25, "high", 3000.0)], None))
 def test_the_ledger_equals_the_schedules_ground_truth(schedule):
     """``submitted == completed + failed`` per image (a failed N-image run is
     N failures, a router-side failure is a failure), and ``restarts`` /
