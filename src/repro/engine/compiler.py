@@ -41,6 +41,12 @@ logger = get_logger("engine.compiler")
 _ENGINE_SERIAL = itertools.count(1)
 
 
+class _ProfilerSlot(threading.local):
+    """This thread's profiler while a ``CompiledModel.profiled()`` block is open."""
+
+    profiler = None
+
+
 class CompiledModel:
     """A model paired with its pattern-aware execution engine.
 
@@ -88,6 +94,7 @@ class CompiledModel:
         self._fused_program = None
         self._fuse_failed: Optional[str] = None
         self._fuse_lock = threading.Lock()
+        self._tls = _ProfilerSlot()
         self._engine_label = f"{type(model).__name__}#{next(_ENGINE_SERIAL)}"
         # Publish arena/engine-mode counters into the process metrics registry
         # (weak collector: this engine's series vanish when it is collected).
@@ -189,19 +196,21 @@ class CompiledModel:
         same engine each get their own attribution.  Its
         :meth:`~repro.obs.EngineProfiler.report` is the per-op table: each op
         row carries calls/total/mean/share and, for compiled convs, the
-        ``phases_ms`` gather/gemm/epilogue split.  The dense forward of an
-        untraceable model has no per-op attribution.
+        ``phases_ms`` gather/gemm/epilogue split.  The profiler binds to the
+        fused program each forward in the block runs, so a block around the
+        first forward (which traces) or around a :meth:`refresh` still counts
+        every forward.  The dense forward of an untraceable model has no
+        per-op attribution.
         """
         from repro.obs.profiler import EngineProfiler
 
         profiler = EngineProfiler()
-        with self._fuse_lock:
-            program = self._fused_program
-        if program is None:
+        outer = self._tls.profiler
+        self._tls.profiler = profiler
+        try:
             yield profiler
-        else:
-            with program.profiled(profiler):
-                yield profiler
+        finally:
+            self._tls.profiler = outer
 
     def collect_metrics(self):
         """Obs-registry collector: arena counters + engine mode gauge."""
@@ -242,7 +251,11 @@ class CompiledModel:
         with no_grad():
             program = self._float_program(data)
             if program is not None:
-                return program.run(data)
+                profiler = self._tls.profiler
+                if profiler is None:
+                    return program.run(data)
+                with program.profiled(profiler):
+                    return program.run(data)
             from repro.engine.runner import _to_numpy
 
             return _to_numpy(self.model(Tensor(data)))

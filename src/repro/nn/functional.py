@@ -345,6 +345,7 @@ def max_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = 
     ph, pw = _pair(padding)
 
     n, c, h, w = x.shape
+    out_h, out_w = _output_hw("max_pool2d", x.shape, (kh, kw), (sh, sw), (ph, pw))
     data = x.data
     if ph or pw:
         data = np.pad(
@@ -352,8 +353,6 @@ def max_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = 
             constant_values=-np.inf,
         )
     hp, wp = data.shape[2], data.shape[3]
-    out_h = (hp - kh) // sh + 1
-    out_w = (wp - kw) // sw + 1
 
     # Build windows via as_strided for speed; copy to avoid aliasing surprises.
     strides = data.strides

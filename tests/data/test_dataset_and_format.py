@@ -39,6 +39,25 @@ class TestDataLoader:
         assert batch.images.shape == (4, 3, 48, 48)
         assert len(batch.boxes) == len(batch.class_ids) == 4
 
+    @pytest.mark.parametrize("size,batch_size", [(12, 5), (12, 4), (12, 12), (12, 13), (7, 1)])
+    def test_len_counts_the_batches_it_yields_short_tail_last(self, size, batch_size):
+        """Every scene is served once, in order, and a short tail is its own batch."""
+        loader = DataLoader(DetectionDataset(SyntheticKitti(size, SyntheticKittiConfig(
+            image_size=32))), batch_size=batch_size)
+        batches = list(loader)
+        assert len(batches) == len(loader)
+        assert [len(batch) for batch in batches[:-1]] == [batch_size] * (len(batches) - 1)
+        assert len(batches[-1]) == size - batch_size * (len(batches) - 1)
+        assert [i for batch in batches for i in batch.image_ids] == list(range(size))
+
+    def test_a_subset_view_batches_its_own_scenes(self, dataset):
+        view = DetectionDataset(dataset, indices=[9, 2, 4])
+        batch = next(iter(DataLoader(view, batch_size=3)))
+        assert batch.image_ids == [9, 2, 4]
+        for image, boxes, scene in zip(batch.images, batch.boxes, (dataset[i] for i in (9, 2, 4))):
+            assert (image == scene.image).all()
+            assert (boxes == scene.boxes_cxcywh).all()
+
     def test_invalid_batch_size(self, dataset):
         with pytest.raises(ValueError):
             DataLoader(DetectionDataset(dataset), batch_size=0)

@@ -92,6 +92,30 @@ def test_dense_unpruned_layer_equivalence(rng):
                                atol=TOL, rtol=0)
 
 
+@pytest.mark.parametrize("kernel,stride,padding,hw", [
+    (3, 1, 1, (8, 8)),
+    (3, 2, 1, (9, 12)),
+    (1, 2, 0, (11, 14)),
+    ((3, 1), (2, 1), (1, 0), (7, 5)),
+    (6, 2, 2, (64, 64)),
+    (5, 1, 0, (4, 4)),
+])
+def test_plan_output_size_is_the_autograd_conv_output_size(kernel, stride, padding, hw):
+    """The size a plan stages its buffers for is the size the dense conv
+    returns, and both refuse the same empty output."""
+    layer = Conv2d(2, 3, kernel_size=kernel, stride=stride, padding=padding,
+                   rng=np.random.default_rng(0))
+    plan = compile_conv_plan(layer, "geometry")
+    x = Tensor(np.zeros((1, 2, *hw), dtype=np.float32))
+    try:
+        expected = layer(x).shape[2:]
+    except ValueError:
+        with pytest.raises(ValueError, match="output would be empty"):
+            plan.output_hw(*hw)
+        return
+    assert plan.output_hw(*hw) == expected
+
+
 def test_fully_pruned_layer_outputs_bias(rng):
     layer = Conv2d(3, 5, kernel_size=3, bias=True, rng=np.random.default_rng(5))
     layer.weight.data[...] = 0.0

@@ -577,3 +577,56 @@ def test_artifact_save_load_refusion_round_trip(tmp_path):
     reloaded = restored.forward_raw(x)
     assert restored.compiled.fused_active, restored.compiled.fuse_failure
     np.testing.assert_allclose(reloaded, original, atol=TOL, rtol=0)
+
+
+# -------------------------------------------------------------------- profiling
+def test_a_profiled_block_counts_the_forward_that_traces(rng):
+    """The profiler binds per forward, so a block opened before the first
+    forward (which traces and fuses the program) still reports it."""
+    model, report = _pruned_tiny()
+    compiled = compile_model(model, report.masks)
+    x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
+    assert not compiled.fused_active
+    with compiled.profiled() as profiler:
+        compiled.forward_raw(x)
+        compiled.forward_raw(x)
+    assert compiled.fused_active
+    profile = profiler.report()
+    assert profile["runs"] == 2
+    assert any(row["kind"] == "conv" and row["calls"] == 2 for row in profile["ops"])
+
+
+def test_a_profiled_block_spans_a_refresh(rng):
+    """``refresh`` drops the fused program; the forward after it re-traces a
+    new one, and the open block keeps counting on the new program."""
+    model, report = _pruned_tiny()
+    compiled = compile_model(model, report.masks)
+    x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
+    compiled.forward_raw(x)
+    with compiled.profiled() as profiler:
+        compiled.forward_raw(x)
+        compiled.refresh()
+        compiled.forward_raw(x)
+    assert profiler.report()["runs"] == 2
+
+
+def test_nested_profiled_blocks_and_other_threads_keep_their_own_forwards(rng):
+    """An inner block takes the forwards run inside it and hands the slot back
+    to the outer one; a forward on another thread lands in neither."""
+    model, report = _pruned_tiny()
+    compiled = compile_model(model, report.masks)
+    x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
+    compiled.forward_raw(x)
+    with compiled.profiled() as outer:
+        compiled.forward_raw(x)
+        with compiled.profiled() as inner:
+            compiled.forward_raw(x)
+            worker = threading.Thread(target=compiled.forward_raw, args=(x,))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        compiled.forward_raw(x)
+    assert outer.report()["runs"] == 2
+    assert inner.report()["runs"] == 1
+    compiled.forward_raw(x)
+    assert outer.report()["runs"] == 2

@@ -69,6 +69,13 @@ class TestConvForward:
         with pytest.raises(ValueError, match=message):
             F.conv2d(x, w, stride=1, padding=1)
 
+    def test_empty_pool_output_error_names_the_pool(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
+        message = (r"max_pool2d output would be empty for input \(1, 2, 3, 3\), "
+                   r"kernel \(7, 7\), stride \(1, 1\), padding \(1, 1\)")
+        with pytest.raises(ValueError, match=message):
+            F.max_pool2d(x, 7, stride=1, padding=1)
+
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 4, 4)).astype(np.float32))
         w = Tensor(rng.standard_normal((2, 4, 3, 3)).astype(np.float32))

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -88,6 +89,40 @@ class TestPooling:
         x = Tensor(rng.standard_normal((1, 2, 8, 8)).astype(np.float32))
         out = F.max_pool2d(x, 5, stride=1, padding=2)
         assert out.shape == (1, 2, 8, 8)
+
+    @pytest.mark.parametrize("shape,kernel,stride,padding", [
+        ((1, 1, 4, 4), 2, None, 0),
+        ((2, 3, 5, 7), 3, 2, 1),
+        ((1, 2, 6, 6), 3, 1, 1),
+        ((1, 1, 7, 5), (3, 2), (2, 1), (1, 0)),
+        ((1, 2, 5, 5), 5, 1, 2),
+        ((1, 1, 9, 9), 5, 3, 0),
+        ((1, 1, 3, 3), 3, 1, 1),
+    ])
+    def test_max_pool_matches_the_window_loop(self, rng, shape, kernel, stride, padding):
+        """Forward: the max of each window, padding never winning.  Backward: each
+        window's gradient goes to its (first) max, summed where windows overlap."""
+        kh, kw = F._pair(kernel)
+        sh, sw = F._pair(stride if stride is not None else kernel)
+        ph, pw = F._pair(padding)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        out = F.max_pool2d(x, kernel, stride=stride, padding=padding)
+        upstream = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(upstream)
+
+        padded = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+        out_h = (shape[2] + 2 * ph - kh) // sh + 1
+        out_w = (shape[3] + 2 * pw - kw) // sw + 1
+        expected = np.empty(shape[:2] + (out_h, out_w), dtype=np.float32)
+        grad = np.zeros(padded.shape, dtype=np.float64)
+        for n, c, i, j in np.ndindex(*expected.shape):
+            window = padded[n, c, i * sh:i * sh + kh, j * sw:j * sw + kw]
+            dy, dx = np.unravel_index(np.argmax(window), window.shape)
+            expected[n, c, i, j] = window[dy, dx]
+            grad[n, c, i * sh + dy, j * sw + dx] += upstream[n, c, i, j]
+        assert np.array_equal(out.data, expected)
+        np.testing.assert_allclose(x.grad, grad[:, :, ph:ph + shape[2], pw:pw + shape[3]],
+                                   rtol=1e-6, atol=1e-6)
 
 
 
