@@ -4,7 +4,8 @@ The pruning side of the repo decides *what* to prune (``repro.core``); this
 package makes pruning pay off at inference time on the host CPU:
 
 * :mod:`repro.engine.plan` — compile step: lower each pruned convolution to
-  its masked ``(O, I*kh*kw)`` weight matrix, with the direct kernel's CSR and
+  its masked weights in one form — CSR for a sparse layer, the full-width
+  ``(O, I*kh*kw)`` matrix for a denser one — with the direct kernel's
   per-shape layouts cached per (layer, input shape),
 * :mod:`repro.engine.compiler` — :func:`compile_model` builds the plans;
   :meth:`CompiledModel.forward_raw` is the one no-grad inference path (the

@@ -118,10 +118,11 @@ class CompiledModel:
     def refresh(self) -> None:
         """Re-sync plans with the model's current weights and keep-masks.
 
-        Every plan re-packs its matrix (:meth:`ConvPlan.refresh_weights`), so
-        changed weight values and a changed mask (e.g. after re-pruning) are
-        both picked up.  The fused program holds folded copies of weights and
-        BN statistics, so it is dropped and lazily re-traced on the next
+        Every plan re-packs its values and structure
+        (:meth:`ConvPlan.refresh_weights`), so changed weight values and a
+        changed mask (e.g. after re-pruning) are both picked up.  The fused
+        program holds what it executes — the weights it took from the plans,
+        BN folded in — so it is dropped and lazily re-traced on the next
         forward.
         """
         with self._fuse_lock:
@@ -291,14 +292,14 @@ class CompiledModel:
         A statistic of the masks, kept (with :meth:`kept_columns`) only because
         the frozen benchmark driver ``bench/frames.py`` reports
         ``kept_columns() / total_columns()``; the engine executes every column.
+        Read from the shapes the plans recorded.
         """
-        return sum(plan.weight_matrix.shape[1] for plan in self.plans.values())
+        return sum(plan.shape[1] for plan in self.plans.values())
 
     def kept_columns(self) -> int:
         """Columns with at least one nonzero weight, summed over the compiled
-        layers (see :meth:`total_columns`)."""
-        return sum(int(np.any(plan.weight_matrix != 0.0, axis=0).sum())
-                   for plan in self.plans.values())
+        layers (see :meth:`total_columns`); each plan counted them at packing."""
+        return sum(plan.kept_columns for plan in self.plans.values())
 
 
 def _wrap_tensors(value):

@@ -6,9 +6,10 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
 
 * **BatchNorm folding** — an eval-mode BatchNorm that is the sole consumer of
   a compiled convolution is folded away entirely: its per-channel ``scale`` is
-  multiplied into the plan's packed ``(O, K)`` weight matrix and its ``shift``
-  absorbed into the bias (:meth:`repro.nn.layers.norm.BatchNorm2d.fold_params`).
-  The folded copies belong to the fused op; the plan itself is untouched.
+  multiplied into the conv's weights, in the form the plan packed them (CSR
+  values or a full-width ``(O, K)`` matrix), and its ``shift`` absorbed into
+  the bias (:meth:`repro.nn.layers.norm.BatchNorm2d.fold_params`).  The fused
+  ops own what they execute: once they are built, the plans drop their values.
 * **Activation epilogues** — ReLU / LeakyReLU / SiLU directly after a compiled
   convolution (or its folded BatchNorm) run in place on the GEMM output buffer
   instead of as separate passes with their own temporaries; where
@@ -18,7 +19,8 @@ lowers it into a :class:`FusedProgram` of raw-numpy ops over arena buffers
   buffers keyed by ``(op, role, shape)``; a convolution's gather is one
   strided-window copy (``as_strided`` view) into the GEMM-ready column buffer
   — a 1x1 multiplies the feature map as is — and the GEMM itself is
-  ``np.matmul(W, cols, out=...)`` over the full-width weight matrix.  After
+  ``np.matmul(W, cols, out=...)`` over the full-width weight matrix (for a
+  conv held as CSR, scattered once, on first use).  After
   one warmup pass per input shape, a steady-state forward allocates nothing
   large; only the final outputs are copied out of the arena (they must
   survive the next forward).
@@ -87,13 +89,6 @@ RAW_ACTS = ("relu", "leaky_relu", "silu", "sigmoid", "tanh", "hardswish")
 
 #: Process-wide layout-cache counters; a bound direct call counts as a hit.
 _LAYOUT_STATS = layout_cache_stats()
-
-#: A convolution runs the native direct sparse kernel when at most this share
-#: of its dense ``(O, I*kh*kw)`` weight matrix is nonzero (R-TOSS-2EP ~0.22,
-#: 3EP ~0.33).  The kernel pays one input load per FMA where BLAS blocks
-#: registers, so a dense 3x3 / 1x1 layer (1.0) is faster as gather + GEMM; a
-#: dense layer wider than 3x3 runs the register-blocked dense direct kernel.
-DIRECT_MAX_DENSITY = 0.5
 
 #: fp32 lanes of one AVX-512 vector.  A direct sparse conv whose one-image plane
 #: has at most this many flat positions runs the images of a group in the lanes
@@ -223,18 +218,29 @@ class _FusedOp:
 
 
 class FusedConv(_FusedOp):
-    """A compiled convolution with optionally folded BN and activation epilogue."""
+    """A compiled convolution with optionally folded BN and activation epilogue.
+
+    It holds its weights once, in the form what runs it reads.  ``weight`` is
+    the plan's values with BN folded in (:meth:`fold_batchnorm`): the CSR
+    values of a sparse plan — the direct sparse kernel's ``csr_val`` — or a
+    dense plan's full-width matrix, which the dense direct kernel trades for
+    its packed copy (``weight`` then None).  The gather + GEMM body multiplies
+    a full-width matrix: a dense plan's ``weight``, else one built on first use
+    (:meth:`_gemm_weight`).  An op without a folded BN shares the plan's array.
+    """
 
     __slots__ = ("plan", "weight", "bias", "act", "act_slope", "in_slot", "mode",
                  "layer_name", "direct", "csr_rowptr", "csr_val", "taps", "native_epilogue",
-                 "_epilogue_args")
+                 "_epilogue_args", "_matrix")
 
     def __init__(self, node: OpNode, plan: ConvPlan) -> None:
         super().__init__(node)
         self.plan = plan
         self.layer_name = node.name
         self.in_slot = node.inputs[0]
-        self.weight = np.ascontiguousarray(plan.weight_matrix, dtype=np.float32)
+        self.weight: Optional[np.ndarray] = plan.packed()
+        #: The gather + GEMM body's full-width matrix, once built.
+        self._matrix: Optional[np.ndarray] = None
         self.bias = None if plan.bias is None else plan.bias.astype(np.float32)
         self.act: Optional[str] = None
         self.act_slope: Optional[float] = None
@@ -251,8 +257,15 @@ class FusedConv(_FusedOp):
 
     # ------------------------------------------------------------------ fusion
     def fold_batchnorm(self, scale: np.ndarray, shift: np.ndarray) -> None:
-        """Fold eval-mode BN ``y = scale*x + shift`` into weights and bias."""
-        weight = self.weight.astype(np.float64) * scale[:, None]
+        """Fold eval-mode BN ``y = scale*x + shift`` into weights and bias.
+
+        In the form ``weight`` holds: each weight times its output row's
+        ``scale`` in float64, rounded once to float32 — for CSR values the
+        same products as folding the full matrix and gathering, bit for bit.
+        """
+        csr = self.plan.csr()
+        factor = scale[:, None] if csr is None else np.repeat(scale, np.diff(csr[0]))
+        weight = self.weight.astype(np.float64) * factor
         self.weight = np.ascontiguousarray(weight, dtype=np.float32)
         bias = shift if self.bias is None else scale * self.bias.astype(np.float64) + shift
         self.bias = bias.astype(np.float32)
@@ -268,22 +281,21 @@ class FusedConv(_FusedOp):
 
         A static rule on what the op can observe — never a timing race, which
         would let load decide numerics.  Where the library loaded: the direct
-        sparse kernel for a layer sparse enough (:data:`DIRECT_MAX_DENSITY`);
+        sparse kernel for a layer held as CSR
+        (:data:`~repro.engine.plan.DIRECT_MAX_DENSITY`);
         the dense direct kernel for a denser one whose kernel is larger than
         3x3 (the 6x6 / 7x7 stems R-TOSS's 3x3 / 1x1 patterns never reach);
         else gather + GEMM.  Nothing here is stored in an artifact: a model
         saved on one kind of host re-fuses, and re-chooses, on the other.
         """
         plan = self.plan
-        sparse = plan.density <= DIRECT_MAX_DENSITY
-        if sparse_kernel is not None and (sparse or max(plan.kernel_size) > 3):
-            if sparse:
-                # CSR values of the *folded* matrix, in the plan's structure order.
-                self.csr_rowptr, flat = plan.csr()
-                self.csr_val, tag = self.weight.reshape(-1)[flat], "+direct"
+        if sparse_kernel is not None and (plan.sparse or max(plan.kernel_size) > 3):
+            if plan.sparse:
+                # The folded CSR values, in the plan's structure order.
+                self.csr_rowptr, self.csr_val, tag = plan.csr()[0], self.weight, "+direct"
             else:
                 self.csr_rowptr, self.csr_val = None, sparse_kernel.pack_dense(self.weight)
-                self.taps, tag = self.weight.shape[1], "+dense-direct"
+                self.taps, self.weight, tag = self.weight.shape[1], None, "+dense-direct"
             self.direct = sparse_kernel
             self.mode = self.mode.replace(plan.mode, plan.mode + tag, 1)
             return
@@ -319,7 +331,7 @@ class FusedConv(_FusedOp):
         # forward, so their bindings keep its address; the GEMM fills a view.
         result = arena.buffer((self.key, "out"), (n, out_channels, out_h, out_w))
         out = result.reshape(n, out_channels, out_h * out_w)
-        np.matmul(self.weight, gemm_in, out=out)
+        np.matmul(self._gemm_weight(), gemm_in, out=out)
         if self.bias is not None and self.native_epilogue is None:
             out += self.bias.reshape(1, -1, 1)
         multiplied = time.perf_counter() if timed else 0.0
@@ -338,6 +350,25 @@ class FusedConv(_FusedOp):
 
     def profile(self, values, arena, profiler) -> None:
         super().profile(values, arena, profiler, True)       # with the phase split
+
+    def _gemm_weight(self) -> np.ndarray:
+        """The full-width ``(O, I*kh*kw)`` matrix the GEMM multiplies: a dense
+        plan's ``weight`` as it is; CSR values scattered, or the dense direct
+        kernel's packing undone, once — on first use, under the plan lock (the
+        portable path, or a direct conv whose bind fell through)."""
+        matrix = self._matrix
+        if matrix is None:
+            with self.plan._lock:
+                if self._matrix is None:
+                    self._matrix = self._full_width()
+                matrix = self._matrix
+        return matrix
+
+    def _full_width(self) -> np.ndarray:
+        if self.taps:                         # [ceil(O / block)][K][block] -> (O, K)
+            return np.ascontiguousarray(
+                self.csr_val.transpose(0, 2, 1).reshape(-1, self.taps)[:self.plan.shape[0]])
+        return self.plan.full_width(self.weight)
 
     def _epilogue(self, buf: np.ndarray, arena: WorkspaceArena) -> None:
         _apply_activation_inplace(self.act, buf, arena, self.key, self.act_slope)
@@ -810,6 +841,10 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
             ops.append(ModuleOp(node))
         else:
             raise TraceError(f"op {node.kind!r} cannot be lowered to a fused step")
+    # Every conv holds its plan's values now; a plan keeps only its structure,
+    # so a BN fold below frees the unfolded array as it replaces it.
+    for plan in plans.values():
+        plan.values = None
 
     # Consumer counts decide what may fuse: an op output that feeds more than
     # one consumer (or escapes as a model output) must stay materialized.

@@ -1,28 +1,35 @@
 """Per-layer execution plans for the pattern-aware sparse engine.
 
 The compile step (:func:`compile_conv_plan`) lowers one pruned :class:`Conv2d`
-into a :class:`ConvPlan`: its weight tensor ``(O, I, kh, kw)`` with the
-keep-mask applied, flattened to the full-width ``(O, I*kh*kw)`` matrix the
-executor multiplies (1x1 convolutions: a channel GEMM on the feature map as
-is, the fast path for the layers Algorithm 3 prunes).
+into a :class:`ConvPlan`: it reads the weight tensor ``(O, I, kh, kw)`` with
+the keep-mask applied once, as the full-width ``(O, I*kh*kw)`` matrix a GEMM
+would multiply (1x1 convolutions: a channel GEMM on the feature map as is, the
+fast path for the layers Algorithm 3 prunes), records its shape, nonzero
+count and kept columns, and keeps its values in one form only — the form the
+executor reads:
 
-For the native direct sparse-convolution kernel (:mod:`repro.engine.native`)
-the plan also packs the *element-level* zero structure: :meth:`ConvPlan.csr`
-is the CSR structure of the matrix and :meth:`ConvPlan.direct_layout_for`
-turns it, per input shape, into one int32 input offset per nonzero — R-TOSS
-patterns differ per kernel, so almost no im2col column is empty and the zeros
-can only be skipped inside the kernel.  (For the dense direct kernel of the
-wide dense stems: one offset per column.)  There is no column compaction
-(docs/engine.md, "Why no column compaction").
+* a layer at most :data:`DIRECT_MAX_DENSITY` dense (every R-TOSS-pruned
+  layer) keeps the *element-level* zero structure as CSR — :meth:`ConvPlan.csr`
+  and the values in its order.  :meth:`ConvPlan.direct_layout_for` turns the
+  structure, per input shape, into one int32 input offset per nonzero for the
+  native direct sparse-convolution kernel (:mod:`repro.engine.native`) — R-TOSS
+  patterns differ per kernel, so almost no im2col column is empty and the
+  zeros can only be skipped inside the kernel;
+* a denser layer keeps the full-width matrix (for the dense direct kernel of
+  the wide dense stems: one offset per column).
+
+There is no column compaction (docs/engine.md, "Why no column compaction").
 
 A plan is a *description*; the one executor that runs it is
-:class:`repro.engine.fuse.FusedConv`.
+:class:`repro.engine.fuse.FusedConv`, which takes the plan's values when the
+fused program is built: from then on the plan keeps the structure, the program
+the values, so a compiled convolution holds one copy of its weights.
 
 Cache structure: every plan owns its direct layouts, keyed by input shape, so
 one compiled model reuses layouts per (layer, input shape) across calls.
-:meth:`ConvPlan.refresh_weights` re-packs the matrix from the layer's current
-weights and mask and drops the CSR and the layouts built from it.  A fresh
-``compile_model`` call always builds fresh plans.
+:meth:`ConvPlan.refresh_weights` re-packs the values and the structure from the
+layer's current weights and mask and drops the layouts built from the old
+structure.  A fresh ``compile_model`` call always builds fresh plans.
 """
 
 from __future__ import annotations
@@ -40,6 +47,14 @@ from repro.nn.layers.conv import Conv2d
 #: Execution modes a plan can take.
 MODE_POINTWISE = "pointwise-gemm"
 MODE_IM2COL = "sparse-im2col-gemm"
+
+#: A convolution at most this dense — nonzero share of its ``(O, I*kh*kw)``
+#: weight matrix, R-TOSS-2EP ~0.22, 3EP ~0.33 — is held as CSR and runs the
+#: native direct sparse kernel where it loaded.  The kernel pays one input load
+#: per FMA where BLAS blocks registers, so a dense 3x3 / 1x1 layer (1.0) is
+#: faster as gather + GEMM; a dense layer wider than 3x3 runs the
+#: register-blocked dense direct kernel.
+DIRECT_MAX_DENSITY = 0.5
 
 
 @dataclass
@@ -160,10 +175,18 @@ class ConvPlan:
         otherwise.
     kernel_size, stride, padding:
         Geometry copied from the layer at compile time.
-    weight_matrix:
-        ``(O, I*kh*kw)`` weight matrix with the keep-mask applied.
     bias:
         Per-output-channel bias or ``None``.
+    shape:
+        ``(O, I*kh*kw)``, the shape of the layer's full-width weight matrix.
+    nnz, kept_columns:
+        Nonzero weights of that matrix, and its columns holding at least one.
+    values:
+        The masked weights, in the one form the plan keeps (:attr:`sparse`):
+        the CSR values in :meth:`csr` order, or the full ``(O, I*kh*kw)``
+        matrix of a denser layer.  ``None`` once the fused program built from
+        the plan took them (:func:`repro.engine.fuse.fuse_graph`), until
+        :meth:`refresh_weights` re-packs.
     """
 
     layer_name: str
@@ -172,21 +195,25 @@ class ConvPlan:
     stride: Tuple[int, int]
     padding: Tuple[int, int]
     out_channels: int
-    weight_matrix: np.ndarray
-    bias: Optional[np.ndarray]
+    bias: Optional[np.ndarray] = None
+    shape: Tuple[int, int] = (0, 0)
+    nnz: int = 0
+    kept_columns: int = 0
+    values: Optional[np.ndarray] = field(default=None, repr=False)
     # The direct kernel's per-image layouts, keyed by (per_tap, C, H, W) —
     # deliberately batch-independent: micro-batches of any size share one.
     _layouts: Dict[tuple, DirectLayout] = field(default_factory=dict, repr=False)
-    # CSR structure of ``weight_matrix`` (see :meth:`csr`), packed on first use.
+    # CSR structure of a sparse plan (see :meth:`csr`); None: the plan is dense.
     _csr: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
     # Guards layout computation/insertion so concurrent no-grad forward passes
     # (the serving layer runs BatchRunner from several threads) build each
-    # layout exactly once; cache-hit reads stay lock-free.
+    # layout exactly once; cache-hit reads stay lock-free.  A fused conv builds
+    # its gather + GEMM matrix under it too (``FusedConv._gemm_weight``).
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     # reprolint lock-discipline contract: the layout cache and the CSR
-    # structure may only be written under the plan lock (cache-hit *reads*
-    # stay lock-free by design).
+    # structure it is built from may only be written under the plan lock
+    # (cache-hit *reads* stay lock-free by design).
     _guarded_by_: ClassVar[Dict[str, str]] = {"_layouts": "_lock", "_csr": "_lock"}
 
     # ------------------------------------------------------------------ statistics
@@ -194,11 +221,16 @@ class ConvPlan:
     def density(self) -> float:
         """Nonzero share of the ``(O, I*kh*kw)`` weight matrix.
 
-        What the direct kernel's selection rule reads: ~0.22 for R-TOSS-2EP,
-        ~0.33 for 3EP, 1.0 for an unpruned layer.
+        What the storage and kernel rule reads (:data:`DIRECT_MAX_DENSITY`):
+        ~0.22 for R-TOSS-2EP, ~0.33 for 3EP, 1.0 for an unpruned layer.
         """
-        size = self.weight_matrix.size
-        return np.count_nonzero(self.weight_matrix) / size if size else 0.0
+        size = self.shape[0] * self.shape[1]
+        return self.nnz / size if size else 0.0
+
+    @property
+    def sparse(self) -> bool:
+        """Whether the plan holds CSR: at most :data:`DIRECT_MAX_DENSITY` dense."""
+        return self._csr is not None
 
     def summary(self) -> Dict[str, object]:
         """One table row describing this plan (used by ``CompiledModel.summary``)."""
@@ -209,21 +241,54 @@ class ConvPlan:
             "density": round(float(self.density), 4),
         }
 
+    # ------------------------------------------------------------------ values
     def refresh_weights(self, layer: Conv2d) -> None:
-        """Re-pack the weight matrix from the layer's current weights and mask.
+        """Re-pack values and structure from the layer's current weights and mask.
 
         Call after fine-tuning steps or re-pruning.  The keep-mask is applied
         during packing, so weights that drifted nonzero at masked positions
         (fine-tuning without ``masks.reapply``) are still treated as pruned —
-        the compiled path always computes the *masked* forward.
+        the compiled path always computes the *masked* forward.  The full-width
+        matrix lives only inside this call: a sparse plan keeps its CSR.
         """
-        self.weight_matrix = _masked_weight_matrix(layer)
+        matrix = _masked_weight_matrix(layer)
+        rows, width = matrix.shape
+        nonzero = matrix != 0.0                     # bool scans: 6x faster than float
+        self.shape, self.nnz = (rows, width), int(np.count_nonzero(nonzero))
+        self.kept_columns = int(np.count_nonzero(nonzero.any(axis=0)))
+        csr = None
+        if self.density <= DIRECT_MAX_DENSITY:
+            if rows * width >= 2 ** 31:
+                raise ValueError(f"{self.layer_name}: weight matrix too large for int32 CSR")
+            flat = np.flatnonzero(nonzero)
+            rowptr = np.searchsorted(flat, np.arange(rows + 1) * width).astype(np.int32)
+            csr = (rowptr, flat.astype(np.int32))
+            matrix = matrix.reshape(-1)[flat]
+        self.values = matrix
         self.bias = None if layer.bias is None else layer.bias.data.astype(np.float32)
         # A weight that became (or stopped being) exactly zero changes the
         # element-level structure the direct layouts were built from.
         with self._lock:
-            self._csr = None
+            self._csr = csr
             self._layouts = {}
+
+    def packed(self) -> np.ndarray:
+        """:attr:`values`; a ValueError once a fused program took them."""
+        if self.values is None:
+            raise ValueError(f"{self.layer_name}: the plan's values went to a fused program; "
+                             "refresh_weights() re-packs them")
+        return self.values
+
+    def full_width(self, values: Optional[np.ndarray] = None) -> np.ndarray:
+        """``values`` in this plan's form (default: the plan's own, masked) as
+        the full-width ``(O, I*kh*kw)`` matrix: a sparse plan's scattered into
+        a new zero matrix, a dense plan's as it is."""
+        values = self.packed() if values is None else values
+        if self._csr is None:
+            return values
+        matrix = np.zeros(self.shape, dtype=values.dtype)
+        matrix.reshape(-1)[self._csr[1]] = values
+        return matrix
 
     # ------------------------------------------------------------------ layout
     def output_hw(self, h: int, w: int) -> Tuple[int, int]:
@@ -268,30 +333,15 @@ class ConvPlan:
         return layout
 
     # ------------------------------------------------------------------ direct kernel
-    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR structure ``(rowptr, flat)`` of the packed matrix's nonzeros.
+    def csr(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """CSR structure ``(rowptr, flat)`` of a sparse plan's nonzeros; None
+        for a dense plan.
 
         ``flat`` holds the nonzeros' positions in the row-major ``(O, K)``
         matrix (``row * K + column``), ascending — so ``flat % K`` is the
-        CSR column index and ``matrix.reshape(-1)[flat]`` lists, in CSR order,
-        the values of any matrix of the same shape, which is how the executor
-        packs its BN-folded copy.  Packed on first use (only layers the direct
-        kernel runs need it).
+        CSR column index, and :attr:`values` (like the executor's BN-folded
+        copy of them) lists the values in this order.  Packed with the values.
         """
-        packed = self._csr
-        if packed is None:
-            with self._lock:
-                packed = self._pack_csr()
-        return packed
-
-    def _pack_csr(self) -> Tuple[np.ndarray, np.ndarray]:  # reprolint: holds=_lock
-        if self._csr is None:
-            rows, width = self.weight_matrix.shape
-            if rows * width >= 2 ** 31:
-                raise ValueError(f"{self.layer_name}: weight matrix too large for int32 CSR")
-            flat = np.flatnonzero(self.weight_matrix != 0.0)   # bool scan: 6x faster than float
-            rowptr = np.searchsorted(flat, np.arange(rows + 1) * width).astype(np.int32)
-            self._csr = (rowptr, flat.astype(np.int32))
         return self._csr
 
     def _build_direct_layout(  # reprolint: holds=_lock
@@ -312,13 +362,13 @@ class ConvPlan:
 
         # Offsets per column, then gathered per nonzero: the same arithmetic
         # done per nonzero made retinanet_lite's first forward ~50 ms slower.
-        width = self.weight_matrix.shape[1]
+        width = self.shape[1]
         channel, tap = np.divmod(np.arange(width), kh * kw)
         row, col = np.divmod(tap, kw)
         phase = (row % sh) * phase_cols + col % sw
         column_offset = (phase * c + channel) * (hq * wq) + (row // sh) * wq + col // sw
         if not per_tap:
-            column_offset = column_offset[self._pack_csr()[1] % width]
+            column_offset = column_offset[self._csr[1] % width]
         off = np.ascontiguousarray(column_offset, dtype=np.int32)
 
         npos = (out_h - 1) * wq + out_w
@@ -348,13 +398,13 @@ def compile_conv_plan(layer: Conv2d, layer_name: str = "") -> ConvPlan:
     """Lower one convolution layer into a :class:`ConvPlan`."""
     kh, kw = layer.kernel_size
     pointwise = (kh, kw) == (1, 1) and layer.padding == (0, 0)
-    return ConvPlan(
+    plan = ConvPlan(
         layer_name=layer_name,
         mode=MODE_POINTWISE if pointwise else MODE_IM2COL,
         kernel_size=(kh, kw),
         stride=layer.stride,
         padding=layer.padding,
         out_channels=layer.weight.data.shape[0],
-        weight_matrix=_masked_weight_matrix(layer),
-        bias=None if layer.bias is None else layer.bias.data.astype(np.float32),
     )
+    plan.refresh_weights(layer)
+    return plan

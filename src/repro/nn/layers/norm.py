@@ -46,7 +46,7 @@ class BatchNorm2d(Module):
             y = gamma * (x - mean) / sqrt(var + eps) + beta = scale * x + shift
 
         The execution engine's fusion pass (:mod:`repro.engine.fuse`) folds
-        ``scale`` into the packed weight matrix of the preceding convolution
+        ``scale`` into the packed weights of the preceding convolution
         and ``shift`` into its bias, eliminating the BatchNorm op entirely;
         stand-alone BN ops execute the same two-term form directly.  Computed
         in float64 so the folded float32 weights round once, not twice.

@@ -356,8 +356,10 @@ class Router:
         """Routing loop shared by client submits and re-dispatch.
 
         Places ``request`` frame by frame until nothing of it is left.  An
-        error before anything was placed is raised; after that it fails the
-        requests that were not placed, and the others go on.
+        error before anything was placed is raised; after that, whatever it
+        is, it fails just the part that was not placed — the placed frames
+        resolve when their workers answer, so failing the whole record would
+        count them twice.
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
         dispatch_started = time.time() if request.traces else 0.0
@@ -365,7 +367,7 @@ class Router:
         try:
             while request is not None:
                 request = self._place(request, block, deadline, dispatch_started)
-        except (ServingError, TimeoutError) as error:
+        except Exception as error:
             if request is whole:
                 raise
             self._fail([request], error)

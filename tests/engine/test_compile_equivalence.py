@@ -24,11 +24,14 @@ from repro.engine import (
     max_abs_output_diff,
     native_available,
 )
+from repro.engine.fuse import FusedConv
+from repro.engine.native import DISABLE_ENV, sparse_kernel_available
 from repro.engine.runner import map_structure
 from repro.models.registry import available_models, build_model
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.nn.layers.conv import Conv2d
 from repro.nn.module import Sequential
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
 TOL = 1e-5
@@ -213,3 +216,84 @@ def test_the_benchmark_seams_compile_fp32_and_refuse_int8(rng):
     with pytest.raises(ValueError, match="int8 execution was removed"):
         compile_model(model, int8=True)
     assert native_available() is False
+
+
+# ------------------------------------------------- weights held in the form they run
+def _full_width_fold(compiled, op):
+    """``(masked, folded)``: ``op``'s layer as the full-width masked
+    ``(O, I*kh*kw)`` matrix, and that matrix with the folded BN's scale applied
+    to the whole of it in float64, rounded once to float32 — what a conv that
+    kept its full-width matrix executed."""
+    layer = dict(compiled.model.named_modules())[op.layer_name]
+    masked = np.ascontiguousarray(
+        (layer.weight.data * layer.keep_mask()).reshape(op.plan.shape), dtype=np.float32)
+    if "+bn" not in op.mode:
+        return masked, masked
+    (bn,) = [node.module for node in compiled._fused_program.graph.ops
+             if node.kind == "bn" and node.inputs == op.node.outputs]
+    scale = bn.fold_params()[0]
+    return masked, (masked.astype(np.float64) * scale[:, None]).astype(np.float32)
+
+
+def _assert_convs_execute_the_full_width_fold(compiled):
+    """What each conv's kernel reads is the full-width fold, bit for bit: the
+    direct kernel's CSR values gathered from it (or its dense packing of it), and
+    the gather + GEMM body's matrix — built on first use for a conv held as CSR,
+    which is how a direct conv whose bind falls through runs, too."""
+    convs = [op for op in compiled._fused_program.steps if isinstance(op, FusedConv)]
+    assert convs
+    for op in convs:
+        masked, folded = _full_width_fold(compiled, op)
+        if op.direct is not None and op.taps:
+            assert np.array_equal(op.csr_val, op.direct.pack_dense(folded)), op.layer_name
+        elif op.direct is not None:
+            flat = op.plan.csr()[1]
+            assert np.array_equal(flat, np.flatnonzero(masked != 0.0)), op.layer_name
+            assert np.array_equal(op.csr_val, folded.reshape(-1)[flat]), op.layer_name
+        assert np.array_equal(op._gemm_weight(), folded), op.layer_name
+
+
+@pytest.mark.parametrize("entries", [None, 2, 3])
+@pytest.mark.parametrize("name", ["tiny", "yolov5n"])
+def test_fused_convs_execute_the_full_width_fold_bit_for_bit(name, entries, rng):
+    """Dense, R-TOSS-2EP and 3EP (``yolov5n`` adds a 6x6 dense-direct stem), in
+    whichever kernel mode this process runs — and again after an optimiser
+    step and ``refresh()``, whose outputs are a fresh compile's, bit for bit."""
+    model = build_model(name, num_classes=3)
+    report = (prune_with_rtoss(model, entries=entries, example_input=(1, 3, 64, 64))
+              if entries else None)
+    compiled = compile_model(model, report.masks if report else None)
+    x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+    before = compiled.forward_raw(x)
+    _assert_convs_execute_the_full_width_fold(compiled)
+
+    parameters = [parameter for _, parameter in model.named_parameters()]
+    for parameter in parameters:     # every weight moves, pruned ones too
+        parameter.grad = rng.standard_normal(parameter.data.shape).astype(np.float32)
+    Adam(parameters, lr=1e-2).step()
+    compiled.refresh()
+    after = compiled.forward_raw(x)
+    _assert_convs_execute_the_full_width_fold(compiled)
+    assert max_abs_output_diff(after, before) > 1e-3
+    assert max_abs_output_diff(compile_model(model).forward_raw(x), after) == 0.0
+
+
+@pytest.mark.skipif(not sparse_kernel_available(), reason="needs the native library")
+def test_direct_convs_on_the_gather_gemm_body_match_the_portable_path(monkeypatch, rng):
+    """A direct conv whose bind falls through runs gather + GEMM over the matrix
+    it scatters from its CSR values on first use: with every conv's bind falling
+    through, R-TOSS-2EP ``tiny`` gives the portable path's outputs, bit for bit."""
+    model = TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8))
+    report = prune_with_rtoss(model, entries=2, example_input=(1, 3, 64, 64))
+    x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+    monkeypatch.setenv(DISABLE_ENV, "1")
+    portable = compile_model(model, report.masks).forward_raw(x)
+    monkeypatch.delenv(DISABLE_ENV)
+
+    compiled = compile_model(model, report.masks)
+    monkeypatch.setattr(FusedConv, "natively", lambda self: False)
+    out = compiled.forward_raw(x)
+    convs = [op for op in compiled._fused_program.steps if isinstance(op, FusedConv)]
+    assert all(op.direct is not None and op._matrix is not None for op in convs)
+    assert max_abs_output_diff(out, portable) == 0.0
+    _assert_convs_execute_the_full_width_fold(compiled)

@@ -56,7 +56,7 @@ def test_quantized_pruned_model_keeps_no_pruned_weight_and_matches_the_oracle(
     quantize_model(model, bits=bits, apply=True)
     compiled = compile_model(model, report.masks)
     for mask in report.masks:
-        matrix = compiled.plans[mask.layer_name].weight_matrix
+        matrix = compiled.plans[mask.layer_name].full_width()
         pruned = mask.mask.reshape(matrix.shape) == 0.0
         assert not matrix[pruned].any(), (
             f"{mask.layer_name}: quantization revived a pruned weight")
@@ -104,7 +104,8 @@ def test_zero_codes_are_exact_zeros_in_the_folded_weights(with_bn, act, rng):
     codes = quantized.values.reshape(16, -1)
     zero = codes == 0
     assert zero.any(), "test seed must code at least one kept weight to zero"
-    assert not op.weight[zero].any(), "a zero code became a nonzero folded weight"
+    assert not op.plan.full_width(op.weight)[zero].any(), (
+        "a zero code became a nonzero folded weight")
     if op.direct is not None:
         assert op.csr_val.size == np.count_nonzero(codes)
 

@@ -158,16 +158,16 @@ def test_refresh_follows_a_mask_change(kernel_mode, monkeypatch, rng):
         pytest.skip("fp32 sparse kernel unavailable")
     model, report = _pruned_tiny(entries=3)
     compiled = compile_model(model, report.masks)
-    x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
-    compiled.forward_raw(x)
     name, plan = next((name, plan) for name, plan in compiled.plans.items()
                       if plan.kernel_size == (3, 3) and plan.density <= 0.5)
+    kept = plan.full_width() != 0.0          # read before the first forward takes the values
+    x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+    compiled.forward_raw(x)
     layer = dict(model.named_modules())[name]
     nnz_before = plan.csr()[1].size
 
     mask = layer.keep_mask().copy()
     rows = mask.reshape(mask.shape[0], -1)
-    kept = plan.weight_matrix != 0.0
     col = int(np.flatnonzero(kept.any(axis=0))[0])
     row, other = np.argwhere(kept[:, col + 1:])[0]
     zeroed = int(kept[:, col].sum()) + 1

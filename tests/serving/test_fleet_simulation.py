@@ -810,6 +810,65 @@ def test_a_failed_run_of_n_images_is_n_failures():
         assert (row["submitted"], row["completed"], row["failed"]) == (12, 4, 8)
 
 
+def _second_frame_raises(error):
+    """A ``WorkerProcess.dispatch`` that raises ``error`` on its second call
+    once ``armed`` is set, and otherwise dispatches."""
+    calls, armed, dispatch = [], [False], SimWorker.dispatch
+
+    def stub(self, request, block=False, timeout=None):
+        if armed[0]:
+            calls.append(request.count)
+            if len(calls) == 2:
+                raise error
+        return dispatch(self, request, block=block, timeout=timeout)
+    return stub, calls, armed
+
+
+def test_an_error_after_part_of_a_burst_went_out_fails_only_the_rest():
+    """Any exception -- a plain RuntimeError, not only a ServingError -- raised
+    while placing a burst's second frame fails just the images not placed:
+    the client gets its future, the placed 24 resolve with their outputs, and
+    each image settles and is counted once."""
+    stub, calls, armed = _second_frame_raises(RuntimeError("the pipe broke"))
+    armed[0] = True
+    with mock.patch.object(SimWorker, "dispatch", stub), simulated(2) as world:
+        world.submit(32, "normal", None)
+        (burst,) = world.bursts
+        assert calls == [32, 8]
+        assert burst.counts == [0] * 24 + [1] * 8
+        assert all(isinstance(error, RuntimeError) for error in burst.errors[24:])
+        world.settle()
+        assert burst.counts == [1] * 32 and burst.errors[:24] == [None] * 24
+        assert burst.outputs[:24] == [tag * 2.0 + 1.0 for tag in range(24)]
+        cluster = world.router.metrics.report()["cluster"]
+        assert (cluster["completed"], cluster["failed"]) == (24, 8)
+
+
+def test_a_redispatch_that_fails_after_placing_part_counts_each_image_once():
+    """The re-dispatch leg of the same rule.  A dead worker's 24 images go
+    back out while its replacement dies at start: 12 fit on the survivor, and
+    the frame for the other 12 raises a RuntimeError.  Just those 12 fail; the
+    12 placed resolve with their outputs, and the ledger counts 36 images --
+    failing the whole record counted the 12 placed twice (48)."""
+    stub, calls, armed = _second_frame_raises(RuntimeError("the pipe broke"))
+    with mock.patch.object(SimWorker, "dispatch", stub), simulated(2) as world:
+        world.submit(24, "normal", None)
+        world.submit(12, "normal", None)
+        assert [worker.outstanding_count for worker in world.router.workers] == [24, 12]
+        armed[0] = True
+        world.apply(("poison", 1))
+        world.apply(("kill", 0, 0, True))
+        world.apply(("tick", 0.05))
+        assert calls == [24, 12]
+        world.settle()
+        first, second = world.bursts
+        assert first.counts == [1] * 24 and second.counts == [1] * 12
+        assert first.errors[:12] == [None] * 12 and second.errors == [None] * 12
+        assert all(isinstance(error, RuntimeError) for error in first.errors[12:])
+        cluster = world.router.metrics.report()["cluster"]
+        assert (cluster["completed"], cluster["failed"]) == (24, 12)
+
+
 def test_a_hung_worker_is_killed_in_the_step_that_finds_its_heartbeat_stale():
     """A hang without a wall clock: SIGKILL at once, so the step sits out no
     join and what the worker held is served elsewhere."""
