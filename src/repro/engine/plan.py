@@ -248,8 +248,8 @@ class ConvPlan:
         Call after fine-tuning steps or re-pruning.  The keep-mask is applied
         during packing, so weights that drifted nonzero at masked positions
         (fine-tuning without ``masks.reapply``) are still treated as pruned —
-        the compiled path always computes the *masked* forward.  The full-width
-        matrix lives only inside this call: a sparse plan keeps its CSR.
+        the compiled path always computes the *masked* forward.  A sparse
+        plan's full-width matrix lives only inside this call.
         """
         matrix = _masked_weight_matrix(layer)
         rows, width = matrix.shape
