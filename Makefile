@@ -1,6 +1,9 @@
 # Developer entry points for the R-TOSS reproduction.
 #
 #   make test          tier-1 test suite (the roadmap verify command)
+#   make test-archive  the same tier-1 command, run in a `git archive HEAD`
+#                      export in a temporary directory (no .git: the suite
+#                      must not need a checkout)
 #   make test-engine   engine-focused suite: compiled plans, fused executor,
 #                      sparse kernel + quantization property tests — run
 #                      twice: with the native kernels, then pinned
@@ -52,10 +55,15 @@ export PYTHONPATH
 
 SMOKE_SPEC ?= examples/specs/tiny_rtoss3ep.json
 
-.PHONY: test test-engine lint lint-baseline smoke serve-smoke cluster-smoke gateway-smoke obs-smoke bench bench-record docs-check
+.PHONY: test test-archive test-engine lint lint-baseline smoke serve-smoke cluster-smoke gateway-smoke obs-smoke bench bench-record docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+test-archive:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	git archive HEAD | tar -x -C "$$dir" && cd "$$dir" && \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
 ENGINE_TESTS = tests/engine tests/test_quantization_properties.py
 

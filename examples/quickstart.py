@@ -58,7 +58,7 @@ def main() -> None:
           f"fused pruned ({measurement['engine_mode']}) {measurement['compiled_ms']:.0f} ms "
           f"({measurement['pruning_speedup']:.2f}x from pruning; "
           f"outputs match to {measurement['max_abs_diff']:.1e})")
-    print(f"stage timings (s): {artifact.timings}")
+    print(f"step timings (s): {artifact.timings}")
 
     # 3. One portable file: pruned weights + masks + metadata + engine.
     path = artifact.save("yolo_rtoss2ep.npz")

@@ -13,8 +13,9 @@ Object Detection using Semi-Structured Pruning* (DAC 2023), including:
 * ``repro.evaluation`` / ``repro.experiments`` — end-to-end evaluation and drivers
   that regenerate every table and figure of the paper,
 * ``repro.pipeline`` — the unified deployment API: declarative ``RunSpec`` configs,
-  the staged ``Pipeline`` orchestrator (prune → quantize → compile → evaluate) and
-  single-file ``DeployableArtifact`` results (see docs/pipeline.md),
+  the ``Pipeline`` that runs the fixed flow prune → quantize → compile → evaluate
+  (scoring through ``repro.evaluation``'s ``DetectorEvaluator``) and single-file
+  ``DeployableArtifact`` results (see docs/pipeline.md),
 * ``repro.pruning.registry`` — the decorator-based framework registry the pipeline,
   CLI and comparison suite all resolve pruners through,
 * ``repro.obs`` — observability for the serving runtime: unified metrics registry,

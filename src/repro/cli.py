@@ -58,20 +58,12 @@ from repro.models import available_models, build_model
 from repro.pipeline.spec import ROUTING_POLICY_NAMES, ServeSpec
 from repro.pruning.registry import (
     available_frameworks,
-    build_framework,
-    framework_accepts,
+    build_seeded_framework,
     framework_entries,
     framework_entry,
 )
 from repro.utils.rng import set_global_seed
 from repro.utils.serialization import save_state_dict
-
-# Deprecated: the framework-factory table now lives in repro.pruning.registry.
-# This mapping is kept so `from repro.cli import FRAMEWORKS` keeps working; use
-# `repro.pruning.registry.build_framework(name)` in new code.
-# Write-once at import, read-only afterwards.  # reprolint: disable=mutable-global
-FRAMEWORKS = {name: (lambda name=name: build_framework(name))
-              for name in available_frameworks()}
 
 
 #: `repro serve` flags that override the ServeSpec field of the same name:
@@ -235,13 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_pruner(framework: str, seed: int):
-    """Build a registry framework, threading the seed where the factory takes it."""
-    if framework_accepts(framework, "seed"):
-        return build_framework(framework, seed=seed)
-    return build_framework(framework)
-
-
 def _cmd_models() -> int:
     rows = []
     for name in available_models():
@@ -316,7 +301,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(format_table([artifact.metrics], title="Evaluation"))
     if artifact.measurement:
         print(format_table([artifact.measurement], title="Measured on host CPU"))
-    print(format_table([artifact.timings], title="Stage timings (s)"))
+    print(format_table([artifact.timings], title="Step timings (s)"))
 
     written = artifact.save(path)
     print(f"deployable artifact written to {written}")
@@ -341,7 +326,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_prune(args: argparse.Namespace) -> int:
     set_global_seed(args.seed)
     model = _build_cli_model(args)
-    pruner = _build_pruner(args.framework, args.seed)
+    pruner = build_seeded_framework(args.framework, args.seed)
     report = pruner.prune(model, (1, 3, args.trace_size, args.trace_size), args.model)
     if args.per_layer:
         print(report.to_table())
@@ -379,7 +364,7 @@ def _pruning_claim_rows(args: argparse.Namespace, dense_engine, known) -> list:
         else:
             set_global_seed(args.seed)
             model = _build_cli_model(args)
-            report = _build_pruner(framework, args.seed).prune(
+            report = build_seeded_framework(framework, args.seed).prune(
                 model, (1, 3, args.image_size, args.image_size), args.model)
             measurement = measure_speedup(
                 model, dense_engine, masks=report.masks, repeats=args.repeats,
@@ -420,7 +405,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         return 2
     set_global_seed(args.seed)
     model = _build_cli_model(args)
-    pruner = _build_pruner(args.framework, args.seed)
+    pruner = build_seeded_framework(args.framework, args.seed)
     report = pruner.prune(model, (1, 3, args.image_size, args.image_size), args.model)
     # The unpruned twin (same seed, same weights before pruning): the base of
     # `pruning_speedup`, through the same fused executor.

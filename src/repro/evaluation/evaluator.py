@@ -162,7 +162,7 @@ class DetectorEvaluator:
         self.image_size = int(image_size)
         self.probe_size = int(probe_size)
         self.trace_size = int(trace_size)
-        self.platforms = platforms or [RTX_2080TI, JETSON_TX2]
+        self.platforms = platforms if platforms is not None else [RTX_2080TI, JETSON_TX2]
         self.measure_engine = bool(measure_engine)
         self.measure_batch = int(measure_batch)
         self.measure_repeats = int(measure_repeats)
@@ -211,18 +211,26 @@ class DetectorEvaluator:
 
     # ------------------------------------------------------------------ frameworks
     def evaluate(self, pruner, framework_name: Optional[str] = None) -> FrameworkResult:
-        """Build a fresh model, prune it with ``pruner`` and evaluate everything."""
-        if not self._baseline_latency:
-            self.evaluate_baseline()
-
+        """Build a fresh model, prune it with ``pruner`` and :meth:`score` it."""
         model = self.model_factory()
         # Snapshot the weight energy before pruning so information retention is exact.
         pre_energy = snapshot_weight_energy(model)
         report: PruningReport = pruner.prune(model, self.example_input(), self.model_key)
         if framework_name:
             report.framework = framework_name
+        measured = self._measure_engine(model, report) if self.measure_engine else None
+        return self.score(model, report, pre_energy, measured)
 
-        retention = self._energy_retention(model, pre_energy, report)
+    def score(self, model: Module, report: PruningReport, pre_energy: Dict[str, float],
+              measured: Optional[object] = None) -> FrameworkResult:
+        """Score an already-pruned ``model`` against the dense baseline.
+
+        ``pre_energy`` is the model's :func:`snapshot_weight_energy` taken before
+        pruning; ``measured`` is an optional engine measurement the result carries.
+        """
+        if not self._baseline_latency:
+            self.evaluate_baseline()
+        retention = weight_energy_retention(model, pre_energy, report)
         accuracy = estimate_pruned_map(report, self.baseline_map, retention)
 
         sparsity = SparsityProfile.from_report(report)
@@ -238,10 +246,6 @@ class DetectorEvaluator:
             reduction[platform.name] = 100.0 * (
                 1.0 - en.total_joules / self._baseline_energy[platform.name]
             )
-
-        measured = None
-        if self.measure_engine:
-            measured = self._measure_engine(model, report)
 
         return FrameworkResult(
             framework=report.framework,
@@ -274,10 +278,3 @@ class DetectorEvaluator:
             image_size=self.trace_size,
             model_name=self.model_key,
         )
-
-    # ------------------------------------------------------------------ helpers
-    @staticmethod
-    def _energy_retention(model: Module, pre_energy: Dict[str, float],
-                          report: PruningReport) -> float:
-        """Backward-compatible alias of :func:`weight_energy_retention`."""
-        return weight_energy_retention(model, pre_energy, report)

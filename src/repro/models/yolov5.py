@@ -160,10 +160,6 @@ class YoloV5(Module):
         return self.detect([out_p3, out_p4, out_p5])
 
     # ------------------------------------------------------------------ metadata
-    @property
-    def anchors_per_scale(self) -> List[np.ndarray]:
-        return [np.asarray(a, dtype=np.float32) for a in self.config.anchors]
-
     def describe(self) -> Dict[str, float]:
         """Summary used by the model zoo and the motivation experiment."""
         total = self.num_parameters()

@@ -2,14 +2,15 @@
 
 The paper's value proposition is an *end-to-end deployment flow* — prune with
 Algorithms 1-3, optionally quantize, compile for the target, evaluate.  This
-package exposes that flow as one coherent, serializable, pluggable surface:
+package exposes that flow as one serializable surface:
 
 * :class:`RunSpec` (:mod:`repro.pipeline.spec`) — a declarative dataclass tree
   (model + framework + quantization + engine + evaluation sections) that
   round-trips to/from plain dicts and JSON files,
-* :class:`Pipeline` (:mod:`repro.pipeline.pipeline`) — the orchestrator running
-  prune → finetune-hook → quantize → compile → evaluate, each stage a small
-  object implementing the :class:`~repro.pipeline.stages.Stage` protocol,
+* :class:`Pipeline` (:mod:`repro.pipeline.pipeline`) — runs the fixed flow
+  prune → quantize → compile → evaluate, each optional step switched by its
+  spec section; evaluation scores through
+  :meth:`repro.evaluation.evaluator.DetectorEvaluator.score`,
 * :class:`DeployableArtifact` (:mod:`repro.pipeline.artifact`) — the result: a
   pruned (+quantized, +compiled) model that saves to / loads from a single
   portable ``.npz`` file,
@@ -29,7 +30,7 @@ or from the command line::
 """
 
 from repro.pipeline.artifact import ARTIFACT_VERSION, DeployableArtifact
-from repro.pipeline.pipeline import Pipeline, run_spec
+from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.spec import (
     EngineSpec,
     EvaluationSpec,
@@ -39,22 +40,9 @@ from repro.pipeline.spec import (
     RunSpec,
     ServeSpec,
 )
-from repro.pipeline.stages import (
-    CompileStage,
-    EvaluateStage,
-    FinetuneStage,
-    PipelineContext,
-    PruneStage,
-    QuantizeStage,
-    Stage,
-    default_stages,
-)
 
 __all__ = [
-    "ARTIFACT_VERSION", "DeployableArtifact",
-    "Pipeline", "run_spec",
+    "ARTIFACT_VERSION", "DeployableArtifact", "Pipeline",
     "EngineSpec", "EvaluationSpec", "FrameworkSpec", "ModelSpec",
     "QuantizationSpec", "RunSpec", "ServeSpec",
-    "CompileStage", "EvaluateStage", "FinetuneStage", "PipelineContext",
-    "PruneStage", "QuantizeStage", "Stage", "default_stages",
 ]

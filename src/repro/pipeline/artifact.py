@@ -51,11 +51,12 @@ class DeployableArtifact:
     quantization_meta: Optional[Dict[str, Any]] = None
     #: The execution engine of ``model`` (None when EngineSpec.enabled is False).
     compiled: Optional[CompiledModel] = None
-    #: Wall-clock EngineMeasurement row() dict when the engine stage measured.
+    #: Wall-clock EngineMeasurement row() dict when ``engine.measure`` was on.
     measurement: Optional[Dict[str, Any]] = None
-    #: Analytic evaluation metrics (one flat row, see stages.EvaluateStage).
+    #: Evaluation metrics: the ``FrameworkResult.row()`` of
+    #: ``DetectorEvaluator.score`` (empty when evaluation is off).
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Per-stage wall-clock seconds, in execution order.
+    #: Per-step wall-clock seconds, in execution order.
     timings: Dict[str, float] = field(default_factory=dict)
     #: The file this artifact was last saved to or loaded from (None while it
     #: exists only in memory) — what a worker cluster's processes load.

@@ -1,9 +1,8 @@
-"""The Pipeline orchestrator: run a :class:`RunSpec` end to end.
+"""The Pipeline: run a :class:`RunSpec` end to end.
 
 This is the canonical public entry point of the library — one object that
-executes the paper's whole deployment flow (prune → finetune-hook → quantize →
-compile → evaluate) and returns a saveable
-:class:`~repro.pipeline.artifact.DeployableArtifact`::
+executes the paper's deployment flow (prune → quantize → compile → evaluate)
+and returns a saveable :class:`~repro.pipeline.artifact.DeployableArtifact`::
 
     from repro.pipeline import Pipeline, RunSpec
 
@@ -12,110 +11,146 @@ compile → evaluate) and returns a saveable
     print(artifact.summary())
     artifact.save("tiny_rtoss3ep.npz")
 
-The orchestrator is deliberately dumb: it builds the model, seeds the run, then
-walks the stage list, timing each stage.  All behaviour lives in the stages
-(:mod:`repro.pipeline.stages`), so extending the flow never means touching this
-class.
+The flow is fixed; the spec's sections switch its optional steps on and off.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, List, Optional, Union
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, Union
 
 from repro.models import build_model
 from repro.nn.module import Module
 from repro.pipeline.artifact import DeployableArtifact
 from repro.pipeline.spec import RunSpec
-from repro.pipeline.stages import PipelineContext, Stage, default_stages
 from repro.utils.logging import get_logger
 from repro.utils.rng import set_global_seed
 
 logger = get_logger("pipeline")
 
-FinetuneHook = Callable[[PipelineContext], None]
-
 
 class Pipeline:
-    """Executes the staged deployment flow described by a :class:`RunSpec`.
+    """Executes the deployment flow described by a :class:`RunSpec`."""
 
-    Parameters
-    ----------
-    spec:
-        The declarative run description (or a path to its JSON file via
-        :meth:`from_spec`).
-    stages:
-        The stage list; defaults to :func:`repro.pipeline.stages.default_stages`.
-        Any object implementing the :class:`~repro.pipeline.stages.Stage`
-        protocol participates — order is execution order.
-    finetune:
-        Optional hook ``fn(context) -> None`` invoked by the finetune stage
-        between pruning and quantization (masks are re-applied afterwards).
-    model_factory:
-        Override for the model builder; defaults to resolving
-        ``spec.model.name`` through :mod:`repro.models.registry`.  Useful to
-        deploy an already *trained* model: pass a factory returning it.
-    """
-
-    def __init__(self, spec: RunSpec, stages: Optional[Iterable[Stage]] = None,
-                 finetune: Optional[FinetuneHook] = None,
-                 model_factory: Optional[Callable[[], Module]] = None) -> None:
+    def __init__(self, spec: RunSpec) -> None:
         self.spec = spec
-        self.stages: List[Stage] = list(stages) if stages is not None else default_stages()
-        self.finetune = finetune
-        self.model_factory = model_factory or (
-            lambda: build_model(spec.model.name, **spec.model.kwargs))
 
     @classmethod
-    def from_spec(cls, spec: Union[RunSpec, str], **kwargs) -> "Pipeline":
+    def from_spec(cls, spec: Union[RunSpec, str]) -> "Pipeline":
         """Build a pipeline from a :class:`RunSpec` or a path to a spec JSON file."""
         if isinstance(spec, str):
             spec = RunSpec.load(spec)
-        return cls(spec, **kwargs)
+        return cls(spec)
 
     # ------------------------------------------------------------------ execution
     def run(self) -> DeployableArtifact:
-        """Execute every applicable stage and return the deployable artifact."""
+        """Prune, then quantize, compile and evaluate as the spec enables them.
+
+        Each step's wall-clock seconds land in ``artifact.timings`` under its
+        name, in execution order.
+        """
+        from repro.engine.bench import measure_speedup
+        from repro.engine.compiler import compile_model
+        from repro.evaluation.evaluator import snapshot_weight_energy
+        from repro.pruning.registry import build_seeded_framework
+
         spec = self.spec
+        timings: Dict[str, float] = {}
+
+        def factory():
+            return build_model(spec.model.name, **spec.model.kwargs)
+
         set_global_seed(spec.seed)
-        context = PipelineContext(spec=spec, model_factory=self.model_factory,
-                                  finetune=self.finetune)
-        context.model = self.model_factory()
+        model = factory()
 
-        for stage in self.stages:
-            if not stage.should_run(context):
-                continue
-            started = time.perf_counter()
-            stage.run(context)
-            elapsed = time.perf_counter() - started
-            context.timings[stage.name] = round(elapsed, 4)
-            logger.info("stage %-10s done in %.2fs", stage.name, elapsed)
+        with _timed(timings, "prune"):
+            pruner = build_seeded_framework(spec.framework.name, spec.seed,
+                                            spec.framework.overrides)
+            pre_prune_energy = snapshot_weight_energy(model)
+            report = pruner.prune(model, spec.framework.example_shape(), spec.model.name)
+            logger.info("pruned %s with %s: sparsity %.1f%%", spec.model.name,
+                        spec.framework.name, 100 * report.overall_sparsity)
 
-        report = context.report
-        if report is None:
-            # No prune stage ran (custom stage list): the artifact still works,
-            # just with an empty mask set and a "dense" report.
-            from repro.core.report import PruningReport
+        quantization_meta = None
+        if spec.quantization.enabled:
+            with _timed(timings, "quantize"):
+                quantization_meta = _quantize(model, spec)
+                report.masks.reapply(model)
 
-            report = PruningReport(framework="dense", model_name=spec.model.name,
-                                   total_parameters=context.model.num_parameters())
+        compiled = measurement = None
+        if spec.engine.enabled:
+            engine = spec.engine
+            with _timed(timings, "compile"):
+                compiled = compile_model(model, report.masks, apply_masks=False)
+                if engine.measure:
+                    # Measures the engine compiled above — the one the artifact
+                    # ships — against the unpruned twin through the same executor.
+                    measurement = measure_speedup(
+                        model, compile_model(factory()), masks=report.masks,
+                        repeats=engine.repeats, batch=engine.batch,
+                        image_size=engine.image_size, model_name=spec.model.name,
+                        seed=spec.seed, compiled=compiled)
+
+        metrics: Dict[str, Any] = {}
+        if spec.evaluation.enabled:
+            with _timed(timings, "evaluate"):
+                metrics = _evaluator(spec, factory).score(
+                    model, report, pre_prune_energy, measurement).row()
+
         artifact = DeployableArtifact(
-            spec=spec,
-            model=context.model,
-            report=report,
-            quantization_meta=context.quantization_meta,
-            compiled=context.compiled,
-            measurement=(context.measurement.row()
-                         if context.measurement is not None else None),
-            metrics=context.metrics,
-            timings=context.timings,
-        )
+            spec=spec, model=model, report=report,
+            quantization_meta=quantization_meta, compiled=compiled,
+            measurement=measurement.row() if measurement is not None else None,
+            metrics=metrics, timings=timings)
         if spec.artifact_path:
             path = artifact.save(spec.artifact_path)
             logger.info("artifact written to %s", path)
         return artifact
 
 
-def run_spec(spec: Union[RunSpec, str], **kwargs) -> DeployableArtifact:
-    """One-call convenience: ``Pipeline.from_spec(spec, **kwargs).run()``."""
-    return Pipeline.from_spec(spec, **kwargs).run()
+@contextmanager
+def _timed(timings: Dict[str, float], name: str) -> Iterator[None]:
+    """Record the wall-clock seconds of the ``with`` body as ``timings[name]``."""
+    started = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - started
+    timings[name] = round(elapsed, 4)
+    logger.info("step %-10s done in %.2fs", name, elapsed)
+
+
+def _quantize(model: Module, spec: RunSpec) -> Dict[str, Any]:
+    """Post-training quantization of ``model`` in place (pruned zeros quantise
+    to exactly zero); returns the artifact's quantization metadata."""
+    from repro.compression.quantization import quantize_model, quantized_model_bytes
+
+    section = spec.quantization
+    report = quantize_model(model, bits=section.bits, apply=True,
+                            skip_names=section.skip_names)
+    return {
+        "bits": report.bits,
+        "num_layers": report.num_layers,
+        "float_bytes": report.float_bytes,
+        "quantized_bytes": report.quantized_bytes,
+        "compression_ratio": report.compression_ratio,
+        "max_absolute_error": report.max_absolute_error,
+        "deployed_bytes": quantized_model_bytes(model, report, count_zeros=False),
+    }
+
+
+def _evaluator(spec: RunSpec, factory: Callable[[], Module]):
+    """The :class:`~repro.evaluation.evaluator.DetectorEvaluator` of the spec's
+    evaluation section; without a ``baseline_map`` the mAP anchor is the
+    model's ``BASELINE_MAP`` entry, 60.0 for a model it does not list."""
+    from repro.evaluation.accuracy_proxy import BASELINE_MAP
+    from repro.evaluation.evaluator import DetectorEvaluator
+    from repro.hardware import get_platform
+
+    evaluation = spec.evaluation
+    baseline_map = evaluation.baseline_map
+    if baseline_map is None:
+        baseline_map = BASELINE_MAP.get(spec.model.name.lower(), 60.0)
+    return DetectorEvaluator(
+        factory, spec.model.name, baseline_map, image_size=evaluation.image_size,
+        probe_size=evaluation.probe_size,
+        platforms=[get_platform(name) for name in evaluation.platforms])

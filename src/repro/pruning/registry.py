@@ -1,11 +1,8 @@
 """Pruning-framework registry: the single source of truth for framework factories.
 
-Before this module existed the framework table lived three times — as a private
-``FRAMEWORKS`` dict in :mod:`repro.cli`, as a dict literal inside
-:func:`repro.evaluation.comparison.default_framework_suite` and implicitly in the
-experiment drivers.  Now every consumer (the CLI ``--framework`` choices, the
-deployment pipeline's :class:`repro.pipeline.RunSpec`, the Figs. 4-7 comparison
-suite) resolves frameworks through this registry.
+Every consumer (the CLI ``--framework`` choices, the deployment pipeline's
+:class:`repro.pipeline.RunSpec`, the Figs. 4-7 comparison suite) resolves
+frameworks through this registry.
 
 A framework is registered with the :func:`register_framework` decorator::
 
@@ -20,9 +17,10 @@ overrides forwarded to the factory::
     pruner = build_framework("R-TOSS-3EP")          # same entry
 
 Factories declare the overrides they understand through their signature;
-:func:`framework_accepts` lets generic callers (the pipeline's seed threading,
-the RetinaNet experiments' ``dense_layer_names``) probe support before
-forwarding a keyword.
+:func:`framework_accepts` lets generic callers (the RetinaNet experiments'
+``dense_layer_names``) probe support before forwarding a keyword, and
+:func:`build_seeded_framework` — what the CLI and the deployment pipeline
+call — passes a run's seed only to the factories that take one.
 """
 
 from __future__ import annotations
@@ -117,6 +115,19 @@ def build_framework(name: str, **overrides) -> object:
 def framework_accepts(name: str, parameter: str) -> bool:
     """Whether the framework's factory understands the keyword ``parameter``."""
     return framework_entry(name).accepts(parameter)
+
+
+def build_seeded_framework(name: str, seed: int,
+                           overrides: Optional[Dict[str, object]] = None) -> object:
+    """:func:`build_framework`, threading ``seed`` into a factory that takes one.
+
+    A ``seed`` already in ``overrides`` wins; a factory without a seed
+    parameter (the deterministic baselines) is built without it.
+    """
+    overrides = dict(overrides or {})
+    if "seed" not in overrides and framework_accepts(name, "seed"):
+        overrides["seed"] = seed
+    return build_framework(name, **overrides)
 
 
 def available_frameworks() -> List[str]:

@@ -1,7 +1,7 @@
 """Storage-quantized weights on the one fp32 engine.
 
 Storage quantization (:mod:`repro.compression.quantization`, the pipeline's
-``QuantizeStage``) writes the dequantized codes back into the model, and the
+quantize step) writes the dequantized codes back into the model, and the
 fused fp32 program serves those weights like any others.  These tests pin what
 the combination has to keep:
 

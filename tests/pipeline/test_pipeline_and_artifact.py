@@ -1,4 +1,4 @@
-"""The Pipeline orchestrator, stage protocol and DeployableArtifact persistence."""
+"""The Pipeline's fixed deployment flow and DeployableArtifact persistence."""
 
 from pathlib import Path
 
@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.pipeline import (
-    DeployableArtifact,
-    Pipeline,
-    RunSpec,
-    default_stages,
-    run_spec,
-)
+from repro.evaluation.accuracy_proxy import BASELINE_MAP
+from repro.evaluation.evaluator import DetectorEvaluator, snapshot_weight_energy
+from repro.models import build_model
+from repro.pipeline import DeployableArtifact, Pipeline, RunSpec
 
 EXAMPLE_SPEC = Path(__file__).resolve().parents[2] / "examples" / "specs" / "tiny_rtoss3ep.json"
 
@@ -58,70 +55,57 @@ class TestPipelineRun:
         assert metrics["compression_ratio"] > 1.5
         assert "latency_ms[Jetson TX2]" in metrics
         assert "speedup[RTX 2080Ti]" in metrics
-        assert 0 < metrics["mAP_estimate"] <= metrics["mAP_baseline"] + 10
+        assert 0 < metrics["mAP"] <= BASELINE_MAP["tiny"] + 10
+
+    def test_metrics_are_the_evaluators_scoring_row(self, artifact):
+        """Evaluation is DetectorEvaluator.score over the pipeline's own pruned
+        model and report, with the energies of the identical unpruned model."""
+        def factory():
+            return build_model("tiny", **TINY_SPEC["model"]["kwargs"])
+
+        evaluator = DetectorEvaluator(factory, "tiny", BASELINE_MAP["tiny"],
+                                      image_size=64, probe_size=64)
+        row = evaluator.score(artifact.model, artifact.report,
+                              snapshot_weight_energy(factory())).row()
+        assert artifact.metrics == row
 
     def test_disabled_stages_are_skipped(self):
         spec_dict = dict(TINY_SPEC, name="no_extras",
                          quantization={"enabled": False},
                          engine={"enabled": False},
                          evaluation={"enabled": False})
-        result = run_spec(RunSpec.from_dict(spec_dict))
+        result = Pipeline.from_spec(RunSpec.from_dict(spec_dict)).run()
         assert list(result.timings) == ["prune"]
         assert result.compiled is None and result.quantization_meta is None
         assert result.metrics == {}
 
     def test_seed_changes_are_isolated(self):
         # Two runs with the same seed produce identical masks.
-        first = run_spec(RunSpec.from_dict(dict(TINY_SPEC, name="a",
-                                                engine={"enabled": False},
-                                                evaluation={"enabled": False})))
-        second = run_spec(RunSpec.from_dict(dict(TINY_SPEC, name="b",
-                                                 engine={"enabled": False},
-                                                 evaluation={"enabled": False})))
+        first = Pipeline.from_spec(RunSpec.from_dict(dict(
+            TINY_SPEC, name="a", engine={"enabled": False},
+            evaluation={"enabled": False}))).run()
+        second = Pipeline.from_spec(RunSpec.from_dict(dict(
+            TINY_SPEC, name="b", engine={"enabled": False},
+            evaluation={"enabled": False}))).run()
         assert first.masks.signature() == second.masks.signature()
 
 
-class TestStageProtocol:
-    def test_custom_stage_plugs_in(self):
-        class MarkerStage:
-            name = "marker"
+class TestFixedFlow:
+    @pytest.mark.parametrize("argument", ["stages", "finetune", "model_factory"])
+    def test_the_flow_takes_no_plug_ins(self, argument):
+        spec = RunSpec.from_dict(TINY_SPEC)
+        with pytest.raises(TypeError):
+            Pipeline(spec, **{argument: None})
 
-            def should_run(self, context):
-                return True
-
-            def run(self, context):
-                context.extras["marker"] = context.report is not None
-
-        spec = RunSpec.from_dict(dict(TINY_SPEC, name="custom",
+    def test_measured_speedup_is_published_in_the_metrics(self):
+        spec = RunSpec.from_dict(dict(TINY_SPEC, name="measured_eval",
                                       quantization={"enabled": False},
-                                      engine={"enabled": False},
-                                      evaluation={"enabled": False}))
-        pipeline = Pipeline(spec, stages=[*default_stages(), MarkerStage()])
-        result = pipeline.run()
-        assert result.timings["marker"] == pytest.approx(0.0, abs=1.0)
-        # The marker stage saw the pruning report of the earlier stage.
-        assert "marker" not in result.metrics
-
-    def test_finetune_hook_runs_with_masks_pinned(self):
-        calls = []
-
-        def hook(context):
-            calls.append(context.report.overall_sparsity)
-            # Deliberately corrupt a masked weight; the stage must re-zero it.
-            mask = next(iter(context.masks))
-            module = dict(context.model.named_modules())[mask.layer_name]
-            module.weight.data[...] = 1.0
-
-        spec = RunSpec.from_dict(dict(TINY_SPEC, name="ft",
-                                      quantization={"enabled": False},
-                                      engine={"enabled": False},
-                                      evaluation={"enabled": False}))
-        result = Pipeline(spec, finetune=hook).run()
-        assert calls and calls[0] > 0
-        assert "finetune" in result.timings
-        mask = next(iter(result.masks))
-        weights = dict(result.model.named_modules())[mask.layer_name].weight.data
-        assert np.all(weights[mask.mask == 0] == 0.0)
+                                      engine={"enabled": True, "measure": True,
+                                              "image_size": 64, "batch": 1,
+                                              "repeats": 1}))
+        result = Pipeline(spec).run()
+        assert (result.metrics["pruning_speedup[host]"]
+                == round(result.measurement["pruning_speedup"], 2))
 
 
 class TestDeployableArtifact:
@@ -270,19 +254,6 @@ class TestCliRun:
         path = spec.save(str(tmp_path / "bad_model.json"))
         assert cli_main(["run", "--spec", path]) == 2
         assert "unknown model" in capsys.readouterr().err
-
-    def test_pipeline_without_prune_stage_yields_dense_artifact(self, tmp_path):
-        from repro.pipeline import CompileStage
-
-        spec = RunSpec.from_dict(dict(TINY_SPEC, name="dense",
-                                      quantization={"enabled": False},
-                                      evaluation={"enabled": False}))
-        result = Pipeline(spec, stages=[CompileStage()]).run()
-        assert result.report.framework == "dense"
-        assert len(result.masks) == 0
-        path = result.save(str(tmp_path / "dense.npz"))
-        restored = DeployableArtifact.load(path)
-        assert restored.report.framework == "dense"
 
     def test_frameworks_command(self, capsys):
         assert cli_main(["frameworks"]) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import statistics
+import subprocess
 
 from tools import bench_record
 
@@ -21,7 +22,24 @@ def result_set(values_by_metric, traced, seeds=(4, 5, 6)):
                                        for name, value in traced.items()}}}}}
 
 
-def test_line_carries_median_and_quartiles_per_metric_and_workload():
+def throwaway_repository(root):
+    """A git repository of one commit at ``root``, owned by the test."""
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=test", "-c", "user.email=test@example.invalid",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=root, check=True, capture_output=True)
+
+    git("init", "-q")
+    (root / "measured.txt").write_text("the tree a line names\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one commit")
+
+
+def test_line_carries_median_and_quartiles_per_metric_and_workload(tmp_path, monkeypatch):
+    # The line names a tree; the test owns its repository, so it runs the same
+    # in a clone and in an export without .git.
+    throwaway_repository(tmp_path)
+    monkeypatch.setattr(bench_record, "REPO_ROOT", str(tmp_path))
     values = {"bulk_img_per_s": ("img/s", [4000.0, 4200.0, 3900.0]),
               "peak_rss_mb": ("MiB", [230.0, 231.0, 229.0])}
     line = bench_record.build_line(

@@ -1,6 +1,6 @@
 """Property-based tests for the quantization primitives (hypothesis).
 
-Storage quantization is what the pipeline ships (``QuantizeStage`` rewrites
+Storage quantization is what the pipeline ships (its quantize step rewrites
 the weights, the artifact records the bytes it saves), so these invariants are
 load-bearing for every quantized artifact — not just for the size estimates:
 
