@@ -15,9 +15,11 @@
 #                      current findings (accepted-debt workflow)
 #   make smoke         end-to-end pipeline run from the example RunSpec
 #                      (prune → quantize → compile → evaluate + artifact reload),
-#                      then `repro engine` on tiny at batch 8: the speedup from
-#                      pruning of both R-TOSS variants (exits non-zero if
-#                      either variant's output stops matching its model)
+#                      then `repro engine` on tiny at batch 8: one pipeline
+#                      run per R-TOSS variant, printing the measured speedup
+#                      from pruning with its quartiles next to the modelled
+#                      TX2 / 2080Ti figures (exits non-zero if either
+#                      variant's output stops matching its model)
 #   make serve-smoke   pipeline run + the artifact served under concurrent load
 #                      through repro.serving (equivalence check + latency report)
 #   make cluster-smoke the artifact served through the multi-process cluster

@@ -15,11 +15,11 @@ from repro.evaluation import (
     DetectorEvaluator,
     baseline_map_for,
     compare_frameworks,
-    default_framework_suite,
     format_comparison,
 )
 from repro.experiments.table3 import RETINANET_DENSE_LAYERS
 from repro.models import retinanet_lite, retinanet_resnet50
+from repro.pruning.registry import paper_suite
 
 
 def main() -> None:
@@ -43,7 +43,7 @@ def main() -> None:
           f"({factory().num_parameters() / 1e6:.1f} M parameters)...")
     evaluator = DetectorEvaluator(factory, model_key, baseline_map,
                                   image_size=640, probe_size=64)
-    results = compare_frameworks(evaluator, default_framework_suite(dense_layers))
+    results = compare_frameworks(evaluator, paper_suite(dense_layers))
 
     print()
     print(format_comparison(

@@ -5,12 +5,15 @@ Commands
 ``run``       Execute a full deployment pipeline (prune → quantize → compile →
               evaluate) from a JSON :class:`repro.pipeline.RunSpec`, print the
               report and write a reloadable :class:`DeployableArtifact`.
-``prune``     Build a model, prune it with a chosen framework, print the report and
-              optionally save the pruned state dict.
+``prune``     Prune a model with a chosen framework (a pipeline run with the
+              engine and the evaluation off), print the report and optionally
+              save the pruned state dict.
 ``census``    Print the kernel-size census of a model (Section III motivation).
 ``compare``   Run the framework comparison (Figs. 4-7) on a model and print the table.
-``engine``    Prune a model, compile it with the pattern-aware execution engine and
-              print measured (wall-clock) vs modeled latency and speedup.
+``engine``    The speedup from pruning of ``--framework`` and both R-TOSS variants:
+              one pipeline run each with the engine measurement on, printing
+              the measured host ratio (with its quartiles) next to the
+              modelled Jetson TX2 / RTX 2080Ti speedups.
 ``serve``     Serve a DeployableArtifact through the dynamic micro-batching
               inference service (:mod:`repro.serving`), drive it with synthetic
               load and print a p50/p95/p99 latency + throughput report.
@@ -30,10 +33,11 @@ Commands
 Every command accepts ``--log-json`` (or ``REPRO_LOG_JSON=1``) to switch the
 library logs to JSON lines with automatic ``trace_id`` correlation.
 
-``prune``, ``compare`` and ``engine`` are thin wrappers over the same machinery
-the pipeline uses; ``--framework`` choices come from
-:mod:`repro.pruning.registry` and every command takes ``--seed`` for end-to-end
-reproducibility.
+``prune`` and ``engine`` build a :class:`repro.pipeline.RunSpec` from their
+flags and run :class:`repro.pipeline.Pipeline`; they print what the artifact
+holds, and a flag outside its spec field's bounds exits 2 with the field named.
+``--framework`` choices come from :mod:`repro.pruning.registry` and every
+command takes ``--seed`` for end-to-end reproducibility.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import numpy as np
 from repro.evaluation import (
     DetectorEvaluator,
     compare_frameworks,
-    default_framework_suite,
     format_comparison,
     format_table,
 )
@@ -58,9 +61,9 @@ from repro.models import available_models, build_model
 from repro.pipeline.spec import ROUTING_POLICY_NAMES, ServeSpec
 from repro.pruning.registry import (
     available_frameworks,
-    build_seeded_framework,
     framework_entries,
     framework_entry,
+    paper_suite,
 )
 from repro.utils.rng import set_global_seed
 from repro.utils.serialization import save_state_dict
@@ -256,13 +259,6 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_cli_model(args: argparse.Namespace):
-    """Build the registry model, honouring --classes where the factory takes it."""
-    if args.model in ("retinanet_lite", "detr_lite"):
-        return build_model(args.model)
-    return build_model(args.model, num_classes=args.classes)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.pipeline import DeployableArtifact, Pipeline, RunSpec
 
@@ -323,118 +319,77 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cli_spec(args: argparse.Namespace, framework: str, trace_size: int,
+              **sections):
+    """The :class:`~repro.pipeline.RunSpec` of a flag-driven command.
+
+    ``--model`` / ``--classes`` / ``--seed`` fill the model and the seed,
+    ``framework`` is traced at ``trace_size``; ``sections`` (``engine=``,
+    ``evaluation=``) replace the spec's defaults.
+    """
+    from repro.pipeline import RunSpec
+    from repro.pipeline.spec import FrameworkSpec, ModelSpec
+
+    return RunSpec(seed=args.seed,
+                   model=ModelSpec(args.model, {"num_classes": args.classes}),
+                   framework=FrameworkSpec(framework, trace_size=trace_size),
+                   **sections)
+
+
 def _cmd_prune(args: argparse.Namespace) -> int:
-    set_global_seed(args.seed)
-    model = _build_cli_model(args)
-    pruner = build_seeded_framework(args.framework, args.seed)
-    report = pruner.prune(model, (1, 3, args.trace_size, args.trace_size), args.model)
+    from repro.pipeline import Pipeline
+    from repro.pipeline.spec import EngineSpec, EvaluationSpec
+
+    try:
+        spec = _cli_spec(args, args.framework, args.trace_size,
+                         engine=EngineSpec(enabled=False),
+                         evaluation=EvaluationSpec(enabled=False))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    artifact = Pipeline.from_spec(spec).run()
     if args.per_layer:
-        print(report.to_table())
-    print(format_table([report.summary()], title=f"{args.framework} on {args.model}"))
+        print(artifact.report.to_table())
+    print(format_table([artifact.report.summary()],
+                       title=f"{args.framework} on {args.model}"))
     if args.save:
-        path = save_state_dict(model.state_dict(), args.save)
+        path = save_state_dict(artifact.model.state_dict(), args.save)
         print(f"pruned state dict written to {path}")
     return 0
 
 
-def _pruning_claim_rows(args: argparse.Namespace, dense_engine, known) -> list:
-    """The paper's claim, R-TOSS-2EP and -3EP: speedup *from pruning*.
-
-    Measured on the shipped executor (:func:`repro.engine.measure_speedup`:
-    fused-dense over fused-pruned, arms in the same rounds, output checked)
-    next to the modelled Jetson TX2 / RTX 2080Ti figures of the same pruned
-    model.  ``known`` maps a framework already pruned and measured by the
-    caller to its ``(model, report, measurement)``.
-    """
-    from repro.engine import measure_speedup
-    from repro.hardware import (
-        JETSON_TX2,
-        RTX_2080TI,
-        SparsityProfile,
-        estimate_latency,
-        profile_model,
-        speedup_over,
-    )
-
-    probe_size = max(32, min(args.image_size, 64))
-    rows = []
-    for framework in ("rtoss-2ep", "rtoss-3ep"):
-        if framework in known:
-            model, report, measurement = known[framework]
-        else:
-            set_global_seed(args.seed)
-            model = _build_cli_model(args)
-            report = build_seeded_framework(framework, args.seed).prune(
-                model, (1, 3, args.image_size, args.image_size), args.model)
-            measurement = measure_speedup(
-                model, dense_engine, masks=report.masks, repeats=args.repeats,
-                batch=args.batch, image_size=args.image_size,
-                model_name=args.model, seed=args.seed)
-        profile = profile_model(model, args.image_size, probe_size, model_name=args.model)
-        sparsity = SparsityProfile.from_report(report)
-        row = {"framework": framework,
-               "pruning_speedup[host, measured]": round(measurement.pruning_speedup, 2)}
-        for platform in (JETSON_TX2, RTX_2080TI):
-            row[f"pruning_speedup[{platform.name}, modelled]"] = round(speedup_over(
-                estimate_latency(profile, platform),
-                estimate_latency(profile, platform, sparsity)), 2)
-        row["max_abs_diff"] = float(measurement.max_abs_diff)
-        rows.append(row)
-    return rows
-
-
 def _cmd_engine(args: argparse.Namespace) -> int:
-    from repro.engine import compile_model, measure_speedup, sparse_kernel_available
-    from repro.hardware import (
-        JETSON_TX2,
-        SparsityProfile,
-        attach_measured,
-        estimate_latency,
-        profile_model,
-    )
+    """The paper's claim, speedup *from pruning*, for ``--framework`` and both
+    R-TOSS variants: one pipeline run each, measured on the shipped executor
+    (fused-dense twin over fused-pruned engine) next to the modelled Jetson
+    TX2 / RTX 2080Ti figures of the same pruned model."""
+    from repro.engine import sparse_kernel_available
+    from repro.pipeline import Pipeline
+    from repro.pipeline.spec import EngineSpec, EvaluationSpec
 
-    if args.image_size < 32:
-        print("error: --image-size must be at least 32 (the detector strides and the "
-              "cost-model probe both need it)", file=sys.stderr)
+    frameworks = [args.framework] + [name for name in ("rtoss-2ep", "rtoss-3ep")
+                                     if name != args.framework]
+    try:
+        engine = EngineSpec(measure=True, image_size=args.image_size,
+                            batch=args.batch, repeats=args.repeats)
+        evaluation = EvaluationSpec(image_size=args.image_size,
+                                    probe_size=max(32, min(args.image_size, 64)),
+                                    platforms=("jetson_tx2", "rtx_2080ti"))
+        specs = [_cli_spec(args, name, args.image_size, engine=engine,
+                           evaluation=evaluation) for name in frameworks]
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.repeats < 1:
-        print("error: --repeats must be at least 1", file=sys.stderr)
-        return 2
-    if args.batch < 1:
-        print("error: --batch must be at least 1", file=sys.stderr)
-        return 2
-    set_global_seed(args.seed)
-    model = _build_cli_model(args)
-    pruner = build_seeded_framework(args.framework, args.seed)
-    report = pruner.prune(model, (1, 3, args.image_size, args.image_size), args.model)
-    # The unpruned twin (same seed, same weights before pruning): the base of
-    # `pruning_speedup`, through the same fused executor.
-    set_global_seed(args.seed)
-    dense_engine = compile_model(_build_cli_model(args))
 
-    # One engine serves the measurement, the profile and the plan table.
-    compiled = compile_model(model, report.masks)
-    measurement = measure_speedup(
-        model, dense_engine, repeats=args.repeats, batch=args.batch,
-        image_size=args.image_size, model_name=args.model, seed=args.seed,
-        compiled=compiled,
-    )
-
-    # Modeled (analytical) latency for the same pruned model, with the measured
-    # wall-clock attached as the "measured" column.
-    probe_size = max(32, min(args.image_size, 64))
-    profile = profile_model(model, args.image_size, probe_size, model_name=args.model)
-    sparsity = SparsityProfile.from_report(report)
-    modeled = estimate_latency(profile, JETSON_TX2, sparsity)
-    attach_measured(modeled, measurement.compiled_seconds)
-
+    artifact = Pipeline.from_spec(specs[0]).run()
+    compiled = artifact.compiled
     if args.profile:
         # Per-op attribution of the measured path: run the measured batch a
         # few times under a profiler, print where the time went.
         probe = np.random.default_rng(args.seed).standard_normal(
             (args.batch, 3, args.image_size, args.image_size)).astype(np.float32)
         with compiled.profiled() as profiler:
-            for _ in range(max(1, args.repeats)):
+            for _ in range(args.repeats):
                 compiled.forward_raw(probe)
         profile = profiler.report()
         rows = []
@@ -450,28 +405,33 @@ def _cmd_engine(args: argparse.Namespace) -> int:
                         f"({compiled.engine_mode} mode, {profile['runs']} runs, "
                         f"{profile['total_ms']}ms total)"))
         print()
-
     if args.plans:
         # The measurement already traced + fused, so the table shows the modes
         # that actually execute (e.g. "sparse-im2col-gemm+direct+bn+silu").
         print(format_table(compiled.summary(), title="Compiled layer plans"))
         print()
-    print(format_table([measurement.row()],
+    print(format_table([artifact.measurement],
                        title=f"{args.framework} on {args.model} — measured on host CPU"))
-    print(format_table([modeled.row()],
-                       title="Modeled (Jetson TX2) vs measured (host) latency"))
+
+    artifacts = [artifact] + [Pipeline.from_spec(spec).run() for spec in specs[1:]]
+    rows = []
+    for name, run in zip(frameworks, artifacts):
+        measured = run.measurement
+        rows.append({"framework": name,
+                     "pruning_speedup[host]": run.metrics["pruning_speedup[host]"],
+                     "pruning_speedup_q1": measured["pruning_speedup_q1"],
+                     "pruning_speedup_q3": measured["pruning_speedup_q3"],
+                     **{key: value for key, value in run.metrics.items()
+                        if key.startswith("speedup[")},
+                     "max_abs_diff": measured["max_abs_diff"]})
     kernel = ("native direct sparse kernel" if sparse_kernel_available()
               else "portable gather + GEMM path: zeros are multiplied, expect ~1x")
-    claim_rows = _pruning_claim_rows(args, dense_engine, {
-        args.framework: (model, report, measurement)})
     print(format_table(
-        claim_rows, title=f"Speedup from pruning (fused-dense / fused-pruned; {kernel})"))
+        rows, title=f"Speedup from pruning (fused-dense / fused-pruned; {kernel})"))
     # Every measured variant must compute what its pruned model computes.
-    diffs = {args.framework: measurement.max_abs_diff,
-             **{row["framework"]: row["max_abs_diff"] for row in claim_rows}}
-    ok = all(diff < 1e-5 for diff in diffs.values())
+    ok = all(row["max_abs_diff"] < 1e-5 for row in rows)
     print("output equivalence (max abs diff): "
-          + ", ".join(f"{name} {diff:.2e}" for name, diff in diffs.items())
+          + ", ".join(f"{row['framework']} {row['max_abs_diff']:.2e}" for row in rows)
           + f" {'OK' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 
@@ -829,7 +789,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     baseline_map = BASELINE_MAP.get(args.model, 60.0)
     evaluator = DetectorEvaluator(lambda: build_model(args.model), args.model, baseline_map,
                                   image_size=args.image_size, probe_size=64)
-    results = compare_frameworks(evaluator, default_framework_suite())
+    results = compare_frameworks(evaluator, paper_suite())
     print(format_comparison(
         results,
         metrics=("compression_ratio", "mAP", "speedup[Jetson TX2]",

@@ -33,13 +33,14 @@ from repro.nn.tensor import Tensor, no_grad
 
 
 def _paired_speedup(base: Callable[[], object], other: Callable[[], object],
-                    rounds: int, warmup: int) -> Tuple[float, float, float]:
-    """``(base seconds, other seconds, base/other)`` with both arms in every round.
+                    rounds: int, warmup: int) -> Tuple[float, float, np.ndarray]:
+    """``(base seconds, other seconds, base/other quartiles)``, both arms in every round.
 
     Each round times both callables back to back, alternating which goes
     first, so the two sides of the ratio see the same machine state; the ratio
     is the median of the per-round ratios (a host that slows down for a second
-    moves both arms of a round, not the ratio), the seconds are medians.
+    moves both arms of a round, not the ratio), returned with their first and
+    third quartiles as ``[q1, median, q3]``; the seconds are medians.
     """
     for _ in range(warmup):
         base()
@@ -52,8 +53,9 @@ def _paired_speedup(base: Callable[[], object], other: Callable[[], object],
             arms[arm]()
             samples[arm].append(time.perf_counter() - start)
     ratios = [b / o for b, o in zip(samples[0], samples[1]) if o > 0.0]
-    return (float(np.median(samples[0])), float(np.median(samples[1])),
-            float(np.median(ratios)) if ratios else float("inf"))
+    quartiles = (np.percentile(ratios, (25, 50, 75)) if ratios
+                 else np.full(3, float("inf")))
+    return float(np.median(samples[0])), float(np.median(samples[1])), quartiles
 
 
 @dataclass
@@ -65,10 +67,13 @@ class EngineMeasurement:
     repeats: int
     #: Median wall-clock of the *unpruned* twin and of the pruned engine, both
     #: through the fused executor, and ``fused-dense / fused-pruned`` paired
-    #: per round — the speedup *from pruning*.
+    #: per round — the speedup *from pruning* — with the first and third
+    #: quartiles of the per-round ratios (its spread).
     fused_dense_seconds: float
     compiled_seconds: float
     pruning_speedup: float
+    pruning_speedup_q1: float
+    pruning_speedup_q3: float
     max_abs_diff: float
     compiled_layers: int = 0
     #: Executor ``compiled_seconds`` timed: ``"fused"``, or ``"eager"`` when
@@ -87,6 +92,8 @@ class EngineMeasurement:
             "fused_dense_ms": round(self.fused_dense_seconds * 1e3, 2),
             "compiled_ms": round(self.compiled_seconds * 1e3, 2),
             "pruning_speedup": round(self.pruning_speedup, 2),
+            "pruning_speedup_q1": round(self.pruning_speedup_q1, 2),
+            "pruning_speedup_q3": round(self.pruning_speedup_q3, 2),
             "max_abs_diff": float(self.max_abs_diff),
         }
 
@@ -145,7 +152,7 @@ def measure_speedup(
         dense_out = _to_numpy(model(Tensor(x)))
     max_abs_diff = max_abs_output_diff(compiled.forward_raw(x), dense_out)
 
-    fused_dense_seconds, compiled_seconds, pruning_speedup = _paired_speedup(
+    fused_dense_seconds, compiled_seconds, (q1, median, q3) = _paired_speedup(
         lambda: dense_engine.forward_raw(x), lambda: compiled.forward_raw(x),
         rounds=max(repeats, 3), warmup=max(warmup, 1))
 
@@ -160,7 +167,9 @@ def measure_speedup(
         repeats=repeats,
         fused_dense_seconds=fused_dense_seconds,
         compiled_seconds=compiled_seconds,
-        pruning_speedup=pruning_speedup,
+        pruning_speedup=float(median),
+        pruning_speedup_q1=float(q1),
+        pruning_speedup_q3=float(q3),
         max_abs_diff=max_abs_diff,
         compiled_layers=compiled.num_compiled_layers,
         engine_mode=compiled.engine_mode,

@@ -8,7 +8,6 @@ from repro.evaluation.accuracy_proxy import (
 )
 from repro.evaluation.comparison import (
     compare_frameworks,
-    default_framework_suite,
     normalised_metric,
     results_by_framework,
 )
@@ -22,7 +21,7 @@ from repro.evaluation.tables import format_bar_chart, format_comparison, format_
 
 __all__ = [
     "BASELINE_MAP", "AccuracyEstimate", "baseline_map_for", "estimate_pruned_map",
-    "compare_frameworks", "default_framework_suite",
+    "compare_frameworks",
     "normalised_metric", "results_by_framework",
     "DetectorEvaluator", "FrameworkResult",
     "snapshot_weight_energy", "weight_energy_retention",

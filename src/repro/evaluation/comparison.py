@@ -2,30 +2,19 @@
 
 The paper compares the base model (BM) with PATDNN (PD), Neural Magic SparseML
 (NMS), Network Slimming (NS), Pruning Filters (PF), Neural Pruning (NP) and the two
-R-TOSS variants (3EP, 2EP).  :func:`default_framework_suite` builds those pruners at
-their default operating points; :func:`compare_frameworks` runs all of them through a
-:class:`DetectorEvaluator` and returns one row per framework.
+R-TOSS variants (3EP, 2EP).  :func:`repro.pruning.registry.paper_suite` builds
+those pruners at their default operating points; :func:`compare_frameworks` runs all
+of them through a :class:`DetectorEvaluator` and returns one row per framework.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.evaluation.evaluator import DetectorEvaluator, FrameworkResult
 from repro.pruning.registry import paper_suite
 
 PrunerFactory = Callable[[], object]
-
-def default_framework_suite(dense_layer_names: Tuple[str, ...] = ()) -> Dict[str, PrunerFactory]:
-    """Pruner factories for every compared framework at its default operating point.
-
-    Thin wrapper over :func:`repro.pruning.registry.paper_suite`, kept for
-    backward compatibility — the framework table itself lives in the registry.
-    ``dense_layer_names`` is forwarded to the frameworks that support it (the
-    R-TOSS variants; used by the RetinaNet experiments to reproduce the paper's
-    eligible-weight fraction).
-    """
-    return paper_suite(dense_layer_names)
 
 
 def compare_frameworks(
@@ -34,7 +23,7 @@ def compare_frameworks(
     include_baseline: bool = True,
 ) -> List[FrameworkResult]:
     """Evaluate every framework on the evaluator's model; returns ordered results."""
-    frameworks = frameworks if frameworks is not None else default_framework_suite()
+    frameworks = frameworks if frameworks is not None else paper_suite()
     results: List[FrameworkResult] = []
     if include_baseline:
         results.append(evaluator.evaluate_baseline())

@@ -4,17 +4,16 @@ For a given model factory and pruner the evaluator produces everything the paper
 figures need: compression ratio (parameters and storage), per-platform latency and
 speedup, per-platform energy and reduction, and the estimated mAP.
 
-With ``measure_engine=True`` it additionally times the pruned model through the
-pattern-aware execution engine (:mod:`repro.engine`) against its unpruned twin
-and records the *measured* host-CPU speedup from pruning next to the modeled
-platform speedups.
+:meth:`DetectorEvaluator.score` also carries an engine measurement taken by its
+caller (the pipeline's ``engine.measure``), so the row publishes the *measured*
+host-CPU speedup from pruning next to the modeled platform speedups.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -96,8 +95,8 @@ class FrameworkResult:
     energy_reduction_percent: Dict[str, float]
     report: Optional[PruningReport] = None
     accuracy: Optional[AccuracyEstimate] = None
-    #: Wall-clock engine measurement (repro.engine.EngineMeasurement) when the
-    #: evaluator ran with ``measure_engine=True``; None otherwise.
+    #: Wall-clock engine measurement (repro.engine.EngineMeasurement) handed
+    #: to :meth:`DetectorEvaluator.score`; None otherwise.
     measured: Optional[object] = None
 
     def row(self) -> Dict[str, float]:
@@ -140,22 +139,15 @@ class DetectorEvaluator:
         Input resolution of the latency/energy evaluation (the paper uses 640).
     platforms:
         Platform models to evaluate on; defaults to RTX 2080Ti and Jetson TX2.
-    measure_engine:
-        When True, every :meth:`evaluate` call also times the pruned model's
-        compiled engine against a fresh ``model_factory()`` twin compiled
-        unpruned (:func:`repro.engine.bench.measure_speedup`) and stores the
-        measurement, whose ``pruning_speedup`` the row publishes, on
-        :attr:`FrameworkResult.measured`.  Off by default because
-        it performs real forward passes; the measurement input is a
-        ``(measure_batch, 3, trace_size, trace_size)`` batch, not the full
-        ``image_size`` resolution.
+
+    The evaluator only models; the measured speedup from pruning is taken by
+    :meth:`repro.pipeline.Pipeline.run` and passed to :meth:`score`.
     """
 
     def __init__(self, model_factory: ModelFactory, model_key: str, baseline_map: float,
                  image_size: int = 640, probe_size: int = 64,
                  platforms: Optional[List[PlatformSpec]] = None,
-                 trace_size: int = 64, measure_engine: bool = False,
-                 measure_batch: int = 2, measure_repeats: int = 3) -> None:
+                 trace_size: int = 64) -> None:
         self.model_factory = model_factory
         self.model_key = model_key
         self.baseline_map = float(baseline_map)
@@ -163,9 +155,6 @@ class DetectorEvaluator:
         self.probe_size = int(probe_size)
         self.trace_size = int(trace_size)
         self.platforms = platforms if platforms is not None else [RTX_2080TI, JETSON_TX2]
-        self.measure_engine = bool(measure_engine)
-        self.measure_batch = int(measure_batch)
-        self.measure_repeats = int(measure_repeats)
         self._profile: Optional[ModelCostProfile] = None
         self._baseline_latency: Dict[str, float] = {}
         self._baseline_energy: Dict[str, float] = {}
@@ -218,8 +207,7 @@ class DetectorEvaluator:
         report: PruningReport = pruner.prune(model, self.example_input(), self.model_key)
         if framework_name:
             report.framework = framework_name
-        measured = self._measure_engine(model, report) if self.measure_engine else None
-        return self.score(model, report, pre_energy, measured)
+        return self.score(model, report, pre_energy)
 
     def score(self, model: Module, report: PruningReport, pre_energy: Dict[str, float],
               measured: Optional[object] = None) -> FrameworkResult:
@@ -262,19 +250,4 @@ class DetectorEvaluator:
             report=report,
             accuracy=accuracy,
             measured=measured,
-        )
-
-    def _measure_engine(self, model: Module, report: PruningReport):
-        """Wall-clock speedup from pruning of the freshly pruned model."""
-        from repro.engine.bench import measure_speedup
-        from repro.engine.compiler import compile_model
-
-        return measure_speedup(
-            model,
-            compile_model(self.model_factory()),
-            masks=report.masks,
-            repeats=self.measure_repeats,
-            batch=self.measure_batch,
-            image_size=self.trace_size,
-            model_name=self.model_key,
         )

@@ -13,11 +13,9 @@ import os
 import threading
 from typing import Dict, List, Tuple
 
-from repro.evaluation.accuracy_proxy import baseline_map_for
 from repro.evaluation.comparison import compare_frameworks
-from repro.evaluation.evaluator import DetectorEvaluator, FrameworkResult, built_once
-from repro.experiments.table3 import RETINANET_DENSE_LAYERS
-from repro.models import retinanet_resnet50, yolov5s
+from repro.evaluation.evaluator import FrameworkResult
+from repro.experiments.table3 import paper_evaluator
 from repro.pruning.registry import paper_suite
 
 _CACHE: Dict[Tuple[str, int], List[FrameworkResult]] = {}
@@ -52,21 +50,8 @@ def comparison_results(model_key: str = "yolov5s", image_size: int = 640,
         if not refresh and key in _CACHE:
             return _CACHE[key]
 
-        if model_key == "yolov5s":
-            evaluator = DetectorEvaluator(built_once(yolov5s), "yolov5s",
-                                          baseline_map_for("yolov5s"),
-                                          image_size=image_size, probe_size=probe_size)
-            suite = paper_suite()
-        elif model_key == "retinanet":
-            evaluator = DetectorEvaluator(built_once(retinanet_resnet50), "retinanet",
-                                          baseline_map_for("retinanet"),
-                                          image_size=image_size, probe_size=probe_size)
-            suite = paper_suite(dense_layer_names=RETINANET_DENSE_LAYERS)
-        else:
-            raise KeyError(
-                f"comparison suite covers 'yolov5s' and 'retinanet', not {model_key!r}")
-
-        results = compare_frameworks(evaluator, suite)
+        evaluator, dense_layers = paper_evaluator(model_key, image_size, probe_size)
+        results = compare_frameworks(evaluator, paper_suite(dense_layer_names=dense_layers))
         _CACHE[key] = results
         return results
 

@@ -8,13 +8,13 @@ reported — the same four columns the paper's Table 3 shows per model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import RTOSSConfig
 from repro.core.rtoss import RTOSSPruner
 from repro.evaluation.accuracy_proxy import baseline_map_for
 from repro.evaluation.evaluator import DetectorEvaluator, FrameworkResult, built_once
-from repro.hardware.platform import RTX_2080TI
+from repro.hardware.platform import RTX_2080TI, PlatformSpec
 from repro.models import retinanet_resnet50, yolov5s
 
 # The paper's reference values (used only for reporting side by side, never to
@@ -65,17 +65,22 @@ class Table3Row:
         }
 
 
-def _evaluator_for(model_key: str, image_size: int, probe_size: int) -> Tuple[DetectorEvaluator, Tuple[str, ...]]:
-    if model_key == "yolov5s":
-        return DetectorEvaluator(built_once(yolov5s), "yolov5s", baseline_map_for("yolov5s"),
-                                 image_size=image_size, probe_size=probe_size,
-                                 platforms=[RTX_2080TI]), ()
-    if model_key == "retinanet":
-        return DetectorEvaluator(built_once(retinanet_resnet50), "retinanet",
-                                 baseline_map_for("retinanet"), image_size=image_size,
-                                 probe_size=probe_size,
-                                 platforms=[RTX_2080TI]), RETINANET_DENSE_LAYERS
-    raise KeyError(f"Table 3 covers 'yolov5s' and 'retinanet', not {model_key!r}")
+def paper_evaluator(model_key: str, image_size: int, probe_size: int,
+                    platforms: Optional[List[PlatformSpec]] = None,
+                    ) -> Tuple[DetectorEvaluator, Tuple[str, ...]]:
+    """The evaluator of one of the paper's two detectors, with the layer names
+    its R-TOSS runs keep dense (none for YOLOv5s, ``RETINANET_DENSE_LAYERS``
+    for RetinaNet); ``platforms`` as :class:`DetectorEvaluator` takes them."""
+    builders = {"yolov5s": (yolov5s, ()),
+                "retinanet": (retinanet_resnet50, RETINANET_DENSE_LAYERS)}
+    if model_key not in builders:
+        raise KeyError(f"the paper's detectors are 'yolov5s' and 'retinanet', "
+                       f"not {model_key!r}")
+    build, dense_layers = builders[model_key]
+    evaluator = DetectorEvaluator(built_once(build), model_key, baseline_map_for(model_key),
+                                  image_size=image_size, probe_size=probe_size,
+                                  platforms=platforms)
+    return evaluator, dense_layers
 
 
 def run_table3(models: Tuple[str, ...] = ("yolov5s", "retinanet"),
@@ -84,7 +89,8 @@ def run_table3(models: Tuple[str, ...] = ("yolov5s", "retinanet"),
     """Regenerate Table 3 for the requested models and entry-pattern sizes."""
     rows: List[Table3Row] = []
     for model_key in models:
-        evaluator, dense_layers = _evaluator_for(model_key, image_size, probe_size)
+        evaluator, dense_layers = paper_evaluator(model_key, image_size, probe_size,
+                                                   platforms=[RTX_2080TI])
         evaluator.evaluate_baseline()
         for entries in entry_sizes:
             pruner = RTOSSPruner(RTOSSConfig(entries=entries, dense_layer_names=dense_layers))

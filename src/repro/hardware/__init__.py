@@ -16,9 +16,7 @@ from repro.hardware.energy import EnergyEstimate, energy_reduction_percent, esti
 from repro.hardware.latency import (
     LatencyEstimate,
     LayerLatency,
-    attach_measured,
     estimate_latency,
-    speedup_over,
 )
 from repro.hardware.platform import (
     DEFAULT_SKIP_EFFICIENCY,
@@ -35,7 +33,7 @@ __all__ = [
     "storage_compression_ratio",
     "BYTES_PER_WEIGHT", "LayerCost", "ModelCostProfile", "profile_model",
     "EnergyEstimate", "energy_reduction_percent", "estimate_energy",
-    "LatencyEstimate", "LayerLatency", "attach_measured", "estimate_latency", "speedup_over",
+    "LatencyEstimate", "LayerLatency", "estimate_latency",
     "DEFAULT_SKIP_EFFICIENCY", "JETSON_TX2", "PLATFORMS", "RTX_2080TI", "PlatformSpec",
     "get_platform",
     "LayerSparsity", "SparsityProfile", "structure_for_method",

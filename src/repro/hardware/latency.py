@@ -6,12 +6,16 @@ model total adds a fixed per-inference overhead.  Pruning reduces the compute ti
 according to the layer's sparsity and the platform's ability to exploit that
 sparsity structure, and reduces the weight traffic according to the compressed
 weight footprint.
+
+These are analytical figures for the paper's platforms; the wall-clock speedup
+from pruning on the host is measured by :func:`repro.engine.measure_speedup`,
+and the pipeline publishes the two side by side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.hardware.compression import compressed_layer_bytes
 from repro.hardware.cost_model import LayerCost, ModelCostProfile
@@ -35,14 +39,7 @@ class LayerLatency:
 
 @dataclass
 class LatencyEstimate:
-    """Latency estimate of a (possibly pruned) model on one platform.
-
-    ``measured_seconds`` is an optional *wall-clock* measurement from the
-    execution engine (:func:`repro.engine.measure_speedup`) attached next to the
-    analytical estimate — the "measured" column of the Fig. 6 tables.  It is
-    recorded on the host CPU, so it validates the *relative* speedup story of
-    the model rather than the absolute platform numbers.
-    """
+    """Latency estimate of a (possibly pruned) model on one platform."""
 
     platform: str
     framework: str
@@ -50,7 +47,6 @@ class LatencyEstimate:
     layers: List[LayerLatency] = field(default_factory=list)
     effective_macs: float = 0.0
     memory_bytes: float = 0.0
-    measured_seconds: Optional[float] = None
 
     @property
     def total_milliseconds(self) -> float:
@@ -59,17 +55,6 @@ class LatencyEstimate:
     @property
     def fps(self) -> float:
         return 1.0 / self.total_seconds if self.total_seconds > 0 else float("inf")
-
-    def row(self) -> dict:
-        """Flat table row: modeled latency plus the measured column when present."""
-        row = {
-            "platform": self.platform,
-            "framework": self.framework,
-            "modeled_ms": round(self.total_milliseconds, 2),
-        }
-        if self.measured_seconds is not None:
-            row["measured_ms"] = round(self.measured_seconds * 1e3, 2)
-        return row
 
 
 def _effective_macs(layer: LayerCost, sparsity: float, structure: str,
@@ -135,20 +120,3 @@ def estimate_latency(
         effective_macs=total_effective_macs,
         memory_bytes=total_bytes,
     )
-
-
-def speedup_over(baseline: LatencyEstimate, pruned: LatencyEstimate) -> float:
-    """Speedup factor of a pruned model relative to the dense baseline."""
-    if pruned.total_seconds <= 0:
-        return float("inf")
-    return baseline.total_seconds / pruned.total_seconds
-
-
-def attach_measured(estimate: LatencyEstimate, measured_seconds: float) -> LatencyEstimate:
-    """Attach a wall-clock measurement to an analytical estimate (in place).
-
-    Used by the engine benchmarks and the CLI to print modeled and measured
-    latency side by side; returns the estimate for chaining.
-    """
-    estimate.measured_seconds = float(measured_seconds)
-    return estimate

@@ -260,31 +260,59 @@ def test_measure_speedup_reports_equivalent_outputs():
     assert out.requires_grad
 
 
-def test_evaluator_measured_column():
-    factory = lambda: TinyDetector(
-        TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8))
-    evaluator = DetectorEvaluator(factory, "tiny", baseline_map=60.0,
-                                  image_size=64, probe_size=32, trace_size=64,
-                                  measure_engine=True, measure_batch=1,
-                                  measure_repeats=1)
-    from repro.core.config import RTOSSConfig
-    from repro.core.rtoss import RTOSSPruner
+def test_measured_ratio_carries_its_quartiles(monkeypatch):
+    """``row()`` reports the quartiles of the per-round ratios beside their median."""
+    import types
 
-    result = evaluator.evaluate(RTOSSPruner(RTOSSConfig(entries=2)))
-    measured = result.measured
-    assert measured is not None
-    assert measured.max_abs_diff < 1e-5
+    from repro.engine import bench
+
+    rounds = 4
+    # Per-round seconds of each arm, in the order the rounds time them (the
+    # first arm alternates): dense/pruned ratios 1, 2, 3, 4.
+    dense = [2e-3, 4e-3, 6e-3, 8e-3]
+    pruned = [2e-3] * rounds
+    durations = []
+    for index in range(rounds):
+        pair = (dense[index], pruned[index])
+        durations.extend(pair if index % 2 == 0 else pair[::-1])
+    stamps = iter(np.cumsum([0.0] + [d for step in durations for d in (step, 0.0)]))
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: next(stamps)))
+
+    model, report = _pruned_tiny()
+    dense_engine = compile_model(
+        TinyDetector(TinyDetectorConfig(num_classes=3, image_size=64, base_channels=8)))
+    row = measure_speedup(model, dense_engine, masks=report.masks, repeats=rounds,
+                          warmup=0, batch=1, image_size=64).row()
+    q1, median, q3 = np.percentile([1.0, 2.0, 3.0, 4.0], (25, 50, 75))
+    assert (row["pruning_speedup_q1"], row["pruning_speedup"], row["pruning_speedup_q3"]) \
+        == (round(q1, 2), round(median, 2), round(q3, 2)) == (1.75, 2.5, 3.25)
+
+
+def test_pipeline_publishes_the_measured_column():
+    from repro.evaluation.tables import format_table
+    from repro.pipeline import Pipeline, RunSpec
+
+    kwargs = {"num_classes": 3, "image_size": 64, "base_channels": 8}
+    spec = RunSpec.from_dict({
+        "model": {"name": "tiny", "kwargs": kwargs},
+        "framework": {"name": "rtoss-2ep"},
+        "engine": {"measure": True, "image_size": 64, "batch": 1, "repeats": 1},
+        "evaluation": {"image_size": 64, "probe_size": 32, "baseline_map": 60.0},
+    })
+    artifact = Pipeline.from_spec(spec).run()
+    measured = artifact.measurement
+    assert measured["max_abs_diff"] < 1e-5
     # The published column is the shipped engine's timing: what forward_raw
     # runs (the fused program), not a second executor's.
-    assert measured.engine_mode == "fused"
-    row = result.row()
-    assert row["pruning_speedup[host]"] == round(measured.pruning_speedup, 2)
-    assert row["measured_latency_ms[host]"] == round(measured.compiled_seconds * 1e3, 2)
+    assert measured["engine_mode"] == "fused"
+    row = artifact.metrics
+    assert row["pruning_speedup[host]"] == measured["pruning_speedup"]
+    assert row["measured_latency_ms[host]"] == measured["compiled_ms"]
 
     # The measured columns must survive table rendering even when the first
     # (baseline) row lacks them — format_table unions columns across rows.
-    from repro.evaluation.tables import format_table
-
-    baseline = evaluator.evaluate_baseline()
+    baseline = DetectorEvaluator(lambda: TinyDetector(TinyDetectorConfig(**kwargs)), "tiny",
+                                 baseline_map=60.0, image_size=64,
+                                 probe_size=32).evaluate_baseline()
     table = format_table([baseline.row(), row])
     assert "pruning_speedup[host]" in table

@@ -9,7 +9,6 @@ from repro.evaluation import (
     DetectorEvaluator,
     baseline_map_for,
     compare_frameworks,
-    default_framework_suite,
     estimate_pruned_map,
     format_bar_chart,
     format_comparison,
@@ -125,10 +124,6 @@ class TestComparison:
             normalised_metric(results, "speedup")
         with pytest.raises(KeyError):
             normalised_metric(results, "nonsense")
-
-    def test_default_suite_contains_paper_frameworks(self):
-        suite = default_framework_suite()
-        assert set(suite) == {"PD", "NMS", "NS", "PF", "NP", "R-TOSS-3EP", "R-TOSS-2EP"}
 
 
 class TestFormatting:

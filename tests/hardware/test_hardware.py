@@ -18,7 +18,6 @@ from repro.hardware import (
     estimate_model_size,
     get_platform,
     profile_model,
-    speedup_over,
     storage_compression_ratio,
     structure_for_method,
 )
@@ -135,7 +134,7 @@ class TestLatency:
                 sparsity.layers[layer.name] = LayerSparsity(layer.name, 0.7, "pattern")
         pruned = estimate_latency(profile, JETSON_TX2, sparsity)
         assert pruned.total_seconds < dense.total_seconds
-        assert speedup_over(dense, pruned) > 1.2
+        assert dense.total_seconds / pruned.total_seconds > 1.2
 
     def test_structured_sparsity_speeds_up_more_than_unstructured(self, tiny_profile):
         _, profile = tiny_profile
@@ -154,18 +153,6 @@ class TestLatency:
         _, profile = tiny_profile
         latency = estimate_latency(profile, RTX_2080TI)
         assert latency.fps == pytest.approx(1.0 / latency.total_seconds)
-
-    def test_measured_column(self, tiny_profile):
-        from repro.hardware import attach_measured
-
-        _, profile = tiny_profile
-        latency = estimate_latency(profile, JETSON_TX2)
-        assert latency.measured_seconds is None
-        assert "measured_ms" not in latency.row()
-        attach_measured(latency, 0.0125)
-        row = latency.row()
-        assert row["measured_ms"] == pytest.approx(12.5)
-        assert row["modeled_ms"] == pytest.approx(latency.total_milliseconds, rel=1e-3)
 
 
 class TestEnergy:

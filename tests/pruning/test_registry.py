@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.evaluation.comparison import default_framework_suite
 from repro.models.tiny import TinyDetector, TinyDetectorConfig
 from repro.pruning.registry import (
     available_frameworks,
@@ -81,11 +80,8 @@ class TestFactoryOverrides:
 class TestPaperSuite:
     def test_matches_paper_order(self):
         # Figs. 4-7 order, after the base model (BM).
-        assert tuple(paper_suite()) == ("PD", "NMS", "NS", "PF", "NP", "R-TOSS-3EP", "R-TOSS-2EP")
-
-    def test_default_framework_suite_delegates_to_registry(self):
-        suite = default_framework_suite()
-        assert list(suite) == list(paper_suite())
+        suite = paper_suite()
+        assert tuple(suite) == ("PD", "NMS", "NS", "PF", "NP", "R-TOSS-3EP", "R-TOSS-2EP")
         assert suite["R-TOSS-2EP"]().config.entries == 2
 
     def test_dense_layer_names_forwarded_only_to_supporting_frameworks(self):

@@ -21,7 +21,7 @@ def test_concurrent_first_calls_compute_once(monkeypatch):
         return ["sentinel-result"]
 
     monkeypatch.setattr(comparison_suite, "compare_frameworks", fake_compare)
-    monkeypatch.setattr(comparison_suite, "DetectorEvaluator", lambda *a, **k: object())
+    monkeypatch.setattr(comparison_suite, "paper_evaluator", lambda *a, **k: (object(), ()))
     monkeypatch.setattr(comparison_suite, "paper_suite", lambda **k: ["stub-framework"])
     comparison_suite.clear_cache()
     try:
@@ -48,7 +48,7 @@ def test_refresh_recomputes_under_the_same_lock(monkeypatch):
     monkeypatch.setattr(
         comparison_suite, "compare_frameworks", lambda e, s: calls.append(1) or ["r"]
     )
-    monkeypatch.setattr(comparison_suite, "DetectorEvaluator", lambda *a, **k: object())
+    monkeypatch.setattr(comparison_suite, "paper_evaluator", lambda *a, **k: (object(), ()))
     monkeypatch.setattr(comparison_suite, "paper_suite", lambda **k: ["stub"])
     comparison_suite.clear_cache()
     try:

@@ -135,5 +135,37 @@ class TestCLI:
         profile = out[out.index("Engine profile — tiny (fused mode"):out.index("Compiled layer plans")]
         assert "phases_ms" in profile
         assert any(" | conv " in line and "gemm=" in line for line in profile.splitlines())
-        assert "measured_ms" in out      # the latency-model "measured" column
+        # The claim table: measured and modelled speedups of both R-TOSS variants.
+        claim = out[out.index("Speedup from pruning"):]
+        header = claim.splitlines()[1]
+        for column in ("pruning_speedup[host]", "pruning_speedup_q1", "pruning_speedup_q3",
+                       "speedup[Jetson TX2]", "speedup[RTX 2080Ti]", "max_abs_diff"):
+            assert column in header
+        rows = [line.split(" | ")[0].strip() for line in claim.splitlines()[3:5]]
+        assert rows == ["rtoss-2ep", "rtoss-3ep"]
         assert "OK" in out
+
+    def test_engine_flag_outside_its_spec_bound_exits_2(self, capsys):
+        assert cli_main(["engine", "--model", "tiny", "--image-size", "16"]) == 2
+        assert "image_size" in capsys.readouterr().err
+
+    def test_engine_exits_1_on_an_output_mismatch(self, capsys, monkeypatch):
+        import repro.engine.bench
+
+        monkeypatch.setattr(repro.engine.bench, "max_abs_output_diff", lambda *_: 1.0)
+        code = cli_main(["engine", "--model", "tiny", "--image-size", "32",
+                         "--batch", "1", "--repeats", "1"])
+        assert code == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
+    def test_prune_honours_classes_for_every_model(self, capsys, tmp_path):
+        from repro.models import build_model
+
+        code = cli_main(["prune", "--model", "retinanet_lite", "--classes", "5",
+                         "--trace-size", "32", "--save", str(tmp_path / "pruned")])
+        assert code == 0
+        saved = np.load(tmp_path / "pruned.npz")
+        key = "classification_head.prediction.weight"
+        expected = build_model("retinanet_lite", num_classes=5).state_dict()[key].shape
+        assert saved[key].shape == expected
+        assert expected != build_model("retinanet_lite").state_dict()[key].shape
