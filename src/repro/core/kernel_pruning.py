@@ -38,7 +38,7 @@ class PatternAssignment:
     pattern_indices:
         (out_channels, in_channels) index of the chosen pattern per kernel.
     mask:
-        Binary keep-mask of the full weight tensor (same shape as the weights).
+        Boolean keep-mask of the full weight tensor (same shape as the weights).
     pattern_usage:
         Histogram {pattern index: number of kernels} — children of a DFS group are
         restricted to their parent's used patterns.
@@ -67,7 +67,7 @@ def assign_patterns(weights: np.ndarray, library: PatternLibrary) -> PatternAssi
     retained_energy = (flat**2) @ masks.T                    # (K, P)
     best = retained_energy.argmax(axis=1)                    # (K,)
 
-    kernel_masks = masks[best]                                # (K, 9)
+    kernel_masks = (masks != 0)[best]                         # (K, 9) bool
     mask = kernel_masks.reshape(out_channels, in_channels, KERNEL_SIDE, KERNEL_SIDE)
     indices = best.reshape(out_channels, in_channels)
     usage: Dict[int, int] = {}
@@ -79,7 +79,7 @@ def assign_patterns(weights: np.ndarray, library: PatternLibrary) -> PatternAssi
 def assign_patterns_reference(weights: np.ndarray, library: PatternLibrary) -> PatternAssignment:
     """Literal Algorithm 2: loop over kernels, loop over patterns, compare L2 norms."""
     out_channels, in_channels = _check_3x3(weights)
-    mask = np.zeros_like(weights, dtype=np.float32)
+    mask = np.zeros(weights.shape, dtype=bool)
     indices = np.zeros((out_channels, in_channels), dtype=np.int64)
     usage: Dict[int, int] = {}
 
@@ -92,7 +92,7 @@ def assign_patterns_reference(weights: np.ndarray, library: PatternLibrary) -> P
                 l2_by_pattern[key] = float(np.linalg.norm(masked))   # lines 8-10
             bestfit = max(l2_by_pattern, key=l2_by_pattern.get)      # line 11
             indices[i, j] = bestfit
-            mask[i, j] = library[bestfit].mask()                      # lines 12-14
+            mask[i, j] = library[bestfit].mask() != 0                 # lines 12-14
             usage[bestfit] = usage.get(bestfit, 0) + 1
     return PatternAssignment(indices, mask, usage)
 

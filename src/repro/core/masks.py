@@ -21,17 +21,24 @@ from repro.nn.module import Module
 
 @dataclass
 class PruningMask:
-    """A binary keep-mask for one parameter of one layer."""
+    """A binary keep-mask for one parameter of one layer.
+
+    ``mask`` is held as bool, one byte per weight; a float or integer 0/1
+    input (an artifact stores uint8) is checked and converted.
+    """
 
     layer_name: str
     parameter_name: str
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        self.mask = np.asarray(self.mask, dtype=np.float32)
-        unique = np.unique(self.mask)
-        if not np.all(np.isin(unique, [0.0, 1.0])):
-            raise ValueError("pruning masks must be binary (0/1)")
+        mask = np.asarray(self.mask)
+        if mask.dtype != np.bool_:
+            keep = mask != 0
+            if not np.all(mask == keep):          # O(n), where np.unique sorts
+                raise ValueError("pruning masks must be binary (0/1)")
+            mask = keep
+        self.mask = mask
 
     @property
     def full_name(self) -> str:
@@ -89,7 +96,7 @@ class MaskSet:
             if existing.mask.shape != mask.mask.shape:
                 raise ValueError(f"conflicting mask shapes for {mask.full_name}")
             mask = PruningMask(mask.layer_name, mask.parameter_name,
-                               existing.mask * mask.mask)
+                               existing.mask & mask.mask)
         self._masks[mask.full_name] = mask
 
     def __len__(self) -> int:
@@ -129,7 +136,7 @@ class MaskSet:
             mask = self._masks[full_name]
             digest.update(full_name.encode("utf-8"))
             digest.update(str(mask.mask.shape).encode("utf-8"))
-            digest.update(np.packbits(mask.mask.astype(bool)).tobytes())
+            digest.update(np.packbits(mask.mask).tobytes())
         return digest.hexdigest()[:16]
 
     # ------------------------------------------------------------------ application

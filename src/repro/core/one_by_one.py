@@ -33,7 +33,7 @@ class PointwiseAssignment:
     Attributes
     ----------
     mask:
-        Binary keep-mask with the layer's original weight shape (O, I, 1, 1).
+        Boolean keep-mask with the layer's original weight shape (O, I, 1, 1).
     num_temporary_kernels:
         How many temporary 3x3 matrices were formed.
     num_leftover_weights:
@@ -78,7 +78,7 @@ def prune_pointwise_weights(weights: np.ndarray, library: PatternLibrary,
     flat = weights.reshape(-1)                                   # line 2 (FL)
     temporary, leftover = pool_flat_weights(flat)                # lines 5-11
 
-    flat_mask = np.zeros_like(flat, dtype=np.float32)            # leftover stays pruned
+    flat_mask = np.zeros(flat.shape, dtype=bool)                 # leftover stays pruned
     usage: Dict[int, int] = {}
     if temporary.shape[0]:
         # Algorithm 2 on the temporary matrices (line 14).  The matrices are treated

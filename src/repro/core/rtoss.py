@@ -191,7 +191,7 @@ class RTOSSPruner:
             return mask
         prune_idx = np.argsort(norms)[:num_prune]
         mask = mask.copy().reshape(out_channels * in_channels, *weight.shape[2:])
-        mask[prune_idx] = 0.0
+        mask[prune_idx] = False
         return mask.reshape(weight.shape)
 
     def _detection_head_layers(self, model: Module) -> set:

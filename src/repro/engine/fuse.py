@@ -90,6 +90,9 @@ RAW_ACTS = ("relu", "leaky_relu", "silu", "sigmoid", "tanh", "hardswish")
 #: Process-wide layout-cache counters; a bound direct call counts as a hit.
 _LAYOUT_STATS = layout_cache_stats()
 
+#: Output rows a BN fold multiplies at a time (:meth:`FusedConv.fold_batchnorm`).
+FOLD_ROWS = 64
+
 #: fp32 lanes of one AVX-512 vector.  A direct sparse conv whose one-image plane
 #: has at most this many flat positions runs the images of a group in the lanes
 #: of one call (docs/engine.md, "Batch-major tail").
@@ -262,11 +265,20 @@ class FusedConv(_FusedOp):
         In the form ``weight`` holds: each weight times its output row's
         ``scale`` in float64, rounded once to float32 — for CSR values the
         same products as folding the full matrix and gathering, bit for bit.
+        Folded :data:`FOLD_ROWS` output rows at a time, which bounds the
+        float64 temporaries of the largest layer.
         """
-        csr = self.plan.csr()
-        factor = scale[:, None] if csr is None else np.repeat(scale, np.diff(csr[0]))
-        weight = self.weight.astype(np.float64) * factor
-        self.weight = np.ascontiguousarray(weight, dtype=np.float32)
+        rowptr = self.plan.rowptr
+        weight = np.empty(self.weight.shape, dtype=np.float32)
+        for start in range(0, len(scale), FOLD_ROWS):
+            stop = min(start + FOLD_ROWS, len(scale))
+            if rowptr is None:
+                rows, factor = slice(start, stop), scale[start:stop, None]
+            else:
+                rows = slice(rowptr[start], rowptr[stop])
+                factor = np.repeat(scale[start:stop], np.diff(rowptr[start:stop + 1]))
+            weight[rows] = self.weight[rows].astype(np.float64) * factor
+        self.weight = weight
         bias = shift if self.bias is None else scale * self.bias.astype(np.float64) + shift
         self.bias = bias.astype(np.float32)
         self.mode += "+bn"
@@ -292,7 +304,7 @@ class FusedConv(_FusedOp):
         if sparse_kernel is not None and (plan.sparse or max(plan.kernel_size) > 3):
             if plan.sparse:
                 # The folded CSR values, in the plan's structure order.
-                self.csr_rowptr, self.csr_val, tag = plan.csr()[0], self.weight, "+direct"
+                self.csr_rowptr, self.csr_val, tag = plan.rowptr, self.weight, "+direct"
             else:
                 self.csr_rowptr, self.csr_val = None, sparse_kernel.pack_dense(self.weight)
                 self.taps, self.weight, tag = self.weight.shape[1], None, "+dense-direct"

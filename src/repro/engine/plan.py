@@ -9,12 +9,15 @@ count and kept columns, and keeps its values in one form only — the form the
 executor reads:
 
 * a layer at most :data:`DIRECT_MAX_DENSITY` dense (every R-TOSS-pruned
-  layer) keeps the *element-level* zero structure as CSR — :meth:`ConvPlan.csr`
-  and the values in its order.  :meth:`ConvPlan.direct_layout_for` turns the
-  structure, per input shape, into one int32 input offset per nonzero for the
-  native direct sparse-convolution kernel (:mod:`repro.engine.native`) — R-TOSS
-  patterns differ per kernel, so almost no im2col column is empty and the
-  zeros can only be skipped inside the kernel;
+  layer) keeps the *element-level* zero structure as CSR row pointers plus a
+  bitmap of the matrix (``np.packbits``: 1 bit per entry, at most 2 bits per
+  nonzero at that density, where an int32 position per nonzero took 32), and
+  the values in row-major order.  :meth:`ConvPlan.csr` rebuilds the int32
+  positions when called; :meth:`ConvPlan.direct_layout_for` turns them, per
+  input shape, into one int32 input offset per nonzero for the native direct
+  sparse-convolution kernel (:mod:`repro.engine.native`) — R-TOSS patterns
+  differ per kernel, so almost no im2col column is empty and the zeros can
+  only be skipped inside the kernel;
 * a denser layer keeps the full-width matrix (for the dense direct kernel of
   the wide dense stems: one offset per column).
 
@@ -203,7 +206,8 @@ class ConvPlan:
     # The direct kernel's per-image layouts, keyed by (per_tap, C, H, W) —
     # deliberately batch-independent: micro-batches of any size share one.
     _layouts: Dict[tuple, DirectLayout] = field(default_factory=dict, repr=False)
-    # CSR structure of a sparse plan (see :meth:`csr`); None: the plan is dense.
+    # Structure of a sparse plan: int32 row pointers and the packed bitmap of
+    # the (O, I*kh*kw) matrix's nonzeros (see :meth:`csr`); None: the plan is dense.
     _csr: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
     # Guards layout computation/insertion so concurrent no-grad forward passes
     # (the serving layer runs BatchRunner from several threads) build each
@@ -232,6 +236,24 @@ class ConvPlan:
         """Whether the plan holds CSR: at most :data:`DIRECT_MAX_DENSITY` dense."""
         return self._csr is not None
 
+    @property
+    def rowptr(self) -> Optional[np.ndarray]:
+        """CSR row pointers (int32, ``O + 1``) of a sparse plan; None for a dense one."""
+        return None if self._csr is None else self._csr[0]
+
+    @property
+    def stored_bytes(self) -> int:
+        """Bytes of this layer's weights as the engine holds them: the values
+        (4 B per nonzero of a sparse plan, per entry of a dense one), the
+        structure (row pointers and bitmap) and the cached layouts' offsets."""
+        if self._csr is None:
+            stored = 4 * self.shape[0] * self.shape[1]
+        else:
+            stored = 4 * self.nnz + sum(part.nbytes for part in self._csr)
+        # A snapshot: another thread may add a layout while this sums.
+        return stored + sum(layout.operands["off"].nbytes
+                            for layout in list(self._layouts.values()))
+
     def summary(self) -> Dict[str, object]:
         """One table row describing this plan (used by ``CompiledModel.summary``)."""
         return {
@@ -239,6 +261,7 @@ class ConvPlan:
             "mode": self.mode,
             "kernel": f"{self.kernel_size[0]}x{self.kernel_size[1]}",
             "density": round(float(self.density), 4),
+            "stored_bytes": self.stored_bytes,
         }
 
     # ------------------------------------------------------------------ values
@@ -262,7 +285,7 @@ class ConvPlan:
                 raise ValueError(f"{self.layer_name}: weight matrix too large for int32 CSR")
             flat = np.flatnonzero(nonzero)
             rowptr = np.searchsorted(flat, np.arange(rows + 1) * width).astype(np.int32)
-            csr = (rowptr, flat.astype(np.int32))
+            csr = (rowptr, np.packbits(nonzero))
             matrix = matrix.reshape(-1)[flat]
         self.values = matrix
         self.bias = None if layer.bias is None else layer.bias.data.astype(np.float32)
@@ -287,7 +310,7 @@ class ConvPlan:
         if self._csr is None:
             return values
         matrix = np.zeros(self.shape, dtype=values.dtype)
-        matrix.reshape(-1)[self._csr[1]] = values
+        matrix[self._nonzero()] = values
         return matrix
 
     # ------------------------------------------------------------------ layout
@@ -337,12 +360,21 @@ class ConvPlan:
         """CSR structure ``(rowptr, flat)`` of a sparse plan's nonzeros; None
         for a dense plan.
 
-        ``flat`` holds the nonzeros' positions in the row-major ``(O, K)``
-        matrix (``row * K + column``), ascending — so ``flat % K`` is the
-        CSR column index, and :attr:`values` (like the executor's BN-folded
-        copy of them) lists the values in this order.  Packed with the values.
+        ``flat`` (int32) holds the nonzeros' positions in the row-major
+        ``(O, K)`` matrix (``row * K + column``), ascending — so ``flat % K``
+        is the CSR column index, and :attr:`values` (like the executor's
+        BN-folded copy of them) lists the values in this order.  Rebuilt
+        from the plan's bitmap on every call; the plan does not keep it.
         """
-        return self._csr
+        if self._csr is None:
+            return None
+        return self._csr[0], np.flatnonzero(self._nonzero()).astype(np.int32)
+
+    def _nonzero(self) -> np.ndarray:
+        """A sparse plan's bitmap unpacked: the ``(O, K)`` bool nonzero map."""
+        rows, width = self.shape
+        bits = np.unpackbits(self._csr[1], count=rows * width)
+        return bits.view(bool).reshape(rows, width)
 
     def _build_direct_layout(  # reprolint: holds=_lock
             self, input_shape: Tuple[int, int, int], per_tap: bool) -> DirectLayout:
@@ -368,7 +400,7 @@ class ConvPlan:
         phase = (row % sh) * phase_cols + col % sw
         column_offset = (phase * c + channel) * (hq * wq) + (row // sh) * wq + col // sw
         if not per_tap:
-            column_offset = column_offset[self._csr[1] % width]
+            column_offset = column_offset[self.csr()[1] % width]
         off = np.ascontiguousarray(column_offset, dtype=np.int32)
 
         npos = (out_h - 1) * wq + out_w

@@ -66,7 +66,7 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-        # Pruning bookkeeping: a {param_name: 0/1 mask} dict managed by repro.core.masks.
+        # Pruning bookkeeping: a {param_name: bool mask} dict managed by repro.core.masks.
         self.pruning_masks: dict = {}
 
     def forward(self, x: Tensor) -> Tensor:
@@ -95,7 +95,7 @@ class Conv2d(Module):
         return 1.0 - (np.count_nonzero(self.weight.data) / total) if total else 0.0
 
     def keep_mask(self) -> np.ndarray:
-        """Effective binary keep-mask of the weight tensor.
+        """Effective boolean keep-mask of the weight tensor.
 
         When a pruner has registered a mask (via :meth:`repro.core.masks.MaskSet.apply`)
         that mask is returned; otherwise the non-zero map of the weights is used, so
@@ -104,8 +104,8 @@ class Conv2d(Module):
         """
         mask = self.pruning_masks.get("weight")
         if mask is not None:
-            return np.asarray(mask, dtype=np.float32)
-        return (self.weight.data != 0.0).astype(np.float32)
+            return np.asarray(mask, dtype=bool)
+        return self.weight.data != 0.0
 
     def extra_repr(self) -> str:
         return (

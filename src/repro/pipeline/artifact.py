@@ -173,8 +173,7 @@ class DeployableArtifact:
                 continue
             full_name = name[len(_MASK_PREFIX):]
             layer_name, _, parameter_name = full_name.rpartition(".")
-            masks.add(PruningMask(layer_name, parameter_name,
-                                  array.astype(np.float32)))
+            masks.add(PruningMask(layer_name, parameter_name, array))
         if len(masks):
             # Weights were saved already masked; applying re-registers the masks
             # on the layers (and is a no-op on the values).

@@ -38,6 +38,16 @@ class TestAssignPatterns:
         np.testing.assert_array_equal(fast.pattern_indices, slow.pattern_indices)
         assert fast.pattern_usage == slow.pattern_usage
 
+    def test_every_algorithm_produces_bool_masks(self, rng, library3):
+        """Algorithms 2 and 3 build their masks as bool, so the reference vs
+        vectorised comparison (``experiments/ablation.py``) compares bools."""
+        weights = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        pointwise = rng.standard_normal((8, 7, 1, 1)).astype(np.float32)
+        for mask in (assign_patterns(weights, library3).mask,
+                     assign_patterns_reference(weights, library3).mask,
+                     prune_pointwise_weights(pointwise, library3).mask):
+            assert mask.dtype == np.bool_
+
     def test_mask_keeps_exactly_k_weights_per_kernel(self, rng, library3):
         weights = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
         assignment = assign_patterns(weights, library3)

@@ -25,9 +25,22 @@ class TestPruningMask:
         assert mask.kept == 1 and mask.total == 4
         assert mask.full_name == "layer.weight"
 
-    def test_non_binary_rejected(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8, np.int64, bool])
+    def test_any_binary_input_is_held_as_bool(self, dtype):
+        # uint8 is what an artifact stores and loads.
+        source = np.array([[1, 0, 1], [0, 0, 1]], dtype=dtype)
+        mask = PruningMask("layer", "weight", source)
+        assert mask.mask.dtype == np.bool_
+        np.testing.assert_array_equal(mask.mask, source != 0)
+        assert mask.kept == 3 and mask.sparsity == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("values", [
+        np.array([0.5, 1.0]), np.array([0, 2], dtype=np.uint8), np.array([-1.0, 0.0]),
+        np.array([np.nan, 1.0]), np.array([1, 255], dtype=np.uint8),
+    ])
+    def test_non_binary_rejected(self, values):
         with pytest.raises(ValueError):
-            PruningMask("layer", "weight", np.array([0.5, 1.0]))
+            PruningMask("layer", "weight", values)
 
 
 class TestMaskSet:
@@ -41,6 +54,7 @@ class TestMaskSet:
         second = PruningMask("a", "weight", np.array([1.0, 0.0, 1.0]))
         masks = MaskSet([first, second])
         np.testing.assert_array_equal(masks.get("a.weight").mask, [1, 0, 0])
+        assert masks.get("a.weight").mask.dtype == np.bool_
 
     def test_apply_zeroes_weights_and_records(self, rng):
         model = Sequential(Conv2d(2, 2, 3, rng=rng))

@@ -1,10 +1,11 @@
 """A compiled convolution holds its weights once, in the form its executor reads.
 
-A plan at most ``DIRECT_MAX_DENSITY`` dense keeps CSR, a denser one a
-full-width matrix, and the fused program takes the values over; the column
-statistics that ``bench/frames.py`` reports are read from the structure the
-plans recorded.  Both kernel modes (``make test-engine`` also runs this file
-with ``REPRO_NO_NATIVE=1``).
+A plan at most ``DIRECT_MAX_DENSITY`` dense keeps CSR row pointers plus a
+bitmap of its nonzeros, a denser one a full-width matrix, and the fused
+program takes the values over; the column statistics that ``bench/frames.py``
+reports are read from the structure the plans recorded.  Pruning masks are
+bool.  Both kernel modes (``make test-engine`` also runs this file with
+``REPRO_NO_NATIVE=1``).
 """
 
 from __future__ import annotations
@@ -68,42 +69,54 @@ def _arrays(obj):
                 yield name, item
 
 
-def test_a_compiled_convolution_keeps_one_copy_of_its_weights():
-    """R-TOSS-2EP ``retinanet_lite`` @ 64, compiled and run once.
-
-    No conv the direct kernel runs holds an ``(O, I*kh*kw)`` array, and what the
-    engine retains — everything compile and the forward allocated and kept,
-    less the workspace arena — is at most the CSR bytes (values, ``flat``,
-    ``rowptr`` and the direct layouts' offsets) plus one full-width matrix per
-    dense plan and per conv that runs gather + GEMM.  A plan that kept its
-    full-width masked matrix, next to a folded copy in every BN-folded conv,
-    retained ~125 MiB here against a ~37 MiB budget.
-    """
-    size = 64
-    model = build_model("retinanet_lite", num_classes=3)
-    report = prune_with_rtoss(model, entries=2, example_input=(1, 3, size, size))
-    x = np.random.default_rng(0).standard_normal((1, 3, size, size)).astype(np.float32)
+def _retained(build):
+    """``build()``'s result and the bytes it allocated and kept (``tracemalloc``)."""
     sparse_kernel_available()                       # the library loads outside the trace
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        compiled = compile_model(model, report.masks)
-        compiled.forward_raw(x)
+        result = build()
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        return result, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
 
+
+def test_a_compiled_convolution_keeps_one_copy_of_its_weights():
+    """R-TOSS-2EP ``retinanet_lite`` @ 64, compiled and run once.
+
+    No conv the direct kernel runs holds an ``(O, I*kh*kw)`` array, and what the
+    engine retains — everything compile and the forward allocated and kept,
+    less the workspace arena — is at most the sparse bytes (values, ``rowptr``,
+    one bit per matrix entry and the direct layouts' offsets) plus one
+    full-width matrix per dense plan and per conv that runs gather + GEMM.  A
+    plan that kept its full-width masked matrix, next to a folded copy in every
+    BN-folded conv, retained ~125 MiB here against a ~22 MiB budget; int32
+    ``flat`` positions in place of the bitmap added 10 MiB.
+    """
+    size = 64
+    model = build_model("retinanet_lite", num_classes=3)
+    report = prune_with_rtoss(model, entries=2, example_input=(1, 3, size, size))
+    x = np.random.default_rng(0).standard_normal((1, 3, size, size)).astype(np.float32)
+
+    def build():
+        compiled = compile_model(model, report.masks)
+        compiled.forward_raw(x)
+        return compiled
+
+    compiled, retained = _retained(build)
     convs = [op for op in compiled._fused_program.steps if isinstance(op, FusedConv)]
     budget = 0
     for plan in compiled.plans.values():
+        rows, width = plan.shape
+        offsets = sum(layout.operands["off"].nbytes for layout in plan._layouts.values())
         if plan.sparse:
-            rowptr, flat = plan.csr()
-            budget += 4 * plan.nnz + flat.nbytes + rowptr.nbytes
-            budget += sum(layout.operands["off"].nbytes for layout in plan._layouts.values())
+            stored = 4 * plan.nnz + 4 * (rows + 1) + -(-rows * width // 8) + offsets
         else:
-            budget += 4 * plan.shape[0] * plan.shape[1]
+            stored = 4 * rows * width + offsets
+        assert plan.stored_bytes == stored, plan.layer_name
+        budget += stored
     for op in convs:
         rows, width = op.plan.shape
         if op.direct is not None:
@@ -119,3 +132,39 @@ def test_a_compiled_convolution_keeps_one_copy_of_its_weights():
     assert retained <= budget + arena + slack, (
         f"retained {retained / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB "
         f"+ arena {arena / 2**20:.1f} MiB")
+
+
+def test_pruned_masks_are_bool_and_retain_a_byte_per_weight():
+    """Every mask ``prune_with_rtoss`` returns is bool, and pruning retains at
+    most one byte per masked weight (the masks; the weights are zeroed in
+    place) plus slack — float32 masks retained four."""
+    size = 160
+    model = build_model("yolov5n", num_classes=3)
+    report, retained = _retained(
+        lambda: prune_with_rtoss(model, entries=3, example_input=(1, 3, size, size)))
+    masks = list(report.masks)
+    assert masks and all(mask.mask.dtype == np.bool_ for mask in masks)
+    slack = 1 << 20                                    # report, graph of the trace
+    assert retained <= report.masks.masked_parameters() + slack, (
+        f"retained {retained / 2**20:.2f} MiB for "
+        f"{report.masks.masked_parameters() / 2**20:.2f} M masked weights")
+
+
+@pytest.mark.skipif(not sparse_kernel_available(),
+                    reason="the portable path multiplies a full-width matrix per pruned conv")
+def test_rtoss_3ep_retains_less_than_the_dense_model():
+    """``retinanet_lite`` @ 64 built, pruned, compiled and run once on the
+    direct sparse kernel: the R-TOSS-3EP arm holds fewer bytes than the dense
+    arm (float32 masks and int32 ``flat`` positions made it hold ~45 MiB more)."""
+    size = 64
+    x = np.zeros((1, 3, size, size), dtype=np.float32)
+
+    def arm(entries):
+        def build():
+            model, compiled = _compiled("retinanet_lite", size, entries)
+            compiled.forward_raw(x)
+            return model, compiled
+        return _retained(build)[1]
+
+    dense, pruned = arm(None), arm(3)
+    assert pruned < dense, f"3EP {pruned / 2**20:.1f} MiB, dense {dense / 2**20:.1f} MiB"
