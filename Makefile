@@ -48,8 +48,10 @@
 #                      from RECORD_SEED, plus one traced) and append one line —
 #                      commit, host fingerprint, median + quartiles per metric
 #                      and workload — to docs/perf/history.jsonl (~10 min)
-#   make docs-check    docs hygiene: README exists, docs/ exists, and every
-#                      src/repro/* package is mentioned in the README module map
+#   make docs-check    docs hygiene: README exists, docs/ exists, every
+#                      src/repro/* package is mentioned in the README module map,
+#                      and every dotted repro.* name in README.md / docs/*.md
+#                      resolves (tools/docs_names.py)
 
 PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -169,4 +171,5 @@ docs-check:
 			missing=1; }; \
 	done; \
 	test $$missing -eq 0
+	@$(PYTHON) -m tools.docs_names
 	@echo "docs-check: OK"

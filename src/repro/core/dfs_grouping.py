@@ -10,6 +10,15 @@ Rules (Section IV.A):
 * a layer with no convolutional predecessor becomes its own parent (a new group),
 * otherwise the layer joins the group of the first parent found by the DFS,
 * a parent can have many children but every child has exactly one parent.
+
+The computational graph is the engine's traced op list
+(:func:`repro.engine.trace.trace_graph`, one forward pass; the paper obtains it
+"using the gradients obtained from backpropagation", any faithful connectivity
+record works).  Every op that ran a leaf module is a node; the glue ops between
+modules (``ewise``, ``getitem``, ``concat``, ...) are walked through to the
+leaf producers of each input.  A tensor no recorded op produced is an
+input-less ``opaque`` node, where that walk stops: a conv reached only through
+an unrecorded op (conv → ``.reshape`` → conv) opens its own group.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.nn.graph import ModelGraph, trace
+from repro.engine.trace import GraphPlan, OpNode, trace_graph
 from repro.nn.layers.conv import Conv2d
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
@@ -66,22 +75,82 @@ class GroupingResult:
         }
 
 
-def group_layers_dfs(graph: ModelGraph) -> GroupingResult:
-    """Run Algorithm 1 on a traced model graph."""
-    conv_graph = graph.conv_graph()
-    conv_layers = graph.conv_layers()
+def leaf_successors(graph: GraphPlan) -> Dict[str, List[str]]:
+    """Leaf-module name → the leaf modules that consume its output, each list
+    in the order its edges were first seen (op order)."""
+    producer: Dict[int, OpNode] = {}
+    successors: Dict[str, List[str]] = {}
+
+    def leaf_producers(slot: int, visited: set) -> List[str]:
+        # The model input and opaque nodes have no leaf producer.
+        if slot in visited or slot not in producer:
+            return []
+        visited.add(slot)
+        node = producer[slot]
+        if node.module is not None:
+            return [node.name]
+        return [name for source in node.inputs for name in leaf_producers(source, visited)]
+
+    for node in graph.ops:
+        if node.module is not None:
+            for slot in node.inputs:
+                for source in leaf_producers(slot, set()):
+                    targets = successors.setdefault(source, [])
+                    if source != node.name and node.name not in targets:
+                        targets.append(node.name)
+        for slot in node.outputs:
+            producer[slot] = node
+    return successors
+
+
+def conv_layers_of(model: Module) -> Dict[str, Conv2d]:
+    """Qualified name → Conv2d for every convolution of ``model``, in model order."""
+    return {name: module for name, module in model.named_modules() if isinstance(module, Conv2d)}
+
+
+def conv_graph(model: Module, graph: GraphPlan) -> Dict[str, List[str]]:
+    """Project the leaf-module graph onto convolutions, keyed in model order.
+
+    An edge conv_a → conv_b is added when there is a path from conv_a to conv_b
+    in the leaf-module graph that does not pass through any other convolution.
+    """
+    convs = conv_layers_of(model)
+    successors = leaf_successors(graph)
+    projected: Dict[str, List[str]] = {}
+    for source in convs:
+        # Search with a LIFO frontier that stops whenever another conv is
+        # reached; ``visited`` admits every node once, so no edge repeats.
+        reached = projected[source] = []
+        frontier = list(successors.get(source, ()))
+        visited = set(frontier)
+        while frontier:
+            node = frontier.pop()
+            if node in convs:
+                reached.append(node)
+                continue
+            for successor in successors.get(node, ()):
+                if successor not in visited:
+                    visited.add(successor)
+                    frontier.append(successor)
+    return projected
+
+
+def group_layers_dfs(model: Module, graph: GraphPlan) -> GroupingResult:
+    """Run Algorithm 1 on ``model``'s traced op list."""
+    edges = conv_graph(model, graph)
+    conv_layers = conv_layers_of(model)
 
     parent_of: Dict[str, str] = {}
     groups: Dict[str, LayerGroup] = {}
 
     # Deterministic traversal order: depth-first from the graph roots, in the order
-    # the layers appear in the model definition (``conv_graph`` is keyed in model
+    # the layers appear in the model definition (``edges`` is keyed in model
     # order, and so are the predecessor lists built from it).
-    predecessors: Dict[str, List[str]] = {name: [] for name in conv_graph}
-    for source, targets in conv_graph.items():
+    predecessors: Dict[str, List[str]] = {name: [] for name in edges}
+    for source, targets in edges.items():
         for target in targets:
             predecessors[target].append(source)
-    roots = [n for n in conv_graph if not predecessors[n]]
+    roots = [n for n in edges if not predecessors[n]]
     visited: List[str] = []
     seen = set()
 
@@ -90,14 +159,14 @@ def group_layers_dfs(graph: ModelGraph) -> GroupingResult:
             return
         seen.add(node)
         visited.append(node)
-        for successor in conv_graph[node]:
+        for successor in edges[node]:
             dfs(successor)
 
     for root in roots:
         dfs(root)
     # Any layer unreachable from a root (e.g. isolated or cyclic regions) still gets
     # processed so the grouping covers every convolution.
-    for node in conv_graph:
+    for node in edges:
         if node not in seen:
             dfs(node)
 
@@ -121,15 +190,12 @@ def group_layers_dfs(graph: ModelGraph) -> GroupingResult:
 
 def group_model(model: Module, example_input: Tensor) -> GroupingResult:
     """Trace ``model`` with ``example_input`` and apply Algorithm 1."""
-    graph = trace(model, example_input)
-    return group_layers_dfs(graph)
+    return group_layers_dfs(model, trace_graph(model, example_input.data))
 
 
 def trivial_grouping(model: Module) -> GroupingResult:
     """Every convolution is its own parent (used by the DFS-ablation benchmark)."""
-    conv_layers = {
-        name: module for name, module in model.named_modules() if isinstance(module, Conv2d)
-    }
+    conv_layers = conv_layers_of(model)
     groups = [LayerGroup(name) for name in conv_layers]
     parent_of = {name: name for name in conv_layers}
     return GroupingResult(groups, parent_of, conv_layers)

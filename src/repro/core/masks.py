@@ -125,9 +125,8 @@ class MaskSet:
         same signature, so callers can cheaply check whether a model was pruned
         with the same pattern assignment (e.g. whether a compiled engine built
         for one report is still valid for another).  The execution engine
-        records it on :class:`repro.engine.compiler.CompiledModel`; per-layer
-        staleness inside the engine is tracked by the finer-grained kept-column
-        signature on each plan.
+        records it on :class:`repro.engine.compiler.CompiledModel`, and a saved
+        artifact checks its masks against it on load.
         """
         import hashlib
 

@@ -35,11 +35,11 @@ from repro.core.report import PruningReport, build_layer_report
 from repro.nn.layers.conv import Conv2d
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, as_example_input
+from repro.utils.logging import get_logger
 
 #: Anything accepted where an example input is expected: a traced tensor, a plain
 #: numpy batch, or just the input *shape* (the zero tensor is built internally).
 ExampleInput = Union[Tensor, np.ndarray, Sequence[int], None]
-from repro.utils.logging import get_logger
 
 logger = get_logger("core.rtoss")
 

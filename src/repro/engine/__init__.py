@@ -31,7 +31,7 @@ There is one executor, fp32: quantization (:mod:`repro.compression.quantization`
 shrinks the stored artifact, it does not change how a forward runs
 (docs/engine.md says why there is no integer executor).
 
-A model the tracer cannot record (``detr`` / ``detr_lite`` in the registry)
+A model the fusion pass cannot lower (``detr`` / ``detr_lite`` in the registry)
 runs its own dense forward under ``no_grad`` instead — exact, just not fused.
 
 Quick use::

@@ -14,8 +14,8 @@ The model itself is never modified: no layer ``forward`` is shadowed, so a
 gradient-enabled call on the raw model is always the dense taped forward
 (training / fine-tuning stay correct by construction), and that same dense
 forward — under :class:`repro.nn.tensor.no_grad` — is the fallback for the
-rare model the tracer cannot record, and the oracle every equivalence test
-compares against.
+rare model whose traced op list the fusion pass cannot lower, and the oracle
+every equivalence test compares against.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class CompiledModel:
     def _float_program(self, data: np.ndarray):
         """The fused program, traced lazily on the first forward.
 
-        Returns None when the model proved untraceable (logged once; the dense
-        no-grad forward keeps serving).  Concurrent first calls serialize on
+        Returns None when the fusion pass rejected the trace (logged once; the
+        dense no-grad forward keeps serving).  Concurrent first calls serialize on
         the fuse lock so the model is traced exactly once.
         """
         program = self._fused_program
@@ -157,7 +157,7 @@ class CompiledModel:
                 except TraceError as error:
                     self._fuse_failed = str(error)
                     logger.info(
-                        "%s is untraceable (dense no-grad forward kept): %s",
+                        "%s does not fuse (dense no-grad forward kept): %s",
                         type(self.model).__name__, error)
             return self._fused_program
 
@@ -243,8 +243,9 @@ class CompiledModel:
         """Numpy-in / numpy-out, no-grad, eval-mode inference: the one engine path.
 
         Runs the fused program.  This is what :mod:`repro.serving` resolves
-        models to: raw arrays in, raw arrays out, no Tensor wrapping.  A model the tracer cannot record runs its own
-        dense forward under ``no_grad`` instead (:attr:`fuse_failure` says why).
+        models to: raw arrays in, raw arrays out, no Tensor wrapping.  A model
+        the fusion pass cannot lower runs its own dense forward under
+        ``no_grad`` instead (:attr:`fuse_failure` says why).
         """
         data = np.ascontiguousarray(data, dtype=np.float32)
         if self.model.training:

@@ -823,7 +823,12 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
     plans:
         ``layer name -> ConvPlan`` of the owning CompiledModel; a conv node
         without a plan replays its module.
+
+    Raises :class:`TraceError` naming the first node it cannot lower: an
+    ``opaque`` one is named after the op that consumed it.
     """
+    if not graph.ops:
+        raise TraceError("forward pass recorded no operations")
     ops: List[_FusedOp] = []
     for node in graph.ops:
         if node.kind == "conv" and node.name in plans:
@@ -844,15 +849,17 @@ def fuse_graph(graph: GraphPlan, plans: Dict[str, ConvPlan]) -> "FusedProgram":
             ops.append(MaxPoolOp(node))
         elif node.kind == "upsample":
             ops.append(UpsampleOp(node))
-        elif node.kind == "module" or node.module is not None:
+        elif (node.kind == "module" or node.module is not None) and node.outputs:
             if "args_template" not in node.params:
                 # Specialised node demoted here (e.g. unsupported activation):
                 # rebuild the generic replay params from its 1-in/1-out shape.
                 node.params["args_template"] = ((Slot(node.inputs[0]),), {})
                 node.params["out_template"] = Slot(node.outputs[0])
             ops.append(ModuleOp(node))
+        elif node.kind == "opaque":
+            raise TraceError(f"{node.name}: consumes a tensor no recorded op produced")
         else:
-            raise TraceError(f"op {node.kind!r} cannot be lowered to a fused step")
+            raise TraceError(f"{node.name}: op {node.kind!r} cannot be lowered to a fused step")
     # Every conv holds its plan's values now; a plan keeps only its structure,
     # so a BN fold below frees the unfolded array as it replaces it.
     for plan in plans.values():

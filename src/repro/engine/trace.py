@@ -19,10 +19,18 @@ How the recording works
   ``+ - * /``, slicing, :func:`repro.nn.functional.concat` — is patched for
   the duration of the trace so inline ops in non-module ``forward`` bodies
   (residual shortcuts, CSP concats, Focus slicing) are recorded too.
-* Anything else fails the trace with :class:`TraceError`; the caller
+* The tracer records and the fusion pass rejects.  A tensor no recorded op
+  produced (a ``.reshape``, a ``.sum()``, a constant built inside ``forward``)
+  becomes the output of an input-less ``opaque`` node named after the op that
+  first consumed it, and the trace goes on.  :func:`repro.engine.fuse.fuse_graph`
+  raises :class:`TraceError` naming any node it cannot lower; the caller
   (:class:`~repro.engine.compiler.CompiledModel`) logs it once and keeps the
   model's dense no-grad forward, so an untraceable model is never wrong, only
   slower.
+
+The same op list is the computational graph Algorithm 1 groups layers on
+(:mod:`repro.core.dfs_grouping`), so the whole forward is recorded even when
+the fusion pass will reject it (``detr`` / ``detr_lite``).
 
 Tracing assumes a *static* graph: the recorded op list must be valid for any
 input batch shape.  Models whose control flow depends on values cannot be
@@ -48,12 +56,12 @@ from repro.nn.layers.merge import Add, Concat
 from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.layers.pooling import MaxPool2d
 from repro.nn.layers.upsample import Upsample
-from repro.nn.module import Identity, Module
+from repro.nn.module import Module
 from repro.nn.tensor import Tensor, no_grad
 
 
 class TraceError(RuntimeError):
-    """The model's forward contains an operation the tracer cannot record."""
+    """A traced op the fusion pass cannot lower (the model keeps its dense forward)."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,8 @@ class OpNode:
     ``concat``, ``getitem``, ``ewise``, ``maxpool``, ``upsample``, ``module``.
     ``module`` nodes replay through the module object itself; all other kinds
     execute as raw numpy with arena-backed buffers (:mod:`repro.engine.fuse`).
+    ``opaque`` stands for a tensor no recorded op produced; nothing lowers it.
+    ``module`` is set on every node that ran a leaf module.
     """
 
     index: int
@@ -187,12 +197,14 @@ class _Tracer:
         self._keepalive.append(tensor)
         return slot
 
-    def lookup(self, tensor: Tensor, context: str) -> int:
+    def lookup(self, tensor: Tensor, consumer: str) -> int:
+        """The slot of ``tensor``; one no recorded op produced becomes the
+        output of an input-less ``opaque`` node named after ``consumer``."""
         slot = self.slots.get(id(tensor))
         if slot is None:
-            raise TraceError(
-                f"{context}: consumes a tensor produced by an operation the "
-                "tracer did not record")
+            slot = self.register(tensor)
+            self.ops.append(OpNode(index=len(self.ops), kind="opaque", name=consumer,
+                                   inputs=(), outputs=(slot,)))
         return slot
 
     def active_here(self) -> bool:
@@ -213,9 +225,7 @@ class _Tracer:
         input_slots = tuple(self.lookup(t, name or type(module).__name__)
                             for t in tensors_in)
         tensors_out = list(_iter_tensors(output))
-        if not tensors_out:
-            raise TraceError(f"{name}: module produced no tensors")
-        if all(id(t) in self.slots for t in tensors_out):
+        if tensors_out and all(id(t) in self.slots for t in tensors_out):
             # Pass-through module (Identity, eval-mode Dropout): the outputs
             # are existing values — nothing to replay.
             return
@@ -272,8 +282,6 @@ def _classify_leaf(module: Module) -> Tuple[str, Dict[str, Any]]:
         return "concat", {"axis": module.axis}
     if isinstance(module, Add):
         return "add", {}
-    if isinstance(module, Identity):
-        return "module", {}
     return "module", {}
 
 
@@ -387,10 +395,9 @@ class _GluePatches:
             record = tracer.active_here()
             with suppress():
                 result = _orig(self_t, index)
-            if record:
-                parts = index if isinstance(index, tuple) else (index,)
-                if any(isinstance(part, Tensor) for part in parts):
-                    raise TraceError("tensor-valued indexing is not traceable")
+            parts = index if isinstance(index, tuple) else (index,)
+            # Tensor-valued indexing stays unrecorded: its result is opaque.
+            if record and not any(isinstance(part, Tensor) for part in parts):
                 tracer.record("getitem", "getitem",
                               (tracer.lookup(self_t, "getitem"),), result,
                               params={"index": index})
@@ -406,9 +413,8 @@ class _GluePatches:
             record = tracer.active_here()
             with suppress():
                 result = _orig(operands, axis=axis)
-            if record:
-                if not all(isinstance(t, Tensor) for t in operands):
-                    raise TraceError("concat over non-Tensor operands")
+            # A concat over non-Tensor operands stays unrecorded: its result is opaque.
+            if record and all(isinstance(t, Tensor) for t in operands):
                 slots = tuple(tracer.lookup(t, "concat") for t in operands)
                 tracer.record("concat", "concat", slots, result,
                               params={"axis": int(axis)})
@@ -504,9 +510,9 @@ class _LeafWrappers:
 def trace_graph(model: Module, example: np.ndarray) -> GraphPlan:
     """Run ``model`` once on ``example`` and return the recorded op-plan list.
 
-    The model is run in eval mode under ``no_grad``.  Raises
-    :class:`TraceError` when any operation cannot be recorded — callers fall
-    back to the model's own dense forward.
+    The model is run in eval mode under ``no_grad``.  Every forward records:
+    what no recorded op produced enters the list as an ``opaque`` node, which
+    :func:`repro.engine.fuse.fuse_graph` rejects.
     """
     example = np.ascontiguousarray(example, dtype=np.float32)
     with _TRACE_LOCK:
@@ -520,8 +526,6 @@ def trace_graph(model: Module, example: np.ndarray) -> GraphPlan:
                 output = model(root)
             template = build_template(
                 output, lambda t: tracer.lookup(t, "model output"))
-            if not tracer.ops:
-                raise TraceError("forward pass recorded no operations")
             return GraphPlan(
                 ops=tracer.ops,
                 input_slot=input_slot,

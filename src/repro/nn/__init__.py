@@ -8,7 +8,6 @@ exactly the primitives the R-TOSS pruning framework and the object detectors in
 from repro.nn import functional
 from repro.nn import init
 from repro.nn import losses
-from repro.nn.graph import ModelGraph, trace
 from repro.nn.layers import (
     GELU,
     Add,
@@ -39,7 +38,6 @@ from repro.nn.tensor import (Tensor, as_example_input, as_tensor, is_grad_enable
 
 __all__ = [
     "functional", "init", "losses",
-    "ModelGraph", "trace",
     "Tensor", "as_example_input", "as_tensor", "is_grad_enabled", "no_grad", "ones",
     "zeros",
     "Identity", "Module", "ModuleList", "Parameter", "Sequential",

@@ -2,8 +2,9 @@
 
 The API intentionally mirrors the small subset of ``torch.nn.Module`` that the
 pruning framework relies on: named parameters/buffers, module trees, state dicts,
-train/eval switching and forward hooks (used by :mod:`repro.nn.graph` to trace the
-computational graph that Algorithm 1 consumes).
+train/eval switching and forward hooks (the per-layer cost profile of
+:mod:`repro.hardware.cost_model` records through them).  Algorithm 1's
+computational graph is the engine's traced op list (:mod:`repro.engine.trace`).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ The R-TOSS framework needs three things from its deep-learning substrate:
 ``Tensor`` provides (1) and (2): it wraps a ``numpy.ndarray`` and records, for every
 produced tensor, a backward closure plus the parent tensors it was computed from.
 Calling :meth:`Tensor.backward` walks that tape in reverse topological order and
-accumulates gradients.  (3) is provided at the *module* level by
-:mod:`repro.nn.graph`, which is what Algorithm 1 actually consumes.
+accumulates gradients.  (3) is the engine's traced op list
+(:mod:`repro.engine.trace`): one forward records every leaf module and the
+glue between them, which is what Algorithm 1 actually consumes.
 
 The implementation favours clarity over speed; all heavy lifting is vectorised
 numpy, and the op set is exactly what the detectors in :mod:`repro.models` need.

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.dfs_grouping import group_layers_dfs, group_model, trivial_grouping
+from repro.core.dfs_grouping import (conv_layers_of, group_layers_dfs, group_model,
+                                     trivial_grouping)
 from repro.core.masks import MaskSet, PruningMask
-from repro.nn.graph import trace
+from repro.engine.trace import trace_graph
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.merge import Concat
 from repro.nn.module import Module, Sequential
@@ -141,7 +142,8 @@ class TestDFSGrouping:
         assert result.num_groups == 1
         group = result.groups[0]
         assert group.parent == "0"
-        assert set(group.children) == {"2", "3"}
+        assert group.children == ["2", "3"]
+        assert list(result.parent_of.items()) == [("0", "0"), ("2", "0"), ("3", "0")]
 
     def test_every_child_has_one_parent(self, tiny_model, tiny_input):
         result = group_model(tiny_model, tiny_input)
@@ -185,6 +187,6 @@ class TestDFSGrouping:
         assert outputs == ["[('left', ['out']), ('right', [])]"] * 2
 
     def test_group_layers_dfs_on_traced_graph(self, tiny_model, tiny_input):
-        graph = trace(tiny_model, tiny_input)
-        result = group_layers_dfs(graph)
-        assert result.num_layers == len(graph.conv_layers())
+        graph = trace_graph(tiny_model, tiny_input.data)
+        result = group_layers_dfs(tiny_model, graph)
+        assert result.num_layers == len(conv_layers_of(tiny_model))

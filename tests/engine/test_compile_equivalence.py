@@ -196,7 +196,10 @@ def test_every_registry_model_runs_the_one_engine_path(name, rng):
     compiled = compile_model(model)
     diff = max_abs_output_diff(compiled.forward_raw(x), oracle)
     if name in UNTRACEABLE:
-        assert compiled.engine_mode == "eager" and compiled.fuse_failure
+        # The first leaf to consume the reshaped backbone tokens is named.
+        assert compiled.engine_mode == "eager"
+        assert compiled.fuse_failure == (
+            "encoder.0.norm1: consumes a tensor no recorded op produced")
         assert diff == 0.0
     else:
         peak = max_abs_output_diff(oracle, map_structure(np.zeros_like, oracle))

@@ -288,11 +288,40 @@ def test_untraceable_model_keeps_dense_forward(rng):
     compiled = compile_model(model)
     out = compiled.forward_raw(x)
     assert not compiled.fused_active
-    assert compiled.fuse_failure is not None
+    # The multiply consuming the unrecorded .sum() is the op that cannot lower.
+    assert compiled.fuse_failure == "multiply: consumes a tensor no recorded op produced"
     np.testing.assert_allclose(out, dense, atol=TOL, rtol=0)
     # The failure is remembered: no re-trace storm on every call.
     compiled.forward_raw(x)
     assert compiled.fuse_failure is not None
+
+
+def test_a_leaf_that_returns_no_tensor_keeps_dense_forward(rng):
+    """The tracer records a leaf call that returns no tensor; the fuse pass,
+    which has no step without an output, rejects it by name."""
+
+    class Probe(Module):
+        def forward(self, x):
+            return None
+
+    class Model(Module):
+        def __init__(self):
+            super().__init__()
+            self.conv = Conv2d(3, 4, kernel_size=3, rng=np.random.default_rng(0))
+            self.probe = Probe()
+
+        def forward(self, x):
+            y = self.conv(x)
+            self.probe(y)
+            return y
+
+    model = Model()
+    model.eval()
+    x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
+    dense = model(Tensor(x)).data.copy()
+    compiled = compile_model(model)
+    np.testing.assert_array_equal(compiled.forward_raw(x), dense)
+    assert compiled.fuse_failure == "probe: op 'module' cannot be lowered to a fused step"
 
 
 # ----------------------------------------------------------------------- arena

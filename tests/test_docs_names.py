@@ -1,66 +1,26 @@
-"""Every `repro.…` name the docs put in backticks still exists.
-
-A deletion that leaves its name in ``README.md`` or ``docs/*.md`` sends a
-reader to a module or attribute that is gone.  This guard collects each inline
-code span that starts with a dotted ``repro.`` name (fenced blocks are
-skipped: they hold commands and sample sessions, not references) and checks
-that the name imports as a module or resolves as an attribute of one.
-"""
+"""Every dotted `repro.…` name the docs use still exists (``tools.docs_names``,
+which ``make docs-check`` runs)."""
 
 from __future__ import annotations
 
-import dataclasses
-import importlib
-import re
-import typing
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-FENCE = re.compile(r"^```.*?^```", re.S | re.M)
-NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
-
-
-def documented_names():
-    """``{name: [file, ...]}`` for every backticked dotted ``repro.`` name."""
-    names = {}
-    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
-        text = FENCE.sub("", path.read_text(encoding="utf-8"))
-        for name in NAME.findall(text):
-            names.setdefault(name, []).append(path.relative_to(ROOT).as_posix())
-    return names
-
-
-def resolves(name: str) -> bool:
-    """The longest importable prefix of ``name``, then attributes for the rest.
-
-    A dataclass field built by ``default_factory`` is no class attribute, so
-    it resolves through the class's fields, to its annotated type.
-    """
-    parts = name.split(".")
-    for cut in range(len(parts), 0, -1):
-        try:
-            target = importlib.import_module(".".join(parts[:cut]))
-        except ModuleNotFoundError:
-            continue
-        for attribute in parts[cut:]:
-            if hasattr(target, attribute):
-                target = getattr(target, attribute)
-            elif isinstance(target, type) and dataclasses.is_dataclass(target) and any(
-                    spec_field.name == attribute for spec_field in dataclasses.fields(target)):
-                target = typing.get_type_hints(target)[attribute]
-            else:
-                return False
-        return True
-    return False
+from tools.docs_names import documented_names, resolves, stale_names
 
 
 def test_every_documented_repro_name_resolves():
-    names = documented_names()
-    assert len(names) > 10, "the scan found next to no names: is the pattern broken?"
-    stale = {name: sorted(set(files)) for name, files in names.items() if not resolves(name)}
-    assert stale == {}
+    assert len(documented_names()) > 10, "the scan found next to no names: is the pattern broken?"
+    assert stale_names() == {}
+
+
+def test_the_scan_reads_prose_code_spans_and_fenced_blocks(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text(
+        "Prose names repro.nn.graph; a span names `repro.engine.trace.trace_graph`.\n"
+        "```\n  trace computational graph          repro.nn.graph.trace\n```\n"
+        "A path src/repro/nn is no name, nor is repro_engine_mode.\n")
+    assert stale_names(tmp_path) == {"repro.nn.graph": ["README.md"],
+                                     "repro.nn.graph.trace": ["README.md"]}
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -85,6 +45,12 @@ def test_every_documented_repro_name_resolves():
     ("repro.serving.assembly.ServingStack.autoscaler", False),
     ("repro.pipeline.spec.AutoscalerSpec", False),
     ("repro.pipeline.spec.ClusterSpec.autoscaler", False),
+    # Algorithm 1 groups layers on the engine's op list; the second tracer is gone:
+    ("repro.engine.trace.trace_graph", True),
+    ("repro.core.dfs_grouping.conv_graph", True),
+    ("repro.nn.graph", False),
+    ("repro.nn.graph.ModelGraph", False),
+    ("repro.nn.trace", False),
 ])
 def test_the_resolver_tells_a_live_name_from_a_deleted_one(name, expected):
     assert resolves(name) is expected
