@@ -16,9 +16,10 @@ The computational graph is the engine's traced op list
 "using the gradients obtained from backpropagation", any faithful connectivity
 record works).  Every op that ran a leaf module is a node; the glue ops between
 modules (``ewise``, ``getitem``, ``concat``, ...) are walked through to the
-leaf producers of each input.  A tensor no recorded op produced is an
+leaf producers of each input.  A tensor no recorded op produced (any op outside
+the patched glue: ``.reshape``, ``.transpose``, ``F.relu``, ...) is an
 input-less ``opaque`` node, where that walk stops: a conv reached only through
-an unrecorded op (conv → ``.reshape`` → conv) opens its own group.
+such an op opens its own group, and :func:`group_model` logs a warning naming it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from repro.engine.trace import GraphPlan, OpNode, trace_graph
 from repro.nn.layers.conv import Conv2d
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
+from repro.utils.logging import get_logger
+
+#: The :func:`leaf_successors` key listing the leaves that read an ``opaque`` tensor.
+UNRECORDED = "<unrecorded>"
 
 
 @dataclass
@@ -77,18 +82,18 @@ class GroupingResult:
 
 def leaf_successors(graph: GraphPlan) -> Dict[str, List[str]]:
     """Leaf-module name → the leaf modules that consume its output, each list
-    in the order its edges were first seen (op order)."""
+    in the order its edges were first seen (op order), plus :data:`UNRECORDED`."""
     producer: Dict[int, OpNode] = {}
     successors: Dict[str, List[str]] = {}
 
     def leaf_producers(slot: int, visited: set) -> List[str]:
-        # The model input and opaque nodes have no leaf producer.
+        # The model input has no leaf producer; an opaque node stands for one.
         if slot in visited or slot not in producer:
             return []
         visited.add(slot)
         node = producer[slot]
-        if node.module is not None:
-            return [node.name]
+        if node.module is not None or node.kind == "opaque":
+            return [UNRECORDED if node.module is None else node.name]
         return [name for source in node.inputs for name in leaf_producers(source, visited)]
 
     for node in graph.ops:
@@ -190,7 +195,13 @@ def group_layers_dfs(model: Module, graph: GraphPlan) -> GroupingResult:
 
 def group_model(model: Module, example_input: Tensor) -> GroupingResult:
     """Trace ``model`` with ``example_input`` and apply Algorithm 1."""
-    return group_layers_dfs(model, trace_graph(model, example_input.data))
+    graph = trace_graph(model, example_input.data)
+    convs = conv_layers_of(model)
+    cut = [name for name in leaf_successors(graph).get(UNRECORDED, ()) if name in convs]
+    if cut:
+        get_logger("core.dfs_grouping").warning(
+            "Algorithm 1 sees no producer: %s read a tensor no recorded op made", ", ".join(cut))
+    return group_layers_dfs(model, graph)
 
 
 def trivial_grouping(model: Module) -> GroupingResult:

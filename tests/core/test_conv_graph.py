@@ -3,16 +3,18 @@ traced op list, their projection onto convolutions, and the grouping pinned
 per registry model."""
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.dfs_grouping import (conv_graph, conv_layers_of, group_model,
-                                     leaf_successors)
+from repro.core.dfs_grouping import (UNRECORDED, conv_graph, conv_layers_of,
+                                     group_layers_dfs, group_model, leaf_successors)
 from repro.engine import compile_model
 from repro.engine.trace import trace_graph
 from repro.models import available_models, build_model
+from repro.nn import functional as F
 from repro.nn.layers.activation import ReLU
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.merge import Concat
@@ -132,10 +134,37 @@ class TestGroupingPins:
 
     @pytest.mark.parametrize("name", available_models())
     def test_registry_model_at_64px(self, name):
-        result = group_model(build_model(name), Tensor(_input(64)))
+        model = build_model(name)
+        graph = trace_graph(model, _input(64))
+        result = group_layers_dfs(model, graph)
+        # No registry conv reads a tensor the walk cannot follow back
+        # (``detr*``'s opaque tokens feed LayerNorms, not convs).
+        assert not set(leaf_successors(graph).get(UNRECORDED, ())) & set(conv_layers_of(model))
         pin = PINS[name]
         assert [[parent, children] for parent, children in _groups(result)] == pin["groups"]
         assert [list(item) for item in result.parent_of.items()] == pin["parent_of"]
+
+
+@pytest.mark.parametrize("inline", [
+    lambda y: y.transpose(0, 1, 2, 3), lambda y: F.relu(y), lambda y: F.max_pool2d(y, 2)],
+    ids=["transpose", "relu", "max_pool2d"])
+def test_any_op_outside_the_traced_glue_cuts_the_walk(inline):
+    """Not only ``.reshape``: every op the tracer does not patch yields an
+    opaque tensor, and the conv behind it is named."""
+
+    class Inline(Module):
+        def __init__(self):
+            super().__init__()
+            self.conv1 = Conv2d(3, 4, 3)
+            self.conv2 = Conv2d(4, 2, 3)
+
+        def forward(self, x):
+            return self.conv2(inline(self.conv1(x)) * 1.0)
+
+    model = Inline()
+    graph = trace_graph(model, _input())
+    assert leaf_successors(graph)[UNRECORDED] == ["conv2"]
+    assert _groups(group_layers_dfs(model, graph)) == [("conv1", []), ("conv2", [])]
 
 
 def test_a_conv_reached_only_through_an_unrecorded_op_opens_its_own_group():
@@ -143,8 +172,18 @@ def test_a_conv_reached_only_through_an_unrecorded_op_opens_its_own_group():
     ``opaque`` node, so the walk back from conv2 finds no producer, and the
     fusion pass names conv2 as the op it cannot lower."""
     model = Reshaped()
-    result = group_model(model, Tensor(_input()))
+    records = []
+    handler = logging.Handler(level=logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("repro.core.dfs_grouping")
+    logger.addHandler(handler)
+    try:
+        result = group_model(model, Tensor(_input()))
+    finally:
+        logger.removeHandler(handler)
     assert _groups(result) == [("conv1", []), ("conv2", [])]
+    # The cut edge is not silent: group_model names the conv it affects.
+    assert len(records) == 1 and "conv2 read a tensor" in records[0].getMessage()
 
     compiled = compile_model(model)
     compiled.forward_raw(_input())
